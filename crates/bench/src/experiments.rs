@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// Experiment configuration shared by all figures.
 #[derive(Debug, Clone)]
 pub struct ExpConfig {
-    /// Dataset scale (1.0 = the laptop-sized full datasets of DESIGN.md).
+    /// Dataset scale (1.0 = the laptop-sized full datasets).
     pub scale: f64,
     /// Cross-check incremental answers against batch recomputation.
     pub verify: bool,

@@ -5,7 +5,7 @@
 //! Every panel of Figure 8 plus the in-text experiments (unit updates,
 //! ρ-sensitivity, optimisation ratios) has a code path here:
 //!
-//! * [`workloads`] — datasets (DESIGN.md §2.4 stand-ins for DBpedia /
+//! * [`workloads`] — datasets (seeded stand-ins for DBpedia /
 //!   LiveJournal / the synthetic generator) and the query generators the
 //!   paper sweeps (KWS `(m, b)`, RPQ `|Q|`, ISO `(|V_Q|, |E_Q|, d_Q)`),
 //! * [`harness`] — timing and table formatting,

@@ -35,7 +35,7 @@ pub fn kws_query(m: usize, b: u32) -> KwsQuery {
 /// selective anchor label at the source, broad traversal labels under the
 /// star. With Zipfian labels the anchors are few while the traversal
 /// explores a large reachable region, so the batch algorithm's cost is
-/// genuinely `Θ(sources · region)` — see DESIGN.md §2.4.
+/// genuinely `Θ(sources · region)`.
 pub fn rpq_query(size: usize, alphabet: usize) -> Regex {
     assert!(size >= 3, "the family needs at least three occurrences");
     assert!(alphabet >= 8);
@@ -61,7 +61,7 @@ pub fn rpq_query(size: usize, alphabet: usize) -> Regex {
 /// sparse digraphs — on our generator stand-ins both sides of the
 /// comparison would degenerate to trivial label filtering. One fewer edge
 /// keeps the same node counts and diameters with a DAG-shaped motif that
-/// actually occurs (see DESIGN.md §2.4). Labels cycle through `{0, 1, 2}`,
+/// actually occurs. Labels cycle through `{0, 1, 2}`,
 /// the head of the Zipf distribution.
 pub fn iso_pattern(n: usize) -> Pattern {
     assert!(n >= 3);

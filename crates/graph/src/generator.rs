@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 /// `∝ 1/(r+1)`. Real-graph label frequencies are heavy-tailed — on DBpedia
 /// a handful of types (person, place, work, …) cover most nodes — and
 /// uniform labels would make every label-anchored query unrealistically
-/// selective (see DESIGN.md §2.4).
+/// selective.
 #[derive(Debug, Clone)]
 pub struct ZipfLabels {
     cumulative: Vec<f64>,
@@ -60,7 +60,7 @@ impl ZipfLabels {
 
 /// A uniform random digraph: `nodes` nodes, `edges` distinct random edges
 /// (no self-loops), labels drawn Zipfian from an alphabet of `labels`
-/// symbols. The DBpedia stand-in (Section 2.4 of DESIGN.md).
+/// symbols. The DBpedia stand-in.
 pub fn uniform_graph(nodes: usize, edges: usize, labels: usize, seed: u64) -> DynamicGraph {
     assert!(nodes >= 2, "need at least two nodes");
     assert!(labels >= 1);
@@ -123,7 +123,8 @@ pub fn preferential_graph(
     g
 }
 
-/// Preset scales mirroring the paper's three datasets (§2.4 of DESIGN.md).
+/// Preset scales mirroring the paper's three datasets (seeded stand-ins;
+/// see README, "Workspace layout").
 /// `scale = 1.0` is the laptop-sized "full" dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dataset {

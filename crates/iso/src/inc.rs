@@ -12,7 +12,7 @@
 //!   completions of that partial mapping. This is equivalent (both find
 //!   exactly the matches using an inserted edge inside the neighbourhood)
 //!   but never re-enumerates pre-existing matches that happen to live in
-//!   the neighbourhood; DESIGN.md §2.3 records the refinement.
+//!   the neighbourhood.
 //!
 //! Cost is a function of `|Q|` and `|G_{d_Q}(ΔG)|` only, never of `|G|` —
 //! the definition of localizability. The one-at-a-time variant `IncISOⁿ`

@@ -31,6 +31,10 @@ pub struct IncRpq {
     nfa: Nfa,
     /// Inverse transitions: `(l(x), s) → {s′ : s ∈ δ(s′, l(x))}`.
     rev: FxHashMap<(Label, StateId), Vec<StateId>>,
+    /// Labels on some transition ([`Nfa::used_labels`]). An updated edge
+    /// whose target carries any other label advances no marking, so it is
+    /// skipped before its source's markings are even looked at.
+    alphabet: FxHashSet<Label>,
     marks: Markings,
     /// Number of accepting-state markings per (source, node) pair.
     acc_count: FxHashMap<(NodeId, NodeId), u32>,
@@ -109,6 +113,7 @@ impl IncRpq {
             rev.entry((l, t)).or_default().push(s);
         }
         let mut me = IncRpq {
+            alphabet: nfa.used_labels().into_iter().collect(),
             nfa,
             rev,
             marks: Markings::new(g.node_count()),
@@ -297,10 +302,13 @@ impl IncRpq {
             if !g.contains_node(v) || !g.contains_node(w) {
                 continue;
             }
+            let lw = g.label(w);
+            if !self.alphabet.contains(&lw) {
+                continue;
+            }
             if v.index() >= self.marks.node_count() || self.marks.none_at_node(v) {
                 continue;
             }
-            let lw = g.label(w);
             sc.keys.clear();
             sc.keys
                 .extend(self.marks.at_node(v).map(|(u, s, _)| (u, s)));
@@ -419,10 +427,10 @@ impl IncRpq {
         sc: &mut RpqScratch,
     ) {
         for &(v, w) in insertions {
-            if self.marks.none_at_node(v) {
+            let lw = g.label(w);
+            if !self.alphabet.contains(&lw) || self.marks.none_at_node(v) {
                 continue;
             }
-            let lw = g.label(w);
             sc.keys.clear();
             sc.keys
                 .extend(self.marks.at_node(v).map(|(u, s, _)| (u, s)));

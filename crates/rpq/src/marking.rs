@@ -9,10 +9,11 @@
 //!
 //! The paper additionally stores `cpre` (all marked predecessors); we
 //! derive candidate predecessors by scanning in-neighbours through the
-//! NFA's inverse transition table instead, which costs a degree factor and
-//! is noted as a deviation in DESIGN.md §2.3. `mpre` is maintained as a
-//! *subset* of the true shortest-path predecessors (it may lose entries
-//! that are re-validated later); this is sound because it is used only as a
+//! NFA's inverse transition table instead, which costs a degree factor —
+//! a deliberate deviation that saves the `cpre` sets' memory and upkeep.
+//! `mpre` is maintained as a *subset* of the true shortest-path
+//! predecessors (it may lose entries that are re-validated later); this is
+//! sound because it is used only as a
 //! conservative trigger — an empty `mpre` marks the entry affected, and the
 //! potential recomputation scans all unaffected predecessors regardless.
 

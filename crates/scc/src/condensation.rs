@@ -60,6 +60,11 @@ impl Condensation {
         v.index() < self.scc_of.len() && self.scc_of[v.index()] != SccId::MAX
     }
 
+    /// Number of tracked nodes (node ids `0..node_count()`).
+    pub fn node_count(&self) -> usize {
+        self.scc_of.len()
+    }
+
     /// Member nodes of an scc.
     pub fn members(&self, id: SccId) -> &[NodeId] {
         self.members.get(&id).map_or(&[], |m| m.as_slice())
@@ -185,8 +190,8 @@ impl Condensation {
             .unwrap_or(0)
     }
 
-    /// Remove an scc entirely (members, rank and *all incident edges*).
-    /// Used when merging or splitting; callers re-create the replacements.
+    /// Remove an scc entirely (members, rank and *all incident edges*);
+    /// the returned nodes are left unmapped until the caller re-homes them.
     pub fn dissolve(&mut self, id: SccId) -> Vec<NodeId> {
         let nodes = self.members.remove(&id).unwrap_or_default();
         if let Some(r) = self.rank.remove(&id) {
@@ -207,6 +212,43 @@ impl Condensation {
             }
         }
         nodes
+    }
+
+    /// Merge `src` into `dst` in place: `src`'s nodes join `dst`'s member
+    /// list, its edge counters to and from third components move onto
+    /// `dst`, and edges between the two become internal and vanish. `dst`
+    /// keeps its id, rank and storage, so the cost is `src`'s members plus
+    /// `src`'s condensation degree — independent of `dst`'s size. Returns
+    /// that cost (nodes plus edge counters moved) for work accounting.
+    pub fn absorb(&mut self, dst: SccId, src: SccId) -> usize {
+        debug_assert_ne!(dst, src);
+        let outs: Vec<(SccId, u32)> = self.out_edges(src).filter(|&(t, _)| t != dst).collect();
+        let inns: Vec<(SccId, u32)> = self.in_edges(src).filter(|&(s, _)| s != dst).collect();
+        let nodes = self.dissolve(src);
+        for &v in &nodes {
+            self.scc_of[v.index()] = dst;
+        }
+        let moved = nodes.len() + outs.len() + inns.len();
+        self.members
+            .get_mut(&dst)
+            .expect("absorbing scc exists")
+            .extend(nodes);
+        for (t, c) in outs {
+            self.add_edge_count(dst, t, c);
+        }
+        for (s, c) in inns {
+            self.add_edge_count(s, dst, c);
+        }
+        moved
+    }
+
+    /// Keep only the members of `id` for which `keep` holds, visiting them
+    /// once in stored order; `id` keeps its storage, rank and edges. The
+    /// dropped nodes stay mapped to `id` until the caller re-homes them
+    /// with [`create_scc`](Self::create_scc) — how a split carves pieces
+    /// off a component that survives under its own id.
+    pub fn retain_members(&mut self, id: SccId, keep: impl FnMut(&NodeId) -> bool) {
+        self.members.get_mut(&id).expect("unknown scc").retain(keep);
     }
 
     /// Overwrite the rank of `id` with a real (non-placeholder) rank.
@@ -355,6 +397,48 @@ mod tests {
         assert_eq!(c.edge_count(a, b), 0);
         assert_eq!(c.out_edges(a).count(), 0);
         assert_eq!(c.in_edges(d).count(), 0);
+        assert!(c.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn absorb_moves_nodes_and_outside_edges_only() {
+        // a → b → d, a → d twice, e → b; absorbing b into a.
+        let mut c = Condensation::new();
+        let e = c.create_scc(vec![NodeId(4)], 4 * RANK_GAP);
+        let a = c.create_scc(vec![NodeId(0), NodeId(5)], 3 * RANK_GAP);
+        let b = c.create_scc(vec![NodeId(1), NodeId(2)], 2 * RANK_GAP);
+        let d = c.create_scc(vec![NodeId(3)], RANK_GAP);
+        c.add_edge(a, b);
+        c.add_edge(b, d);
+        c.add_edge_count(a, d, 2);
+        c.add_edge(e, b);
+        // Two nodes, one out-counter (→ d) and one in-counter (e →).
+        assert_eq!(c.absorb(a, b), 4);
+        assert_eq!(c.scc_count(), 3);
+        assert_eq!(c.members(a), &[NodeId(0), NodeId(5), NodeId(1), NodeId(2)]);
+        assert_eq!(c.scc_of(NodeId(2)), a);
+        assert_eq!(c.rank(a), 3 * RANK_GAP);
+        assert_eq!(c.rank_below(3 * RANK_GAP), Some(RANK_GAP));
+        assert_eq!(c.edge_count(a, d), 3);
+        assert_eq!(c.edge_count(e, a), 1);
+        assert_eq!(c.out_edges(a).count(), 1);
+        assert_eq!(c.in_edges(a).count(), 1);
+        assert_eq!(c.out_edges(e).count(), 1);
+        assert!(c.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn retain_members_keeps_id_rank_and_edges() {
+        let mut c = Condensation::new();
+        let a = c.create_scc(vec![NodeId(0), NodeId(1), NodeId(2)], 2 * RANK_GAP);
+        let b = c.create_scc(vec![NodeId(3)], RANK_GAP);
+        c.add_edge(a, b);
+        c.retain_members(a, |&v| v != NodeId(1));
+        let carved = c.create_scc(vec![NodeId(1)], 3 * RANK_GAP);
+        assert_eq!(c.members(a), &[NodeId(0), NodeId(2)]);
+        assert_eq!(c.scc_of(NodeId(1)), carved);
+        assert_eq!(c.rank(a), 2 * RANK_GAP);
+        assert_eq!(c.edge_count(a, b), 1);
         assert!(c.check_invariants().is_ok());
     }
 

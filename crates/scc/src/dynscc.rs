@@ -10,7 +10,8 @@
 //! over the whole component *even when the output does not change*. That
 //! eager maintenance is exactly the overhead the paper measures: DynSCC
 //! loses to IncSCC at small `|ΔG|` (Section 6, Exp-1(3)). Łącki's full
-//! recursive hierarchy is out of scope; see DESIGN.md §2.3.
+//! recursive hierarchy is out of scope: the baseline only has to pay the
+//! eager certificate upkeep the paper compares against.
 
 use crate::condensation::SccId;
 use crate::inc::IncScc;

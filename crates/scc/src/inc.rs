@@ -1,14 +1,15 @@
 //! IncSCC — the incremental SCC algorithm of Section 5.3, bounded relative
 //! to Tarjan.
 //!
-//! The auxiliary state is the condensation `Gc` with topological ranks, plus
-//! per-node `num`/`lowlink` values. Unit operations:
+//! The auxiliary state is the condensation `Gc` with topological ranks.
+//! Unit operations:
 //!
 //! * **Insertion** (`IncSCC⁺`, Fig. 7): intra-scc insertions change nothing
 //!   structurally; inter-scc insertions that respect the rank order only
 //!   bump an edge counter; order-violating insertions trigger a
 //!   bidirectional bounded search (`DFSf`/`DFSb`) over `Gc`, a cycle check by
-//!   Tarjan on the affected region, component merging, and `reallocRank`.
+//!   Tarjan on the affected region of `Gc`, component merging, and
+//!   `reallocRank`.
 //! * **Deletion** (`IncSCC⁻`): inter-scc deletions decrement a counter;
 //!   intra-scc deletions first check whether the source still reaches the
 //!   target inside the component (output unchanged), and otherwise re-run
@@ -19,14 +20,24 @@
 //!   updates are applied to `Gc` together — which is the optimisation the
 //!   paper credits for the gap between `IncSCC` and `IncSCCⁿ`.
 //!
-//! Deviation noted in DESIGN.md: `num`/`lowlink` are refreshed when a
-//! component's structure changes (split/merge) rather than eagerly on every
-//! intact update; reachability checks use a bounded search inside the
-//! component instead of the full-version `chkReach` propagation (the paper
-//! defers those details to its full version).
+//! Structural changes are made **in place and pay for the smaller side**:
+//! a merge keeps the largest component of the cycle under its own id and
+//! moves only the other members' nodes and edge counters into it; a split
+//! keeps the largest sub-component under the old id and moves condensation
+//! edges by scanning the carved nodes' adjacency alone. So a hub that
+//! frays off a giant component and is fused back costs the hub, not the
+//! giant, and `scc_of` is stable for everything that stayed put. What
+//! still costs `|Vc| + |Ec|` is the one restricted Tarjan run after a
+//! failed intact check.
+//!
+//! Deviations from the paper: per-node `num`/`lowlink` are not maintained
+//! (nothing reads them between Tarjan runs, and the restricted run
+//! recomputes its own); reachability checks use a bounded bidirectional
+//! search inside the component instead of the full-version `chkReach`
+//! propagation (the paper defers those details to its full version).
 
 use crate::condensation::{Condensation, SccId, RANK_GAP};
-use crate::tarjan::{tarjan, tarjan_restricted};
+use crate::tarjan::{tarjan, tarjan_restricted, LocalIndex, RestrictedScc};
 use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::IncrementalAlgorithm;
 use igc_graph::graph::Edge;
@@ -37,20 +48,19 @@ use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, Label, NodeId, UpdateBatch};
 #[derive(Debug, Clone)]
 pub struct IncScc {
     cond: Condensation,
-    /// Per-node DFS number (component-local; refreshed on structure change).
-    num: Vec<u32>,
-    /// Per-node lowlink (component-local).
-    lowlink: Vec<u32>,
     work: WorkStats,
     metrics: ChangeMetrics,
     scratch: SccScratch,
 }
 
-/// Reusable buffers of the bidirectional intact-check BFS, kept on the view
-/// so the per-deletion hot path allocates nothing once warm. Cleared per
-/// check; never carries state between checks.
+/// Reusable buffers of the bidirectional intact-check BFS and the node
+/// index of the restricted Tarjan, kept on the view so the per-deletion hot
+/// path allocates nothing once warm and hashes no node ids. The BFS buffers
+/// are cleared per check and the index resets itself per run; nothing
+/// carries state between uses.
 #[derive(Debug, Clone, Default)]
 struct SccScratch {
+    local: LocalIndex,
     fwd_seen: FxHashSet<NodeId>,
     bwd_seen: FxHashSet<NodeId>,
     fwd_frontier: Vec<NodeId>,
@@ -89,8 +99,8 @@ impl IncScc {
         IncScc::new
     }
 
-    /// Run Tarjan once on `g` and set up the condensation, ranks and
-    /// `num`/`lowlink` — the batch phase of the incrementalization.
+    /// Run Tarjan once on `g` and set up the condensation and ranks — the
+    /// batch phase of the incrementalization.
     pub fn new(g: &DynamicGraph) -> Self {
         let r = tarjan(g);
         let mut cond = Condensation::new();
@@ -110,8 +120,6 @@ impl IncScc {
         }
         IncScc {
             cond,
-            num: r.num,
-            lowlink: r.lowlink,
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
             scratch: SccScratch::default(),
@@ -143,16 +151,6 @@ impl IncScc {
         self.cond.rank(id)
     }
 
-    /// `v.num` (component-local DFS order; see module deviation note).
-    pub fn num(&self, v: NodeId) -> u32 {
-        self.num[v.index()]
-    }
-
-    /// `v.lowlink` (component-local).
-    pub fn lowlink(&self, v: NodeId) -> u32 {
-        self.lowlink[v.index()]
-    }
-
     /// Direct access to the condensation (read-only).
     pub fn condensation(&self) -> &Condensation {
         &self.cond
@@ -182,10 +180,8 @@ impl IncScc {
 
     /// Track nodes created by the batch as fresh singleton sccs.
     fn ensure_nodes(&mut self, g: &DynamicGraph) {
-        while self.num.len() < g.node_count() {
-            let v = NodeId::from_index(self.num.len());
-            self.num.push(0);
-            self.lowlink.push(0);
+        while self.cond.node_count() < g.node_count() {
+            let v = NodeId::from_index(self.cond.node_count());
             let rank = self.cond.fresh_top_rank();
             self.cond.create_scc(vec![v], rank);
             self.metrics.output_changes += 1;
@@ -263,34 +259,30 @@ impl IncScc {
         false
     }
 
-    /// Re-run Tarjan restricted to the (post-update) members of `id`; if the
-    /// component stays whole, refresh `num`/`lowlink`; otherwise split it.
-    /// `pending_ins` are batch insertions not yet reflected in `Gc` — the
-    /// boundary rescan skips them so they are counted exactly once later.
+    /// Re-run Tarjan restricted to the (post-update) members of `id` and
+    /// split the component if it fell apart. `pending_ins` are batch
+    /// insertions not yet reflected in `Gc` — the split's edge scan skips
+    /// them so they are counted exactly once later.
     fn recompute_component(&mut self, g: &DynamicGraph, id: SccId, pending_ins: &FxHashSet<Edge>) {
-        let members: Vec<NodeId> = self.cond.members(id).to_vec();
-        let r = tarjan_restricted(g, &members);
+        let members = self.cond.members(id);
+        let r = tarjan_restricted(g, members, &mut self.scratch.local);
         self.work.nodes_visited += members.len() as u64;
-        for &v in &members {
-            self.num[v.index()] = r.num[&v];
-            self.lowlink[v.index()] = r.lowlink[&v];
-        }
-        self.work.aux_touched += members.len() as u64;
+        self.work.edges_traversed += r.edges_scanned;
         self.metrics.affected += members.len() as u64;
-        if r.components.len() == 1 {
+        if r.sizes.len() == 1 {
             return;
         }
         // --- Split: slot sub-component ranks into the free window around
         // the old rank — bounded by the nearest *used* ranks (uniqueness)
         // and by the old component's neighbours (rank invariant).
-        let k = r.components.len() as u64;
+        let k = r.sizes.len() as u64;
         let (mut lo, mut step) = self.split_window(id, k);
         if step == 0 {
             self.work.aux_touched += self.cond.renumber_ranks() as u64;
             (lo, step) = self.split_window(id, k);
             assert!(step > 0, "rank window exhausted even after renumbering");
         }
-        self.finish_split(g, id, r.components, lo, step, pending_ins);
+        self.finish_split(g, id, &r, lo, step, pending_ins);
     }
 
     /// The free rank window for splitting `id` into `k` parts: strictly
@@ -318,58 +310,80 @@ impl IncScc {
         (lo, (hi - lo) / (k + 1))
     }
 
-    /// Dissolve `id` and create its sub-components with ranks
-    /// `lo + step·(i+1)` in emission (reverse topological) order, then
-    /// rebuild the condensation edges incident to the new components.
+    /// Split `id` in place along the restricted run `r` over its members:
+    /// sub-component `i` (emission, i.e. reverse topological, order) gets
+    /// rank `lo + step·(i+1)`. The largest sub-component keeps `id` and its
+    /// member storage; every other one is carved off under a fresh id, and
+    /// the condensation edges the carved nodes carry are moved from `id` to
+    /// their new component by scanning those nodes' adjacency alone — edges
+    /// of the part that stayed are already right.
     fn finish_split(
         &mut self,
         g: &DynamicGraph,
         id: SccId,
-        comps: Vec<Vec<NodeId>>,
+        r: &RestrictedScc,
         lo: u64,
         step: u64,
         pending_ins: &FxHashSet<Edge>,
     ) {
-        self.metrics.output_changes += 1 + comps.len() as u64;
-        self.cond.dissolve(id);
-        let mut new_ids: FxHashSet<SccId> = FxHashSet::default();
-        for (i, comp) in comps.into_iter().enumerate() {
+        let k = r.sizes.len();
+        self.metrics.output_changes += 1 + k as u64;
+        // First of the largest, so the choice never depends on hash order.
+        let keep = (0..k).rev().max_by_key(|&i| r.sizes[i]).expect("k ≥ 2");
+        let mut pieces: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+        let mut position = 0;
+        self.cond.retain_members(id, |&v| {
+            let c = r.comp_of[position] as usize;
+            position += 1;
+            c == keep || {
+                pieces[c].push(v);
+                false
+            }
+        });
+        self.cond.take_rank(id);
+        let mut carved: Vec<SccId> = Vec::with_capacity(k - 1);
+        for (i, piece) in pieces.into_iter().enumerate() {
             let rank = lo + step * (i as u64 + 1);
-            let nid = self.cond.create_scc(comp, rank);
-            new_ids.insert(nid);
             self.work.aux_touched += 1;
+            if i == keep {
+                self.cond.set_rank(id, rank);
+                continue;
+            }
+            self.work.aux_touched += piece.len() as u64;
+            carved.push(self.cond.create_scc(piece, rank));
         }
-        // Rebuild incident condensation edges from the post-update graph:
-        // successors of members cover edges leaving the region and edges
-        // between sub-components; predecessors cover edges entering from
-        // outside (inside sources are covered by the successor scan).
-        for &nid in &new_ids {
-            let members: Vec<NodeId> = self.cond.members(nid).to_vec();
-            for x in members {
-                let cx = self.cond.scc_of(x);
-                let mut add: Vec<(SccId, SccId)> = Vec::new();
+        // Fresh ids only grow, so "carved by this split" is `≥ first_carved`.
+        let first_carved = carved[0];
+        // Move the carved nodes' edges, read off the post-update graph. An
+        // edge with its other end outside the old component was counted on
+        // `id` and moves to the carved component; one with its other end in
+        // the old component was internal and is new in `Gc`. Successor scans
+        // cover carved → anything; predecessor scans add only what no
+        // carved node's successor scan sees (sources outside or kept).
+        for cx in carved {
+            for xi in 0..self.cond.members(cx).len() {
+                let x = self.cond.members(cx)[xi];
                 for &y in g.successors(x) {
                     self.work.edges_traversed += 1;
-                    if pending_ins.contains(&(x, y)) {
+                    let cy = self.cond.scc_of(y);
+                    if cy == cx || pending_ins.contains(&(x, y)) {
                         continue;
                     }
-                    let cy = self.cond.scc_of(y);
-                    if cy != cx {
-                        add.push((cx, cy));
+                    if cy != id && cy < first_carved {
+                        self.cond.remove_edge(id, cy);
                     }
+                    self.cond.add_edge(cx, cy);
                 }
                 for &z in g.predecessors(x) {
                     self.work.edges_traversed += 1;
-                    if pending_ins.contains(&(z, x)) {
+                    let cz = self.cond.scc_of(z);
+                    if cz >= first_carved || pending_ins.contains(&(z, x)) {
                         continue;
                     }
-                    let cz = self.cond.scc_of(z);
-                    if cz != cx && !new_ids.contains(&cz) {
-                        add.push((cz, cx));
+                    if cz != id {
+                        self.cond.remove_edge(cz, id);
                     }
-                }
-                for (a, b) in add {
-                    self.cond.add_edge(a, b);
+                    self.cond.add_edge(cz, cx);
                 }
             }
         }
@@ -379,7 +393,7 @@ impl IncScc {
     /// `IncSCC⁺` inter-component case: the inserted condensation edge
     /// `(a, b)` violates the rank order. Bidirectional bounded search, cycle
     /// check, merge, `reallocRank`.
-    fn reorder_or_merge(&mut self, g: &DynamicGraph, a: SccId, b: SccId) {
+    fn reorder_or_merge(&mut self, a: SccId, b: SccId) {
         let ra = self.cond.rank(a);
         let rb = self.cond.rank(b);
         debug_assert!(ra < rb);
@@ -431,46 +445,25 @@ impl IncScc {
 
         let merged_set: FxHashSet<SccId> = cycles.first().into_iter().flatten().copied().collect();
 
-        // Merge the cycle (if any) into a fresh component.
+        // Merge the cycle (if any) in place: its largest component survives
+        // under its own id and absorbs the others, so the cost is the
+        // smaller sides' nodes and edge counters. (Ties go to the older id,
+        // never to hash order.)
         let merged_id = if let Some(cycle) = cycles.first() {
-            let mut ext_out: FxHashMap<SccId, u32> = FxHashMap::default();
-            let mut ext_in: FxHashMap<SccId, u32> = FxHashMap::default();
-            let mut all_nodes: Vec<NodeId> = Vec::new();
+            let keep = *cycle
+                .iter()
+                .max_by_key(|&&x| (self.cond.members(x).len(), std::cmp::Reverse(x)))
+                .expect("a cycle has members");
+            // Its rank is reassigned below with the rest of the region.
+            self.cond.take_rank(keep);
             for &x in cycle {
-                for (t, c) in self.cond.out_edges(x) {
-                    if !merged_set.contains(&t) {
-                        *ext_out.entry(t).or_insert(0) += c;
-                    }
+                if x != keep {
+                    self.metrics.affected += self.cond.members(x).len() as u64;
+                    self.work.aux_touched += self.cond.absorb(keep, x) as u64;
                 }
-                for (s, c) in self.cond.in_edges(x) {
-                    if !merged_set.contains(&s) {
-                        *ext_in.entry(s).or_insert(0) += c;
-                    }
-                }
-            }
-            for &x in cycle {
-                all_nodes.extend(self.cond.dissolve(x));
             }
             self.metrics.output_changes += 1 + cycle.len() as u64;
-            // Rank is assigned below by reallocation; placeholder for now.
-            let nid = self.cond.create_scc(all_nodes, 0);
-            for (t, c) in ext_out {
-                self.cond.add_edge_count(nid, t, c);
-            }
-            for (s, c) in ext_in {
-                self.cond.add_edge_count(s, nid, c);
-            }
-            // Refresh num/lowlink on the merged component.
-            let members: Vec<NodeId> = self.cond.members(nid).to_vec();
-            let r = tarjan_restricted(g, &members);
-            debug_assert_eq!(r.components.len(), 1, "merged region must be one scc");
-            for &v in &members {
-                self.num[v.index()] = r.num[&v];
-                self.lowlink[v.index()] = r.lowlink[&v];
-            }
-            self.work.aux_touched += members.len() as u64;
-            self.metrics.affected += members.len() as u64;
-            Some(nid)
+            Some(keep)
         } else {
             None
         };
@@ -521,6 +514,39 @@ impl IncScc {
             self.cond.add_edge(na, nb);
         }
         debug_assert_eq!(self.cond.check_invariants(), Ok(()));
+    }
+
+    /// Recount every condensation edge from `g` — the number of graph edges
+    /// between two components must equal the maintained counter, with no
+    /// counter left over. Audit path only: O(|E|).
+    fn check_edge_counts(&self, g: &DynamicGraph) -> Result<(), String> {
+        let mut recount: FxHashMap<(SccId, SccId), u32> = FxHashMap::default();
+        for (u, v) in g.edges() {
+            let (a, b) = (self.cond.scc_of(u), self.cond.scc_of(v));
+            if a != b {
+                *recount.entry((a, b)).or_insert(0) += 1;
+            }
+        }
+        let mut maintained = 0usize;
+        for a in self.cond.scc_ids() {
+            for (b, c) in self.cond.out_edges(a) {
+                maintained += 1;
+                let fresh = recount.get(&(a, b)).copied().unwrap_or(0);
+                if fresh != c {
+                    return Err(format!(
+                        "scc: condensation edge {a}→{b} counts {c}, the graph has {fresh}"
+                    ));
+                }
+            }
+        }
+        if maintained != recount.len() {
+            return Err(format!(
+                "scc: {} condensation edges maintained, the graph induces {}",
+                maintained,
+                recount.len()
+            ));
+        }
+        Ok(())
     }
 
     /// DFS over `Gc` from `start` (forward or backward), visiting only nodes
@@ -604,29 +630,39 @@ impl IncrementalAlgorithm for IncScc {
         // [`INTACT_CHECK_BUDGET_FACTOR`]): they run until they either prove
         // the component intact, disprove one deletion, or spend about one
         // recompute's worth of work — whichever comes first.
+        // Before any search, one O(1)-per-deletion pass looks for a proof
+        // of the opposite: a deleted `(v, w)`, `v ≠ w`, whose `v` is left
+        // without successors or whose `w` without predecessors in the
+        // post-update graph cannot be reconnected, so the component is not
+        // intact and the searches would only delay the recompute.
         // Insertion-only groups cannot change the structure.
         let mut touched: Vec<SccId> = intra_del.keys().copied().collect();
         touched.sort_unstable();
         for id in touched {
             let dels = &intra_del[&id];
-            let budget = INTACT_CHECK_BUDGET_FACTOR * self.cond.members(id).len() as u64;
-            let spent_before = self.work.nodes_visited + self.work.edges_traversed;
-            let mut intact = true;
-            for &(v, w) in dels {
-                let spent = self.work.nodes_visited + self.work.edges_traversed - spent_before;
-                if spent > budget || !self.still_reaches_within(g, id, v, w) {
-                    intact = false;
-                    break;
+            let frayed = dels
+                .iter()
+                .position(|&(v, w)| v != w && (g.out_degree(v) == 0 || g.in_degree(w) == 0));
+            self.work.nodes_visited += frayed.map_or(dels.len(), |i| i + 1) as u64;
+            let mut intact = frayed.is_none();
+            if intact {
+                let budget = INTACT_CHECK_BUDGET_FACTOR * self.cond.members(id).len() as u64;
+                let spent_before = self.work.nodes_visited + self.work.edges_traversed;
+                for &(v, w) in dels {
+                    let spent = self.work.nodes_visited + self.work.edges_traversed - spent_before;
+                    if spent > budget || !self.still_reaches_within(g, id, v, w) {
+                        intact = false;
+                        break;
+                    }
                 }
             }
-            if intact {
-                continue; // component intact, output unchanged
+            if !intact {
+                self.recompute_component(g, id, &pending_set);
             }
-            self.recompute_component(g, id, &pending_set);
         }
         // Intra insertions into components untouched above: structure is
-        // unchanged; nothing to do (num/lowlink refresh is lazy, see module
-        // docs). Work is still accounted for the classification pass.
+        // unchanged; nothing to do. Work is still accounted for the
+        // classification pass.
         self.work.aux_touched += intra_ins.len() as u64;
 
         // (3) Inter-component insertions, in batch order. Components may
@@ -644,7 +680,7 @@ impl IncrementalAlgorithm for IncScc {
             if ra > rb {
                 self.cond.add_edge(a, b);
             } else {
-                self.reorder_or_merge(g, a, b);
+                self.reorder_or_merge(a, b);
             }
         }
         debug_assert_eq!(self.cond.check_invariants(), Ok(()));
@@ -688,12 +724,14 @@ impl igc_core::IncView for IncScc {
         Box::new(self.clone())
     }
 
-    /// Audit the maintained partition against one fresh Tarjan run, and the
-    /// condensation's structural invariants (rank order, member maps).
+    /// Audit the maintained partition against one fresh Tarjan run, the
+    /// condensation's structural invariants (rank order, member maps), and
+    /// every condensation edge's multiplicity against a recount from `g`.
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         if let Err(e) = self.cond.check_invariants() {
             return Err(format!("scc: condensation invariant violated: {e}"));
         }
+        self.check_edge_counts(g)?;
         let fresh = tarjan(g).canonical();
         let mine = self.components();
         if mine != fresh {

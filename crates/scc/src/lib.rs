@@ -10,7 +10,8 @@
 //!   and topological ranks (`r(v) > r(v')` along every edge),
 //! * [`inc`] — [`IncScc`]: unit insertions (bidirectional bounded search +
 //!   cycle merge + `reallocRank`), unit deletions (component split with rank
-//!   gap-filling), and grouped batch updates,
+//!   gap-filling), and grouped batch updates; merges and splits are made in
+//!   place, so they cost the smaller side and the larger keeps its id,
 //! * [`dynscc`] — [`DynScc`]: a certificate-maintaining dynamic SCC baseline
 //!   in the spirit of the paper's combination of Haeupler et al. \[26\] and
 //!   Łącki \[32\]; it pays certificate upkeep even when the output is stable,
@@ -24,4 +25,4 @@ pub mod tarjan;
 pub use condensation::{Condensation, SccId};
 pub use dynscc::DynScc;
 pub use inc::IncScc;
-pub use tarjan::{tarjan, tarjan_restricted, EdgeKind, SccResult};
+pub use tarjan::{tarjan, tarjan_restricted, EdgeKind, LocalIndex, RestrictedScc, SccResult};

@@ -71,31 +71,67 @@ pub fn tarjan(g: &DynamicGraph) -> SccResult {
     }
 }
 
+/// Marker for "outside the restriction" in a [`LocalIndex`].
+const NOT_LOCAL: u32 = u32::MAX;
+
+/// The node → position index of [`tarjan_restricted`], reusable across
+/// calls. Between calls every entry is "outside the restriction": a call
+/// sets the entries of its `nodes` and resets exactly those before it
+/// returns, so reuse costs nothing beyond the restricted nodes themselves.
+/// The backing vector follows the graph's node count, so growing it is
+/// paid once per new node, not per call.
+#[derive(Debug, Clone, Default)]
+pub struct LocalIndex(Vec<u32>);
+
+/// Result of [`tarjan_restricted`], positional: parallel to the `nodes`
+/// slice the run was restricted to.
+#[derive(Debug, Clone)]
+pub struct RestrictedScc {
+    /// `comp_of[i]` — emission index of the sub-component of `nodes[i]`.
+    /// Emission order is reverse topological (sinks first).
+    pub comp_of: Vec<u32>,
+    /// Size of each sub-component, in emission order.
+    pub sizes: Vec<u32>,
+    /// Successor entries scanned: every out-edge of every restricted node
+    /// exactly once, whether or not its target is inside the restriction.
+    pub edges_scanned: u64,
+}
+
 /// Tarjan restricted to the subgraph induced by `nodes` (edges of `g` with
-/// both endpoints in `nodes`). Returns components in reverse topological
-/// order of the *sub*-condensation plus the refreshed `num`/`lowlink` values
-/// for the restricted nodes — this is what IncSCC runs on an affected scc.
+/// both endpoints in `nodes`; `nodes` must not repeat a node). Returns the
+/// sub-components in reverse topological order of the *sub*-condensation —
+/// this is what IncSCC runs on an affected scc.
 ///
 /// All DFS state is sized by `|nodes|` via a local dense index, not by
 /// `|V|`: this sits on IncSCC's hot path (every affected-component
 /// recompute), and an earlier implementation that zeroed five
 /// full-graph-sized vectors per call dominated the cost of maintaining
-/// small components inside large graphs. Traversal order — roots in
-/// `nodes` order, successors in adjacency order, non-members skipped — and
-/// therefore the emitted components and `num`/`lowlink` values are
+/// small components inside large graphs. The index itself lives in
+/// `local` ([`LocalIndex`]) and is written and reset over `nodes` only.
+/// Traversal order — roots in `nodes` order, successors in adjacency
+/// order, non-members skipped — and therefore the emitted components are
 /// unchanged.
-pub fn tarjan_restricted(g: &DynamicGraph, nodes: &[NodeId]) -> RestrictedScc {
+pub fn tarjan_restricted(
+    g: &DynamicGraph,
+    nodes: &[NodeId],
+    local: &mut LocalIndex,
+) -> RestrictedScc {
     let n = nodes.len();
-    let mut local: FxHashMap<NodeId, u32> = FxHashMap::default();
-    local.reserve(n);
+    let local = &mut local.0;
+    if local.len() < g.node_count() {
+        local.resize(g.node_count(), NOT_LOCAL);
+    }
     for (i, &v) in nodes.iter().enumerate() {
-        local.insert(v, i as u32);
+        debug_assert_eq!(local[v.index()], NOT_LOCAL, "index dirty or {v:?} repeated");
+        local[v.index()] = i as u32;
     }
     let mut num = vec![UNVISITED; n];
     let mut lowlink = vec![UNVISITED; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<u32> = Vec::new();
-    let mut components: Vec<Vec<NodeId>> = Vec::new();
+    let mut comp_of = vec![u32::MAX; n];
+    let mut sizes: Vec<u32> = Vec::new();
+    let mut edges_scanned = 0u64;
     let mut counter = 0u32;
     // Frame: (local node index, next successor position).
     let mut frames: Vec<(u32, usize)> = Vec::new();
@@ -113,9 +149,10 @@ pub fn tarjan_restricted(g: &DynamicGraph, nodes: &[NodeId]) -> RestrictedScc {
             let succs = g.successors(nodes[lv as usize]);
             if i < succs.len() {
                 frames.last_mut().expect("frame just read").1 += 1;
-                let Some(&lw) = local.get(&succs[i]) else {
+                let lw = local[succs[i].index()];
+                if lw == NOT_LOCAL {
                     continue; // successor outside the restriction
-                };
+                }
                 if num[lw as usize] == UNVISITED {
                     num[lw as usize] = counter;
                     lowlink[lw as usize] = counter;
@@ -134,17 +171,20 @@ pub fn tarjan_restricted(g: &DynamicGraph, nodes: &[NodeId]) -> RestrictedScc {
             }
             // lv finished: maybe emit a component, then propagate lowlink.
             frames.pop();
+            edges_scanned += succs.len() as u64;
             if lowlink[lv as usize] == num[lv as usize] {
-                let mut comp = Vec::new();
+                let index = sizes.len() as u32;
+                let mut size = 0u32;
                 loop {
                     let w = stack.pop().expect("tarjan stack underflow");
                     on_stack[w as usize] = false;
-                    comp.push(nodes[w as usize]);
+                    comp_of[w as usize] = index;
+                    size += 1;
                     if w == lv {
                         break;
                     }
                 }
-                components.push(comp);
+                sizes.push(size);
             }
             if let Some(&(p, _)) = frames.last() {
                 let cur = lowlink[lv as usize];
@@ -155,30 +195,14 @@ pub fn tarjan_restricted(g: &DynamicGraph, nodes: &[NodeId]) -> RestrictedScc {
             }
         }
     }
-    let mut num_map = FxHashMap::default();
-    num_map.reserve(n);
-    let mut lowlink_map = FxHashMap::default();
-    lowlink_map.reserve(n);
-    for (i, &v) in nodes.iter().enumerate() {
-        num_map.insert(v, num[i]);
-        lowlink_map.insert(v, lowlink[i]);
+    for &v in nodes {
+        local[v.index()] = NOT_LOCAL;
     }
     RestrictedScc {
-        components,
-        num: num_map,
-        lowlink: lowlink_map,
+        comp_of,
+        sizes,
+        edges_scanned,
     }
-}
-
-/// Result of [`tarjan_restricted`].
-#[derive(Debug, Clone)]
-pub struct RestrictedScc {
-    /// Sub-components in reverse topological order (sinks first).
-    pub components: Vec<Vec<NodeId>>,
-    /// Refreshed DFS numbers of the restricted nodes.
-    pub num: FxHashMap<NodeId, u32>,
-    /// Refreshed lowlinks of the restricted nodes.
-    pub lowlink: FxHashMap<NodeId, u32>,
 }
 
 /// Shared iterative-DFS machinery.
@@ -420,27 +444,104 @@ mod tests {
         assert_eq!(r.component_count(), n as usize);
     }
 
+    /// A restricted run's components as node lists in emission order
+    /// (members in `nodes` order).
+    fn restricted_components(r: &RestrictedScc, nodes: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut comps: Vec<Vec<NodeId>> = vec![Vec::new(); r.sizes.len()];
+        for (i, &v) in nodes.iter().enumerate() {
+            comps[r.comp_of[i] as usize].push(v);
+        }
+        for (c, &size) in comps.iter().zip(&r.sizes) {
+            assert_eq!(c.len(), size as usize);
+        }
+        comps
+    }
+
+    fn ids(raw: &[u32]) -> Vec<NodeId> {
+        raw.iter().map(|&i| NodeId(i)).collect()
+    }
+
     #[test]
     fn restricted_run_ignores_outside_edges() {
         let g = multi_scc();
         // Restrict to {0,1,2,3}: edge 3→4 leaves the set, 4→3 enters it, so
         // 3 is a singleton in the restriction.
-        let r = tarjan_restricted(&g, &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        let mut sizes: Vec<usize> = r.components.iter().map(Vec::len).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 3]);
-        assert!(r.num.contains_key(&NodeId(3)));
-        assert!(!r.num.contains_key(&NodeId(4)));
+        let nodes = ids(&[0, 1, 2, 3]);
+        let r = tarjan_restricted(&g, &nodes, &mut LocalIndex::default());
+        // 3 is the sink of the restriction, so it is emitted first.
+        assert_eq!(
+            restricted_components(&r, &nodes),
+            vec![ids(&[3]), ids(&[0, 1, 2])]
+        );
+        // Positional result: one entry per restricted node, none for 4.
+        assert_eq!(r.comp_of.len(), 4);
+        // Out-edges of 0, 1, 2 (one, one, two) and of 3 (the one leaving).
+        assert_eq!(r.edges_scanned, 5);
     }
 
     #[test]
     fn restricted_emission_reverse_topological() {
         // 5 → 6 → 7 as singletons: sinks first.
         let g = graph_from(&[0; 8], &[(5, 6), (6, 7)]);
-        let r = tarjan_restricted(&g, &[NodeId(5), NodeId(6), NodeId(7)]);
-        assert_eq!(r.components.len(), 3);
-        let order: Vec<NodeId> = r.components.iter().map(|c| c[0]).collect();
-        assert_eq!(order, vec![NodeId(7), NodeId(6), NodeId(5)]);
+        let nodes = ids(&[5, 6, 7]);
+        let r = tarjan_restricted(&g, &nodes, &mut LocalIndex::default());
+        assert_eq!(
+            restricted_components(&r, &nodes),
+            vec![ids(&[7]), ids(&[6]), ids(&[5])]
+        );
+    }
+
+    #[test]
+    fn restricted_index_is_reset_between_calls() {
+        // Two 3-cycles bridged 2→3, a 2-cycle {6,7} fed by 5, and 8 → 0.
+        let g = graph_from(
+            &[0; 9],
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 3),
+                (5, 6),
+                (6, 7),
+                (7, 6),
+                (8, 0),
+            ],
+        );
+        let mut local = LocalIndex::default();
+        // Disjoint subsets first, then ones overlapping both; a stale entry
+        // from an earlier call would pull an outside node into a later run.
+        let subsets: [&[u32]; 5] = [
+            &[0, 1, 2],
+            &[3, 4, 5, 6],
+            &[2, 3, 4, 5],
+            &[8, 0, 1, 7, 6],
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8],
+        ];
+        for raw in subsets {
+            let nodes = ids(raw);
+            let reused = tarjan_restricted(&g, &nodes, &mut local);
+            let fresh = tarjan_restricted(&g, &nodes, &mut LocalIndex::default());
+            assert_eq!(reused.comp_of, fresh.comp_of, "subset {raw:?}");
+            assert_eq!(reused.sizes, fresh.sizes, "subset {raw:?}");
+            assert_eq!(reused.edges_scanned, fresh.edges_scanned);
+            assert!(local.0.iter().all(|&l| l == NOT_LOCAL), "subset {raw:?}");
+        }
+        // The emission the hash-indexed implementation produced.
+        let nodes = ids(&[2, 3, 4, 5]);
+        let r = tarjan_restricted(&g, &nodes, &mut local);
+        assert_eq!(
+            restricted_components(&r, &nodes),
+            vec![ids(&[3, 4, 5]), ids(&[2])]
+        );
+        let nodes = ids(&[8, 0, 1, 7, 6]);
+        let r = tarjan_restricted(&g, &nodes, &mut local);
+        assert_eq!(
+            restricted_components(&r, &nodes),
+            vec![ids(&[1]), ids(&[0]), ids(&[8]), ids(&[7, 6])]
+        );
     }
 
     #[test]
