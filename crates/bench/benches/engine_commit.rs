@@ -278,11 +278,11 @@ fn bench_engine_commit(c: &mut Criterion) {
     // the same four warm-up commits, so the measured commit starts from
     // identical state; the pinned variants keep a reader `Snapshot` alive
     // at the last `pins` warm-up epochs, forcing the measured commit to
-    // copy-on-write the graph and every shared view before mutating.
+    // copy the graph and each view's shared answer state before writing.
     // `pins = 0` is the free-publish baseline: pre-commit version GC
-    // leaves the store's Arcs unique, so publication is pure Arc-sharing
-    // with zero copies (target: indistinguishable from `unlogged_commit`
-    // up to the warm-up state difference).
+    // leaves every shared `Arc` unique, so nothing is copied (target:
+    // indistinguishable from `unlogged_commit` up to the warm-up state
+    // difference).
     let delta = random_update_batch(&base.g, 100, 0.5, 20_600);
     let warm: Vec<UpdateBatch> = (0..4)
         .map(|i| random_update_batch(&base.g, 4, 0.5, 20_700 + i))

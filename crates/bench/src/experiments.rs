@@ -1739,8 +1739,8 @@ const SNAPSHOT_PIN_DEPTH: usize = 4;
 ///   commit. This is the hot-path cost every deployment pays; the audit
 ///   requires < 5 % of the median commit.
 /// * **pinned** — the newest [`SNAPSHOT_PIN_DEPTH`] epochs stay pinned by
-///   readers throughout: the first commit after each pin copy-on-writes the
-///   shared graph and views, the version GC must still hold the window at
+///   readers throughout: the first commit after each pin copies the shared
+///   graph and each view's answer state, the version GC must still hold the window at
 ///   ≤ pin-depth + 1, and a pin frozen early in the run must serve
 ///   bit-identical answers at the end (checked on graph edges + SCC
 ///   components).

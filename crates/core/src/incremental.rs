@@ -68,9 +68,9 @@ pub trait IncrementalAlgorithm {
 /// `Send + Sync` are supertraits. `Send` lets the engine's commit pipeline
 /// fan a normalized delta out to views on worker threads (each view is
 /// touched by exactly one thread per commit, against a shared
-/// `&DynamicGraph`); `Sync` lets an MVCC snapshot publish a frozen view
-/// behind an `Arc` that any number of reader threads dereference
-/// concurrently. Views built from ordinary owned data satisfy both for
+/// `&DynamicGraph`); `Sync` lets an MVCC snapshot serve a view's published
+/// copy ([`clone_view`](IncView::clone_view)) to any number of reader
+/// threads concurrently. Views built from ordinary owned data satisfy both for
 /// free; a view holding `Rc`/`Cell`/raw-pointer state must be refactored
 /// (or wrapped) before it can register.
 ///
@@ -104,14 +104,38 @@ pub trait IncView: Send + Sync {
     /// and logs (e.g. `"rpq"`, `"scc:communities"`).
     fn name(&self) -> &str;
 
-    /// An owned deep copy of this view behind a fresh box — the seam MVCC
-    /// snapshot publication relies on for copy-on-write: when a pinned
-    /// snapshot still shares a view's storage, the engine clones the view
-    /// once (here) before mutating it, so the pinned reader keeps serving
-    /// the frozen state. For every ordinary view the implementation is
-    /// one line: `Box::new(self.clone())` (derive `Clone`). The copy must
-    /// be answer-identical and independent — mutating the original must
-    /// never affect the clone.
+    /// The copy of this view that readers are served: what its read API
+    /// answers, and nothing the view keeps only to *maintain* that answer.
+    ///
+    /// **Who calls it, when.** The engine owns every view uniquely and
+    /// mutates it in place. Each time it publishes an MVCC version — at the
+    /// end of every non-noop commit and after every lifecycle event — it
+    /// calls `clone_view` once per active view and puts the copy in the
+    /// version; replicas do the same per snapshot. It therefore runs on the
+    /// commit hot path whether or not anyone holds a pin: **keep it O(1)**.
+    /// Put the state the read accessors serve behind `Arc`s, bump those
+    /// here, and unshare with [`Arc::make_mut`](std::sync::Arc::make_mut)
+    /// once per `apply` (not per operation) — then a held pin costs one
+    /// copy of the answer per commit, and no pin costs nothing.
+    ///
+    /// **What the copy must carry.** Every read accessor answers
+    /// identically on copy and original at the moment of the call, and the
+    /// two are independent from then on: mutating either never shows in the
+    /// other. `work()` travels with the copy.
+    ///
+    /// **What it need not carry.** Auxiliary state — the paper's `pmark`
+    /// markings, match indexes, scratch buffers. The copy must still be a
+    /// valid view: if it is ever handed an `apply(g, Δ)` it rebuilds what it
+    /// left out from `g` (which already reflects Δ) and carries on.
+    /// `verify_against_batch` on a copy audits what the copy has.
+    ///
+    /// **`Clone` vs `clone_view`.** `Clone` (where a view derives it) stays
+    /// the full, writable twin, auxiliary state included; `clone_view` is
+    /// the cheap published one. For a view with no auxiliary state worth
+    /// withholding they coincide: `Box::new(self.clone())`.
+    ///
+    /// A panic here is fenced like one in `apply`: the view is quarantined
+    /// and published as such.
     fn clone_view(&self) -> Box<dyn IncView>;
 
     /// Process a committed batch; `g` already reflects `delta`, and `delta`

@@ -19,32 +19,17 @@ use std::time::{Duration, Instant};
 
 /// A registered view plus its health and cumulative accounting.
 ///
-/// The view sits behind an `Arc` so publishing an MVCC version
-/// ([`Engine::snapshot`]) is a pointer clone, never a data copy. The
-/// engine still mutates it as if it owned it outright: every mutation
-/// goes through [`cow_view_mut`], which reclaims unique ownership in
-/// place when no snapshot pins the allocation (the common case — the
-/// store's pre-commit GC drops unpinned versions) and deep-clones via
-/// [`IncView::clone_view`] exactly once when a live pin does.
+/// The engine owns the view outright and always mutates it in place,
+/// pinned or not: what an MVCC version serves is the copy
+/// [`IncView::clone_view`] hands out at publish time
+/// ([`Engine::publish_version`]), never this allocation.
 struct Registered {
     label: Arc<str>,
-    view: Arc<dyn IncView>,
+    view: Box<dyn IncView>,
     state: ViewState,
     commits: u64,
     elapsed: Duration,
     work: WorkStats,
-}
-
-/// Unique mutable access to a slot's view, copy-on-writing when a pinned
-/// snapshot still shares the allocation. `None` is impossible — the
-/// replacement `Arc` is unique by construction — but per the engine's
-/// no-panic contract it surfaces as a caller-side error instead of an
-/// `unreachable!`.
-fn cow_view_mut(view: &mut Arc<dyn IncView>) -> Option<&mut (dyn IncView + 'static)> {
-    if Arc::get_mut(view).is_none() {
-        *view = Arc::from(view.clone_view());
-    }
-    Arc::get_mut(view)
 }
 
 impl Registered {
@@ -244,7 +229,7 @@ pub struct Engine {
 impl Engine {
     /// An engine serving queries over `graph`.
     pub fn new(graph: DynamicGraph) -> Self {
-        let engine = Engine {
+        let mut engine = Engine {
             graph: Arc::new(graph),
             slots: Vec::new(),
             free: Vec::new(),
@@ -848,7 +833,7 @@ impl Engine {
         }
         let entry = Registered {
             label: label.clone(),
-            view: Arc::from(view),
+            view,
             state: ViewState::Active,
             commits: 0,
             elapsed: Duration::ZERO,
@@ -959,22 +944,13 @@ impl Engine {
     ///
     /// Snapshot semantics: a mutation made here becomes visible to
     /// snapshot readers at the *next published version* (the next commit
-    /// or lifecycle event); versions pinned before the mutation keep
-    /// serving the pre-mutation answers. If a pinned snapshot shares the
-    /// view's storage, this access copy-on-writes it — the pin is never
-    /// disturbed.
+    /// or lifecycle event); versions published before it keep serving the
+    /// pre-mutation answers.
     pub fn view_mut<V: 'static>(&mut self, h: &ViewHandle<V>) -> Result<&mut V, EngineError> {
         let r = self.active_mut(h.id)?;
         let label = r.label.clone();
-        let Some(view) = cow_view_mut(&mut r.view) else {
-            // Unreachable (see cow_view_mut); kept fallible per the
-            // no-panic contract.
-            return Err(EngineError::StaleHandle {
-                index: h.id.index,
-                generation: h.id.generation,
-            });
-        };
-        view.as_any_mut()
+        r.view
+            .as_any_mut()
             .downcast_mut::<V>()
             .ok_or(EngineError::WrongViewType {
                 label,
@@ -1234,11 +1210,11 @@ impl Engine {
 
         // Open the MVCC publish window: GC every version no live snapshot
         // pins. Crucially that includes the unpinned newest version, which
-        // returns unique ownership of the graph and view `Arc`s to the
-        // engine — so with no pins outstanding the whole commit mutates in
-        // place and versioning costs nothing on the hot path. From here to
-        // the publish at the end of this function there is no early
-        // return, so the window always closes.
+        // returns unique ownership of the graph and of every view's shared
+        // answer state to the engine — so with no pins outstanding nothing
+        // is copied. From here to the publish at the end of this function
+        // there is no early return and no unfenced view code, so the
+        // window always closes.
         self.snapshots.begin_commit();
         let graph_start = Instant::now();
         // Ref count is 1 on the quiescent path (the pre-commit GC above
@@ -1278,16 +1254,7 @@ impl Engine {
                     skipped_quarantined += 1;
                     continue;
                 }
-                let (elapsed, work, result) = match cow_view_mut(&mut r.view) {
-                    Some(view) => drive_apply(view, &graph, &delta),
-                    // Unreachable (see cow_view_mut): surface as a failed
-                    // record — quarantine — rather than panic.
-                    None => (
-                        Duration::ZERO,
-                        WorkStats::new(),
-                        Err("view arc still shared after copy-on-write".into()),
-                    ),
-                };
+                let (elapsed, work, result) = drive_apply(r.view.as_mut(), &graph, &delta);
                 records.push(ApplyRecord {
                     slot: i,
                     elapsed,
@@ -1313,16 +1280,9 @@ impl Engine {
                     skipped_quarantined += 1;
                     continue;
                 }
-                // Copy-on-write *before* dispatch: the worker mutates the
-                // view through `Arc::get_mut`, which the engine guarantees
-                // by handing it a uniquely-owned `Arc` (a pinned snapshot
-                // sharing the old allocation keeps it, untouched).
-                if Arc::get_mut(&mut r.view).is_none() {
-                    r.view = Arc::from(r.view.clone_view());
-                }
                 let task = PoolTask {
                     slot: i,
-                    view: std::mem::replace(&mut r.view, Arc::new(InFlightView)),
+                    view: std::mem::replace(&mut r.view, Box::new(InFlightView)),
                     graph: Arc::clone(&self.graph),
                     delta: Arc::clone(&delta),
                     reply: reply_tx.clone(),
@@ -1334,14 +1294,8 @@ impl Engine {
                 match submit {
                     Ok(()) => outstanding.push(i),
                     Err(mut task) => {
-                        let (elapsed, work, result) = match Arc::get_mut(&mut task.view) {
-                            Some(view) => drive_apply(view, &task.graph, &task.delta),
-                            None => (
-                                Duration::ZERO,
-                                WorkStats::new(),
-                                Err("view arc still shared after copy-on-write".into()),
-                            ),
-                        };
+                        let (elapsed, work, result) =
+                            drive_apply(task.view.as_mut(), &task.graph, &task.delta);
                         r.view = task.view;
                         records.push(ApplyRecord {
                             slot: i,
@@ -1437,14 +1391,18 @@ impl Engine {
         self.commits += 1;
         self.units_applied += applied as u64;
         self.total_work += commit_work;
-        let elapsed = prepare_elapsed + apply_start.elapsed();
-        self.total_elapsed += elapsed;
 
         // Close the MVCC publish window: publish this epoch's version —
         // the graph behind its existing `Arc` plus one answer cell per
-        // slot (quarantines from this very commit included). Off the hot
-        // path: a handful of `Arc` clones after all view work is done.
-        self.publish_version();
+        // slot (quarantines from this very commit included). A view the
+        // publish itself had to quarantine says so in its receipt entry.
+        for (label, cause) in self.publish_version() {
+            if let Some(v) = per_view.iter_mut().find(|v| v.label == label) {
+                v.outcome = ViewOutcome::Quarantined { cause };
+            }
+        }
+        let elapsed = prepare_elapsed + apply_start.elapsed();
+        self.total_elapsed += elapsed;
 
         Ok((
             CommitReceipt {
@@ -1534,47 +1492,67 @@ impl Engine {
     // MVCC snapshot reads
     // ------------------------------------------------------------------
 
-    /// Snapshot every occupied slot's answer state as `Arc`-shared cells.
-    fn current_cells(&self) -> Vec<SnapCell> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let r = slot.entry.as_ref()?;
-                let state = match &r.state {
-                    ViewState::Active => CellState::Active(Arc::clone(&r.view)),
-                    ViewState::Quarantined { epoch, cause } => CellState::Quarantined {
-                        epoch: *epoch,
-                        cause: cause.clone(),
-                    },
-                };
-                Some(SnapCell {
-                    index: i as u32,
-                    generation: slot.generation,
-                    label: Arc::clone(&r.label),
-                    state,
-                })
-            })
-            .collect()
-    }
-
-    /// Publish the engine's current state (graph + every view's answers)
-    /// as the version at the current epoch — a handful of `Arc` clones.
-    /// Runs at the end of every non-noop commit and after every lifecycle
-    /// event, replacing the entry at this epoch if one exists.
-    fn publish_version(&self) {
-        self.snapshots.publish(
-            self.graph.epoch(),
-            Arc::clone(&self.graph),
-            self.current_cells(),
-        );
+    /// Publish the engine's current state as the version at the current
+    /// epoch: the graph behind its `Arc` plus one cell per occupied slot —
+    /// a quarantine record, or the copy the view makes of itself
+    /// ([`IncView::clone_view`]: reader-visible state only, a few `Arc`
+    /// bumps for the built-in classes). Runs at the end of every non-noop
+    /// commit and after every lifecycle event, replacing the entry at this
+    /// epoch if one exists.
+    ///
+    /// `clone_view` is view code and is fenced ([`CellState::publish`]): a
+    /// panic quarantines the slot, publishes it as quarantined, and is
+    /// returned (label, cause) so a commit can say so in its receipt — the
+    /// publish window always closes.
+    fn publish_version(&mut self) -> Vec<(Arc<str>, String)> {
+        let start = Instant::now();
+        let epoch = self.graph.epoch();
+        let mut failed = Vec::new();
+        let mut cells = Vec::with_capacity(self.slots.len());
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(r) = slot.entry.as_mut() else {
+                continue;
+            };
+            let state = match &r.state {
+                ViewState::Active => match CellState::publish(r.view.as_ref()) {
+                    Ok(state) => state,
+                    Err(cause) => {
+                        self.events.push(LifecycleEvent {
+                            epoch,
+                            kind: LifecycleEventKind::Quarantined,
+                            label: r.label.clone(),
+                        });
+                        failed.push((r.label.clone(), cause.clone()));
+                        r.state = ViewState::Quarantined {
+                            epoch,
+                            cause: cause.clone(),
+                        };
+                        CellState::Quarantined { epoch, cause }
+                    }
+                },
+                ViewState::Quarantined { epoch, cause } => CellState::Quarantined {
+                    epoch: *epoch,
+                    cause: cause.clone(),
+                },
+            };
+            cells.push(SnapCell {
+                index: i as u32,
+                generation: slot.generation,
+                label: Arc::clone(&r.label),
+                state,
+            });
+        }
+        self.snapshots
+            .publish(epoch, Arc::clone(&self.graph), cells, start);
+        failed
     }
 
     /// Pin the newest published version: the graph and every view's
     /// answers exactly as the last commit (or lifecycle event) left them,
     /// served lock-free for as long as the [`Snapshot`] lives. Commits
-    /// keep flowing while pins are held; the first commit after a pin
-    /// copy-on-writes the shared state, so the pin's answers never move.
+    /// keep flowing while pins are held; a commit that finds one copies
+    /// the graph and each view's answer state before writing to them, so
+    /// the pin's answers never move.
     ///
     /// **Degraded mode does not gate this**: a degraded engine rejects
     /// commits, but snapshot creation and pinned reads keep working —

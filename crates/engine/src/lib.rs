@@ -71,11 +71,14 @@
 //! every view's answers exactly as the last commit left them — as a
 //! [`Snapshot`] handle served *lock-free* to any number of reader threads
 //! while commits keep flowing ([`Engine::snapshot_at`] pins a specific
-//! retained epoch). Publication is `Arc`-sharing, not copying: the first
-//! commit after a pin copy-on-writes exactly the shared pieces
-//! ([`IncView::clone_view`](igc_core::IncView::clone_view)), and a
-//! pre-commit GC drops every unpinned version, so with no pins MVCC costs
-//! nothing and the retained window stays ≤ distinct pinned epochs + 1.
+//! retained epoch). The engine owns its views and mutates them in place;
+//! a version holds the copy each view publishes of itself
+//! ([`IncView::clone_view`](igc_core::IncView::clone_view) — the answer
+//! behind `Arc`s, none of the auxiliary state), so publishing is a few
+//! `Arc` bumps per view, a held pin costs one copy of the graph and of
+//! each answer per commit, and a pre-commit GC drops every unpinned
+//! version, so with no pins nothing is copied and the retained window
+//! stays ≤ distinct pinned epochs + 1.
 //! Through the ingest front door, [`Ingest::snapshot`] pins versions
 //! without stopping the commit-tick thread; degraded read-only mode never
 //! gates snapshot creation or pinned reads.

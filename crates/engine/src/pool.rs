@@ -5,13 +5,8 @@
 //!
 //! Ownership model: the engine cannot lend `&mut` borrows of registry
 //! slots to threads that outlive the commit, so each task *takes* the
-//! view's `Arc` out of its slot (leaving an [`InFlightView`] placeholder)
+//! view's `Box` out of its slot (leaving an [`InFlightView`] placeholder)
 //! and the worker sends it back inside its [`PoolRecord`]. The engine
-//! guarantees the `Arc` is uniquely owned at dispatch (it copy-on-writes
-//! any view still shared with a pinned MVCC snapshot *before* fan-out),
-//! so the worker's `Arc::get_mut` always succeeds; a shared `Arc`
-//! reaching a worker anyway is reported as a failed record — the view
-//! quarantines instead of anything panicking. The engine
 //! puts every returned view back before the commit's merge step; a view
 //! that never comes back (its worker died) leaves the placeholder in the
 //! slot, and the engine quarantines it — exactly the dead-worker contract
@@ -40,10 +35,8 @@ use std::time::{Duration, Instant};
 pub(crate) struct PoolTask {
     /// Registry slot index the view was taken from.
     pub slot: usize,
-    /// The view itself, moved out of the slot for the duration. The
-    /// engine sends a uniquely-owned `Arc` (post-COW), so the worker can
-    /// mutate in place via [`Arc::get_mut`].
-    pub view: Arc<dyn IncView>,
+    /// The view itself, moved out of the slot for the duration.
+    pub view: Box<dyn IncView>,
     /// The post-commit graph (shared, read-only).
     pub graph: Arc<DynamicGraph>,
     /// The normalized delta of this commit (shared, read-only).
@@ -56,7 +49,7 @@ pub(crate) struct PoolTask {
 /// same measurements [`drive_apply`] reports inline.
 pub(crate) struct PoolRecord {
     pub slot: usize,
-    pub view: Arc<dyn IncView>,
+    pub view: Box<dyn IncView>,
     pub elapsed: Duration,
     pub work: WorkStats,
     pub result: Result<(), String>,
@@ -187,17 +180,7 @@ impl WorkerPool {
                 }
             };
             let mut task = task;
-            // The engine guarantees uniqueness at dispatch; a shared Arc
-            // here means that invariant broke — fail the record (the view
-            // quarantines) rather than panic in a worker.
-            let (elapsed, work, result) = match Arc::get_mut(&mut task.view) {
-                Some(view) => drive_apply(view, &task.graph, &task.delta),
-                None => (
-                    Duration::ZERO,
-                    WorkStats::new(),
-                    Err("view arc still shared at dispatch (engine COW invariant broken)".into()),
-                ),
-            };
+            let (elapsed, work, result) = drive_apply(task.view.as_mut(), &task.graph, &task.delta);
             // A failed send means the commit already gave up on this
             // record (reply receiver dropped); nothing to do with it.
             let _ = task.reply.send(PoolRecord {
@@ -317,7 +300,7 @@ mod tests {
         for slot in 0..4 {
             pool.submit(PoolTask {
                 slot,
-                view: Arc::new(Count::new()),
+                view: Box::new(Count::new()),
                 graph: Arc::clone(&graph),
                 delta: Arc::clone(&delta),
                 reply: reply_tx.clone(),
@@ -348,7 +331,7 @@ mod tests {
         crate::engine::tests::quiet_panics(|| {
             pool.submit(PoolTask {
                 slot: 0,
-                view: Arc::new(canary),
+                view: Box::new(canary),
                 graph: Arc::clone(&graph),
                 delta: Arc::clone(&delta),
                 reply: reply_tx.clone(),
@@ -361,7 +344,7 @@ mod tests {
             // The worker survived the fenced panic: it still takes work.
             pool.submit(PoolTask {
                 slot: 1,
-                view: Arc::new(Count::new()),
+                view: Box::new(Count::new()),
                 graph,
                 delta,
                 reply: reply_tx,

@@ -639,12 +639,13 @@ impl Replica {
     /// follower's graph and every follower-side view, safe to hand to
     /// reader threads while the replica keeps tailing.
     ///
-    /// Unlike the leader's [`Engine::snapshot`](crate::Engine::snapshot)
-    /// (which `Arc`-shares published versions and costs nothing), a
-    /// replica snapshot deep-clones the graph and views *on this call* —
-    /// the reader pays, the tail loop never does. Look views up by label
+    /// The graph is copied on this call (the reader pays, the tail loop
+    /// never does); each view contributes its `clone_view` copy (one that
+    /// panics making it is served as quarantined). Look views up by label
     /// ([`Snapshot::find`]) — replica snapshots carry no engine handles.
     pub fn snapshot(&self) -> Snapshot {
+        use crate::snapshot::CellState;
+        let frontier = self.graph.epoch();
         let cells = self
             .slots
             .iter()
@@ -655,19 +656,22 @@ impl Replica {
                 label: Arc::clone(&s.label),
                 state: match &s.state {
                     ViewState::Active => {
-                        crate::snapshot::CellState::Active(Arc::from(s.view.clone_view()))
+                        CellState::publish(s.view.as_ref()).unwrap_or_else(|cause| {
+                            CellState::Quarantined {
+                                epoch: frontier,
+                                cause,
+                            }
+                        })
                     }
-                    ViewState::Quarantined { epoch, cause } => {
-                        crate::snapshot::CellState::Quarantined {
-                            epoch: *epoch,
-                            cause: cause.clone(),
-                        }
-                    }
+                    ViewState::Quarantined { epoch, cause } => CellState::Quarantined {
+                        epoch: *epoch,
+                        cause: cause.clone(),
+                    },
                 },
             })
             .collect();
         Snapshot::detached(crate::snapshot::VersionData {
-            epoch: self.graph.epoch(),
+            epoch: frontier,
             graph: Arc::new(self.graph.clone()),
             cells,
         })

@@ -7,25 +7,28 @@
 //! The engine owns an [`Arc<SnapshotStore>`]. After every non-noop commit
 //! (and after lifecycle events: register, deregister, quarantine) it
 //! *publishes* a version: the graph behind its existing `Arc` plus one
-//! answer cell per registry slot, each cell an `Arc` of the view exactly as
-//! the commit left it — publication is a handful of `Arc` clones, never a
-//! data copy. A reader calls [`SnapshotStore::snapshot`] (newest) or
-//! [`SnapshotStore::snapshot_at`] (a specific epoch) and gets a
-//! [`Snapshot`]: a pin on that version. Every read through the pin —
+//! answer cell per registry slot, each cell the copy the view made of
+//! itself through [`IncView::clone_view`] — the state its read API serves,
+//! shared behind `Arc`s, and none of the auxiliary state it keeps to
+//! maintain that answer. A reader calls [`SnapshotStore::snapshot`]
+//! (newest) or [`SnapshotStore::snapshot_at`] (a specific epoch) and gets
+//! a [`Snapshot`]: a pin on that version. Every read through the pin —
 //! [`Snapshot::graph`], [`Snapshot::view`] — is a plain pointer deref with
 //! no lock, no channel, and no coordination with the committer.
 //!
-//! # Copy-on-write, garbage collection, and the version window
+//! # Who owns what, garbage collection, and the version window
 //!
-//! Publishing shares storage with the live engine, so the engine
-//! copy-on-writes before mutating: at the start of the next commit it first
-//! GCs every version no live [`Snapshot`] pins (a version is pinned iff
-//! readers still hold its `Arc`), which in the common no-pins case restores
-//! unique ownership of the graph and every view — the commit then mutates
-//! fully in place and MVCC costs nothing on the hot path. While a pin *is*
-//! live, the first commit after it deep-clones exactly the shared pieces
-//! once ([`IncView::clone_view`]); the pinned reader keeps serving its
-//! frozen state, unaffected. Dropping the last `Snapshot` of a version
+//! The engine owns every view uniquely and always mutates it in place; a
+//! version shares only the graph and each view's *answer* state with it.
+//! At the start of the next commit the engine first GCs every version no
+//! live [`Snapshot`] pins (a version is pinned iff readers still hold its
+//! `Arc`), which in the common no-pins case hands unique ownership of the
+//! graph and every answer back — the commit then copies nothing and MVCC
+//! costs a few `Arc` bumps per view. While a pin *is* live, the first
+//! write to a shared piece copies that piece once (`Arc::make_mut` on the
+//! graph, and inside each view on its answer state): a pin costs the
+//! answer, never the auxiliary state, and the pinned reader keeps serving
+//! its frozen state, unaffected. Dropping the last `Snapshot` of a version
 //! makes it collectable at the next commit, so the retained window is
 //! bounded by *distinct pinned epochs + 1* (the newest version is always
 //! kept) — never unbounded growth.
@@ -42,9 +45,10 @@
 
 use crate::error::EngineError;
 use crate::lifecycle::{ViewHandle, ViewId};
-use igc_core::IncView;
+use igc_core::{panic_cause, IncView};
 use igc_graph::DynamicGraph;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -57,7 +61,7 @@ const PUBLISH_WAIT: Duration = Duration::from_secs(5);
 
 /// One view's frozen answer state inside a published version.
 pub(crate) enum CellState {
-    /// The view as the publishing commit left it, shared read-only.
+    /// The view's [`IncView::clone_view`] copy as of the publishing commit.
     Active(Arc<dyn IncView>),
     /// The slot was quarantined when this version published; reads surface
     /// the quarantine exactly like the live engine does.
@@ -67,6 +71,17 @@ pub(crate) enum CellState {
         /// The rendered panic payload.
         cause: String,
     },
+}
+
+impl CellState {
+    /// The cell of an active view: its [`IncView::clone_view`] copy.
+    /// `clone_view` is view code, so it is fenced like `apply`: a panic
+    /// comes back as `Err(cause)` for the caller to quarantine.
+    pub(crate) fn publish(view: &dyn IncView) -> Result<CellState, String> {
+        catch_unwind(AssertUnwindSafe(|| view.clone_view()))
+            .map(|copy| CellState::Active(Arc::from(copy)))
+            .map_err(|payload| format!("clone_view panicked: {}", panic_cause(payload.as_ref())))
+    }
 }
 
 /// One registry slot as captured by a published version: identity
@@ -101,7 +116,7 @@ struct StoreInner {
 }
 
 /// The engine's epoch-versioned answer store — see [`Snapshot`] and the
-/// crate-level docs for the pin / copy-on-write / GC contract.
+/// crate-level docs for the pin / ownership / GC contract.
 ///
 /// The store itself is only ever touched at version granularity (take a
 /// snapshot, publish a version); all data reads go through [`Snapshot`]
@@ -110,10 +125,10 @@ pub struct SnapshotStore {
     inner: Mutex<StoreInner>,
     published: Condvar,
     /// Cumulative wall-clock the committer has spent inside
-    /// [`begin_commit`](Self::begin_commit) + [`publish`](Self::publish) —
-    /// the *entire* MVCC cost on the commit hot path, directly measurable
-    /// against total commit latency (the bench harness's publish-overhead
-    /// figure).
+    /// [`begin_commit`](Self::begin_commit), building a version's cells
+    /// (every view's `clone_view`) and [`publish`](Self::publish) — directly
+    /// measurable against total commit latency (the bench harness's
+    /// publish-overhead figure).
     publish_nanos: AtomicU64,
 }
 
@@ -147,8 +162,8 @@ impl SnapshotStore {
 
     /// Open the publish window for a commit: GC every unpinned version
     /// (including, crucially, the unpinned newest — that is what hands
-    /// unique ownership of the graph and views back to the engine so the
-    /// commit mutates in place), then mark the store mid-publish so
+    /// unique ownership of the graph and every view's answer state back to
+    /// the engine so the commit copies nothing), then mark the store mid-publish so
     /// newest-snapshot requests wait for the commit's own publish instead
     /// of pinning a version about to be superseded.
     pub(crate) fn begin_commit(&self) {
@@ -163,9 +178,16 @@ impl SnapshotStore {
 
     /// Publish a version at `epoch` (replacing any existing entry — how
     /// lifecycle events republish the current epoch) and close the
-    /// publish window.
-    pub(crate) fn publish(&self, epoch: u64, graph: Arc<DynamicGraph>, cells: Vec<SnapCell>) {
-        let start = Instant::now();
+    /// publish window. `started` is when the caller began building `cells`,
+    /// so [`publish_elapsed`](Self::publish_elapsed) counts their
+    /// construction too.
+    pub(crate) fn publish(
+        &self,
+        epoch: u64,
+        graph: Arc<DynamicGraph>,
+        cells: Vec<SnapCell>,
+        started: Instant,
+    ) {
         let mut inner = self.lock();
         inner.versions.insert(
             epoch,
@@ -180,7 +202,7 @@ impl SnapshotStore {
         drop(inner);
         self.published.notify_all();
         self.publish_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Pin the newest published version. Waits out an in-flight publish
@@ -259,11 +281,12 @@ impl SnapshotStore {
     }
 
     /// Cumulative wall-clock the committer has spent on MVCC bookkeeping
-    /// (version GC + publication) across every commit so far — the whole
-    /// cost snapshots add to the commit hot path. Note this deliberately
-    /// *excludes* copy-on-write time: cloning a pinned view is attributed
-    /// to the view's own fan-out slot in the [`CommitReceipt`], where it
-    /// belongs (no pins → no copies).
+    /// across every commit so far: version GC, building each version's
+    /// cells (one [`IncView::clone_view`] per active view) and publication.
+    /// It *excludes* what a live pin makes a commit copy — the graph, and
+    /// inside each view its answer state — which is attributed where it
+    /// happens: `graph_elapsed` and the view's own fan-out slot in the
+    /// [`CommitReceipt`] (no pins → no copies).
     ///
     /// [`CommitReceipt`]: crate::CommitReceipt
     pub fn publish_elapsed(&self) -> Duration {
@@ -502,7 +525,7 @@ mod tests {
     #[test]
     fn pinned_version_survives_gc_and_serves_frozen_answers() {
         let store = SnapshotStore::new();
-        store.publish(1, graph(), cells(1));
+        store.publish(1, graph(), cells(1), Instant::now());
         let pinned = store.snapshot().unwrap();
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.view(&handle()).unwrap().n, 1);
@@ -510,9 +533,9 @@ mod tests {
         // Two commits flow past; the pin keeps serving epoch 1 while the
         // unpinned epoch 2 is collected.
         store.begin_commit();
-        store.publish(2, graph(), cells(2));
+        store.publish(2, graph(), cells(2), Instant::now());
         store.begin_commit();
-        store.publish(3, graph(), cells(3));
+        store.publish(3, graph(), cells(3), Instant::now());
 
         assert_eq!(pinned.view(&handle()).unwrap().n, 1, "frozen at epoch 1");
         assert_eq!(store.head(), 3);
@@ -528,7 +551,7 @@ mod tests {
         // Dropping the pin makes epoch 1 collectable at the next commit.
         drop(pinned);
         store.begin_commit();
-        store.publish(4, graph(), cells(4));
+        store.publish(4, graph(), cells(4), Instant::now());
         assert_eq!(store.window(), 1);
         assert_eq!(store.oldest(), 4);
     }
@@ -536,14 +559,14 @@ mod tests {
     #[test]
     fn snapshot_at_distinguishes_retired_from_future() {
         let store = SnapshotStore::new();
-        store.publish(5, graph(), cells(5));
+        store.publish(5, graph(), cells(5), Instant::now());
         assert_eq!(store.snapshot_at(5).unwrap().epoch(), 5);
         assert!(matches!(
             store.snapshot_at(9),
             Err(EngineError::SnapshotUnavailable { epoch: 9, head: 5 })
         ));
         store.begin_commit();
-        store.publish(6, graph(), cells(6));
+        store.publish(6, graph(), cells(6), Instant::now());
         assert!(matches!(
             store.snapshot_at(5),
             Err(EngineError::EpochRetired {
@@ -556,7 +579,7 @@ mod tests {
     #[test]
     fn newest_snapshot_waits_out_an_in_flight_publish() {
         let store = Arc::new(SnapshotStore::new());
-        store.publish(1, graph(), cells(1));
+        store.publish(1, graph(), cells(1), Instant::now());
         store.begin_commit();
         // Mid-publish: a reader on another thread must block until the
         // commit publishes, then pin the *new* head — not the torn state.
@@ -565,21 +588,21 @@ mod tests {
             std::thread::spawn(move || store.snapshot().map(|s| s.epoch()))
         };
         std::thread::sleep(Duration::from_millis(20));
-        store.publish(2, graph(), cells(2));
+        store.publish(2, graph(), cells(2), Instant::now());
         assert_eq!(reader.join().unwrap().unwrap(), 2);
     }
 
     #[test]
     fn retained_pin_serves_instantly_even_mid_publish() {
         let store = SnapshotStore::new();
-        store.publish(1, graph(), cells(1));
+        store.publish(1, graph(), cells(1), Instant::now());
         let pin = store.snapshot().unwrap();
         store.begin_commit();
         // Epoch 1 is pinned, so it survived the GC and is served without
         // waiting on the open publish window.
         assert_eq!(store.snapshot_at(1).unwrap().epoch(), 1);
         drop(pin);
-        store.publish(2, graph(), cells(2));
+        store.publish(2, graph(), cells(2), Instant::now());
     }
 
     #[test]
@@ -602,7 +625,7 @@ mod tests {
                 },
             },
         ];
-        store.publish(4, graph(), version);
+        store.publish(4, graph(), version, Instant::now());
         let snap = store.snapshot().unwrap();
 
         // Label lookup + untyped read.
@@ -685,11 +708,12 @@ mod tests {
             1,
             Arc::clone(&g),
             cell(CellState::Active(Arc::clone(&shared))),
+            Instant::now(),
         );
         let _pin = store.snapshot().unwrap();
         store.begin_commit();
         // Same graph + same view Arc republished: retention counts them once.
-        store.publish(2, g, cell(CellState::Active(shared)));
+        store.publish(2, g, cell(CellState::Active(shared)), Instant::now());
         let stats = store.retained_stats();
         assert_eq!(stats.versions, 2);
         assert_eq!(stats.distinct_graphs, 1);

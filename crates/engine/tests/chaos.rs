@@ -384,12 +384,26 @@ fn sync_failure_at_the_quiesce_barrier_degrades_the_ingest() {
         })
         .unwrap();
     let seed_graph = engine.graph().clone();
+    // Settle the log here, so the server's first park has nothing to sync
+    // and the only barrier below is the one that follows `d0`.
+    engine.sync_log().unwrap();
+    let settled = chaos.stats().syncs;
     let server = IngestServer::spawn(engine);
     let ingest = server.handle();
 
-    // A clean round trip first — its quiesce barrier settles the log.
+    // A clean round trip first — its quiesce barrier settles the log. That
+    // barrier runs after the receipt is sent: wait it out, or the one-shot
+    // armed below could land on it and reject `d1` at admission.
     let d0 = random_update_batch(&seed_graph, 6, 0.5, 2100);
     ingest.submit(d0).unwrap().wait().unwrap();
+    let waited = std::time::Instant::now();
+    while chaos.stats().syncs == settled {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "no quiesce barrier"
+        );
+        std::thread::yield_now();
+    }
 
     // Arm the one-shot: the *next* barrier with pending records fails.
     // That barrier is the park after the next commit's records land.

@@ -25,20 +25,48 @@ use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::IncrementalAlgorithm;
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, UpdateBatch};
+use std::sync::Arc;
+
+/// The deletion index: graph edge → ids of matches using it.
+type EdgeIndex = FxHashMap<Edge, FxHashSet<u64>>;
 
 /// Maintained ISO state: the pattern, the match set and an edge index.
+///
+/// The pattern and the match set serve the read API and sit behind `Arc`s:
+/// the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
+/// publishes shares them, and `apply` unshares the match set once
+/// (`IsoPass`). The edge index is the writer's and is left out of that
+/// copy.
 #[derive(Debug, Clone)]
 pub struct IncIso {
-    pattern: Pattern,
+    pattern: Arc<Pattern>,
+    state: Arc<IsoState>,
+    /// `None` on a copy made by `clone_view`; its first `apply` rebuilds
+    /// the index from the match set.
+    by_edge: Option<EdgeIndex>,
+    work: WorkStats,
+    metrics: ChangeMetrics,
+}
+
+#[derive(Debug, Clone, Default)]
+struct IsoState {
     /// Live matches by id.
     matches: FxHashMap<u64, MatchKey>,
     /// Subgraph identity → id (duplicate suppression).
     by_key: FxHashMap<MatchKey, u64>,
-    /// Graph edge → ids of matches using it (deletion index).
-    by_edge: FxHashMap<Edge, FxHashSet<u64>>,
     next_id: u64,
-    work: WorkStats,
-    metrics: ChangeMetrics,
+}
+
+/// One `apply`'s exclusive borrows: the match set unshared once up front,
+/// so the maintenance below works through plain `&mut`.
+struct IsoPass<'a> {
+    pattern: &'a Pattern,
+    matches: &'a mut FxHashMap<u64, MatchKey>,
+    by_key: &'a mut FxHashMap<MatchKey, u64>,
+    next_id: &'a mut u64,
+    by_edge: &'a mut EdgeIndex,
+    work: &'a mut WorkStats,
+    metrics: &'a mut ChangeMetrics,
 }
 
 impl IncIso {
@@ -53,19 +81,18 @@ impl IncIso {
     /// Batch-compute `Q(G)` with VF2 and build the indexes.
     pub fn new(g: &DynamicGraph, pattern: Pattern) -> Self {
         let mut me = IncIso {
-            pattern,
-            matches: FxHashMap::default(),
-            by_key: FxHashMap::default(),
-            by_edge: FxHashMap::default(),
-            next_id: 0,
+            pattern: Arc::new(pattern),
+            state: Arc::default(),
+            by_edge: Some(EdgeIndex::default()),
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
         };
         let mut work = WorkStats::new();
         let found = enumerate_matches(g, &me.pattern, &mut work);
         me.work += work;
+        let mut pass = me.pass();
         for key in found {
-            me.add_match(key);
+            pass.add_match(key);
         }
         me
     }
@@ -77,19 +104,19 @@ impl IncIso {
 
     /// Number of matches `|Q(G)|`.
     pub fn match_count(&self) -> usize {
-        self.matches.len()
+        self.state.matches.len()
     }
 
     /// All matches in canonical order.
     pub fn sorted_matches(&self) -> Vec<MatchKey> {
-        let mut v: Vec<MatchKey> = self.matches.values().cloned().collect();
+        let mut v: Vec<MatchKey> = self.state.matches.values().cloned().collect();
         v.sort();
         v
     }
 
     /// True when the given subgraph is a current match.
     pub fn contains(&self, key: &MatchKey) -> bool {
-        self.by_key.contains_key(key)
+        self.state.by_key.contains_key(key)
     }
 
     /// Change metrics of the last `apply`.
@@ -97,12 +124,40 @@ impl IncIso {
         self.metrics
     }
 
+    fn pass(&mut self) -> IsoPass<'_> {
+        let IsoState {
+            matches,
+            by_key,
+            next_id,
+        } = Arc::make_mut(&mut self.state);
+        let by_edge = self.by_edge.get_or_insert_with(|| {
+            let mut index = EdgeIndex::default();
+            for (&id, key) in matches.iter() {
+                for &e in &key.edges {
+                    index.entry(e).or_default().insert(id);
+                }
+            }
+            index
+        });
+        IsoPass {
+            pattern: &self.pattern,
+            matches,
+            by_key,
+            next_id,
+            by_edge,
+            work: &mut self.work,
+            metrics: &mut self.metrics,
+        }
+    }
+}
+
+impl IsoPass<'_> {
     fn add_match(&mut self, key: MatchKey) -> bool {
         if self.by_key.contains_key(&key) {
             return false;
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = *self.next_id;
+        *self.next_id += 1;
         for &e in &key.edges {
             self.by_edge.entry(e).or_default().insert(id);
         }
@@ -134,11 +189,9 @@ impl IncIso {
         }
         count
     }
-}
 
-impl IncrementalAlgorithm for IncIso {
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        self.metrics = ChangeMetrics {
+        *self.metrics = ChangeMetrics {
             input_updates: delta.len() as u64,
             ..Default::default()
         };
@@ -163,9 +216,9 @@ impl IncrementalAlgorithm for IncIso {
                 self.work.nodes_visited += 1;
                 for &pe in &pattern_edges {
                     let mut work = WorkStats::new();
-                    let found = enumerate_seeded(g, &self.pattern, pe, (v, w), &mut work);
+                    let found = enumerate_seeded(g, self.pattern, pe, (v, w), &mut work);
                     self.metrics.affected += work.nodes_visited;
-                    self.work += work;
+                    *self.work += work;
                     for key in found {
                         if self.add_match(key) {
                             self.metrics.output_changes += 1;
@@ -192,6 +245,12 @@ impl IncrementalAlgorithm for IncIso {
                 }
             }
         }
+    }
+}
+
+impl IncrementalAlgorithm for IncIso {
+    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
+        self.pass().apply(g, delta);
     }
 
     fn work(&self) -> WorkStats {
@@ -228,14 +287,21 @@ impl igc_core::IncView for IncIso {
         self
     }
 
+    /// The pattern and the match set, shared; no edge index.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
-        Box::new(self.clone())
+        Box::new(IncIso {
+            pattern: Arc::clone(&self.pattern),
+            state: Arc::clone(&self.state),
+            by_edge: None,
+            work: self.work,
+            metrics: self.metrics,
+        })
     }
 
     /// Audit the maintained match set against a fresh VF2 enumeration (with
     /// its indexes rebuilt from scratch).
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
-        let fresh = IncIso::new(g, self.pattern.clone());
+        let fresh = IncIso::new(g, Pattern::clone(&self.pattern));
         if self.sorted_matches() != fresh.sorted_matches() {
             return Err(format!(
                 "iso: maintained match set ({}) diverged from VF2 ({})",

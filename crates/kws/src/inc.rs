@@ -34,15 +34,36 @@ use igc_core::IncrementalAlgorithm;
 use igc_graph::{DynamicGraph, FxHashSet, NodeId, Update, UpdateBatch};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Maintained KWS state: query, keyword-distance lists and the root set.
+///
+/// All three serve the read API (`match_tree` walks the lists), so they sit
+/// together behind one `Arc`: the copy
+/// [`IncView::clone_view`](igc_core::IncView::clone_view) publishes shares
+/// it, and every mutation unshares it once (`KwsPass`).
 #[derive(Debug, Clone)]
 pub struct IncKws {
+    state: Arc<KwsState>,
+    work: WorkStats,
+    metrics: ChangeMetrics,
+}
+
+#[derive(Debug, Clone)]
+struct KwsState {
     query: KwsQuery,
     kd: Kdist,
     qualified: FxHashSet<NodeId>,
-    work: WorkStats,
-    metrics: ChangeMetrics,
+}
+
+/// One mutation's exclusive borrows: the shared state unshared once up
+/// front, so the maintenance below works through plain `&mut`.
+struct KwsPass<'a> {
+    query: &'a mut KwsQuery,
+    kd: &'a mut Kdist,
+    qualified: &'a mut FxHashSet<NodeId>,
+    work: &'a mut WorkStats,
+    metrics: &'a mut ChangeMetrics,
 }
 
 impl IncKws {
@@ -63,9 +84,11 @@ impl IncKws {
             .filter(|&v| kd.qualifies(v, query.bound))
             .collect();
         IncKws {
-            query,
-            kd,
-            qualified,
+            state: Arc::new(KwsState {
+                query,
+                kd,
+                qualified,
+            }),
             work,
             metrics: ChangeMetrics::default(),
         }
@@ -73,29 +96,29 @@ impl IncKws {
 
     /// The query.
     pub fn query(&self) -> &KwsQuery {
-        &self.query
+        &self.state.query
     }
 
     /// The auxiliary keyword-distance lists.
     pub fn kdist(&self) -> &Kdist {
-        &self.kd
+        &self.state.kd
     }
 
     /// True when `v` roots a match.
     pub fn is_match_root(&self, v: NodeId) -> bool {
-        self.qualified.contains(&v)
+        self.state.qualified.contains(&v)
     }
 
     /// All match roots, sorted.
     pub fn roots(&self) -> Vec<NodeId> {
-        let mut r: Vec<NodeId> = self.qualified.iter().copied().collect();
+        let mut r: Vec<NodeId> = self.state.qualified.iter().copied().collect();
         r.sort_unstable();
         r
     }
 
     /// Number of matches.
     pub fn match_count(&self) -> usize {
-        self.qualified.len()
+        self.state.qualified.len()
     }
 
     /// The canonical answer signature: sorted `(root, distance vector)`
@@ -103,9 +126,10 @@ impl IncKws {
     /// (trees are determined up to equal-length path selection).
     pub fn answer_signature(&self) -> Vec<(NodeId, Vec<u32>)> {
         let mut out: Vec<(NodeId, Vec<u32>)> = self
+            .state
             .qualified
             .iter()
-            .map(|&v| (v, self.kd.dists(v)))
+            .map(|&v| (v, self.state.kd.dists(v)))
             .collect();
         out.sort();
         out
@@ -117,8 +141,8 @@ impl IncKws {
         assert!(self.is_match_root(root), "{root:?} roots no match");
         MatchTree {
             root,
-            paths: (0..self.query.m())
-                .map(|ki| self.kd.path(root, ki))
+            paths: (0..self.state.query.m())
+                .map(|ki| self.state.kd.path(root, ki))
                 .collect(),
         }
     }
@@ -131,6 +155,40 @@ impl IncKws {
     /// `IncKWS⁺` (Fig. 1): unit edge insertion; `g` must already contain
     /// `(v, w)`.
     pub fn insert_edge(&mut self, g: &DynamicGraph, v: NodeId, w: NodeId) {
+        self.pass().insert_edge(g, v, w);
+    }
+
+    /// `IncKWS⁻` (Fig. 3): unit edge deletion; `g` must already lack
+    /// `(v, w)`.
+    pub fn delete_edge(&mut self, g: &DynamicGraph, v: NodeId, w: NodeId) {
+        self.pass().delete_edge(g, v, w);
+    }
+
+    /// The paper's Remark: answer the same keywords with a larger bound by
+    /// restarting propagation from the breakpoint snapshot (the nodes where
+    /// propagation stopped at the old bound), instead of recomputing.
+    pub fn raise_bound(&mut self, g: &DynamicGraph, new_bound: u32) {
+        self.pass().raise_bound(g, new_bound);
+    }
+
+    fn pass(&mut self) -> KwsPass<'_> {
+        let KwsState {
+            query,
+            kd,
+            qualified,
+        } = Arc::make_mut(&mut self.state);
+        KwsPass {
+            query,
+            kd,
+            qualified,
+            work: &mut self.work,
+            metrics: &mut self.metrics,
+        }
+    }
+}
+
+impl KwsPass<'_> {
+    fn insert_edge(&mut self, g: &DynamicGraph, v: NodeId, w: NodeId) {
         self.kd.grow(g.node_count());
         let mut changed = FxHashSet::default();
         for ki in 0..self.query.m() {
@@ -191,9 +249,7 @@ impl IncKws {
         }
     }
 
-    /// `IncKWS⁻` (Fig. 3): unit edge deletion; `g` must already lack
-    /// `(v, w)`.
-    pub fn delete_edge(&mut self, g: &DynamicGraph, v: NodeId, w: NodeId) {
+    fn delete_edge(&mut self, g: &DynamicGraph, v: NodeId, w: NodeId) {
         self.kd.grow(g.node_count());
         let mut changed = FxHashSet::default();
         for ki in 0..self.query.m() {
@@ -383,10 +439,7 @@ impl IncKws {
         }
     }
 
-    /// The paper's Remark: answer the same keywords with a larger bound by
-    /// restarting propagation from the breakpoint snapshot (the nodes where
-    /// propagation stopped at the old bound), instead of recomputing.
-    pub fn raise_bound(&mut self, g: &DynamicGraph, new_bound: u32) {
+    fn raise_bound(&mut self, g: &DynamicGraph, new_bound: u32) {
         assert!(
             new_bound >= self.query.bound,
             "snapshots only support raising the bound"
@@ -440,11 +493,9 @@ impl IncKws {
         }
         self.metrics.affected += changed.len() as u64;
     }
-}
 
-impl IncrementalAlgorithm for IncKws {
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        self.metrics = ChangeMetrics {
+        *self.metrics = ChangeMetrics {
             input_updates: delta.len() as u64,
             ..Default::default()
         };
@@ -489,6 +540,12 @@ impl IncrementalAlgorithm for IncKws {
             self.apply_batch(g, delta);
         }
     }
+}
+
+impl IncrementalAlgorithm for IncKws {
+    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
+        self.pass().apply(g, delta);
+    }
 
     fn work(&self) -> WorkStats {
         self.work
@@ -524,6 +581,7 @@ impl igc_core::IncView for IncKws {
         self
     }
 
+    /// `Clone` already is the cheap copy: one `Arc` bump.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(self.clone())
     }
@@ -533,7 +591,7 @@ impl igc_core::IncView for IncKws {
     /// choices are not compared: equal-length shortest paths are selected
     /// arbitrarily, and each root's match is determined by its distances.
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
-        let fresh = IncKws::new(g, self.query.clone());
+        let fresh = IncKws::new(g, self.state.query.clone());
         if self.answer_signature() != fresh.answer_signature() {
             return Err(format!(
                 "kws: maintained answer ({} roots) diverged from batch recomputation ({} roots)",
@@ -554,10 +612,11 @@ mod tests {
 
     /// Oracle check: the maintained state must equal a fresh batch run.
     fn assert_matches_batch(inc: &IncKws, g: &DynamicGraph) {
-        inc.kd
-            .check_invariants(g, &inc.query)
+        inc.state
+            .kd
+            .check_invariants(g, &inc.state.query)
             .expect("kdist invariants");
-        let fresh = IncKws::new(g, inc.query.clone());
+        let fresh = IncKws::new(g, inc.state.query.clone());
         assert_eq!(inc.answer_signature(), fresh.answer_signature());
     }
 

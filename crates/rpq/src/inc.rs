@@ -24,11 +24,18 @@ use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, Label, NodeId, UpdateBatch};
 use igc_nfa::{build_nfa, Nfa, Regex, StateId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Maintained RPQ state: NFA, markings and the match-pair answer.
+///
+/// What a reader can see — the NFA and the answer — sits behind `Arc`s, so
+/// the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
+/// publishes shares it and carries nothing else: markings, `acc_count`,
+/// the inverse-transition tables and the scratch belong to the writer and
+/// are left out. `Clone` is the deep, writable copy (markings included).
 #[derive(Debug, Clone)]
 pub struct IncRpq {
-    nfa: Nfa,
+    nfa: Arc<Nfa>,
     /// Inverse transitions: `(l(x), s) → {s′ : s ∈ δ(s′, l(x))}`.
     rev: FxHashMap<(Label, StateId), Vec<StateId>>,
     /// Labels on some transition ([`Nfa::used_labels`]). An updated edge
@@ -38,7 +45,9 @@ pub struct IncRpq {
     marks: Markings,
     /// Number of accepting-state markings per (source, node) pair.
     acc_count: FxHashMap<(NodeId, NodeId), u32>,
-    answer: FxHashSet<(NodeId, NodeId)>,
+    /// Unshared on the first answer change of an `apply` (|ΔO| is small),
+    /// never inside the marking loops.
+    answer: Arc<FxHashSet<(NodeId, NodeId)>>,
     work: WorkStats,
     metrics: ChangeMetrics,
     scratch: RpqScratch,
@@ -108,6 +117,10 @@ impl IncRpq {
 
     /// Build from a pre-constructed NFA.
     pub fn with_nfa(g: &DynamicGraph, nfa: Nfa) -> Self {
+        Self::build(g, Arc::new(nfa))
+    }
+
+    fn build(g: &DynamicGraph, nfa: Arc<Nfa>) -> Self {
         let mut rev: FxHashMap<(Label, StateId), Vec<StateId>> = FxHashMap::default();
         for (s, l, t) in nfa.all_transitions() {
             rev.entry((l, t)).or_default().push(s);
@@ -118,7 +131,7 @@ impl IncRpq {
             rev,
             marks: Markings::new(g.node_count()),
             acc_count: FxHashMap::default(),
-            answer: FxHashSet::default(),
+            answer: Arc::default(),
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
             scratch: RpqScratch::default(),
@@ -144,7 +157,8 @@ impl IncRpq {
         batch::sorted_answer(&self.answer)
     }
 
-    /// Total number of markings (the auxiliary structure size).
+    /// Total number of markings (the auxiliary structure size) — 0 on a
+    /// copy made by `clone_view`, which carries none.
     pub fn mark_count(&self) -> usize {
         self.marks.len()
     }
@@ -170,6 +184,13 @@ impl IncRpq {
         }
         v.sort_unstable();
         v
+    }
+
+    /// True for a view with no markings to maintain: a copy made by
+    /// `clone_view`, or a view built on an empty graph. (A maintained view
+    /// tracks one marking map per graph node.)
+    fn detached(&self) -> bool {
+        self.marks.node_count() == 0
     }
 
     /// Change metrics of the last `apply`.
@@ -256,7 +277,7 @@ impl IncRpq {
             let pair = (key.source, key.node);
             let c = self.acc_count.entry(pair).or_insert(0);
             *c += 1;
-            if *c == 1 && self.answer.insert(pair) {
+            if *c == 1 && Arc::make_mut(&mut self.answer).insert(pair) {
                 self.metrics.output_changes += 1;
             }
         }
@@ -274,7 +295,7 @@ impl IncRpq {
             *c -= 1;
             if *c == 0 {
                 self.acc_count.remove(&pair);
-                self.answer.remove(&pair);
+                Arc::make_mut(&mut self.answer).remove(&pair);
                 self.metrics.output_changes += 1;
             }
         }
@@ -524,6 +545,15 @@ impl IncRpq {
 
 impl IncrementalAlgorithm for IncRpq {
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
+        if self.detached() {
+            // `g` already reflects `delta`, so a from-scratch build *is*
+            // the post-state.
+            let mut fresh = Self::build(g, Arc::clone(&self.nfa));
+            fresh.work += self.work;
+            fresh.metrics.input_updates = delta.len() as u64;
+            *self = fresh;
+            return;
+        }
         self.metrics = ChangeMetrics {
             input_updates: delta.len() as u64,
             ..Default::default()
@@ -608,13 +638,26 @@ impl igc_core::IncView for IncRpq {
         self
     }
 
+    /// The NFA and the answer, shared; no markings — the copy's first
+    /// `apply` rebuilds them from the graph it is handed.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
-        Box::new(self.clone())
+        Box::new(IncRpq {
+            nfa: Arc::clone(&self.nfa),
+            rev: FxHashMap::default(),
+            alphabet: FxHashSet::default(),
+            marks: Markings::default(),
+            acc_count: FxHashMap::default(),
+            answer: Arc::clone(&self.answer),
+            work: self.work,
+            metrics: self.metrics,
+            scratch: RpqScratch::default(),
+        })
     }
 
     /// Audit both layers of maintained state: the answer against a
     /// marking-free batch `RPQ_NFA` evaluation, and the auxiliary markings
-    /// against a fresh instrumented construction.
+    /// against a fresh instrumented construction (skipped on a copy made by
+    /// `clone_view`, which has no markings to audit).
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         let mut w = WorkStats::new();
         let fresh_answer = batch::evaluate(g, &self.nfa, &mut w);
@@ -625,7 +668,10 @@ impl igc_core::IncView for IncRpq {
                 fresh_answer.len()
             ));
         }
-        let fresh = IncRpq::with_nfa(g, self.nfa.clone());
+        if self.detached() {
+            return Ok(());
+        }
+        let fresh = IncRpq::build(g, Arc::clone(&self.nfa));
         if self.marking_signature() != fresh.marking_signature() {
             return Err(format!(
                 "rpq: markings ({}) diverged from a fresh construction ({})",

@@ -45,6 +45,7 @@ use igc_core::{IncView, IncrementalAlgorithm, ViewInit};
 use igc_graph::fxhash::{FxHashMap, FxHashSet};
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, UpdateBatch};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Per-`apply` maintenance counters — the observable shape of one delta:
 /// how much was retracted outright, how much the repair phase had to
@@ -455,10 +456,14 @@ impl Pass<'_> {
 /// An incrementally maintained rule view: the derived facts of a compiled
 /// [`Program`] over the engine's shared graph, kept exact under edge
 /// insertions *and* deletions (see the module docs for the algorithm).
+///
+/// The program and the fact store serve the read API and sit behind `Arc`s:
+/// the copy [`IncView::clone_view`] publishes is `Clone` — two `Arc` bumps —
+/// and `apply` unshares the store once.
 #[derive(Clone, Debug)]
 pub struct IncRules {
-    program: Program,
-    store: FactStore,
+    program: Arc<Program>,
+    store: Arc<FactStore>,
     known_nodes: usize,
     work: WorkStats,
     metrics: ChangeMetrics,
@@ -471,8 +476,8 @@ impl IncRules {
     /// machinery).
     pub fn new(g: &DynamicGraph, program: Program) -> IncRules {
         let mut me = IncRules {
-            store: FactStore::new(program.pred_count()),
-            program,
+            store: Arc::new(FactStore::new(program.pred_count())),
+            program: Arc::new(program),
             known_nodes: 0,
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
@@ -491,7 +496,7 @@ impl IncRules {
         let mut pass = Pass {
             prog: &me.program,
             g,
-            store: &mut me.store,
+            store: Arc::make_mut(&mut me.store),
             pend: &mut pend,
             work: &mut me.work,
             delta: &mut me.last,
@@ -585,7 +590,7 @@ impl IncRules {
         let mut pass = Pass {
             prog: &self.program,
             g,
-            store: &mut self.store,
+            store: Arc::make_mut(&mut self.store),
             pend: &mut pend,
             work: &mut self.work,
             delta: &mut self.last,

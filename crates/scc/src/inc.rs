@@ -42,15 +42,30 @@ use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::IncrementalAlgorithm;
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, Label, NodeId, UpdateBatch};
+use std::sync::Arc;
 
 /// Maintained strongly connected components (the answer `SCC(G)`), with the
 /// paper's auxiliary structures.
+///
+/// Every read accessor is served by the condensation, so it sits behind an
+/// `Arc`: the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
+/// publishes shares it, and `apply` unshares it once (`SccPass`). The
+/// scratch is the writer's and is left out of that copy.
 #[derive(Debug, Clone)]
 pub struct IncScc {
-    cond: Condensation,
+    cond: Arc<Condensation>,
     work: WorkStats,
     metrics: ChangeMetrics,
     scratch: SccScratch,
+}
+
+/// One `apply`'s exclusive borrows: the condensation unshared once up
+/// front, so the maintenance below works through plain `&mut`.
+struct SccPass<'a> {
+    cond: &'a mut Condensation,
+    work: &'a mut WorkStats,
+    metrics: &'a mut ChangeMetrics,
+    scratch: &'a mut SccScratch,
 }
 
 /// Reusable buffers of the bidirectional intact-check BFS and the node
@@ -119,7 +134,7 @@ impl IncScc {
             }
         }
         IncScc {
-            cond,
+            cond: Arc::new(cond),
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
             scratch: SccScratch::default(),
@@ -174,10 +189,50 @@ impl IncScc {
         self.apply(g, &batch);
     }
 
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
+    /// Recount every condensation edge from `g` — the number of graph edges
+    /// between two components must equal the maintained counter, with no
+    /// counter left over. Audit path only: O(|E|).
+    fn check_edge_counts(&self, g: &DynamicGraph) -> Result<(), String> {
+        let mut recount: FxHashMap<(SccId, SccId), u32> = FxHashMap::default();
+        for (u, v) in g.edges() {
+            let (a, b) = (self.cond.scc_of(u), self.cond.scc_of(v));
+            if a != b {
+                *recount.entry((a, b)).or_insert(0) += 1;
+            }
+        }
+        let mut maintained = 0usize;
+        for a in self.cond.scc_ids() {
+            for (b, c) in self.cond.out_edges(a) {
+                maintained += 1;
+                let fresh = recount.get(&(a, b)).copied().unwrap_or(0);
+                if fresh != c {
+                    return Err(format!(
+                        "scc: condensation edge {a}→{b} counts {c}, the graph has {fresh}"
+                    ));
+                }
+            }
+        }
+        if maintained != recount.len() {
+            return Err(format!(
+                "scc: {} condensation edges maintained, the graph induces {}",
+                maintained,
+                recount.len()
+            ));
+        }
+        Ok(())
+    }
 
+    fn pass(&mut self) -> SccPass<'_> {
+        SccPass {
+            cond: Arc::make_mut(&mut self.cond),
+            work: &mut self.work,
+            metrics: &mut self.metrics,
+            scratch: &mut self.scratch,
+        }
+    }
+}
+
+impl SccPass<'_> {
     /// Track nodes created by the batch as fresh singleton sccs.
     fn ensure_nodes(&mut self, g: &DynamicGraph) {
         while self.cond.node_count() < g.node_count() {
@@ -199,7 +254,7 @@ impl IncScc {
         if v == w {
             return true;
         }
-        let mut sc = std::mem::take(&mut self.scratch);
+        let sc = &mut *self.scratch;
         sc.clear();
         sc.fwd_seen.insert(v);
         sc.bwd_seen.insert(w);
@@ -232,7 +287,6 @@ impl IncScc {
                     }
                     if forward {
                         if sc.bwd_seen.contains(&y) {
-                            self.scratch = sc;
                             return true;
                         }
                         if sc.fwd_seen.insert(y) {
@@ -240,7 +294,6 @@ impl IncScc {
                         }
                     } else {
                         if sc.fwd_seen.contains(&y) {
-                            self.scratch = sc;
                             return true;
                         }
                         if sc.bwd_seen.insert(y) {
@@ -255,7 +308,6 @@ impl IncScc {
                 std::mem::swap(&mut sc.bwd_frontier, &mut sc.next);
             }
         }
-        self.scratch = sc;
         false
     }
 
@@ -516,39 +568,6 @@ impl IncScc {
         debug_assert_eq!(self.cond.check_invariants(), Ok(()));
     }
 
-    /// Recount every condensation edge from `g` — the number of graph edges
-    /// between two components must equal the maintained counter, with no
-    /// counter left over. Audit path only: O(|E|).
-    fn check_edge_counts(&self, g: &DynamicGraph) -> Result<(), String> {
-        let mut recount: FxHashMap<(SccId, SccId), u32> = FxHashMap::default();
-        for (u, v) in g.edges() {
-            let (a, b) = (self.cond.scc_of(u), self.cond.scc_of(v));
-            if a != b {
-                *recount.entry((a, b)).or_insert(0) += 1;
-            }
-        }
-        let mut maintained = 0usize;
-        for a in self.cond.scc_ids() {
-            for (b, c) in self.cond.out_edges(a) {
-                maintained += 1;
-                let fresh = recount.get(&(a, b)).copied().unwrap_or(0);
-                if fresh != c {
-                    return Err(format!(
-                        "scc: condensation edge {a}→{b} counts {c}, the graph has {fresh}"
-                    ));
-                }
-            }
-        }
-        if maintained != recount.len() {
-            return Err(format!(
-                "scc: {} condensation edges maintained, the graph induces {}",
-                maintained,
-                recount.len()
-            ));
-        }
-        Ok(())
-    }
-
     /// DFS over `Gc` from `start` (forward or backward), visiting only nodes
     /// whose rank satisfies `keep`. Returns the visited set including
     /// `start`.
@@ -579,11 +598,10 @@ impl IncScc {
         }
         order
     }
-}
 
-impl IncrementalAlgorithm for IncScc {
+    /// The batch algorithm `IncSCC`.
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        self.metrics = ChangeMetrics {
+        *self.metrics = ChangeMetrics {
             input_updates: delta.len() as u64,
             ..Default::default()
         };
@@ -685,6 +703,12 @@ impl IncrementalAlgorithm for IncScc {
         }
         debug_assert_eq!(self.cond.check_invariants(), Ok(()));
     }
+}
+
+impl IncrementalAlgorithm for IncScc {
+    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
+        self.pass().apply(g, delta);
+    }
 
     fn work(&self) -> WorkStats {
         self.work
@@ -720,8 +744,14 @@ impl igc_core::IncView for IncScc {
         self
     }
 
+    /// The condensation, shared; cold scratch.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
-        Box::new(self.clone())
+        Box::new(IncScc {
+            cond: Arc::clone(&self.cond),
+            work: self.work,
+            metrics: self.metrics,
+            scratch: SccScratch::default(),
+        })
     }
 
     /// Audit the maintained partition against one fresh Tarjan run, the

@@ -15,6 +15,11 @@
 //! 3. **GC is pin-driven.** The version window grows only while snapshots
 //!    hold pins; once they drop, the next commit collapses it back to 1.
 //!
+//! It ends with what a pin costs: the median commit time over a short tail
+//! of commits with the pins still held (readers stopped, so the number is
+//! the copy and not the contention), the same after they are dropped, and
+//! the ratio.
+//!
 //! ```text
 //! cargo run --release --example snapshot_readers
 //! ```
@@ -22,12 +27,38 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use incgraph::prelude::*;
 
 const READERS: usize = 4;
 const COMMITS: usize = 24;
+/// Commits per timed tail (pins held, then pins dropped).
+const TAIL: usize = 16;
+
+/// One commit of a messy client batch; with `pins`, the newest version is
+/// pinned after it and the oldest of more than three pins released.
+fn churn(
+    engine: &mut Engine,
+    seed: u64,
+    pins: Option<&mut Vec<Snapshot>>,
+) -> Result<CommitReceipt, EngineError> {
+    let delta = random_update_batch(engine.graph(), 18, 0.5, seed);
+    let receipt = engine.commit(&delta)?;
+    if let Some(pins) = pins {
+        pins.push(engine.snapshot()?);
+        if pins.len() > 3 {
+            pins.remove(0); // oldest pin drops → its version becomes GC-able
+        }
+    }
+    Ok(receipt)
+}
+
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    times[times.len() / 2]
+}
 
 fn main() -> Result<(), EngineError> {
     // The shared graph and a four-class standing-query mix.
@@ -92,15 +123,11 @@ fn main() -> Result<(), EngineError> {
         .collect();
 
     // The writer: 24 commits of messy client batches, with a sliding
-    // window of pinned snapshots to exercise copy-on-write publishing.
+    // window of pinned snapshots, so every commit finds its predecessor
+    // pinned and copies what it is about to change.
     let mut pinned: Vec<Snapshot> = Vec::new();
     for i in 0..COMMITS {
-        let delta = random_update_batch(engine.graph(), 18, 0.5, 9_000 + i as u64);
-        let receipt = engine.commit(&delta)?;
-        pinned.push(engine.snapshot()?);
-        if pinned.len() > 3 {
-            pinned.remove(0); // oldest pin drops → its version becomes GC-able
-        }
+        let receipt = churn(&mut engine, 9_000 + i as u64, Some(&mut pinned))?;
         if i % 8 == 7 {
             let stats = engine.snapshot_store().retained_stats();
             println!(
@@ -143,16 +170,27 @@ fn main() -> Result<(), EngineError> {
     let answers_now = now.view(&rpq)?.answer().len();
     println!("rpq answers: {answers_then} at the pin, {answers_now} at head");
 
-    // Property 3: drop every pin, commit once, and the version window
-    // collapses — GC keeps exactly the head version alive.
+    // The price of a pin: a tail of commits with the pins still held …
+    let mut held = Vec::with_capacity(TAIL);
+    for i in 0..TAIL {
+        held.push(churn(&mut engine, 20_000 + i as u64, Some(&mut pinned))?.elapsed);
+    }
+
+    // … and, Property 3, the same after every pin is dropped: the first
+    // commit collapses the version window — GC keeps exactly the head
+    // version alive — and none of them copies anything.
     drop((frozen, now, pinned));
-    engine.commit(&random_update_batch(engine.graph(), 6, 0.5, 77))?;
-    let stats = engine.snapshot_store().retained_stats();
+    let mut free = Vec::with_capacity(TAIL);
+    for i in 0..TAIL {
+        free.push(churn(&mut engine, 30_000 + i as u64, None)?.elapsed);
+        assert_eq!(engine.snapshot_store().window(), 1);
+    }
+    let (held, free) = (median(held), median(free));
     println!(
-        "after dropping all pins + 1 commit: window {} version(s)",
-        stats.versions
+        "commit p50 over {TAIL} commits: {held:.1?} with pins held, {free:.1?} after dropping them \
+         — a pin costs {:.2}×",
+        held.as_secs_f64() / free.as_secs_f64()
     );
-    assert_eq!(stats.versions, 1);
 
     // Pinning a retired epoch is an error, not a panic.
     match engine.snapshot_at(0) {
