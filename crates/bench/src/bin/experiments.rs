@@ -1,127 +1,57 @@
 //! Reproduce the paper's evaluation: print paper-style series for every
-//! panel of Figure 8 and the in-text experiments, plus the multi-view
-//! engine serving trajectory.
+//! panel of Figure 8 and the in-text experiments.
 //!
 //! ```text
-//! experiments [--scale F] [--no-verify] [--threads N] [--json-out PATH]
-//!             [--log] [--crash-at N] [--log-dir PATH] [--replicas N]
-//!             [--ingest N] [--rules N] [--chaos N] [--snapshots N]
-//!             [fig8a fig8b … | all | unit | rho | undoable | locality | engine]
+//! experiments [--scale F] [--no-verify]
+//!             [fig8a fig8b … | all | unit | rho | undoable | locality]
 //! ```
 //!
 //! With no figure arguments, everything runs. `--scale` scales the
 //! datasets (1.0 = the laptop-sized full datasets; default 0.15).
-//! `--threads N` makes the `engine` experiment commit with
-//! `CommitMode::Parallel { threads: N }` (default: sequential). The
-//! `engine` experiment additionally writes its per-commit latency series —
-//! including a sequential-vs-parallel comparison — as machine-readable
-//! JSON to `--json-out` (default `BENCH_engine.json`), so the perf
-//! trajectory accumulates across revisions.
-//!
-//! Durability flags (the `engine` experiment): `--log` attaches a
-//! file-backed write-ahead commit log (journal totals, a
-//! replay-throughput series and a background `rpq:bg` build land in the
-//! JSON); `--crash-at N` drops the logged engine after `N` commits,
-//! recovers it from the journal, audits, and serves the rest of the run
-//! (implies `--log`); `--log-dir PATH` keeps the journal at `PATH`
-//! (wiped at start) instead of a throwaway temp directory; `--replicas N`
-//! (implies `--log`) adds a `replication` section to the JSON — read
-//! throughput at 1/2/4 log-shipped replicas, observed tailing lag with
-//! `N` followers under sustained commit load plus backlog drain time,
-//! and journal bytes staying bounded under periodic compaction.
-//! `--ingest N` adds an `ingest` section: `N` concurrent submitter
-//! threads through the async ingest front door under four arms (durable
-//! every-append vs group-commit, volatile per-submission vs coalesced),
-//! with throughput, p50/p99 submit→receipt latency, fsync-barrier counts
-//! and receipts-match-submissions + journal-replay audits.
-//! `--rules N` adds a `rules` section: an `igc_rules` attack-graph view
-//! over a sliding-window edge stream — window fill, `N` steady-state
-//! slide ticks, then a deletion storm retracting half the window in one
-//! coalesced batch, with per-commit latency, derivation counters, oracle
-//! audits, and the storm-phase speedup over from-scratch re-evaluation.
-//! `--chaos N` adds a `chaos` section: `N` deterministic seeded fault
-//! storms (transient append/read/sync failures and torn half-writes
-//! injected into the journal backend) against a logged engine under a
-//! retry policy — absorbed-retry counts, degraded read-only windows with
-//! wall-clock and mean time-to-heal, self-healing replica counters
-//! (transient-read tail retries, post-compaction reattaches), and
-//! no-acked-commit-lost + views-bit-identical audits against a
-//! never-faulted twin.
-//! `--snapshots N` adds a `snapshots` section: MVCC publish overhead per
-//! commit vs the median commit latency (audited < 5 %), commit latency
-//! and version-window size under a sliding set of pinned reader
-//! snapshots plus one long-lived frozen pin (audited bit-identical at
-//! the end of the run), and lock-free reader throughput from `N`
-//! snapshot-pinning threads under sustained writes.
+//! `--no-verify` skips the per-point cross-check against batch
+//! recomputation. An unknown id or a malformed flag prints the usage to
+//! stderr and exits with code 2.
 
-use igc_bench::experiments::{self, ExpConfig, ALL_FIGS};
+use igc_bench::experiments::{self, ExpConfig, ALL_FIGS, IN_TEXT};
+use std::process::ExitCode;
 
-fn main() {
+fn usage() -> String {
+    format!(
+        "usage: experiments [--scale F] [--no-verify] [--help] [ID …]\n\
+         ids: {} | all | {}\n\
+         no id = every panel and in-text experiment",
+        ALL_FIGS.join(" "),
+        IN_TEXT.join(" ")
+    )
+}
+
+fn bad_input(what: &str) -> ExitCode {
+    eprintln!("experiments: {what}\n{}", usage());
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
     let mut cfg = ExpConfig::default();
     let mut figs: Vec<String> = Vec::new();
-    let mut json_out = String::from("BENCH_engine.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                cfg.scale = v.parse().expect("scale must be a float");
-            }
+            "--scale" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(scale) => cfg.scale = scale,
+                None => return bad_input("--scale needs a float"),
+            },
             "--no-verify" => cfg.verify = false,
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                cfg.threads = v.parse().expect("threads must be an integer");
-            }
-            "--json-out" => {
-                json_out = args.next().expect("--json-out needs a path");
-            }
-            "--log" => cfg.log = true,
-            "--crash-at" => {
-                let v = args.next().expect("--crash-at needs a commit count");
-                cfg.crash_at = Some(v.parse().expect("crash-at must be an integer"));
-                cfg.log = true;
-            }
-            "--log-dir" => {
-                cfg.log_dir = Some(args.next().expect("--log-dir needs a path"));
-                cfg.log = true;
-            }
-            "--replicas" => {
-                let v = args.next().expect("--replicas needs a count");
-                cfg.replicas = v.parse().expect("replicas must be an integer");
-                cfg.log = true;
-            }
-            "--ingest" => {
-                let v = args.next().expect("--ingest needs a submitter count");
-                cfg.ingest = v.parse().expect("ingest must be an integer");
-            }
-            "--rules" => {
-                let v = args.next().expect("--rules needs a slide-tick count");
-                cfg.rules = v.parse().expect("rules must be an integer");
-            }
-            "--chaos" => {
-                let v = args.next().expect("--chaos needs a storm count");
-                cfg.chaos = v.parse().expect("chaos must be an integer");
-            }
-            "--snapshots" => {
-                let v = args.next().expect("--snapshots needs a reader count");
-                cfg.snapshots = v.parse().expect("snapshots must be an integer");
-            }
             "all" => figs.extend(ALL_FIGS.iter().map(|s| s.to_string())),
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [--scale F] [--no-verify] [--threads N] [--json-out PATH] \
-                     [--log] [--crash-at N] [--log-dir PATH] [--replicas N] [--ingest N] \
-                     [--rules N] [--chaos N] [--snapshots N] \
-                     [fig8a … fig8p | all | unit | rho | undoable | locality | engine]"
-                );
-                return;
+                eprintln!("{}", usage());
+                return ExitCode::SUCCESS;
             }
-            other => figs.push(other.to_string()),
+            flag if flag.starts_with('-') => return bad_input(&format!("unknown flag {flag:?}")),
+            id => figs.push(id.to_string()),
         }
     }
     if figs.is_empty() {
-        figs.extend(ALL_FIGS.iter().map(|s| s.to_string()));
-        figs.extend(["unit", "rho", "undoable", "locality", "engine"].map(String::from));
+        figs.extend(ALL_FIGS.iter().chain(&IN_TEXT).map(|s| s.to_string()));
     }
 
     println!(
@@ -130,17 +60,11 @@ fn main() {
     );
     for fig in figs {
         let start = std::time::Instant::now();
-        if fig == "engine" {
-            let run = experiments::engine_run(&cfg);
-            println!("{}", run.series.render());
-            match std::fs::write(&json_out, &run.json) {
-                Ok(()) => eprintln!("[engine series written to {json_out}]"),
-                Err(e) => eprintln!("[failed to write {json_out}: {e}]"),
-            }
-        } else {
-            let series = experiments::run(&fig, &cfg);
-            println!("{}", series.render());
-        }
+        let Some(series) = experiments::run(&fig, &cfg) else {
+            return bad_input(&format!("unknown experiment id {fig:?}"));
+        };
+        println!("{}", series.render());
         eprintln!("[{fig} done in {:.1?}]", start.elapsed());
     }
+    ExitCode::SUCCESS
 }

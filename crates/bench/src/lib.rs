@@ -12,6 +12,13 @@
 //! * [`experiments`] — one function per figure; the `experiments` binary
 //!   drives them and prints paper-style series.
 //!
+//! This crate is the paper reproduction and nothing else: it does not
+//! depend on `igc_engine` or `igc_log`, and engine timing (commit, recovery,
+//! ingest, snapshots) has one home — the stand-alone `benchmark/` package
+//! declared by `BENCHMARK.json`. The rule-view workloads
+//! ([`workloads::WindowedStream`], the attack-graph program) stay because
+//! they measure the fifth view class the way Fig. 8 measures the other four.
+//!
 //! Absolute times differ from the paper (different hardware, scaled-down
 //! graphs); the comparisons of interest are the *shapes*: who wins, where
 //! the crossover sits, how the algorithms scale with `|ΔG|`, `|Q|`, `|G|`.

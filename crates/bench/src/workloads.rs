@@ -166,8 +166,6 @@ pub fn attack_label(i: usize) -> Label {
 #[derive(Debug)]
 pub struct WindowedStream {
     nodes: usize,
-    /// First node id of the churn region (edges never touch ids below it).
-    base: u32,
     window: usize,
     per_tick: usize,
     rng: StdRng,
@@ -177,63 +175,17 @@ pub struct WindowedStream {
     present: FxHashSet<Edge>,
 }
 
-/// Depth of one backbone corridor (an entry-anchored chain of hosts);
-/// bounds the naive evaluator's round count so from-scratch baselines pay
-/// for the backbone's *size*, not an artificially inflated iteration
-/// depth.
-pub const BACKBONE_CORRIDOR: usize = 64;
-
 impl WindowedStream {
     /// An edge-free graph of `nodes` labelled hosts plus the stream that
     /// will populate it: `window` live ticks of `per_tick` edges each.
     pub fn new(nodes: usize, window: usize, per_tick: usize, seed: u64) -> (DynamicGraph, Self) {
-        Self::with_backbone(0, nodes, window, per_tick, seed)
-    }
-
-    /// Like [`WindowedStream::new`], but the graph additionally carries a
-    /// persistent **backbone**: `backbone` long-lived infrastructure hosts
-    /// in the disjoint id range `[0, backbone)`, wired as entry-anchored
-    /// corridors ([`BACKBONE_CORRIDOR`]-deep chains with chords for
-    /// redundant support) that never slide out of the window. The churn
-    /// region lives entirely in `[backbone, backbone + nodes)`, so a
-    /// window storm retracts transient edges only: from-scratch
-    /// re-evaluation pays for the whole database, backbone included, while
-    /// incremental maintenance is bounded by the affected (windowed)
-    /// facts.
-    pub fn with_backbone(
-        backbone: usize,
-        nodes: usize,
-        window: usize,
-        per_tick: usize,
-        seed: u64,
-    ) -> (DynamicGraph, Self) {
         assert!(nodes >= 2 && window >= 1 && per_tick >= 1);
         let mut g = DynamicGraph::new();
-        for i in 0..backbone {
-            let label = if i % BACKBONE_CORRIDOR == 0 {
-                ATTACK_ENTRY
-            } else if i % 97 == 1 {
-                ATTACK_CRITICAL
-            } else {
-                ATTACK_VULN
-            };
-            g.add_node(label);
-        }
-        for i in 0..backbone {
-            let at = |j: usize| NodeId(j as u32);
-            if (i + 1) % BACKBONE_CORRIDOR != 0 && i + 1 < backbone {
-                g.insert_edge(at(i), at(i + 1));
-            }
-            if i % 3 == 0 && i % BACKBONE_CORRIDOR < BACKBONE_CORRIDOR - 2 && i + 2 < backbone {
-                g.insert_edge(at(i), at(i + 2));
-            }
-        }
         for i in 0..nodes {
             g.add_node(attack_label(i));
         }
         let stream = WindowedStream {
             nodes,
-            base: backbone as u32,
             window,
             per_tick,
             rng: StdRng::seed_from_u64(seed),
@@ -262,8 +214,8 @@ impl WindowedStream {
         }
         let mut cohort = Vec::with_capacity(self.per_tick);
         while cohort.len() < self.per_tick {
-            let u = NodeId(self.base + self.rng.gen_range(0..self.nodes as u32));
-            let w = NodeId(self.base + self.rng.gen_range(0..self.nodes as u32));
+            let u = NodeId(self.rng.gen_range(0..self.nodes as u32));
+            let w = NodeId(self.rng.gen_range(0..self.nodes as u32));
             if u != w && self.present.insert((u, w)) {
                 cohort.push((u, w));
                 updates.push(Update::insert(u, w));

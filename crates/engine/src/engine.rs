@@ -146,12 +146,6 @@ impl PreparedCommit {
     pub fn units(&self) -> usize {
         self.delta.len()
     }
-
-    /// The graph epoch this commit was normalized against; applying it
-    /// from any other epoch is rejected.
-    pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
-    }
 }
 
 /// Why (and since when) the engine is in degraded read-only mode.
@@ -342,12 +336,6 @@ impl Engine {
     /// works). No-op without a log.
     pub fn set_checkpoint_every(&mut self, n: u64) {
         self.checkpoint_every = n;
-    }
-
-    /// The current checkpoint cadence (logged commits per automatic
-    /// checkpoint; 0 = explicit checkpoints only).
-    pub fn checkpoint_every(&self) -> u64 {
-        self.checkpoint_every
     }
 
     /// Create a **pinned** read replica over this engine's commit log
@@ -604,23 +592,6 @@ impl Engine {
     ) -> Result<ViewHandle<V>, EngineError> {
         self.insert(label.into(), Box::new(view), LifecycleEventKind::Registered)
             .map(ViewHandle::new)
-    }
-
-    /// Register an already type-erased view (label defaults to its name).
-    /// The untyped [`ViewId`] supports everything but the typed accessors;
-    /// upgrade with [`Engine::typed`] when the concrete type is known.
-    pub fn register_boxed(&mut self, view: Box<dyn IncView>) -> Result<ViewId, EngineError> {
-        let label = Arc::from(view.name());
-        self.insert(label, view, LifecycleEventKind::Registered)
-    }
-
-    /// Register an already type-erased view under an explicit label.
-    pub fn register_boxed_labeled(
-        &mut self,
-        label: impl Into<Arc<str>>,
-        view: Box<dyn IncView>,
-    ) -> Result<ViewId, EngineError> {
-        self.insert(label.into(), view, LifecycleEventKind::Registered)
     }
 
     /// Register a view *lazily*: build its initial state from the engine's
@@ -939,25 +910,6 @@ impl Engine {
             })
     }
 
-    /// Mutable concrete access (e.g. to raise a KWS bound between
-    /// commits). Same error conditions as [`Engine::view`].
-    ///
-    /// Snapshot semantics: a mutation made here becomes visible to
-    /// snapshot readers at the *next published version* (the next commit
-    /// or lifecycle event); versions published before it keep serving the
-    /// pre-mutation answers.
-    pub fn view_mut<V: 'static>(&mut self, h: &ViewHandle<V>) -> Result<&mut V, EngineError> {
-        let r = self.active_mut(h.id)?;
-        let label = r.label.clone();
-        r.view
-            .as_any_mut()
-            .downcast_mut::<V>()
-            .ok_or(EngineError::WrongViewType {
-                label,
-                expected: std::any::type_name::<V>(),
-            })
-    }
-
     /// The view behind an untyped id, type-erased. Same error conditions
     /// as [`Engine::view`].
     pub fn view_dyn(&self, id: impl Into<ViewId>) -> Result<&dyn IncView, EngineError> {
@@ -982,17 +934,6 @@ impl Engine {
             })
     }
 
-    fn occupied_mut(&mut self, id: ViewId) -> Result<&mut Registered, EngineError> {
-        self.slots
-            .get_mut(id.index())
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.entry.as_mut())
-            .ok_or(EngineError::StaleHandle {
-                index: id.index,
-                generation: id.generation,
-            })
-    }
-
     /// Like [`Engine::occupied`], but also rejects quarantined views.
     fn active(&self, id: ViewId) -> Result<&Registered, EngineError> {
         let r = self.occupied(id)?;
@@ -1004,13 +945,6 @@ impl Engine {
                 cause: cause.clone(),
             }),
         }
-    }
-
-    fn active_mut(&mut self, id: ViewId) -> Result<&mut Registered, EngineError> {
-        // Check state through the shared path first to keep the error
-        // construction in one place, then reborrow mutably.
-        self.active(id)?;
-        self.occupied_mut(id)
     }
 
     // ------------------------------------------------------------------
@@ -2282,16 +2216,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn view_mut_allows_in_place_surgery() {
-        let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-        let id = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
-        engine.view_mut(&id).unwrap().count = 7;
-        assert_eq!(engine.view(&id).unwrap().count, 7);
-    }
-
-    #[test]
     fn handles_are_copy_send_and_hashable() {
         fn assert_send_sync<T: Send + Sync + Copy + std::hash::Hash>() {}
         assert_send_sync::<ViewHandle<EdgeCount>>();
@@ -2525,7 +2449,6 @@ pub(crate) mod tests {
             .with_log(backend.clone())
             .unwrap();
         engine.set_checkpoint_every(3);
-        assert_eq!(engine.checkpoint_every(), 3);
         for i in 0..8u32 {
             let (a, b) = (NodeId(i % 4), NodeId((i + 1) % 4));
             let batch = if engine.graph().contains_edge(a, b) {

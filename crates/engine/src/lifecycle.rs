@@ -35,8 +35,7 @@ impl ViewId {
 
 /// Typed handle to a registered view: a [`ViewId`] that additionally
 /// remembers the concrete view type `V`, so
-/// [`Engine::view`](crate::Engine::view) /
-/// [`view_mut`](crate::Engine::view_mut) return `&V` / `&mut V` without any
+/// [`Engine::view`](crate::Engine::view) returns `&V` without any
 /// caller-side `as_any` downcasting.
 ///
 /// Handles are `Copy` and independent of `V`'s own traits (the type only
@@ -135,8 +134,7 @@ impl ViewState {
 /// What happened in a [`LifecycleEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleEventKind {
-    /// An eager registration (`register` / `register_labeled` /
-    /// `register_boxed*`).
+    /// An eager registration (`register` / `register_labeled`).
     Registered,
     /// A lazy registration (`register_lazy`): the view's initial state was
     /// built from the engine's graph at this epoch.

@@ -8,7 +8,7 @@ use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{Label, LabelInterner, NodeId, UpdateBatch};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
-use igc_log::{LogBackend, MemBackend};
+use igc_log::{FileBackend, LogBackend, MemBackend};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
 use igc_scc::IncScc;
@@ -96,40 +96,62 @@ fn crash_at_every_commit_recovers_all_four_classes_bit_identically() {
         reference_answers.push(answers(&reference));
     }
 
-    // Crash the logged engine at every possible epoch in turn.
-    for crash_after in 1..=COMMITS {
-        let (_, backend) = backend_pair();
-        let mut engine = Engine::new(g.clone()).with_log(backend.clone()).unwrap();
-        engine.set_checkpoint_every(2); // exercise mid-stream checkpoints
-        register_all(&mut engine);
-        for delta in &deltas[..crash_after] {
-            engine.commit(delta).unwrap();
-        }
-        drop(engine); // crash, mid-stream
+    // Crash the logged engine at every possible epoch in turn, over each
+    // backend: memory, then real files in a per-test temp directory. Each
+    // `open()` is one process's handle on the journal — the recovering side
+    // reopens the files from the path alone, as a restarted process would.
+    for on_disk in [false, true] {
+        for crash_after in 1..=COMMITS {
+            let mem = MemBackend::new();
+            let dir = std::env::temp_dir().join(format!(
+                "igc-durability-test-{}-{crash_after}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let open = || -> Arc<dyn LogBackend> {
+                if on_disk {
+                    Arc::new(FileBackend::new(&dir).unwrap())
+                } else {
+                    Arc::new(mem.clone())
+                }
+            };
 
-        let mut recovered = Engine::recover(backend).unwrap();
-        assert_eq!(recovered.epoch(), crash_after as u64);
-        register_all(&mut recovered);
-        assert_eq!(
-            answers(&recovered),
-            reference_answers[crash_after - 1],
-            "recovered answers at epoch {crash_after} must match the \
-             never-crashed engine"
-        );
-        recovered.verify_all().unwrap();
+            let mut engine = Engine::new(g.clone()).with_log(open()).unwrap();
+            engine.set_checkpoint_every(2); // exercise mid-stream checkpoints
+            register_all(&mut engine);
+            for delta in &deltas[..crash_after] {
+                engine.commit(delta).unwrap();
+            }
+            drop(engine); // crash, mid-stream
 
-        // The recovered engine keeps serving the rest of the stream in
-        // lockstep with the reference.
-        for (i, delta) in deltas[crash_after..].iter().enumerate() {
-            recovered.commit(delta).unwrap();
+            let mut recovered = Engine::recover(open()).unwrap();
+            assert_eq!(recovered.epoch(), crash_after as u64);
+            register_all(&mut recovered);
             assert_eq!(
                 answers(&recovered),
-                reference_answers[crash_after + i],
-                "post-recovery commit {} diverged",
-                crash_after + i
+                reference_answers[crash_after - 1],
+                "recovered answers at epoch {crash_after} must match the \
+                 never-crashed engine (on_disk: {on_disk})"
             );
+            recovered.verify_all().unwrap();
+
+            // The recovered engine keeps serving the rest of the stream in
+            // lockstep with the reference.
+            for (i, delta) in deltas[crash_after..].iter().enumerate() {
+                recovered.commit(delta).unwrap();
+                assert_eq!(
+                    answers(&recovered),
+                    reference_answers[crash_after + i],
+                    "post-recovery commit {} diverged (on_disk: {on_disk})",
+                    crash_after + i
+                );
+            }
+            recovered.verify_all().unwrap();
+            drop(recovered);
+            if on_disk {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
         }
-        recovered.verify_all().unwrap();
     }
 }
 
