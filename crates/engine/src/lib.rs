@@ -75,8 +75,9 @@
 //! a version holds the copy each view publishes of itself
 //! ([`IncView::clone_view`](igc_core::IncView::clone_view) — the answer
 //! behind `Arc`s, none of the auxiliary state), so publishing is a few
-//! `Arc` bumps per view, a held pin costs one copy of the graph and of
-//! each answer per commit, and a pre-commit GC drops every unpinned
+//! `Arc` bumps per view, a held pin costs per commit the graph's edge
+//! set and list handles, the adjacency lists the commit writes and each
+//! answer's container, and a pre-commit GC drops every unpinned
 //! version, so with no pins nothing is copied and the retained window
 //! stays ≤ distinct pinned epochs + 1.
 //! Through the ingest front door, [`Ingest::snapshot`] pins versions

@@ -639,8 +639,9 @@ impl Replica {
     /// follower's graph and every follower-side view, safe to hand to
     /// reader threads while the replica keeps tailing.
     ///
-    /// The graph is copied on this call (the reader pays, the tail loop
-    /// never does); each view contributes its `clone_view` copy (one that
+    /// The graph is cloned on this call — one handle bump per adjacency
+    /// list plus a copy of the edge set, no list copied — and the tail
+    /// loop then copies each list it next writes, once; each view contributes its `clone_view` copy (one that
     /// panics making it is served as quarantined). Look views up by label
     /// ([`Snapshot::find`]) — replica snapshots carry no engine handles.
     pub fn snapshot(&self) -> Snapshot {

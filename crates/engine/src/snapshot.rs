@@ -25,13 +25,18 @@
 //! `Arc`), which in the common no-pins case hands unique ownership of the
 //! graph and every answer back — the commit then copies nothing and MVCC
 //! costs a few `Arc` bumps per view. While a pin *is* live, the first
-//! write to a shared piece copies that piece once (`Arc::make_mut` on the
-//! graph, and inside each view on its answer state): a pin costs the
-//! answer, never the auxiliary state, and the pinned reader keeps serving
-//! its frozen state, unaffected. Dropping the last `Snapshot` of a version
-//! makes it collectable at the next commit, so the retained window is
-//! bounded by *distinct pinned epochs + 1* (the newest version is always
-//! kept) — never unbounded growth.
+//! write to a shared piece copies that piece once, and the pieces are
+//! small: `Arc::make_mut` on the graph bumps one handle per adjacency list
+//! and copies the edge set, after which each list the commit writes is
+//! copied alone ([`DynamicGraph`] documents the costs); inside each view
+//! the same call copies the container of its answer state. A pin costs
+//! what the commit touched plus those handles, never the auxiliary state,
+//! and the pinned reader keeps serving its frozen state, unaffected.
+//! Dropping the last `Snapshot` of a version makes it collectable at the
+//! next commit, so the retained window is bounded by *distinct pinned
+//! epochs + 1* (the newest version is always kept) — never unbounded
+//! growth. Collected versions are freed after the store's lock is
+//! released, so a reader taking a pin does not wait for the free.
 //!
 //! # Retirement
 //!
@@ -170,8 +175,18 @@ impl SnapshotStore {
         let start = Instant::now();
         let mut inner = self.lock();
         inner.publishing = true;
-        inner.versions.retain(|_, v| Arc::strong_count(v) > 1);
+        let mut dead = Vec::new();
+        inner.versions.retain(|_, v| {
+            let pinned = Arc::strong_count(v) > 1;
+            if !pinned {
+                dead.push(Arc::clone(v));
+            }
+            pinned
+        });
         drop(inner);
+        // Freed outside the lock: a reader pinning a retained epoch does not
+        // wait for the slabs and answers of the retired ones to be released.
+        drop(dead);
         self.publish_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -283,8 +298,9 @@ impl SnapshotStore {
     /// Cumulative wall-clock the committer has spent on MVCC bookkeeping
     /// across every commit so far: version GC, building each version's
     /// cells (one [`IncView::clone_view`] per active view) and publication.
-    /// It *excludes* what a live pin makes a commit copy — the graph, and
-    /// inside each view its answer state — which is attributed where it
+    /// It *excludes* what a live pin makes a commit copy — the graph's
+    /// handles, edge set and written lists, and inside each view its answer
+    /// state — which is attributed where it
     /// happens: `graph_elapsed` and the view's own fan-out slot in the
     /// [`CommitReceipt`] (no pins → no copies).
     ///
@@ -330,8 +346,11 @@ impl SnapshotStore {
 pub struct SnapshotStoreStats {
     /// Retained version count (the window).
     pub versions: usize,
-    /// Distinct graph allocations across the window (shared `Arc`s count
-    /// once).
+    /// Distinct graph versions across the window (shared `Arc`s count
+    /// once). A distinct version is not a whole copy: it has its own
+    /// edge set and list handles, and shares with its neighbours every
+    /// adjacency list, the labels and the label index that no commit
+    /// between them wrote.
     pub distinct_graphs: usize,
     /// Distinct view-answer allocations across the window.
     pub distinct_view_cells: usize,
@@ -554,6 +573,62 @@ mod tests {
         store.publish(4, graph(), cells(4), Instant::now());
         assert_eq!(store.window(), 1);
         assert_eq!(store.oldest(), 4);
+    }
+
+    /// A view that notes, when it is freed, whether the store's mutex was
+    /// free to take.
+    struct FreedUnlocked {
+        store: Arc<SnapshotStore>,
+        seen: Arc<Mutex<Option<bool>>>,
+    }
+
+    impl Drop for FreedUnlocked {
+        fn drop(&mut self) {
+            let unlocked = self.store.inner.try_lock().is_ok();
+            *self.seen.lock().unwrap() = Some(unlocked);
+        }
+    }
+
+    impl IncView for FreedUnlocked {
+        fn name(&self) -> &str {
+            "freed-unlocked"
+        }
+        fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {}
+        fn work(&self) -> WorkStats {
+            WorkStats::new()
+        }
+        fn reset_work(&mut self) {}
+        fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
+            Ok(())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn clone_view(&self) -> Box<dyn IncView> {
+            unreachable!("published by hand below")
+        }
+    }
+
+    #[test]
+    fn retired_versions_are_freed_outside_the_store_mutex() {
+        let store = Arc::new(SnapshotStore::new());
+        let seen = Arc::new(Mutex::new(None));
+        let cell = SnapCell {
+            index: 0,
+            generation: 0,
+            label: Arc::from("probe"),
+            state: CellState::Active(Arc::new(FreedUnlocked {
+                store: Arc::clone(&store),
+                seen: Arc::clone(&seen),
+            })),
+        };
+        store.publish(1, graph(), vec![cell], Instant::now());
+        assert_eq!(*seen.lock().unwrap(), None, "retained while it is the head");
+        store.begin_commit();
+        assert_eq!(*seen.lock().unwrap(), Some(true));
     }
 
     #[test]

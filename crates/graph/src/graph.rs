@@ -4,9 +4,80 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::label::Label;
 use crate::node::NodeId;
 use crate::update::{Update, UpdateBatch};
+use std::sync::Arc;
 
 /// A directed edge `(from, to)`.
 pub type Edge = (NodeId, NodeId);
+
+/// One adjacency list: a capacity slab shared between graph versions, and
+/// the length of its live prefix. The handle sits inline in the graph's
+/// outer `Vec`, so reading a list is one hop (`&buf[..len]`), as with a
+/// plain `Vec`.
+#[derive(Clone, Default)]
+struct AdjList {
+    /// Doubling capacity; the slots past `len` are padding.
+    buf: Arc<[NodeId]>,
+    len: u32,
+}
+
+impl AdjList {
+    /// Filler for the spare slots of a slab; never read.
+    const PAD: NodeId = NodeId(u32::MAX);
+
+    /// A slab holding exactly `live`, or a bump of `empty` for no entries.
+    fn from_slice(live: &[NodeId], empty: &AdjList) -> AdjList {
+        if live.is_empty() {
+            return empty.clone();
+        }
+        AdjList {
+            buf: Arc::from(live),
+            len: live.len() as u32,
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[NodeId] {
+        &self.buf[..self.len as usize]
+    }
+
+    /// `Vec::push`: in place when no other version shares the slab and it
+    /// has a spare slot, else into a copy — of this list alone — that
+    /// doubles the capacity if the slab was full.
+    fn push(&mut self, v: NodeId) {
+        let len = self.len as usize;
+        match Arc::get_mut(&mut self.buf) {
+            Some(slab) if len < slab.len() => slab[len] = v,
+            _ => {
+                let cap = if len < self.buf.len() {
+                    self.buf.len()
+                } else {
+                    (2 * len).max(4)
+                };
+                let padding = std::iter::repeat_n(Self::PAD, cap - len - 1);
+                let live = self.as_slice().iter().copied();
+                self.buf = live.chain([v]).chain(padding).collect();
+            }
+        }
+        self.len += 1;
+    }
+
+    /// `Vec::swap_remove` of the entry equal to `v`, which must be present;
+    /// a shared slab is copied first.
+    fn swap_remove(&mut self, v: NodeId) {
+        let pos = self.as_slice().iter().position(|&x| x == v);
+        let pos = pos.expect("adjacency list out of sync with the edge set");
+        let last = self.len as usize - 1;
+        let slab = match Arc::get_mut(&mut self.buf) {
+            Some(slab) => slab,
+            None => {
+                self.buf = Arc::from(&*self.buf);
+                Arc::get_mut(&mut self.buf).expect("slab was just copied")
+            }
+        };
+        slab[pos] = slab[last];
+        self.len -= 1;
+    }
+}
 
 /// A mutable directed graph `G = (V, E, l)` with node labels.
 ///
@@ -14,15 +85,44 @@ pub type Edge = (NodeId, NodeId);
 /// introduce fresh nodes) and unit edge deletions. Both directions of
 /// adjacency are maintained, since the incremental algorithms of Sections 4–5
 /// propagate changes through *predecessors* (IncKWS, IncRPQ) as well as
-/// successors (IncSCC). Edge membership is O(1) via a hash set; `E` is a set,
-/// so parallel edges are not represented. Self-loops are allowed.
+/// successors (IncSCC). `E` is a set, so parallel edges are not represented.
+/// Self-loops are allowed.
+///
+/// # Costs
+///
+/// A graph is built to be versioned: every adjacency list is a handle on a
+/// slab that clones share, and the labels and the label index sit behind
+/// one `Arc` each.
+///
+/// * **Clone** bumps one reference count per adjacency list (2·|V|), two
+///   more for the labels and the label index, and copies the edge set — no
+///   list is copied. Dropping a clone frees only the slabs nothing else
+///   shares.
+/// * **Write** (`insert_edge`, `delete_edge`) is amortised O(1) plus, for a
+///   delete, the scan of the two lists it edits. The first write to a list
+///   that a clone still shares copies that list alone; adding a node while
+///   a clone shares the labels copies the labels and the label index.
+/// * **Membership** (`contains_edge`) is O(1) via the edge hash set.
+///
+/// # Order
+///
+/// [`successors`](Self::successors) and
+/// [`predecessors`](Self::predecessors) list neighbours in insertion order,
+/// except that deleting an edge moves the list's last entry into the freed
+/// slot (`Vec::swap_remove`); [`edges`](Self::edges) iterates the hash set.
+/// Both orders are functions of the sequence of writes alone — a clone, a
+/// graph rebuilt by the same writes, and [`from_edges`](Self::from_edges)
+/// on the same edge list all agree — and the work counters of the
+/// incremental algorithms depend on that.
 #[derive(Clone, Default)]
 pub struct DynamicGraph {
-    labels: Vec<Label>,
-    out: Vec<Vec<NodeId>>,
-    inn: Vec<Vec<NodeId>>,
+    labels: Arc<Vec<Label>>,
+    out: Vec<AdjList>,
+    inn: Vec<AdjList>,
     edges: FxHashSet<Edge>,
-    by_label: FxHashMap<Label, Vec<NodeId>>,
+    by_label: Arc<FxHashMap<Label, Vec<NodeId>>>,
+    /// The zero-capacity list every isolated node starts from.
+    empty: AdjList,
     /// Version counter: the number of update transactions applied so far
     /// (each [`DynamicGraph::apply`] and [`DynamicGraph::apply_batch`] call
     /// counts as one). Construction-time primitives (`add_node`,
@@ -39,24 +139,85 @@ impl DynamicGraph {
     /// An empty graph with room for `nodes` nodes and `edges` edges.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         let mut g = DynamicGraph {
-            labels: Vec::with_capacity(nodes),
+            labels: Arc::new(Vec::with_capacity(nodes)),
             out: Vec::with_capacity(nodes),
             inn: Vec::with_capacity(nodes),
-            edges: FxHashSet::default(),
-            by_label: FxHashMap::default(),
-            epoch: 0,
+            ..Self::default()
         };
         g.edges.reserve(edges);
         g
     }
 
+    /// The graph with nodes `0..labels.len()` and the given edges, built in
+    /// bulk: equal — adjacency order and [`edges`](Self::edges) order
+    /// included — to [`add_node`](Self::add_node) per label followed by
+    /// [`insert_edge`](Self::insert_edge) per edge (repeated edges are
+    /// skipped the same way), but each list is sized once instead of grown
+    /// push by push. `Err` carries the first edge with an endpoint past
+    /// `labels.len()`.
+    pub fn from_edges(labels: Vec<Label>, edges: &[Edge]) -> Result<Self, Edge> {
+        let n = labels.len();
+        let mut set = FxHashSet::default();
+        set.reserve(edges.len());
+        let mut distinct = Vec::with_capacity(edges.len());
+        for &(u, v) in edges {
+            if u.index() >= n || v.index() >= n {
+                return Err((u, v));
+            }
+            if set.insert((u, v)) {
+                distinct.push((u, v));
+            }
+        }
+        let empty = AdjList::default();
+        // One family of lists: `key` maps an edge to (the node whose list it
+        // goes to, the entry). A counting sort by node — stable, so every
+        // list comes out in insertion order — then one exact slab per list.
+        let lists = |key: fn(Edge) -> Edge| -> Vec<AdjList> {
+            let mut end = vec![0usize; n + 1];
+            for &e in &distinct {
+                end[key(e).0.index() + 1] += 1;
+            }
+            for i in 0..n {
+                end[i + 1] += end[i];
+            }
+            let mut at = end.clone();
+            let mut flat = vec![AdjList::PAD; distinct.len()];
+            for &e in &distinct {
+                let (node, entry) = key(e);
+                flat[at[node.index()]] = entry;
+                at[node.index()] += 1;
+            }
+            (0..n)
+                .map(|i| AdjList::from_slice(&flat[end[i]..end[i + 1]], &empty))
+                .collect()
+        };
+        let (out, inn) = (lists(|e| e), lists(|(u, v)| (v, u)));
+        let mut by_label: FxHashMap<Label, Vec<NodeId>> = FxHashMap::default();
+        for (i, &l) in labels.iter().enumerate() {
+            by_label.entry(l).or_default().push(NodeId::from_index(i));
+        }
+        Ok(DynamicGraph {
+            out,
+            inn,
+            labels: Arc::new(labels),
+            edges: set,
+            by_label: Arc::new(by_label),
+            empty,
+            epoch: 0,
+        })
+    }
+
     /// Add a fresh isolated node with the given label; returns its id.
     pub fn add_node(&mut self, label: Label) -> NodeId {
-        let id = NodeId::from_index(self.labels.len());
-        self.labels.push(label);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
-        self.by_label.entry(label).or_default().push(id);
+        let labels = Arc::make_mut(&mut self.labels);
+        let id = NodeId::from_index(labels.len());
+        labels.push(label);
+        self.out.push(self.empty.clone());
+        self.inn.push(self.empty.clone());
+        Arc::make_mut(&mut self.by_label)
+            .entry(label)
+            .or_default()
+            .push(id);
         id
     }
 
@@ -118,37 +279,33 @@ impl DynamicGraph {
         if !self.edges.remove(&(u, v)) {
             return false;
         }
-        let out = &mut self.out[u.index()];
-        let pos = out.iter().position(|&x| x == v).expect("out list desync");
-        out.swap_remove(pos);
-        let inn = &mut self.inn[v.index()];
-        let pos = inn.iter().position(|&x| x == u).expect("in list desync");
-        inn.swap_remove(pos);
+        self.out[u.index()].swap_remove(v);
+        self.inn[v.index()].swap_remove(u);
         true
     }
 
     /// Successors of `v` (targets of out-edges).
     #[inline]
     pub fn successors(&self, v: NodeId) -> &[NodeId] {
-        &self.out[v.index()]
+        self.out[v.index()].as_slice()
     }
 
     /// Predecessors of `v` (sources of in-edges).
     #[inline]
     pub fn predecessors(&self, v: NodeId) -> &[NodeId] {
-        &self.inn[v.index()]
+        self.inn[v.index()].as_slice()
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out[v.index()].len()
+        self.out[v.index()].len as usize
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inn[v.index()].len()
+        self.inn[v.index()].len as usize
     }
 
     /// Iterate over all node ids.
@@ -253,6 +410,63 @@ impl DynamicGraph {
     pub fn size(&self) -> usize {
         self.node_count() + self.edge_count()
     }
+
+    /// Check that the adjacency lists, the edge set and the label index
+    /// describe one graph: both list families hold exactly the edge set
+    /// (no entry twice), every live prefix fits its slab, and the label
+    /// index lists each node once, under its label, in creation order.
+    /// O(|G| log |G|) — test/debug use only.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.node_count();
+        if self.out.len() != n || self.inn.len() != n {
+            return Err(format!(
+                "{n} labels but {} out-lists and {} in-lists",
+                self.out.len(),
+                self.inn.len()
+            ));
+        }
+        let edges = self.sorted_edges();
+        for (family, lists, outgoing) in [("out", &self.out, true), ("in", &self.inn, false)] {
+            let mut listed = Vec::with_capacity(edges.len());
+            for (v, list) in lists.iter().enumerate() {
+                let v = NodeId::from_index(v);
+                if list.len as usize > list.buf.len() {
+                    return Err(format!(
+                        "{family}-list of {v:?}: live prefix {} exceeds capacity {}",
+                        list.len,
+                        list.buf.len()
+                    ));
+                }
+                let edge = |&w| if outgoing { (v, w) } else { (w, v) };
+                listed.extend(list.as_slice().iter().map(edge));
+            }
+            listed.sort_unstable();
+            if listed != edges {
+                return Err(format!(
+                    "{family}-lists hold {} entries that are not the {} edges of the edge set",
+                    listed.len(),
+                    edges.len()
+                ));
+            }
+        }
+        let mut indexed = 0;
+        for (&label, nodes) in self.by_label.iter() {
+            let ascending = nodes.windows(2).all(|w| w[0] < w[1]);
+            let labelled = nodes
+                .iter()
+                .all(|&v| self.contains_node(v) && self.label(v) == label);
+            if !ascending || !labelled {
+                return Err(format!(
+                    "label index entry for {label:?} is wrong: {nodes:?}"
+                ));
+            }
+            indexed += nodes.len();
+        }
+        if indexed != n {
+            return Err(format!("label index lists {indexed} of {n} nodes"));
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for DynamicGraph {
@@ -265,15 +479,14 @@ impl std::fmt::Debug for DynamicGraph {
 }
 
 /// Build a graph from a label slice and an edge list — convenient in tests.
+///
+/// Panics if an edge names a node past `labels.len()`.
 pub fn graph_from(labels: &[u32], edges: &[(u32, u32)]) -> DynamicGraph {
-    let mut g = DynamicGraph::with_capacity(labels.len(), edges.len());
-    for &l in labels {
-        g.add_node(Label(l));
-    }
-    for &(u, v) in edges {
-        g.insert_edge(NodeId(u), NodeId(v));
-    }
-    g
+    let labels = labels.iter().map(|&l| Label(l)).collect();
+    let edges: Vec<Edge> = edges.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect();
+    DynamicGraph::from_edges(labels, &edges).unwrap_or_else(|(u, v)| {
+        panic!("graph_from: edge ({u:?}, {v:?}) names a node out of bounds")
+    })
 }
 
 #[cfg(test)]
@@ -397,6 +610,82 @@ mod tests {
                 (NodeId(2), NodeId(0))
             ]
         );
+    }
+
+    /// How many of `a`'s adjacency lists sit on a different slab than the
+    /// list of the same node in `b`.
+    fn lists_unshared(a: &DynamicGraph, b: &DynamicGraph) -> usize {
+        let differ = |x: &[AdjList], y: &[AdjList]| {
+            let common = x
+                .iter()
+                .zip(y)
+                .filter(|(p, q)| !Arc::ptr_eq(&p.buf, &q.buf));
+            common.count() + x.len().abs_diff(y.len())
+        };
+        differ(&a.out, &b.out) + differ(&a.inn, &b.inn)
+    }
+
+    #[test]
+    fn a_clone_diverges_by_the_lists_a_batch_writes() {
+        use crate::generator::{random_update_batch, uniform_graph};
+        let original = uniform_graph(200, 800, 3, 11);
+        for (k, seed) in [(1, 1), (8, 2), (40, 3)] {
+            let mut clone = original.clone();
+            assert_eq!(lists_unshared(&clone, &original), 0, "clone copies no list");
+            let delta = random_update_batch(&clone, k, 0.5, seed);
+            clone.apply_batch(&delta);
+            let unshared = lists_unshared(&clone, &original);
+            assert!(
+                (1..=2 * delta.len()).contains(&unshared),
+                "{} units unshared {unshared} lists",
+                delta.len()
+            );
+            assert!(Arc::ptr_eq(&clone.labels, &original.labels));
+            assert!(Arc::ptr_eq(&clone.by_label, &original.by_label));
+            clone.check_invariants().unwrap();
+        }
+        // A fresh node unshares the labels and the label index, and still
+        // no list but the two its edge writes.
+        let mut clone = original.clone();
+        let fresh = NodeId::from_index(original.node_count());
+        clone.apply(&Update::insert_labeled(
+            NodeId(0),
+            fresh,
+            None,
+            Some(Label(1)),
+        ));
+        assert!(!Arc::ptr_eq(&clone.labels, &original.labels));
+        assert!(!Arc::ptr_eq(&clone.by_label, &original.by_label));
+        assert_eq!(lists_unshared(&clone, &original), 1 + 2);
+        assert!(!original.nodes_with_label(Label(1)).contains(&fresh));
+        original.check_invariants().unwrap();
+        clone.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_unshared_list_is_written_in_place() {
+        let mut g = graph_from(&[0; 6], &[]);
+        for w in 1..=4 {
+            g.insert_edge(NodeId(0), NodeId(w));
+        }
+        let slab = Arc::as_ptr(&g.out[0].buf);
+        g.delete_edge(NodeId(0), NodeId(1));
+        g.insert_edge(NodeId(0), NodeId(5));
+        assert_eq!(Arc::as_ptr(&g.out[0].buf), slab, "roomy and unshared");
+        assert_eq!(
+            g.successors(NodeId(0)),
+            &[NodeId(4), NodeId(2), NodeId(3), NodeId(5)]
+        );
+        g.insert_edge(NodeId(0), NodeId(0));
+        assert_eq!(g.out[0].buf.len(), 8, "a full slab doubles");
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn from_edges_rejects_an_endpoint_past_the_labels() {
+        let edges = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))];
+        let err = DynamicGraph::from_edges(vec![Label(0); 2], &edges);
+        assert_eq!(err.err(), Some((NodeId(1), NodeId(2))));
     }
 
     #[test]

@@ -50,10 +50,13 @@ pub struct IncIso {
 
 #[derive(Debug, Clone, Default)]
 struct IsoState {
-    /// Live matches by id.
-    matches: FxHashMap<u64, MatchKey>,
-    /// Subgraph identity → id (duplicate suppression).
-    by_key: FxHashMap<MatchKey, u64>,
+    /// Live matches by id. A match is stored once and both maps hold a
+    /// handle on it, so the copy a pinned `apply` makes of this state bumps
+    /// reference counts instead of copying node and edge lists.
+    matches: FxHashMap<u64, Arc<MatchKey>>,
+    /// Subgraph identity → id (duplicate suppression); looked up by
+    /// `&MatchKey`.
+    by_key: FxHashMap<Arc<MatchKey>, u64>,
     next_id: u64,
 }
 
@@ -61,8 +64,8 @@ struct IsoState {
 /// so the maintenance below works through plain `&mut`.
 struct IsoPass<'a> {
     pattern: &'a Pattern,
-    matches: &'a mut FxHashMap<u64, MatchKey>,
-    by_key: &'a mut FxHashMap<MatchKey, u64>,
+    matches: &'a mut FxHashMap<u64, Arc<MatchKey>>,
+    by_key: &'a mut FxHashMap<Arc<MatchKey>, u64>,
     next_id: &'a mut u64,
     by_edge: &'a mut EdgeIndex,
     work: &'a mut WorkStats,
@@ -109,7 +112,12 @@ impl IncIso {
 
     /// All matches in canonical order.
     pub fn sorted_matches(&self) -> Vec<MatchKey> {
-        let mut v: Vec<MatchKey> = self.state.matches.values().cloned().collect();
+        let mut v: Vec<MatchKey> = self
+            .state
+            .matches
+            .values()
+            .map(|key| MatchKey::clone(key))
+            .collect();
         v.sort();
         v
     }
@@ -161,7 +169,8 @@ impl IsoPass<'_> {
         for &e in &key.edges {
             self.by_edge.entry(e).or_default().insert(id);
         }
-        self.by_key.insert(key.clone(), id);
+        let key = Arc::new(key);
+        self.by_key.insert(Arc::clone(&key), id);
         self.matches.insert(id, key);
         self.work.aux_touched += 1;
         true
@@ -174,7 +183,7 @@ impl IsoPass<'_> {
         let count = ids.len();
         for id in ids {
             let key = self.matches.remove(&id).expect("index desync");
-            self.by_key.remove(&key);
+            self.by_key.remove(&*key);
             for &e2 in &key.edges {
                 if e2 != e {
                     if let Some(s) = self.by_edge.get_mut(&e2) {
@@ -395,6 +404,27 @@ mod tests {
         inc.apply(&g, &ins);
         assert_eq!(inc.match_count(), 1);
         assert_matches_batch(&inc, &g);
+    }
+
+    #[test]
+    fn a_pinned_apply_shares_the_matches_it_leaves_alone() {
+        use igc_core::IncView;
+        let mut g = graph_from(&[0, 1, 0, 1], &[(0, 1), (2, 3)]);
+        let mut inc = IncIso::new(&g, Pattern::from_parts(&[0, 1], &[(0, 1)]));
+        let pinned = inc.clone_view();
+        let pinned = pinned.as_any().downcast_ref::<IncIso>().unwrap();
+        let delta = UpdateBatch::from_updates(vec![Update::delete(NodeId(0), NodeId(1))]);
+        g.apply_batch(&delta);
+        IncrementalAlgorithm::apply(&mut inc, &g, &delta);
+        assert!(
+            !Arc::ptr_eq(&inc.state, &pinned.state),
+            "the writer diverged"
+        );
+        assert_eq!((inc.match_count(), pinned.match_count()), (1, 2));
+        let (id, kept) = inc.state.matches.iter().next().unwrap();
+        assert!(Arc::ptr_eq(kept, &pinned.state.matches[id]));
+        let (indexed, _) = inc.state.by_key.get_key_value(&**kept).unwrap();
+        assert!(Arc::ptr_eq(indexed, kept), "stored once, two handles");
     }
 
     #[test]

@@ -32,20 +32,27 @@ impl KdistEntry {
     };
 }
 
-/// Keyword-distance lists for all nodes: `entries[v][i]` is
-/// `kdist(v)[ki]` for the i-th keyword of the query.
+/// Keyword-distance lists for all nodes.
 #[derive(Debug, Clone)]
 pub struct Kdist {
-    entries: Vec<Vec<KdistEntry>>,
+    /// Row-major with stride `m`: `entries[v * m + i]` is `kdist(v)[ki]`
+    /// for the i-th keyword of the query. One allocation for all nodes, so
+    /// the copy a pinned `apply` makes is one `memcpy`, and a lookup is one
+    /// indexed load.
+    entries: Vec<KdistEntry>,
+    /// Number of keywords: the row length.
     m: usize,
+    /// Number of rows, kept apart because `m` may be 0.
+    n: usize,
 }
 
 impl Kdist {
     /// All-⊥ lists for `n` nodes and `m` keywords.
     pub fn bottom(n: usize, m: usize) -> Self {
         Kdist {
-            entries: vec![vec![KdistEntry::BOTTOM; m]; n],
+            entries: vec![KdistEntry::BOTTOM; n * m],
             m,
+            n,
         }
     }
 
@@ -56,42 +63,46 @@ impl Kdist {
 
     /// Number of tracked nodes.
     pub fn node_count(&self) -> usize {
-        self.entries.len()
+        self.n
     }
 
     /// Grow to `n` nodes (new nodes start at ⊥).
     pub fn grow(&mut self, n: usize) {
-        if self.entries.len() < n {
-            self.entries.resize(n, vec![KdistEntry::BOTTOM; self.m]);
+        if self.n < n {
+            self.entries.resize(n * self.m, KdistEntry::BOTTOM);
+            self.n = n;
         }
     }
 
     /// `kdist(v)[ki]`.
     #[inline]
     pub fn get(&self, v: NodeId, ki: usize) -> KdistEntry {
-        self.entries[v.index()][ki]
+        debug_assert!(ki < self.m);
+        self.entries[v.index() * self.m + ki]
     }
 
     /// Overwrite `kdist(v)[ki]`.
     #[inline]
     pub fn set(&mut self, v: NodeId, ki: usize, e: KdistEntry) {
-        self.entries[v.index()][ki] = e;
+        debug_assert!(ki < self.m);
+        self.entries[v.index() * self.m + ki] = e;
     }
 
     /// The full list for `v`.
+    #[inline]
     pub fn list(&self, v: NodeId) -> &[KdistEntry] {
-        &self.entries[v.index()]
+        &self.entries[v.index() * self.m..][..self.m]
     }
 
     /// True when all `m` distances of `v` are within `bound` — `v` roots a
     /// match.
     pub fn qualifies(&self, v: NodeId, bound: u32) -> bool {
-        self.entries[v.index()].iter().all(|e| e.dist <= bound)
+        self.list(v).iter().all(|e| e.dist <= bound)
     }
 
     /// The distance vector of `v` (for answer signatures).
     pub fn dists(&self, v: NodeId) -> Vec<u32> {
-        self.entries[v.index()].iter().map(|e| e.dist).collect()
+        self.list(v).iter().map(|e| e.dist).collect()
     }
 
     /// Follow `next` pointers from `root` for keyword `ki`, producing the
@@ -106,10 +117,7 @@ impl Kdist {
             match e.next {
                 None => return path,
                 Some(n) => {
-                    assert!(
-                        path.len() <= self.entries.len(),
-                        "next-pointer cycle at {cur:?}"
-                    );
+                    assert!(path.len() <= self.n, "next-pointer cycle at {cur:?}");
                     path.push(n);
                     cur = n;
                 }
@@ -225,6 +233,34 @@ mod tests {
         k.grow(5);
         assert_eq!(k.node_count(), 5);
         assert_eq!(k.get(NodeId(4), 0), KdistEntry::BOTTOM);
+    }
+
+    #[test]
+    fn rows_stay_apart_for_any_keyword_count() {
+        for m in [0, 1, 3] {
+            let mut k = Kdist::bottom(2, m);
+            k.grow(4);
+            k.grow(3);
+            assert_eq!((k.node_count(), k.keyword_count()), (4, m));
+            let entry = |v: u32, ki: usize| KdistEntry {
+                dist: v * 10 + ki as u32 + 1,
+                next: Some(NodeId(v)),
+            };
+            for v in 0..4 {
+                for ki in 0..m {
+                    k.set(NodeId(v), ki, entry(v, ki));
+                }
+            }
+            for v in 0..4 {
+                let row: Vec<KdistEntry> = (0..m).map(|ki| entry(v, ki)).collect();
+                assert_eq!(k.list(NodeId(v)), row);
+                assert_eq!(k.dists(NodeId(v)).len(), m);
+                // the row's largest distance is its last keyword's
+                let worst = v * 10 + m as u32;
+                assert!(k.qualifies(NodeId(v), worst));
+                assert_eq!(k.qualifies(NodeId(v), worst.saturating_sub(1)), m == 0);
+            }
+        }
     }
 
     #[test]

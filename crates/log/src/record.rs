@@ -105,19 +105,12 @@ impl Record {
         else {
             return Err("not a checkpoint record".to_owned());
         };
-        let mut g = DynamicGraph::with_capacity(labels.len(), edges.len());
-        for &l in labels {
-            g.add_node(l);
-        }
-        for &(u, v) in edges {
-            if !g.contains_node(u) || !g.contains_node(v) {
-                return Err(format!(
-                    "checkpoint edge ({u:?}, {v:?}) references a node past |V| = {}",
-                    labels.len()
-                ));
-            }
-            g.insert_edge(u, v);
-        }
+        let mut g = DynamicGraph::from_edges(labels.clone(), edges).map_err(|(u, v)| {
+            format!(
+                "checkpoint edge ({u:?}, {v:?}) references a node past |V| = {}",
+                labels.len()
+            )
+        })?;
         g.restore_epoch(*epoch);
         Ok(g)
     }
