@@ -1,17 +1,22 @@
-//! The uniform contracts implemented by every incremental algorithm.
+//! The one contract every maintained query implements: the paper's
+//! incremental algorithm `T_Δ`, taking `(Q, G, Q(G), ΔG)` to `ΔO`
+//! (Section 2.2), declared once in two layers.
 //!
-//! Two traits live here:
+//! * [`IncrementalAlgorithm`] is `T_Δ` itself — `apply`, `work`,
+//!   `reset_work` — and all that statically dispatched users (the paper
+//!   experiments, the `Inc*ⁿ` one-by-one drivers, `DynScc`) need.
+//! * [`IncView`] has it as a supertrait and adds what a *registry* needs to
+//!   hold heterogeneous algorithms behind `Box<dyn IncView>`: a name, the
+//!   published copy, a from-scratch audit and a fenced `apply`.
 //!
-//! * [`IncrementalAlgorithm`] — the original statically-dispatched contract,
-//!   kept for direct per-algorithm use (benchmarks, the paper experiments,
-//!   and the `Inc*ⁿ` one-by-one drivers),
-//! * [`IncView`] — the object-safe *view* contract the multi-view engine
-//!   registry is built on: everything `IncrementalAlgorithm` promises, plus
-//!   a stable name and a from-scratch consistency audit. Every maintained
-//!   query class implements both.
+//! A view class writes one `impl` of each, with no method in common; a
+//! `&mut dyn IncView` calls `apply` / `work` directly, and
+//! `view.downcast_ref::<IncRpq>()` (inherent on `dyn IncView`) gets the
+//! concrete type back.
 
 use crate::work::WorkStats;
 use igc_graph::{DynamicGraph, UpdateBatch};
+use std::any::Any;
 
 /// An incremental algorithm `T_Δ` for some query class (Section 2.2).
 ///
@@ -31,7 +36,8 @@ use igc_graph::{DynamicGraph, UpdateBatch};
 /// made to satisfy all three with one
 /// [`UpdateBatch::normalize_against`] call against the pre-update graph
 /// (the generator produces such batches directly; the engine's commit
-/// pipeline normalizes on behalf of every registered view).
+/// pipeline normalizes once on behalf of every registered view, so the
+/// precondition holds for every `apply` it fans out).
 pub trait IncrementalAlgorithm {
     /// Process a batch update; `g` already reflects `delta`.
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch);
@@ -49,38 +55,34 @@ pub trait IncrementalAlgorithm {
     }
 }
 
-/// A standing query maintained incrementally over a shared dynamic graph —
-/// the object-safe contract behind the multi-view engine's registry.
-///
-/// Where [`IncrementalAlgorithm`] documents a *caller-must-prefilter*
-/// protocol (the batch reaching [`IncrementalAlgorithm::apply`] must be
-/// normalized), `IncView` is designed for fan-out from a commit pipeline
-/// that performs normalization exactly once
-/// ([`UpdateBatch::normalize_against`]) before every registered view sees
-/// the delta. The same precondition therefore holds for
-/// [`IncView::apply`]: `delta` is normalized against the pre-update graph,
-/// and `g` already reflects it.
+/// A standing query maintained incrementally over a shared dynamic graph:
+/// an [`IncrementalAlgorithm`] plus what a registry needs to hold it
+/// type-erased, publish it, audit it and fence it.
 ///
 /// The trait is object-safe on purpose: an engine holds
 /// `Box<dyn IncView>`s of heterogeneous query classes (RPQ, SCC, KWS, ISO,
 /// …) in one registry.
 ///
-/// `Send + Sync` are supertraits. `Send` lets the engine's commit pipeline
-/// fan a normalized delta out to views on worker threads (each view is
-/// touched by exactly one thread per commit, against a shared
-/// `&DynamicGraph`); `Sync` lets an MVCC snapshot serve a view's published
-/// copy ([`clone_view`](IncView::clone_view)) to any number of reader
-/// threads concurrently. Views built from ordinary owned data satisfy both for
-/// free; a view holding `Rc`/`Cell`/raw-pointer state must be refactored
-/// (or wrapped) before it can register.
+/// # Supertraits
+///
+/// [`IncrementalAlgorithm`] carries `apply` / `work` / `reset_work`.
+/// [`Any`] lets a registry hand the concrete type back (`downcast_ref`
+/// upcasts to `dyn Any`) and makes every view `'static`. `Send` lets the
+/// engine's commit pipeline fan a normalized delta out to views on worker
+/// threads (each view is touched by exactly one thread per commit, against
+/// a shared `&DynamicGraph`); `Sync` lets an MVCC snapshot serve a view's
+/// published copy ([`clone_view`](IncView::clone_view)) to any number of
+/// reader threads concurrently. Views built from ordinary owned data
+/// satisfy both for free; a view holding `Rc`/`Cell`/raw-pointer state must
+/// be refactored (or wrapped) before it can register.
 ///
 /// # Quarantine contract
 ///
-/// A view's [`apply`](IncView::apply) may panic (a bug, an unmaintainable
-/// corner case, a poisoned auxiliary structure). The engine drives fan-out
-/// through [`apply_caught`](IncView::apply_caught), which converts the
-/// panic into an `Err` instead of unwinding through the commit pipeline.
-/// The contract is:
+/// A view's `apply` may panic (a bug, an unmaintainable corner case, a
+/// poisoned auxiliary structure). The engine drives fan-out through
+/// [`apply_caught`](IncView::apply_caught), which converts the panic into
+/// an `Err` instead of unwinding through the commit pipeline. The contract
+/// is:
 ///
 /// * after a panicking `apply`, the view's *logical* state (its answer and
 ///   auxiliary structures) may be arbitrarily inconsistent, but reading it
@@ -99,7 +101,7 @@ pub trait IncrementalAlgorithm {
 /// thread is caught on that worker, the commit joins every worker before
 /// journaling, and the quarantine record is identical to what a sequential
 /// commit would have produced.
-pub trait IncView: Send + Sync {
+pub trait IncView: IncrementalAlgorithm + Any + Send + Sync {
     /// A stable human-readable identifier for registry listings, receipts
     /// and logs (e.g. `"rpq"`, `"scc:communities"`).
     fn name(&self) -> &str;
@@ -138,11 +140,7 @@ pub trait IncView: Send + Sync {
     /// and published as such.
     fn clone_view(&self) -> Box<dyn IncView>;
 
-    /// Process a committed batch; `g` already reflects `delta`, and `delta`
-    /// is normalized against the pre-commit graph.
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch);
-
-    /// [`apply`](IncView::apply) with panic capture — the engine's fan-out
+    /// [`apply`](IncrementalAlgorithm::apply) with panic capture — the engine's fan-out
     /// seam behind per-view quarantine.
     ///
     /// Returns `Err(cause)` when `apply` panicked, with the panic payload
@@ -157,27 +155,21 @@ pub trait IncView: Send + Sync {
             .map_err(|payload| panic_cause(payload.as_ref()))
     }
 
-    /// Work accumulated since construction (or the last reset).
-    fn work(&self) -> WorkStats;
-
-    /// Zero the work counters.
-    fn reset_work(&mut self);
-
     /// Consistency audit: recompute the view's answer from scratch on `g`
     /// (the batch counterpart the incrementalization was derived from) and
     /// compare. Returns `Err` with a human-readable diagnosis on
     /// divergence. Expensive — intended for tests, canaries and the
     /// engine's `verify_all`, not the hot commit path.
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String>;
+}
 
-    /// The view as [`Any`](std::any::Any), for snapshot reads of concrete
-    /// view state through a type-erased registry
-    /// (`view.as_any().downcast_ref::<IncRpq>()`).
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable [`Any`](std::any::Any) access (e.g. to raise a KWS bound or
-    /// reset a concrete view in place).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+impl dyn IncView {
+    /// The concrete view behind a type-erased one, or `None` when it is not
+    /// a `V` — how a registry serves typed reads
+    /// (`view.downcast_ref::<IncRpq>()`).
+    pub fn downcast_ref<V: IncView>(&self) -> Option<&V> {
+        (self as &dyn Any).downcast_ref()
+    }
 }
 
 /// Render a panic payload (as caught by [`std::panic::catch_unwind`]) into
@@ -185,7 +177,7 @@ pub trait IncView: Send + Sync {
 ///
 /// `panic!("…")` payloads are `&str` or `String`; anything else (a custom
 /// `panic_any` payload) is reported by its opaque presence only.
-pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_cause(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -229,13 +221,13 @@ pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
 /// both equivalences silently; don't.
 pub trait ViewInit {
     /// The concrete view type this constructor builds.
-    type View: IncView + 'static;
+    type View: IncView;
 
     /// Build the view, consistent with `g` as of this call.
     fn build(self, g: &DynamicGraph) -> Self::View;
 }
 
-impl<V: IncView + 'static, F: FnOnce(&DynamicGraph) -> V> ViewInit for F {
+impl<V: IncView, F: FnOnce(&DynamicGraph) -> V> ViewInit for F {
     type View = V;
 
     fn build(self, g: &DynamicGraph) -> V {
@@ -298,21 +290,12 @@ mod tests {
         ]);
         alg.apply_updating(&mut g, &delta);
         assert_eq!(alg.count, 1);
-        assert_eq!(IncrementalAlgorithm::work(&alg).aux_touched, 2);
+        assert_eq!(alg.work().aux_touched, 2);
     }
 
     impl IncView for EdgeCounter {
         fn name(&self) -> &str {
             "edge-counter"
-        }
-        fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-            IncrementalAlgorithm::apply(self, g, delta);
-        }
-        fn work(&self) -> WorkStats {
-            self.work
-        }
-        fn reset_work(&mut self) {
-            self.work.reset();
         }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.count == g.edge_count() {
@@ -324,12 +307,6 @@ mod tests {
                     g.edge_count()
                 ))
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -347,6 +324,7 @@ mod tests {
         g.apply_batch(&delta);
         view.apply(&g, &delta);
         assert_eq!(view.name(), "edge-counter");
+        assert_eq!(view.downcast_ref::<EdgeCounter>().map(|c| c.count), Some(1));
         assert!(view.verify_against_batch(&g).is_ok());
         g.apply(&Update::insert(NodeId(1), NodeId(0)));
         let err = view.verify_against_batch(&g).unwrap_err();

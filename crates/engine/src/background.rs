@@ -9,7 +9,13 @@
 //! the last sliver of tail and splices the view into the registry —
 //! [`Engine::join_background`](crate::Engine::join_background).
 
+use crate::durability::attached;
+use crate::engine::Engine;
+use crate::error::EngineError;
+use crate::lifecycle::{LifecycleEventKind, ViewHandle};
+use igc_core::{panic_cause, IncView, IncrementalAlgorithm, ViewInit};
 use igc_graph::DynamicGraph;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -71,5 +77,113 @@ impl<V> std::fmt::Debug for BackgroundBuild<V> {
             .field("finished", &self.handle.is_finished())
             .field("view", &std::any::type_name::<V>())
             .finish()
+    }
+}
+
+impl Engine {
+    /// Register a view in the **background**: the payoff of the commit
+    /// log. Where [`Engine::register_lazy`] builds the view's initial
+    /// state from the live graph *on the calling thread* (blocking the
+    /// commit path for the whole build), this spawns a worker that
+    /// replays the journal into a private graph (latest checkpoint +
+    /// tail), runs the [`ViewInit`] there, and catches the fresh view up
+    /// by replaying whatever commits landed meanwhile — the engine keeps
+    /// committing (and journaling) throughout. Finish with
+    /// [`Engine::join_background`], which drains the final sliver of tail
+    /// and atomically splices the view into the registry; its answers are
+    /// then bit-identical to an eager registration driven through the
+    /// same commits.
+    ///
+    /// `label` is *reserved* while the returned [`BackgroundBuild`] is
+    /// alive (duplicate registrations fail); dropping the handle abandons
+    /// the build and frees the label. Requires an attached log
+    /// ([`EngineError::NoLog`]); the duplicate-label check runs before
+    /// the worker spawns.
+    pub fn register_background<I>(
+        &mut self,
+        label: impl Into<Arc<str>>,
+        init: I,
+    ) -> Result<BackgroundBuild<I::View>, EngineError>
+    where
+        I: ViewInit + Send + 'static,
+    {
+        let label: Arc<str> = label.into();
+        if self.label_occupied(&label) {
+            return Err(EngineError::DuplicateLabel { label });
+        }
+        let log = attached(&self.log, "register_background")?;
+        let replayer = log.replayer();
+        let token = Arc::new(());
+        // Opportunistic pruning keeps the reservation list bounded by the
+        // number of *live* builds.
+        self.reserved.retain(|(_, t)| t.strong_count() > 0);
+        self.reserved.push((label.clone(), Arc::downgrade(&token)));
+        let handle = std::thread::spawn(move || {
+            let mut replayed = replayer.latest().map_err(|e| e.to_string())?;
+            let mut view = catch_unwind(AssertUnwindSafe(|| init.build(&replayed.graph)))
+                .map_err(|payload| panic_cause(payload.as_ref()))?;
+            // First catch-up round on the worker: drain the commits that
+            // landed while the initial build ran, off the commit path.
+            replayer
+                .catch_up(&mut replayed.graph, |g, delta| view.apply(g, delta))
+                .map_err(|e| e.to_string())?;
+            Ok((replayed.graph, view))
+        });
+        Ok(BackgroundBuild::new(label, token, handle))
+    }
+
+    /// Complete a background registration: wait for the worker's build
+    /// (instant if [`BackgroundBuild::is_finished`]), replay the few
+    /// records that arrived since its last catch-up round — nothing can
+    /// interleave here, commits need this same `&mut self` — and splice
+    /// the view into the registry under its reserved label, journaled as
+    /// [`LifecycleEventKind::RegisteredBackground`].
+    ///
+    /// A worker that failed (log error, panicking builder or panicking
+    /// catch-up `apply`) surfaces as [`EngineError::InitPanicked`] with
+    /// nothing registered; the label is freed either way.
+    pub fn join_background<V: IncView>(
+        &mut self,
+        build: BackgroundBuild<V>,
+    ) -> Result<ViewHandle<V>, EngineError> {
+        let (label, handle) = build.into_parts();
+        let built = handle
+            .join()
+            .unwrap_or_else(|payload| Err(panic_cause(payload.as_ref())));
+        let (mut g, mut view) = match built {
+            Ok(pair) => pair,
+            Err(cause) => return Err(EngineError::InitPanicked { label, cause }),
+        };
+        let log = attached(&self.log, "join_background")?;
+        // Final catch-up, fenced like any other view code: a panicking
+        // `apply` here must reject the registration, not unwind the
+        // engine.
+        let replayer = log.replayer();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            replayer.catch_up(&mut g, |g_now, delta| view.apply(g_now, delta))
+        }));
+        match caught {
+            Ok(Ok(_)) => {}
+            Ok(Err(e)) => return Err(e.into()),
+            Err(payload) => {
+                return Err(EngineError::InitPanicked {
+                    label,
+                    cause: panic_cause(payload.as_ref()),
+                })
+            }
+        }
+        if g.epoch() != self.graph.epoch() {
+            // The log and the engine disagree on the current epoch — only
+            // possible if the journal was tampered with underneath us.
+            return Err(EngineError::EpochGap {
+                expected: self.graph.epoch(),
+                found: g.epoch(),
+            });
+        }
+        self.insert(
+            label,
+            Box::new(view),
+            LifecycleEventKind::RegisteredBackground,
+        )
     }
 }

@@ -1,54 +1,21 @@
-//! The engine proper: generation-checked view registry, lifecycle
-//! (deregistration, lazy registration, background registration,
-//! quarantine), the fallible ΔG commit pipeline, and the durability layer
-//! (write-ahead journaling, checkpoints, crash recovery).
+//! The engine proper: view lifecycle over the shared [`Registry`]
+//! (registration, lazy registration, deregistration, quarantine), the
+//! fallible ΔG commit pipeline, MVCC publication and accounting. The
+//! durability layer (journaling, checkpoints, recovery, degraded mode) is
+//! `durability.rs`; background registration is `background.rs`.
 
-use crate::background::BackgroundBuild;
-use crate::error::{Divergence, EngineError};
+use crate::durability::DegradedState;
+use crate::error::EngineError;
 use crate::lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
-use crate::pool::{drive_apply, InFlightView, PoolRecord, PoolTask, WorkerPool};
-use crate::receipt::{CommitReceipt, ViewCommitStats, ViewOutcome, ViewTotals};
-use crate::replica::Replica;
-use crate::snapshot::{CellState, SnapCell, Snapshot, SnapshotStore};
-use igc_core::{panic_cause, IncView, ViewInit, WorkStats};
+use crate::pool::{dispatch, ApplyRecord, WorkerPool};
+use crate::receipt::{CommitReceipt, ViewCommitStats, ViewTotals};
+use crate::registry::{downcast, Registry};
+use crate::snapshot::{Snapshot, SnapshotStore};
+use igc_core::{IncView, ViewInit, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
-use igc_log::{CommitLog, Compaction, DurabilityMode, LogBackend, RetryPolicy};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Weak};
+use igc_log::CommitLog;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-
-/// A registered view plus its health and cumulative accounting.
-///
-/// The engine owns the view outright and always mutates it in place,
-/// pinned or not: what an MVCC version serves is the copy
-/// [`IncView::clone_view`] hands out at publish time
-/// ([`Engine::publish_version`]), never this allocation.
-struct Registered {
-    label: Arc<str>,
-    view: Box<dyn IncView>,
-    state: ViewState,
-    commits: u64,
-    elapsed: Duration,
-    work: WorkStats,
-}
-
-impl Registered {
-    fn totals(&self) -> ViewTotals {
-        ViewTotals {
-            label: self.label.clone(),
-            commits: self.commits,
-            elapsed: self.elapsed,
-            work: self.work,
-        }
-    }
-}
-
-/// One registry slot: its current generation plus the view occupying it
-/// (`None` = tombstone, reusable by a later registration).
-struct Slot {
-    generation: u32,
-    entry: Option<Registered>,
-}
 
 /// Default bound on how far past the current node count a commit may
 /// reference node ids (ids are dense, so the id gap is materialized); see
@@ -91,16 +58,6 @@ pub enum CommitMode {
         /// Worker-thread count (`0` = available parallelism).
         threads: usize,
     },
-}
-
-/// What one view's `apply` produced during fan-out, before the engine
-/// merges it into registry state, receipt and journal (in slot order,
-/// identically for both commit modes).
-struct ApplyRecord {
-    slot: usize,
-    elapsed: Duration,
-    work: WorkStats,
-    result: Result<(), String>,
 }
 
 /// Step 1 of a commit, detached from steps 2–4: the batch has been
@@ -148,16 +105,6 @@ impl PreparedCommit {
     }
 }
 
-/// Why (and since when) the engine is in degraded read-only mode.
-struct DegradedState {
-    /// Graph epoch when the engine degraded.
-    since_epoch: u64,
-    /// Rendered journal failure that triggered it.
-    cause: String,
-    /// When degradation began, for the windows' wall-clock accounting.
-    entered_at: Instant,
-}
-
 /// The multi-view incremental engine: owns the shared [`DynamicGraph`] and
 /// a registry of type-erased [`IncView`]s, and funnels every update through
 /// one normalize → apply → fan-out commit pipeline. See the
@@ -167,17 +114,14 @@ struct DegradedState {
 /// ([`EngineError`]); nothing a caller passes in can panic the engine, and
 /// a view whose `apply` panics is quarantined instead of poisoning its
 /// neighbours.
-#[derive(Default)]
 pub struct Engine {
     /// The shared graph, behind an `Arc` so an in-flight parallel fan-out
     /// can keep reading it while the committing thread *prepares* the
     /// next tick (normalization reads the graph; only
     /// [`Engine::apply_prepared`] mutates it, via [`Arc::make_mut`] once
     /// every outstanding read handle is gone).
-    graph: Arc<DynamicGraph>,
-    slots: Vec<Slot>,
-    /// Tombstoned slot indices available for reuse, LIFO.
-    free: Vec<u32>,
+    pub(crate) graph: Arc<DynamicGraph>,
+    views: Registry,
     /// Final cumulative totals of deregistered views, in retirement order.
     retired: Vec<ViewTotals>,
     events: Vec<LifecycleEvent>,
@@ -194,16 +138,16 @@ pub struct Engine {
     pool: Option<WorkerPool>,
     /// The attached commit log, if any ([`Engine::with_log`] /
     /// [`Engine::recover`]); commits journal through it write-ahead.
-    log: Option<CommitLog>,
+    pub(crate) log: Option<CommitLog>,
     /// Checkpoint cadence in logged commits (0 = only explicit
     /// [`Engine::checkpoint`] calls).
-    checkpoint_every: u64,
+    pub(crate) checkpoint_every: u64,
     /// Logged commits since the last checkpoint record.
-    logged_since_checkpoint: u64,
+    pub(crate) logged_since_checkpoint: u64,
     /// Labels reserved by in-flight background builds: the `Weak` is dead
-    /// once the corresponding [`BackgroundBuild`] handle is gone, so
-    /// abandoned builds free their label automatically.
-    reserved: Vec<(Arc<str>, Weak<()>)>,
+    /// once the corresponding [`BackgroundBuild`](crate::BackgroundBuild)
+    /// handle is gone, so abandoned builds free their label automatically.
+    pub(crate) reserved: Vec<(Arc<str>, Weak<()>)>,
     /// The MVCC snapshot store: epoch-tagged published versions of the
     /// graph + view answers, pinned by [`Snapshot`] handles and served
     /// lock-free to reader threads. Behind an `Arc` so the ingest front
@@ -213,11 +157,11 @@ pub struct Engine {
     /// `Some` while the engine is in degraded read-only mode (journal
     /// retries exhausted, or unsettled sync debt); cleared by
     /// [`Engine::heal`].
-    degraded: Option<DegradedState>,
+    pub(crate) degraded: Option<DegradedState>,
     /// Completed degraded windows (entered *and* healed).
-    degraded_windows: u64,
+    pub(crate) degraded_windows: u64,
     /// Total wall-clock time spent degraded across completed windows.
-    degraded_elapsed: Duration,
+    pub(crate) degraded_elapsed: Duration,
 }
 
 impl Engine {
@@ -225,8 +169,7 @@ impl Engine {
     pub fn new(graph: DynamicGraph) -> Self {
         let mut engine = Engine {
             graph: Arc::new(graph),
-            slots: Vec::new(),
-            free: Vec::new(),
+            views: Registry::default(),
             retired: Vec::new(),
             events: Vec::new(),
             commits: 0,
@@ -250,282 +193,6 @@ impl Engine {
         // recovered-epoch) snapshots exist before the first commit.
         engine.publish_version();
         engine
-    }
-
-    // ------------------------------------------------------------------
-    // Durability: journaling, checkpoints, recovery
-    // ------------------------------------------------------------------
-
-    /// Attach a durable commit log on an **empty** backend: every
-    /// subsequent successful commit journals its normalized delta
-    /// *write-ahead* — the record is appended (and its epoch chained)
-    /// before the graph or any view is touched, so a failed append
-    /// rejects the commit atomically and the log never lags the engine.
-    /// An initial checkpoint of the current graph is written immediately
-    /// as the replay base.
-    ///
-    /// Errors with [`EngineError::LogCorrupt`] when the backend already
-    /// holds history (recover from it instead — [`Engine::recover`]) or
-    /// the initial checkpoint cannot be written.
-    pub fn with_log(mut self, backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
-        let mut log = CommitLog::create(backend)?;
-        log.append_checkpoint(&self.graph)?;
-        self.log = Some(log);
-        self.logged_since_checkpoint = 0;
-        Ok(self)
-    }
-
-    /// Rebuild an engine from a logged history: open the backend,
-    /// validate checksums and the epoch chain, restore the latest
-    /// checkpoint and replay the delta tail — yielding a graph
-    /// bit-identical (edges, labels, epoch) to the crashed engine's at
-    /// its last *journaled* commit. The log stays attached, so commits
-    /// resume journaling exactly where the old engine stopped.
-    ///
-    /// Views are **not** resurrected — the journal records deltas, not
-    /// view state. Re-register them (typically via
-    /// [`Engine::register_lazy`], whose builder runs against the
-    /// recovered graph): the combination "replayed graph + from-scratch
-    /// init" reproduces each view's answers exactly, since every
-    /// [`ViewInit`] is a deterministic function of the graph.
-    pub fn recover(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
-        let log = CommitLog::open(backend)?;
-        let replayed = log.replayer().latest()?;
-        let mut engine = Engine::new(replayed.graph);
-        // Seed the cadence counter with the existing tail (one delta per
-        // epoch past the last checkpoint): a process that crashes and
-        // recovers more often than it checkpoints must not reset the
-        // counter each time, or no checkpoint is ever written again and
-        // the replay tail grows without bound across restarts.
-        engine.logged_since_checkpoint = log
-            .last_epoch()
-            .unwrap_or(0)
-            .saturating_sub(log.last_checkpoint().unwrap_or(0));
-        engine.log = Some(log);
-        Ok(engine)
-    }
-
-    /// The attached commit log, if any — for stats
-    /// ([`CommitLog::deltas`], [`CommitLog::bytes`], …) and for taking a
-    /// [`Replayer`](igc_log::Replayer) over its backend.
-    pub fn log(&self) -> Option<&CommitLog> {
-        self.log.as_ref()
-    }
-
-    /// Journal a checkpoint of the current graph right now
-    /// ([`EngineError::NoLog`] without an attached log). Also resets the
-    /// cadence counter.
-    pub fn checkpoint(&mut self) -> Result<(), EngineError> {
-        if let Some(e) = self.degraded_error() {
-            return Err(e);
-        }
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "checkpoint",
-            });
-        };
-        log.append_checkpoint(&self.graph)?;
-        self.logged_since_checkpoint = 0;
-        Ok(())
-    }
-
-    /// Set the checkpoint cadence: a graph snapshot is journaled after
-    /// every `n` logged commits (default [`DEFAULT_CHECKPOINT_EVERY`]),
-    /// bounding recovery's replay tail at the cost of snapshot bytes.
-    /// `0` disables automatic checkpoints ([`Engine::checkpoint`] still
-    /// works). No-op without a log.
-    pub fn set_checkpoint_every(&mut self, n: u64) {
-        self.checkpoint_every = n;
-    }
-
-    /// Create a **pinned** read replica over this engine's commit log
-    /// ([`EngineError::NoLog`] without one): a follower with its own
-    /// graph and views that tails the journal and serves reads at its
-    /// replay frontier — see [`Replica`] for the model. The replica
-    /// seeds from the newest checkpoint plus the delta tail, so it is
-    /// current as of this call.
-    ///
-    /// The engine registers a [`RetentionPin`](igc_log::RetentionPin)
-    /// for it: [`Engine::compact_log`] will never drop the history this
-    /// follower still needs, however far it falls behind, and dropping
-    /// the replica releases the pin automatically. For followers in
-    /// *other* processes (over a shared
-    /// [`FileBackend`](igc_log::FileBackend) directory), use
-    /// [`Replica::attach`] — unpinned, at the cost of
-    /// [`EngineError::FrontierCompacted`] if compaction outruns them.
-    pub fn replica(&mut self) -> Result<Replica, EngineError> {
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "replica",
-            });
-        };
-        // Pin at the newest checkpoint — exactly the seed base the
-        // attach below will replay from. `&mut self` serializes this
-        // against compact_log, so the pin can never race a compaction.
-        let pin = log.register_pin(log.last_checkpoint().unwrap_or(0));
-        Replica::attach_pinned(log.backend(), Some(pin))
-    }
-
-    /// Compact the commit log ([`EngineError::NoLog`] without one): drop
-    /// every whole segment behind the newest checkpoint that all
-    /// registered (live) replicas have already consumed past — see
-    /// [`CommitLog::compact`]. Bounds journal growth under a steady
-    /// checkpoint cadence; safe to call at any time (a call that can
-    /// drop nothing is a successful no-op).
-    pub fn compact_log(&mut self) -> Result<Compaction, EngineError> {
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "compact_log",
-            });
-        };
-        Ok(log.compact()?)
-    }
-
-    /// Set the attached log's [`DurabilityMode`] — when journal appends
-    /// reach durable storage: never beyond the page cache
-    /// ([`DurabilityMode::None`], the default), one fsync barrier per
-    /// record ([`DurabilityMode::EveryAppend`]), or batched group-commit
-    /// barriers ([`DurabilityMode::GroupCommit`]: one fsync covering every
-    /// record since the last barrier, issued when the window's
-    /// `max_batch`/`max_delay` closes). Takes effect from the next append;
-    /// [`EngineError::NoLog`] without an attached log.
-    pub fn set_durability(&mut self, mode: DurabilityMode) -> Result<(), EngineError> {
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "set_durability",
-            });
-        };
-        log.set_durability(mode);
-        Ok(())
-    }
-
-    /// Force a durability barrier right now: fsync every journal record
-    /// appended since the last barrier (a no-op when nothing is pending).
-    /// The explicit flush for quiesce points — e.g. the ingest server
-    /// calls this before parking on an empty queue, so "queue drained"
-    /// always implies "everything accepted is durable" under group
-    /// commit. [`EngineError::NoLog`] without an attached log.
-    pub fn sync_log(&mut self) -> Result<(), EngineError> {
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "sync_log",
-            });
-        };
-        if let Err(e) = log.sync() {
-            // A failed explicit barrier means records we acknowledged may
-            // not be durable: stop taking new commits until healed.
-            let attempts = log.retry_policy().max_attempts.max(1);
-            if RetryPolicy::is_transient(&e) {
-                let cause = e.to_string();
-                self.enter_degraded(cause.clone());
-                return Err(EngineError::RetriesExhausted {
-                    operation: "sync",
-                    attempts,
-                    cause,
-                });
-            }
-            return Err(e.into());
-        }
-        Ok(())
-    }
-
-    /// Set the attached log's [`RetryPolicy`]: bounded exponential-backoff
-    /// retry (with deterministic jitter) for transient journal I/O
-    /// failures on the append and sync paths. The default is
-    /// [`RetryPolicy::none`] — fail on the first error, exactly the
-    /// pre-policy behavior. Retries a commit absorbed are reported in its
-    /// receipt ([`CommitReceipt::log_retries`]).
-    /// [`EngineError::NoLog`] without an attached log.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) -> Result<(), EngineError> {
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog {
-                operation: "set_retry_policy",
-            });
-        };
-        log.set_retry_policy(policy);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Degraded read-only mode
-    // ------------------------------------------------------------------
-
-    /// Whether the engine is in degraded read-only mode: a journal append
-    /// or durability barrier exhausted its retry budget (or left
-    /// unsettled sync debt), so commits and checkpoints fail fast with
-    /// [`EngineError::Degraded`] until [`Engine::heal`] succeeds. Reads,
-    /// view queries, audits and replica tailing are unaffected.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
-    }
-
-    /// The [`EngineError::Degraded`] a commit would be rejected with
-    /// right now, or `None` when healthy. Used by the ingest server to
-    /// fail submissions fast instead of queueing them into a wall.
-    pub fn degraded_error(&self) -> Option<EngineError> {
-        self.degraded.as_ref().map(|d| EngineError::Degraded {
-            since_epoch: d.since_epoch,
-            cause: d.cause.clone(),
-        })
-    }
-
-    /// Completed degraded windows: times the engine entered degraded
-    /// mode *and* was subsequently healed.
-    pub fn degraded_windows(&self) -> u64 {
-        self.degraded_windows
-    }
-
-    /// Total wall-clock time spent degraded across completed windows
-    /// (the current window, if any, is not included until healed).
-    pub fn degraded_elapsed(&self) -> Duration {
-        self.degraded_elapsed
-    }
-
-    /// Leave degraded mode by re-probing the journal: settle any
-    /// outstanding sync debt with a durability barrier, then append a
-    /// fresh checkpoint of the current graph. Both must succeed —
-    /// the checkpoint doubles as the write probe *and* restores a clean
-    /// replay base on the same epoch chain (failed appends never advanced
-    /// the chain, and the log rotates past its own garbage, so healing
-    /// resumes journaling exactly where the last acknowledged commit
-    /// stopped).
-    ///
-    /// On success the engine is read-write again and the window is
-    /// accounted ([`Engine::degraded_windows`],
-    /// [`Engine::degraded_elapsed`]). On failure the engine stays
-    /// degraded and the journal error is returned — call again once the
-    /// fault has actually cleared (the probe itself runs under the log's
-    /// [`RetryPolicy`]). Healthy engines return `Ok(())` immediately;
-    /// [`EngineError::NoLog`] without an attached log.
-    pub fn heal(&mut self) -> Result<(), EngineError> {
-        if self.degraded.is_none() {
-            return Ok(());
-        }
-        let Some(log) = &mut self.log else {
-            return Err(EngineError::NoLog { operation: "heal" });
-        };
-        // Settle sync debt first: acknowledged records must be durable
-        // before we declare the journal healthy again.
-        log.sync()?;
-        log.append_checkpoint(&self.graph)?;
-        self.logged_since_checkpoint = 0;
-        if let Some(d) = self.degraded.take() {
-            self.degraded_windows += 1;
-            self.degraded_elapsed += d.entered_at.elapsed();
-        }
-        Ok(())
-    }
-
-    /// Flip into degraded read-only mode (no-op if already degraded — the
-    /// first cause wins, since later failures are its consequences).
-    fn enter_degraded(&mut self, cause: String) {
-        if self.degraded.is_none() {
-            self.degraded = Some(DegradedState {
-                since_epoch: self.graph.epoch(),
-                cause,
-                entered_at: Instant::now(),
-            });
-        }
     }
 
     /// The shared graph. Eagerly registered views must be constructed
@@ -573,25 +240,20 @@ impl Engine {
     /// already be consistent with [`Engine::graph`] — it sees only commits
     /// from now on. Errors with [`EngineError::DuplicateLabel`] if the
     /// label is currently occupied.
-    pub fn register<V: IncView + 'static>(
-        &mut self,
-        view: V,
-    ) -> Result<ViewHandle<V>, EngineError> {
+    pub fn register<V: IncView>(&mut self, view: V) -> Result<ViewHandle<V>, EngineError> {
         let label = Arc::from(view.name());
         self.insert(label, Box::new(view), LifecycleEventKind::Registered)
-            .map(ViewHandle::new)
     }
 
     /// Register a view under an explicit registry label — required when one
     /// query class serves several tenants (e.g. `"rpq:alice"`,
     /// `"rpq:bob"`).
-    pub fn register_labeled<V: IncView + 'static>(
+    pub fn register_labeled<V: IncView>(
         &mut self,
         label: impl Into<Arc<str>>,
         view: V,
     ) -> Result<ViewHandle<V>, EngineError> {
         self.insert(label.into(), Box::new(view), LifecycleEventKind::Registered)
-            .map(ViewHandle::new)
     }
 
     /// Register a view *lazily*: build its initial state from the engine's
@@ -614,134 +276,8 @@ impl Engine {
         if self.label_occupied(&label) {
             return Err(EngineError::DuplicateLabel { label });
         }
-        let graph = &self.graph;
-        let view =
-            catch_unwind(AssertUnwindSafe(move || init.build(graph))).map_err(|payload| {
-                EngineError::InitPanicked {
-                    label: label.clone(),
-                    cause: panic_cause(payload.as_ref()),
-                }
-            })?;
-        self.insert(label, Box::new(view), LifecycleEventKind::RegisteredLazy)
-            .map(ViewHandle::new)
-    }
-
-    /// Register a view in the **background**: the payoff of the commit
-    /// log. Where [`Engine::register_lazy`] builds the view's initial
-    /// state from the live graph *on the calling thread* (blocking the
-    /// commit path for the whole build), this spawns a worker that
-    /// replays the journal into a private graph (latest checkpoint +
-    /// tail), runs the [`ViewInit`] there, and catches the fresh view up
-    /// by replaying whatever commits landed meanwhile — the engine keeps
-    /// committing (and journaling) throughout. Finish with
-    /// [`Engine::join_background`], which drains the final sliver of tail
-    /// and atomically splices the view into the registry; its answers are
-    /// then bit-identical to an eager registration driven through the
-    /// same commits.
-    ///
-    /// `label` is *reserved* while the returned [`BackgroundBuild`] is
-    /// alive (duplicate registrations fail); dropping the handle abandons
-    /// the build and frees the label. Requires an attached log
-    /// ([`EngineError::NoLog`]); the duplicate-label check runs before
-    /// the worker spawns.
-    pub fn register_background<I>(
-        &mut self,
-        label: impl Into<Arc<str>>,
-        init: I,
-    ) -> Result<BackgroundBuild<I::View>, EngineError>
-    where
-        I: ViewInit + Send + 'static,
-    {
-        let label: Arc<str> = label.into();
-        if self.label_occupied(&label) {
-            return Err(EngineError::DuplicateLabel { label });
-        }
-        let Some(log) = &self.log else {
-            return Err(EngineError::NoLog {
-                operation: "register_background",
-            });
-        };
-        let replayer = log.replayer();
-        let token = Arc::new(());
-        // Opportunistic pruning keeps the reservation list bounded by the
-        // number of *live* builds.
-        self.reserved.retain(|(_, t)| t.strong_count() > 0);
-        self.reserved.push((label.clone(), Arc::downgrade(&token)));
-        let handle = std::thread::spawn(move || {
-            let mut replayed = replayer.latest().map_err(|e| e.to_string())?;
-            let mut view = catch_unwind(AssertUnwindSafe(|| init.build(&replayed.graph)))
-                .map_err(|payload| panic_cause(payload.as_ref()))?;
-            // First catch-up round on the worker: drain the commits that
-            // landed while the initial build ran, off the commit path.
-            replayer
-                .catch_up(&mut replayed.graph, |g, delta| view.apply(g, delta))
-                .map_err(|e| e.to_string())?;
-            Ok((replayed.graph, view))
-        });
-        Ok(BackgroundBuild::new(label, token, handle))
-    }
-
-    /// Complete a background registration: wait for the worker's build
-    /// (instant if [`BackgroundBuild::is_finished`]), replay the few
-    /// records that arrived since its last catch-up round — nothing can
-    /// interleave here, commits need this same `&mut self` — and splice
-    /// the view into the registry under its reserved label, journaled as
-    /// [`LifecycleEventKind::RegisteredBackground`].
-    ///
-    /// A worker that failed (log error, panicking builder or panicking
-    /// catch-up `apply`) surfaces as [`EngineError::InitPanicked`] with
-    /// nothing registered; the label is freed either way.
-    pub fn join_background<V: IncView + 'static>(
-        &mut self,
-        build: BackgroundBuild<V>,
-    ) -> Result<ViewHandle<V>, EngineError> {
-        let (label, handle) = build.into_parts();
-        let (mut g, mut view) = match handle.join() {
-            Ok(Ok(pair)) => pair,
-            Ok(Err(cause)) => return Err(EngineError::InitPanicked { label, cause }),
-            Err(payload) => {
-                return Err(EngineError::InitPanicked {
-                    label,
-                    cause: panic_cause(payload.as_ref()),
-                })
-            }
-        };
-        let Some(log) = &self.log else {
-            return Err(EngineError::NoLog {
-                operation: "join_background",
-            });
-        };
-        // Final catch-up, fenced like any other view code: a panicking
-        // `apply` here must reject the registration, not unwind the
-        // engine.
-        let replayer = log.replayer();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            replayer.catch_up(&mut g, |g_now, delta| view.apply(g_now, delta))
-        }));
-        match caught {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => return Err(e.into()),
-            Err(payload) => {
-                return Err(EngineError::InitPanicked {
-                    label,
-                    cause: panic_cause(payload.as_ref()),
-                })
-            }
-        }
-        if g.epoch() != self.graph.epoch() {
-            // The log and the engine disagree on the current epoch — only
-            // possible if the journal was tampered with underneath us.
-            return Err(EngineError::EpochGap {
-                expected: self.graph.epoch(),
-                found: g.epoch(),
-            });
-        }
-        self.insert(
-            label,
-            Box::new(view),
-            LifecycleEventKind::RegisteredBackground,
-        )
-        .map(ViewHandle::new)
+        let view = Registry::build(&label, init, &self.graph)?;
+        self.insert(label, view, LifecycleEventKind::RegisteredLazy)
     }
 
     /// Deregister a view: tombstone its slot (bumping the generation, so
@@ -750,28 +286,12 @@ impl Engine {
     /// [`Engine::retired`]. Returns those final totals. Works on
     /// quarantined views too — deregistration is the quarantine exit.
     pub fn deregister(&mut self, id: impl Into<ViewId>) -> Result<ViewTotals, EngineError> {
-        let id = id.into();
-        let stale = EngineError::StaleHandle {
-            index: id.index,
-            generation: id.generation,
-        };
-        let Some(slot) = self.slots.get_mut(id.index()) else {
-            return Err(stale);
-        };
-        if slot.generation != id.generation {
-            return Err(stale);
-        }
-        let Some(r) = slot.entry.take() else {
-            return Err(stale);
-        };
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.index);
-        let totals = r.totals();
+        let totals = self.views.remove(id.into())?.totals;
         self.retired.push(totals.clone());
         self.events.push(LifecycleEvent {
             epoch: self.graph.epoch(),
             kind: LifecycleEventKind::Deregistered,
-            label: r.label,
+            label: totals.label.clone(),
         });
         // Republish the current epoch without the tombstoned slot, so
         // snapshots taken from now on reflect the deregistration (pinned
@@ -780,10 +300,8 @@ impl Engine {
         Ok(totals)
     }
 
-    fn label_occupied(&self, label: &str) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.entry.as_ref().is_some_and(|r| &*r.label == label))
+    pub(crate) fn label_occupied(&self, label: &str) -> bool {
+        self.views.find(label).is_some()
             // Labels reserved by live background builds count as occupied;
             // a dead token means the build handle was dropped (abandoned)
             // or already joined, freeing the label.
@@ -793,51 +311,18 @@ impl Engine {
                 .any(|(l, token)| token.strong_count() > 0 && &**l == label)
     }
 
-    fn insert(
+    /// Splice a built view into the registry as a `V`, journal the
+    /// lifecycle event and republish.
+    pub(crate) fn insert<V>(
         &mut self,
         label: Arc<str>,
         view: Box<dyn IncView>,
         kind: LifecycleEventKind,
-    ) -> Result<ViewId, EngineError> {
+    ) -> Result<ViewHandle<V>, EngineError> {
         if self.label_occupied(&label) {
             return Err(EngineError::DuplicateLabel { label });
         }
-        let entry = Registered {
-            label: label.clone(),
-            view,
-            state: ViewState::Active,
-            commits: 0,
-            elapsed: Duration::ZERO,
-            work: WorkStats::new(),
-        };
-        // Reuse a tombstoned slot when one is free (its generation was
-        // bumped at deregistration, so handles to the old tenant stay
-        // stale); otherwise append a fresh slot.
-        let index = loop {
-            match self.free.pop() {
-                Some(i) => {
-                    if let Some(slot) = self.slots.get_mut(i as usize) {
-                        if slot.entry.is_none() {
-                            slot.entry = Some(entry);
-                            break i;
-                        }
-                    }
-                    // Free-list entry out of sync (cannot happen, but never
-                    // panic): skip it and keep looking.
-                }
-                None => {
-                    self.slots.push(Slot {
-                        generation: 0,
-                        entry: Some(entry),
-                    });
-                    break (self.slots.len() - 1) as u32;
-                }
-            }
-        };
-        let generation = match self.slots.get(index as usize) {
-            Some(s) => s.generation,
-            None => 0,
-        };
+        let id = self.views.insert(label.clone(), view);
         self.events.push(LifecycleEvent {
             epoch: self.graph.epoch(),
             kind,
@@ -846,7 +331,7 @@ impl Engine {
         // Republish the current epoch with the new view included, so a
         // snapshot taken right after registration already serves it.
         self.publish_version();
-        Ok(ViewId { index, generation })
+        Ok(ViewHandle::new(id))
     }
 
     // ------------------------------------------------------------------
@@ -855,96 +340,50 @@ impl Engine {
 
     /// Number of currently registered (live) views, quarantined included.
     pub fn view_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.entry.is_some()).count()
+        self.views.entries().count()
     }
 
     /// Registry labels of live views, in slot order. Borrows from the
     /// registry — no per-call allocation (collect if you need a `Vec`).
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.entry.as_ref().map(|r| &*r.label))
+        self.views.entries().map(|r| &*r.totals.label)
     }
 
     /// Look up a live view's id by registry label.
     pub fn find(&self, label: &str) -> Option<ViewId> {
-        self.slots.iter().enumerate().find_map(|(i, s)| {
-            s.entry.as_ref().and_then(|r| {
-                (&*r.label == label).then_some(ViewId {
-                    index: i as u32,
-                    generation: s.generation,
-                })
-            })
-        })
+        self.views.find(label)
     }
 
     /// Upgrade an untyped [`ViewId`] (e.g. from [`Engine::find`]) to a
     /// typed [`ViewHandle`], checking that the slot really holds a `V`.
     /// Works on quarantined views (so a recovery path can hold a typed
     /// handle to deregister).
-    pub fn typed<V: 'static>(&self, id: ViewId) -> Result<ViewHandle<V>, EngineError> {
-        let r = self.occupied(id)?;
-        if r.view.as_any().is::<V>() {
-            Ok(ViewHandle::new(id))
-        } else {
-            Err(EngineError::WrongViewType {
-                label: r.label.clone(),
-                expected: std::any::type_name::<V>(),
-            })
-        }
+    pub fn typed<V: IncView>(&self, id: ViewId) -> Result<ViewHandle<V>, EngineError> {
+        let r = self.views.occupied(id)?;
+        downcast::<V>((&r.totals.label, r.view.as_ref())).map(|_| ViewHandle::new(id))
     }
 
     /// The view behind a typed handle — the snapshot-read path
     /// (`engine.view(&rpq_handle)?.sorted_answer()`). Errors if the handle
-    /// is stale ([`EngineError::StaleHandle`]) or the view is quarantined
+    /// is stale ([`EngineError::StaleHandle`]), the view is quarantined
     /// ([`EngineError::ViewQuarantined`] — a panicked view's state is not
-    /// served).
-    pub fn view<V: 'static>(&self, h: &ViewHandle<V>) -> Result<&V, EngineError> {
-        let r = self.active(h.id)?;
-        r.view
-            .as_any()
-            .downcast_ref::<V>()
-            .ok_or_else(|| EngineError::WrongViewType {
-                label: r.label.clone(),
-                expected: std::any::type_name::<V>(),
-            })
+    /// served) or it is not a `V` ([`EngineError::WrongViewType`]) — the
+    /// contract every reader shares ([`Snapshot::view`],
+    /// [`Replica::view`](crate::Replica::view)).
+    pub fn view<V: IncView>(&self, h: &ViewHandle<V>) -> Result<&V, EngineError> {
+        downcast(self.views.active(h.id)?)
     }
 
     /// The view behind an untyped id, type-erased. Same error conditions
-    /// as [`Engine::view`].
+    /// as [`Engine::view`], the type check aside.
     pub fn view_dyn(&self, id: impl Into<ViewId>) -> Result<&dyn IncView, EngineError> {
-        Ok(self.active(id.into())?.view.as_ref())
+        Ok(self.views.active(id.into())?.1)
     }
 
     /// A live view's health: [`ViewState::Active`] or
     /// [`ViewState::Quarantined`] with the panic's epoch and cause.
     pub fn state(&self, id: impl Into<ViewId>) -> Result<&ViewState, EngineError> {
-        Ok(&self.occupied(id.into())?.state)
-    }
-
-    /// The registry slot behind `id`, live or stale.
-    fn occupied(&self, id: ViewId) -> Result<&Registered, EngineError> {
-        self.slots
-            .get(id.index())
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.entry.as_ref())
-            .ok_or(EngineError::StaleHandle {
-                index: id.index,
-                generation: id.generation,
-            })
-    }
-
-    /// Like [`Engine::occupied`], but also rejects quarantined views.
-    fn active(&self, id: ViewId) -> Result<&Registered, EngineError> {
-        let r = self.occupied(id)?;
-        match &r.state {
-            ViewState::Active => Ok(r),
-            ViewState::Quarantined { epoch, cause } => Err(EngineError::ViewQuarantined {
-                label: r.label.clone(),
-                epoch: *epoch,
-                cause: cause.clone(),
-            }),
-        }
+        Ok(&self.views.occupied(id.into())?.state)
     }
 
     // ------------------------------------------------------------------
@@ -976,6 +415,8 @@ impl Engine {
     /// such a batch is rejected atomically, before the graph or any view
     /// sees it. Deletions are exempt: they never materialize nodes, and a
     /// delete aimed past the graph is just a no-op normalization drops.
+    ///
+    /// [`ViewOutcome::Quarantined`]: crate::ViewOutcome::Quarantined
     pub fn commit(&mut self, batch: &UpdateBatch) -> Result<CommitReceipt, EngineError> {
         let prepared = self.prepare(batch)?;
         let (receipt, _) = self.apply_prepared(prepared, None)?;
@@ -1022,54 +463,11 @@ impl Engine {
         let submitted = batch.len();
         let delta = batch.normalize_against(&self.graph);
         self.units_dropped += (submitted - delta.len()) as u64;
-        let mut log_retries = 0u64;
-        if !delta.is_empty() {
-            if let Some(log) = &mut self.log {
-                let retries_before = log.append_retries() + log.sync_retries();
-                let due_checkpoint = self.checkpoint_every > 0
-                    && self.logged_since_checkpoint >= self.checkpoint_every;
-                let mut journaled = Ok(());
-                if due_checkpoint {
-                    journaled = log.append_checkpoint(&self.graph);
-                }
-                if journaled.is_ok() {
-                    if due_checkpoint {
-                        self.logged_since_checkpoint = 0;
-                    }
-                    journaled = log.append_delta(self.graph.epoch() + 1, &delta);
-                }
-                log_retries = (log.append_retries() + log.sync_retries()) - retries_before;
-                let attempts = log.retry_policy().max_attempts.max(1);
-                // A policy-driven barrier that failed did NOT fail the
-                // append (the record is stored; failing it would make a
-                // correct caller retry and double-append the epoch — see
-                // CommitLog::sync_debt). But it leaves acknowledged
-                // records non-durable, so no *further* commit may proceed
-                // until Engine::heal settles the debt.
-                let debt = log.sync_debt().map(|d| format!("unsettled sync debt: {d}"));
-                if let Err(e) = journaled {
-                    // Write-ahead ordering rejects this commit atomically
-                    // (the chain never advanced). A transient error that
-                    // survived the whole retry budget means the device is
-                    // genuinely down: degrade to read-only instead of
-                    // grinding every later commit against a dead journal.
-                    if RetryPolicy::is_transient(&e) {
-                        let cause = e.to_string();
-                        self.enter_degraded(cause.clone());
-                        return Err(EngineError::RetriesExhausted {
-                            operation: "append",
-                            attempts,
-                            cause,
-                        });
-                    }
-                    return Err(e.into());
-                }
-                self.logged_since_checkpoint += 1;
-                if let Some(cause) = debt {
-                    self.enter_degraded(cause);
-                }
-            }
-        }
+        let log_retries = if delta.is_empty() {
+            0
+        } else {
+            self.journal(&delta)?
+        };
         Ok(PreparedCommit {
             delta,
             submitted,
@@ -1164,164 +562,34 @@ impl Engine {
 
         let threads = match self.mode {
             CommitMode::Sequential => 1,
-            CommitMode::Parallel { threads } => {
-                if threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                } else {
-                    threads
-                }
+            CommitMode::Parallel { threads: 0 } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
             }
+            CommitMode::Parallel { threads } => threads,
         };
 
         // Fan-out. Both paths feed the same slot-ordered merge below, so
         // everything observable is mode-independent.
-        let mut skipped_quarantined = 0usize;
-        let mut records: Vec<ApplyRecord> = Vec::new();
-        let next_prepared = if threads <= 1 {
+        let skipped_quarantined = self.views.quarantined();
+        let (records, next_prepared) = if threads <= 1 {
             // Sequential: drive every view inline in slot order, then
             // prepare the next tick (no overlap to exploit on one thread).
-            let graph = Arc::clone(&self.graph);
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                let Some(r) = slot.entry.as_mut() else {
-                    continue;
-                };
-                if !r.state.is_active() {
-                    skipped_quarantined += 1;
-                    continue;
-                }
-                let (elapsed, work, result) = drive_apply(r.view.as_mut(), &graph, &delta);
-                records.push(ApplyRecord {
-                    slot: i,
-                    elapsed,
-                    work,
-                    result,
-                });
-            }
-            next.map(|b| self.prepare(b))
+            let records = self.views.fan_out(&self.graph, &delta);
+            (records, next.map(|b| self.prepare(b)))
         } else {
             self.ensure_pool(threads);
-            // Dispatch: take each active view out of its slot (leaving an
-            // InFlightView placeholder) and hand it to the pool. A pool
-            // whose workers are all gone fails the send and hands the
-            // task back — run it inline, so a wounded pool degrades to
-            // sequential fan-out instead of losing commits.
-            let (reply_tx, reply_rx) = mpsc::channel::<PoolRecord>();
-            let mut outstanding: Vec<usize> = Vec::new();
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                let Some(r) = slot.entry.as_mut() else {
-                    continue;
-                };
-                if !r.state.is_active() {
-                    skipped_quarantined += 1;
-                    continue;
-                }
-                let task = PoolTask {
-                    slot: i,
-                    view: std::mem::replace(&mut r.view, Box::new(InFlightView)),
-                    graph: Arc::clone(&self.graph),
-                    delta: Arc::clone(&delta),
-                    reply: reply_tx.clone(),
-                };
-                let submit = match &self.pool {
-                    Some(pool) => pool.submit(task),
-                    None => Err(task), // ensure_pool failed: inline
-                };
-                match submit {
-                    Ok(()) => outstanding.push(i),
-                    Err(mut task) => {
-                        let (elapsed, work, result) =
-                            drive_apply(task.view.as_mut(), &task.graph, &task.delta);
-                        r.view = task.view;
-                        records.push(ApplyRecord {
-                            slot: i,
-                            elapsed,
-                            work,
-                            result,
-                        });
-                    }
-                }
-            }
-            // Our own reply sender must go before the collect loop: once
-            // every worker-held clone is gone too (task finished or
-            // worker died), recv disconnects instead of hanging forever.
-            drop(reply_tx);
-
+            let in_flight = dispatch(self.pool.as_ref(), &mut self.views, &self.graph, &delta);
             // *** The pipeline overlap: prepare the next tick while the
             // pool is still applying this one. Prepare only reads the
             // (post-apply) graph and writes the log — disjoint from
             // everything the workers touch.
             let next_prepared = next.map(|b| self.prepare(b));
-
-            // Collect every dispatched record, putting each view back in
-            // its slot. Disconnection with tasks still outstanding means
-            // worker death ate them: their slots keep the placeholder and
-            // are quarantined below, exactly like a panicked view.
-            while !outstanding.is_empty() {
-                match reply_rx.recv() {
-                    Ok(rec) => {
-                        outstanding.retain(|&s| s != rec.slot);
-                        if let Some(r) = self.slots.get_mut(rec.slot).and_then(|s| s.entry.as_mut())
-                        {
-                            r.view = rec.view;
-                        }
-                        records.push(ApplyRecord {
-                            slot: rec.slot,
-                            elapsed: rec.elapsed,
-                            work: rec.work,
-                            result: rec.result,
-                        });
-                    }
-                    Err(_) => break,
-                }
-            }
-            for slot in outstanding {
-                records.push(ApplyRecord {
-                    slot,
-                    elapsed: Duration::ZERO,
-                    work: WorkStats::new(),
-                    result: Err("commit worker died mid-apply (view state lost in flight)".into()),
-                });
-            }
-            records.sort_unstable_by_key(|rec| rec.slot);
-            next_prepared
+            (in_flight.collect(&mut self.views), next_prepared)
         };
 
         // Merge in slot order — registry accounting, quarantine journal and
         // receipt entries are produced here and only here.
-        let mut per_view = Vec::with_capacity(records.len());
-        let mut commit_work = WorkStats::new();
-        for rec in records {
-            let Some(r) = self.slots.get_mut(rec.slot).and_then(|s| s.entry.as_mut()) else {
-                continue;
-            };
-            r.elapsed += rec.elapsed;
-            r.work += rec.work;
-            commit_work += rec.work;
-            let outcome = match rec.result {
-                Ok(()) => {
-                    r.commits += 1;
-                    ViewOutcome::Applied
-                }
-                Err(cause) => {
-                    r.state = ViewState::Quarantined {
-                        epoch,
-                        cause: cause.clone(),
-                    };
-                    self.events.push(LifecycleEvent {
-                        epoch,
-                        kind: LifecycleEventKind::Quarantined,
-                        label: r.label.clone(),
-                    });
-                    ViewOutcome::Quarantined { cause }
-                }
-            };
-            per_view.push(ViewCommitStats {
-                label: r.label.clone(),
-                elapsed: rec.elapsed,
-                work: rec.work,
-                outcome,
-            });
-        }
+        let (mut per_view, commit_work) = self.merge(records, epoch);
 
         self.commits += 1;
         self.units_applied += applied as u64;
@@ -1331,9 +599,9 @@ impl Engine {
         // the graph behind its existing `Arc` plus one answer cell per
         // slot (quarantines from this very commit included). A view the
         // publish itself had to quarantine says so in its receipt entry.
-        for (label, cause) in self.publish_version() {
-            if let Some(v) = per_view.iter_mut().find(|v| v.label == label) {
-                v.outcome = ViewOutcome::Quarantined { cause };
+        for failed in self.publish_version() {
+            if let Some(v) = per_view.iter_mut().find(|v| v.label == failed.label) {
+                v.outcome = failed.outcome;
             }
         }
         let elapsed = prepare_elapsed + apply_start.elapsed();
@@ -1380,47 +648,14 @@ impl Engine {
     /// unwind. Expensive; meant for tests and canary commits, not the
     /// serving path.
     pub fn verify_all(&self) -> Result<(), EngineError> {
-        let mut failures = Vec::new();
-        for slot in &self.slots {
-            let Some(r) = slot.entry.as_ref() else {
-                continue;
-            };
-            if !r.state.is_active() {
-                continue;
-            }
-            if let Some(d) = Self::audit(r, &self.graph) {
-                failures.push(d);
-            }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(EngineError::ViewsDiverged { failures })
-        }
+        self.views.audit_all(&self.graph)
     }
 
     /// Audit a single view. Errors with [`EngineError::StaleHandle`],
     /// [`EngineError::ViewQuarantined`], or a one-entry
     /// [`EngineError::ViewsDiverged`].
     pub fn verify(&self, id: impl Into<ViewId>) -> Result<(), EngineError> {
-        let r = self.active(id.into())?;
-        match Self::audit(r, &self.graph) {
-            None => Ok(()),
-            Some(d) => Err(EngineError::ViewsDiverged { failures: vec![d] }),
-        }
-    }
-
-    fn audit(r: &Registered, graph: &DynamicGraph) -> Option<Divergence> {
-        let result = catch_unwind(AssertUnwindSafe(|| r.view.verify_against_batch(graph)));
-        let diagnosis = match result {
-            Ok(Ok(())) => return None,
-            Ok(Err(diag)) => diag,
-            Err(payload) => format!("audit panicked: {}", panic_cause(payload.as_ref())),
-        };
-        Some(Divergence {
-            label: r.label.clone(),
-            diagnosis,
-        })
+        self.views.audit(id.into(), &self.graph)
     }
 
     // ------------------------------------------------------------------
@@ -1428,58 +663,41 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Publish the engine's current state as the version at the current
-    /// epoch: the graph behind its `Arc` plus one cell per occupied slot —
-    /// a quarantine record, or the copy the view makes of itself
-    /// ([`IncView::clone_view`]: reader-visible state only, a few `Arc`
-    /// bumps for the built-in classes). Runs at the end of every non-noop
-    /// commit and after every lifecycle event, replacing the entry at this
-    /// epoch if one exists.
+    /// epoch: the graph behind its `Arc` plus the registry's cells
+    /// ([`Registry::cells`]: per occupied slot a quarantine record, or the
+    /// copy the view makes of itself — reader-visible state only, a few
+    /// `Arc` bumps for the built-in classes). Runs at the end of every
+    /// non-noop commit and after every lifecycle event, replacing the
+    /// entry at this epoch if one exists.
     ///
-    /// `clone_view` is view code and is fenced ([`CellState::publish`]): a
-    /// panic quarantines the slot, publishes it as quarantined, and is
-    /// returned (label, cause) so a commit can say so in its receipt — the
-    /// publish window always closes.
-    fn publish_version(&mut self) -> Vec<(Arc<str>, String)> {
+    /// A view whose `clone_view` panicked is published as quarantined,
+    /// quarantined here, and returned so a commit can say so in its
+    /// receipt — the publish window always closes.
+    fn publish_version(&mut self) -> Vec<ViewCommitStats> {
         let start = Instant::now();
         let epoch = self.graph.epoch();
-        let mut failed = Vec::new();
-        let mut cells = Vec::with_capacity(self.slots.len());
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Some(r) = slot.entry.as_mut() else {
-                continue;
-            };
-            let state = match &r.state {
-                ViewState::Active => match CellState::publish(r.view.as_ref()) {
-                    Ok(state) => state,
-                    Err(cause) => {
-                        self.events.push(LifecycleEvent {
-                            epoch,
-                            kind: LifecycleEventKind::Quarantined,
-                            label: r.label.clone(),
-                        });
-                        failed.push((r.label.clone(), cause.clone()));
-                        r.state = ViewState::Quarantined {
-                            epoch,
-                            cause: cause.clone(),
-                        };
-                        CellState::Quarantined { epoch, cause }
-                    }
-                },
-                ViewState::Quarantined { epoch, cause } => CellState::Quarantined {
-                    epoch: *epoch,
-                    cause: cause.clone(),
-                },
-            };
-            cells.push(SnapCell {
-                index: i as u32,
-                generation: slot.generation,
-                label: Arc::clone(&r.label),
-                state,
-            });
-        }
+        let (cells, failed) = self.views.cells(epoch);
         self.snapshots
             .publish(epoch, Arc::clone(&self.graph), cells, start);
-        failed
+        self.merge(failed, epoch).0
+    }
+
+    /// Fold fan-out (or publish) records into the registry, journaling a
+    /// lifecycle event for every view they quarantine.
+    fn merge(
+        &mut self,
+        records: Vec<ApplyRecord>,
+        epoch: u64,
+    ) -> (Vec<ViewCommitStats>, WorkStats) {
+        let (per_view, work) = self.views.merge(records, epoch);
+        for v in per_view.iter().filter(|v| !v.applied()) {
+            self.events.push(LifecycleEvent {
+                epoch,
+                kind: LifecycleEventKind::Quarantined,
+                label: v.label.clone(),
+            });
+        }
+        (per_view, work)
     }
 
     /// Pin the newest published version: the graph and every view's
@@ -1545,15 +763,12 @@ impl Engine {
 
     /// Cumulative accounting for one live view.
     pub fn view_totals(&self, id: impl Into<ViewId>) -> Result<ViewTotals, EngineError> {
-        Ok(self.occupied(id.into())?.totals())
+        Ok(self.views.occupied(id.into())?.totals.clone())
     }
 
     /// Cumulative accounting for every live view, in slot order.
     pub fn all_view_totals(&self) -> Vec<ViewTotals> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.entry.as_ref().map(Registered::totals))
-            .collect()
+        self.views.entries().map(|r| r.totals.clone()).collect()
     }
 
     /// Final cumulative totals of deregistered views, in retirement order —
@@ -1587,6 +802,7 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use igc_core::IncrementalAlgorithm;
     use igc_graph::graph::graph_from;
     use igc_graph::{NodeId, Update};
 
@@ -1609,10 +825,7 @@ pub(crate) mod tests {
         }
     }
 
-    impl IncView for EdgeCount {
-        fn name(&self) -> &str {
-            self.name
-        }
+    impl IncrementalAlgorithm for EdgeCount {
         fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
             self.count = g.edge_count();
             self.work.aux_touched += delta.len() as u64;
@@ -1623,18 +836,18 @@ pub(crate) mod tests {
         fn reset_work(&mut self) {
             self.work.reset();
         }
+    }
+
+    impl IncView for EdgeCount {
+        fn name(&self) -> &str {
+            self.name
+        }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.count == g.edge_count() {
                 Ok(())
             } else {
                 Err(format!("{} vs {}", self.count, g.edge_count()))
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -1659,10 +872,7 @@ pub(crate) mod tests {
         }
     }
 
-    impl IncView for PanicOn {
-        fn name(&self) -> &str {
-            "panicky"
-        }
+    impl IncrementalAlgorithm for PanicOn {
         fn apply(&mut self, _g: &DynamicGraph, delta: &UpdateBatch) {
             self.seen += 1;
             self.work.aux_touched += 1;
@@ -1677,14 +887,14 @@ pub(crate) mod tests {
         fn reset_work(&mut self) {
             self.work.reset();
         }
+    }
+
+    impl IncView for PanicOn {
+        fn name(&self) -> &str {
+            "panicky"
+        }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -2094,10 +1304,7 @@ pub(crate) mod tests {
         wrecked: bool,
     }
 
-    impl IncView for PoisonedWork {
-        fn name(&self) -> &str {
-            "poisoned"
-        }
+    impl IncrementalAlgorithm for PoisonedWork {
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.wrecked = true;
             panic!("apply wrecked the state");
@@ -2109,14 +1316,14 @@ pub(crate) mod tests {
             WorkStats::new()
         }
         fn reset_work(&mut self) {}
+    }
+
+    impl IncView for PoisonedWork {
+        fn name(&self) -> &str {
+            "poisoned"
+        }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())

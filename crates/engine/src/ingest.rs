@@ -18,9 +18,9 @@
 //! carried it). The tick loop drains everything pending (up to
 //! [`IngestConfig::max_coalesce`]), coalesces it into one mega-batch,
 //! and drives the engine's [prepare](Engine::prepare) /
-//! [apply](Engine::apply_prepared) split so that — with
-//! [`IngestConfig::pipeline`] on — tick *n+1*'s normalization and
-//! WAL-append overlap tick *n*'s view fan-out.
+//! [apply](Engine::apply_prepared) split so that tick *n+1*'s
+//! normalization and WAL-append overlap tick *n*'s view fan-out (on the
+//! worker pool, under [`CommitMode::Parallel`](crate::CommitMode)).
 //!
 //! Durability composes: [`IngestServer::set_durability`] flips the
 //! engine log's [`DurabilityMode`] mid-run, and the loop issues an
@@ -76,10 +76,6 @@ pub struct IngestConfig {
     /// `1` degenerates to one-commit-per-submission, the useful baseline
     /// arm for benchmarks). Default 64.
     pub max_coalesce: usize,
-    /// Whether tick *n+1*'s prepare (normalize + WAL append) may overlap
-    /// tick *n*'s view fan-out ([`Engine::apply_prepared`]'s pipelining).
-    /// Observable results are identical either way. Default `true`.
-    pub pipeline: bool,
     /// Bound on the submission queue (clamped to ≥ 1). Submissions past
     /// the bound block in [`Ingest::submit`] up to
     /// [`submit_timeout`](IngestConfig::submit_timeout), then shed with
@@ -97,7 +93,6 @@ impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
             max_coalesce: 64,
-            pipeline: true,
             max_queue: 1024,
             submit_timeout: Duration::from_millis(100),
         }
@@ -309,8 +304,8 @@ impl IngestServer {
 
     /// The tick loop. One iteration = gather a group (blocking only when
     /// idle with nothing staged), then either stage it (prepare) or
-    /// apply the previously staged tick — preparing the new group *while
-    /// the staged tick's fan-out is in flight* when pipelining is on.
+    /// apply the previously staged tick — preparing the new group inside
+    /// that call, *while the staged tick's fan-out is in flight*.
     fn serve(mut engine: Engine, rx: &Receiver<Msg>, config: IngestConfig) -> Engine {
         let max_coalesce = config.max_coalesce.max(1);
         let mut closing = false;
@@ -344,26 +339,15 @@ impl IngestServer {
                         break;
                     }
                 }
-                (None, false) => {
-                    staged = Self::stage(&mut engine, group);
-                }
+                (None, false) => staged = Self::stage(&mut engine, Self::bundle(group)),
                 (Some((prepared, waiters)), _) => {
                     let next = (!group.is_empty()).then(|| Self::bundle(group));
-                    let pipelined = if config.pipeline {
-                        next.as_ref().map(|(mega, _)| mega)
-                    } else {
-                        None
-                    };
-                    match engine.apply_prepared(prepared, pipelined) {
+                    let mega = next.as_ref().map(|(mega, _)| mega);
+                    match engine.apply_prepared(prepared, mega) {
                         Ok((receipt, piped)) => {
                             Self::resolve(waiters, &receipt);
-                            if let Some((mega, next_waiters)) = next {
-                                // `piped` is the pipelined prepare result;
-                                // with pipelining off, prepare here instead.
-                                let prep = match piped {
-                                    Some(result) => result,
-                                    None => engine.prepare(&mega),
-                                };
+                            // `piped` is the next tick's prepare result.
+                            if let Some(((_, next_waiters), prep)) = next.zip(piped) {
                                 match prep {
                                     Ok(p) => staged = Some((p, next_waiters)),
                                     Err(e) => Self::reject(next_waiters, &e),
@@ -375,12 +359,7 @@ impl IngestServer {
                             // (EpochGap needs an interleaved commit), but
                             // never lose a waiter to an invariant.
                             Self::reject(waiters, &e);
-                            if let Some((mega, next_waiters)) = next {
-                                match engine.prepare(&mega) {
-                                    Ok(p) => staged = Some((p, next_waiters)),
-                                    Err(e) => Self::reject(next_waiters, &e),
-                                }
-                            }
+                            staged = next.and_then(|bundle| Self::stage(&mut engine, bundle));
                         }
                     }
                 }
@@ -448,9 +427,11 @@ impl IngestServer {
         (mega, waiters)
     }
 
-    /// Prepare a freshly gathered group as the staged tick.
-    fn stage(engine: &mut Engine, group: Vec<Submission>) -> Option<(PreparedCommit, Vec<Waiter>)> {
-        let (mega, waiters) = Self::bundle(group);
+    /// Prepare a bundled group as the staged tick.
+    fn stage(
+        engine: &mut Engine,
+        (mega, waiters): (UpdateBatch, Vec<Waiter>),
+    ) -> Option<(PreparedCommit, Vec<Waiter>)> {
         match engine.prepare(&mega) {
             Ok(p) => Some((p, waiters)),
             Err(e) => {

@@ -84,6 +84,13 @@
 //! without stopping the commit-tick thread; degraded read-only mode never
 //! gates snapshot creation or pinned reads.
 //!
+//! **One registry, one read path**: an [`Engine`] and a [`Replica`] hold
+//! their views in the same private registry, and a [`Snapshot`] of either
+//! resolves handles through the registry's read function — so a
+//! [`ViewHandle`] reads all four ([`Engine::view`], [`Replica::view`],
+//! [`Snapshot::view`]) under one contract: [`EngineError::StaleHandle`],
+//! [`EngineError::ViewQuarantined`], [`EngineError::WrongViewType`].
+//!
 //! **Replication** ([`replica` module](Replica)): [`Engine::replica`]
 //! creates a log-shipped read [`Replica`] — a follower with its own
 //! graph and views that tails the journal ([`Replica::catch_up`] /
@@ -111,12 +118,14 @@
 //! ```
 
 mod background;
+mod durability;
 mod engine;
 mod error;
 mod ingest;
 mod lifecycle;
 mod pool;
 mod receipt;
+mod registry;
 mod replica;
 mod snapshot;
 
@@ -128,5 +137,5 @@ pub use error::{Divergence, EngineError};
 pub use ingest::{Ingest, IngestConfig, IngestReceipt, IngestServer, IngestTicket};
 pub use lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
 pub use receipt::{CommitReceipt, ViewCommitStats, ViewOutcome, ViewTotals};
-pub use replica::{Replica, ReplicaHandle, ReplicaStatus, TailResilience};
+pub use replica::{Replica, ReplicaStatus, TailResilience};
 pub use snapshot::{Snapshot, SnapshotStore, SnapshotStoreStats};

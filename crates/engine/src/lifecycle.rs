@@ -35,8 +35,10 @@ impl ViewId {
 
 /// Typed handle to a registered view: a [`ViewId`] that additionally
 /// remembers the concrete view type `V`, so
-/// [`Engine::view`](crate::Engine::view) returns `&V` without any
-/// caller-side `as_any` downcasting.
+/// [`Engine::view`](crate::Engine::view),
+/// [`Snapshot::view`](crate::Snapshot::view) and
+/// [`Replica::view`](crate::Replica::view) return `&V` without any
+/// caller-side downcasting.
 ///
 /// Handles are `Copy` and independent of `V`'s own traits (the type only
 /// rides along in `PhantomData`). Like [`ViewId`], a handle goes stale once

@@ -1,16 +1,15 @@
 //! The persistent commit worker pool: long-lived parked threads fed
-//! fan-out tasks over a channel, replacing the per-commit scoped spawn
-//! that dominated parallel-mode cost (measured 0.75× *slowdown* at 2
-//! threads on spawn overhead alone).
+//! fan-out tasks over a channel (a scoped spawn per commit measured 0.75×
+//! at 2 threads on spawn overhead alone).
 //!
 //! Ownership model: the engine cannot lend `&mut` borrows of registry
-//! slots to threads that outlive the commit, so each task *takes* the
+//! slots to threads that outlive the commit, so [`dispatch`] *takes* each
 //! view's `Box` out of its slot (leaving an [`InFlightView`] placeholder)
-//! and the worker sends it back inside its [`PoolRecord`]. The engine
-//! puts every returned view back before the commit's merge step; a view
-//! that never comes back (its worker died) leaves the placeholder in the
-//! slot, and the engine quarantines it — exactly the dead-worker contract
-//! the scoped implementation had.
+//! and the worker sends it back inside its [`PoolRecord`].
+//! [`InFlight::collect`] puts every returned view back before the commit's
+//! merge step; a view that never comes back (its worker died) leaves the
+//! placeholder in the slot and gets a failed record, so the merge
+//! quarantines it.
 //!
 //! Panic safety: [`drive_apply`] fences every view-code surface
 //! (`apply_caught`, the post-panic `work()` read, and an outer
@@ -18,11 +17,12 @@
 //! worker. Workers only die on faults outside view code; the pool
 //! detects that via the reply channel disconnecting and via
 //! [`WorkerPool::submit`] failing once every worker is gone (the shared
-//! task receiver drops with the last worker), in which case the engine
-//! runs the task inline — parallel mode degrades to sequential, never to
-//! a lost commit.
+//! task receiver drops with the last worker), in which case the task
+//! runs inline — parallel mode degrades to sequential, never to a lost
+//! commit.
 
-use igc_core::{panic_cause, IncView, WorkStats};
+use crate::registry::Registry;
+use igc_core::{panic_cause, IncView, IncrementalAlgorithm, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
@@ -33,26 +33,44 @@ use std::time::{Duration, Instant};
 /// One fan-out unit: a view taken out of its registry slot plus the
 /// shared read-only inputs, and the channel its result goes back on.
 pub(crate) struct PoolTask {
-    /// Registry slot index the view was taken from.
     pub slot: usize,
-    /// The view itself, moved out of the slot for the duration.
     pub view: Box<dyn IncView>,
-    /// The post-commit graph (shared, read-only).
+    /// The post-commit graph.
     pub graph: Arc<DynamicGraph>,
-    /// The normalized delta of this commit (shared, read-only).
+    /// The commit's normalized delta.
     pub delta: Arc<UpdateBatch>,
-    /// Where the worker sends the finished record.
     pub reply: Sender<PoolRecord>,
 }
 
-/// What a worker produced for one task: the view handed back plus the
-/// same measurements [`drive_apply`] reports inline.
-pub(crate) struct PoolRecord {
+/// What one view's `apply` produced during fan-out, before
+/// [`Registry::merge`] folds it into registry state and receipt (in slot
+/// order, identically for both commit modes).
+pub(crate) struct ApplyRecord {
     pub slot: usize,
-    pub view: Box<dyn IncView>,
     pub elapsed: Duration,
     pub work: WorkStats,
     pub result: Result<(), String>,
+}
+
+impl ApplyRecord {
+    /// The record of a view that failed outside its own `apply` (lost with
+    /// a dead worker, or its `clone_view` panicked): no work, quarantine
+    /// for `cause`.
+    pub(crate) fn failed(slot: usize, cause: String) -> Self {
+        ApplyRecord {
+            slot,
+            elapsed: Duration::ZERO,
+            work: WorkStats::new(),
+            result: Err(cause),
+        }
+    }
+}
+
+/// What a worker produced for one task: the view handed back plus the
+/// record [`drive_apply`] made of its `apply`.
+pub(crate) struct PoolRecord {
+    pub view: Box<dyn IncView>,
+    pub applied: ApplyRecord,
 }
 
 /// Drive one view's `apply` against the post-commit graph and snapshot
@@ -65,10 +83,11 @@ pub(crate) struct PoolRecord {
 /// surface (a `work()` that panics even *before* `apply`), so no view
 /// can unwind a commit — or kill a pool worker.
 pub(crate) fn drive_apply(
+    slot: usize,
     view: &mut dyn IncView,
     graph: &DynamicGraph,
     delta: &UpdateBatch,
-) -> (Duration, WorkStats, Result<(), String>) {
+) -> ApplyRecord {
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let before = view.work();
@@ -89,7 +108,12 @@ pub(crate) fn drive_apply(
         Ok(pair) => pair,
         Err(payload) => (WorkStats::new(), Err(panic_cause(payload.as_ref()))),
     };
-    (elapsed, work, result)
+    ApplyRecord {
+        slot,
+        elapsed,
+        work,
+        result,
+    }
 }
 
 /// Placeholder parked in a registry slot while its real view is out on a
@@ -101,23 +125,20 @@ pub(crate) fn drive_apply(
 #[derive(Clone, Debug)]
 pub(crate) struct InFlightView;
 
-impl IncView for InFlightView {
-    fn name(&self) -> &str {
-        "in-flight"
-    }
+impl IncrementalAlgorithm for InFlightView {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {}
     fn work(&self) -> WorkStats {
         WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for InFlightView {
+    fn name(&self) -> &str {
+        "in-flight"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Err("view lost in flight (its commit worker died)".into())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(InFlightView)
@@ -180,15 +201,12 @@ impl WorkerPool {
                 }
             };
             let mut task = task;
-            let (elapsed, work, result) = drive_apply(task.view.as_mut(), &task.graph, &task.delta);
+            let applied = drive_apply(task.slot, task.view.as_mut(), &task.graph, &task.delta);
             // A failed send means the commit already gave up on this
             // record (reply receiver dropped); nothing to do with it.
             let _ = task.reply.send(PoolRecord {
-                slot: task.slot,
                 view: task.view,
-                elapsed,
-                work,
-                result,
+                applied,
             });
         }
     }
@@ -232,6 +250,86 @@ impl Drop for WorkerPool {
     }
 }
 
+/// A parallel fan-out between [`dispatch`] and [`InFlight::collect`]: the
+/// committing thread is free to prepare the next commit meanwhile.
+pub(crate) struct InFlight {
+    replies: Receiver<PoolRecord>,
+    /// Slots whose view is out on a worker.
+    outstanding: Vec<usize>,
+    /// Records of the tasks the pool refused, already run inline.
+    records: Vec<ApplyRecord>,
+}
+
+/// Take each active view of `views` out of its slot (leaving an
+/// [`InFlightView`] placeholder) and hand it to `pool`. A pool whose
+/// workers are all gone — or no pool at all — fails the send and hands the
+/// task back: it runs inline, so a wounded pool degrades to sequential
+/// fan-out instead of losing commits.
+pub(crate) fn dispatch(
+    pool: Option<&WorkerPool>,
+    views: &mut Registry,
+    graph: &Arc<DynamicGraph>,
+    delta: &Arc<UpdateBatch>,
+) -> InFlight {
+    let (reply, replies) = mpsc::channel();
+    let mut outstanding = Vec::new();
+    let mut records = Vec::new();
+    for (slot, view) in views.active_views_mut() {
+        let task = PoolTask {
+            slot,
+            view: std::mem::replace(view, Box::new(InFlightView)),
+            graph: Arc::clone(graph),
+            delta: Arc::clone(delta),
+            reply: reply.clone(),
+        };
+        let submitted = match pool {
+            Some(pool) => pool.submit(task),
+            None => Err(task),
+        };
+        match submitted {
+            Ok(()) => outstanding.push(slot),
+            Err(mut task) => {
+                records.push(drive_apply(slot, task.view.as_mut(), graph, delta));
+                *view = task.view;
+            }
+        }
+    }
+    // `reply` drops here: once every worker-held clone is gone too (task
+    // finished or worker died), `collect`'s recv disconnects instead of
+    // hanging forever.
+    InFlight {
+        replies,
+        outstanding,
+        records,
+    }
+}
+
+impl InFlight {
+    /// Wait for every dispatched record, putting each view back in its
+    /// slot, and return all records in slot order. Disconnection with
+    /// tasks still outstanding means worker death ate them: their slots
+    /// keep the placeholder and get a failed record, which the merge
+    /// quarantines exactly like a panicked view.
+    pub(crate) fn collect(mut self, views: &mut Registry) -> Vec<ApplyRecord> {
+        while !self.outstanding.is_empty() {
+            let Ok(rec) = self.replies.recv() else {
+                break;
+            };
+            self.outstanding.retain(|&s| s != rec.applied.slot);
+            views.put_back(rec.applied.slot, rec.view);
+            self.records.push(rec.applied);
+        }
+        let died = "commit worker died mid-apply (view state lost in flight)";
+        self.records.extend(
+            self.outstanding
+                .into_iter()
+                .map(|slot| ApplyRecord::failed(slot, died.into())),
+        );
+        self.records.sort_unstable_by_key(|rec| rec.slot);
+        self.records
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,10 +352,7 @@ mod tests {
         }
     }
 
-    impl IncView for Count {
-        fn name(&self) -> &str {
-            "count"
-        }
+    impl IncrementalAlgorithm for Count {
         fn apply(&mut self, _g: &DynamicGraph, delta: &UpdateBatch) {
             self.applies += 1;
             self.work.aux_touched += delta.len() as u64;
@@ -271,14 +366,14 @@ mod tests {
         fn reset_work(&mut self) {
             self.work.reset();
         }
+    }
+
+    impl IncView for Count {
+        fn name(&self) -> &str {
+            "count"
+        }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -309,13 +404,13 @@ mod tests {
         }
         drop(reply_tx);
         let mut records: Vec<PoolRecord> = reply_rx.iter().collect();
-        records.sort_unstable_by_key(|r| r.slot);
+        records.sort_unstable_by_key(|r| r.applied.slot);
         assert_eq!(records.len(), 4);
         for (i, rec) in records.iter().enumerate() {
-            assert_eq!(rec.slot, i);
-            assert!(rec.result.is_ok());
-            assert_eq!(rec.work.aux_touched, 1);
-            let back = rec.view.as_any().downcast_ref::<Count>().unwrap();
+            assert_eq!(rec.applied.slot, i);
+            assert!(rec.applied.result.is_ok());
+            assert_eq!(rec.applied.work.aux_touched, 1);
+            let back = rec.view.downcast_ref::<Count>().unwrap();
             assert_eq!(back.applies, 1, "the same view instance came back");
         }
         assert!(!pool.wounded());
@@ -337,7 +432,7 @@ mod tests {
                 reply: reply_tx.clone(),
             })
             .unwrap_or_else(|_| panic!("fresh pool refused a task"));
-            let rec = reply_rx.recv().unwrap();
+            let rec = reply_rx.recv().unwrap().applied;
             assert_eq!(rec.slot, 0);
             let err = rec.result.unwrap_err();
             assert!(err.contains("deliberate pool canary"), "{err}");
@@ -351,7 +446,7 @@ mod tests {
             })
             .unwrap_or_else(|_| panic!("worker died on a fenced panic"));
             let rec = reply_rx.recv().unwrap();
-            assert!(rec.result.is_ok());
+            assert!(rec.applied.result.is_ok());
             assert!(!pool.wounded());
         });
     }

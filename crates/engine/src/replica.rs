@@ -3,14 +3,17 @@
 //!
 //! The leader's [`Engine`](crate::Engine) owns the single-writer commit
 //! pipeline; a [`Replica`] owns nothing but a [`Replayer`] over the same
-//! log, its private [`DynamicGraph`], and its own registered views. It
-//! seeds from the **newest checkpoint** (never genesis — that is the
-//! whole point of the checkpoint cadence), replays normalized deltas in
-//! epoch order, and advances a *frontier*: the last epoch it has fully
-//! consumed. Reads are always internally consistent — graph and every
-//! view agree on the frontier epoch — they are just possibly *stale*,
-//! which [`ReplicaStatus`] quantifies and [`Replica::ensure_fresh`]
-//! gates on.
+//! log, its private [`DynamicGraph`], and its own registered views — in the
+//! same registry type the engine uses, so [`Replica::register`] returns an
+//! ordinary [`ViewHandle`] that reads the replica ([`Replica::view`]) and
+//! its snapshots ([`Replica::snapshot`] + [`Snapshot::view`]) under the
+//! engine's error contract. It seeds from the **newest checkpoint** (never
+//! genesis — that is the whole point of the checkpoint cadence), replays
+//! normalized deltas in epoch order, and advances a *frontier*: the last
+//! epoch it has fully consumed. Reads are always internally consistent —
+//! graph and every view agree on the frontier epoch — they are just
+//! possibly *stale*, which [`ReplicaStatus`] quantifies and
+//! [`Replica::ensure_fresh`] gates on.
 //!
 //! Two attachment modes:
 //!
@@ -69,16 +72,15 @@
 //! assert!(replica.graph().contains_edge(NodeId(1), NodeId(2)));
 //! ```
 
-use crate::error::{Divergence, EngineError};
-use crate::lifecycle::ViewState;
-use crate::snapshot::Snapshot;
-use igc_core::{panic_cause, IncView, ViewInit};
+use crate::error::EngineError;
+use crate::lifecycle::{ViewHandle, ViewId, ViewState};
+use crate::registry::{downcast, Registry};
+use crate::snapshot::{Snapshot, VersionData};
+use igc_core::{IncView, ViewInit};
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
 use igc_log::{LogBackend, LogError, Replayer, RetentionPin, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,43 +124,14 @@ pub struct TailResilience {
     pub reattach: bool,
 }
 
-/// Typed handle to a view registered on a [`Replica`] — the follower-side
-/// analogue of [`ViewHandle`](crate::ViewHandle). Replicas never
-/// deregister views, so the handle is a plain index with the concrete
-/// type remembered; it is `Copy` and never dangles for the replica it
-/// came from.
-pub struct ReplicaHandle<V> {
-    index: usize,
-    _marker: PhantomData<fn() -> V>,
-}
-
-impl<V> Clone for ReplicaHandle<V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<V> Copy for ReplicaHandle<V> {}
-impl<V> std::fmt::Debug for ReplicaHandle<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ReplicaHandle({})", self.index)
-    }
-}
-
-/// One registered follower-side view: the view itself plus its health
-/// (a panicking `apply` quarantines the view, exactly like the leader's
-/// fan-out fencing — the replica keeps tailing).
-struct ReplicaSlot {
-    label: Arc<str>,
-    view: Box<dyn IncView>,
-    state: ViewState,
-}
-
 /// A follower engine tailing a leader's commit log. See the
 /// [crate docs](crate) for the replication model and an example.
 pub struct Replica {
     replayer: Replayer,
     graph: DynamicGraph,
-    slots: Vec<ReplicaSlot>,
+    /// The follower-side views: the same [`Registry`] the leader's engine
+    /// holds, so handles, quarantine and reads mean the same on both.
+    views: Registry,
     /// The leader-registered retention pin, for followers created via
     /// [`Engine::replica`](crate::Engine::replica); `None` for unpinned
     /// cross-process attachments.
@@ -182,7 +155,7 @@ impl std::fmt::Debug for Replica {
         f.debug_struct("Replica")
             .field("frontier", &self.graph.epoch())
             .field("seed_base", &self.seed_base)
-            .field("views", &self.slots.len())
+            .field("views", &self.view_count())
             .field("pinned", &self.pin.is_some())
             .finish()
     }
@@ -218,7 +191,7 @@ impl Replica {
             replayer,
             seed_base: replayed.base_epoch,
             graph: replayed.graph,
-            slots: Vec::new(),
+            views: Registry::default(),
             pin,
             tail_rng: StdRng::seed_from_u64(resilience.retry.seed),
             resilience,
@@ -258,33 +231,19 @@ impl Replica {
     /// the follower-side mirror of
     /// [`Engine::register_lazy`](crate::Engine::register_lazy). Same
     /// error surface: [`EngineError::DuplicateLabel`],
-    /// [`EngineError::InitPanicked`].
+    /// [`EngineError::InitPanicked`]. The handle reads this replica
+    /// ([`Replica::view`]) and every [`Replica::snapshot`] taken after.
     pub fn register<I: ViewInit>(
         &mut self,
         label: impl Into<Arc<str>>,
         init: I,
-    ) -> Result<ReplicaHandle<I::View>, EngineError> {
+    ) -> Result<ViewHandle<I::View>, EngineError> {
         let label: Arc<str> = label.into();
-        if self.slots.iter().any(|s| s.label == label) {
+        if self.views.find(&label).is_some() {
             return Err(EngineError::DuplicateLabel { label });
         }
-        let graph = &self.graph;
-        let view =
-            catch_unwind(AssertUnwindSafe(move || init.build(graph))).map_err(|payload| {
-                EngineError::InitPanicked {
-                    label: label.clone(),
-                    cause: panic_cause(payload.as_ref()),
-                }
-            })?;
-        self.slots.push(ReplicaSlot {
-            label,
-            view: Box::new(view),
-            state: ViewState::Active,
-        });
-        Ok(ReplicaHandle {
-            index: self.slots.len() - 1,
-            _marker: PhantomData,
-        })
+        let view = Registry::build(&label, init, &self.graph)?;
+        Ok(ViewHandle::new(self.views.insert(label, view)))
     }
 
     /// Drain everything the log currently holds past this replica's
@@ -313,28 +272,12 @@ impl Replica {
     /// `From<LogError> for EngineError` (which folds `Io` into
     /// `LogCorrupt`) would erase.
     fn catch_up_raw(&mut self) -> Result<u64, LogError> {
-        let Self {
-            replayer,
-            graph,
-            slots,
-            pin,
-            ..
-        } = self;
-        let applied = replayer.catch_up(graph, |g, delta| {
-            for slot in slots.iter_mut() {
-                if !matches!(slot.state, ViewState::Active) {
-                    continue;
-                }
-                if let Err(cause) = slot.view.apply_caught(g, delta) {
-                    slot.state = ViewState::Quarantined {
-                        epoch: g.epoch(),
-                        cause,
-                    };
-                }
-            }
-        })?;
-        if let Some(pin) = pin {
-            pin.advance(graph.epoch());
+        let views = &mut self.views;
+        let applied = self
+            .replayer
+            .catch_up(&mut self.graph, |g, delta| views.apply(g, delta))?;
+        if let Some(pin) = &self.pin {
+            pin.advance(self.graph.epoch());
         }
         Ok(applied)
     }
@@ -435,17 +378,7 @@ impl Replica {
         }
         let delta = UpdateBatch::from_updates(updates);
         if !delta.is_empty() {
-            for slot in self.slots.iter_mut() {
-                if !matches!(slot.state, ViewState::Active) {
-                    continue;
-                }
-                if let Err(cause) = slot.view.apply_caught(&new, &delta) {
-                    slot.state = ViewState::Quarantined {
-                        epoch: new.epoch(),
-                        cause,
-                    };
-                }
-            }
+            self.views.apply(&new, &delta);
         }
         let jumped = new.epoch().saturating_sub(self.graph.epoch());
         self.graph = new;
@@ -560,40 +493,27 @@ impl Replica {
 
     /// Number of registered follower-side views.
     pub fn view_count(&self) -> usize {
-        self.slots.len()
+        self.views.entries().count()
     }
 
     /// Registry labels of the follower-side views, in registration order.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.slots.iter().map(|s| &*s.label)
+        self.views.entries().map(|r| &*r.totals.label)
     }
 
     /// A registered view's health ([`ViewState::Active`], or
     /// [`ViewState::Quarantined`] with the panic's epoch and cause).
-    pub fn state<V>(&self, h: &ReplicaHandle<V>) -> Result<&ViewState, EngineError> {
-        self.slot(h.index).map(|s| &s.state)
+    pub fn state(&self, id: impl Into<ViewId>) -> Result<&ViewState, EngineError> {
+        Ok(&self.views.occupied(id.into())?.state)
     }
 
-    /// The view behind a typed handle — the follower's snapshot-read
-    /// path, consistent with [`Replica::graph`] as of the frontier.
-    /// [`EngineError::ViewQuarantined`] if a past catch-up panicked this
-    /// view.
-    pub fn view<V: 'static>(&self, h: &ReplicaHandle<V>) -> Result<&V, EngineError> {
-        let s = self.slot(h.index)?;
-        if let ViewState::Quarantined { epoch, cause } = &s.state {
-            return Err(EngineError::ViewQuarantined {
-                label: s.label.clone(),
-                epoch: *epoch,
-                cause: cause.clone(),
-            });
-        }
-        s.view
-            .as_any()
-            .downcast_ref::<V>()
-            .ok_or_else(|| EngineError::WrongViewType {
-                label: s.label.clone(),
-                expected: std::any::type_name::<V>(),
-            })
+    /// The view behind a typed handle — the follower's read path,
+    /// consistent with [`Replica::graph`] as of the frontier, under the
+    /// error contract of [`Engine::view`](crate::Engine::view)
+    /// ([`EngineError::ViewQuarantined`] if a past catch-up panicked this
+    /// view).
+    pub fn view<V: IncView>(&self, h: &ViewHandle<V>) -> Result<&V, EngineError> {
+        downcast(self.views.active(h.id)?)
     }
 
     /// Consistency audit of every active follower-side view against
@@ -601,37 +521,7 @@ impl Replica {
     /// audit as [`Engine::verify_all`](crate::Engine::verify_all), at
     /// the replica's frontier.
     pub fn verify_all(&self) -> Result<(), EngineError> {
-        let mut failures = Vec::new();
-        for s in &self.slots {
-            if !matches!(s.state, ViewState::Active) {
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| {
-                s.view.verify_against_batch(&self.graph)
-            })) {
-                Ok(Ok(())) => {}
-                Ok(Err(diagnosis)) => failures.push(Divergence {
-                    label: s.label.clone(),
-                    diagnosis,
-                }),
-                Err(payload) => failures.push(Divergence {
-                    label: s.label.clone(),
-                    diagnosis: format!("audit panicked: {}", panic_cause(payload.as_ref())),
-                }),
-            }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(EngineError::ViewsDiverged { failures })
-        }
-    }
-
-    fn slot(&self, index: usize) -> Result<&ReplicaSlot, EngineError> {
-        self.slots.get(index).ok_or(EngineError::StaleHandle {
-            index: index as u32,
-            generation: 0,
-        })
+        self.views.audit_all(&self.graph)
     }
 
     /// Freeze the replica at its current replay frontier as a
@@ -641,40 +531,17 @@ impl Replica {
     ///
     /// The graph is cloned on this call — one handle bump per adjacency
     /// list plus a copy of the edge set, no list copied — and the tail
-    /// loop then copies each list it next writes, once; each view contributes its `clone_view` copy (one that
-    /// panics making it is served as quarantined). Look views up by label
-    /// ([`Snapshot::find`]) — replica snapshots carry no engine handles.
+    /// loop then copies each list it next writes, once; each view
+    /// contributes its `clone_view` copy (one that panics making it is
+    /// served as quarantined). Read it with the handles
+    /// [`Replica::register`] returned ([`Snapshot::view`]), or look views
+    /// up by label ([`Snapshot::find`]).
     pub fn snapshot(&self) -> Snapshot {
-        use crate::snapshot::CellState;
-        let frontier = self.graph.epoch();
-        let cells = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| crate::snapshot::SnapCell {
-                index: i as u32,
-                generation: 0,
-                label: Arc::clone(&s.label),
-                state: match &s.state {
-                    ViewState::Active => {
-                        CellState::publish(s.view.as_ref()).unwrap_or_else(|cause| {
-                            CellState::Quarantined {
-                                epoch: frontier,
-                                cause,
-                            }
-                        })
-                    }
-                    ViewState::Quarantined { epoch, cause } => CellState::Quarantined {
-                        epoch: *epoch,
-                        cause: cause.clone(),
-                    },
-                },
-            })
-            .collect();
-        Snapshot::detached(crate::snapshot::VersionData {
-            epoch: frontier,
+        let epoch = self.graph.epoch();
+        Snapshot::detached(VersionData {
+            epoch,
             graph: Arc::new(self.graph.clone()),
-            cells,
+            cells: self.views.cells(epoch).0,
         })
     }
 }
@@ -702,10 +569,7 @@ mod tests {
         }
     }
 
-    impl IncView for EdgeCount {
-        fn name(&self) -> &str {
-            "edge-count"
-        }
+    impl igc_core::IncrementalAlgorithm for EdgeCount {
         fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
             if self.panic_at == Some(g.epoch()) {
                 panic!("armed at epoch {}", g.epoch());
@@ -718,18 +582,18 @@ mod tests {
             igc_core::WorkStats::new()
         }
         fn reset_work(&mut self) {}
+    }
+
+    impl IncView for EdgeCount {
+        fn name(&self) -> &str {
+            "edge-count"
+        }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.edges == g.edge_count() as i64 {
                 Ok(())
             } else {
                 Err(format!("have {}, graph has {}", self.edges, g.edge_count()))
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -840,7 +704,7 @@ mod tests {
             other => panic!("expected quarantine, got {other:?}"),
         }
         assert!(matches!(
-            replica.state(&doomed).unwrap(),
+            replica.state(doomed).unwrap(),
             ViewState::Quarantined { .. }
         ));
         // The audit skips the quarantined view and passes on the healthy.

@@ -50,6 +50,7 @@
 
 use crate::error::EngineError;
 use crate::lifecycle::{ViewHandle, ViewId};
+use crate::registry::{downcast, resolve, Found};
 use igc_core::{panic_cause, IncView};
 use igc_graph::DynamicGraph;
 use std::collections::BTreeMap;
@@ -135,14 +136,6 @@ pub struct SnapshotStore {
     /// measurable against total commit latency (the bench harness's
     /// publish-overhead figure).
     publish_nanos: AtomicU64,
-}
-
-impl Default for SnapshotStore {
-    /// An empty store (no published versions): what `Engine::default()`
-    /// starts from; the first commit publishes the first version.
-    fn default() -> Self {
-        SnapshotStore::new()
-    }
 }
 
 impl SnapshotStore {
@@ -393,8 +386,8 @@ impl Snapshot {
     }
 
     /// Resolve a registry label to the [`ViewId`] it had at the pinned
-    /// epoch — the label-based entry point replicas and ad-hoc readers
-    /// use when they never held a typed handle.
+    /// epoch — the label-based entry point for readers that never held a
+    /// typed handle.
     pub fn find(&self, label: &str) -> Option<ViewId> {
         self.data
             .cells
@@ -406,60 +399,38 @@ impl Snapshot {
             })
     }
 
-    fn cell(&self, id: ViewId) -> Result<&SnapCell, EngineError> {
-        match self
+    /// The cell behind `id` as [`resolve`] wants it.
+    fn found(&self, id: ViewId) -> Option<Found<'_>> {
+        let cell = self
             .data
             .cells
             .iter()
-            .find(|c| c.index == id.index && c.generation == id.generation)
-        {
-            Some(cell) => Ok(cell),
-            None => Err(EngineError::StaleHandle {
-                index: id.index,
-                generation: id.generation,
-            }),
-        }
+            .find(|c| c.index == id.index && c.generation == id.generation)?;
+        let slot = match &cell.state {
+            CellState::Active(view) => Ok(view.as_ref()),
+            CellState::Quarantined { epoch, cause } => Err((*epoch, cause.as_str())),
+        };
+        Some((&cell.label, slot))
     }
 
     /// Read a view's frozen answers through its typed handle, exactly like
-    /// [`Engine::view`](crate::Engine::view) but against the pinned epoch.
+    /// [`Engine::view`](crate::Engine::view) but against the pinned epoch —
+    /// or, on a [`Replica::snapshot`](crate::Replica::snapshot), like
+    /// [`Replica::view`](crate::Replica::view) against the frozen frontier.
     ///
-    /// The same error contract as the live engine applies: a handle whose
-    /// view was not registered at the pinned epoch (or was deregistered
-    /// before it) is [`EngineError::StaleHandle`]; a view that was
-    /// quarantined when the version published is
-    /// [`EngineError::ViewQuarantined`]; a type mismatch is
-    /// [`EngineError::WrongViewType`].
-    pub fn view<V: IncView + 'static>(&self, handle: &ViewHandle<V>) -> Result<&V, EngineError> {
-        let cell = self.cell(handle.id)?;
-        match &cell.state {
-            CellState::Active(view) => {
-                view.as_any()
-                    .downcast_ref::<V>()
-                    .ok_or_else(|| EngineError::WrongViewType {
-                        label: Arc::clone(&cell.label),
-                        expected: std::any::type_name::<V>(),
-                    })
-            }
-            CellState::Quarantined { epoch, cause } => Err(EngineError::ViewQuarantined {
-                label: Arc::clone(&cell.label),
-                epoch: *epoch,
-                cause: cause.clone(),
-            }),
-        }
+    /// The same error contract as the live reader applies, through the
+    /// same code: a handle whose view was not registered at the pinned
+    /// epoch (or was deregistered before it) is
+    /// [`EngineError::StaleHandle`]; a view that was quarantined when the
+    /// version published is [`EngineError::ViewQuarantined`]; a type
+    /// mismatch is [`EngineError::WrongViewType`].
+    pub fn view<V: IncView>(&self, handle: &ViewHandle<V>) -> Result<&V, EngineError> {
+        downcast(resolve(self.found(handle.id), handle.id)?)
     }
 
     /// Read a view's frozen answers untyped, by [`ViewId`].
     pub fn view_dyn(&self, id: ViewId) -> Result<&dyn IncView, EngineError> {
-        let cell = self.cell(id)?;
-        match &cell.state {
-            CellState::Active(view) => Ok(view.as_ref()),
-            CellState::Quarantined { epoch, cause } => Err(EngineError::ViewQuarantined {
-                label: Arc::clone(&cell.label),
-                epoch: *epoch,
-                cause: cause.clone(),
-            }),
-        }
+        Ok(resolve(self.found(id), id)?.1)
     }
 }
 
@@ -487,7 +458,7 @@ impl std::fmt::Debug for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igc_core::WorkStats;
+    use igc_core::{IncrementalAlgorithm, WorkStats};
     use igc_graph::graph::graph_from;
     use igc_graph::UpdateBatch;
 
@@ -496,10 +467,7 @@ mod tests {
         n: u64,
     }
 
-    impl IncView for Tally {
-        fn name(&self) -> &str {
-            "tally"
-        }
+    impl IncrementalAlgorithm for Tally {
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.n += 1;
         }
@@ -507,14 +475,14 @@ mod tests {
             WorkStats::new()
         }
         fn reset_work(&mut self) {}
+    }
+
+    impl IncView for Tally {
+        fn name(&self) -> &str {
+            "tally"
+        }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             Box::new(self.clone())
@@ -589,23 +557,20 @@ mod tests {
         }
     }
 
-    impl IncView for FreedUnlocked {
-        fn name(&self) -> &str {
-            "freed-unlocked"
-        }
+    impl IncrementalAlgorithm for FreedUnlocked {
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {}
         fn work(&self) -> WorkStats {
             WorkStats::new()
         }
         fn reset_work(&mut self) {}
+    }
+
+    impl IncView for FreedUnlocked {
+        fn name(&self) -> &str {
+            "freed-unlocked"
+        }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
         fn clone_view(&self) -> Box<dyn IncView> {
             unreachable!("published by hand below")
@@ -680,90 +645,124 @@ mod tests {
         store.publish(2, graph(), cells(2), Instant::now());
     }
 
+    /// A second view type — reading a `Tally` slot as one is the
+    /// wrong-type row below — whose `apply` panics, for the quarantined row.
+    #[derive(Clone, Debug)]
+    struct Other;
+
+    impl IncrementalAlgorithm for Other {
+        fn apply(&mut self, _g: &DynamicGraph, _d: &UpdateBatch) {
+            panic!("deliberate");
+        }
+        fn work(&self) -> WorkStats {
+            WorkStats::new()
+        }
+        fn reset_work(&mut self) {}
+    }
+
+    impl IncView for Other {
+        fn name(&self) -> &str {
+            "other"
+        }
+        fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
+            Ok(())
+        }
+        fn clone_view(&self) -> Box<dyn IncView> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// The read contract, once, on every reader: the live engine, a pinned
+    /// engine snapshot, a replica and a replica snapshot answer the same
+    /// table of handles with *equal* results.
     #[test]
     fn snapshot_reads_enforce_the_live_engine_error_contract() {
-        let store = SnapshotStore::new();
-        let version = vec![
-            SnapCell {
-                index: 0,
-                generation: 0,
-                label: Arc::from("tally"),
-                state: CellState::Active(Arc::new(Tally { n: 7 })),
-            },
-            SnapCell {
-                index: 1,
-                generation: 2,
-                label: Arc::from("hurt"),
-                state: CellState::Quarantined {
-                    epoch: 3,
-                    cause: "deliberate".into(),
-                },
-            },
-        ];
-        store.publish(4, graph(), version, Instant::now());
-        let snap = store.snapshot().unwrap();
+        use crate::{Engine, Replica};
+        use igc_graph::{NodeId, Update};
+        use igc_log::{LogBackend, MemBackend};
 
-        // Label lookup + untyped read.
-        let id = snap.find("tally").unwrap();
-        assert_eq!(snap.view_dyn(id).unwrap().name(), "tally");
-        assert!(snap.find("absent").is_none());
+        let backend: Arc<dyn LogBackend> = Arc::new(MemBackend::new());
+        let mut engine = Engine::new(graph_from(&[0, 0], &[]))
+            .with_log(backend.clone())
+            .unwrap();
+        let mut replica = Replica::attach(backend).unwrap();
+        // The same registrations in the same order: the same ids on both.
+        let tally = engine
+            .register_lazy("tally", |_: &DynamicGraph| Tally { n: 0 })
+            .unwrap();
+        let hurt = engine
+            .register_lazy("hurt", |_: &DynamicGraph| Other)
+            .unwrap();
+        let on_replica = replica.register("tally", |_: &DynamicGraph| Tally { n: 0 });
+        assert_eq!(on_replica.unwrap(), tally);
+        assert_eq!(
+            replica.register("hurt", |_: &DynamicGraph| Other).unwrap(),
+            hurt
+        );
+        crate::engine::tests::quiet_panics(|| {
+            let edge = Update::insert(NodeId(0), NodeId(1));
+            engine
+                .commit(&UpdateBatch::from_updates(vec![edge]))
+                .unwrap();
+            replica.catch_up().unwrap();
+        });
+        let pinned = engine.snapshot().unwrap();
+        let frozen = replica.snapshot();
 
-        // Stale: wrong generation.
-        let stale: ViewHandle<Tally> = ViewHandle::new(ViewId {
+        let stale_generation: ViewHandle<Tally> = ViewHandle::new(ViewId {
             index: 0,
             generation: 9,
         });
-        assert!(matches!(
-            snap.view(&stale),
-            Err(EngineError::StaleHandle {
-                index: 0,
-                generation: 9
-            })
-        ));
-
-        // Quarantined cell surfaces its cause.
-        let hurt = snap.find("hurt").unwrap();
-        match snap.view_dyn(hurt) {
-            Err(EngineError::ViewQuarantined { epoch, cause, .. }) => {
-                assert_eq!(epoch, 3);
-                assert!(cause.contains("deliberate"));
-            }
-            other => panic!("expected quarantine, got {:?}", other.map(|v| v.name())),
-        }
-
-        // Wrong type on a healthy cell.
-        #[derive(Clone, Debug)]
-        struct Other;
-        impl IncView for Other {
-            fn name(&self) -> &str {
-                "other"
-            }
-            fn apply(&mut self, _g: &DynamicGraph, _d: &UpdateBatch) {}
-            fn work(&self) -> WorkStats {
-                WorkStats::new()
-            }
-            fn reset_work(&mut self) {}
-            fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
-                Ok(())
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn clone_view(&self) -> Box<dyn IncView> {
-                Box::new(self.clone())
-            }
-        }
-        let wrong: ViewHandle<Other> = ViewHandle::new(ViewId {
-            index: 0,
+        let stale_index: ViewHandle<Tally> = ViewHandle::new(ViewId {
+            index: 7,
             generation: 0,
         });
-        assert!(matches!(
-            snap.view(&wrong),
-            Err(EngineError::WrongViewType { .. })
-        ));
+        let wrong_type: ViewHandle<Other> = ViewHandle::new(tally.id());
+        macro_rules! table {
+            ($reader:expr) => {
+                [
+                    $reader.view(&tally).map(|t| t.n),
+                    $reader.view(&stale_generation).map(|t| t.n),
+                    $reader.view(&stale_index).map(|t| t.n),
+                    $reader.view(&hurt).map(|_| 0),
+                    $reader.view(&wrong_type).map(|_| 0),
+                ]
+            };
+        }
+        let quarantined = EngineError::ViewQuarantined {
+            label: Arc::from("hurt"),
+            epoch: 1,
+            cause: "deliberate".into(),
+        };
+        let expected = [
+            Ok(1),
+            Err(EngineError::StaleHandle {
+                index: 0,
+                generation: 9,
+            }),
+            Err(EngineError::StaleHandle {
+                index: 7,
+                generation: 0,
+            }),
+            Err(quarantined.clone()),
+            Err(EngineError::WrongViewType {
+                label: Arc::from("tally"),
+                expected: std::any::type_name::<Other>(),
+            }),
+        ];
+        assert_eq!(table!(engine), expected);
+        assert_eq!(table!(pinned), expected);
+        assert_eq!(table!(replica), expected);
+        // The handles `Replica::register` returned read its snapshot too.
+        assert_eq!(table!(frozen), expected);
+
+        // Label lookup and untyped reads, on both kinds of snapshot.
+        for snap in [&pinned, &frozen] {
+            assert_eq!(snap.find("tally"), Some(tally.id()));
+            assert_eq!(snap.view_dyn(tally.id()).unwrap().name(), "tally");
+            assert!(snap.find("absent").is_none());
+            assert_eq!(snap.view_dyn(hurt.id()).err(), Some(quarantined.clone()));
+        }
     }
 
     #[test]

@@ -80,10 +80,10 @@ fn answers(engine: &Engine) -> Answers {
 }
 
 struct ReplicaViews {
-    rpq: igc_engine::ReplicaHandle<IncRpq>,
-    scc: igc_engine::ReplicaHandle<IncScc>,
-    kws: igc_engine::ReplicaHandle<IncKws>,
-    iso: igc_engine::ReplicaHandle<IncIso>,
+    rpq: igc_engine::ViewHandle<IncRpq>,
+    scc: igc_engine::ViewHandle<IncScc>,
+    kws: igc_engine::ViewHandle<IncKws>,
+    iso: igc_engine::ViewHandle<IncIso>,
 }
 
 fn register_replica(replica: &mut Replica) -> ReplicaViews {
@@ -349,7 +349,7 @@ fn degraded_mode_still_serves_snapshots() {
         let v = pinned.view_dyn(id).expect("class view active");
         // Spot-check one class in full; the rest by name resolution.
         if class == 0 {
-            let rpq: &IncRpq = v.as_any().downcast_ref().unwrap();
+            let rpq: &IncRpq = v.downcast_ref().unwrap();
             assert_eq!(rpq.sorted_answer(), frozen_answers.rpq);
         }
         assert_eq!(v.name(), label);
@@ -635,10 +635,7 @@ fn commit_receipts_surface_absorbed_retries() {
 #[derive(Debug, Clone)]
 struct SlowView;
 
-impl igc_core::IncView for SlowView {
-    fn name(&self) -> &str {
-        "slow"
-    }
+impl igc_core::IncrementalAlgorithm for SlowView {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         std::thread::sleep(Duration::from_millis(25));
     }
@@ -646,14 +643,14 @@ impl igc_core::IncView for SlowView {
         igc_core::work::WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl igc_core::IncView for SlowView {
+    fn name(&self) -> &str {
+        "slow"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(self.clone())
@@ -674,7 +671,6 @@ fn overloaded_ingest_sheds_submissions_with_a_precise_error() {
             max_coalesce: 1,
             max_queue: 1,
             submit_timeout: Duration::from_millis(5),
-            ..IngestConfig::default()
         },
     );
     let ingest = server.handle();

@@ -58,7 +58,6 @@ fn concurrent_submitters_conserve_units_and_recover_bit_identically() {
         engine,
         IngestConfig {
             max_coalesce: 16,
-            pipeline: true,
             ..IngestConfig::default()
         },
     );

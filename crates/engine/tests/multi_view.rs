@@ -3,7 +3,7 @@
 //! plus the v2 lifecycle: lazy mid-stream joins, deregistration, and
 //! per-view quarantine with real query classes as the survivors.
 
-use igc_core::{IncView, WorkStats};
+use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{Engine, EngineError, ViewState};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
@@ -255,10 +255,7 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 #[derive(Debug, Clone)]
 struct Grenade;
 
-impl IncView for Grenade {
-    fn name(&self) -> &str {
-        "grenade"
-    }
+impl IncrementalAlgorithm for Grenade {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         panic!("pin pulled");
     }
@@ -266,14 +263,14 @@ impl IncView for Grenade {
         WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for Grenade {
+    fn name(&self) -> &str {
+        "grenade"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())

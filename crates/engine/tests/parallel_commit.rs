@@ -4,7 +4,7 @@
 //! all four paper query classes registered, plus a canary view that panics
 //! mid-parallel-fan-out.
 
-use igc_core::{IncView, WorkStats};
+use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{CommitMode, CommitReceipt, Engine};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, LabelInterner, UpdateBatch};
@@ -26,10 +26,7 @@ struct Grenade {
     seen: u64,
 }
 
-impl IncView for Grenade {
-    fn name(&self) -> &str {
-        "grenade"
-    }
+impl IncrementalAlgorithm for Grenade {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.seen += 1;
         if self.seen == self.n {
@@ -40,14 +37,14 @@ impl IncView for Grenade {
         WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for Grenade {
+    fn name(&self) -> &str {
+        "grenade"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())
@@ -147,13 +144,11 @@ fn parallel_and_sequential_streams_are_bit_identical() {
         let seq_rpq: &IncRpq = seq
             .view_dyn(seq.find("rpq").unwrap())
             .unwrap()
-            .as_any()
             .downcast_ref()
             .unwrap();
         let par_rpq: &IncRpq = par
             .view_dyn(par.find("rpq").unwrap())
             .unwrap()
-            .as_any()
             .downcast_ref()
             .unwrap();
         assert_eq!(seq_rpq.sorted_answer(), par_rpq.sorted_answer());
@@ -162,13 +157,11 @@ fn parallel_and_sequential_streams_are_bit_identical() {
         let seq_scc: &IncScc = seq
             .view_dyn(seq.find("scc").unwrap())
             .unwrap()
-            .as_any()
             .downcast_ref()
             .unwrap();
         let par_scc: &IncScc = par
             .view_dyn(par.find("scc").unwrap())
             .unwrap()
-            .as_any()
             .downcast_ref()
             .unwrap();
         assert_eq!(seq_scc.components(), par_scc.components());

@@ -3,7 +3,7 @@
 //! in either commit mode — and a copy that panics quarantines its view
 //! instead of stranding the publish window.
 
-use igc_core::{IncView, WorkStats};
+use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{CommitMode, Engine, EngineError, ViewOutcome, ViewState};
 use igc_graph::graph::graph_from;
 use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
@@ -31,10 +31,7 @@ impl Probe {
     }
 }
 
-impl IncView for Probe {
-    fn name(&self) -> &str {
-        "probe"
-    }
+impl IncrementalAlgorithm for Probe {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
     }
@@ -42,14 +39,14 @@ impl IncView for Probe {
         WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for Probe {
+    fn name(&self) -> &str {
+        "probe"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn IncView> {
         let call = self.clones.fetch_add(1, Ordering::Relaxed) + 1;

@@ -40,10 +40,10 @@ struct Answers {
 }
 
 struct ReplicaViews {
-    rpq: igc_engine::ReplicaHandle<IncRpq>,
-    scc: igc_engine::ReplicaHandle<IncScc>,
-    kws: igc_engine::ReplicaHandle<IncKws>,
-    iso: igc_engine::ReplicaHandle<IncIso>,
+    rpq: igc_engine::ViewHandle<IncRpq>,
+    scc: igc_engine::ViewHandle<IncScc>,
+    kws: igc_engine::ViewHandle<IncKws>,
+    iso: igc_engine::ViewHandle<IncIso>,
 }
 
 fn register_leader(engine: &mut Engine) {

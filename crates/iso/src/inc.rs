@@ -276,26 +276,6 @@ impl igc_core::IncView for IncIso {
         "iso"
     }
 
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        IncrementalAlgorithm::apply(self, g, delta);
-    }
-
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     /// The pattern and the match set, shared; no edge index.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(IncIso {
@@ -412,10 +392,10 @@ mod tests {
         let mut g = graph_from(&[0, 1, 0, 1], &[(0, 1), (2, 3)]);
         let mut inc = IncIso::new(&g, Pattern::from_parts(&[0, 1], &[(0, 1)]));
         let pinned = inc.clone_view();
-        let pinned = pinned.as_any().downcast_ref::<IncIso>().unwrap();
+        let pinned = pinned.downcast_ref::<IncIso>().unwrap();
         let delta = UpdateBatch::from_updates(vec![Update::delete(NodeId(0), NodeId(1))]);
         g.apply_batch(&delta);
-        IncrementalAlgorithm::apply(&mut inc, &g, &delta);
+        inc.apply(&g, &delta);
         assert!(
             !Arc::ptr_eq(&inc.state, &pinned.state),
             "the writer diverged"

@@ -3,7 +3,7 @@
 //! view (its first `apply` rebuilds the edge index it was published
 //! without).
 
-use igc_core::IncView;
+use igc_core::{IncView, IncrementalAlgorithm};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::DynamicGraph;
 use igc_iso::{IncIso, MatchKey, Pattern};
@@ -17,7 +17,7 @@ fn reads(v: &IncIso, probes: &[MatchKey]) -> (Vec<MatchKey>, Vec<bool>) {
 }
 
 fn iso(v: &dyn IncView) -> &IncIso {
-    v.as_any().downcast_ref().expect("an IncIso")
+    v.downcast_ref().expect("an IncIso")
 }
 
 fn step(g: &mut DynamicGraph, v: &mut dyn IncView, seed: u64) {
@@ -41,7 +41,7 @@ fn clone_view_publishes_an_independent_valid_copy() {
     let frozen = reads(iso(copy.as_ref()), &then);
     assert_eq!(frozen, reads(&original, &then));
     assert!(!then.is_empty(), "a trivial answer proves nothing");
-    assert_eq!(copy.work(), IncView::work(&original));
+    assert_eq!(copy.work(), original.work());
 
     // (ii) independent: the original moves on, the copy does not — probed
     // with the matches of both moments.

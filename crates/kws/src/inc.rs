@@ -561,26 +561,6 @@ impl igc_core::IncView for IncKws {
         "kws"
     }
 
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        IncrementalAlgorithm::apply(self, g, delta);
-    }
-
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     /// `Clone` already is the cheap copy: one `Arc` bump.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(self.clone())

@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, and is still a valid
 //! view.
 
-use igc_core::IncView;
+use igc_core::{IncView, IncrementalAlgorithm};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, NodeId};
 use igc_kws::{IncKws, KwsQuery, MatchTree};
@@ -24,7 +24,7 @@ fn reads(v: &IncKws, g: &DynamicGraph) -> Reads {
 }
 
 fn kws(v: &dyn IncView) -> &IncKws {
-    v.as_any().downcast_ref().expect("an IncKws")
+    v.downcast_ref().expect("an IncKws")
 }
 
 fn step(g: &mut DynamicGraph, v: &mut dyn IncView, seed: u64) {
@@ -47,7 +47,7 @@ fn clone_view_publishes_an_independent_valid_copy() {
     let frozen = reads(kws(copy.as_ref()), &g);
     assert_eq!(frozen, reads(&original, &g));
     assert!(!frozen.1.is_empty(), "a trivial answer proves nothing");
-    assert_eq!(copy.work(), IncView::work(&original));
+    assert_eq!(copy.work(), original.work());
 
     // (ii) independent: the original moves on, the copy does not.
     for seed in 100..120 {

@@ -618,26 +618,6 @@ impl igc_core::IncView for IncRpq {
         "rpq"
     }
 
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        IncrementalAlgorithm::apply(self, g, delta);
-    }
-
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     /// The NFA and the answer, shared; no markings — the copy's first
     /// `apply` rebuilds them from the graph it is handed.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
@@ -898,9 +878,9 @@ mod tests {
         for round in 0..5u64 {
             let delta = random_update_batch(&g, 12, 0.5, 1000 + round);
             g.apply_batch(&delta);
-            IncrementalAlgorithm::apply(&mut inc, &g, &delta);
+            inc.apply(&g, &delta);
         }
-        let w = IncrementalAlgorithm::work(&inc);
+        let w = inc.work();
         assert_eq!(
             w.nodes_visited, 485,
             "nodes_visited drifted from pre-refactor golden"
@@ -935,7 +915,7 @@ mod tests {
         for round in 0..3u64 {
             let delta = random_update_batch(&g, 10, 0.5, 500 + round);
             g.apply_batch(&delta);
-            IncrementalAlgorithm::apply(&mut dirty, &g, &delta);
+            dirty.apply(&g, &delta);
         }
         let mut clean = dirty.clone();
         clean.scratch = RpqScratch::default();
@@ -943,12 +923,9 @@ mod tests {
         clean.reset_work();
         let delta = random_update_batch(&g, 10, 0.5, 999);
         g.apply_batch(&delta);
-        IncrementalAlgorithm::apply(&mut dirty, &g, &delta);
-        IncrementalAlgorithm::apply(&mut clean, &g, &delta);
-        assert_eq!(
-            IncrementalAlgorithm::work(&dirty),
-            IncrementalAlgorithm::work(&clean)
-        );
+        dirty.apply(&g, &delta);
+        clean.apply(&g, &delta);
+        assert_eq!(dirty.work(), clean.work());
         assert_eq!(dirty.sorted_answer(), clean.sorted_answer());
         assert_eq!(dirty.marking_signature(), clean.marking_signature());
     }

@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, is still a valid view —
 //! and carries no markings.
 
-use igc_core::IncView;
+use igc_core::{IncView, IncrementalAlgorithm};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, LabelInterner, NodeId};
 use igc_nfa::Regex;
@@ -19,7 +19,7 @@ fn reads(v: &IncRpq, g: &DynamicGraph) -> (Vec<(NodeId, NodeId)>, Vec<bool>) {
 }
 
 fn rpq(v: &dyn IncView) -> &IncRpq {
-    v.as_any().downcast_ref().expect("an IncRpq")
+    v.downcast_ref().expect("an IncRpq")
 }
 
 fn step(g: &mut DynamicGraph, v: &mut dyn IncView, seed: u64) {
@@ -43,7 +43,7 @@ fn clone_view_publishes_the_answer_and_never_the_markings() {
     let frozen = reads(rpq(copy.as_ref()), &g);
     assert_eq!(frozen, reads(&original, &g));
     assert!(!frozen.0.is_empty(), "a trivial answer proves nothing");
-    assert_eq!(copy.work(), IncView::work(&original));
+    assert_eq!(copy.work(), original.work());
 
     // (iv) auxiliary state is never published.
     assert!(original.mark_count() > 0);

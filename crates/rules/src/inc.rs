@@ -567,8 +567,10 @@ impl IncRules {
     pub fn metrics(&self) -> ChangeMetrics {
         self.metrics
     }
+}
 
-    fn do_apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
+impl IncrementalAlgorithm for IncRules {
+    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.last = RulesDelta::default();
         let (mut dels, mut ins) = delta.split_edges();
         dels.sort_unstable();
@@ -612,8 +614,19 @@ impl IncRules {
             + self.last.suspects
             + self.last.overdeleted;
     }
+    fn work(&self) -> WorkStats {
+        self.work
+    }
+    fn reset_work(&mut self) {
+        self.work.reset();
+    }
+}
 
-    fn audit(&self, g: &DynamicGraph) -> Result<(), String> {
+impl IncView for IncRules {
+    fn name(&self) -> &str {
+        "rules"
+    }
+    fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         let oracle = naive_fixpoint(g, &self.program);
         if oracle.facts.len() != self.store.support.len() {
             return Err(format!(
@@ -652,43 +665,6 @@ impl IncRules {
         }
         Ok(())
     }
-}
-
-impl IncrementalAlgorithm for IncRules {
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        self.do_apply(g, delta);
-    }
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl IncView for IncRules {
-    fn name(&self) -> &str {
-        "rules"
-    }
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        self.do_apply(g, delta);
-    }
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-    fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
-        self.audit(g)
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())
     }
@@ -760,7 +736,7 @@ mod tests {
     fn step(g: &mut DynamicGraph, view: &mut IncRules, updates: Vec<Update>) {
         let delta = UpdateBatch::from_updates(updates).normalize_against(g);
         g.apply_batch(&delta);
-        IncrementalAlgorithm::apply(view, g, &delta);
+        view.apply(g, &delta);
         IncView::verify_against_batch(view, g).unwrap();
     }
 
@@ -927,7 +903,7 @@ mod tests {
             }
             let delta = batch.normalize_against(&g);
             g.apply_batch(&delta);
-            IncrementalAlgorithm::apply(&mut view, &g, &delta);
+            view.apply(&g, &delta);
             IncView::verify_against_batch(&view, &g).unwrap_or_else(|e| panic!("round {i}: {e}"));
         }
     }
@@ -941,7 +917,7 @@ mod tests {
         for i in 0..30u64 {
             let delta = random_update_batch(&g, 10, 0.4, 2000 + i).normalize_against(&g);
             g.apply_batch(&delta);
-            IncrementalAlgorithm::apply(&mut view, &g, &delta);
+            view.apply(&g, &delta);
             IncView::verify_against_batch(&view, &g).unwrap_or_else(|e| panic!("round {i}: {e}"));
         }
     }
@@ -957,7 +933,7 @@ mod tests {
         for i in 0..10u64 {
             let delta = random_update_batch(&g, 6, 0.5, 3000 + i).normalize_against(&g);
             g.apply_batch(&delta);
-            IncrementalAlgorithm::apply(&mut view, &g, &delta);
+            view.apply(&g, &delta);
         }
         let twin = IncRules::new(&g, program);
         assert_eq!(view.sorted_facts(), twin.sorted_facts());

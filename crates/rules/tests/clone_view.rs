@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, and is still a valid
 //! view.
 
-use igc_core::IncView;
+use igc_core::{IncView, IncrementalAlgorithm};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::DynamicGraph;
 use igc_rules::{v, Atom, Fact, IncRules, PredId, RuleSet};
@@ -21,7 +21,7 @@ fn reads(
 }
 
 fn rules(view: &dyn IncView) -> &IncRules {
-    view.as_any().downcast_ref().expect("an IncRules")
+    view.downcast_ref().expect("an IncRules")
 }
 
 fn step(g: &mut DynamicGraph, view: &mut dyn IncView, seed: u64) {
@@ -56,7 +56,7 @@ fn clone_view_publishes_an_independent_valid_copy() {
     let frozen = reads(rules(copy.as_ref()), reach, &then);
     assert_eq!(frozen, reads(&original, reach, &then));
     assert!(!then.is_empty(), "a trivial answer proves nothing");
-    assert_eq!(copy.work(), IncView::work(&original));
+    assert_eq!(copy.work(), original.work());
 
     // (ii) independent: the original moves on, the copy does not — probed
     // with the facts of both moments.

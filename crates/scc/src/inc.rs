@@ -724,26 +724,6 @@ impl igc_core::IncView for IncScc {
         "scc"
     }
 
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        IncrementalAlgorithm::apply(self, g, delta);
-    }
-
-    fn work(&self) -> WorkStats {
-        self.work
-    }
-
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
     /// The condensation, shared; cold scratch.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(IncScc {

@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, and is still a valid
 //! view.
 
-use igc_core::IncView;
+use igc_core::{IncView, IncrementalAlgorithm};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, NodeId};
 use igc_scc::IncScc;
@@ -18,7 +18,7 @@ fn reads(v: &IncScc, g: &DynamicGraph) -> (Vec<Vec<NodeId>>, usize, Vec<bool>) {
 }
 
 fn scc(v: &dyn IncView) -> &IncScc {
-    v.as_any().downcast_ref().expect("an IncScc")
+    v.downcast_ref().expect("an IncScc")
 }
 
 fn step(g: &mut DynamicGraph, v: &mut dyn IncView, seed: u64) {
@@ -40,7 +40,7 @@ fn clone_view_publishes_an_independent_valid_copy() {
     // (i) answer-identical at the moment of the copy.
     let frozen = reads(scc(copy.as_ref()), &g);
     assert_eq!(frozen, reads(&original, &g));
-    assert_eq!(copy.work(), IncView::work(&original));
+    assert_eq!(copy.work(), original.work());
 
     // (ii) independent: the original moves on, the copy does not.
     for seed in 100..120 {

@@ -61,7 +61,6 @@ fn main() -> Result<(), EngineError> {
         engine,
         IngestConfig {
             max_coalesce: 64,
-            pipeline: true,
             ..IngestConfig::default()
         },
     );

@@ -17,7 +17,6 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use igc_core::{IncView, WorkStats};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use incgraph::prelude::*;
 
@@ -29,10 +28,7 @@ struct FlakyTenant {
     applies: u64,
 }
 
-impl IncView for FlakyTenant {
-    fn name(&self) -> &str {
-        "flaky"
-    }
+impl IncrementalAlgorithm for FlakyTenant {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
         if self.applies == 3 {
@@ -43,14 +39,14 @@ impl IncView for FlakyTenant {
         WorkStats::new()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for FlakyTenant {
+    fn name(&self) -> &str {
+        "flaky"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())

@@ -115,23 +115,20 @@ pub use igc_scc as scc;
 
 /// The most commonly used types, re-exported for glob import.
 ///
-/// [`IncView`](igc_core::IncView) is deliberately *not* here: both traits
-/// share method names (`apply`, `work`), so glob-importing the prelude
-/// alongside it would make direct method calls ambiguous. Import it
-/// explicitly (`use incgraph::core::IncView;`) when implementing a custom
-/// view; registering the built-in views needs no trait import at all.
-/// [`ViewInit`](igc_core::ViewInit) is likewise not needed at call sites —
-/// `register_lazy` accepts plain closures and the `Inc*::init` constructors
-/// directly.
+/// Both view traits are here: [`IncrementalAlgorithm`](igc_core::IncrementalAlgorithm)
+/// carries `apply` / `work`, [`IncView`](igc_core::IncView) what a registry
+/// adds, and a custom view implements the two. Registering the built-in
+/// views needs neither import, and [`ViewInit`](igc_core::ViewInit) is not
+/// needed at call sites — `register_lazy` accepts plain closures and the
+/// `Inc*::init` constructors directly.
 pub mod prelude {
     pub use igc_core::work::WorkStats;
-    pub use igc_core::IncrementalAlgorithm;
+    pub use igc_core::{IncView, IncrementalAlgorithm};
     pub use igc_engine::{
         BackgroundBuild, CommitMode, CommitReceipt, Engine, EngineError, Ingest, IngestConfig,
         IngestReceipt, IngestServer, IngestTicket, LifecycleEvent, LifecycleEventKind,
-        PreparedCommit, Replica, ReplicaHandle, ReplicaStatus, Snapshot, SnapshotStore,
-        SnapshotStoreStats, TailResilience, ViewCommitStats, ViewHandle, ViewId, ViewOutcome,
-        ViewState, ViewTotals,
+        PreparedCommit, Replica, ReplicaStatus, Snapshot, SnapshotStore, SnapshotStoreStats,
+        TailResilience, ViewCommitStats, ViewHandle, ViewId, ViewOutcome, ViewState, ViewTotals,
     };
     pub use igc_graph::{DynamicGraph, Edge, Label, LabelInterner, NodeId, Update, UpdateBatch};
     pub use igc_iso::{IncIso, Pattern};

@@ -192,10 +192,7 @@ struct Canary {
     applies: u64,
 }
 
-impl incgraph::core::IncView for Canary {
-    fn name(&self) -> &str {
-        "canary"
-    }
+impl IncrementalAlgorithm for Canary {
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
         if self.applies == 1 {
@@ -206,16 +203,16 @@ impl incgraph::core::IncView for Canary {
         WorkStats::default()
     }
     fn reset_work(&mut self) {}
+}
+
+impl IncView for Canary {
+    fn name(&self) -> &str {
+        "canary"
+    }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_view(&self) -> Box<dyn incgraph::core::IncView> {
+    fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())
     }
 }
@@ -599,11 +596,11 @@ proptest! {
     ) {
         // A follower's five typed handles, for reading its answers.
         struct FollowerViews {
-            rpq: ReplicaHandle<IncRpq>,
-            scc: ReplicaHandle<IncScc>,
-            kws: ReplicaHandle<IncKws>,
-            iso: ReplicaHandle<IncIso>,
-            rules: ReplicaHandle<IncRules>,
+            rpq: ViewHandle<IncRpq>,
+            scc: ViewHandle<IncScc>,
+            kws: ViewHandle<IncKws>,
+            iso: ViewHandle<IncIso>,
+            rules: ViewHandle<IncRules>,
         }
         fn register_follower(r: &mut Replica) -> FollowerViews {
             FollowerViews {
@@ -950,10 +947,9 @@ proptest! {
         /// label-resolved and downcast, so the key is comparable with
         /// `five_class_answers` on a live engine.
         fn snap_answers(s: &Snapshot) -> ClassAnswers {
-            fn get<'a, V: 'static>(s: &'a Snapshot, label: &str) -> &'a V {
+            fn get<'a, V: IncView>(s: &'a Snapshot, label: &str) -> &'a V {
                 s.view_dyn(s.find(label).expect("core label published"))
                     .expect("core view active in snapshot")
-                    .as_any()
                     .downcast_ref::<V>()
                     .expect("published cell has the registered type")
             }
