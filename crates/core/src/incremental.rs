@@ -47,12 +47,6 @@ pub trait IncrementalAlgorithm {
 
     /// Zero the work counters.
     fn reset_work(&mut self);
-
-    /// Convenience: apply `delta` to `g` and then to `self` in one call.
-    fn apply_updating(&mut self, g: &mut DynamicGraph, delta: &UpdateBatch) {
-        g.apply_batch(delta);
-        self.apply(g, delta);
-    }
 }
 
 /// A standing query maintained incrementally over a shared dynamic graph:
@@ -275,22 +269,6 @@ mod tests {
         fn reset_work(&mut self) {
             self.work.reset();
         }
-    }
-
-    #[test]
-    fn apply_updating_applies_batch_first() {
-        let mut g = graph_from(&[0, 0, 0], &[(0, 1)]);
-        let mut alg = EdgeCounter {
-            count: g.edge_count(),
-            work: WorkStats::new(),
-        };
-        let delta = UpdateBatch::from_updates(vec![
-            Update::insert(NodeId(1), NodeId(2)),
-            Update::delete(NodeId(0), NodeId(1)),
-        ]);
-        alg.apply_updating(&mut g, &delta);
-        assert_eq!(alg.count, 1);
-        assert_eq!(alg.work().aux_touched, 2);
     }
 
     impl IncView for EdgeCounter {

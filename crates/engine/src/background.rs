@@ -2,27 +2,26 @@
 //! [`Engine::register_background`](crate::Engine::register_background).
 //!
 //! A background build runs a view's expensive initial construction *off
-//! the commit path*: a worker thread replays the engine's commit log into
-//! a private graph (latest checkpoint + tail), builds the view from that
-//! graph, then keeps catching it up by replaying log records appended by
-//! commits that kept flowing meanwhile. The engine thread finally drains
-//! the last sliver of tail and splices the view into the registry —
-//! [`Engine::join_background`](crate::Engine::join_background).
+//! the commit path*, and it is nothing but a pinned [`Replica`] with one
+//! view: a worker thread attaches a follower to the engine's commit log
+//! (newest checkpoint + tail), registers the view on it, and catches it
+//! up on the commits that kept flowing meanwhile. The engine thread
+//! finally drains the last sliver of tail and moves the view out of the
+//! follower's registry into its own —
+//! [`Engine::join_background`](crate::Engine::join_background). Being a
+//! follower, the build holds the retention pin every in-process follower
+//! holds, so [`Engine::compact_log`](crate::Engine::compact_log) cannot
+//! strand it, and a log failure reaches the caller as the error a
+//! `Replica` reports.
 
-use crate::durability::attached;
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::lifecycle::{LifecycleEventKind, ViewHandle};
-use igc_core::{panic_cause, IncView, IncrementalAlgorithm, ViewInit};
-use igc_graph::DynamicGraph;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::lifecycle::{LifecycleEventKind, ViewHandle, ViewId, ViewState};
+use crate::replica::Replica;
+use igc_core::{panic_cause, IncView, ViewInit};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// What a background worker hands back: its replayed graph (proof of the
-/// epoch it reached) plus the built, caught-up view. `Err` carries a
-/// rendered cause (log failure or a panicking builder).
-pub(crate) type BuildResult<V> = Result<(DynamicGraph, V), String>;
 
 /// An in-flight background view build. Commits keep flowing while it
 /// runs; hand it back to [`Engine::join_background`] to splice the view
@@ -33,7 +32,8 @@ pub(crate) type BuildResult<V> = Result<(DynamicGraph, V), String>;
 /// registrations of the same label fail with
 /// [`EngineError::DuplicateLabel`](crate::EngineError::DuplicateLabel).
 /// Dropping the handle without joining abandons the build and frees the
-/// label; the detached worker finishes its (read-only) replay and exits.
+/// label; the detached worker finishes its (read-only) replay and exits,
+/// releasing its retention pin.
 ///
 /// [`Engine::join_background`]: crate::Engine::join_background
 pub struct BackgroundBuild<V> {
@@ -41,18 +41,12 @@ pub struct BackgroundBuild<V> {
     /// Reservation token: the engine holds a `Weak` to it, so the label
     /// frees itself when this handle (or the join that consumed it) drops.
     _token: Arc<()>,
-    handle: JoinHandle<BuildResult<V>>,
+    /// The worker's follower, and where in its registry the view sits.
+    handle: JoinHandle<Result<(Replica, ViewId), EngineError>>,
+    _view: PhantomData<fn() -> V>,
 }
 
 impl<V> BackgroundBuild<V> {
-    pub(crate) fn new(label: Arc<str>, token: Arc<()>, handle: JoinHandle<BuildResult<V>>) -> Self {
-        BackgroundBuild {
-            label,
-            _token: token,
-            handle,
-        }
-    }
-
     /// The registry label the finished view will occupy.
     pub fn label(&self) -> &str {
         &self.label
@@ -63,10 +57,6 @@ impl<V> BackgroundBuild<V> {
     /// not block on the build itself.
     pub fn is_finished(&self) -> bool {
         self.handle.is_finished()
-    }
-
-    pub(crate) fn into_parts(self) -> (Arc<str>, JoinHandle<BuildResult<V>>) {
-        (self.label, self.handle)
     }
 }
 
@@ -85,14 +75,14 @@ impl Engine {
     /// log. Where [`Engine::register_lazy`] builds the view's initial
     /// state from the live graph *on the calling thread* (blocking the
     /// commit path for the whole build), this spawns a worker that
-    /// replays the journal into a private graph (latest checkpoint +
-    /// tail), runs the [`ViewInit`] there, and catches the fresh view up
-    /// by replaying whatever commits landed meanwhile — the engine keeps
-    /// committing (and journaling) throughout. Finish with
-    /// [`Engine::join_background`], which drains the final sliver of tail
-    /// and atomically splices the view into the registry; its answers are
-    /// then bit-identical to an eager registration driven through the
-    /// same commits.
+    /// attaches a pinned follower to the journal (latest checkpoint +
+    /// tail), runs the [`ViewInit`] on the follower's graph, and catches
+    /// the fresh view up on whatever commits landed meanwhile — the
+    /// engine keeps committing (and journaling, and compacting)
+    /// throughout. Finish with [`Engine::join_background`], which drains
+    /// the final sliver of tail and atomically splices the view into the
+    /// registry; its answers are then bit-identical to an eager
+    /// registration driven through the same commits.
     ///
     /// `label` is *reserved* while the returned [`BackgroundBuild`] is
     /// alive (duplicate registrations fail); dropping the handle abandons
@@ -111,79 +101,75 @@ impl Engine {
         if self.label_occupied(&label) {
             return Err(EngineError::DuplicateLabel { label });
         }
-        let log = attached(&self.log, "register_background")?;
-        let replayer = log.replayer();
+        // The pin is taken here, on the engine thread, so no compaction
+        // can slip in between this call and the worker's attach.
+        let (backend, pin) = self.pin_log("register_background")?;
         let token = Arc::new(());
         // Opportunistic pruning keeps the reservation list bounded by the
         // number of *live* builds.
         self.reserved.retain(|(_, t)| t.strong_count() > 0);
         self.reserved.push((label.clone(), Arc::downgrade(&token)));
+        let worker_label = label.clone();
         let handle = std::thread::spawn(move || {
-            let mut replayed = replayer.latest().map_err(|e| e.to_string())?;
-            let mut view = catch_unwind(AssertUnwindSafe(|| init.build(&replayed.graph)))
-                .map_err(|payload| panic_cause(payload.as_ref()))?;
+            let mut follower = Replica::attach_pinned(backend, Some(pin))?;
+            let id = follower.register(worker_label, init)?.id();
             // First catch-up round on the worker: drain the commits that
             // landed while the initial build ran, off the commit path.
-            replayer
-                .catch_up(&mut replayed.graph, |g, delta| view.apply(g, delta))
-                .map_err(|e| e.to_string())?;
-            Ok((replayed.graph, view))
+            follower.catch_up()?;
+            Ok((follower, id))
         });
-        Ok(BackgroundBuild::new(label, token, handle))
+        Ok(BackgroundBuild {
+            label,
+            _token: token,
+            handle,
+            _view: PhantomData,
+        })
     }
 
     /// Complete a background registration: wait for the worker's build
     /// (instant if [`BackgroundBuild::is_finished`]), replay the few
     /// records that arrived since its last catch-up round — nothing can
-    /// interleave here, commits need this same `&mut self` — and splice
-    /// the view into the registry under its reserved label, journaled as
-    /// [`LifecycleEventKind::RegisteredBackground`].
+    /// interleave here, commits need this same `&mut self` — and move the
+    /// view out of the follower into the registry under its reserved
+    /// label, journaled as [`LifecycleEventKind::RegisteredBackground`].
     ///
-    /// A worker that failed (log error, panicking builder or panicking
-    /// catch-up `apply`) surfaces as [`EngineError::InitPanicked`] with
-    /// nothing registered; the label is freed either way.
+    /// A builder or a catch-up `apply` that panicked surfaces as
+    /// [`EngineError::InitPanicked`]; a log failure as the error
+    /// [`Replica::catch_up`] reports. Nothing is registered and the label
+    /// is freed either way.
     pub fn join_background<V: IncView>(
         &mut self,
         build: BackgroundBuild<V>,
     ) -> Result<ViewHandle<V>, EngineError> {
-        let (label, handle) = build.into_parts();
-        let built = handle
-            .join()
-            .unwrap_or_else(|payload| Err(panic_cause(payload.as_ref())));
-        let (mut g, mut view) = match built {
-            Ok(pair) => pair,
-            Err(cause) => return Err(EngineError::InitPanicked { label, cause }),
+        let BackgroundBuild {
+            label,
+            handle,
+            _token: reservation,
+            ..
+        } = build;
+        let init_panicked = |cause| EngineError::InitPanicked {
+            label: label.clone(),
+            cause,
         };
-        let log = attached(&self.log, "join_background")?;
-        // Final catch-up, fenced like any other view code: a panicking
-        // `apply` here must reject the registration, not unwind the
-        // engine.
-        let replayer = log.replayer();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            replayer.catch_up(&mut g, |g_now, delta| view.apply(g_now, delta))
-        }));
-        match caught {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => return Err(e.into()),
-            Err(payload) => {
-                return Err(EngineError::InitPanicked {
-                    label,
-                    cause: panic_cause(payload.as_ref()),
-                })
-            }
-        }
-        if g.epoch() != self.graph.epoch() {
+        // The worker runs view code only behind the registry's fences, so
+        // a panic of the thread itself is a bug — reported, not unwound.
+        let (mut follower, id) = handle
+            .join()
+            .map_err(|payload| init_panicked(panic_cause(payload.as_ref())))??;
+        follower.catch_up()?;
+        if follower.frontier() != self.graph.epoch() {
             // The log and the engine disagree on the current epoch — only
             // possible if the journal was tampered with underneath us.
             return Err(EngineError::EpochGap {
                 expected: self.graph.epoch(),
-                found: g.epoch(),
+                found: follower.frontier(),
             });
         }
-        self.insert(
-            label,
-            Box::new(view),
-            LifecycleEventKind::RegisteredBackground,
-        )
+        let entry = follower.into_entry(id)?;
+        if let ViewState::Quarantined { cause, .. } = entry.state {
+            return Err(init_panicked(cause));
+        }
+        drop(reservation); // the label is this view's from here on
+        self.insert(label, entry.view, LifecycleEventKind::RegisteredBackground)
     }
 }

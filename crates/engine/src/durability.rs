@@ -7,7 +7,9 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::replica::Replica;
 use igc_graph::UpdateBatch;
-use igc_log::{CommitLog, Compaction, DurabilityMode, LogBackend, LogError, RetryPolicy};
+use igc_log::{
+    CommitLog, Compaction, DurabilityMode, LogBackend, LogError, RetentionPin, RetryPolicy,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,14 +26,6 @@ pub(crate) struct DegradedState {
 /// The attached log, or [`EngineError::NoLog`] naming the operation that
 /// needed one. Takes the field, not the engine, so the graph stays
 /// borrowable beside it.
-pub(crate) fn attached<'a>(
-    log: &'a Option<CommitLog>,
-    operation: &'static str,
-) -> Result<&'a CommitLog, EngineError> {
-    log.as_ref().ok_or(EngineError::NoLog { operation })
-}
-
-/// [`attached`], mutably.
 fn attached_mut<'a>(
     log: &'a mut Option<CommitLog>,
     operation: &'static str,
@@ -132,20 +126,15 @@ impl Engine {
             return Ok(0);
         };
         let retries_before = log.append_retries() + log.sync_retries();
-        let due_checkpoint =
-            self.checkpoint_every > 0 && self.logged_since_checkpoint >= self.checkpoint_every;
         let mut journaled = Ok(());
-        if due_checkpoint {
+        if self.checkpoint_every > 0 && self.logged_since_checkpoint >= self.checkpoint_every {
             journaled = log.append_checkpoint(&self.graph);
-        }
-        if journaled.is_ok() {
-            if due_checkpoint {
+            if journaled.is_ok() {
                 self.logged_since_checkpoint = 0;
             }
-            journaled = log.append_delta(self.graph.epoch() + 1, delta);
         }
+        let journaled = journaled.and_then(|()| log.append_delta(self.graph.epoch() + 1, delta));
         let log_retries = (log.append_retries() + log.sync_retries()) - retries_before;
-        let attempts = log.retry_policy().max_attempts.max(1);
         // A policy-driven barrier that failed did NOT fail the append (the
         // record is stored; failing it would make a correct caller retry
         // and double-append the epoch — see CommitLog::sync_debt). But it
@@ -154,7 +143,7 @@ impl Engine {
         let debt = log.sync_debt().map(|d| format!("unsettled sync debt: {d}"));
         // Write-ahead ordering rejects a failed commit atomically (the
         // chain never advanced).
-        journaled.map_err(|e| self.journal_failed("append", attempts, e))?;
+        journaled.map_err(|e| self.journal_failed("append", e))?;
         self.logged_since_checkpoint += 1;
         if let Some(cause) = debt {
             self.enter_degraded(cause);
@@ -178,12 +167,22 @@ impl Engine {
     /// [`Replica::attach`] — unpinned, at the cost of
     /// [`EngineError::FrontierCompacted`] if compaction outruns them.
     pub fn replica(&mut self) -> Result<Replica, EngineError> {
-        let log = attached_mut(&mut self.log, "replica")?;
-        // Pin at the newest checkpoint — exactly the seed base the
-        // attach below will replay from. `&mut self` serializes this
-        // against compact_log, so the pin can never race a compaction.
+        let (backend, pin) = self.pin_log("replica")?;
+        Replica::attach_pinned(backend, Some(pin))
+    }
+
+    /// What an in-process follower attaches with
+    /// ([`Replica::attach_pinned`]): the log's backend and a fresh
+    /// retention pin at the newest checkpoint — exactly the seed base the
+    /// attach will replay from. `&mut self` serializes this against
+    /// compact_log, so the pin can never race a compaction.
+    pub(crate) fn pin_log(
+        &mut self,
+        operation: &'static str,
+    ) -> Result<(Arc<dyn LogBackend>, RetentionPin), EngineError> {
+        let log = attached_mut(&mut self.log, operation)?;
         let pin = log.register_pin(log.last_checkpoint().unwrap_or(0));
-        Replica::attach_pinned(log.backend(), Some(pin))
+        Ok((log.backend(), pin))
     }
 
     /// Compact the commit log ([`EngineError::NoLog`] without one): drop
@@ -219,41 +218,34 @@ impl Engine {
     /// commit. [`EngineError::NoLog`] without an attached log.
     pub fn sync_log(&mut self) -> Result<(), EngineError> {
         let log = attached_mut(&mut self.log, "sync_log")?;
-        let attempts = log.retry_policy().max_attempts.max(1);
         // A failed explicit barrier means records we acknowledged may not
         // be durable: stop taking new commits until healed.
-        log.sync()
-            .map_err(|e| self.journal_failed("sync", attempts, e))
+        log.sync().map_err(|e| self.journal_failed("sync", e))
     }
 
     /// What a failed journal write becomes. A transient error that
     /// survived the whole retry budget means the device is genuinely down:
     /// degrade to read-only instead of grinding every later commit against
     /// a dead journal.
-    fn journal_failed(
-        &mut self,
-        operation: &'static str,
-        attempts: u32,
-        e: LogError,
-    ) -> EngineError {
+    fn journal_failed(&mut self, operation: &'static str, e: LogError) -> EngineError {
         if !RetryPolicy::is_transient(&e) {
             return e.into();
         }
         let cause = e.to_string();
         self.enter_degraded(cause.clone());
+        let policy = self.log.as_ref().map(CommitLog::retry_policy);
         EngineError::RetriesExhausted {
             operation,
-            attempts,
+            attempts: policy.unwrap_or_default().attempts(),
             cause,
         }
     }
 
     /// Set the attached log's [`RetryPolicy`]: bounded exponential-backoff
-    /// retry (with deterministic jitter) for transient journal I/O
-    /// failures on the append and sync paths. The default is
-    /// [`RetryPolicy::none`] — fail on the first error, exactly the
-    /// pre-policy behavior. Retries a commit absorbed are reported in its
-    /// receipt ([`CommitReceipt::log_retries`]).
+    /// retry for transient journal I/O failures on the append and sync
+    /// paths. The default is [`RetryPolicy::none`] — fail on the first
+    /// error. Retries a commit absorbed are reported in its receipt
+    /// ([`CommitReceipt::log_retries`]).
     /// [`EngineError::NoLog`] without an attached log.
     ///
     /// [`CommitReceipt::log_retries`]: crate::CommitReceipt::log_retries

@@ -8,7 +8,7 @@ use crate::durability::DegradedState;
 use crate::error::EngineError;
 use crate::lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
 use crate::pool::{dispatch, ApplyRecord, WorkerPool};
-use crate::receipt::{CommitReceipt, ViewCommitStats, ViewTotals};
+use crate::receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewTotals};
 use crate::registry::{downcast, Registry};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use igc_core::{IncView, ViewInit, WorkStats};
@@ -17,10 +17,12 @@ use igc_log::CommitLog;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Default bound on how far past the current node count a commit may
-/// reference node ids (ids are dense, so the id gap is materialized); see
-/// [`Engine::set_max_fresh_nodes`].
-pub const DEFAULT_MAX_FRESH_NODES: u32 = 1 << 20;
+/// Bound, in node ids past the current node count, on how large an id a
+/// commit may reference. Ids are dense, so inserting an edge at id `k`
+/// materializes every node up to `k`; the bound turns a fat-fingered
+/// `NodeId(u32::MAX)` into [`EngineError::NodeOutOfBounds`] instead of a
+/// multi-gigabyte allocation.
+pub const MAX_FRESH_NODES: u32 = 1 << 20;
 
 /// Default checkpoint cadence of a logged engine: a full graph snapshot
 /// is journaled after every this-many logged commits, bounding the delta
@@ -98,11 +100,6 @@ impl PreparedCommit {
     pub fn is_noop(&self) -> bool {
         self.delta.is_empty()
     }
-
-    /// Units surviving normalization (what the graph and views will see).
-    pub fn units(&self) -> usize {
-        self.delta.len()
-    }
 }
 
 /// The multi-view incremental engine: owns the shared [`DynamicGraph`] and
@@ -125,12 +122,7 @@ pub struct Engine {
     /// Final cumulative totals of deregistered views, in retirement order.
     retired: Vec<ViewTotals>,
     events: Vec<LifecycleEvent>,
-    commits: u64,
-    units_applied: u64,
-    units_dropped: u64,
-    total_work: WorkStats,
-    total_elapsed: Duration,
-    max_fresh_nodes: u32,
+    totals: EngineTotals,
     mode: CommitMode,
     /// The persistent fan-out worker pool: built lazily on the first
     /// parallel commit, reused across commits, rebuilt only when the
@@ -172,12 +164,7 @@ impl Engine {
             views: Registry::default(),
             retired: Vec::new(),
             events: Vec::new(),
-            commits: 0,
-            units_applied: 0,
-            units_dropped: 0,
-            total_work: WorkStats::new(),
-            total_elapsed: Duration::ZERO,
-            max_fresh_nodes: DEFAULT_MAX_FRESH_NODES,
+            totals: EngineTotals::default(),
             mode: CommitMode::Sequential,
             pool: None,
             log: None,
@@ -209,23 +196,8 @@ impl Engine {
         self.graph.epoch()
     }
 
-    /// Bound, in node ids past the current node count, on how large an id a
-    /// commit may reference (default [`DEFAULT_MAX_FRESH_NODES`]). Ids are
-    /// dense, so inserting an edge at id `k` materializes every node up to
-    /// `k`; the bound turns a fat-fingered `NodeId(u32::MAX)` into
-    /// [`EngineError::NodeOutOfBounds`] instead of a multi-gigabyte
-    /// allocation.
-    pub fn set_max_fresh_nodes(&mut self, max: u32) {
-        self.max_fresh_nodes = max;
-    }
-
-    /// The current fan-out mode of [`Engine::commit`] (default
-    /// [`CommitMode::Sequential`]).
-    pub fn commit_mode(&self) -> CommitMode {
-        self.mode
-    }
-
-    /// Switch the commit fan-out mode. Takes effect from the next commit;
+    /// Switch the commit fan-out mode (default [`CommitMode::Sequential`]).
+    /// Takes effect from the next commit;
     /// safe to toggle between commits at any time (answers, receipts and
     /// journals do not depend on the mode).
     pub fn set_commit_mode(&mut self, mode: CommitMode) {
@@ -428,7 +400,7 @@ impl Engine {
     /// one fat-fingered batch is rejected alone instead of poisoning a
     /// whole commit tick).
     pub(crate) fn admit(&self, batch: &UpdateBatch) -> Result<(), EngineError> {
-        let limit = self.graph.node_count() as u64 + self.max_fresh_nodes as u64;
+        let limit = self.graph.node_count() as u64 + MAX_FRESH_NODES as u64;
         for u in batch.iter() {
             if !u.is_insert() {
                 continue;
@@ -462,7 +434,6 @@ impl Engine {
         let start = Instant::now();
         let submitted = batch.len();
         let delta = batch.normalize_against(&self.graph);
-        self.units_dropped += (submitted - delta.len()) as u64;
         let log_retries = if delta.is_empty() {
             0
         } else {
@@ -516,112 +487,100 @@ impl Engine {
             log_retries,
             ..
         } = prepared;
-        let applied = delta.len();
-        let dropped = submitted - applied;
-
-        if delta.is_empty() {
-            // Normalization itself was paid for: account its wall-clock
-            // even though no commit (epoch bump, view fan-out) happened.
-            let elapsed = prepare_elapsed + apply_start.elapsed();
-            self.total_elapsed += elapsed;
-            let receipt = CommitReceipt {
-                epoch: self.graph.epoch(),
-                submitted,
-                applied: 0,
-                dropped,
-                graph_elapsed: Duration::ZERO,
-                elapsed,
-                per_view: Vec::new(),
-                skipped_quarantined: 0,
-                work: WorkStats::new(),
-                log_retries,
-            };
-            let next_prepared = next.map(|b| self.prepare(b));
-            return Ok((receipt, next_prepared));
-        }
-
-        // Open the MVCC publish window: GC every version no live snapshot
-        // pins. Crucially that includes the unpinned newest version, which
-        // returns unique ownership of the graph and of every view's shared
-        // answer state to the engine — so with no pins outstanding nothing
-        // is copied. From here to the publish at the end of this function
-        // there is no early return and no unfenced view code, so the
-        // window always closes.
-        self.snapshots.begin_commit();
-        let graph_start = Instant::now();
-        // Ref count is 1 on the quiescent path (the pre-commit GC above
-        // just dropped the published version's handle), so this mutates in
-        // place; if a pinned snapshot or dead worker still holds a graph
-        // handle, make_mut falls back to a clone (list handles and the
-        // edge set; each list is copied when first written) instead of
-        // blocking or panicking — the pinned reader keeps its frozen graph.
-        Arc::make_mut(&mut self.graph).apply_batch(&delta);
-        let graph_elapsed = graph_start.elapsed();
-        let epoch = self.graph.epoch();
-        let delta = Arc::new(delta);
-
-        let threads = match self.mode {
-            CommitMode::Sequential => 1,
-            CommitMode::Parallel { threads: 0 } => {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
-            CommitMode::Parallel { threads } => threads,
+        // Counted here, not in `prepare`: past this point the commit can
+        // no longer fail, so a rejected (and later retried) batch never
+        // counts its drops twice.
+        self.totals.units_dropped += (submitted - delta.len()) as u64;
+        let mut receipt = CommitReceipt {
+            epoch: self.graph.epoch(),
+            submitted,
+            applied: delta.len(),
+            dropped: submitted - delta.len(),
+            graph_elapsed: Duration::ZERO,
+            elapsed: Duration::ZERO,
+            per_view: Vec::new(),
+            skipped_quarantined: 0,
+            work: WorkStats::new(),
+            log_retries,
         };
-
-        // Fan-out. Both paths feed the same slot-ordered merge below, so
-        // everything observable is mode-independent.
-        let skipped_quarantined = self.views.quarantined();
-        let (records, next_prepared) = if threads <= 1 {
-            // Sequential: drive every view inline in slot order, then
-            // prepare the next tick (no overlap to exploit on one thread).
-            let records = self.views.fan_out(&self.graph, &delta);
-            (records, next.map(|b| self.prepare(b)))
+        let next_prepared = if delta.is_empty() {
+            next.map(|b| self.prepare(b))
         } else {
-            self.ensure_pool(threads);
-            let in_flight = dispatch(self.pool.as_ref(), &mut self.views, &self.graph, &delta);
-            // *** The pipeline overlap: prepare the next tick while the
-            // pool is still applying this one. Prepare only reads the
-            // (post-apply) graph and writes the log — disjoint from
-            // everything the workers touch.
-            let next_prepared = next.map(|b| self.prepare(b));
-            (in_flight.collect(&mut self.views), next_prepared)
-        };
+            // Open the MVCC publish window: GC every version no live snapshot
+            // pins. Crucially that includes the unpinned newest version, which
+            // returns unique ownership of the graph and of every view's shared
+            // answer state to the engine — so with no pins outstanding nothing
+            // is copied. From here to the publish at the end of this block
+            // there is no early return and no unfenced view code, so the
+            // window always closes.
+            self.snapshots.begin_commit();
+            let graph_start = Instant::now();
+            // Ref count is 1 on the quiescent path (the pre-commit GC above
+            // just dropped the published version's handle), so this mutates in
+            // place; if a pinned snapshot or dead worker still holds a graph
+            // handle, make_mut falls back to a clone (list handles and the
+            // edge set; each list is copied when first written) instead of
+            // blocking or panicking — the pinned reader keeps its frozen graph.
+            Arc::make_mut(&mut self.graph).apply_batch(&delta);
+            receipt.graph_elapsed = graph_start.elapsed();
+            receipt.epoch = self.graph.epoch();
+            let delta = Arc::new(delta);
 
-        // Merge in slot order — registry accounting, quarantine journal and
-        // receipt entries are produced here and only here.
-        let (mut per_view, commit_work) = self.merge(records, epoch);
+            let threads = match self.mode {
+                CommitMode::Sequential => 1,
+                CommitMode::Parallel { threads: 0 } => {
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                }
+                CommitMode::Parallel { threads } => threads,
+            };
 
-        self.commits += 1;
-        self.units_applied += applied as u64;
-        self.total_work += commit_work;
+            // Fan-out. Both paths feed the same slot-ordered merge below, so
+            // everything observable is mode-independent.
+            receipt.skipped_quarantined = self.views.quarantined();
+            let (records, next_prepared) = if threads <= 1 {
+                // Sequential: drive every view inline in slot order, then
+                // prepare the next tick (no overlap to exploit on one thread).
+                let records = self.views.fan_out(&self.graph, &delta);
+                (records, next.map(|b| self.prepare(b)))
+            } else {
+                self.ensure_pool(threads);
+                let in_flight = dispatch(self.pool.as_ref(), &mut self.views, &self.graph, &delta);
+                // *** The pipeline overlap: prepare the next tick while the
+                // pool is still applying this one. Prepare only reads the
+                // (post-apply) graph and writes the log — disjoint from
+                // everything the workers touch.
+                let next_prepared = next.map(|b| self.prepare(b));
+                (in_flight.collect(&mut self.views), next_prepared)
+            };
 
-        // Close the MVCC publish window: publish this epoch's version —
-        // the graph behind its existing `Arc` plus one answer cell per
-        // slot (quarantines from this very commit included). A view the
-        // publish itself had to quarantine says so in its receipt entry.
-        for failed in self.publish_version() {
-            if let Some(v) = per_view.iter_mut().find(|v| v.label == failed.label) {
-                v.outcome = failed.outcome;
+            // Merge in slot order — registry accounting, quarantine journal and
+            // receipt entries are produced here and only here.
+            (receipt.per_view, receipt.work) = self.merge(records, receipt.epoch);
+
+            self.totals.commits += 1;
+            self.totals.units_applied += receipt.applied as u64;
+            self.totals.work += receipt.work;
+
+            // Close the MVCC publish window: publish this epoch's version —
+            // the graph behind its existing `Arc` plus one answer cell per
+            // slot (quarantines from this very commit included). A view the
+            // publish itself had to quarantine says so in its receipt entry.
+            for failed in self.publish_version() {
+                if let Some(v) = receipt
+                    .per_view
+                    .iter_mut()
+                    .find(|v| v.label == failed.label)
+                {
+                    v.outcome = failed.outcome;
+                }
             }
-        }
-        let elapsed = prepare_elapsed + apply_start.elapsed();
-        self.total_elapsed += elapsed;
-
-        Ok((
-            CommitReceipt {
-                epoch,
-                submitted,
-                applied,
-                dropped,
-                graph_elapsed,
-                elapsed,
-                per_view,
-                skipped_quarantined,
-                work: commit_work,
-                log_retries,
-            },
-            next_prepared,
-        ))
+            next_prepared
+        };
+        // A no-op's normalization was paid for too: its wall-clock is
+        // accounted even though no commit (epoch bump, fan-out) happened.
+        receipt.elapsed = prepare_elapsed + apply_start.elapsed();
+        self.totals.elapsed += receipt.elapsed;
+        Ok((receipt, next_prepared))
     }
 
     /// Make sure the persistent pool exists at the resolved size with all
@@ -735,30 +694,10 @@ impl Engine {
     // Cumulative accounting
     // ------------------------------------------------------------------
 
-    /// Effective (non-no-op) commits processed.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Unit updates applied across all commits (post-normalization).
-    pub fn units_applied(&self) -> u64 {
-        self.units_applied
-    }
-
-    /// Unit updates dropped by normalization across all commits.
-    pub fn units_dropped(&self) -> u64 {
-        self.units_dropped
-    }
-
-    /// Total view work across all commits, retired views included.
-    pub fn total_work(&self) -> WorkStats {
-        self.total_work
-    }
-
-    /// Total wall-clock time spent inside [`Engine::commit`], including
-    /// the normalization cost of batches that turned out to be no-ops.
-    pub fn total_elapsed(&self) -> Duration {
-        self.total_elapsed
+    /// Cumulative accounting across every commit so far: effective
+    /// commits, units applied and dropped, view work, wall-clock.
+    pub fn totals(&self) -> EngineTotals {
+        self.totals
     }
 
     /// Cumulative accounting for one live view.
@@ -791,7 +730,7 @@ impl std::fmt::Debug for Engine {
             .field("graph", &self.graph)
             .field("epoch", &self.graph.epoch())
             .field("views", &self.labels().collect::<Vec<_>>())
-            .field("commits", &self.commits)
+            .field("commits", &self.totals.commits)
             .field("mode", &self.mode)
             .field("logged", &self.log.is_some())
             .field("degraded", &self.degraded.is_some())
@@ -993,8 +932,8 @@ pub(crate) mod tests {
         assert_eq!(receipt.epoch, 0, "no-op commit does not bump the epoch");
         assert_eq!(receipt.dropped, 2);
         assert!(receipt.per_view.is_empty());
-        assert_eq!(engine.commits(), 0);
-        assert_eq!(engine.units_dropped(), 2);
+        assert_eq!(engine.totals().commits, 0);
+        assert_eq!(engine.totals().units_dropped, 2);
     }
 
     #[test]
@@ -1013,13 +952,13 @@ pub(crate) mod tests {
                 Update::insert(NodeId(2), NodeId(3)),
             ]))
             .unwrap();
-        assert_eq!(engine.commits(), 2);
-        assert_eq!(engine.units_applied(), 3);
+        assert_eq!(engine.totals().commits, 2);
+        assert_eq!(engine.totals().units_applied, 3);
         assert_eq!(engine.epoch(), 2);
         let totals = engine.view_totals(id).unwrap();
         assert_eq!(totals.commits, 2);
         assert_eq!(totals.work.aux_touched, 3);
-        assert_eq!(engine.total_work().aux_touched, 3);
+        assert_eq!(engine.totals().work.aux_touched, 3);
         assert_eq!(engine.all_view_totals().len(), 1);
     }
 
@@ -1193,13 +1132,13 @@ pub(crate) mod tests {
         match err {
             EngineError::NodeOutOfBounds { node, limit } => {
                 assert_eq!(node, NodeId(u32::MAX));
-                assert_eq!(limit, 2 + DEFAULT_MAX_FRESH_NODES as u64);
+                assert_eq!(limit, 2 + MAX_FRESH_NODES as u64);
             }
             other => panic!("expected NodeOutOfBounds, got {other:?}"),
         }
         // Atomic rejection: nothing moved, and the engine still commits.
         assert_eq!(engine.epoch(), 0);
-        assert_eq!(engine.commits(), 0);
+        assert_eq!(engine.totals().commits, 0);
         assert!(engine.verify_all().is_ok());
         // Deletions are exempt: they never materialize nodes, so a stale
         // client deleting far past the graph is a normalization no-op, not
@@ -1208,8 +1147,7 @@ pub(crate) mod tests {
             .commit(&delta(vec![Update::delete(NodeId(0), NodeId(u32::MAX))]))
             .unwrap();
         assert!(receipt.is_noop());
-        engine.set_max_fresh_nodes(u32::MAX);
-        // With the bound lifted, a modest gap-jumping insert is admissible.
+        // A modest gap-jumping insert is inside the bound.
         assert!(engine
             .commit(&delta(vec![Update::insert(NodeId(0), NodeId(10))]))
             .is_ok());
@@ -1479,7 +1417,7 @@ pub(crate) mod tests {
                     assert_eq!(x.outcome, y.outcome);
                 }
             }
-            assert_eq!(seq_engine.total_work(), par_engine.total_work());
+            assert_eq!(seq_engine.totals().work, par_engine.totals().work);
             assert!(par_engine.verify_all().is_ok());
         }
     }
@@ -1489,11 +1427,6 @@ pub(crate) mod tests {
         let (engine, receipts) = run_script(CommitMode::Parallel { threads: 0 }, 4);
         assert_eq!(receipts.len(), 3);
         assert!(engine.verify_all().is_ok());
-        assert_eq!(
-            engine.commit_mode(),
-            CommitMode::Parallel { threads: 0 },
-            "the knob reports what was set, not the resolved count"
-        );
     }
 
     #[test]
@@ -1892,7 +1825,7 @@ pub(crate) mod tests {
             "{err:?}"
         );
         assert_eq!(engine.epoch(), 1, "graph untouched");
-        assert_eq!(engine.commits(), 1, "commit counters untouched");
+        assert_eq!(engine.totals().commits, 1, "commit counters untouched");
         assert_eq!(engine.view(&h).unwrap().count, 1, "views untouched");
         assert!(engine.verify_all().is_ok());
         assert!(engine.is_degraded());

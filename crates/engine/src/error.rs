@@ -73,8 +73,7 @@ pub enum EngineError {
     /// graph, which would force allocation of the whole id gap (ids are
     /// dense). Deletions are exempt — they never materialize nodes, and a
     /// delete aimed past the graph is a no-op normalization drops. The
-    /// bound is `node_count + max_fresh_nodes`; see
-    /// [`Engine::set_max_fresh_nodes`](crate::Engine::set_max_fresh_nodes).
+    /// bound is `node_count + `[`MAX_FRESH_NODES`](crate::MAX_FRESH_NODES).
     NodeOutOfBounds {
         /// The offending node id.
         node: NodeId,
@@ -268,7 +267,7 @@ impl fmt::Display for EngineError {
             EngineError::NodeOutOfBounds { node, limit } => write!(
                 f,
                 "update references node {node:?} beyond the admissible id range \
-                 (< {limit}); raise Engine::set_max_fresh_nodes to allow larger gaps"
+                 (< {limit} = node count + MAX_FRESH_NODES)"
             ),
             EngineError::InitPanicked { label, cause } => write!(
                 f,
@@ -416,7 +415,7 @@ mod tests {
                     node: NodeId(1_048_999),
                     limit: 1_048_578,
                 },
-                vec!["n1048999", "1048578", "set_max_fresh_nodes"],
+                vec!["n1048999", "1048578", "MAX_FRESH_NODES"],
             ),
             (
                 EngineError::InitPanicked {

@@ -212,15 +212,6 @@ impl IngestTicket {
             Err(_) => Err(EngineError::SubmissionDropped),
         }
     }
-
-    /// Non-blocking poll: `None` while the tick is still pending.
-    pub fn try_wait(&self) -> Option<Result<IngestReceipt, EngineError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(EngineError::SubmissionDropped)),
-        }
-    }
 }
 
 /// The commit-tick loop's owner: moves the [`Engine`] onto a dedicated
@@ -231,10 +222,9 @@ impl IngestTicket {
 /// is then simply discarded with the thread.
 #[derive(Debug)]
 pub struct IngestServer {
-    tx: SyncSender<Msg>,
-    capacity: usize,
-    submit_timeout: Duration,
-    snapshots: Arc<SnapshotStore>,
+    /// The handle [`IngestServer::handle`] clones; its sender doubles as
+    /// the control channel.
+    ingest: Ingest,
     thread: Option<JoinHandle<Engine>>,
 }
 
@@ -259,22 +249,19 @@ impl IngestServer {
             .spawn(move || Self::serve(engine, &rx, config))
             .ok();
         IngestServer {
-            tx,
-            capacity,
-            submit_timeout: config.submit_timeout,
-            snapshots,
+            ingest: Ingest {
+                tx,
+                capacity,
+                submit_timeout: config.submit_timeout,
+                snapshots,
+            },
             thread,
         }
     }
 
     /// A fresh submission handle (clone it freely across threads).
     pub fn handle(&self) -> Ingest {
-        Ingest {
-            tx: self.tx.clone(),
-            capacity: self.capacity,
-            submit_timeout: self.submit_timeout,
-            snapshots: Arc::clone(&self.snapshots),
-        }
+        self.ingest.clone()
     }
 
     /// Flip the engine log's [`DurabilityMode`] mid-run. Applied by the
@@ -282,7 +269,8 @@ impl IngestServer {
     /// boundary; on an engine without a log it is a no-op. Errors with
     /// [`EngineError::IngestClosed`] if the server is gone.
     pub fn set_durability(&self, mode: DurabilityMode) -> Result<(), EngineError> {
-        self.tx
+        self.ingest
+            .tx
             .send(Msg::SetDurability(mode))
             .map_err(|_| EngineError::IngestClosed)
     }
@@ -295,7 +283,7 @@ impl IngestServer {
     /// [`EngineError::IngestClosed`] only if the server thread died —
     /// then the engine is lost with it.
     pub fn shutdown(mut self) -> Result<Engine, EngineError> {
-        let _ = self.tx.send(Msg::Shutdown);
+        let _ = self.ingest.tx.send(Msg::Shutdown);
         match self.thread.take() {
             Some(h) => h.join().map_err(|_| EngineError::IngestClosed),
             None => Err(EngineError::IngestClosed),
@@ -466,7 +454,7 @@ impl Drop for IngestServer {
     /// final durability barrier) and join, discarding the engine. Use
     /// [`IngestServer::shutdown`] to get the engine back instead.
     fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
+        let _ = self.ingest.tx.send(Msg::Shutdown);
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
@@ -500,7 +488,7 @@ mod tests {
         assert_eq!(r1.units, 1);
         let engine = server.shutdown().unwrap();
         assert_eq!(engine.graph().edge_count(), 2);
-        assert_eq!(engine.units_applied(), 2);
+        assert_eq!(engine.totals().units_applied, 2);
     }
 
     #[test]
@@ -538,12 +526,11 @@ mod tests {
 
     #[test]
     fn out_of_bounds_submission_is_rejected_alone() {
-        let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-        engine.set_max_fresh_nodes(4);
+        let engine = Engine::new(graph_from(&[0, 0], &[]));
         let server = IngestServer::spawn(engine);
         let ingest = server.handle();
         let bad = ingest
-            .submit(batch(vec![Update::insert(NodeId(0), NodeId(1_000_000))]))
+            .submit(batch(vec![Update::insert(NodeId(0), NodeId(u32::MAX))]))
             .unwrap();
         let good = ingest
             .submit(batch(vec![Update::insert(NodeId(0), NodeId(1))]))
@@ -568,26 +555,6 @@ mod tests {
             .submit(batch(vec![Update::insert(NodeId(0), NodeId(1))]))
             .unwrap_err();
         assert_eq!(err, EngineError::IngestClosed);
-    }
-
-    #[test]
-    fn try_wait_polls_without_blocking() {
-        let engine = Engine::new(graph_from(&[0, 0], &[]));
-        let server = IngestServer::spawn(engine);
-        let ticket = server
-            .handle()
-            .submit(batch(vec![Update::insert(NodeId(0), NodeId(1))]))
-            .unwrap();
-        loop {
-            match ticket.try_wait() {
-                None => std::thread::yield_now(),
-                Some(result) => {
-                    assert_eq!(result.unwrap().epoch, 1);
-                    break;
-                }
-            }
-        }
-        drop(server);
     }
 
     #[test]

@@ -49,10 +49,11 @@
 //! [`Engine::recover`] rebuilds a crashed engine's graph bit-for-bit from
 //! `latest checkpoint + tail replay`, ready for views to re-join via
 //! [`Engine::register_lazy`]. And [`Engine::register_background`] builds
-//! a joining view's initial state *off the commit path* — a worker
-//! replays the journal privately while commits keep flowing — then
-//! [`Engine::join_background`] catches it up on the log tail and splices
-//! it in, answer-identical to an eager registration.
+//! a joining view's initial state *off the commit path* — a worker runs a
+//! pinned [`Replica`] holding just that view while commits keep flowing —
+//! then [`Engine::join_background`] catches it up on the log tail and
+//! moves the view into the registry, answer-identical to an eager
+//! registration.
 //!
 //! **Ingest** ([`ingest` module](IngestServer)): the async front door
 //! for heavy write traffic. [`IngestServer::spawn`] moves the engine onto
@@ -98,6 +99,9 @@
 //! [`Replica::ensure_fresh`]), and holds a retention pin so
 //! [`Engine::compact_log`] — which drops whole log segments behind the
 //! newest checkpoint — never cuts off a live follower's catch-up window.
+//! Journal I/O is retried in one place, [`RetryPolicy::run`](igc_log::RetryPolicy::run):
+//! under [`Engine::set_retry_policy`] for the writer,
+//! [`Replica::set_retry_policy`] for a tailing follower.
 //!
 //! ```
 //! use igc_engine::Engine;
@@ -130,12 +134,10 @@ mod replica;
 mod snapshot;
 
 pub use background::BackgroundBuild;
-pub use engine::{
-    CommitMode, Engine, PreparedCommit, DEFAULT_CHECKPOINT_EVERY, DEFAULT_MAX_FRESH_NODES,
-};
+pub use engine::{CommitMode, Engine, PreparedCommit, DEFAULT_CHECKPOINT_EVERY, MAX_FRESH_NODES};
 pub use error::{Divergence, EngineError};
 pub use ingest::{Ingest, IngestConfig, IngestReceipt, IngestServer, IngestTicket};
 pub use lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
-pub use receipt::{CommitReceipt, ViewCommitStats, ViewOutcome, ViewTotals};
-pub use replica::{Replica, ReplicaStatus, TailResilience};
+pub use receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewOutcome, ViewTotals};
+pub use replica::{Replica, ReplicaStatus};
 pub use snapshot::{Snapshot, SnapshotStore, SnapshotStoreStats};

@@ -91,11 +91,6 @@ impl CommitReceipt {
         self.applied == 0
     }
 
-    /// The slowest view of this commit, if any view ran.
-    pub fn slowest_view(&self) -> Option<&ViewCommitStats> {
-        self.per_view.iter().max_by_key(|v| v.elapsed)
-    }
-
     /// Views quarantined *by* this commit (their `apply` panicked here).
     pub fn newly_quarantined(&self) -> impl Iterator<Item = &ViewCommitStats> {
         self.per_view.iter().filter(|v| !v.applied())
@@ -114,4 +109,22 @@ pub struct ViewTotals {
     pub elapsed: Duration,
     /// Total work attributed to this view by the engine's commits.
     pub work: WorkStats,
+}
+
+/// Cumulative accounting across every commit of an engine
+/// ([`Engine::totals`](crate::Engine::totals)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineTotals {
+    /// Effective (non-no-op) commits processed.
+    pub commits: u64,
+    /// Unit updates applied across all commits (post-normalization).
+    pub units_applied: u64,
+    /// Unit updates dropped by normalization across all commits that went
+    /// through (a rejected commit counts nothing).
+    pub units_dropped: u64,
+    /// Total view work across all commits, retired views included.
+    pub work: WorkStats,
+    /// Total wall-clock time spent committing, including the
+    /// normalization cost of batches that turned out to be no-ops.
+    pub elapsed: Duration,
 }

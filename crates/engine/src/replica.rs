@@ -26,24 +26,28 @@
 //!   dropped.
 //! * [`Replica::attach`] — cross-process follower (typically over a
 //!   [`FileBackend`](igc_log::FileBackend) pointed at the leader's log
-//!   directory). Unpinned: if it falls behind a compaction it gets
-//!   [`EngineError::FrontierCompacted`] and must re-attach fresh.
+//!   directory). Unpinned: if it falls behind a compaction its next
+//!   catch-up is [`EngineError::FrontierCompacted`] and it must
+//!   [re-attach](Replica::reattach).
 //!
 //! Tail the log from a worker thread with [`Replica::tail`], or drive
 //! [`Replica::catch_up`] by hand. Torn tails, segment rotation and
 //! mid-stream checkpoints are all handled by the scan layer underneath —
 //! a replica simply never observes them.
 //!
-//! **Self-healing** ([`TailResilience`]): by default `tail` fails fast on
-//! the first error, byte-for-byte the old behavior. Opt in with
-//! [`Replica::set_tail_resilience`] and the loop absorbs transient I/O
-//! errors under a bounded [`RetryPolicy`] (same backoff + deterministic
-//! jitter as the leader's journal retries, counted by
-//! [`Replica::tail_retries`]), and — when `reattach` is enabled — turns
-//! [`EngineError::FrontierCompacted`] into a [`Replica::reattach`]: the
-//! follower re-seeds from the newest checkpoint and catches its views up
-//! with one synthesized diff batch instead of being rebuilt from
-//! scratch.
+//! **Self-healing**: a [`Replica::tail`] loop that finds its frontier
+//! compacted away [re-attaches](Replica::reattach) — the follower
+//! re-seeds from the newest checkpoint and catches its views up with one
+//! synthesized diff batch instead of being rebuilt from scratch — and
+//! under a [`Replica::set_retry_policy`] budget it absorbs transient I/O
+//! errors through the same [`RetryPolicy::run`] loop as the leader's
+//! journal writes (counted by [`Replica::tail_retries`]).
+//! [`Replica::catch_up`] driven by hand does neither: it reports the
+//! precise error.
+//!
+//! A [background view build](crate::Engine::register_background) is a
+//! pinned `Replica` too — one view, caught up on a worker thread, moved
+//! into the engine's registry at join time.
 //!
 //! ```
 //! use igc_engine::{Engine, Replica};
@@ -74,13 +78,11 @@
 
 use crate::error::EngineError;
 use crate::lifecycle::{ViewHandle, ViewId, ViewState};
-use crate::registry::{downcast, Registry};
+use crate::registry::{downcast, Registered, Registry};
 use crate::snapshot::{Snapshot, VersionData};
 use igc_core::{IncView, ViewInit};
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
 use igc_log::{LogBackend, LogError, Replayer, RetentionPin, RetryPolicy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,26 +106,6 @@ pub struct ReplicaStatus {
     pub lag: u64,
 }
 
-/// How [`Replica::tail`] reacts to faults mid-loop. The default is
-/// fail-fast on the first error — exactly the pre-resilience behavior —
-/// so opting in is always explicit ([`Replica::set_tail_resilience`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TailResilience {
-    /// Retry budget and backoff schedule for *transient* I/O errors
-    /// during catch-up rounds (the same transient-vs-fatal split as the
-    /// leader's journal: [`RetryPolicy::is_transient`]). The default
-    /// [`RetryPolicy::none`] never retries.
-    pub retry: RetryPolicy,
-    /// Whether the loop may recover from
-    /// [`EngineError::FrontierCompacted`] by
-    /// [re-attaching](Replica::reattach) from the newest checkpoint.
-    /// Policy-gated because a reattach silently skips the individual
-    /// deltas of the compacted window — views stay correct (they get the
-    /// net diff), but per-delta observers would miss steps. Default
-    /// `false`.
-    pub reattach: bool,
-}
-
 /// A follower engine tailing a leader's commit log. See the
 /// [crate docs](crate) for the replication model and an example.
 pub struct Replica {
@@ -138,12 +120,10 @@ pub struct Replica {
     pin: Option<RetentionPin>,
     /// Epoch of the checkpoint this replica seeded from.
     seed_base: u64,
-    /// Fault policy for [`Replica::tail`] (default: fail fast).
-    resilience: TailResilience,
-    /// Jitter PRNG for resilient tailing's backoff (seeded from the
-    /// policy, so a replayed run makes identical timing decisions).
-    tail_rng: StdRng,
-    /// Transient errors absorbed by resilient tailing.
+    /// Retry budget of [`Replica::tail`]'s catch-up rounds for transient
+    /// I/O (default [`RetryPolicy::none`]: fail on the first error).
+    retry: RetryPolicy,
+    /// Transient errors absorbed by tailing under that budget.
     tail_retries: u64,
     /// Times this replica re-seeded from a newer checkpoint
     /// ([`Replica::reattach`], manual calls included).
@@ -169,7 +149,7 @@ impl Replica {
     /// from genesis. The follower is *unpinned*: the leader's compaction
     /// does not know about it, so a long-dormant follower can be cut off
     /// ([`EngineError::FrontierCompacted`] on its next catch-up) and
-    /// must re-attach. In-process followers should prefer
+    /// must [re-attach](Replica::reattach). In-process followers should prefer
     /// [`Engine::replica`](crate::Engine::replica), which pins.
     pub fn attach(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
         Self::attach_pinned(backend, None)
@@ -186,35 +166,27 @@ impl Replica {
         if let Some(pin) = &pin {
             pin.advance(replayed.graph.epoch());
         }
-        let resilience = TailResilience::default();
         Ok(Replica {
             replayer,
             seed_base: replayed.base_epoch,
             graph: replayed.graph,
             views: Registry::default(),
             pin,
-            tail_rng: StdRng::seed_from_u64(resilience.retry.seed),
-            resilience,
+            retry: RetryPolicy::none(),
             tail_retries: 0,
             reattaches: 0,
         })
     }
 
-    /// Set the fault policy of [`Replica::tail`]: bounded retry with
-    /// backoff for transient I/O, and (optionally) automatic
-    /// [`Replica::reattach`] after a [`EngineError::FrontierCompacted`].
-    /// Reseeds the backoff jitter PRNG from the policy's seed.
-    pub fn set_tail_resilience(&mut self, resilience: TailResilience) {
-        self.tail_rng = StdRng::seed_from_u64(resilience.retry.seed);
-        self.resilience = resilience;
+    /// Set the retry budget [`Replica::tail`] spends on *transient* I/O
+    /// errors in a catch-up round (the same transient-vs-fatal split and
+    /// the same loop as the leader's journal: [`RetryPolicy::run`]). The
+    /// default [`RetryPolicy::none`] never retries.
+    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+        self.retry = policy;
     }
 
-    /// The current [`TailResilience`] policy (default: fail fast).
-    pub fn tail_resilience(&self) -> TailResilience {
-        self.resilience
-    }
-
-    /// Transient catch-up errors absorbed by resilient tailing so far.
+    /// Transient catch-up errors absorbed by tailing so far.
     pub fn tail_retries(&self) -> u64 {
         self.tail_retries
     }
@@ -267,8 +239,8 @@ impl Replica {
         Self::map_catch_up_error(self.catch_up_raw())
     }
 
-    /// The raw catch-up round, keeping the [`LogError`] shape — resilient
-    /// tailing needs the transient-vs-fatal distinction that
+    /// The raw catch-up round, keeping the [`LogError`] shape — the retry
+    /// loop needs the transient-vs-fatal distinction that
     /// `From<LogError> for EngineError` (which folds `Io` into
     /// `LogCorrupt`) would erase.
     fn catch_up_raw(&mut self) -> Result<u64, LogError> {
@@ -299,35 +271,25 @@ impl Replica {
         }
     }
 
-    /// One catch-up round under the [`TailResilience`] policy: transient
-    /// I/O errors are retried with backoff (up to the policy's budget,
-    /// counted in [`Replica::tail_retries`]); a compacted-away frontier
-    /// triggers [`Replica::reattach`] when the policy allows it.
-    fn catch_up_resilient(&mut self) -> Result<u64, EngineError> {
-        let mut attempt: u32 = 0;
+    /// One catch-up round of [`Replica::tail`]: transient I/O errors are
+    /// retried under the [`Replica::set_retry_policy`] budget (counted in
+    /// [`Replica::tail_retries`]), and a compacted-away frontier triggers
+    /// [`Replica::reattach`]. A reattach skips the individual deltas of
+    /// the compacted window, which nothing here observes: a replica keeps
+    /// no receipts and calls no per-delta hooks, and its views get the
+    /// net diff.
+    fn tail_round(&mut self) -> Result<u64, EngineError> {
         loop {
-            attempt += 1;
-            let raw = self.catch_up_raw();
-            match &raw {
-                Err(e)
-                    if RetryPolicy::is_transient(e)
-                        && attempt < self.resilience.retry.max_attempts.max(1) =>
-                {
-                    self.tail_retries += 1;
-                    let delay = self.resilience.retry.delay(attempt - 1, &mut self.tail_rng);
-                    std::thread::sleep(delay);
-                }
-                _ => match Self::map_catch_up_error(raw) {
-                    Err(EngineError::FrontierCompacted { .. }) if self.resilience.reattach => {
-                        // Re-seed from the newest checkpoint and go round
-                        // again: the reattach leaves the frontier at the
-                        // head, so the next round normally drains clean.
-                        self.reattach()?;
-                        attempt = 0;
-                    }
-                    done => return done,
-                },
-            }
+            let (policy, mut absorbed) = (self.retry, 0);
+            let raw = policy.run(&mut absorbed, || self.catch_up_raw());
+            self.tail_retries += absorbed;
+            match Self::map_catch_up_error(raw) {
+                // Re-seed from the newest checkpoint and go round again:
+                // the reattach leaves the frontier at the head, so the
+                // next round normally drains clean.
+                Err(EngineError::FrontierCompacted { .. }) => self.reattach()?,
+                done => return done,
+            };
         }
     }
 
@@ -345,38 +307,20 @@ impl Replica {
     ///
     /// Returns the number of epochs the frontier jumped. Counted in
     /// [`Replica::reattaches`]; [`Replica::tail`] calls this
-    /// automatically when [`TailResilience::reattach`] is enabled.
+    /// automatically.
     pub fn reattach(&mut self) -> Result<u64, EngineError> {
         let replayed = self.replayer.latest()?;
-        let new = replayed.graph;
-        let old_edges = self.graph.sorted_edges();
-        let new_edges = new.sorted_edges();
-        let mut updates = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < old_edges.len() && j < new_edges.len() {
-            let (o, n) = (old_edges[i], new_edges[j]);
-            match o.cmp(&n) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    updates.push(Update::delete(o.0, o.1));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    updates.push(Self::labeled_insert(n, &new));
-                    j += 1;
-                }
-            }
-        }
-        for &o in &old_edges[i..] {
-            updates.push(Update::delete(o.0, o.1));
-        }
-        for &n in &new_edges[j..] {
-            updates.push(Self::labeled_insert(n, &new));
-        }
-        let delta = UpdateBatch::from_updates(updates);
+        let (old, new) = (&self.graph, replayed.graph);
+        let (old_edges, new_edges) = (old.sorted_edges(), new.sorted_edges());
+        let deletes = old_edges
+            .iter()
+            .filter(|(a, b)| !new.contains_edge(*a, *b))
+            .map(|&(a, b)| Update::delete(a, b));
+        let inserts = new_edges
+            .iter()
+            .filter(|(a, b)| !old.contains_edge(*a, *b))
+            .map(|&e| Self::labeled_insert(e, &new));
+        let delta = UpdateBatch::from_updates(deletes.chain(inserts).collect());
         if !delta.is_empty() {
             self.views.apply(&new, &delta);
         }
@@ -422,17 +366,16 @@ impl Replica {
     /// stop.store(true, std::sync::atomic::Ordering::Release);
     /// let (replica, applied) = worker.join().unwrap().unwrap();
     /// ```
-    /// Under a non-default [`TailResilience`] policy the loop also
-    /// self-heals: transient I/O errors are retried with backoff instead
-    /// of killing the tail, and a compacted-away frontier re-attaches
-    /// from the newest checkpoint when the policy allows it — see
-    /// [`Replica::set_tail_resilience`].
+    /// The loop self-heals: a compacted-away frontier re-attaches from
+    /// the newest checkpoint ([`Replica::reattach`]), and under a
+    /// [`Replica::set_retry_policy`] budget transient I/O errors are
+    /// retried with backoff instead of killing the tail.
     pub fn tail(&mut self, stop: &AtomicBool, poll: Duration) -> Result<u64, EngineError> {
         let mut total = 0;
         loop {
-            total += self.catch_up_resilient()?;
+            total += self.tail_round()?;
             if stop.load(Ordering::Acquire) {
-                total += self.catch_up_resilient()?;
+                total += self.tail_round()?;
                 return Ok(total);
             }
             std::thread::sleep(poll);
@@ -522,6 +465,14 @@ impl Replica {
     /// the replica's frontier.
     pub fn verify_all(&self) -> Result<(), EngineError> {
         self.views.audit_all(&self.graph)
+    }
+
+    /// End this follower and hand back the entry behind `id` — the view
+    /// with its health, as the catch-up rounds left it. How a
+    /// [background build](crate::Engine::join_background) moves its view
+    /// into the engine's registry.
+    pub(crate) fn into_entry(mut self, id: ViewId) -> Result<Registered, EngineError> {
+        self.views.remove(id)
     }
 
     /// Freeze the replica at its current replay frontier as a

@@ -6,9 +6,10 @@
 //! post-compaction reattach) — each checked against the four real query
 //! classes, bit-identical to a never-faulted reference.
 
-use igc_engine::{Engine, EngineError, IngestConfig, IngestServer, Replica, TailResilience};
+use igc_engine::{Engine, EngineError, EngineTotals, IngestConfig, IngestServer, Replica};
 use igc_graph::generator::{random_update_batch, uniform_graph};
-use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, UpdateBatch};
+use igc_graph::graph::graph_from;
+use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
 use igc_log::{
@@ -510,10 +511,7 @@ fn resilient_tail_absorbs_transient_read_faults() {
     register_all(&mut leader);
     let mut replica = leader.replica().unwrap();
     let views = register_replica(&mut replica);
-    replica.set_tail_resilience(TailResilience {
-        retry: fast_retries(5),
-        reattach: false,
-    });
+    replica.set_retry_policy(fast_retries(5));
 
     let stopped = AtomicBool::new(true); // pre-stopped: tail = one resilient drain
     for round in 0..4u64 {
@@ -534,8 +532,8 @@ fn resilient_tail_absorbs_transient_read_faults() {
 }
 
 /// Compaction outruns an unpinned follower: fail-fast `catch_up` reports
-/// a precise `FrontierCompacted`; under a reattach-enabled resilience
-/// policy the follower re-seeds from the newest checkpoint *through its
+/// a precise `FrontierCompacted`; `tail` re-attaches by itself — the
+/// follower re-seeds from the newest checkpoint *through its
 /// live views* — answers match the leader without re-registering.
 #[test]
 fn reattach_recovers_an_unpinned_follower_after_compaction() {
@@ -570,10 +568,7 @@ fn reattach_recovers_an_unpinned_follower_after_compaction() {
     }
 
     // Self-healing contract: the resilient tail reattaches and converges.
-    follower.set_tail_resilience(TailResilience {
-        retry: fast_retries(2),
-        reattach: true,
-    });
+    follower.set_retry_policy(fast_retries(2));
     let stopped = AtomicBool::new(true);
     follower.tail(&stopped, Duration::from_millis(1)).unwrap();
     assert_eq!(follower.reattaches(), 1);
@@ -628,6 +623,60 @@ fn commit_receipts_surface_absorbed_retries() {
     engine.verify_all().unwrap();
     let replayed = engine.log().unwrap().replayer().latest().unwrap();
     assert_eq!(replayed.graph.sorted_edges(), engine.graph().sorted_edges());
+}
+
+/// A rejected commit counts nothing: the units normalization dropped from
+/// a batch whose append failed are counted when — and only when — the
+/// retried batch goes through, on the engine and through the ingest front
+/// door alike.
+#[test]
+fn a_rejected_commit_moves_no_totals_and_its_retry_counts_once() {
+    // One unit applies; two are droppable (a present insert, an absent
+    // delete).
+    let batch = UpdateBatch::from_updates(vec![
+        Update::insert(NodeId(1), NodeId(2)),
+        Update::insert(NodeId(0), NodeId(1)),
+        Update::delete(NodeId(2), NodeId(0)),
+    ]);
+    for through_ingest in [false, true] {
+        let (chaos, backend) = backend_pair();
+        let mut engine = Engine::new(graph_from(&[0, 0, 0], &[(0, 1)]))
+            .with_log(backend)
+            .unwrap();
+        // Each attempt: the batch as a direct commit, or as one submission.
+        let attempt = |engine: Engine| -> (Engine, Result<(), EngineError>) {
+            if through_ingest {
+                let server = IngestServer::spawn(engine);
+                let ticket = server.handle().submit(batch.clone()).unwrap();
+                let outcome = ticket.wait().map(|_| ());
+                (server.shutdown().unwrap(), outcome)
+            } else {
+                let mut engine = engine;
+                let outcome = engine.commit(&batch).map(|_| ());
+                (engine, outcome)
+            }
+        };
+
+        chaos.fail_next_append(0);
+        let (rejected, outcome) = attempt(engine);
+        engine = rejected;
+        assert!(
+            matches!(outcome, Err(EngineError::RetriesExhausted { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(engine.epoch(), 0);
+        assert_eq!(engine.totals(), EngineTotals::default());
+
+        engine.heal().unwrap();
+        let (engine, outcome) = attempt(engine);
+        outcome.unwrap();
+        let totals = engine.totals();
+        assert_eq!(
+            (totals.commits, totals.units_applied, totals.units_dropped),
+            (1, 1, 2),
+            "through_ingest: {through_ingest}"
+        );
+    }
 }
 
 /// A deliberately slow view, to wedge the commit loop so the submission

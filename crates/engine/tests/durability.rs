@@ -5,14 +5,14 @@
 
 use igc_engine::{Engine, LifecycleEventKind};
 use igc_graph::generator::{random_update_batch, uniform_graph};
-use igc_graph::{Label, LabelInterner, NodeId, UpdateBatch};
+use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, UpdateBatch};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
 use igc_log::{FileBackend, LogBackend, MemBackend};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
 use igc_scc::IncScc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 fn rpq_query() -> Regex {
     let mut it = LabelInterner::new();
@@ -236,6 +236,53 @@ fn background_registration_matches_eager_registration_for_all_classes() {
         assert_eq!(answers(&bg_engine), answers(&eager));
     }
     bg_engine.verify_all().unwrap();
+}
+
+/// A background build is a pinned follower: a compaction that runs while
+/// its builder is still busy keeps the history it seeded from, so the
+/// join catches up instead of finding its frontier compacted away.
+#[test]
+fn compaction_during_a_background_build_does_not_strand_it() {
+    let g = uniform_graph(26, 70, 3, 56);
+    let (_, backend) = backend_pair();
+    let mut eager = Engine::new(g.clone());
+    let twin = eager
+        .register_lazy("rpq", IncRpq::init(rpq_query()))
+        .unwrap();
+    let mut engine = Engine::new(g).with_log(backend).unwrap();
+    engine.set_checkpoint_every(3);
+
+    // A slow builder: it has its epoch-0 graph in hand and stays inside
+    // `build` until released, while the engine commits past two more
+    // checkpoints and compacts.
+    let (started_tx, started) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let query = rpq_query();
+    let build = engine
+        .register_background("rpq", move |g: &DynamicGraph| {
+            started_tx.send(()).unwrap();
+            released.recv().unwrap();
+            IncRpq::new(g, &query)
+        })
+        .unwrap();
+    started.recv().unwrap();
+    for round in 0..9u64 {
+        let delta = random_update_batch(eager.graph(), 8, 0.5, 9300 + round);
+        eager.commit(&delta).unwrap();
+        engine.commit(&delta).unwrap();
+    }
+    let during = engine.compact_log().unwrap();
+    release.send(()).unwrap();
+
+    let late = engine.join_background(build).unwrap();
+    assert_eq!(during.pinned_frontier, Some(0), "the build held a pin");
+    assert_eq!(
+        engine.view(&late).unwrap().sorted_answer(),
+        eager.view(&twin).unwrap().sorted_answer()
+    );
+    engine.verify_all().unwrap();
+    // The pin went with the follower: now the same compaction bites.
+    assert!(engine.compact_log().unwrap().dropped_segments > 0);
 }
 
 #[test]

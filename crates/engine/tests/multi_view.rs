@@ -62,8 +62,8 @@ fn four_views_stay_consistent_over_random_commits() {
             panic!("round {round}: views diverged: {failures}");
         }
     }
-    assert_eq!(engine.commits(), 5);
-    assert!(engine.total_work().total() > 0);
+    assert_eq!(engine.totals().commits, 5);
+    assert!(engine.totals().work.total() > 0);
 }
 
 #[test]

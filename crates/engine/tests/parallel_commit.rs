@@ -172,9 +172,10 @@ fn parallel_and_sequential_streams_are_bit_identical() {
 
         // Cumulative accounting (work, commits) agrees; only wall-clock may
         // differ.
-        assert_eq!(seq.total_work(), par.total_work());
-        assert_eq!(seq.commits(), par.commits());
-        assert_eq!(seq.units_applied(), par.units_applied());
+        let (s, p) = (seq.totals(), par.totals());
+        assert_eq!(s.work, p.work);
+        assert_eq!(s.commits, p.commits);
+        assert_eq!(s.units_applied, p.units_applied);
     });
 }
 

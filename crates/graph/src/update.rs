@@ -134,23 +134,6 @@ impl UpdateBatch {
         self.updates.iter().filter(|u| !u.is_insert())
     }
 
-    /// All nodes mentioned by the batch (endpoints of updated edges) —
-    /// the centres of the `d_Q`-neighbourhoods in Section 4.
-    pub fn touched_nodes(&self) -> Vec<NodeId> {
-        let mut seen = FxHashSet::default();
-        let mut out = Vec::new();
-        for u in &self.updates {
-            let (a, b) = u.edge();
-            if seen.insert(a) {
-                out.push(a);
-            }
-            if seen.insert(b) {
-                out.push(b);
-            }
-        }
-        out
-    }
-
     /// Enforce the paper's assumption: for any edge `e`, the batch contains
     /// at most one of `insert e` / `delete e`, and contains it at most once.
     /// An insert+delete pair of the same edge cancels entirely.
@@ -309,15 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn touched_nodes_unique_in_first_seen_order() {
-        let batch = UpdateBatch::from_updates(vec![
-            Update::insert(NodeId(3), NodeId(1)),
-            Update::delete(NodeId(1), NodeId(2)),
-        ]);
-        assert_eq!(batch.touched_nodes(), vec![NodeId(3), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
     fn split_edges_partitions_by_kind() {
         let batch = UpdateBatch::from_updates(vec![
             Update::insert(NodeId(0), NodeId(1)),
@@ -334,7 +308,6 @@ mod tests {
         let b = UpdateBatch::new();
         assert!(b.is_empty());
         assert_eq!(b.normalized().len(), 0);
-        assert!(b.touched_nodes().is_empty());
     }
 
     #[test]

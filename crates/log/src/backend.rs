@@ -98,12 +98,6 @@ impl MemBackend {
         Self::default()
     }
 
-    /// Total bytes across all retained segments (test/bench
-    /// introspection).
-    pub fn total_bytes(&self) -> u64 {
-        self.lock().segments.iter().map(|s| s.len() as u64).sum()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, MemInner> {
         match self.inner.lock() {
             Ok(g) => g,
@@ -185,17 +179,14 @@ impl LogBackend for MemBackend {
 
 /// Directory-of-files backend: segment `i` lives in
 /// `<dir>/segment-<i:05>.igclog`. Appends go through a single
-/// `O_APPEND` write per record; `sync_on_append` additionally issues
-/// `sync_data` after each (off by default — the journal then survives
-/// process crashes but rides the OS page cache across power loss).
-/// Prefer expressing durability as policy on the log instead:
+/// `O_APPEND` write per record and ride the OS page cache — they survive
+/// a process crash, not power loss. Durability is policy on the log:
 /// [`CommitLog::set_durability`](crate::CommitLog::set_durability) drives
 /// the [`LogBackend::sync`] barrier per append, per group-commit window,
-/// or never — without paying one fsync per record when batching suffices.
+/// or never.
 #[derive(Debug, Clone)]
 pub struct FileBackend {
     dir: PathBuf,
-    sync_on_append: bool,
     /// Shared hint for [`FileBackend::segments`]: the last count this (or
     /// a cloned) handle observed. Always re-verified at the boundary, so
     /// a stale hint — another handle rotated meanwhile — self-corrects;
@@ -219,17 +210,9 @@ impl FileBackend {
         })?;
         Ok(FileBackend {
             dir,
-            sync_on_append: false,
             segments_hint: Arc::new(std::sync::atomic::AtomicU32::new(0)),
             first_hint: Arc::new(std::sync::atomic::AtomicU32::new(0)),
         })
-    }
-
-    /// Enable `sync_data` after every append (durability across power
-    /// loss, at a per-commit fsync cost).
-    pub fn sync_on_append(mut self, sync: bool) -> Self {
-        self.sync_on_append = sync;
-        self
     }
 
     /// The directory this backend stores segments in.
@@ -333,11 +316,7 @@ impl LogBackend for FileBackend {
             .open(self.path(segment))
             .map_err(|e| Self::io("open segment", segment, e))?;
         f.write_all(bytes)
-            .map_err(|e| Self::io("append", segment, e))?;
-        if self.sync_on_append {
-            f.sync_data().map_err(|e| Self::io("sync", segment, e))?;
-        }
-        Ok(())
+            .map_err(|e| Self::io("append", segment, e))
     }
 
     fn len(&self, segment: u32) -> Result<u64, LogError> {
@@ -437,7 +416,6 @@ mod tests {
         assert_eq!(clone.read(0).unwrap(), b"hello world");
         clone.append(1, b"!").unwrap();
         assert_eq!(b.read(1).unwrap(), b"next!");
-        assert_eq!(b.total_bytes(), 16);
     }
 
     #[test]

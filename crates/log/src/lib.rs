@@ -26,8 +26,8 @@
 //!   anything accepted is replayable by construction; the read side
 //!   rebuilds the graph at any epoch and catches lagging consumers up to
 //!   the head ([`Replayer::catch_up`]) — the seam behind the engine's
-//!   crash recovery, *background* view builds, and log-shipped read
-//!   replicas.
+//!   crash recovery and its log-shipped followers (read replicas, and the
+//!   background view builds that are one).
 //! * **Durability policy** ([`DurabilityMode`], [`CommitLog::sync`]) —
 //!   when appends reach durable storage: never (page cache), per record,
 //!   or batched group-commit barriers — one backend `sync` covering every
@@ -36,8 +36,8 @@
 //! * **Fault tolerance** ([`chaos`], [`RetryPolicy`]) — a deterministic
 //!   fault-injection wrapper over any backend ([`ChaosBackend`] executing
 //!   a scripted or seeded [`FaultPlan`] of append/read/sync failures, torn
-//!   writes and bit-flips), plus bounded exponential-backoff retry with
-//!   deterministic jitter on the append/sync paths
+//!   writes and bit-flips), plus bounded exponential-backoff retry — one
+//!   loop, [`RetryPolicy::run`] — on the append/sync paths
 //!   ([`CommitLog::set_retry_policy`]); a failed policy-driven barrier
 //!   becomes *sync debt* ([`CommitLog::sync_debt`]) rather than failing an
 //!   already-stored append.

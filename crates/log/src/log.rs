@@ -10,8 +10,6 @@ use crate::record::{
 };
 use crate::retry::RetryPolicy;
 use igc_graph::{DynamicGraph, UpdateBatch};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -260,9 +258,6 @@ pub struct CommitLog {
     /// Retry schedule for transient append/sync failures (default
     /// [`RetryPolicy::none`]: fail on the first error).
     retry: RetryPolicy,
-    /// Jitter PRNG, seeded from the policy so backoff timing is
-    /// deterministic per run.
-    retry_rng: StdRng,
     /// Transient append failures absorbed by retries so far.
     append_retries: u64,
     /// Transient sync failures absorbed by retries so far.
@@ -273,16 +268,9 @@ pub struct CommitLog {
 }
 
 impl CommitLog {
-    /// Start a brand-new log on an **empty** backend
-    /// ([`LogError::NotEmpty`] otherwise — a journal never silently
-    /// appends onto unrelated history).
-    pub fn create(backend: Arc<dyn LogBackend>) -> Result<Self, LogError> {
-        let segments = backend.segments()?;
-        if segments != 0 {
-            return Err(LogError::NotEmpty { segments });
-        }
-        let retry = RetryPolicy::none();
-        Ok(CommitLog {
+    /// A log positioned before any record, every policy at its default.
+    fn blank(backend: Arc<dyn LogBackend>) -> Self {
+        CommitLog {
             backend,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             force_fresh_segment: false,
@@ -296,12 +284,22 @@ impl CommitLog {
             unsynced: 0,
             first_unsynced: None,
             syncs: 0,
-            retry_rng: StdRng::seed_from_u64(retry.seed),
-            retry,
+            retry: RetryPolicy::none(),
             append_retries: 0,
             sync_retries: 0,
             sync_debt: None,
-        })
+        }
+    }
+
+    /// Start a brand-new log on an **empty** backend
+    /// ([`LogError::NotEmpty`] otherwise — a journal never silently
+    /// appends onto unrelated history).
+    pub fn create(backend: Arc<dyn LogBackend>) -> Result<Self, LogError> {
+        let segments = backend.segments()?;
+        if segments != 0 {
+            return Err(LogError::NotEmpty { segments });
+        }
+        Ok(Self::blank(backend))
     }
 
     /// Open an existing log: scan every segment, validate checksums and
@@ -314,45 +312,25 @@ impl CommitLog {
         if scanned.records.is_empty() {
             return Err(LogError::Empty);
         }
-        let mut last_epoch = None;
-        let mut last_checkpoint = None;
-        let mut deltas = 0;
-        let mut checkpoints = 0;
+        let mut log = Self::blank(backend);
+        log.force_fresh_segment = scanned.torn_tails > 0;
         for r in &scanned.records {
             if r.is_checkpoint {
-                last_checkpoint = Some(r.epoch);
-                checkpoints += 1;
+                log.last_checkpoint = Some(r.epoch);
+                log.checkpoints += 1;
             } else {
-                deltas += 1;
+                log.deltas += 1;
             }
-            last_epoch = Some(r.epoch);
+            log.last_epoch = Some(r.epoch);
         }
-        let retry = RetryPolicy::none();
-        Ok(CommitLog {
-            backend,
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            force_fresh_segment: scanned.torn_tails > 0,
-            last_epoch,
-            last_checkpoint,
-            deltas,
-            checkpoints,
-            pins: Vec::new(),
-            durability: DurabilityMode::None,
-            dirty: Vec::new(),
-            unsynced: 0,
-            first_unsynced: None,
-            syncs: 0,
-            retry_rng: StdRng::seed_from_u64(retry.seed),
-            retry,
-            append_retries: 0,
-            sync_retries: 0,
-            sync_debt: None,
-        })
+        Ok(log)
     }
 
     /// Set the segment-rotation threshold (default
-    /// [`DEFAULT_SEGMENT_BYTES`]); clamped to at least 1 KiB.
-    pub fn set_segment_bytes(&mut self, bytes: u64) {
+    /// [`DEFAULT_SEGMENT_BYTES`]); clamped to at least 1 KiB. Tests only:
+    /// rotation is otherwise exercised by checkpoints, which always rotate.
+    #[cfg(test)]
+    pub(crate) fn set_segment_bytes(&mut self, bytes: u64) {
         self.segment_bytes = bytes.max(1024);
     }
 
@@ -407,47 +385,38 @@ impl CommitLog {
 
     fn write(&mut self, record: &Record) -> Result<(), LogError> {
         let framed = record.encode_framed();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let segments = self.backend.segments()?;
-            let fresh = self.force_fresh_segment
-                || segments == 0
-                || self.backend.len(segments - 1)? >= self.segment_bytes;
-            let target = if fresh { segments } else { segments - 1 };
-            let result = if fresh {
-                // Header and record go down in one atomic append, so a
-                // concurrent reader (or a crash) never sees a headered-but-
-                // empty segment with committed data pending.
-                let mut bytes = segment_header().to_vec();
-                bytes.extend_from_slice(&framed);
-                self.backend.append(segments, &bytes)
-            } else {
-                self.backend.append(segments - 1, &framed)
-            };
-            match result {
-                Ok(()) => {
-                    self.force_fresh_segment = false;
-                    return self.apply_durability(target);
-                }
-                Err(e) => {
-                    // The failed append may have left *partial* bytes in the
-                    // target segment (write_all can die mid-way). Appending
-                    // another record after them would bury committed data
-                    // behind garbage mid-segment — unrecoverable corruption.
-                    // Rotating turns the partial bytes into an ordinary torn
-                    // tail every scan skips — which also makes each retry
-                    // attempt below land in a fresh segment past the garbage
-                    // of the previous one.
-                    self.force_fresh_segment = true;
-                    if attempt >= self.retry.max_attempts.max(1) || !RetryPolicy::is_transient(&e) {
-                        return Err(e);
-                    }
-                    self.append_retries += 1;
-                    std::thread::sleep(self.retry.delay(attempt - 1, &mut self.retry_rng));
-                }
-            }
-        }
+        let (policy, mut absorbed) = (self.retry, 0);
+        let target = policy.run(&mut absorbed, || self.append_framed(&framed));
+        self.append_retries += absorbed;
+        self.apply_durability(target?)
+    }
+
+    /// One attempt at appending a framed record to the tail segment (or a
+    /// fresh one); returns the segment it landed in.
+    fn append_framed(&mut self, framed: &[u8]) -> Result<u32, LogError> {
+        let segments = self.backend.segments()?;
+        let fresh = self.force_fresh_segment
+            || segments == 0
+            || self.backend.len(segments - 1)? >= self.segment_bytes;
+        let result = if fresh {
+            // Header and record go down in one atomic append, so a
+            // concurrent reader (or a crash) never sees a headered-but-
+            // empty segment with committed data pending.
+            let mut bytes = segment_header().to_vec();
+            bytes.extend_from_slice(framed);
+            self.backend.append(segments, &bytes)
+        } else {
+            self.backend.append(segments - 1, framed)
+        };
+        // The failed append may have left *partial* bytes in the target
+        // segment (write_all can die mid-way). Appending another record
+        // after them would bury committed data behind garbage mid-segment
+        // — unrecoverable corruption. Rotating turns the partial bytes
+        // into an ordinary torn tail every scan skips — which also makes
+        // each retry of this attempt land in a fresh segment past the
+        // garbage of the previous one.
+        self.force_fresh_segment = result.is_err();
+        result.map(|()| if fresh { segments } else { segments - 1 })
     }
 
     /// Post-append durability bookkeeping: mark `segment` dirty, then
@@ -511,32 +480,17 @@ impl CommitLog {
     /// un-flushed segments stay pending, so a later barrier retries them.
     /// Success settles any outstanding sync debt.
     pub fn sync(&mut self) -> Result<(), LogError> {
-        if self.dirty.is_empty() {
-            self.unsynced = 0;
-            self.first_unsynced = None;
-            self.sync_debt = None;
-            return Ok(());
+        if !self.dirty.is_empty() {
+            let (policy, mut absorbed) = (self.retry, 0);
+            let synced = policy.run(&mut absorbed, || self.sync_dirty());
+            self.sync_retries += absorbed;
+            synced?;
+            self.syncs += 1;
         }
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.sync_dirty() {
-                Ok(()) => {
-                    self.unsynced = 0;
-                    self.first_unsynced = None;
-                    self.syncs += 1;
-                    self.sync_debt = None;
-                    return Ok(());
-                }
-                Err(e) => {
-                    if attempt >= self.retry.max_attempts.max(1) || !RetryPolicy::is_transient(&e) {
-                        return Err(e);
-                    }
-                    self.sync_retries += 1;
-                    std::thread::sleep(self.retry.delay(attempt - 1, &mut self.retry_rng));
-                }
-            }
-        }
+        self.unsynced = 0;
+        self.first_unsynced = None;
+        self.sync_debt = None;
+        Ok(())
     }
 
     /// One pass over the dirty segments; on failure the remainder stays
@@ -550,11 +504,8 @@ impl CommitLog {
     }
 
     /// Set the retry schedule for transient append/sync failures (default
-    /// [`RetryPolicy::none`]: fail on the first error — the pre-retry
-    /// behavior). Re-seeds the jitter PRNG from the policy's seed, so
-    /// setting the same policy twice replays the same backoff stream.
+    /// [`RetryPolicy::none`]: fail on the first error).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_rng = StdRng::seed_from_u64(policy.seed);
         self.retry = policy;
     }
 

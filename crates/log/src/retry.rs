@@ -1,22 +1,25 @@
-//! Bounded retry with exponential backoff + deterministic jitter for the
-//! journal's append and sync paths ([`CommitLog::set_retry_policy`](crate::CommitLog::set_retry_policy)).
+//! The one fault policy: bounded retry with exponential backoff, and the
+//! one loop that runs it ([`RetryPolicy::run`]). The journal's append and
+//! sync paths ([`CommitLog::set_retry_policy`](crate::CommitLog::set_retry_policy))
+//! and a follower's catch-up rounds all go through it, so "what is
+//! retried, how often, how patiently" is decided here and nowhere else.
 //!
 //! Only *transient* errors are retried: [`LogError::Io`] — the class a
 //! flaky device or full disk produces, and the only class a later attempt
 //! can plausibly clear. Structural errors (corruption, epoch-chain
 //! violations) describe the log or the caller, not the moment, and always
 //! surface immediately.
+//!
+//! There is no jitter: a log has one writer and a follower one tail, so
+//! no herd of retriers exists to de-correlate.
 
 use crate::error::LogError;
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::time::Duration;
 
 /// How many times (and how patiently) an operation is re-attempted after
 /// a transient failure. The default is [`RetryPolicy::none`]: one attempt,
-/// no retries — byte-for-byte the pre-retry behavior, so opting in is
-/// always explicit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// no retries, so opting in is always explicit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, the first included (clamped ≥ 1; 1 = never retry).
     pub max_attempts: u32,
@@ -24,13 +27,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Ceiling on any single backoff.
     pub max_delay: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a
-    /// deterministic random factor in `[1 - jitter, 1]`, de-correlating
-    /// retry storms without ever waiting *longer* than the schedule.
-    pub jitter: f64,
-    /// Seed for the jitter PRNG (the vendored deterministic `StdRng`), so
-    /// a retried run replays with identical timing decisions.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -46,13 +42,11 @@ impl RetryPolicy {
             max_attempts: 1,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(50),
-            jitter: 0.5,
-            seed: 0x16C_CAFE,
         }
     }
 
     /// `retries` retries (so `retries + 1` attempts) with the default
-    /// 1 ms → 50 ms exponential schedule and 0.5 jitter.
+    /// 1 ms → 50 ms exponential schedule.
     pub fn retries(retries: u32) -> Self {
         RetryPolicy {
             max_attempts: retries.saturating_add(1),
@@ -67,16 +61,10 @@ impl RetryPolicy {
         self
     }
 
-    /// Replace the jitter fraction (clamped to `[0, 1]` at use).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Replace the jitter PRNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    /// Attempts [`RetryPolicy::run`] makes before giving up:
+    /// `max_attempts`, clamped to at least one.
+    pub fn attempts(&self) -> u32 {
+        self.max_attempts.max(1)
     }
 
     /// Whether `e` is worth retrying: transient I/O yes, structural
@@ -86,25 +74,40 @@ impl RetryPolicy {
     }
 
     /// The backoff before retry number `retry` (zero-based):
-    /// `min(base · 2^retry, max)`, scaled into `[1 - jitter, 1]` by `rng`
-    /// (seed it from [`RetryPolicy::seed`] for replayable timing). Public
-    /// so retry loops *outside* the log — e.g. a replica's resilient
-    /// tailing — share one backoff shape.
-    pub fn delay(&self, retry: u32, rng: &mut StdRng) -> Duration {
-        let exp = self
-            .base_delay
+    /// `min(base · 2^retry, max)`.
+    fn delay(&self, retry: u32) -> Duration {
+        self.base_delay
             .saturating_mul(1u32.checked_shl(retry).unwrap_or(u32::MAX))
-            .min(self.max_delay);
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        let scale = 1.0 - jitter * rng.gen::<f64>();
-        exp.mul_f64(scale)
+            .min(self.max_delay)
+    }
+
+    /// Run `op` under this policy: re-attempt it after each transient
+    /// failure, sleeping the backoff in between, until it succeeds, fails
+    /// with a non-transient error, or the attempt budget is spent — the
+    /// last error then surfaces unchanged. Every failure a later attempt
+    /// was made for is counted into `absorbed`.
+    pub fn run<T>(
+        &self,
+        absorbed: &mut u64,
+        mut op: impl FnMut() -> Result<T, LogError>,
+    ) -> Result<T, LogError> {
+        let mut retry = 0;
+        loop {
+            match op() {
+                Err(e) if Self::is_transient(&e) && retry + 1 < self.attempts() => {
+                    *absorbed += 1;
+                    std::thread::sleep(self.delay(retry));
+                    retry += 1;
+                }
+                done => return done,
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn default_is_one_attempt() {
@@ -143,26 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_caps_and_jitters_deterministically() {
-        let p = RetryPolicy::retries(8)
-            .with_delays(Duration::from_millis(2), Duration::from_millis(9))
-            .with_jitter(0.0);
-        let mut rng = StdRng::seed_from_u64(p.seed);
-        let ladder: Vec<u128> = (0..4).map(|k| p.delay(k, &mut rng).as_millis()).collect();
+    fn backoff_doubles_and_caps() {
+        let p =
+            RetryPolicy::retries(8).with_delays(Duration::from_millis(2), Duration::from_millis(9));
+        let ladder: Vec<u128> = (0..4).map(|k| p.delay(k).as_millis()).collect();
         assert_eq!(ladder, vec![2, 4, 8, 9], "doubling, capped at max_delay");
-
-        // With jitter, delays shrink (never grow) and replay identically
-        // for the same seed.
-        let j = p.with_jitter(0.5);
-        let mut a = StdRng::seed_from_u64(j.seed);
-        let mut b = StdRng::seed_from_u64(j.seed);
-        for k in 0..6 {
-            let da = j.delay(k, &mut a);
-            assert_eq!(da, j.delay(k, &mut b));
-            assert!(da <= Duration::from_millis(9));
-            assert!(da >= Duration::from_millis(1), "at most halved: {da:?}");
-        }
         // A huge retry index must not overflow the shift.
-        let _ = p.delay(200, &mut rng);
+        let _ = p.delay(200);
     }
 }

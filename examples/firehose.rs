@@ -111,7 +111,7 @@ fn main() -> Result<(), EngineError> {
          widest tick coalesced {} submissions; {} appends / {} fsync barriers",
         receipts.len(),
         total,
-        engine.commits(),
+        engine.totals().commits,
         engine.epoch(),
         max_coalesced,
         log.deltas() + log.checkpoints(),

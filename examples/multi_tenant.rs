@@ -150,8 +150,9 @@ fn main() -> Result<(), EngineError> {
         // answers, receipts and journals are bit-identical either way, and
         // the audits below keep proving it.
         if round == 5 {
-            engine.set_commit_mode(CommitMode::Parallel { threads: 2 });
-            println!("[lifecycle] switched fan-out to {:?}", engine.commit_mode());
+            let mode = CommitMode::Parallel { threads: 2 };
+            engine.set_commit_mode(mode);
+            println!("[lifecycle] switched fan-out to {mode:?}");
         }
 
         let clean = random_update_batch(engine.graph(), 40, 0.5, 7000 + round);
@@ -250,13 +251,11 @@ fn main() -> Result<(), EngineError> {
         engine.view(&iso)?.match_count()
     );
 
+    let totals = engine.totals();
     println!(
         "\nengine totals: {} commits, {} units applied, {} dropped by \
          normalization, {:.3?} total",
-        engine.commits(),
-        engine.units_applied(),
-        engine.units_dropped(),
-        engine.total_elapsed()
+        totals.commits, totals.units_applied, totals.units_dropped, totals.elapsed
     );
     for t in engine.all_view_totals() {
         println!(

@@ -125,10 +125,11 @@ pub mod prelude {
     pub use igc_core::work::WorkStats;
     pub use igc_core::{IncView, IncrementalAlgorithm};
     pub use igc_engine::{
-        BackgroundBuild, CommitMode, CommitReceipt, Engine, EngineError, Ingest, IngestConfig,
-        IngestReceipt, IngestServer, IngestTicket, LifecycleEvent, LifecycleEventKind,
-        PreparedCommit, Replica, ReplicaStatus, Snapshot, SnapshotStore, SnapshotStoreStats,
-        TailResilience, ViewCommitStats, ViewHandle, ViewId, ViewOutcome, ViewState, ViewTotals,
+        BackgroundBuild, CommitMode, CommitReceipt, Engine, EngineError, EngineTotals, Ingest,
+        IngestConfig, IngestReceipt, IngestServer, IngestTicket, LifecycleEvent,
+        LifecycleEventKind, PreparedCommit, Replica, ReplicaStatus, Snapshot, SnapshotStore,
+        SnapshotStoreStats, ViewCommitStats, ViewHandle, ViewId, ViewOutcome, ViewState,
+        ViewTotals,
     };
     pub use igc_graph::{DynamicGraph, Edge, Label, LabelInterner, NodeId, Update, UpdateBatch};
     pub use igc_iso::{IncIso, Pattern};

@@ -5,7 +5,14 @@
 //! The construction plants an identical "update zone" inside host graphs of
 //! very different sizes: the far-away part is connected but beyond the
 //! locality radius of the zone, so the counters must match exactly.
+//!
+//! IncRPQ, IncSCC and IncRules are held to the same table: relatively
+//! bounded means work tracks |AFF|, and the tail changes no AFF, so their
+//! `WorkStats` and `ChangeMetrics` must be equal across sizes too — the
+//! last two over a scripted run that closes and breaks cycles inside the
+//! zone, at three sizes (×1, ×4, ×16).
 
+use incgraph::core::ChangeMetrics;
 use incgraph::prelude::*;
 
 /// Host graph: an update zone (a small fixed gadget around nodes 0..Z) and
@@ -125,4 +132,98 @@ fn relative_boundedness_work_tracks_aff_not_graph() {
         w_small, w_large,
         "relatively bounded: work tracks AFF, not |G|"
     );
+}
+
+/// Host sizes of the scripted exact-count runs: ×1, ×4, ×16.
+const TAILS: [usize; 3] = [600, 2_400, 9_600];
+
+/// `host(tail)` and a scripted run inside its zone (nodes `0..8`):
+/// `host`'s own batch, then — each normalized against what the one before
+/// leaves — close a 3-cycle, break it, close a cycle through the whole
+/// zone, break that. Returns per step what `step` reports after the view
+/// applied it.
+fn scripted<V: IncrementalAlgorithm, R>(
+    tail: usize,
+    build: impl Fn(&DynamicGraph) -> V,
+    step: impl Fn(&V) -> R,
+) -> Vec<R> {
+    let (mut g, first) = host(tail);
+    let n = |i: u32| NodeId(i);
+    let script = [
+        first,
+        UpdateBatch::from_updates(vec![Update::insert(n(5), n(3)), Update::insert(n(2), n(3))]),
+        UpdateBatch::from_updates(vec![Update::delete(n(5), n(3)), Update::delete(n(0), n(1))]),
+        UpdateBatch::from_updates(vec![Update::insert(n(7), n(0))]),
+        UpdateBatch::from_updates(vec![Update::delete(n(7), n(0)), Update::delete(n(3), n(4))]),
+    ];
+    let mut view = build(&g);
+    script
+        .iter()
+        .map(|delta| {
+            view.reset_work();
+            g.apply_batch(delta);
+            view.apply(&g, delta);
+            step(&view)
+        })
+        .collect()
+}
+
+#[test]
+fn incscc_work_and_aff_are_equal_at_three_graph_sizes() {
+    let run = |tail| -> Vec<(WorkStats, ChangeMetrics)> {
+        scripted(tail, IncScc::new, |scc| (scc.work(), scc.last_metrics()))
+    };
+    let base = run(TAILS[0]);
+    assert!(
+        base.iter().any(|(_, m)| m.output_changes >= 7),
+        "the script must merge and split the whole zone: {base:?}"
+    );
+    for tail in &TAILS[1..] {
+        assert_eq!(
+            base,
+            run(*tail),
+            "relatively bounded: IncSCC work tracks AFF, not |G| (tail {tail})"
+        );
+    }
+}
+
+#[test]
+fn incrules_work_and_aff_are_equal_at_three_graph_sizes() {
+    // Two-rule reachability from the label-0 nodes. The tail points *into*
+    // the zone, so nothing out there is ever derived.
+    let program = || {
+        let mut rules = RuleSet::new();
+        let reach = rules.predicate("reach", 1).unwrap();
+        rules
+            .rule(reach, &[v(0)], vec![Atom::has_label(v(0), Label(0))])
+            .unwrap();
+        rules
+            .rule(
+                reach,
+                &[v(1)],
+                vec![Atom::pred(reach, &[v(0)]), Atom::edge(v(0), v(1))],
+            )
+            .unwrap();
+        rules.compile().unwrap()
+    };
+    // `metrics()` is cumulative over the run; equal prefixes ⇒ equal steps.
+    let run = |tail| -> Vec<(WorkStats, ChangeMetrics, usize)> {
+        scripted(
+            tail,
+            |g| IncRules::new(g, program()),
+            |r| (r.work(), r.metrics(), r.derived_count()),
+        )
+    };
+    let base = run(TAILS[0]);
+    assert!(
+        base.windows(2).any(|w| w[0].2 != w[1].2),
+        "the script must derive and retract facts: {base:?}"
+    );
+    for tail in &TAILS[1..] {
+        assert_eq!(
+            base,
+            run(*tail),
+            "IncRules work is bounded by affected facts, not |G| (tail {tail})"
+        );
+    }
 }
