@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! experiments [--scale F] [--no-verify]
-//!             [fig8a fig8b … | all | unit | rho | undoable | locality]
+//!             [fig8a fig8b … | all | unit | rho | rules | undoable | locality]
 //! ```
 //!
 //! With no figure arguments, everything runs. `--scale` scales the
-//! datasets (1.0 = the laptop-sized full datasets; default 0.15).
-//! `--no-verify` skips the per-point cross-check against batch
-//! recomputation. An unknown id or a malformed flag prints the usage to
-//! stderr and exits with code 2.
+//! datasets (1.0 = the laptop-sized full datasets; default 0.15) and must
+//! be finite and positive. `--no-verify` skips the per-point cross-check
+//! against batch recomputation. An unknown id, a malformed flag or an
+//! unusable scale prints the usage to stderr and exits with code 2.
 
 use igc_bench::experiments::{self, ExpConfig, ALL_FIGS, IN_TEXT};
 use std::process::ExitCode;
@@ -36,9 +36,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(scale) => cfg.scale = scale,
-                None => return bad_input("--scale needs a float"),
+            "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(scale) if scale.is_finite() && scale > 0.0 => cfg.scale = scale,
+                _ => return bad_input("--scale needs a finite float > 0"),
             },
             "--no-verify" => cfg.verify = false,
             "all" => figs.extend(ALL_FIGS.iter().map(|s| s.to_string())),

@@ -4,22 +4,26 @@
 //! * the grouped incremental algorithm (`Inc*`),
 //! * the one-update-at-a-time variant (`Inc*ⁿ`),
 //! * the batch algorithm recomputing on `G ⊕ ΔG` from scratch,
-//! * for SCC additionally the dynamic baseline `DynSCC`.
+//! * for SCC additionally the dynamic baseline `DynSCC`,
+//! * for rules, a semi-naive rebuild and the naive fixpoint in place of one
+//!   batch algorithm.
 //!
 //! With `verify` on, every point cross-checks the incremental answer
 //! against the batch answer on the updated graph — the harness doubles as
 //! an integration test at experiment scale.
 
-use crate::harness::{pct, time, Row, Series};
-use crate::workloads::{self, GRAPH_SEED};
+use crate::harness::{pct, time, Row, Series, Times};
+use crate::workloads::{self, WindowedStream, GRAPH_SEED};
 use igc_core::incremental::{apply_one_by_one, IncrementalAlgorithm};
 use igc_core::work::WorkStats;
+use igc_core::IncView;
 use igc_graph::generator::{random_update_batch, Dataset};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use igc_iso::{IncIso, Pattern};
 use igc_kws::{batch as kws_batch, IncKws, KwsQuery};
 use igc_nfa::{build_nfa, Regex};
 use igc_rpq::{batch as rpq_batch, IncRpq};
+use igc_rules::{naive_fixpoint, IncRules};
 use igc_scc::{tarjan, DynScc, IncScc};
 
 /// Experiment configuration shared by all figures.
@@ -52,15 +56,15 @@ fn delta_for(g: &DynamicGraph, frac: f64, rho_insert: f64, salt: u64) -> UpdateB
 // Per-class measurement points
 // ---------------------------------------------------------------------
 
-/// Measure KWS algorithms on one `(G, ΔG)` instance.
-pub fn kws_point(
+/// The two incremental arms every point opens with, each on its own clone
+/// of `base` and `g`: the grouped `apply` on `G ⊕ ΔG`, then the
+/// one-update-at-a-time variant. Returns the updated graph, both maintained
+/// states and both times in seconds.
+fn inc_arms<A: IncrementalAlgorithm + Clone>(
     g: &DynamicGraph,
-    q: &KwsQuery,
+    base: &A,
     delta: &UpdateBatch,
-    verify: bool,
-) -> Vec<(&'static str, f64)> {
-    let base = IncKws::new(g, q.clone());
-
+) -> (DynamicGraph, A, A, f64, f64) {
     let mut inc = base.clone();
     let mut g_inc = g.clone();
     let (_, t_inc) = time(|| {
@@ -71,6 +75,12 @@ pub fn kws_point(
     let mut incn = base.clone();
     let mut g_n = g.clone();
     let (_, t_incn) = time(|| apply_one_by_one(&mut incn, &mut g_n, delta));
+    (g_inc, inc, incn, t_inc, t_incn)
+}
+
+/// Measure KWS algorithms on one `(G, ΔG)` instance.
+pub fn kws_point(g: &DynamicGraph, q: &KwsQuery, delta: &UpdateBatch, verify: bool) -> Times {
+    let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncKws::new(g, q.clone()), delta);
 
     // The batch baseline pays the full-graph O(m(V log V + E)) cost a
     // general BLINKS-style engine pays (see kws_batch::compute_kdist_baseline).
@@ -87,32 +97,12 @@ pub fn kws_point(
         );
         assert_eq!(incn.answer_signature(), fresh.answer_signature());
     }
-    vec![
-        ("IncKWS", t_inc.as_secs_f64()),
-        ("IncKWSn", t_incn.as_secs_f64()),
-        ("BLINKS", t_batch.as_secs_f64()),
-    ]
+    vec![("IncKWS", t_inc), ("IncKWSn", t_incn), ("BLINKS", t_batch)]
 }
 
 /// Measure RPQ algorithms on one instance.
-pub fn rpq_point(
-    g: &DynamicGraph,
-    q: &Regex,
-    delta: &UpdateBatch,
-    verify: bool,
-) -> Vec<(&'static str, f64)> {
-    let base = IncRpq::new(g, q);
-
-    let mut inc = base.clone();
-    let mut g_inc = g.clone();
-    let (_, t_inc) = time(|| {
-        g_inc.apply_batch(delta);
-        inc.apply(&g_inc, delta);
-    });
-
-    let mut incn = base.clone();
-    let mut g_n = g.clone();
-    let (_, t_incn) = time(|| apply_one_by_one(&mut incn, &mut g_n, delta));
+pub fn rpq_point(g: &DynamicGraph, q: &Regex, delta: &UpdateBatch, verify: bool) -> Times {
+    let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncRpq::new(g, q), delta);
 
     // The batch column rebuilds the full queryable state from scratch on
     // G ⊕ ΔG (traversal + markings) — the from-scratch response an
@@ -131,27 +121,12 @@ pub fn rpq_point(
         let plain = rpq_batch::evaluate(&g_inc, fresh.nfa(), &mut w);
         assert_eq!(fresh.sorted_answer(), rpq_batch::sorted_answer(&plain));
     }
-    vec![
-        ("IncRPQ", t_inc.as_secs_f64()),
-        ("IncRPQn", t_incn.as_secs_f64()),
-        ("RPQnfa", t_batch.as_secs_f64()),
-    ]
+    vec![("IncRPQ", t_inc), ("IncRPQn", t_incn), ("RPQnfa", t_batch)]
 }
 
 /// Measure SCC algorithms on one instance.
-pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> Vec<(&'static str, f64)> {
-    let base = IncScc::new(g);
-
-    let mut inc = base.clone();
-    let mut g_inc = g.clone();
-    let (_, t_inc) = time(|| {
-        g_inc.apply_batch(delta);
-        inc.apply(&g_inc, delta);
-    });
-
-    let mut incn = base.clone();
-    let mut g_n = g.clone();
-    let (_, t_incn) = time(|| apply_one_by_one(&mut incn, &mut g_n, delta));
+pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> Times {
+    let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncScc::new(g), delta);
 
     let (fresh, t_batch) = time(|| tarjan(&g_inc));
 
@@ -166,32 +141,16 @@ pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> Vec<(&'
         assert_eq!(dyn_scc.components(), canon);
     }
     vec![
-        ("IncSCC", t_inc.as_secs_f64()),
-        ("IncSCCn", t_incn.as_secs_f64()),
-        ("Tarjan", t_batch.as_secs_f64()),
-        ("DynSCC", t_dyn.as_secs_f64()),
+        ("IncSCC", t_inc),
+        ("IncSCCn", t_incn),
+        ("Tarjan", t_batch),
+        ("DynSCC", t_dyn),
     ]
 }
 
 /// Measure ISO algorithms on one instance.
-pub fn iso_point(
-    g: &DynamicGraph,
-    p: &Pattern,
-    delta: &UpdateBatch,
-    verify: bool,
-) -> Vec<(&'static str, f64)> {
-    let base = IncIso::new(g, p.clone());
-
-    let mut inc = base.clone();
-    let mut g_inc = g.clone();
-    let (_, t_inc) = time(|| {
-        g_inc.apply_batch(delta);
-        inc.apply(&g_inc, delta);
-    });
-
-    let mut incn = base.clone();
-    let mut g_n = g.clone();
-    let (_, t_incn) = time(|| apply_one_by_one(&mut incn, &mut g_n, delta));
+pub fn iso_point(g: &DynamicGraph, p: &Pattern, delta: &UpdateBatch, verify: bool) -> Times {
+    let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncIso::new(g, p.clone()), delta);
 
     // As with RPQ, the batch column rebuilds the indexed match set (VF2
     // enumeration + the edge index the maintained state carries).
@@ -204,18 +163,32 @@ pub fn iso_point(
         );
         assert_eq!(incn.sorted_matches(), fresh.sorted_matches());
     }
+    vec![("IncISO", t_inc), ("IncISOn", t_incn), ("VF2", t_batch)]
+}
+
+/// Measure rule maintenance on one instance, from a warm view `base` of
+/// `g`: `IncRules`, grouped and one update at a time, against a semi-naive
+/// rebuild and the naive fixpoint.
+pub fn rules_point(g: &DynamicGraph, base: &IncRules, delta: &UpdateBatch, verify: bool) -> Times {
+    let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, base, delta);
+
+    let (fresh, t_semi) = time(|| IncRules::new(&g_inc, base.program().clone()));
+    let (oracle, t_naive) = time(|| naive_fixpoint(&g_inc, base.program()));
+    if verify {
+        inc.verify_against_batch(&g_inc)
+            .expect("IncRules diverged from the naive fixpoint");
+        assert_eq!(incn.sorted_facts(), oracle.sorted_facts());
+        assert_eq!(fresh.sorted_facts(), oracle.sorted_facts());
+    }
     vec![
-        ("IncISO", t_inc.as_secs_f64()),
-        ("IncISOn", t_incn.as_secs_f64()),
-        ("VF2", t_batch.as_secs_f64()),
+        ("IncRules", t_inc),
+        ("IncRulesn", t_incn),
+        ("SemiNaive", t_semi),
+        ("Naive", t_naive),
     ]
 }
 
-// ---------------------------------------------------------------------
-// Figure 8(a)–(i): varying |ΔG|
-// ---------------------------------------------------------------------
-
-/// Which query class a figure sweeps.
+/// Which of the paper's query classes a figure sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
     /// Keyword search.
@@ -228,30 +201,53 @@ pub enum Class {
     Iso,
 }
 
+impl Class {
+    const ALL: [Class; 4] = [Class::Kws, Class::Rpq, Class::Scc, Class::Iso];
+
+    /// The class's name in the paper's figure captions.
+    fn name(self) -> &'static str {
+        match self {
+            Class::Kws => "KWS",
+            Class::Rpq => "RPQ",
+            Class::Scc => "SCC",
+            Class::Iso => "ISO",
+        }
+    }
+
+    /// One point of this class with the paper's default query for it
+    /// (Exp-1 / Exp-3) on `g`, a graph of dataset `data`.
+    fn point(self, g: &DynamicGraph, data: Dataset, delta: &UpdateBatch, verify: bool) -> Times {
+        match self {
+            Class::Kws => kws_point(g, &workloads::default_kws(), delta, verify),
+            Class::Rpq => rpq_point(g, &workloads::default_rpq(data.alphabet()), delta, verify),
+            Class::Scc => scc_point(g, delta, verify),
+            Class::Iso => iso_point(g, &workloads::default_iso(), delta, verify),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Figure 8(a)–(i): varying |ΔG|
+// ---------------------------------------------------------------------
+
 /// Generic Exp-1 sweep: vary |ΔG| from 5 % to 40 % of |E| at ρ = 1.
-pub fn fig8_deltag(class: Class, data: Dataset, cfg: &ExpConfig, title: &str) -> Series {
+pub fn fig8_deltag(panel: char, class: Class, data: Dataset, cfg: &ExpConfig) -> Series {
+    let caption = match data {
+        Dataset::DbpediaLike => "DBpedia-like",
+        Dataset::LivejournalLike => "liveJ-like",
+        Dataset::Synthetic => "Synthetic",
+    };
     let g = workloads::dataset(data, cfg.scale);
     let mut rows = Vec::new();
     for (i, &frac) in DELTAG_FRACS.iter().enumerate() {
         let delta = delta_for(&g, frac, 0.5, i as u64);
-        let times = match class {
-            Class::Kws => kws_point(&g, &workloads::default_kws(), &delta, cfg.verify),
-            Class::Rpq => rpq_point(
-                &g,
-                &workloads::default_rpq(data.alphabet()),
-                &delta,
-                cfg.verify,
-            ),
-            Class::Scc => scc_point(&g, &delta, cfg.verify),
-            Class::Iso => iso_point(&g, &workloads::default_iso(), &delta, cfg.verify),
-        };
         rows.push(Row {
             x: pct(frac),
-            times,
+            times: class.point(&g, data, &delta, cfg.verify),
         });
     }
     Series {
-        title: title.to_owned(),
+        title: format!("Fig 8({panel}) Varying ΔG, {} ({caption})", class.name()),
         x_label: "|ΔG|/|G|",
         unit: "s",
         rows,
@@ -329,7 +325,7 @@ pub fn fig8l(cfg: &ExpConfig) -> Series {
 /// Generic Exp-3 sweep: scale factors 0.2…1.0 of the synthetic dataset with
 /// a fixed absolute |ΔG| (10 % of the full-scale edge count, mirroring the
 /// paper's fixed 15M updates).
-pub fn fig8_scale(class: Class, cfg: &ExpConfig, title: &str) -> Series {
+pub fn fig8_scale(panel: char, class: Class, cfg: &ExpConfig) -> Series {
     let full_edges = workloads::dataset(Dataset::Synthetic, cfg.scale).edge_count();
     let fixed_updates = ((full_edges as f64) * 0.10).round() as usize;
     let mut rows = Vec::new();
@@ -337,24 +333,13 @@ pub fn fig8_scale(class: Class, cfg: &ExpConfig, title: &str) -> Series {
         let g = workloads::dataset(Dataset::Synthetic, cfg.scale * factor);
         let count = fixed_updates.min(g.edge_count());
         let delta = random_update_batch(&g, count, 0.5, GRAPH_SEED ^ 0xf1);
-        let times = match class {
-            Class::Kws => kws_point(&g, &workloads::default_kws(), &delta, cfg.verify),
-            Class::Rpq => rpq_point(
-                &g,
-                &workloads::default_rpq(Dataset::Synthetic.alphabet()),
-                &delta,
-                cfg.verify,
-            ),
-            Class::Scc => scc_point(&g, &delta, cfg.verify),
-            Class::Iso => iso_point(&g, &workloads::default_iso(), &delta, cfg.verify),
-        };
         rows.push(Row {
             x: format!("{factor}"),
-            times,
+            times: class.point(&g, Dataset::Synthetic, &delta, cfg.verify),
         });
     }
     Series {
-        title: title.to_owned(),
+        title: format!("Fig 8({panel}) Varying G, {} (Synthetic)", class.name()),
         x_label: "scale factor",
         unit: "s",
         rows,
@@ -367,30 +352,17 @@ pub fn fig8_scale(class: Class, cfg: &ExpConfig, title: &str) -> Series {
 
 /// Exp-1(5): unit updates — one insertion and one deletion per class.
 pub fn unit_updates(cfg: &ExpConfig) -> Series {
-    let g = workloads::dataset(Dataset::DbpediaLike, cfg.scale);
+    let data = Dataset::DbpediaLike;
+    let g = workloads::dataset(data, cfg.scale);
     let mut rows = Vec::new();
     for (kind, rho) in [("insert", 1.0), ("delete", 0.0)] {
         let delta = random_update_batch(&g, 1, rho, GRAPH_SEED ^ 0xabc);
+        // On a unit update `Inc*ⁿ` (every point's second column) is `Inc*`.
         let mut times = Vec::new();
-        for (name, t) in kws_point(&g, &workloads::default_kws(), &delta, cfg.verify) {
-            if name != "IncKWSn" {
-                times.push((name, t));
-            }
-        }
-        for (name, t) in rpq_point(&g, &workloads::default_rpq(495), &delta, cfg.verify) {
-            if name != "IncRPQn" {
-                times.push((name, t));
-            }
-        }
-        for (name, t) in scc_point(&g, &delta, cfg.verify) {
-            if name != "IncSCCn" {
-                times.push((name, t));
-            }
-        }
-        for (name, t) in iso_point(&g, &workloads::default_iso(), &delta, cfg.verify) {
-            if name != "IncISOn" {
-                times.push((name, t));
-            }
+        for class in Class::ALL {
+            let mut point = class.point(&g, data, &delta, cfg.verify);
+            point.remove(1);
+            times.extend(point);
         }
         rows.push(Row {
             x: kind.to_owned(),
@@ -407,33 +379,54 @@ pub fn unit_updates(cfg: &ExpConfig) -> Series {
 
 /// ρ-sensitivity: fixed |ΔG| = 10 %, insertion fraction varied.
 pub fn rho_sensitivity(cfg: &ExpConfig) -> Series {
-    let g = workloads::dataset(Dataset::DbpediaLike, cfg.scale);
+    let data = Dataset::DbpediaLike;
+    let g = workloads::dataset(data, cfg.scale);
     let mut rows = Vec::new();
     for rho in [0.2, 0.4, 0.5, 0.6, 0.8] {
         let delta = delta_for(&g, 0.10, rho, (rho * 100.0) as u64);
-        let times = vec![
-            (
-                "IncKWS",
-                kws_point(&g, &workloads::default_kws(), &delta, cfg.verify)[0].1,
-            ),
-            (
-                "IncRPQ",
-                rpq_point(&g, &workloads::default_rpq(495), &delta, cfg.verify)[0].1,
-            ),
-            ("IncSCC", scc_point(&g, &delta, cfg.verify)[0].1),
-            (
-                "IncISO",
-                iso_point(&g, &workloads::default_iso(), &delta, cfg.verify)[0].1,
-            ),
-        ];
+        let times = Class::ALL.map(|class| class.point(&g, data, &delta, cfg.verify)[0]);
         rows.push(Row {
             x: format!("{rho}"),
-            times,
+            times: times.to_vec(),
         });
     }
     Series {
         title: "ρ-sensitivity: fixed |ΔG| = 10%, varying insert fraction".into(),
         x_label: "insert fraction",
+        unit: "s",
+        rows,
+    }
+}
+
+/// Rule maintenance on the windowed attack-graph stream, from a view kept
+/// warm over `WINDOW + 3` ticks: one steady-state *slide* (a cohort in, a
+/// cohort out) and, from the same window, a *storm* (half of it retracted
+/// in one coalesced batch — the deletion-heavy regime support counting
+/// exists for). The stream's sizes are fixed; `cfg.scale` does not apply.
+pub fn rules_maintain(cfg: &ExpConfig) -> Series {
+    const NODES: usize = 400;
+    const WINDOW: usize = 8;
+    const PER_TICK: usize = 400;
+    let (mut g, mut ws) = WindowedStream::new(NODES, WINDOW, PER_TICK, 0x5EED_2017);
+    let mut view = IncRules::new(&g, workloads::attack_program().0);
+    for _ in 0..WINDOW + 3 {
+        let delta = ws.next_batch();
+        g.apply_batch(&delta);
+        view.apply(&g, &delta);
+    }
+    let mut rows = Vec::new();
+    for (phase, delta) in [
+        ("slide", ws.clone().next_batch()),
+        ("storm", ws.storm(WINDOW / 2)),
+    ] {
+        rows.push(Row {
+            x: phase.to_owned(),
+            times: rules_point(&g, &view, &delta, cfg.verify),
+        });
+    }
+    Series {
+        title: "Rules: incremental vs from-scratch on a window slide and a deletion storm".into(),
+        x_label: "phase",
         unit: "s",
         rows,
     }
@@ -514,7 +507,7 @@ pub const ALL_FIGS: [&str; 16] = [
 ];
 
 /// The in-text experiment ids understood by [`run`] beside [`ALL_FIGS`].
-pub const IN_TEXT: [&str; 4] = ["unit", "rho", "undoable", "locality"];
+pub const IN_TEXT: [&str; 5] = ["unit", "rho", "rules", "undoable", "locality"];
 
 /// Run one named experiment; `None` if `fig` is not an id of [`ALL_FIGS`]
 /// or [`IN_TEXT`].
@@ -522,64 +515,25 @@ pub fn run(fig: &str, cfg: &ExpConfig) -> Option<Series> {
     use Class::*;
     use Dataset::*;
     Some(match fig {
-        "fig8a" => fig8_deltag(
-            Kws,
-            DbpediaLike,
-            cfg,
-            "Fig 8(a) Varying ΔG, KWS (DBpedia-like)",
-        ),
-        "fig8b" => fig8_deltag(
-            Rpq,
-            DbpediaLike,
-            cfg,
-            "Fig 8(b) Varying ΔG, RPQ (DBpedia-like)",
-        ),
-        "fig8c" => fig8_deltag(
-            Scc,
-            DbpediaLike,
-            cfg,
-            "Fig 8(c) Varying ΔG, SCC (DBpedia-like)",
-        ),
-        "fig8d" => fig8_deltag(
-            Iso,
-            DbpediaLike,
-            cfg,
-            "Fig 8(d) Varying ΔG, ISO (DBpedia-like)",
-        ),
-        "fig8e" => fig8_deltag(
-            Kws,
-            LivejournalLike,
-            cfg,
-            "Fig 8(e) Varying ΔG, KWS (liveJ-like)",
-        ),
-        "fig8f" => fig8_deltag(
-            Rpq,
-            LivejournalLike,
-            cfg,
-            "Fig 8(f) Varying ΔG, RPQ (liveJ-like)",
-        ),
-        "fig8g" => fig8_deltag(
-            Scc,
-            LivejournalLike,
-            cfg,
-            "Fig 8(g) Varying ΔG, SCC (liveJ-like)",
-        ),
-        "fig8h" => fig8_deltag(
-            Iso,
-            LivejournalLike,
-            cfg,
-            "Fig 8(h) Varying ΔG, ISO (liveJ-like)",
-        ),
-        "fig8i" => fig8_deltag(Scc, Synthetic, cfg, "Fig 8(i) Varying ΔG, SCC (Synthetic)"),
+        "fig8a" => fig8_deltag('a', Kws, DbpediaLike, cfg),
+        "fig8b" => fig8_deltag('b', Rpq, DbpediaLike, cfg),
+        "fig8c" => fig8_deltag('c', Scc, DbpediaLike, cfg),
+        "fig8d" => fig8_deltag('d', Iso, DbpediaLike, cfg),
+        "fig8e" => fig8_deltag('e', Kws, LivejournalLike, cfg),
+        "fig8f" => fig8_deltag('f', Rpq, LivejournalLike, cfg),
+        "fig8g" => fig8_deltag('g', Scc, LivejournalLike, cfg),
+        "fig8h" => fig8_deltag('h', Iso, LivejournalLike, cfg),
+        "fig8i" => fig8_deltag('i', Scc, Synthetic, cfg),
         "fig8j" => fig8j(cfg),
         "fig8k" => fig8k(cfg),
         "fig8l" => fig8l(cfg),
-        "fig8m" => fig8_scale(Kws, cfg, "Fig 8(m) Varying G, KWS (Synthetic)"),
-        "fig8n" => fig8_scale(Rpq, cfg, "Fig 8(n) Varying G, RPQ (Synthetic)"),
-        "fig8o" => fig8_scale(Scc, cfg, "Fig 8(o) Varying G, SCC (Synthetic)"),
-        "fig8p" => fig8_scale(Iso, cfg, "Fig 8(p) Varying G, ISO (Synthetic)"),
+        "fig8m" => fig8_scale('m', Kws, cfg),
+        "fig8n" => fig8_scale('n', Rpq, cfg),
+        "fig8o" => fig8_scale('o', Scc, cfg),
+        "fig8p" => fig8_scale('p', Iso, cfg),
         "unit" => unit_updates(cfg),
         "rho" => rho_sensitivity(cfg),
+        "rules" => rules_maintain(cfg),
         "undoable" => undoable_demo(),
         "locality" => locality_demo(cfg),
         _ => return None,
@@ -628,6 +582,15 @@ mod tests {
             iso_point(&g, &workloads::default_iso(), &delta, true).len(),
             3
         );
+    }
+
+    #[test]
+    fn rules_point_verifies_at_tiny_scale() {
+        // `verify` audits every maintained fact and support count of each
+        // row against the naive oracle on the way.
+        let s = rules_maintain(&tiny());
+        let rows: Vec<_> = s.rows.iter().map(|r| (&*r.x, r.times.len())).collect();
+        assert_eq!(rows, [("slide", 4), ("storm", 4)]);
     }
 
     #[test]

@@ -1,22 +1,26 @@
 //! Timing and table output for the experiments.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Wall-clock one closure.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+/// Wall-clock one closure, in seconds — the unit a [`Row`] stores.
+pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
-    (out, start.elapsed())
+    (out, start.elapsed().as_secs_f64())
 }
 
+/// What one point measured: `(column name, value)` pairs in the paper's
+/// column order — seconds, or counts in the instrumentation demos.
+pub type Times = Vec<(&'static str, f64)>;
+
 /// One experiment data point: an x-value (e.g. |ΔG| as a percentage) and
-/// the measured time per algorithm, in the paper's column order.
+/// the measured time per algorithm.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The swept parameter, formatted (e.g. "10%", "(3,2)", "0.4").
     pub x: String,
-    /// `(algorithm name, seconds)` pairs.
-    pub times: Vec<(&'static str, f64)>,
+    /// The point's columns.
+    pub times: Times,
 }
 
 /// A full experiment series: a title (figure id) and its rows.
@@ -78,7 +82,7 @@ mod tests {
     fn time_measures_something() {
         let (v, d) = time(|| (0..10_000).sum::<u64>());
         assert_eq!(v, 49_995_000);
-        assert!(d.as_nanos() > 0);
+        assert!(d > 0.0);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn attack_label(i: usize) -> Label {
 /// one batch.
 ///
 /// Deterministic for a given seed; nodes are labelled by [`attack_label`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WindowedStream {
     nodes: usize,
     window: usize,

@@ -365,7 +365,7 @@ impl Engine {
     /// Commit a batch update: normalize it once against the current graph,
     /// apply ΔG to the graph exactly once (bumping the epoch), then
     /// propagate the normalized delta to every live active view — on this
-    /// thread in slot order, or across scoped worker threads under
+    /// thread in slot order, or across the persistent worker pool under
     /// [`CommitMode::Parallel`] (see [`Engine::set_commit_mode`]; receipts
     /// and journals are bit-identical either way).
     ///

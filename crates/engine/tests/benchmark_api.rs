@@ -194,3 +194,66 @@ fn the_benchmarks_calls_compile_and_run() -> Result<(), EngineError> {
     assert_eq!(engine.epoch(), 2);
     Ok(())
 }
+
+// What `run.rs` imports beyond the above, for the shadow log and `durable_recover`.
+use igc_log::{CommitLog, DurabilityMode, FileBackend, Replayer};
+use std::time::Duration;
+
+const GROUP_COMMIT: DurabilityMode = DurabilityMode::GroupCommit {
+    max_batch: 8,
+    max_delay: Duration::from_secs(1),
+};
+
+#[test]
+fn the_benchmarks_durable_calls_compile_and_run() -> Result<(), EngineError> {
+    let base: DynamicGraph = graph_from(&[0, 1, 2, 0, 1, 2], &[(0, 1), (1, 2), (3, 4)]);
+    let dir = std::env::temp_dir().join(format!("igc-benchmark-api-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = || FileBackend::new(&dir).map(|b| Arc::new(b) as Arc<dyn LogBackend>);
+    let insert = |u, v| UpdateBatch::from_updates(vec![Update::insert(NodeId(u), NodeId(v))]);
+
+    // The shadow log keeps its own epoch chain beside the engine's journal.
+    let mut log = CommitLog::create(Arc::new(MemBackend::new()))?;
+    log.set_durability(GROUP_COMMIT);
+    log.append_checkpoint(&base)?;
+    let epoch = log.last_epoch().map_or(1, |e| e + 1);
+    log.append_delta(epoch, &insert(2, 3).normalize_against(&base))?;
+    log.sync()?;
+    assert!(log.bytes().unwrap_or(0) > 0 && log.last_epoch() == Some(epoch));
+
+    let mut engine = Engine::new(base).with_log(journal()?)?;
+    engine.set_durability(GROUP_COMMIT)?;
+    let h = register(&mut engine)?;
+    // (0, 1) is present and normalizes away: every receipt field `run.rs` reads.
+    let mut batch = insert(2, 3);
+    batch.push(Update::insert(NodeId(0), NodeId(1)));
+    let r: CommitReceipt = engine.commit(&batch)?;
+    assert_eq!(
+        (r.submitted, r.applied, r.dropped, r.log_retries),
+        (2, 1, 1, 0)
+    );
+    let views: Duration = r.per_view.iter().map(|v| v.elapsed).sum();
+    assert!(r.per_view.len() == 5 && r.graph_elapsed + views <= r.elapsed);
+    assert!(engine.log().and_then(|l| l.bytes().ok()).unwrap_or(0) > 0);
+
+    // One submit → wait round through the front door, then a crash: the
+    // server is dropped un-shut-down and the journal is all that is left.
+    let server = IngestServer::spawn(engine);
+    let ingest = server.handle();
+    let receipt = ingest.submit(insert(4, 5))?.wait()?;
+    assert_eq!((receipt.epoch, receipt.coalesced), (2, 1));
+    assert_eq!((receipt.commit.epoch, receipt.commit.applied), (2, 1));
+    let derived = ingest.snapshot()?.view(&h.rules)?.derived_count();
+    drop((ingest, server));
+
+    let replayer = Replayer::new(journal()?);
+    assert_eq!(replayer.summary()?.last_epoch, 2);
+    assert_eq!(replayer.latest()?.graph.edge_count(), 5);
+    let mut recovered = Engine::recover(journal()?)?;
+    let h = register(&mut recovered)?;
+    assert_eq!(recovered.epoch(), 2);
+    assert_eq!(recovered.view(&h.rules)?.derived_count(), derived);
+    recovered.verify_all()?;
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}

@@ -101,12 +101,6 @@ pub fn d_neighbor(g: &DynamicGraph, center: NodeId, d: usize) -> Neighborhood {
     induced_subgraph(g, &ball_nodes(g, center, d))
 }
 
-/// The subgraph induced by the union of `d`-balls around `centers` —
-/// `G_d(ΔG)` in the paper's notation.
-pub fn batch_d_neighbor(g: &DynamicGraph, centers: &[NodeId], d: usize) -> Neighborhood {
-    induced_subgraph(g, &batch_ball_nodes(g, centers, d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,11 +52,6 @@ impl Nfa {
         self.accepting[s as usize]
     }
 
-    /// All accepting states.
-    pub fn accepting_states(&self) -> impl Iterator<Item = StateId> + '_ {
-        (0..self.delta.len() as StateId).filter(|&s| self.is_accepting(s))
-    }
-
     /// States reached from `s0` by consuming the *first* path label — the
     /// seeding function of the RPQ product traversal: a source node `u`
     /// starts in every state of `start_states(l(u))`.
