@@ -12,7 +12,7 @@
 //! against the batch answer on the updated graph — the harness doubles as
 //! an integration test at experiment scale.
 
-use crate::harness::{pct, time, Row, Series, Times};
+use crate::harness::{pct, time, Counters, Row, Series, Times};
 use crate::workloads::{self, WindowedStream, GRAPH_SEED};
 use igc_core::incremental::{apply_one_by_one, IncrementalAlgorithm};
 use igc_core::work::WorkStats;
@@ -124,8 +124,9 @@ pub fn rpq_point(g: &DynamicGraph, q: &Regex, delta: &UpdateBatch, verify: bool)
     vec![("IncRPQ", t_inc), ("IncRPQn", t_incn), ("RPQnfa", t_batch)]
 }
 
-/// Measure SCC algorithms on one instance.
-pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> Times {
+/// Measure SCC algorithms on one instance; the counters are `IncSCC`'s
+/// [`SccDelta`](igc_scc::SccDelta) for the grouped `apply`.
+pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> (Times, Counters) {
     let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncScc::new(g), delta);
 
     let (fresh, t_batch) = time(|| tarjan(&g_inc));
@@ -140,12 +141,21 @@ pub fn scc_point(g: &DynamicGraph, delta: &UpdateBatch, verify: bool) -> Times {
         assert_eq!(incn.components(), canon);
         assert_eq!(dyn_scc.components(), canon);
     }
-    vec![
-        ("IncSCC", t_inc),
-        ("IncSCCn", t_incn),
-        ("Tarjan", t_batch),
-        ("DynSCC", t_dyn),
-    ]
+    let d = inc.last_delta();
+    (
+        vec![
+            ("IncSCC", t_inc),
+            ("IncSCCn", t_incn),
+            ("Tarjan", t_batch),
+            ("DynSCC", t_dyn),
+        ],
+        vec![
+            ("tree_hits", d.tree_hits),
+            ("reattached", d.reattached),
+            ("carved", d.carved),
+            ("fallbacks", d.fallbacks),
+        ],
+    )
 }
 
 /// Measure ISO algorithms on one instance.
@@ -168,8 +178,14 @@ pub fn iso_point(g: &DynamicGraph, p: &Pattern, delta: &UpdateBatch, verify: boo
 
 /// Measure rule maintenance on one instance, from a warm view `base` of
 /// `g`: `IncRules`, grouped and one update at a time, against a semi-naive
-/// rebuild and the naive fixpoint.
-pub fn rules_point(g: &DynamicGraph, base: &IncRules, delta: &UpdateBatch, verify: bool) -> Times {
+/// rebuild and the naive fixpoint; the counters are `IncRules`'
+/// [`RulesDelta`](igc_rules::RulesDelta) for the grouped `apply`.
+pub fn rules_point(
+    g: &DynamicGraph,
+    base: &IncRules,
+    delta: &UpdateBatch,
+    verify: bool,
+) -> (Times, Counters) {
     let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, base, delta);
 
     let (fresh, t_semi) = time(|| IncRules::new(&g_inc, base.program().clone()));
@@ -180,12 +196,27 @@ pub fn rules_point(g: &DynamicGraph, base: &IncRules, delta: &UpdateBatch, verif
         assert_eq!(incn.sorted_facts(), oracle.sorted_facts());
         assert_eq!(fresh.sorted_facts(), oracle.sorted_facts());
     }
-    vec![
-        ("IncRules", t_inc),
-        ("IncRulesn", t_incn),
-        ("SemiNaive", t_semi),
-        ("Naive", t_naive),
-    ]
+    let d = inc.last_delta();
+    (
+        vec![
+            ("IncRules", t_inc),
+            ("IncRulesn", t_incn),
+            ("SemiNaive", t_semi),
+            ("Naive", t_naive),
+        ],
+        vec![
+            ("suspects", d.suspects),
+            ("overdeleted", d.overdeleted),
+            ("rederived", d.rederived),
+            ("removed", d.facts_removed),
+            ("added", d.facts_added),
+        ],
+    )
+}
+
+/// A point of a class that keeps no maintenance counters.
+fn plain(times: Times) -> (Times, Counters) {
+    (times, Counters::new())
 }
 
 /// Which of the paper's query classes a figure sweeps.
@@ -215,14 +246,27 @@ impl Class {
     }
 
     /// One point of this class with the paper's default query for it
-    /// (Exp-1 / Exp-3) on `g`, a graph of dataset `data`.
-    fn point(self, g: &DynamicGraph, data: Dataset, delta: &UpdateBatch, verify: bool) -> Times {
-        match self {
-            Class::Kws => kws_point(g, &workloads::default_kws(), delta, verify),
-            Class::Rpq => rpq_point(g, &workloads::default_rpq(data.alphabet()), delta, verify),
+    /// (Exp-1 / Exp-3) on `g`, a graph of dataset `data`, as the row at `x`.
+    fn row(
+        self,
+        x: String,
+        g: &DynamicGraph,
+        data: Dataset,
+        delta: &UpdateBatch,
+        verify: bool,
+    ) -> Row {
+        let (times, counters) = match self {
+            Class::Kws => plain(kws_point(g, &workloads::default_kws(), delta, verify)),
+            Class::Rpq => plain(rpq_point(
+                g,
+                &workloads::default_rpq(data.alphabet()),
+                delta,
+                verify,
+            )),
             Class::Scc => scc_point(g, delta, verify),
-            Class::Iso => iso_point(g, &workloads::default_iso(), delta, verify),
-        }
+            Class::Iso => plain(iso_point(g, &workloads::default_iso(), delta, verify)),
+        };
+        Row { x, times, counters }
     }
 }
 
@@ -241,10 +285,7 @@ pub fn fig8_deltag(panel: char, class: Class, data: Dataset, cfg: &ExpConfig) ->
     let mut rows = Vec::new();
     for (i, &frac) in DELTAG_FRACS.iter().enumerate() {
         let delta = delta_for(&g, frac, 0.5, i as u64);
-        rows.push(Row {
-            x: pct(frac),
-            times: class.point(&g, data, &delta, cfg.verify),
-        });
+        rows.push(class.row(pct(frac), &g, data, &delta, cfg.verify));
     }
     Series {
         title: format!("Fig 8({panel}) Varying ΔG, {} ({caption})", class.name()),
@@ -268,6 +309,7 @@ pub fn fig8j(cfg: &ExpConfig) -> Series {
         rows.push(Row {
             x: format!("({m},{b})"),
             times: kws_point(&g, &q, &delta, cfg.verify),
+            counters: Counters::new(),
         });
     }
     Series {
@@ -288,6 +330,7 @@ pub fn fig8k(cfg: &ExpConfig) -> Series {
         rows.push(Row {
             x: format!("{size}"),
             times: rpq_point(&g, &q, &delta, cfg.verify),
+            counters: Counters::new(),
         });
     }
     Series {
@@ -308,6 +351,7 @@ pub fn fig8l(cfg: &ExpConfig) -> Series {
         rows.push(Row {
             x: format!("({},{},{})", n, p.edge_count(), n - 2),
             times: iso_point(&g, &p, &delta, cfg.verify),
+            counters: Counters::new(),
         });
     }
     Series {
@@ -333,10 +377,13 @@ pub fn fig8_scale(panel: char, class: Class, cfg: &ExpConfig) -> Series {
         let g = workloads::dataset(Dataset::Synthetic, cfg.scale * factor);
         let count = fixed_updates.min(g.edge_count());
         let delta = random_update_batch(&g, count, 0.5, GRAPH_SEED ^ 0xf1);
-        rows.push(Row {
-            x: format!("{factor}"),
-            times: class.point(&g, Dataset::Synthetic, &delta, cfg.verify),
-        });
+        rows.push(class.row(
+            format!("{factor}"),
+            &g,
+            Dataset::Synthetic,
+            &delta,
+            cfg.verify,
+        ));
     }
     Series {
         title: format!("Fig 8({panel}) Varying G, {} (Synthetic)", class.name()),
@@ -360,13 +407,14 @@ pub fn unit_updates(cfg: &ExpConfig) -> Series {
         // On a unit update `Inc*ⁿ` (every point's second column) is `Inc*`.
         let mut times = Vec::new();
         for class in Class::ALL {
-            let mut point = class.point(&g, data, &delta, cfg.verify);
-            point.remove(1);
-            times.extend(point);
+            let mut point = class.row(String::new(), &g, data, &delta, cfg.verify);
+            point.times.remove(1);
+            times.extend(point.times);
         }
         rows.push(Row {
             x: kind.to_owned(),
             times,
+            counters: Counters::new(),
         });
     }
     Series {
@@ -384,10 +432,12 @@ pub fn rho_sensitivity(cfg: &ExpConfig) -> Series {
     let mut rows = Vec::new();
     for rho in [0.2, 0.4, 0.5, 0.6, 0.8] {
         let delta = delta_for(&g, 0.10, rho, (rho * 100.0) as u64);
-        let times = Class::ALL.map(|class| class.point(&g, data, &delta, cfg.verify)[0]);
+        let times =
+            Class::ALL.map(|class| class.row(String::new(), &g, data, &delta, cfg.verify).times[0]);
         rows.push(Row {
             x: format!("{rho}"),
             times: times.to_vec(),
+            counters: Counters::new(),
         });
     }
     Series {
@@ -419,9 +469,11 @@ pub fn rules_maintain(cfg: &ExpConfig) -> Series {
         ("slide", ws.clone().next_batch()),
         ("storm", ws.storm(WINDOW / 2)),
     ] {
+        let (times, counters) = rules_point(&g, &view, &delta, cfg.verify);
         rows.push(Row {
             x: phase.to_owned(),
-            times: rules_point(&g, &view, &delta, cfg.verify),
+            times,
+            counters,
         });
     }
     Series {
@@ -455,6 +507,7 @@ pub fn undoable_demo() -> Series {
                 ("CHANGED", m.changed() as f64),
                 ("AFF(markings)", (m.affected.max(1)) as f64),
             ],
+            counters: Counters::new(),
         });
     }
     Series {
@@ -490,6 +543,7 @@ pub fn locality_demo(cfg: &ExpConfig) -> Series {
                 ("IncISO work", iso.work().total() as f64),
                 ("|G|", g.size() as f64),
             ],
+            counters: Counters::new(),
         });
     }
     Series {
@@ -565,8 +619,9 @@ mod tests {
         let cfg = tiny();
         let g = workloads::dataset(Dataset::Synthetic, cfg.scale);
         let delta = delta_for(&g, 0.10, 0.5, 2);
-        let times = scc_point(&g, &delta, true);
+        let (times, counters) = scc_point(&g, &delta, true);
         assert_eq!(times.len(), 4);
+        assert_eq!(counters.len(), 4);
     }
 
     #[test]
@@ -589,8 +644,12 @@ mod tests {
         // `verify` audits every maintained fact and support count of each
         // row against the naive oracle on the way.
         let s = rules_maintain(&tiny());
-        let rows: Vec<_> = s.rows.iter().map(|r| (&*r.x, r.times.len())).collect();
-        assert_eq!(rows, [("slide", 4), ("storm", 4)]);
+        let rows: Vec<_> = s
+            .rows
+            .iter()
+            .map(|r| (&*r.x, r.times.len(), r.counters.len()))
+            .collect();
+        assert_eq!(rows, [("slide", 4, 5), ("storm", 4, 5)]);
     }
 
     #[test]

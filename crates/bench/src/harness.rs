@@ -13,14 +13,22 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// column order — seconds, or counts in the instrumentation demos.
 pub type Times = Vec<(&'static str, f64)>;
 
-/// One experiment data point: an x-value (e.g. |ΔG| as a percentage) and
-/// the measured time per algorithm.
+/// What the incremental arm of one point reports about its own `apply`
+/// beside the time it took: `(counter name, count)` pairs — `IncScc`'s
+/// certificate counters, `IncRules`' repair counters. Empty for the classes
+/// that keep none.
+pub type Counters = Vec<(&'static str, u64)>;
+
+/// One experiment data point: an x-value (e.g. |ΔG| as a percentage), the
+/// measured time per algorithm, and the incremental arm's counters.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// The swept parameter, formatted (e.g. "10%", "(3,2)", "0.4").
     pub x: String,
     /// The point's columns.
     pub times: Times,
+    /// The point's maintenance counters (a second table when present).
+    pub counters: Counters,
 }
 
 /// A full experiment series: a title (figure id) and its rows.
@@ -65,6 +73,22 @@ impl Series {
             }
             out.push('\n');
         }
+        // The incremental arm's own account of each point, as a second table.
+        let counters: Vec<&str> = self.rows[0].counters.iter().map(|(n, _)| *n).collect();
+        if !counters.is_empty() {
+            out.push_str(&format!("\n| {} |", self.x_label));
+            for c in &counters {
+                out.push_str(&format!(" {c} |"));
+            }
+            out.push_str(&format!("\n|{}\n", "---|".repeat(counters.len() + 1)));
+            for r in &self.rows {
+                out.push_str(&format!("| {} |", r.x));
+                for (_, c) in &r.counters {
+                    out.push_str(&format!(" {c} |"));
+                }
+                out.push('\n');
+            }
+        }
         out
     }
 }
@@ -94,11 +118,14 @@ mod tests {
             rows: vec![Row {
                 x: "5%".into(),
                 times: vec![("Inc", 0.5), ("Batch", 2.0)],
+                counters: vec![("carved", 3), ("fallbacks", 0)],
             }],
         };
         let r = s.render();
         assert!(r.contains("| |ΔG| | Inc (s) | Batch (s) |"));
         assert!(r.contains("| 5% | 0.5000 | 2.0000 |"));
+        assert!(r.contains("| |ΔG| | carved | fallbacks |"));
+        assert!(r.contains("| 5% | 3 | 0 |"));
     }
 
     #[test]

@@ -96,6 +96,11 @@ fn storm_touches_only_affected_facts() {
     // entry labels are base facts, not edge-supported).
     assert_eq!(view.last_delta().facts_removed, NA as u64);
     assert_eq!(view.derived_count() as u32, NB + 2);
+    // Whatever the repair phase retracted to get there lies in region A:
+    // it never over-deletes a fact the storm left derivable.
+    let d = view.last_delta();
+    assert!(d.overdeleted <= NA as u64, "{d:?}");
+    assert_eq!(d.rederived, 0, "{d:?}");
 
     // Region B is bit-identical — same facts, same support counts.
     let b_facts_after: Vec<Fact> = view

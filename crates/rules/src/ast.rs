@@ -315,18 +315,37 @@ impl RuleSet {
             }
         }
         let (strata, recursive) = stratify(n, &deps);
-        let mut all_base = vec![Vec::new(); n];
-        for (i, r) in self.rules.iter().enumerate() {
-            if r.body.iter().all(|a| !matches!(a, Atom::Pred(..))) {
-                all_base[r.head_pred.0 as usize].push(i);
+        // Per predicate its rules, the ones with all-base bodies first: a
+        // derivation through one of those needs no other derived fact.
+        let all_base = |r: &Rule| r.body.iter().all(|a| !matches!(a, Atom::Pred(..)));
+        let mut deriving = vec![Vec::new(); n];
+        for base_first in [true, false] {
+            for (i, r) in self.rules.iter().enumerate() {
+                if all_base(r) == base_first {
+                    deriving[r.head_pred.0 as usize].push(i);
+                }
             }
         }
+        let head_bound = self
+            .rules
+            .iter()
+            .map(|r| {
+                let mut bound = [false; MAX_VARS];
+                for t in &r.head_args {
+                    if let Term::Var(i) = t {
+                        bound[*i as usize] = true;
+                    }
+                }
+                crate::eval::ordered_body(&r.body, bound)
+            })
+            .collect();
         Ok(Program {
             preds: self.preds,
             rules: self.rules,
             strata,
             recursive,
-            all_base_rules: all_base,
+            deriving,
+            head_bound,
         })
     }
 }
@@ -411,8 +430,11 @@ pub struct Program {
     rules: Vec<Rule>,
     strata: Vec<Vec<PredId>>,
     recursive: Vec<bool>,
-    /// Per predicate: indices of its rules whose bodies are all base atoms.
-    all_base_rules: Vec<Vec<usize>>,
+    /// Per predicate: indices of the rules deriving it, those whose bodies
+    /// are all base atoms first.
+    deriving: Vec<Vec<usize>>,
+    /// Per rule: its body in head-bound join order.
+    head_bound: Vec<Vec<Atom>>,
 }
 
 impl Program {
@@ -461,11 +483,17 @@ impl Program {
         &self.rules
     }
 
-    /// Indices of `p`'s rules whose bodies consist of base atoms only —
-    /// the cheap "definitely still derivable" witnesses the deletion
-    /// machinery consults before escalating to over-delete/re-derive.
-    pub(crate) fn all_base_rules(&self, p: PredId) -> &[usize] {
-        &self.all_base_rules[p.0 as usize]
+    /// Indices of the rules deriving `p`, those with all-base bodies first
+    /// — the cheapest witnesses that a fact is still derivable, so the
+    /// deletion machinery finds them before it joins against derived facts.
+    pub(crate) fn rules_deriving(&self, p: PredId) -> &[usize] {
+        &self.deriving[p.0 as usize]
+    }
+
+    /// Rule `rule`'s body in the join order for an enumeration that starts
+    /// with the head's variables bound (sound only without a pin).
+    pub(crate) fn head_bound_body(&self, rule: usize) -> &[Atom] {
+        &self.head_bound[rule]
     }
 }
 
@@ -512,9 +540,17 @@ mod tests {
         assert_eq!(p.pred_id("reach"), Some(reach));
         assert_eq!(p.pred_name(hot), "hot");
         assert_eq!(p.arity(reach), 2);
-        // Only reach's first rule is all-base.
-        assert_eq!(p.all_base_rules(reach).len(), 1);
-        assert!(p.all_base_rules(hot).is_empty());
+        // reach's all-base rule comes first; hot has the one rule.
+        assert_eq!(p.rules_deriving(reach), &[0, 1]);
+        assert_eq!(p.rules_deriving(hot), &[2]);
+        // Head-bound order: with `?1` fixed, the label check goes first.
+        assert_eq!(
+            p.head_bound_body(2),
+            &[
+                Atom::has_label(v(1), Label(2)),
+                Atom::pred(reach, &[v(0), v(1)])
+            ]
+        );
     }
 
     #[test]

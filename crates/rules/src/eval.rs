@@ -346,20 +346,15 @@ pub(crate) fn for_each_instantiation<V: FactView + ?Sized>(
 
 /// Greedy join order for a head-bound enumeration (sound only with
 /// `pin: None` — [`Pin`] semantics are positional). Starting from the
-/// variables `bind` already fixes, repeatedly pick the cheapest atom —
-/// fully-bound checks first, then index-driven enumerations (an edge with
-/// a bound endpoint, a predicate with a bound argument, a label scan) and
-/// full scans last — and mark its variables bound for the next pick.
-/// Without this, a body like `p(x), edge(x, y)` evaluated with only the
-/// head's `y` bound scans every `p` fact instead of walking `y`'s
-/// in-edges.
-pub(crate) fn ordered_body(body: &[Atom], bind: &Bind) -> Vec<Atom> {
-    let mut bound = [false; MAX_VARS];
-    for i in 0..MAX_VARS as u8 {
-        if bind.get(&Term::Var(i)).is_some() {
-            bound[i as usize] = true;
-        }
-    }
+/// variables `bound` marks as fixed (a rule's head variables), repeatedly
+/// pick the cheapest atom — fully-bound checks first, then index-driven
+/// enumerations (an edge with a bound endpoint, a predicate with a bound
+/// argument, a label scan) and full scans last — and mark its variables
+/// bound for the next pick. Without this, a body like `p(x), edge(x, y)`
+/// evaluated with only the head's `y` bound scans every `p` fact instead of
+/// walking `y`'s in-edges. Computed once per rule by
+/// [`RuleSet::compile`](crate::RuleSet::compile).
+pub(crate) fn ordered_body(body: &[Atom], mut bound: [bool; MAX_VARS]) -> Vec<Atom> {
     let cost = |a: &Atom, bound: &[bool; MAX_VARS]| -> usize {
         let free = |t: &Term| matches!(t, Term::Var(i) if !bound[*i as usize]) as usize;
         match a {

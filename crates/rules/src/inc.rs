@@ -2,31 +2,52 @@
 //!
 //! # Algorithm
 //!
-//! The view keeps, for every derived fact, a **support count**: the number
-//! of valid rule instantiations deriving it in the current database.
-//! Maintenance under a normalized batch `ΔG` runs three phases:
+//! The view keeps, for every derived fact, a **support count** — the number
+//! of valid rule instantiations deriving it in the current database — and a
+//! **derivation rank**, set when the fact becomes derived: a stamp that
+//! only grows, so a fact's first derivation used facts ranked strictly
+//! below it. Maintenance under a normalized batch `ΔG` runs three phases:
 //!
 //! 1. **Deletion (counting) pass** — deleted edges, then derived facts
 //!    whose support hits zero, stream through a worklist one token at a
 //!    time. Processing a token enumerates, per rule, the instantiations it
 //!    participates in (semi-naive: the token pinned at one body position,
 //!    the rest joined against the current view) and decrements the heads.
-//!    Count-zero heads are genuinely underivable and propagate; heads whose
-//!    count stays positive are *suspects* — their remaining support may be
-//!    cyclic (a fact "deriving itself" through a dependency cycle, which a
-//!    pure counting scheme would incorrectly keep alive).
-//! 2. **Repair (DRed-style over-delete/re-derive)** — suspects that still
-//!    hold an all-base-body derivation are definitely alive and are
-//!    cleared. The remaining seeds are closed under "supports" into the
-//!    affected set `D`, all of `D` is tentatively removed, and `D` is
-//!    re-derived semi-naively from the surviving facts — exactly the facts
-//!    with well-founded support come back, with exact recomputed counts.
-//!    The whole phase is bounded by `D` (facts depending on the suspects),
-//!    never the database.
+//!    Count-zero heads are genuinely underivable and propagate. A head
+//!    whose count stays positive is a *suspect* — its remaining support
+//!    may be cyclic (a fact "deriving itself" through a dependency cycle,
+//!    which a pure counting scheme would incorrectly keep alive) — unless
+//!    its predicate is not recursive (counts of a non-recursive predicate
+//!    are exact) or the lost instantiation used a fact ranked *above* it
+//!    (then that was not the derivation its rank certifies).
+//! 2. **Repair** — suspects are examined lowest rank first. Everything
+//!    ranked below the suspect at hand is settled by then, so one
+//!    head-bound search decides it: a surviving derivation through facts
+//!    ranked below it clears the suspect, at the cost of its in-degree. A
+//!    suspect without one is retracted *through the counting worklist of
+//!    phase 1* — heads decremented, count-zero heads propagate, survivors
+//!    ranked above it join the suspects. When the suspects run out, every
+//!    retracted fact is re-grounded (derivations counted afresh in the
+//!    database without the retracted facts) and the insertion machinery
+//!    propagates from the ones that still hold: facts with only
+//!    higher-ranked support come back under a fresh rank, cyclic support
+//!    does not, and support counts stay exact throughout.
 //! 3. **Insertion pass** — fresh node-label facts and inserted edges
 //!    stream through the same worklist machinery with increments instead
 //!    of decrements; derived facts whose count leaves zero become visible
 //!    and propagate.
+//!
+//! **Invariant.** Between applies every derived fact has a derivation all
+//! of whose derived body facts rank strictly below it (so following such
+//! derivations down always ends at base facts: the support is well
+//! founded), and its support counts every derivation, certified or not.
+//!
+//! What the repair phase retracts is the facts whose *certified* derivation
+//! broke, not everything downstream of a suspect; [`RulesDelta`] reports
+//! both (`suspects`, `overdeleted`). Ranks record the order in which facts
+//! were derived, so `WorkStats` depend on a view's history: a view rebuilt
+//! on the same graph holds the same facts and counts, but may clear a
+//! suspect the maintained one retracts and re-derives (or the reverse).
 //!
 //! Exactly-once counting uses the pin discipline documented in
 //! `crate::eval`. Both directions are *bounded by affected facts*: work
@@ -37,14 +58,17 @@
 
 use crate::ast::{PredId, Program};
 use crate::eval::{
-    bind_pinned, for_each_instantiation, head_fact, ordered_body, Bind, Fact, FactView, Pin, Token,
+    bind_pinned, for_each_instantiation, head_fact, Bind, Fact, FactView, Pin, Token,
 };
 use crate::naive::naive_fixpoint;
 use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::{IncView, IncrementalAlgorithm, ViewInit};
 use igc_graph::fxhash::{FxHashMap, FxHashSet};
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, UpdateBatch};
-use std::collections::VecDeque;
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Per-`apply` maintenance counters — the observable shape of one delta:
@@ -56,30 +80,43 @@ pub struct RulesDelta {
     pub facts_added: u64,
     /// Derived facts that became false (including repair casualties).
     pub facts_removed: u64,
-    /// Facts decremented but left alive — candidates for cyclic support.
+    /// Facts decremented but left alive whose certified derivation may
+    /// have been the one lost — each examined once by the repair phase.
     pub suspects: u64,
-    /// Facts tentatively removed by the repair phase (`|D|`).
+    /// Facts tentatively removed by the repair phase: suspects without a
+    /// lower-ranked derivation, and what their retraction took along.
     pub overdeleted: u64,
     /// Over-deleted facts that proved well-founded and came back.
     pub rederived: u64,
-    /// Number of repair phases that actually ran (0 or 1 per apply).
+    /// Number of repair phases that retracted anything (0 or 1 per apply).
     pub repairs: u64,
 }
 
-/// Visible derived facts, positionally indexed, plus support counts.
+/// What the view keeps per derived fact.
+#[derive(Clone, Copy, Debug)]
+struct Support {
+    /// Valid rule instantiations deriving the fact.
+    count: u32,
+    /// Derivation rank: some derivation uses only facts ranked below.
+    rank: u64,
+}
+
+/// Visible derived facts, positionally indexed, plus support counts and
+/// derivation ranks.
 #[derive(Clone, Debug, Default)]
 struct FactStore {
     by_pred: Vec<FxHashSet<Fact>>,
     index: FxHashMap<(PredId, u8, NodeId), FxHashSet<Fact>>,
-    support: FxHashMap<Fact, u32>,
+    support: FxHashMap<Fact, Support>,
+    /// The last rank handed out; ranks start at 1.
+    last_rank: u64,
 }
 
 impl FactStore {
     fn new(preds: usize) -> FactStore {
         FactStore {
             by_pred: vec![FxHashSet::default(); preds],
-            index: FxHashMap::default(),
-            support: FxHashMap::default(),
+            ..FactStore::default()
         }
     }
 
@@ -108,6 +145,11 @@ impl FactStore {
             }
         }
     }
+
+    fn fresh_rank(&mut self) -> u64 {
+        self.last_rank += 1;
+        self.last_rank
+    }
 }
 
 /// The in-transition visibility overlay for one `apply`: the graph already
@@ -120,18 +162,55 @@ struct Pending {
     ins_edges: FxHashSet<Edge>,
     /// Deleted edges not yet hidden (gone from the graph, still visible).
     del_edges: FxHashSet<Edge>,
-    del_out: FxHashMap<NodeId, Vec<NodeId>>,
-    del_in: FxHashMap<NodeId, Vec<NodeId>>,
+    /// The batch's deletions sorted by source, and as `(target, source)`
+    /// sorted by target: a node's deleted out- and in-edges are one range.
+    dels_by_source: Vec<Edge>,
+    dels_by_target: Vec<Edge>,
     /// Nodes below this id existed before the batch (label facts visible).
     node_floor: usize,
     /// Fresh nodes whose label fact has been revealed.
     revealed: FxHashSet<NodeId>,
 }
 
+/// The entries of `sorted` (by first component) that start with `key`.
+fn range_of(sorted: &[Edge], key: NodeId) -> &[Edge] {
+    let lo = sorted.partition_point(|e| e.0 < key);
+    let len = sorted[lo..].partition_point(|e| e.0 == key);
+    &sorted[lo..lo + len]
+}
+
+/// The database a rule body is joined against in the middle of an `apply`.
 struct ApplyView<'a> {
     g: &'a DynamicGraph,
     store: &'a FactStore,
     p: &'a Pending,
+    /// Derived facts ranked at or above this are invisible (`u64::MAX`:
+    /// none are) — the view a suspect's certified derivation must hold in.
+    below: u64,
+    /// Rank reads made to decide that, for the work accounting.
+    rank_reads: Cell<u64>,
+}
+
+impl<'a> ApplyView<'a> {
+    fn new(g: &'a DynamicGraph, store: &'a FactStore, p: &'a Pending, below: u64) -> Self {
+        ApplyView {
+            g,
+            store,
+            p,
+            below,
+            rank_reads: Cell::new(0),
+        }
+    }
+
+    fn ranked_below(&self, f: &Fact) -> bool {
+        self.below == u64::MAX || {
+            self.rank_reads.set(self.rank_reads.get() + 1);
+            self.store
+                .support
+                .get(f)
+                .is_some_and(|s| s.rank < self.below)
+        }
+    }
 }
 
 impl FactView for ApplyView<'_> {
@@ -147,8 +226,8 @@ impl FactView for ApplyView<'_> {
                 }
             }
         }
-        if let Some(ws) = self.p.del_out.get(&u) {
-            for &w in ws {
+        if !self.p.del_edges.is_empty() {
+            for &(_, w) in range_of(&self.p.dels_by_source, u) {
                 if self.p.del_edges.contains(&(u, w)) {
                     f(w);
                 }
@@ -163,8 +242,8 @@ impl FactView for ApplyView<'_> {
                 }
             }
         }
-        if let Some(us) = self.p.del_in.get(&v) {
-            for &u in us {
+        if !self.p.del_edges.is_empty() {
+            for &(_, u) in range_of(&self.p.dels_by_target, v) {
                 if self.p.del_edges.contains(&(u, v)) {
                     f(u);
                 }
@@ -195,21 +274,63 @@ impl FactView for ApplyView<'_> {
         }
     }
     fn fact(&self, f: &Fact) -> bool {
-        self.store.visible(f)
+        self.store.visible(f) && self.ranked_below(f)
     }
     fn for_pred_facts(&self, p: PredId, f: &mut dyn FnMut(&Fact)) {
         for fact in &self.store.by_pred[p.0 as usize] {
-            f(fact);
+            if self.ranked_below(fact) {
+                f(fact);
+            }
         }
     }
     fn for_pred_facts_bound(&self, p: PredId, pos: usize, n: NodeId, f: &mut dyn FnMut(&Fact)) {
         if let Some(set) = self.store.index.get(&(p, pos as u8, n)) {
             for fact in set {
-                f(fact);
+                if self.ranked_below(fact) {
+                    f(fact);
+                }
             }
         }
     }
 }
+
+/// Enumerate the derivations of exactly `f` in `view`, head variables bound
+/// first (each rule's precomputed head-bound join order); `emit` returns
+/// `false` to stop at the first.
+fn for_each_derivation(
+    prog: &Program,
+    view: &ApplyView,
+    f: &Fact,
+    work: &mut WorkStats,
+    emit: &mut dyn FnMut() -> bool,
+) {
+    for &ri in prog.rules_deriving(f.pred) {
+        let rule = &prog.rules()[ri];
+        let mut bind = Bind::new();
+        let head_binds = rule
+            .head_args
+            .iter()
+            .zip(f.args())
+            .all(|(t, n)| bind.try_set(t, *n).is_some());
+        if head_binds
+            && !for_each_instantiation(
+                view,
+                prog.head_bound_body(ri),
+                &mut bind,
+                0,
+                None,
+                work,
+                &mut |_| emit(),
+            )
+        {
+            break;
+        }
+    }
+    work.aux_touched += view.rank_reads.take();
+}
+
+/// Suspects, lowest rank first.
+type Suspects = BinaryHeap<Reverse<(u64, Fact)>>;
 
 /// One maintenance pass's working borrows.
 struct Pass<'a> {
@@ -225,11 +346,7 @@ impl Pass<'_> {
     /// Heads of every instantiation the token participates in, one entry
     /// per instantiation (the pin discipline makes the multiset exact).
     fn pinned_heads(&mut self, token: &Token, out: &mut Vec<Fact>) {
-        let view = ApplyView {
-            g: self.g,
-            store: &*self.store,
-            p: &*self.pend,
-        };
+        let view = ApplyView::new(self.g, &*self.store, &*self.pend, u64::MAX);
         for rule in self.prog.rules() {
             for (j, atom) in rule.body.iter().enumerate() {
                 let mut bind = Bind::new();
@@ -254,68 +371,32 @@ impl Pass<'_> {
 
     /// Number of instantiations deriving exactly `f` in the current view.
     fn count_derivations(&mut self, f: &Fact) -> u32 {
-        let view = ApplyView {
-            g: self.g,
-            store: &*self.store,
-            p: &*self.pend,
-        };
+        let view = ApplyView::new(self.g, &*self.store, &*self.pend, u64::MAX);
         let mut count = 0u32;
-        for rule in self.prog.rules() {
-            if rule.head_pred != f.pred {
-                continue;
-            }
-            let mut bind = Bind::new();
-            if rule
-                .head_args
-                .iter()
-                .zip(f.args())
-                .all(|(t, n)| bind.try_set(t, *n).is_some())
-            {
-                let body = ordered_body(&rule.body, &bind);
-                for_each_instantiation(&view, &body, &mut bind, 0, None, self.work, &mut |_| {
-                    count += 1;
-                    true
-                });
-            }
-        }
+        for_each_derivation(self.prog, &view, f, self.work, &mut || {
+            count += 1;
+            true
+        });
         count
     }
 
-    /// Does `f` have a derivation through a rule whose body is all base
-    /// atoms? Such support cannot be cyclic, so the suspect is definitely
-    /// still derivable and need not seed the repair phase.
-    fn base_witness(&mut self, f: &Fact) -> bool {
-        let view = ApplyView {
-            g: self.g,
-            store: &*self.store,
-            p: &*self.pend,
-        };
-        for &ri in self.prog.all_base_rules(f.pred) {
-            let rule = &self.prog.rules()[ri];
-            let mut bind = Bind::new();
-            if rule
-                .head_args
-                .iter()
-                .zip(f.args())
-                .all(|(t, n)| bind.try_set(t, *n).is_some())
-            {
-                let body = ordered_body(&rule.body, &bind);
-                let mut found = false;
-                for_each_instantiation(&view, &body, &mut bind, 0, None, self.work, &mut |_| {
-                    found = true;
-                    false
-                });
-                if found {
-                    return true;
-                }
-            }
-        }
-        false
+    /// Does `f` (ranked `rank`) still have a derivation whose derived body
+    /// facts all rank below it? Rules with all-base bodies are tried
+    /// first: such a derivation needs no rank read at all.
+    fn rank_witness(&mut self, f: &Fact, rank: u64) -> bool {
+        let view = ApplyView::new(self.g, &*self.store, &*self.pend, rank);
+        let mut found = false;
+        for_each_derivation(self.prog, &view, f, self.work, &mut || {
+            found = true;
+            false
+        });
+        found
     }
 
     /// The insertion worklist: reveal each token, then count the
-    /// instantiations it completes; facts whose support leaves zero become
-    /// visible and join the queue.
+    /// instantiations it completes; a fact whose support leaves zero takes
+    /// the next rank, joins the queue, and becomes visible in its turn —
+    /// after every fact its first derivation used.
     fn run_insertion(&mut self, queue: &mut VecDeque<Token>) {
         let mut buf: Vec<Fact> = Vec::new();
         while let Some(tok) = queue.pop_front() {
@@ -337,14 +418,15 @@ impl Pass<'_> {
             self.pinned_heads(&tok, &mut buf);
             for &h in &buf {
                 self.work.aux_touched += 1;
-                let c = {
-                    let e = self.store.support.entry(h).or_insert(0);
-                    *e += 1;
-                    *e
-                };
-                if c == 1 && !self.store.visible(&h) {
-                    queue.push_back(Token::Derived(h));
-                    self.work.queue_ops += 1;
+                let rank = self.store.last_rank + 1;
+                match self.store.support.entry(h) {
+                    Entry::Occupied(mut e) => e.get_mut().count += 1,
+                    Entry::Vacant(e) => {
+                        e.insert(Support { count: 1, rank });
+                        self.store.last_rank = rank;
+                        queue.push_back(Token::Derived(h));
+                        self.work.queue_ops += 1;
+                    }
                 }
             }
         }
@@ -352,27 +434,35 @@ impl Pass<'_> {
 
     /// The deletion worklist: count the instantiations each token still
     /// completes, decrement their heads, then hide the token. Count-zero
-    /// heads join the queue; survivors are reported as suspects.
-    fn run_deletion(&mut self, queue: &mut VecDeque<Token>, suspects: &mut FxHashSet<Fact>) {
+    /// heads join the queue; survivors that may have lost their certified
+    /// derivation join `suspects`.
+    fn run_deletion(&mut self, queue: &mut VecDeque<Token>, suspects: &mut Suspects) {
         let mut buf: Vec<Fact> = Vec::new();
         while let Some(tok) = queue.pop_front() {
             self.work.queue_ops += 1;
             self.work.nodes_visited += 1;
+            // Base facts rank below every derived fact.
+            let tok_rank = match tok {
+                Token::Derived(f) => self.store.support[&f].rank,
+                _ => 0,
+            };
             buf.clear();
             self.pinned_heads(&tok, &mut buf);
             for &h in &buf {
                 self.work.aux_touched += 1;
-                let c = self
-                    .store
-                    .support
-                    .get_mut(&h)
-                    .expect("decremented head has a support entry");
-                *c = c.checked_sub(1).expect("support count underflow");
-                if *c == 0 {
+                // A head the repair phase already retracted is recounted
+                // from scratch when it is re-grounded.
+                let Some(s) = self.store.support.get_mut(&h) else {
+                    debug_assert!(!self.store.visible(&h), "visible head without support");
+                    continue;
+                };
+                s.count = s.count.checked_sub(1).expect("support count underflow");
+                if s.count == 0 {
                     queue.push_back(Token::Derived(h));
                     self.work.queue_ops += 1;
-                } else {
-                    suspects.insert(h);
+                } else if tok_rank < s.rank && self.prog.is_recursive(h.pred) {
+                    suspects.push(Reverse((s.rank, h)));
+                    self.work.queue_ops += 1;
                 }
             }
             match tok {
@@ -383,73 +473,62 @@ impl Pass<'_> {
                 Token::Derived(f) => {
                     self.store.remove_visible(&f);
                     self.store.support.remove(&f);
-                    suspects.remove(&f);
                     self.delta.facts_removed += 1;
                 }
             }
         }
     }
 
-    /// DRed-style repair: close the uncleared suspects under "supports",
-    /// tentatively drop the closure, and re-derive it from surviving facts
-    /// with exact recomputed counts.
-    fn repair(&mut self, suspects: FxHashSet<Fact>) {
-        self.delta.suspects += suspects.len() as u64;
-        let mut seeds: Vec<Fact> = suspects
-            .into_iter()
-            .filter(|f| self.store.visible(f))
-            .collect();
-        seeds.retain(|f| !self.base_witness(f));
-        if seeds.is_empty() {
+    /// Settle the suspects, lowest rank first: clear the ones that keep a
+    /// derivation through lower-ranked facts, retract the others through
+    /// the counting worklist, then re-ground what was retracted.
+    fn repair(&mut self, mut suspects: Suspects, queue: &mut VecDeque<Token>) {
+        let removed_before = self.delta.facts_removed;
+        let mut retracted: Vec<Fact> = Vec::new();
+        let mut last: Option<Fact> = None;
+        while let Some(Reverse((rank, f))) = suspects.pop() {
+            self.work.queue_ops += 1;
+            // Decremented more than once, or gone since (its count ran out).
+            let live = self.store.support.get(&f).is_some_and(|s| s.rank == rank);
+            if last.replace(f) == Some(f) || !live {
+                continue;
+            }
+            self.delta.suspects += 1;
+            if self.rank_witness(&f, rank) {
+                continue;
+            }
+            retracted.push(f);
+            queue.push_back(Token::Derived(f));
+            self.run_deletion(queue, &mut suspects);
+        }
+        if retracted.is_empty() {
             return;
         }
-        seeds.sort_unstable();
         self.delta.repairs += 1;
+        let overdeleted = self.delta.facts_removed - removed_before;
+        self.delta.overdeleted += overdeleted;
 
-        // Over-delete closure: everything with a derivation through a seed.
-        let mut d: FxHashSet<Fact> = seeds.iter().copied().collect();
-        let mut dq: VecDeque<Fact> = seeds.into();
-        let mut buf: Vec<Fact> = Vec::new();
-        while let Some(f) = dq.pop_front() {
-            self.work.queue_ops += 1;
-            buf.clear();
-            self.pinned_heads(&Token::Derived(f), &mut buf);
-            for &h in &buf {
-                if self.store.visible(&h) && d.insert(h) {
-                    dq.push_back(h);
-                    self.work.queue_ops += 1;
-                }
-            }
-        }
-        let mut d_list: Vec<Fact> = d.into_iter().collect();
-        d_list.sort_unstable();
-        self.delta.overdeleted += d_list.len() as u64;
-        for f in &d_list {
-            self.store.remove_visible(f);
-            self.store.support.remove(f);
-        }
-
-        // Re-derive: ground counts from the D-free database, then let the
-        // insertion machinery propagate. Only D facts can be (re)derived
-        // here — anything else with a derivation through D would have been
-        // in the closure.
-        let mut queue: VecDeque<Token> = VecDeque::new();
-        for f in &d_list {
-            let c0 = self.count_derivations(f);
-            if c0 > 0 {
-                self.store.support.insert(*f, c0);
+        // Re-ground: count each retracted fact's derivations in the database
+        // without any of them, then let the insertion machinery propagate.
+        // Only what the repair took out can come back — anything else with
+        // a derivation still has its count.
+        for f in &retracted {
+            let count = self.count_derivations(f);
+            if count > 0 {
+                let rank = self.store.fresh_rank();
+                self.store.support.insert(*f, Support { count, rank });
                 queue.push_back(Token::Derived(*f));
                 self.work.queue_ops += 1;
             }
         }
         let before_added = self.delta.facts_added;
-        self.run_insertion(&mut queue);
+        self.run_insertion(queue);
         // Revived facts never logically left the answer: undo their
-        // "added" accounting; the rest of D is permanently retracted.
+        // accounting on both sides; the rest is permanently retracted.
         let revived = self.delta.facts_added - before_added;
         self.delta.facts_added = before_added;
+        self.delta.facts_removed -= revived;
         self.delta.rederived += revived;
-        self.delta.facts_removed += d_list.len() as u64 - revived;
     }
 }
 
@@ -531,8 +610,7 @@ impl IncRules {
         self.store
             .support
             .get(&Fact::new(pred, args))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |s| s.count)
     }
 
     /// Total number of derived facts.
@@ -575,17 +653,13 @@ impl IncrementalAlgorithm for IncRules {
         let (mut dels, mut ins) = delta.split_edges();
         dels.sort_unstable();
         ins.sort_unstable();
-        let mut del_out: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-        let mut del_in: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-        for &(u, v) in &dels {
-            del_out.entry(u).or_default().push(v);
-            del_in.entry(v).or_default().push(u);
-        }
+        let mut dels_by_target: Vec<Edge> = dels.iter().map(|&(u, v)| (v, u)).collect();
+        dels_by_target.sort_unstable();
         let mut pend = Pending {
             ins_edges: ins.iter().copied().collect(),
             del_edges: dels.iter().copied().collect(),
-            del_out,
-            del_in,
+            dels_by_source: dels,
+            dels_by_target,
             node_floor: self.known_nodes,
             revealed: FxHashSet::default(),
         };
@@ -597,10 +671,15 @@ impl IncrementalAlgorithm for IncRules {
             work: &mut self.work,
             delta: &mut self.last,
         };
-        let mut suspects: FxHashSet<Fact> = FxHashSet::default();
-        let mut dq: VecDeque<Token> = dels.iter().map(|&(u, v)| Token::Edge(u, v)).collect();
+        let mut suspects = Suspects::new();
+        let mut dq: VecDeque<Token> = pass
+            .pend
+            .dels_by_source
+            .iter()
+            .map(|&(u, v)| Token::Edge(u, v))
+            .collect();
         pass.run_deletion(&mut dq, &mut suspects);
-        pass.repair(suspects);
+        pass.repair(suspects, &mut dq);
         let mut iq: VecDeque<Token> = (self.known_nodes..g.node_count())
             .map(|i| Token::Node(NodeId::from_index(i)))
             .chain(ins.iter().map(|&(u, v)| Token::Edge(u, v)))
@@ -636,8 +715,8 @@ impl IncView for IncRules {
             ));
         }
         for (f, c) in &oracle.facts {
-            match self.store.support.get(f) {
-                Some(c2) if c2 == c => {}
+            match self.store.support.get(f).map(|s| s.count) {
+                Some(c2) if c2 == *c => {}
                 Some(c2) => {
                     return Err(format!(
                         "rules: {}{:?} has support {c2} ≠ oracle {c}",
@@ -654,12 +733,30 @@ impl IncView for IncRules {
                 }
             }
         }
-        for f in self.store.support.keys() {
-            if !self.store.visible(f) {
+        // Every fact is visible and holds its rank's promise: a derivation
+        // through facts ranked strictly below it.
+        let settled = Pending {
+            node_floor: g.node_count(),
+            ..Pending::default()
+        };
+        let mut work = WorkStats::new();
+        for (f, s) in &self.store.support {
+            let view = ApplyView::new(g, &self.store, &settled, s.rank);
+            let mut certified = false;
+            for_each_derivation(&self.program, &view, f, &mut work, &mut || {
+                certified = true;
+                false
+            });
+            if !self.store.visible(f) || !certified {
                 return Err(format!(
-                    "rules: supported fact {}{:?} is not visible",
+                    "rules: supported fact {}{:?} is {}",
                     self.program.pred_name(f.pred),
-                    f.args()
+                    f.args(),
+                    if certified {
+                        "not visible"
+                    } else {
+                        "not derivable from lower-ranked facts"
+                    }
                 ));
             }
         }
@@ -833,6 +930,135 @@ mod tests {
         assert_eq!(view.last_delta().facts_removed, 0);
         // exec(2) now has exactly one derivation: exec(3) ∧ edge(3,2).
         assert_eq!(view.support(exec, &[NodeId(2)]), 1);
+    }
+
+    /// exec(y) ⇐ entry(y);  exec(y) ⇐ exec(x) ∧ edge(x,y) — every node
+    /// reachable from an entry point.
+    fn spread_program() -> (Program, PredId) {
+        let mut rs = RuleSet::new();
+        let exec = rs.predicate("exec", 1).unwrap();
+        rs.rule(exec, &[v(0)], vec![Atom::has_label(v(0), ENTRY)])
+            .unwrap();
+        rs.rule(
+            exec,
+            &[v(1)],
+            vec![Atom::pred(exec, &[v(0)]), Atom::edge(v(0), v(1))],
+        )
+        .unwrap();
+        (rs.compile().unwrap(), exec)
+    }
+
+    #[test]
+    fn a_support_cycle_cut_from_its_entry_dies_whole() {
+        // Entry 0 feeds the 6-cycle 1→2→…→6→1, which also carries the chords
+        // 3→1 and 5→2: after the cut every cycle fact still counts a
+        // derivation, none of them through a lower-ranked fact.
+        let (program, exec) = spread_program();
+        let mut edges = vec![(0, 1), (3, 1), (5, 2)];
+        edges.extend((1..=6).map(|i| (i, i % 6 + 1)));
+        let mut g = graph_from(&[1, 0, 0, 0, 0, 0, 0], &edges);
+        let mut view = IncRules::new(&g, program);
+        assert_eq!(view.derived_count(), 7);
+        assert_eq!(view.support(exec, &[NodeId(1)]), 3);
+
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(0), NodeId(1))],
+        );
+        assert_eq!(view.sorted_facts(), vec![Fact::new(exec, &[NodeId(0)])]);
+        let d = view.last_delta();
+        assert_eq!((d.overdeleted, d.rederived, d.facts_removed), (6, 0, 6));
+        // exec(1), then exec(2) (the chord from 5 keeps its count up); the
+        // counts of the rest run out.
+        assert_eq!(d.suspects, 2);
+    }
+
+    #[test]
+    fn a_lower_ranked_alternative_clears_a_suspect_without_overdeleting() {
+        // Two entries feed node 2, which feeds a chain 2→3→4 and the back
+        // edge 4→2. Losing one entry edge decrements exec(2); its other
+        // entry derivation ranks below it, so nothing is retracted —
+        // although exec(2) also sits on a support cycle.
+        let (program, exec) = spread_program();
+        let mut g = graph_from(&[1, 1, 0, 0, 0], &[(0, 2), (1, 2), (2, 3), (3, 4), (4, 2)]);
+        let mut view = IncRules::new(&g, program);
+        assert_eq!(view.support(exec, &[NodeId(2)]), 3);
+
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(0), NodeId(2))],
+        );
+        assert_eq!(view.derived_count(), 5);
+        assert_eq!(view.support(exec, &[NodeId(2)]), 2);
+        let d = view.last_delta();
+        assert_eq!((d.suspects, d.overdeleted, d.repairs), (1, 0, 0));
+        assert_eq!((d.facts_removed, d.facts_added), (0, 0));
+    }
+
+    #[test]
+    fn a_higher_ranked_alternative_reranks_the_chain_and_keeps_it() {
+        // Entry 0 reaches 1 directly and over the detour 0→3→4→1; 1 feeds 2.
+        // exec(1) was first derived from exec(0), so exec(4) ranks above it.
+        let (program, exec) = spread_program();
+        let mut g = graph_from(&[1, 0, 0, 0, 0], &[(0, 1), (1, 2), (0, 3), (3, 4), (4, 1)]);
+        let mut view = IncRules::new(&g, program);
+        assert_eq!(view.support(exec, &[NodeId(1)]), 2);
+
+        // The direct edge goes: the only derivation left for exec(1) is
+        // through the higher-ranked exec(4). It is retracted (taking exec(2)
+        // along), re-grounded, and both come back — nothing left the answer.
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(0), NodeId(1))],
+        );
+        assert_eq!(view.derived_count(), 5);
+        assert_eq!(view.support(exec, &[NodeId(1)]), 1);
+        let d = view.last_delta();
+        assert_eq!((d.overdeleted, d.rederived, d.repairs), (2, 2, 1));
+        assert_eq!((d.facts_removed, d.facts_added), (0, 0));
+
+        // Under its new rank exec(1) is certified by exec(4): cutting the
+        // detour now retracts the chain by counting alone.
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(3), NodeId(4))],
+        );
+        assert_eq!(view.derived_count(), 2);
+        let d = view.last_delta();
+        assert_eq!((d.facts_removed, d.overdeleted, d.repairs), (3, 0, 0));
+    }
+
+    #[test]
+    fn non_recursive_heads_are_never_suspects() {
+        // goal(x) ⇐ exec(x) ∧ critical(x) counts exec facts but cannot
+        // support itself: a decrement that leaves it alive settles it.
+        let mut rs = RuleSet::new();
+        let exec = rs.predicate("exec", 1).unwrap();
+        let near = rs.predicate("near_entry", 1).unwrap();
+        rs.rule(exec, &[v(0)], vec![Atom::has_label(v(0), ENTRY)])
+            .unwrap();
+        rs.rule(
+            near,
+            &[v(1)],
+            vec![Atom::pred(exec, &[v(0)]), Atom::edge(v(0), v(1))],
+        )
+        .unwrap();
+        let program = rs.compile().unwrap();
+        assert!(!program.is_recursive(near));
+        let mut g = graph_from(&[1, 1, 0], &[(0, 2), (1, 2)]);
+        let mut view = IncRules::new(&g, program);
+        assert_eq!(view.support(near, &[NodeId(2)]), 2);
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(0), NodeId(2))],
+        );
+        assert_eq!(view.support(near, &[NodeId(2)]), 1);
+        assert_eq!(view.last_delta().suspects, 0);
     }
 
     #[test]

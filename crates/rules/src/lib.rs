@@ -16,9 +16,10 @@
 //! * `eval` (private) — the shared conjunctive-join primitive and the
 //!   exactly-once token-pin discipline,
 //! * [`inc`] — [`IncRules`]: semi-naive delta evaluation with support
-//!   counting; deletions run a counting pass plus a DRed-style
-//!   over-delete/re-derive repair confined to the affected facts, so
-//!   retraction storms never degenerate into from-scratch re-evaluation.
+//!   counting and derivation ranks; deletions run a counting pass, then
+//!   retract and re-ground only the facts whose lower-ranked derivation
+//!   broke, so retraction storms never degenerate into from-scratch
+//!   re-evaluation.
 //!
 //! In the paper's terms ([Fan, Hu, Tian, SIGMOD 2017]) this is the
 //! "relatively bounded" regime: maintenance cost is measured in the

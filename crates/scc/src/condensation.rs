@@ -31,6 +31,9 @@ pub struct Condensation {
     scc_of: Vec<SccId>,
     /// scc id → member nodes.
     members: FxHashMap<SccId, Vec<NodeId>>,
+    /// node → its index in its scc's member list, so a split removes the
+    /// nodes it carves without scanning the ones that stay.
+    pos: Vec<u32>,
     /// Outgoing condensation edges with multi-edge counters.
     out: FxHashMap<SccId, FxHashMap<SccId, u32>>,
     /// Incoming condensation edges with counters (mirror of `out`).
@@ -107,11 +110,13 @@ impl Condensation {
     pub fn create_scc(&mut self, nodes: Vec<NodeId>, rank: u64) -> SccId {
         let id = self.next_id;
         self.next_id += 1;
-        for &v in &nodes {
+        for (i, &v) in nodes.iter().enumerate() {
             if self.scc_of.len() <= v.index() {
                 self.scc_of.resize(v.index() + 1, SccId::MAX);
+                self.pos.resize(v.index() + 1, 0);
             }
             self.scc_of[v.index()] = id;
+            self.pos[v.index()] = i as u32;
         }
         self.members.insert(id, nodes);
         if rank != PLACEHOLDER_RANK {
@@ -225,14 +230,13 @@ impl Condensation {
         let outs: Vec<(SccId, u32)> = self.out_edges(src).filter(|&(t, _)| t != dst).collect();
         let inns: Vec<(SccId, u32)> = self.in_edges(src).filter(|&(s, _)| s != dst).collect();
         let nodes = self.dissolve(src);
-        for &v in &nodes {
+        let into = self.members.get_mut(&dst).expect("absorbing scc exists");
+        for (i, &v) in nodes.iter().enumerate() {
             self.scc_of[v.index()] = dst;
+            self.pos[v.index()] = (into.len() + i) as u32;
         }
         let moved = nodes.len() + outs.len() + inns.len();
-        self.members
-            .get_mut(&dst)
-            .expect("absorbing scc exists")
-            .extend(nodes);
+        into.extend(nodes);
         for (t, c) in outs {
             self.add_edge_count(dst, t, c);
         }
@@ -242,13 +246,33 @@ impl Condensation {
         moved
     }
 
-    /// Keep only the members of `id` for which `keep` holds, visiting them
-    /// once in stored order; `id` keeps its storage, rank and edges. The
-    /// dropped nodes stay mapped to `id` until the caller re-homes them
-    /// with [`create_scc`](Self::create_scc) — how a split carves pieces
-    /// off a component that survives under its own id.
-    pub fn retain_members(&mut self, id: SccId, keep: impl FnMut(&NodeId) -> bool) {
-        self.members.get_mut(&id).expect("unknown scc").retain(keep);
+    /// Drop `nodes` (members of `id`, each once) from `id`'s member list at
+    /// a cost of `|nodes|`, whatever `id`'s size: each is swapped with the
+    /// last member. `id` keeps its storage, rank and edges, and the dropped
+    /// nodes stay mapped to it until the caller re-homes them with
+    /// [`create_scc`](Self::create_scc) — how a split carves pieces off a
+    /// component that survives under its own id.
+    pub fn remove_members(&mut self, id: SccId, nodes: &[NodeId]) {
+        let members = self.members.get_mut(&id).expect("unknown scc");
+        for &v in nodes {
+            let i = self.pos[v.index()] as usize;
+            debug_assert_eq!(members[i], v, "{v:?} is no member of {id}");
+            members.swap_remove(i);
+            if let Some(&moved) = members.get(i) {
+                self.pos[moved.index()] = i as u32;
+            }
+        }
+    }
+
+    /// Give `id` the member list `nodes` (already mapped to `id`) and return
+    /// the one it had — how a split hands the old id to a carved part that
+    /// outgrew what stayed.
+    pub fn swap_members(&mut self, id: SccId, nodes: Vec<NodeId>) -> Vec<NodeId> {
+        for (i, &v) in nodes.iter().enumerate() {
+            debug_assert_eq!(self.scc_of[v.index()], id);
+            self.pos[v.index()] = i as u32;
+        }
+        self.members.insert(id, nodes).expect("unknown scc")
     }
 
     /// Overwrite the rank of `id` with a real (non-placeholder) rank.
@@ -302,9 +326,9 @@ impl Condensation {
             }
         }
         for (&id, m) in &self.members {
-            for &v in m {
-                if self.scc_of(v) != id {
-                    return Err(format!("member desync: {v:?} not mapped to {id}"));
+            for (i, &v) in m.iter().enumerate() {
+                if self.scc_of(v) != id || self.pos[v.index()] as usize != i {
+                    return Err(format!("member desync: {v:?} not mapped to {id} at {i}"));
                 }
             }
         }
@@ -428,17 +452,35 @@ mod tests {
     }
 
     #[test]
-    fn retain_members_keeps_id_rank_and_edges() {
+    fn remove_members_keeps_id_rank_and_edges() {
         let mut c = Condensation::new();
         let a = c.create_scc(vec![NodeId(0), NodeId(1), NodeId(2)], 2 * RANK_GAP);
         let b = c.create_scc(vec![NodeId(3)], RANK_GAP);
         c.add_edge(a, b);
-        c.retain_members(a, |&v| v != NodeId(1));
+        c.remove_members(a, &[NodeId(1)]);
         let carved = c.create_scc(vec![NodeId(1)], 3 * RANK_GAP);
         assert_eq!(c.members(a), &[NodeId(0), NodeId(2)]);
         assert_eq!(c.scc_of(NodeId(1)), carved);
         assert_eq!(c.rank(a), 2 * RANK_GAP);
         assert_eq!(c.edge_count(a, b), 1);
+        assert!(c.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn remove_and_swap_members_cost_the_nodes_named() {
+        let mut c = Condensation::new();
+        let a = c.create_scc((0..6).map(NodeId).collect(), RANK_GAP);
+        c.remove_members(a, &[NodeId(1), NodeId(5), NodeId(0)]);
+        assert_eq!(c.members(a), &[NodeId(3), NodeId(4), NodeId(2)]);
+        // The removed nodes are re-homed; the index of the rest is intact.
+        let b = c.create_scc(vec![NodeId(0), NodeId(1), NodeId(5)], 2 * RANK_GAP);
+        assert!(c.check_invariants().is_ok());
+        c.remove_members(a, &[NodeId(3)]);
+        let old = c.swap_members(a, vec![NodeId(3)]);
+        assert_eq!(old, vec![NodeId(2), NodeId(4)]);
+        let d = c.create_scc(old, 3 * RANK_GAP);
+        assert_eq!(c.members(a), &[NodeId(3)]);
+        assert_eq!((c.scc_of(NodeId(2)), c.scc_of(NodeId(0))), (d, b));
         assert!(c.check_invariants().is_ok());
     }
 

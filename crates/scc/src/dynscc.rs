@@ -201,11 +201,15 @@ impl IncrementalAlgorithm for DynScc {
                 rest.push(*u);
             }
         }
+        // The inner view is told of every update — its own certificate must
+        // see each deletion; what the fast path skips is this baseline's
+        // certificate upkeep.
+        self.inner.apply(g, delta);
+        self.work += self.inner.work();
+        self.inner.reset_work();
         if rest.is_empty() {
             return;
         }
-        let sub = UpdateBatch::from_updates(rest.clone());
-        self.inner.apply(g, &sub);
         // Certificates broken by tree-edge deletions are dropped (the fast
         // path is lost until recertification); structure changes also
         // invalidate by the size/root check. Recertification is amortised:
@@ -237,8 +241,6 @@ impl IncrementalAlgorithm for DynScc {
             self.rebuild_cert(g, id);
             self.pending.remove(&id);
         }
-        self.work += self.inner.work();
-        self.inner.reset_work();
     }
 
     fn work(&self) -> WorkStats {

@@ -1,7 +1,10 @@
 //! IncSCC — the incremental SCC algorithm of Section 5.3, bounded relative
 //! to Tarjan.
 //!
-//! The auxiliary state is the condensation `Gc` with topological ranks.
+//! The auxiliary state is the condensation `Gc` with topological ranks,
+//! plus — writer-side only — a strong-connectivity certificate per
+//! component that has seen an intra-component deletion (`cert.rs`: an
+//! out-tree and an in-tree over real graph edges to one root).
 //! Unit operations:
 //!
 //! * **Insertion** (`IncSCC⁺`, Fig. 7): intra-scc insertions change nothing
@@ -10,15 +13,38 @@
 //!   bidirectional bounded search (`DFSf`/`DFSb`) over `Gc`, a cycle check by
 //!   Tarjan on the affected region of `Gc`, component merging, and
 //!   `reallocRank`.
-//! * **Deletion** (`IncSCC⁻`): inter-scc deletions decrement a counter;
-//!   intra-scc deletions first check whether the source still reaches the
-//!   target inside the component (output unchanged), and otherwise re-run
-//!   Tarjan restricted to the old component, splitting it and slotting the
-//!   sub-components' ranks into the gap left by the old rank.
-//! * **Batch** (`IncSCC`): updates are grouped — all intra updates of one
-//!   scc are handled by at most one restricted Tarjan run, and inter
-//!   updates are applied to `Gc` together — which is the optimisation the
-//!   paper credits for the gap between `IncSCC` and `IncSCCⁿ`.
+//! * **Deletion** (`IncSCC⁻`): inter-scc deletions decrement a counter. An
+//!   intra-scc deletion that is no edge of the component's certificate
+//!   leaves the certificate — and so the output — as it is: two array
+//!   reads. A deleted tree edge orphans a node, which re-attaches through
+//!   any neighbour whose walk to the root avoids the orphans; the nodes
+//!   that cannot re-attach are exactly the ones cut off from the root, and
+//!   Tarjan runs restricted to *them*, splitting the component and slotting
+//!   the sub-components' ranks into the gap left by the old rank.
+//! * **Batch** (`IncSCC`): updates are grouped — all intra deletions of one
+//!   scc orphan their nodes together and are repaired by one pass per
+//!   tree, and inter updates are applied to `Gc` together — which is the
+//!   optimisation the paper credits for the gap between `IncSCC` and
+//!   `IncSCCⁿ`.
+//!
+//! **Invariant.** In a certified component every member other than the root
+//! has, in each tree, a parent in the same component joined to it by an
+//! edge of `g` (`parent → v` in the out-tree, `v → parent` in the in-tree),
+//! and parent walks end at the root. A merge hangs the absorbed nodes into
+//! the surviving component's trees from their neighbours; a split leaves
+//! the certificate with the root's side.
+//!
+//! **Fallback.** A repair may spend `INTACT_CHECK_BUDGET_FACTOR`·`|Vc|`
+//! (5·`|Vc|`) work; past that the certificate is rebuilt by one BFS pair
+//! from a fresh root, which yields the cut-off set directly — so the worst
+//! case stays within a constant factor of the restricted Tarjan it
+//! replaces. The same build certifies a component the first time it sees
+//! an intra deletion.
+//!
+//! **`WorkStats` depend on history.** What a deletion costs depends on
+//! whether it hits a tree edge, and the trees depend on the updates the
+//! view has seen — as the condensation's ranks always did. Two views over
+//! the same graph agree on every answer but need not book the same work.
 //!
 //! Structural changes are made **in place and pay for the smaller side**:
 //! a merge keeps the largest component of the cycle under its own id and
@@ -26,18 +52,19 @@
 //! keeps the largest sub-component under the old id and moves condensation
 //! edges by scanning the carved nodes' adjacency alone. So a hub that
 //! frays off a giant component and is fused back costs the hub, not the
-//! giant, and `scc_of` is stable for everything that stayed put. What
-//! still costs `|Vc| + |Ec|` is the one restricted Tarjan run after a
-//! failed intact check.
+//! giant, and `scc_of` is stable for everything that stayed put.
 //!
 //! Deviations from the paper: per-node `num`/`lowlink` are not maintained
 //! (nothing reads them between Tarjan runs, and the restricted run
-//! recomputes its own); reachability checks use a bounded bidirectional
-//! search inside the component instead of the full-version `chkReach`
-//! propagation (the paper defers those details to its full version).
+//! recomputes its own); intra-component reachability is answered by the
+//! certificate instead of the full-version `chkReach` propagation (the
+//! paper defers those details to its full version) — the same idea as the
+//! `next` pointer of `IncKws` and the `mpre` witness of `IncRpq`: a deletion
+//! that misses the witness is a no-op.
 
+use crate::cert::{Certificates, SccDelta};
 use crate::condensation::{Condensation, SccId, RANK_GAP};
-use crate::tarjan::{tarjan, tarjan_restricted, LocalIndex, RestrictedScc};
+use crate::tarjan::{tarjan, tarjan_restricted, LocalIndex};
 use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::IncrementalAlgorithm;
 use igc_graph::graph::Edge;
@@ -50,13 +77,16 @@ use std::sync::Arc;
 /// Every read accessor is served by the condensation, so it sits behind an
 /// `Arc`: the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
 /// publishes shares it, and `apply` unshares it once (`SccPass`). The
-/// scratch is the writer's and is left out of that copy.
+/// certificates and the restricted Tarjan's node index are the writer's
+/// and are left out of that copy.
 #[derive(Debug, Clone)]
 pub struct IncScc {
     cond: Arc<Condensation>,
     work: WorkStats,
     metrics: ChangeMetrics,
-    scratch: SccScratch,
+    delta: SccDelta,
+    certs: Certificates,
+    local: LocalIndex,
 }
 
 /// One `apply`'s exclusive borrows: the condensation unshared once up
@@ -65,46 +95,19 @@ struct SccPass<'a> {
     cond: &'a mut Condensation,
     work: &'a mut WorkStats,
     metrics: &'a mut ChangeMetrics,
-    scratch: &'a mut SccScratch,
+    delta: &'a mut SccDelta,
+    certs: &'a mut Certificates,
+    local: &'a mut LocalIndex,
 }
 
-/// Reusable buffers of the bidirectional intact-check BFS and the node
-/// index of the restricted Tarjan, kept on the view so the per-deletion hot
-/// path allocates nothing once warm and hashes no node ids. The BFS buffers
-/// are cleared per check and the index resets itself per run; nothing
-/// carries state between uses.
-#[derive(Debug, Clone, Default)]
-struct SccScratch {
-    local: LocalIndex,
-    fwd_seen: FxHashSet<NodeId>,
-    bwd_seen: FxHashSet<NodeId>,
-    fwd_frontier: Vec<NodeId>,
-    bwd_frontier: Vec<NodeId>,
-    next: Vec<NodeId>,
-}
-
-impl SccScratch {
-    fn clear(&mut self) {
-        self.fwd_seen.clear();
-        self.bwd_seen.clear();
-        self.fwd_frontier.clear();
-        self.bwd_frontier.clear();
-        self.next.clear();
-    }
-}
-
-/// Work budget for the per-deletion intact-check BFS, as a multiple of the
-/// component's member count. The fallback restricted Tarjan costs about
-/// `|Vc| + |Ec|`; with the datasets' typical density `|Ec| ≈ 4·|Vc|`, a
-/// budget of `5·|Vc|` nodes-plus-edges lets the checks spend up to roughly
-/// one recompute's worth of work proving the component intact before
-/// falling back — so the slow path is at most ~2× the old cost, while a
-/// wide coalesced batch of internal deletions that leaves the component
-/// strongly connected (the common case) skips the `O(|Vc|)` recompute for
-/// a few √|Vc| probes. The intact argument itself is count-independent:
-/// if every deleted edge's endpoints still reach inside the post-update
-/// component, old paths can be patched deletion-by-deletion.
-const INTACT_CHECK_BUDGET_FACTOR: u64 = 5;
+/// Work budget of a certificate repair, as a multiple of the component's
+/// member count. Rebuilding the certificate costs about `2·(|Vc| + |Ec|)`;
+/// with the datasets' typical density `|Ec| ≈ 4·|Vc|`, a budget of `5·|Vc|`
+/// nodes-plus-edges lets a repair spend up to roughly half a rebuild
+/// before falling back to one — so the slow path costs at most ~1.5× a
+/// rebuild, itself a small multiple of the restricted Tarjan over the
+/// whole component that a failed intact check used to cost.
+pub(crate) const INTACT_CHECK_BUDGET_FACTOR: u64 = 5;
 
 impl IncScc {
     /// A deferred constructor ([`ViewInit`](igc_core::ViewInit)) for lazy
@@ -137,7 +140,9 @@ impl IncScc {
             cond: Arc::new(cond),
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
-            scratch: SccScratch::default(),
+            delta: SccDelta::default(),
+            certs: Certificates::default(),
+            local: LocalIndex::default(),
         }
     }
 
@@ -174,6 +179,12 @@ impl IncScc {
     /// Change metrics of the most recent [`IncrementalAlgorithm::apply`].
     pub fn last_metrics(&self) -> ChangeMetrics {
         self.metrics
+    }
+
+    /// Certificate counters of the most recent
+    /// [`IncrementalAlgorithm::apply`]: where its deletions went.
+    pub fn last_delta(&self) -> SccDelta {
+        self.delta
     }
 
     /// Unit insertion convenience (`IncSCC⁺`); `g` must already contain the
@@ -227,7 +238,9 @@ impl IncScc {
             cond: Arc::make_mut(&mut self.cond),
             work: &mut self.work,
             metrics: &mut self.metrics,
-            scratch: &mut self.scratch,
+            delta: &mut self.delta,
+            certs: &mut self.certs,
+            local: &mut self.local,
         }
     }
 }
@@ -242,99 +255,56 @@ impl SccPass<'_> {
             self.metrics.output_changes += 1;
             self.work.aux_touched += 1;
         }
+        self.certs.grow(g.node_count());
     }
 
-    /// Quick intact-check for one intra deletion: does `v` still reach
-    /// `w` inside the component (post-deletion graph)? Bidirectional BFS —
-    /// forward from `v`, backward from `w`, expanding the smaller frontier —
-    /// so the typical cost is around the square root of the component size
-    /// rather than the whole component. Seen-sets and frontiers live in
-    /// [`SccScratch`], so a warm view allocates nothing here.
-    fn still_reaches_within(&mut self, g: &DynamicGraph, id: SccId, v: NodeId, w: NodeId) -> bool {
-        if v == w {
-            return true;
-        }
-        let sc = &mut *self.scratch;
-        sc.clear();
-        sc.fwd_seen.insert(v);
-        sc.bwd_seen.insert(w);
-        sc.fwd_frontier.push(v);
-        sc.bwd_frontier.push(w);
-        while !sc.fwd_frontier.is_empty() && !sc.bwd_frontier.is_empty() {
-            let forward = sc.fwd_frontier.len() <= sc.bwd_frontier.len();
-            sc.next.clear();
-            let level = if forward {
-                sc.fwd_frontier.len()
-            } else {
-                sc.bwd_frontier.len()
-            };
-            for xi in 0..level {
-                let x = if forward {
-                    sc.fwd_frontier[xi]
-                } else {
-                    sc.bwd_frontier[xi]
-                };
-                self.work.nodes_visited += 1;
-                let nbrs = if forward {
-                    g.successors(x)
-                } else {
-                    g.predecessors(x)
-                };
-                for &y in nbrs {
-                    self.work.edges_traversed += 1;
-                    if self.cond.scc_of(y) != id {
-                        continue;
-                    }
-                    if forward {
-                        if sc.bwd_seen.contains(&y) {
-                            return true;
-                        }
-                        if sc.fwd_seen.insert(y) {
-                            sc.next.push(y);
-                        }
-                    } else {
-                        if sc.fwd_seen.contains(&y) {
-                            return true;
-                        }
-                        if sc.bwd_seen.insert(y) {
-                            sc.next.push(y);
-                        }
-                    }
-                }
-            }
-            if forward {
-                std::mem::swap(&mut sc.fwd_frontier, &mut sc.next);
-            } else {
-                std::mem::swap(&mut sc.bwd_frontier, &mut sc.next);
-            }
-        }
-        false
-    }
-
-    /// Re-run Tarjan restricted to the (post-update) members of `id` and
-    /// split the component if it fell apart. `pending_ins` are batch
+    /// Split the nodes `cut` — everything the certificate's repair found
+    /// cut off from the root, flagged with whether the root still reaches
+    /// them — off `id`: Tarjan restricted to them finds their components,
+    /// and what stays behind is the root's. `pending_ins` are batch
     /// insertions not yet reflected in `Gc` — the split's edge scan skips
     /// them so they are counted exactly once later.
-    fn recompute_component(&mut self, g: &DynamicGraph, id: SccId, pending_ins: &FxHashSet<Edge>) {
-        let members = self.cond.members(id);
-        let r = tarjan_restricted(g, members, &mut self.scratch.local);
-        self.work.nodes_visited += members.len() as u64;
+    fn carve(
+        &mut self,
+        g: &DynamicGraph,
+        id: SccId,
+        cut: &[(NodeId, bool)],
+        pending_ins: &FxHashSet<Edge>,
+    ) {
+        let nodes: Vec<NodeId> = cut.iter().map(|c| c.0).collect();
+        let r = tarjan_restricted(g, &nodes, self.local);
+        self.work.nodes_visited += nodes.len() as u64;
         self.work.edges_traversed += r.edges_scanned;
-        self.metrics.affected += members.len() as u64;
-        if r.sizes.len() == 1 {
-            return;
+        self.metrics.affected += nodes.len() as u64;
+        self.delta.carved += nodes.len() as u64;
+        // Rank order, sinks first: the carved components the root still
+        // reaches (emission order among themselves), the root's own, then
+        // the rest — which reach the root or are unrelated to it, never
+        // reached from it — in emission order.
+        let k = r.sizes.len();
+        let mut below = vec![false; k];
+        for (c, &comp) in cut.iter().zip(&r.comp_of) {
+            below[comp as usize] |= c.1;
         }
-        // --- Split: slot sub-component ranks into the free window around
-        // the old rank — bounded by the nearest *used* ranks (uniqueness)
-        // and by the old component's neighbours (rank invariant).
-        let k = r.sizes.len() as u64;
-        let (mut lo, mut step) = self.split_window(id, k);
-        if step == 0 {
-            self.work.aux_touched += self.cond.renumber_ranks() as u64;
-            (lo, step) = self.split_window(id, k);
-            assert!(step > 0, "rank window exhausted even after renumbering");
+        let stays = below.iter().filter(|&&b| b).count();
+        let (mut next_below, mut next_above) = (0, stays + 1);
+        let mut part = vec![0usize; k];
+        for i in 0..k {
+            let next = if below[i] {
+                &mut next_below
+            } else {
+                &mut next_above
+            };
+            part[i] = *next;
+            *next += 1;
         }
-        self.finish_split(g, id, &r, lo, step, pending_ins);
+        let mut pieces: Vec<Vec<NodeId>> = vec![Vec::new(); k + 1];
+        for (&v, &comp) in nodes.iter().zip(&r.comp_of) {
+            pieces[part[comp as usize]].push(v);
+        }
+        self.cond.remove_members(id, &nodes);
+        self.finish_split(g, id, pieces, stays, pending_ins);
+        self.certs.resettle(id, self.cond);
     }
 
     /// The free rank window for splitting `id` into `k` parts: strictly
@@ -362,36 +332,46 @@ impl SccPass<'_> {
         (lo, (hi - lo) / (k + 1))
     }
 
-    /// Split `id` in place along the restricted run `r` over its members:
-    /// sub-component `i` (emission, i.e. reverse topological, order) gets
-    /// rank `lo + step·(i+1)`. The largest sub-component keeps `id` and its
-    /// member storage; every other one is carved off under a fresh id, and
-    /// the condensation edges the carved nodes carry are moved from `id` to
-    /// their new component by scanning those nodes' adjacency alone — edges
-    /// of the part that stayed are already right.
+    /// Split `id` in place into `pieces.len()` parts, given in reverse
+    /// topological order: part `i` gets rank `lo + step·(i+1)` of the free
+    /// window around the old rank. `pieces[stays]` is empty and stands for
+    /// the members `id` still has; the others have left its member list.
+    /// The largest part keeps `id`; every other one is carved off under a
+    /// fresh id, and the condensation edges the carved nodes carry are
+    /// moved from `id` to their new component by scanning those nodes'
+    /// adjacency alone — edges of the part that stayed are already right.
     fn finish_split(
         &mut self,
         g: &DynamicGraph,
         id: SccId,
-        r: &RestrictedScc,
-        lo: u64,
-        step: u64,
+        mut pieces: Vec<Vec<NodeId>>,
+        stays: usize,
         pending_ins: &FxHashSet<Edge>,
     ) {
-        let k = r.sizes.len();
+        // Slot the parts' ranks into the free window around the old rank —
+        // bounded by the nearest *used* ranks (uniqueness) and by the old
+        // component's neighbours (rank invariant).
+        let k = pieces.len();
+        let (mut lo, mut step) = self.split_window(id, k as u64);
+        if step == 0 {
+            self.work.aux_touched += self.cond.renumber_ranks() as u64;
+            (lo, step) = self.split_window(id, k as u64);
+            assert!(step > 0, "rank window exhausted even after renumbering");
+        }
         self.metrics.output_changes += 1 + k as u64;
         // First of the largest, so the choice never depends on hash order.
-        let keep = (0..k).rev().max_by_key(|&i| r.sizes[i]).expect("k ≥ 2");
-        let mut pieces: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        let mut position = 0;
-        self.cond.retain_members(id, |&v| {
-            let c = r.comp_of[position] as usize;
-            position += 1;
-            c == keep || {
-                pieces[c].push(v);
-                false
-            }
-        });
+        let size = |i: usize| match i == stays {
+            true => self.cond.members(id).len(),
+            false => pieces[i].len(),
+        };
+        let keep = (0..k).rev().max_by_key(|&i| size(i)).expect("k ≥ 2");
+        if keep != stays {
+            // A carved part outgrew what stayed: it takes the id over, and
+            // what stayed is carved instead (the smaller side, again).
+            pieces[stays] = self
+                .cond
+                .swap_members(id, std::mem::take(&mut pieces[keep]));
+        }
         self.cond.take_rank(id);
         let mut carved: Vec<SccId> = Vec::with_capacity(k - 1);
         for (i, piece) in pieces.into_iter().enumerate() {
@@ -445,7 +425,7 @@ impl SccPass<'_> {
     /// `IncSCC⁺` inter-component case: the inserted condensation edge
     /// `(a, b)` violates the rank order. Bidirectional bounded search, cycle
     /// check, merge, `reallocRank`.
-    fn reorder_or_merge(&mut self, a: SccId, b: SccId) {
+    fn reorder_or_merge(&mut self, g: &DynamicGraph, a: SccId, b: SccId) {
         let ra = self.cond.rank(a);
         let rb = self.cond.rank(b);
         debug_assert!(ra < rb);
@@ -508,12 +488,18 @@ impl SccPass<'_> {
                 .expect("a cycle has members");
             // Its rank is reassigned below with the rest of the region.
             self.cond.take_rank(keep);
+            let mut merged: Vec<NodeId> = Vec::new();
             for &x in cycle {
                 if x != keep {
                     self.metrics.affected += self.cond.members(x).len() as u64;
+                    merged.extend_from_slice(self.cond.members(x));
+                    self.certs.forget(x);
                     self.work.aux_touched += self.cond.absorb(keep, x) as u64;
                 }
             }
+            // The survivor's certificate (if it has one) takes the merged
+            // nodes in; theirs went with their ids.
+            self.certs.absorbed(g, self.cond, keep, &merged, self.work);
             self.metrics.output_changes += 1 + cycle.len() as u64;
             Some(keep)
         } else {
@@ -605,6 +591,7 @@ impl SccPass<'_> {
             input_updates: delta.len() as u64,
             ..Default::default()
         };
+        *self.delta = SccDelta::default();
         self.ensure_nodes(g);
 
         // Classify by the pre-batch component assignment.
@@ -636,46 +623,20 @@ impl SccPass<'_> {
             self.work.aux_touched += 1;
         }
 
-        // (2) Intra-component groups: one restricted Tarjan per affected
-        // scc at most. Deletion groups first get the cheap per-edge
-        // reachability check: the component was strongly connected before
-        // the batch, so if every deleted edge's source still reaches its
-        // target *inside the post-update component*, any old internal path
-        // can be patched deletion-by-deletion with those detours (which
-        // themselves avoid the deleted edges) — the component is provably
-        // intact and the restricted Tarjan run is skipped entirely. The
-        // checks are work-bounded, not count-bounded (see
-        // [`INTACT_CHECK_BUDGET_FACTOR`]): they run until they either prove
-        // the component intact, disprove one deletion, or spend about one
-        // recompute's worth of work — whichever comes first.
-        // Before any search, one O(1)-per-deletion pass looks for a proof
-        // of the opposite: a deleted `(v, w)`, `v ≠ w`, whose `v` is left
-        // without successors or whose `w` without predecessors in the
-        // post-update graph cannot be reconnected, so the component is not
-        // intact and the searches would only delay the recompute.
-        // Insertion-only groups cannot change the structure.
+        // (2) Intra-component deletion groups, against the component's
+        // certificate: a deletion that is no tree edge is two array reads;
+        // the tree edges among them orphan their nodes together, one repair
+        // per tree re-attaches what still hangs together, and only what is
+        // cut off from the root goes through a restricted Tarjan and is
+        // carved off. Insertion-only groups cannot change the structure.
         let mut touched: Vec<SccId> = intra_del.keys().copied().collect();
         touched.sort_unstable();
         for id in touched {
-            let dels = &intra_del[&id];
-            let frayed = dels
-                .iter()
-                .position(|&(v, w)| v != w && (g.out_degree(v) == 0 || g.in_degree(w) == 0));
-            self.work.nodes_visited += frayed.map_or(dels.len(), |i| i + 1) as u64;
-            let mut intact = frayed.is_none();
-            if intact {
-                let budget = INTACT_CHECK_BUDGET_FACTOR * self.cond.members(id).len() as u64;
-                let spent_before = self.work.nodes_visited + self.work.edges_traversed;
-                for &(v, w) in dels {
-                    let spent = self.work.nodes_visited + self.work.edges_traversed - spent_before;
-                    if spent > budget || !self.still_reaches_within(g, id, v, w) {
-                        intact = false;
-                        break;
-                    }
-                }
-            }
-            if !intact {
-                self.recompute_component(g, id, &pending_set);
+            let cut = self
+                .certs
+                .delete(g, self.cond, id, &intra_del[&id], self.work, self.delta);
+            if !cut.is_empty() {
+                self.carve(g, id, &cut, &pending_set);
             }
         }
         // Intra insertions into components untouched above: structure is
@@ -698,7 +659,7 @@ impl SccPass<'_> {
             if ra > rb {
                 self.cond.add_edge(a, b);
             } else {
-                self.reorder_or_merge(a, b);
+                self.reorder_or_merge(g, a, b);
             }
         }
         debug_assert_eq!(self.cond.check_invariants(), Ok(()));
@@ -724,24 +685,29 @@ impl igc_core::IncView for IncScc {
         "scc"
     }
 
-    /// The condensation, shared; cold scratch.
+    /// The condensation, shared; no certificates, cold index.
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(IncScc {
             cond: Arc::clone(&self.cond),
             work: self.work,
             metrics: self.metrics,
-            scratch: SccScratch::default(),
+            delta: self.delta,
+            certs: Certificates::default(),
+            local: LocalIndex::default(),
         })
     }
 
     /// Audit the maintained partition against one fresh Tarjan run, the
-    /// condensation's structural invariants (rank order, member maps), and
-    /// every condensation edge's multiplicity against a recount from `g`.
+    /// condensation's structural invariants (rank order, member maps),
+    /// every condensation edge's multiplicity against a recount from `g`,
+    /// and every certificate (parent edges in `g` and inside the component,
+    /// walks reach the root, no cycle).
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         if let Err(e) = self.cond.check_invariants() {
             return Err(format!("scc: condensation invariant violated: {e}"));
         }
         self.check_edge_counts(g)?;
+        self.certs.audit(g, &self.cond)?;
         let fresh = tarjan(g).canonical();
         let mine = self.components();
         if mine != fresh {
@@ -768,7 +734,7 @@ mod tests {
             batch.canonical(),
             "IncSCC diverged from Tarjan"
         );
-        inc.cond.check_invariants().expect("invariants");
+        igc_core::IncView::verify_against_batch(inc, g).expect("audit");
     }
 
     #[test]

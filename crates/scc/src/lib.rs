@@ -11,17 +11,21 @@
 //! * [`inc`] — [`IncScc`]: unit insertions (bidirectional bounded search +
 //!   cycle merge + `reallocRank`), unit deletions (component split with rank
 //!   gap-filling), and grouped batch updates; merges and splits are made in
-//!   place, so they cost the smaller side and the larger keeps its id,
+//!   place, so they cost the smaller side and the larger keeps its id, and
+//!   an intra-component deletion is answered by a per-component spanning-
+//!   tree certificate ([`SccDelta`] says where each batch's deletions went),
 //! * [`dynscc`] — [`DynScc`]: a certificate-maintaining dynamic SCC baseline
 //!   in the spirit of the paper's combination of Haeupler et al. \[26\] and
 //!   Łącki \[32\]; it pays certificate upkeep even when the output is stable,
 //!   which is exactly the behaviour the paper measures against.
 
+mod cert;
 pub mod condensation;
 pub mod dynscc;
 pub mod inc;
 pub mod tarjan;
 
+pub use cert::SccDelta;
 pub use condensation::{Condensation, SccId};
 pub use dynscc::DynScc;
 pub use inc::IncScc;

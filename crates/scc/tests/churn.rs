@@ -157,3 +157,238 @@ fn merging_a_singleton_costs_the_singleton() {
     assert!(small.total() > 0);
     assert_eq!(small, work_for(2_000));
 }
+
+// ---------------------------------------------------------------------
+// The certificate: what a deletion costs depends on what it breaks.
+// ---------------------------------------------------------------------
+
+/// Hub nodes of [`ring_with_chords`]: pairwise non-adjacent on the ring.
+const HUBS: [u32; 6] = [2, 4, 6, 8, 10, 12];
+
+/// A ring over `0..n` whose node 0 is the best-connected member — so the
+/// certificate roots there — with `0 ⇄ h` for every hub `h` and chords
+/// `h_i → h_{i+1}`, `h_i → h_{i+2}` among the hubs. Every hub is a child
+/// of the root in both BFS trees, so no chord is a tree edge, whatever `n`.
+/// Returns the graph (plus `extra` isolated nodes) and the chords.
+fn ring_with_chords(n: u32, extra: u32) -> (DynamicGraph, Vec<Edge>) {
+    assert!(n > 13);
+    let mut edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    for h in HUBS {
+        edges.push((0, h));
+        edges.push((h, 0));
+    }
+    let mut chords = Vec::new();
+    for (i, &h) in HUBS.iter().enumerate() {
+        for step in [1, 2] {
+            let to = HUBS[(i + step) % HUBS.len()];
+            edges.push((h, to));
+            chords.push((NodeId(h), NodeId(to)));
+        }
+    }
+    (graph_from(&vec![0; (n + extra) as usize], &edges), chords)
+}
+
+fn delete(g: &mut DynamicGraph, inc: &mut IncScc, edges: &[Edge]) {
+    let dels = edges.iter().map(|e| Update::delete(e.0, e.1)).collect();
+    apply(g, inc, dels);
+}
+
+fn insert(g: &mut DynamicGraph, inc: &mut IncScc, edges: &[(u32, u32)]) {
+    let ins = edges
+        .iter()
+        .map(|&(u, v)| Update::insert(NodeId(u), NodeId(v)))
+        .collect();
+    apply(g, inc, ins);
+}
+
+/// The giant's certificate is built by its first intra deletion; every test
+/// below starts from a warm one.
+fn warm(g: &mut DynamicGraph, inc: &mut IncScc, chord: Edge) {
+    delete(g, inc, &[chord]);
+    assert_eq!(
+        inc.last_delta().fallbacks,
+        1,
+        "the first deletion certifies"
+    );
+    audit(inc, g, "warm");
+    inc.reset_work();
+}
+
+#[test]
+fn non_tree_deletions_cost_the_same_at_any_giant_size() {
+    let work_for = |n: u32| {
+        let (mut g, chords) = ring_with_chords(n, 0);
+        let mut inc = IncScc::new(&g);
+        warm(&mut g, &mut inc, chords[0]);
+        delete(&mut g, &mut inc, &chords[1..9]);
+        audit(&inc, &g, "chords gone");
+        assert_eq!(inc.scc_count(), 1);
+        assert_eq!(
+            inc.last_delta(),
+            Default::default(),
+            "n = {n}: no tree edge hit"
+        );
+        inc.work()
+    };
+    let small = work_for(50);
+    assert!(small.total() > 0);
+    assert_eq!(small, work_for(2_000));
+}
+
+#[test]
+fn replaced_parent_costs_the_orphans_neighbourhood() {
+    // `x` hangs below hub 2 in the out-tree (2 is scanned before 4) and has
+    // hub 4 as its other way in; `x → 0` keeps it in the component.
+    let run = |n: u32| {
+        let (mut g, chords) = ring_with_chords(n, 1);
+        let x = n;
+        let mut inc = IncScc::new(&g);
+        insert(&mut g, &mut inc, &[(2, x), (4, x), (x, 0)]);
+        assert_eq!(inc.scc_count(), 1);
+        warm(&mut g, &mut inc, chords[0]);
+        delete(&mut g, &mut inc, &[(NodeId(2), NodeId(x))]);
+        audit(&inc, &g, "re-attached");
+        assert_eq!(inc.scc_count(), 1);
+        let d = inc.last_delta();
+        assert_eq!(
+            (d.tree_hits, d.reattached, d.carved, d.fallbacks),
+            (1, 1, 0, 0),
+            "n = {n}"
+        );
+        inc.work()
+    };
+    let small = run(50);
+    // One deletion classified and looked up, one orphan, one candidate, a
+    // walk of two nodes: nothing that grows with the orphan's surroundings.
+    assert!(small.total() <= 12, "{small:?}");
+    assert_eq!(small, run(2_000));
+}
+
+#[test]
+fn orphans_whose_candidates_hang_below_each_other() {
+    // Below the root: x → x1 and y → y1, crossed by x1 → y and y1 → x; x1
+    // and y1 lead back to the root. Cutting both 0 → x and 0 → y leaves each
+    // orphan with a candidate in the other's subtree only.
+    let build = |rescue: bool| {
+        let n = 30;
+        let (mut g, chords) = ring_with_chords(n, 4);
+        let [x, x1, y, y1] = [n, n + 1, n + 2, n + 3];
+        let mut inc = IncScc::new(&g);
+        let mut links = vec![
+            (0, x),
+            (x, x1),
+            (0, y),
+            (y, y1),
+            (x1, y),
+            (y1, x),
+            (x1, 0),
+            (y1, 0),
+        ];
+        if rescue {
+            // A way into y's subtree from outside both.
+            links.push((12, y1));
+        }
+        insert(&mut g, &mut inc, &links);
+        assert_eq!(inc.scc_count(), 1);
+        warm(&mut g, &mut inc, chords[0]);
+        delete(
+            &mut g,
+            &mut inc,
+            &[(NodeId(0), NodeId(x)), (NodeId(0), NodeId(y))],
+        );
+        audit(&inc, &g, "both cut");
+        (inc, NodeId(x))
+    };
+    // Nothing else leads in: the four are cut off together, as one
+    // component (x → x1 → y → y1 → x) that still reaches the giant.
+    let (inc, x) = build(false);
+    assert_eq!(inc.scc_count(), 2);
+    assert_ne!(inc.scc_of(x), inc.scc_of(NodeId(0)));
+    let d = inc.last_delta();
+    assert_eq!((d.tree_hits, d.carved, d.fallbacks), (2, 4, 0));
+    // One outside way in re-attaches all four; nothing is carved.
+    let (inc, x) = build(true);
+    assert_eq!(inc.scc_count(), 1);
+    assert_eq!(inc.scc_of(x), inc.scc_of(NodeId(0)));
+    let d = inc.last_delta();
+    assert_eq!((d.tree_hits, d.carved, d.fallbacks), (2, 0, 0));
+    assert!(d.reattached >= 2);
+}
+
+#[test]
+fn fray_carve_refuse_under_a_warm_certificate_keeps_the_hubs_id() {
+    let (mut g, fans) = giant_with_fans(40, 2, 8);
+    let mut inc = IncScc::new(&g);
+    let hub = NodeId(0);
+    let id = inc.scc_of(hub);
+    let cut: Vec<Edge> = fans
+        .iter()
+        .copied()
+        .filter(|&(u, v)| u == hub && v.0 % 2 == 0 || v == hub && u.0 % 2 == 1)
+        .collect();
+    for round in 0..3 {
+        delete(&mut g, &mut inc, &cut);
+        audit(&inc, &g, &format!("round {round} fray"));
+        assert_eq!(inc.scc_count(), 9);
+        assert_eq!(inc.scc_of(hub), id);
+        let d = inc.last_delta();
+        assert_eq!(d.carved, 8, "round {round}: the leaves, nothing else");
+        // Only the first round has to certify the giant; after that the
+        // certificate is patched by each merge and split.
+        assert_eq!(d.fallbacks, u64::from(round == 0), "round {round}");
+        let ins = cut.iter().map(|e| Update::insert(e.0, e.1)).collect();
+        apply(&mut g, &mut inc, ins);
+        audit(&inc, &g, &format!("round {round} re-fuse"));
+        assert_eq!(inc.scc_count(), 1);
+        assert_eq!(inc.scc_of(hub), id);
+    }
+}
+
+#[test]
+fn a_repair_over_budget_rebuilds_a_valid_certificate() {
+    // Node 0 feeds `k` nodes z (ids 1..=k) and, through `q`, a spine of `m`
+    // nodes; everything leads back to 0. Each z's other way in is from deep
+    // down the spine. Cutting every 0 → z and the spine's own tree edge in
+    // one batch makes each z walk the whole spine up to an orphan: k·m
+    // steps, past the budget of 5·|Vc|.
+    let (k, m) = (30u32, 120u32);
+    let head = k + 1;
+    let q = head + m;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for z in 1..=k {
+        edges.push((0, z));
+        edges.push((z, 0));
+        edges.push((head + m - z, z));
+    }
+    edges.push((0, head));
+    for s in head..head + m - 1 {
+        edges.push((s, s + 1));
+    }
+    for s in head..head + m {
+        edges.push((s, 0));
+    }
+    edges.extend([(0, q), (q, head), (q, 0), (0, q + 1), (q + 1, 0)]);
+    let mut g = graph_from(&vec![0; q as usize + 2], &edges);
+    let mut inc = IncScc::new(&g);
+    assert_eq!(inc.scc_count(), 1);
+    warm(&mut g, &mut inc, (NodeId(0), NodeId(q + 1)));
+    assert_eq!(inc.scc_count(), 2);
+
+    let mut cut: Vec<Edge> = (1..=k).map(|z| (NodeId(0), NodeId(z))).collect();
+    cut.push((NodeId(0), NodeId(head)));
+    delete(&mut g, &mut inc, &cut);
+    // Still one component (0 → q → spine → every z → 0) …
+    audit(&inc, &g, "over budget");
+    assert_eq!(inc.scc_count(), 2);
+    let d = inc.last_delta();
+    assert_eq!((d.fallbacks, d.carved), (1, 0), "{d:?}");
+    // … under a certificate that works: the next deletions are repaired
+    // without another rebuild, and a real cut is found.
+    inc.reset_work();
+    delete(&mut g, &mut inc, &[(NodeId(q), NodeId(0))]);
+    assert_eq!(inc.last_delta().fallbacks, 0);
+    delete(&mut g, &mut inc, &[(NodeId(q), NodeId(head))]);
+    audit(&inc, &g, "spine cut off");
+    assert_eq!(inc.last_delta().fallbacks, 0);
+    assert!(inc.scc_count() > 2);
+}

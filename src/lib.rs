@@ -13,7 +13,7 @@
 //! | Strongly connected components ([`scc`]) | Tarjan | `IncScc` | bounded relative to Tarjan |
 //! | Keyword search ([`kws`]) | kdist-list BFS (BLINKS-style) | `IncKws` | localizable (radius `2b`) |
 //! | Subgraph isomorphism ([`iso`]) | VF2 | `IncIso` | localizable (radius `d_Q`) |
-//! | Delta-rule (Datalog) views ([`rules`]) | naive fixpoint | `IncRules` | bounded by affected facts (support counting + DRed repair) |
+//! | Delta-rule (Datalog) views ([`rules`]) | naive fixpoint | `IncRules` | bounded by affected facts (support counting + derivation ranks) |
 //!
 //! The incremental problems for all four classes are *unbounded* in the
 //! classical sense (Theorem 1); [`core`] contains the Δ-reduction machinery
