@@ -902,6 +902,45 @@ mod tests {
         assert_matches_batch(&inc, &g);
     }
 
+    /// The deletion-heavy companion of the golden above (delete share 0.8,
+    /// 8 rounds): `identAff`'s cascade, the potentials and the removal of
+    /// markings that never settle carry this one, where insertions carry
+    /// the other. Captured from the implementation that kept the affected
+    /// flag in a side set and probed δ through a hash map.
+    #[test]
+    fn work_counters_unchanged_on_deletion_heavy_run() {
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        let mut g = uniform_graph(60, 240, 3, 42);
+        let mut it = LabelInterner::new();
+        let q = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
+        let mut inc = IncRpq::new(&g, &q);
+        inc.reset_work();
+        let mut affected = 0;
+        let mut output_changes = 0;
+        for round in 0..8u64 {
+            let delta = random_update_batch(&g, 15, 0.2, 2000 + round);
+            g.apply_batch(&delta);
+            inc.apply(&g, &delta);
+            affected += inc.last_metrics().affected;
+            output_changes += inc.last_metrics().output_changes;
+        }
+        let w = inc.work();
+        assert_eq!(
+            (
+                w.nodes_visited,
+                w.edges_traversed,
+                w.aux_touched,
+                w.queue_ops
+            ),
+            (1914, 7542, 3047, 1402),
+            "work drifted from the golden"
+        );
+        assert_eq!((affected, output_changes), (1672, 155));
+        assert_eq!(inc.answer().len(), 87);
+        assert_eq!(inc.mark_count(), 419);
+        assert_matches_batch(&inc, &g);
+    }
+
     /// Scratch contents must be semantically inert: a view whose buffers
     /// are dirty from earlier commits and a clone whose buffers were wiped
     /// must do bit-identical work on the next delta.
