@@ -100,8 +100,14 @@ pub fn kws_point(g: &DynamicGraph, q: &KwsQuery, delta: &UpdateBatch, verify: bo
     vec![("IncKWS", t_inc), ("IncKWSn", t_incn), ("BLINKS", t_batch)]
 }
 
-/// Measure RPQ algorithms on one instance.
-pub fn rpq_point(g: &DynamicGraph, q: &Regex, delta: &UpdateBatch, verify: bool) -> Times {
+/// Measure RPQ algorithms on one instance; the counters are `IncRPQ`'s
+/// [`RpqDelta`](igc_rpq::RpqDelta) for the grouped `apply`.
+pub fn rpq_point(
+    g: &DynamicGraph,
+    q: &Regex,
+    delta: &UpdateBatch,
+    verify: bool,
+) -> (Times, Counters) {
     let (g_inc, inc, incn, t_inc, t_incn) = inc_arms(g, &IncRpq::new(g, q), delta);
 
     // The batch column rebuilds the full queryable state from scratch on
@@ -121,7 +127,16 @@ pub fn rpq_point(g: &DynamicGraph, q: &Regex, delta: &UpdateBatch, verify: bool)
         let plain = rpq_batch::evaluate(&g_inc, fresh.nfa(), &mut w);
         assert_eq!(fresh.sorted_answer(), rpq_batch::sorted_answer(&plain));
     }
-    vec![("IncRPQ", t_inc), ("IncRPQn", t_incn), ("RPQnfa", t_batch)]
+    let d = inc.last_delta();
+    (
+        vec![("IncRPQ", t_inc), ("IncRPQn", t_incn), ("RPQnfa", t_batch)],
+        vec![
+            ("flagged", d.flagged),
+            ("resettled", d.resettled),
+            ("created", d.created),
+            ("removed", d.removed),
+        ],
+    )
 }
 
 /// Measure SCC algorithms on one instance; the counters are `IncSCC`'s
@@ -257,12 +272,7 @@ impl Class {
     ) -> Row {
         let (times, counters) = match self {
             Class::Kws => plain(kws_point(g, &workloads::default_kws(), delta, verify)),
-            Class::Rpq => plain(rpq_point(
-                g,
-                &workloads::default_rpq(data.alphabet()),
-                delta,
-                verify,
-            )),
+            Class::Rpq => rpq_point(g, &workloads::default_rpq(data.alphabet()), delta, verify),
             Class::Scc => scc_point(g, delta, verify),
             Class::Iso => plain(iso_point(g, &workloads::default_iso(), delta, verify)),
         };
@@ -327,10 +337,11 @@ pub fn fig8k(cfg: &ExpConfig) -> Series {
     let mut rows = Vec::new();
     for size in 3..=7 {
         let q = workloads::rpq_query(size, Dataset::DbpediaLike.alphabet());
+        let (times, counters) = rpq_point(&g, &q, &delta, cfg.verify);
         rows.push(Row {
             x: format!("{size}"),
-            times: rpq_point(&g, &q, &delta, cfg.verify),
-            counters: Counters::new(),
+            times,
+            counters,
         });
     }
     Series {
@@ -629,10 +640,8 @@ mod tests {
         let cfg = tiny();
         let g = workloads::dataset(Dataset::Synthetic, cfg.scale);
         let delta = delta_for(&g, 0.05, 0.5, 3);
-        assert_eq!(
-            rpq_point(&g, &workloads::default_rpq(100), &delta, true).len(),
-            3
-        );
+        let (times, counters) = rpq_point(&g, &workloads::default_rpq(100), &delta, true);
+        assert_eq!((times.len(), counters.len()), (3, 4));
         assert_eq!(
             iso_point(&g, &workloads::default_iso(), &delta, true).len(),
             3

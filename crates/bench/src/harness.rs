@@ -14,9 +14,9 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
 pub type Times = Vec<(&'static str, f64)>;
 
 /// What the incremental arm of one point reports about its own `apply`
-/// beside the time it took: `(counter name, count)` pairs — `IncScc`'s
-/// certificate counters, `IncRules`' repair counters. Empty for the classes
-/// that keep none.
+/// beside the time it took: `(counter name, count)` pairs — `IncRpq`'s
+/// marking counters, `IncScc`'s certificate counters, `IncRules`' repair
+/// counters. Empty for the classes that keep none.
 pub type Counters = Vec<(&'static str, u64)>;
 
 /// One experiment data point: an x-value (e.g. |ΔG| as a percentage), the

@@ -1,7 +1,7 @@
 //! `experiments` refuses a `--scale` it cannot run at: exit code 2 and the
-//! usage on stderr, as for an unknown id or flag; and the SCC panels and
-//! `rules` print the incremental arm's maintenance counters beside the
-//! timings.
+//! usage on stderr, as for an unknown id or flag; and the RPQ and SCC
+//! panels and `rules` print the incremental arm's maintenance counters
+//! beside the timings.
 
 use std::process::Command;
 
@@ -20,7 +20,7 @@ fn unusable_scale_exits_2() {
 #[test]
 fn scc_and_rules_series_print_their_maintenance_counters() {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["--scale", "0.02", "fig8c", "rules"])
+        .args(["--scale", "0.02", "fig8b", "fig8c", "rules"])
         .output()
         .expect("the experiments binary runs");
     assert!(out.status.success());
@@ -30,6 +30,10 @@ fn scc_and_rules_series_print_their_maintenance_counters() {
             .find(|l| l.starts_with('|') && l.contains(first))
             .unwrap_or_else(|| panic!("no counters table with {first:?} in:\n{text}"))
     };
+    let rpq = header(" flagged |");
+    for column in ["resettled", "created", "removed"] {
+        assert!(rpq.contains(&format!(" {column} |")), "{rpq}");
+    }
     let scc = header(" tree_hits |");
     for column in ["reattached", "carved", "fallbacks"] {
         assert!(scc.contains(&format!(" {column} |")), "{scc}");

@@ -193,8 +193,11 @@ impl UpdateBatch {
             first_insert: Option<Update>,
             last_is_insert: bool,
         }
-        let mut fate: FxHashMap<Edge, EdgeFate> = FxHashMap::default();
-        let mut order: Vec<Edge> = Vec::new();
+        // Almost every unit names its own edge: size both for the batch
+        // instead of rehashing up to it.
+        let mut fate: FxHashMap<Edge, EdgeFate> =
+            FxHashMap::with_capacity_and_hasher(self.len(), Default::default());
+        let mut order: Vec<Edge> = Vec::with_capacity(self.len());
         for u in &self.updates {
             let e = u.edge();
             match fate.get_mut(&e) {

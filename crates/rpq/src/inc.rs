@@ -15,12 +15,18 @@
 //!    monotonically increasing order (each affected entry is decided at
 //!    most once), guided by the NFA;
 //! 5. affected markings that never settle are removed, updating `Q(G)`.
+//!
+//! Every phase touches a marking once per product edge: δ and δ⁻¹ are the
+//! NFA's dense tables ([`Nfa::next`] / [`Nfa::prev`], iterated in place),
+//! and "is it affected?" is a flag on the entry the phase fetches anyway
+//! ([`MarkEntry::affected`]) — phase 1 sets it, phase 5 clears it on the
+//! survivors, so no marking carries it out of an `apply`.
 
 use crate::batch;
-use crate::marking::{MarkEntry, MarkKey, Markings, INF_DIST};
+use crate::marking::{MarkEntry, MarkKey, Markings, RpqDelta, INF_DIST};
 use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::IncrementalAlgorithm;
-use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, Label, NodeId, UpdateBatch};
+use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, UpdateBatch};
 use igc_nfa::{build_nfa, Nfa, Regex, StateId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -30,18 +36,12 @@ use std::sync::Arc;
 ///
 /// What a reader can see — the NFA and the answer — sits behind `Arc`s, so
 /// the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
-/// publishes shares it and carries nothing else: markings, `acc_count`,
-/// the inverse-transition tables and the scratch belong to the writer and
-/// are left out. `Clone` is the deep, writable copy (markings included).
+/// publishes shares it and carries nothing else: markings, `acc_count`
+/// and the scratch belong to the writer and are left out. `Clone` is the
+/// deep, writable copy (markings included).
 #[derive(Debug, Clone)]
 pub struct IncRpq {
     nfa: Arc<Nfa>,
-    /// Inverse transitions: `(l(x), s) → {s′ : s ∈ δ(s′, l(x))}`.
-    rev: FxHashMap<(Label, StateId), Vec<StateId>>,
-    /// Labels on some transition ([`Nfa::used_labels`]). An updated edge
-    /// whose target carries any other label advances no marking, so it is
-    /// skipped before its source's markings are even looked at.
-    alphabet: FxHashSet<Label>,
     marks: Markings,
     /// Number of accepting-state markings per (source, node) pair.
     acc_count: FxHashMap<(NodeId, NodeId), u32>,
@@ -50,6 +50,7 @@ pub struct IncRpq {
     answer: Arc<FxHashSet<(NodeId, NodeId)>>,
     work: WorkStats,
     metrics: ChangeMetrics,
+    delta: RpqDelta,
     scratch: RpqScratch,
 }
 
@@ -63,14 +64,11 @@ pub struct IncRpq {
 struct RpqScratch {
     /// The settle queue (phase 4).
     heap: BinaryHeap<Reverse<(u32, MarkKey)>>,
-    /// Affected markings in flag order (phase 1 output).
+    /// Affected markings in flag order (phase 1 output); each has its
+    /// entry's `affected` flag set until phase 5.
     affected: Vec<MarkKey>,
-    /// The same markings as a set, for O(1) affectedness checks.
-    affected_set: FxHashSet<MarkKey>,
     /// identAff cascade stack.
     stack: Vec<MarkKey>,
-    /// NFA successor-state buffer — hoists the per-edge `δ(s, l)` clone.
-    states: Vec<StateId>,
     /// `(source, state)` buffer for endpoint marking scans.
     keys: Vec<(NodeId, StateId)>,
     /// Shortest-predecessor buffer for potential recomputation.
@@ -82,20 +80,9 @@ impl RpqScratch {
     fn clear(&mut self) {
         self.heap.clear();
         self.affected.clear();
-        self.affected_set.clear();
         self.stack.clear();
-        self.states.clear();
         self.keys.clear();
         self.mpre.clear();
-    }
-
-    /// Flag `key` as affected exactly once: record it in flag order and
-    /// push it on the cascade stack.
-    fn flag(&mut self, key: MarkKey) {
-        if self.affected_set.insert(key) {
-            self.affected.push(key);
-            self.stack.push(key);
-        }
     }
 }
 
@@ -121,19 +108,14 @@ impl IncRpq {
     }
 
     fn build(g: &DynamicGraph, nfa: Arc<Nfa>) -> Self {
-        let mut rev: FxHashMap<(Label, StateId), Vec<StateId>> = FxHashMap::default();
-        for (s, l, t) in nfa.all_transitions() {
-            rev.entry((l, t)).or_default().push(s);
-        }
         let mut me = IncRpq {
-            alphabet: nfa.used_labels().into_iter().collect(),
             nfa,
-            rev,
             marks: Markings::new(g.node_count()),
             acc_count: FxHashMap::default(),
             answer: Arc::default(),
             work: WorkStats::new(),
             metrics: ChangeMetrics::default(),
+            delta: RpqDelta::default(),
             scratch: RpqScratch::default(),
         };
         for u in g.nodes() {
@@ -168,7 +150,14 @@ impl IncRpq {
     /// (`mpre` sets are *not* compared: the incremental algorithm maintains
     /// them as a sound subset; see `marking` module docs.)
     pub fn marking_signature(&self) -> Vec<(MarkKey, u32)> {
+        self.signature_and_flagged().0
+    }
+
+    /// One pass over the markings: their signature, and how many still
+    /// carry the `affected` flag (none may, outside an `apply`).
+    fn signature_and_flagged(&self) -> (Vec<(MarkKey, u32)>, usize) {
         let mut v: Vec<(MarkKey, u32)> = Vec::with_capacity(self.marks.len());
+        let mut flagged = 0;
         for n in 0..self.marks.node_count() {
             let node = NodeId::from_index(n);
             for (u, s, e) in self.marks.at_node(node) {
@@ -180,10 +169,11 @@ impl IncRpq {
                     },
                     e.dist,
                 ));
+                flagged += usize::from(e.affected);
             }
         }
         v.sort_unstable();
-        v
+        (v, flagged)
     }
 
     /// True for a view with no markings to maintain: a copy made by
@@ -196,6 +186,11 @@ impl IncRpq {
     /// Change metrics of the last `apply`.
     pub fn last_metrics(&self) -> ChangeMetrics {
         self.metrics
+    }
+
+    /// Marking counters of the last `apply`.
+    pub fn last_delta(&self) -> RpqDelta {
+        self.delta
     }
 
     /// The NFA in use.
@@ -267,8 +262,9 @@ impl IncRpq {
     /// answer set.
     fn create_mark(&mut self, key: MarkKey, dist: u32, mpre: Vec<(NodeId, StateId)>) {
         debug_assert!(self.marks.get(key).is_none());
-        self.marks.set(key, MarkEntry { dist, mpre });
+        self.marks.set(key, MarkEntry::new(dist, mpre));
         self.work.aux_touched += 1;
+        self.delta.created += 1;
         // A created marking is part of AFF: it is data RPQ_NFA inspects on
         // G⊕ΔG that it did not inspect on G. (apply() resets the metrics,
         // so construction-time increments are discarded.)
@@ -289,6 +285,7 @@ impl IncRpq {
             return;
         }
         self.work.aux_touched += 1;
+        self.delta.removed += 1;
         if self.nfa.is_accepting(key.state) {
             let pair = (key.source, key.node);
             let c = self.acc_count.get_mut(&pair).expect("counted at creation");
@@ -301,30 +298,55 @@ impl IncRpq {
         }
     }
 
-    /// A seed marking `(u, u, s)` exists independently of any edge.
-    fn is_seed(&self, g: &DynamicGraph, key: MarkKey) -> bool {
-        key.node == key.source
-            && self
-                .nfa
-                .start_states(g.label(key.source))
-                .contains(&key.state)
-    }
-
     // ------------------------------------------------------------------
     // Incremental phases
     // ------------------------------------------------------------------
 
+    /// Take `pre` out of `key`'s shortest predecessors. A marking left with
+    /// none is affected — flagged, recorded in flag order, pushed on the
+    /// cascade stack — unless it is a seed `(u, u, s)`, `s` a start state of
+    /// `l(u)`, which exists independently of any edge.
+    fn unlink(
+        &mut self,
+        g: &DynamicGraph,
+        nfa: &Nfa,
+        key: MarkKey,
+        pre: (NodeId, StateId),
+        sc: &mut RpqScratch,
+    ) {
+        let Some(e) = self.marks.get_mut(key).filter(|e| !e.affected) else {
+            return; // not marked, or flagged already
+        };
+        e.mpre.retain(|&p| p != pre);
+        if e.mpre.is_empty()
+            && !(key.node == key.source
+                && nfa.start_states(g.label(key.source)).contains(&key.state))
+        {
+            e.affected = true;
+            sc.affected.push(key);
+            sc.stack.push(key);
+        }
+    }
+
     /// Phase 1 — identAff: remove deleted/invalidated predecessors from
     /// `mpre` sets; entries whose `mpre` empties are affected, and the
     /// invalidation cascades along the product graph. Fills
-    /// `scratch.affected` (flag order) and `scratch.affected_set`.
-    fn ident_aff(&mut self, g: &DynamicGraph, deletions: &[(NodeId, NodeId)], sc: &mut RpqScratch) {
+    /// `scratch.affected` (flag order) and flags each entry.
+    fn ident_aff(
+        &mut self,
+        g: &DynamicGraph,
+        nfa: &Nfa,
+        deletions: &[(NodeId, NodeId)],
+        sc: &mut RpqScratch,
+    ) {
         for &(v, w) in deletions {
             if !g.contains_node(v) || !g.contains_node(w) {
                 continue;
             }
+            // A target label the automaton never reads advances no
+            // marking: skip before the source's markings are looked at.
             let lw = g.label(w);
-            if !self.alphabet.contains(&lw) {
+            if !nfa.used_labels().contains(&lw) {
                 continue;
             }
             if v.index() >= self.marks.node_count() || self.marks.none_at_node(v) {
@@ -335,55 +357,29 @@ impl IncRpq {
                 .extend(self.marks.at_node(v).map(|(u, s, _)| (u, s)));
             for ki in 0..sc.keys.len() {
                 let (u, s_prime) = sc.keys[ki];
-                sc.states.clear();
-                sc.states.extend_from_slice(self.nfa.next(s_prime, lw));
-                for si in 0..sc.states.len() {
-                    let t = sc.states[si];
+                for &t in nfa.next(s_prime, lw) {
                     self.work.aux_touched += 1;
                     let key_w = MarkKey {
                         source: u,
                         node: w,
                         state: t,
                     };
-                    if sc.affected_set.contains(&key_w) {
-                        continue;
-                    }
-                    let is_seed = self.is_seed(g, key_w);
-                    if let Some(e) = self.marks.get_mut(key_w) {
-                        e.mpre.retain(|&p| p != (v, s_prime));
-                        if e.mpre.is_empty() && !is_seed {
-                            sc.flag(key_w);
-                        }
-                    }
+                    self.unlink(g, nfa, key_w, (v, s_prime), sc);
                 }
             }
         }
 
         while let Some(key) = sc.stack.pop() {
             self.work.nodes_visited += 1;
-            let x = key.node;
-            for &y in g.successors(x) {
-                let ly = g.label(y);
-                sc.states.clear();
-                sc.states.extend_from_slice(self.nfa.next(key.state, ly));
-                for si in 0..sc.states.len() {
-                    let t = sc.states[si];
+            for &y in g.successors(key.node) {
+                for &t in nfa.next(key.state, g.label(y)) {
                     self.work.edges_traversed += 1;
                     let key_y = MarkKey {
                         source: key.source,
                         node: y,
                         state: t,
                     };
-                    if sc.affected_set.contains(&key_y) {
-                        continue;
-                    }
-                    let is_seed = self.is_seed(g, key_y);
-                    if let Some(e) = self.marks.get_mut(key_y) {
-                        e.mpre.retain(|&p| p != (x, key.state));
-                        if e.mpre.is_empty() && !is_seed {
-                            sc.flag(key_y);
-                        }
-                    }
+                    self.unlink(g, nfa, key_y, (key.node, key.state), sc);
                 }
             }
         }
@@ -392,38 +388,31 @@ impl IncRpq {
     /// Phase 2 — tentative distances for affected markings from their
     /// unaffected predecessors (scanning in-neighbours through the inverse
     /// transition table; see module docs for the `cpre` deviation).
-    fn compute_potentials(&mut self, g: &DynamicGraph, sc: &mut RpqScratch) {
+    fn compute_potentials(&mut self, g: &DynamicGraph, nfa: &Nfa, sc: &mut RpqScratch) {
         for ai in 0..sc.affected.len() {
             let key = sc.affected[ai];
-            let lx = g.label(key.node);
+            let states = nfa.prev(key.state, g.label(key.node));
             let mut best = INF_DIST;
             sc.mpre.clear();
-            sc.states.clear();
-            if let Some(states) = self.rev.get(&(lx, key.state)) {
-                sc.states.extend_from_slice(states);
-            }
-            if !sc.states.is_empty() {
+            if !states.is_empty() {
                 for &p in g.predecessors(key.node) {
                     self.work.edges_traversed += 1;
-                    for si in 0..sc.states.len() {
-                        let s_prime = sc.states[si];
+                    for &s_prime in states {
                         let key_p = MarkKey {
                             source: key.source,
                             node: p,
                             state: s_prime,
                         };
-                        if sc.affected_set.contains(&key_p) {
+                        let Some(e) = self.marks.get(key_p).filter(|e| !e.affected) else {
                             continue;
-                        }
-                        if let Some(e) = self.marks.get(key_p) {
-                            let cand = e.dist.saturating_add(1);
-                            if cand < best {
-                                best = cand;
-                                sc.mpre.clear();
-                                sc.mpre.push((p, s_prime));
-                            } else if cand == best && !sc.mpre.contains(&(p, s_prime)) {
-                                sc.mpre.push((p, s_prime));
-                            }
+                        };
+                        let cand = e.dist.saturating_add(1);
+                        if cand < best {
+                            best = cand;
+                            sc.mpre.clear();
+                            sc.mpre.push((p, s_prime));
+                        } else if cand == best && !sc.mpre.contains(&(p, s_prime)) {
+                            sc.mpre.push((p, s_prime));
                         }
                     }
                 }
@@ -444,12 +433,13 @@ impl IncRpq {
     fn seed_insertions(
         &mut self,
         g: &DynamicGraph,
+        nfa: &Nfa,
         insertions: &[(NodeId, NodeId)],
         sc: &mut RpqScratch,
     ) {
         for &(v, w) in insertions {
             let lw = g.label(w);
-            if !self.alphabet.contains(&lw) || self.marks.none_at_node(v) {
+            if !nfa.used_labels().contains(&lw) || self.marks.none_at_node(v) {
                 continue;
             }
             sc.keys.clear();
@@ -462,22 +452,21 @@ impl IncRpq {
                     node: v,
                     state: s_prime,
                 };
-                if sc.affected_set.contains(&key_v) {
-                    continue; // covered when key_v settles
-                }
-                let dv = self.marks.dist(key_v);
-                sc.states.clear();
-                sc.states.extend_from_slice(self.nfa.next(s_prime, lw));
-                for si in 0..sc.states.len() {
-                    let t = sc.states[si];
+                // Read now, not with the keys: an earlier insertion of this
+                // batch (a self-loop at `v` is one) may have brought it
+                // closer. An affected one is covered when it settles.
+                let dv = match self.marks.get(key_v) {
+                    Some(e) if !e.affected => e.dist,
+                    _ => continue,
+                };
+                for &t in nfa.next(s_prime, lw) {
                     self.work.aux_touched += 1;
                     let key_w = MarkKey {
                         source: u,
                         node: w,
                         state: t,
                     };
-                    let cand = dv + 1;
-                    self.relax(key_w, cand, (v, s_prime), &mut sc.heap);
+                    self.relax(key_w, dv + 1, (v, s_prime), &mut sc.heap);
                 }
             }
         }
@@ -517,19 +506,16 @@ impl IncRpq {
 
     /// Phase 4 — settle exact distances smallest-first, relaxing product
     /// successors through the (post-update) graph.
-    fn settle(&mut self, g: &DynamicGraph, sc: &mut RpqScratch) {
+    fn settle(&mut self, g: &DynamicGraph, nfa: &Nfa, sc: &mut RpqScratch) {
         while let Some(Reverse((d, key))) = sc.heap.pop() {
             self.work.queue_ops += 1;
             if self.marks.dist(key) != d {
                 continue; // stale
             }
             self.work.nodes_visited += 1;
+            self.delta.resettled += 1;
             for &y in g.successors(key.node) {
-                let ly = g.label(y);
-                sc.states.clear();
-                sc.states.extend_from_slice(self.nfa.next(key.state, ly));
-                for si in 0..sc.states.len() {
-                    let t = sc.states[si];
+                for &t in nfa.next(key.state, g.label(y)) {
                     self.work.edges_traversed += 1;
                     let key_y = MarkKey {
                         source: key.source,
@@ -558,22 +544,21 @@ impl IncrementalAlgorithm for IncRpq {
             input_updates: delta.len() as u64,
             ..Default::default()
         };
+        self.delta = RpqDelta::default();
         // The scratch moves out for the duration of the apply (so the
         // phases can borrow `self` and the buffers independently) and back
-        // in at the end, carrying its grown capacity to the next commit.
+        // in at the end, carrying its grown capacity to the next commit;
+        // the NFA is held beside `self` for the same reason.
         let mut sc = std::mem::take(&mut self.scratch);
         sc.clear();
+        let nfa = Arc::clone(&self.nfa);
 
         // New nodes: create their seed markings.
         let old_nodes = self.marks.node_count();
         self.marks.grow(g.node_count());
         for i in old_nodes..g.node_count() {
             let u = NodeId::from_index(i);
-            sc.states.clear();
-            sc.states
-                .extend_from_slice(self.nfa.start_states(g.label(u)));
-            for si in 0..sc.states.len() {
-                let s = sc.states[si];
+            for &s in nfa.start_states(g.label(u)) {
                 self.create_mark(
                     MarkKey {
                         source: u,
@@ -587,18 +572,22 @@ impl IncrementalAlgorithm for IncRpq {
         }
 
         let (deletions, insertions) = delta.split_edges();
-        self.ident_aff(g, &deletions, &mut sc);
+        self.ident_aff(g, &nfa, &deletions, &mut sc);
         self.metrics.affected += sc.affected.len() as u64;
+        self.delta.flagged = sc.affected.len() as u64;
 
-        self.compute_potentials(g, &mut sc);
-        self.seed_insertions(g, &insertions, &mut sc);
-        self.settle(g, &mut sc);
+        self.compute_potentials(g, &nfa, &mut sc);
+        self.seed_insertions(g, &nfa, &insertions, &mut sc);
+        self.settle(g, &nfa, &mut sc);
 
-        // Phase 5 — unreachable affected markings disappear.
-        for ai in 0..sc.affected.len() {
-            let key = sc.affected[ai];
-            if self.marks.dist(key) == INF_DIST {
+        // Phase 5 — unreachable affected markings disappear; the rest are
+        // affected no longer.
+        for &key in &sc.affected {
+            let e = self.marks.get_mut(key).expect("affected marks persist");
+            if e.dist == INF_DIST {
                 self.remove_mark(key);
+            } else {
+                e.affected = false;
             }
         }
         self.scratch = sc;
@@ -623,20 +612,20 @@ impl igc_core::IncView for IncRpq {
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(IncRpq {
             nfa: Arc::clone(&self.nfa),
-            rev: FxHashMap::default(),
-            alphabet: FxHashSet::default(),
             marks: Markings::default(),
             acc_count: FxHashMap::default(),
             answer: Arc::clone(&self.answer),
             work: self.work,
             metrics: self.metrics,
+            delta: self.delta,
             scratch: RpqScratch::default(),
         })
     }
 
     /// Audit both layers of maintained state: the answer against a
     /// marking-free batch `RPQ_NFA` evaluation, and the auxiliary markings
-    /// against a fresh instrumented construction (skipped on a copy made by
+    /// against a fresh instrumented construction — with no `affected` flag
+    /// left behind by the last `apply` (skipped on a copy made by
     /// `clone_view`, which has no markings to audit).
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         let mut w = WorkStats::new();
@@ -652,11 +641,17 @@ impl igc_core::IncView for IncRpq {
             return Ok(());
         }
         let fresh = IncRpq::build(g, Arc::clone(&self.nfa));
-        if self.marking_signature() != fresh.marking_signature() {
+        let (signature, flagged) = self.signature_and_flagged();
+        if signature != fresh.marking_signature() {
             return Err(format!(
                 "rpq: markings ({}) diverged from a fresh construction ({})",
                 self.mark_count(),
                 fresh.mark_count()
+            ));
+        }
+        if flagged != 0 {
+            return Err(format!(
+                "rpq: {flagged} markings left flagged affected after apply"
             ));
         }
         Ok(())
@@ -679,8 +674,10 @@ mod tests {
     }
 
     /// Oracle: answer equals a marking-free batch run; markings equal a
-    /// fresh instrumented construction.
+    /// fresh instrumented construction; the view's own audit agrees (it
+    /// also rejects an `affected` flag left behind).
     fn assert_matches_batch(inc: &IncRpq, g: &DynamicGraph) {
+        igc_core::IncView::verify_against_batch(inc, g).unwrap();
         let mut w = WorkStats::new();
         let fresh_answer = batch::evaluate(g, inc.nfa(), &mut w);
         assert_eq!(
@@ -791,6 +788,111 @@ mod tests {
         // Remaining: path 0→1→2 gives (0,0),(0,1),(0,2),(1,1),(1,2),(2,2)
         assert_eq!(inc.answer().len(), 6);
         assert_matches_batch(&inc, &g);
+    }
+
+    /// The seed test of `identAff`, both conjuncts, on the 2-cycle `0 ⇄ 1`
+    /// losing the edge back into node 0. A marking at its own source is
+    /// flagged when its state is no start state (`a.a*` re-enters 0 in the
+    /// star state, `a.b.a` in the last one) and is left alone when it is
+    /// one, though its `mpre` is empty (`a*.a` re-enters 0 in both of its
+    /// start states): a seed exists independently of any edge.
+    #[test]
+    fn seed_with_empty_mpre_is_not_flagged_and_survives() {
+        // Query, label of node 1, flagged = removed, answer afterwards.
+        let case = |expr: &str, l1: &str, flagged: u64, answer: &[(u32, u32)]| {
+            let (mut g, mut inc, _) = setup(expr, &["a", l1], &[(0, 1), (1, 0)]);
+            assert!(inc.contains_pair(NodeId(0), NodeId(0)), "{expr}");
+            let seeds = |inc: &IncRpq| {
+                let sig = inc.marking_signature();
+                sig.iter().filter(|(_, d)| *d == 0).count()
+            };
+            let seeds_before = seeds(&inc);
+            let delta = UpdateBatch::from_updates(vec![Update::delete(NodeId(1), NodeId(0))]);
+            g.apply_batch(&delta);
+            inc.apply(&g, &delta);
+            let d = inc.last_delta();
+            assert_eq!((d.flagged, d.removed), (flagged, flagged), "{expr}");
+            assert_eq!((d.created, d.resettled), (0, 0), "{expr}");
+            assert_eq!(seeds(&inc), seeds_before, "{expr}: a seed went");
+            let pairs: Vec<_> = answer
+                .iter()
+                .map(|&(u, v)| (NodeId(u), NodeId(v)))
+                .collect();
+            assert_eq!(inc.sorted_answer(), pairs, "{expr}");
+            assert_matches_batch(&inc, &g);
+        };
+        case("a.a*", "a", 3, &[(0, 0), (0, 1), (1, 1)]);
+        case("a.b.a", "b", 1, &[]);
+        case("a*.a", "a", 2, &[(0, 0), (0, 1), (1, 1)]);
+    }
+
+    /// A self-loop inserted at a node that carries markings: the markings
+    /// insertion seeding starts from are at the edge's own target, so one
+    /// relaxation feeds the next. Under `a.(a+b.b.b).a.a` each source `u`
+    /// holds `(u, 7)` in state 2 at distance 1 (the edge `u → 7`) and in
+    /// state 6 at distance 4 (through the `b`s); `7 → 7` brings the second
+    /// to 2 from the first, and what it then offers state 7 must start from
+    /// that 2 — read with the node's keys, it would start from 4 and state 7
+    /// would settle twice (for the sources whose state 2 the map lists
+    /// first). The counters are those of the implementation before the
+    /// flag moved into the entry.
+    #[test]
+    fn self_loop_insertion_sees_relaxations_of_the_same_batch() {
+        let (mut g, mut inc, _) = setup(
+            "a.(a+b.b.b).a.a",
+            &["a", "a", "a", "a", "b", "b", "b", "a"],
+            &[
+                (0, 7),
+                (1, 7),
+                (2, 7),
+                (3, 7),
+                (0, 4),
+                (1, 4),
+                (2, 4),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (6, 7),
+            ],
+        );
+        assert!(inc.answer().is_empty());
+        inc.reset_work();
+        let delta = UpdateBatch::from_updates(vec![Update::insert(NodeId(7), NodeId(7))]);
+        g.apply_batch(&delta);
+        inc.apply(&g, &delta);
+        assert_matches_batch(&inc, &g);
+        assert_eq!(inc.answer().len(), 5, "(u, 7) for the four sources and 7");
+        let w = inc.work();
+        assert_eq!(
+            (
+                w.nodes_visited,
+                w.edges_traversed,
+                w.aux_touched,
+                w.queue_ops
+            ),
+            (11, 6, 22, 26)
+        );
+        assert_eq!(inc.last_metrics().affected, 13);
+        let d = inc.last_delta();
+        assert_eq!((d.flagged, d.removed, d.created), (0, 0, 7));
+    }
+
+    /// The audit rejects an `affected` flag that outlives its `apply`.
+    #[test]
+    fn audit_rejects_a_flag_left_behind() {
+        let (g, mut inc, _) = setup("a.b", &["a", "b"], &[(0, 1)]);
+        assert_matches_batch(&inc, &g);
+        let key = MarkKey {
+            source: NodeId(0),
+            node: NodeId(1),
+            state: 2,
+        };
+        inc.marks
+            .get_mut(key)
+            .expect("a.b reaches (1, s2)")
+            .affected = true;
+        let err = igc_core::IncView::verify_against_batch(&inc, &g).unwrap_err();
+        assert!(err.contains("flagged affected"), "{err}");
     }
 
     #[test]

@@ -21,4 +21,4 @@ pub mod inc;
 pub mod marking;
 
 pub use inc::IncRpq;
-pub use marking::{MarkEntry, MarkKey, Markings};
+pub use marking::{MarkEntry, MarkKey, Markings, RpqDelta};

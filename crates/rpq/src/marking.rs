@@ -16,6 +16,12 @@
 //! sound because it is used only as a
 //! conservative trigger — an empty `mpre` marks the entry affected, and the
 //! potential recomputation scans all unaffected predecessors regardless.
+//!
+//! An entry also carries IncRPQ's per-`apply` `affected` flag, so that the
+//! lookup which fetches a marking answers "is it affected?" as well — there
+//! is no side set. `identAff` sets it, the last phase of the same `apply`
+//! clears it on every survivor (the rest are removed), and between two
+//! `apply` calls it is false everywhere; `verify_against_batch` checks that.
 
 use igc_graph::{FxHashMap, NodeId};
 use igc_nfa::StateId;
@@ -41,6 +47,36 @@ pub struct MarkEntry {
     pub dist: u32,
     /// Known shortest-path predecessors `(node, state)` for the same source.
     pub mpre: Vec<(NodeId, StateId)>,
+    /// Flagged by the `identAff` phase of the `apply` in progress; false
+    /// outside one.
+    pub affected: bool,
+}
+
+impl MarkEntry {
+    /// An unaffected marking.
+    pub fn new(dist: u32, mpre: Vec<(NodeId, StateId)>) -> Self {
+        MarkEntry {
+            dist,
+            mpre,
+            affected: false,
+        }
+    }
+}
+
+/// Per-`apply` marking counters — what one batch did to the auxiliary
+/// structure.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RpqDelta {
+    /// Markings `identAff` flagged: their last known shortest predecessor
+    /// went with a deleted edge or with another flagged marking.
+    pub flagged: u64,
+    /// Markings whose distance the settle queue fixed: flagged ones that
+    /// are still reachable, ones an insertion brought closer, new ones.
+    pub resettled: u64,
+    /// Markings created (a configuration newly reached).
+    pub created: u64,
+    /// Flagged markings that never settled and were removed.
+    pub removed: u64,
 }
 
 /// All markings, indexed node-major so that edge updates can enumerate the
@@ -113,12 +149,6 @@ impl Markings {
             .map(|(&(u, s), e)| (u, s, e))
     }
 
-    /// The `(source, state)` keys of one node, collected (used when the
-    /// borrow must end before mutation).
-    pub fn keys_at_node(&self, v: NodeId) -> Vec<(NodeId, StateId)> {
-        self.per_node[v.index()].keys().copied().collect()
-    }
-
     /// True when `v` carries no markings — the hot-path guard for updates
     /// touching unmarked regions.
     #[inline]
@@ -142,13 +172,7 @@ mod tests {
     #[test]
     fn set_get_remove() {
         let mut m = Markings::new(3);
-        m.set(
-            key(0, 1, 2),
-            MarkEntry {
-                dist: 4,
-                mpre: vec![(NodeId(0), 1)],
-            },
-        );
+        m.set(key(0, 1, 2), MarkEntry::new(4, vec![(NodeId(0), 1)]));
         assert_eq!(m.dist(key(0, 1, 2)), 4);
         assert_eq!(m.dist(key(0, 1, 3)), INF_DIST);
         assert_eq!(m.len(), 1);
@@ -160,42 +184,17 @@ mod tests {
     #[test]
     fn at_node_iterates_only_that_node() {
         let mut m = Markings::new(2);
-        m.set(
-            key(0, 0, 1),
-            MarkEntry {
-                dist: 0,
-                mpre: vec![],
-            },
-        );
-        m.set(
-            key(5, 0, 2),
-            MarkEntry {
-                dist: 3,
-                mpre: vec![],
-            },
-        );
-        m.set(
-            key(0, 1, 1),
-            MarkEntry {
-                dist: 1,
-                mpre: vec![],
-            },
-        );
+        m.set(key(0, 0, 1), MarkEntry::new(0, vec![]));
+        m.set(key(5, 0, 2), MarkEntry::new(3, vec![]));
+        m.set(key(0, 1, 1), MarkEntry::new(1, vec![]));
         assert_eq!(m.at_node(NodeId(0)).count(), 2);
         assert_eq!(m.at_node(NodeId(1)).count(), 1);
-        assert_eq!(m.keys_at_node(NodeId(1)), vec![(NodeId(0), 1)]);
     }
 
     #[test]
     fn grow_preserves_entries() {
         let mut m = Markings::new(1);
-        m.set(
-            key(0, 0, 0),
-            MarkEntry {
-                dist: 7,
-                mpre: vec![],
-            },
-        );
+        m.set(key(0, 0, 0), MarkEntry::new(7, vec![]));
         m.grow(5);
         assert_eq!(m.node_count(), 5);
         assert_eq!(m.dist(key(0, 0, 0)), 7);
