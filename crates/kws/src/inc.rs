@@ -812,6 +812,56 @@ mod tests {
         }
     }
 
+    /// Golden `WorkStats` + `ChangeMetrics` of a deletion-heavy run (delete
+    /// share 0.8, ten grouped batches, then unit deletions of selected
+    /// `next` edges through `IncKWS⁻`): affected marking, potentials and
+    /// insertion seeding carry it. Captured from the implementation that
+    /// kept the affected nodes in hash sets.
+    #[test]
+    fn work_counters_golden_on_deletion_heavy_run() {
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        let mut g = uniform_graph(80, 320, 5, 42);
+        let q = KwsQuery::new(vec![Label(0), Label(1), Label(2)], 3);
+        let mut inc = IncKws::new(&g, q);
+        inc.reset_work();
+        let (mut affected, mut output_changes) = (0, 0);
+        let mut step = |g: &mut DynamicGraph, inc: &mut IncKws, delta: UpdateBatch| {
+            g.apply_batch(&delta);
+            inc.apply(g, &delta);
+            affected += inc.last_metrics().affected;
+            output_changes += inc.last_metrics().output_changes;
+        };
+        for round in 0..10u64 {
+            let delta = random_update_batch(&g, 16, 0.2, 6000 + round);
+            step(&mut g, &mut inc, delta);
+        }
+        for ki in 0..3 {
+            let (v, w) = g
+                .nodes()
+                .find_map(|v| inc.kdist().get(v, ki).next.map(|w| (v, w)))
+                .expect("a selected path");
+            step(
+                &mut g,
+                &mut inc,
+                UpdateBatch::from_updates(vec![Update::delete(v, w)]),
+            );
+        }
+        let w = inc.work();
+        assert_eq!(
+            (
+                w.nodes_visited,
+                w.edges_traversed,
+                w.aux_touched,
+                w.queue_ops
+            ),
+            (257, 1037, 320, 256),
+            "work drifted from the golden"
+        );
+        assert_eq!((affected, output_changes), (109, 7));
+        assert_eq!(inc.match_count(), 70);
+        assert_matches_batch(&inc, &g);
+    }
+
     #[test]
     fn randomized_unit_updates_match_fresh_runs() {
         use igc_core::incremental::apply_one_by_one;

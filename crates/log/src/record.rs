@@ -470,6 +470,27 @@ mod tests {
         assert_eq!(Record::checkpoint_of(&restored).encode_framed(), framed);
     }
 
+    /// One delta frame as the byte-at-a-time CRC and the two-buffer encoder
+    /// wrote it: journals written then must still encode — and so decode —
+    /// byte-for-byte.
+    #[test]
+    fn delta_frame_is_frozen() {
+        const FROZEN: &str = "3d000000022a00000000000000040000000000000000010000000401000000\
+                              07000000030000000608000000090000000100000002000000010200000000\
+                              00000097d10448";
+        let rec = Record::Delta {
+            epoch: 42,
+            batch: sample_batch(),
+        };
+        let framed = rec.encode_framed();
+        let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, FROZEN);
+        match decode_framed(&framed, 0).unwrap() {
+            Framed::Complete(got, end) => assert_eq!((got, end), (rec, framed.len())),
+            Framed::Torn => panic!("complete record decoded as torn"),
+        }
+    }
+
     #[test]
     fn torn_tail_is_not_corruption() {
         let rec = Record::Delta {

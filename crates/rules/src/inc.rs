@@ -1148,6 +1148,147 @@ mod tests {
         }
     }
 
+    /// [`step`], adding the apply's `RulesDelta` into `sum` (field order of
+    /// the struct).
+    fn step_summing(
+        g: &mut DynamicGraph,
+        view: &mut IncRules,
+        updates: Vec<Update>,
+        sum: &mut [u64; 6],
+    ) {
+        step(g, view, updates);
+        let d = view.last_delta();
+        let fields = [
+            d.facts_added,
+            d.facts_removed,
+            d.suspects,
+            d.overdeleted,
+            d.rederived,
+            d.repairs,
+        ];
+        for (s, f) in sum.iter_mut().zip(fields) {
+            *s += f;
+        }
+    }
+
+    fn counters(w: WorkStats) -> [u64; 4] {
+        [
+            w.nodes_visited,
+            w.edges_traversed,
+            w.aux_touched,
+            w.queue_ops,
+        ]
+    }
+
+    /// Golden `WorkStats` + `RulesDelta` of a deletion-heavy storm on the
+    /// attack program, with fresh vulnerable and critical hosts attached as
+    /// it goes: the build, the deletion pass, repair and the insertion pass
+    /// all join through the batch overlay. Captured from the implementation
+    /// that kept the overlay in hash sets.
+    #[test]
+    fn work_counters_golden_on_attack_storm() {
+        let (program, _, goal) = attack_program();
+        let mut g = uniform_graph(80, 320, 4, 17);
+        let mut view = IncRules::new(&g, program);
+        let build = counters(view.work());
+        view.reset_work();
+        let mut sum = [0u64; 6];
+        for round in 0..10u64 {
+            let mut batch: Vec<Update> = random_update_batch(&g, 40, 0.3, 4000 + round)
+                .iter()
+                .copied()
+                .collect();
+            let host = NodeId((round * 7 % 80) as u32);
+            let fresh = NodeId::from_index(g.node_count());
+            let label = if round % 2 == 0 { VULN } else { CRITICAL };
+            batch.push(Update::insert_labeled(host, fresh, None, Some(label)));
+            batch.push(Update::insert_labeled(
+                fresh,
+                NodeId(fresh.0 + 1),
+                None,
+                Some(CRITICAL),
+            ));
+            step_summing(&mut g, &mut view, batch, &mut sum);
+        }
+        assert_eq!(
+            build,
+            [771, 290, 710, 488],
+            "build work drifted from the golden"
+        );
+        assert_eq!(
+            counters(view.work()),
+            [1041, 953, 1824, 593],
+            "work drifted from the golden"
+        );
+        assert_eq!(
+            sum,
+            [28, 18, 22, 4, 4, 3],
+            "RulesDelta drifted from the golden"
+        );
+        assert_eq!((view.derived_count(), view.facts_of(goal).len()), (54, 11));
+    }
+
+    /// Golden `WorkStats` + `RulesDelta` of the binary `reach` program where
+    /// every batch deletes and inserts in- and out-edges of one node and
+    /// hangs fresh nodes off it on both sides: `edge`, `for_succ`,
+    /// `for_pred_nodes` and `node` each answer under the overlay with the
+    /// node's hidden inserts and still-visible deletes in play. Captured
+    /// from the implementation that kept the overlay in hash sets.
+    #[test]
+    fn work_counters_golden_on_reach_around_one_node() {
+        let (program, _) = reach_program();
+        let mut g = uniform_graph(30, 60, 3, 23);
+        let mut view = IncRules::new(&g, program);
+        let build = counters(view.work());
+        view.reset_work();
+        let mut sum = [0u64; 6];
+        for round in 0..8u32 {
+            let hub = NodeId(round % 5);
+            let mut batch = Vec::new();
+            for (i, &w) in g.successors(hub).iter().enumerate() {
+                if i % 2 == 0 {
+                    batch.push(Update::delete(hub, w));
+                }
+            }
+            for (i, &u) in g.predecessors(hub).iter().enumerate() {
+                if i % 2 == 1 {
+                    batch.push(Update::delete(u, hub));
+                }
+            }
+            for k in 0..3 {
+                let w = NodeId((hub.0 + 7 + 5 * k + round) % 30);
+                batch.push(Update::insert(hub, w));
+                batch.push(Update::insert(w, hub));
+            }
+            let fresh = NodeId::from_index(g.node_count());
+            batch.push(Update::insert_labeled(hub, fresh, None, Some(Label(1))));
+            batch.push(Update::insert_labeled(
+                NodeId(fresh.0 + 1),
+                hub,
+                Some(Label(2)),
+                None,
+            ));
+            batch.extend(random_update_batch(&g, 6, 0.5, 5000 + round as u64).iter());
+            step_summing(&mut g, &mut view, batch, &mut sum);
+        }
+        assert_eq!(
+            build,
+            [844, 1479, 1539, 1598],
+            "build work drifted from the golden"
+        );
+        assert_eq!(
+            counters(view.work()),
+            [2856, 24010, 63157, 8685],
+            "work drifted from the golden"
+        );
+        assert_eq!(
+            sum,
+            [1043, 466, 1417, 922, 608, 8],
+            "RulesDelta drifted from the golden"
+        );
+        assert_eq!(view.derived_count(), 1331);
+    }
+
     #[test]
     fn rebuilt_twin_matches_incremental_state() {
         // The ViewInit contract: a view rebuilt from scratch on the final
