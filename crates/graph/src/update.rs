@@ -4,6 +4,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::graph::{DynamicGraph, Edge};
 use crate::label::Label;
 use crate::node::NodeId;
+use std::collections::hash_map::Entry;
 
 /// A unit update to a graph (Section 2.2).
 ///
@@ -193,25 +194,28 @@ impl UpdateBatch {
             first_insert: Option<Update>,
             last_is_insert: bool,
         }
-        // Almost every unit names its own edge: size both for the batch
-        // instead of rehashing up to it.
-        let mut fate: FxHashMap<Edge, EdgeFate> =
+        // Fates in first-appearance order, the map only says where each
+        // edge's fate sits: one probe per unit, none in the emit pass.
+        // Almost every unit names its own edge, so both are sized for the
+        // batch instead of rehashing up to it.
+        let mut at: FxHashMap<Edge, u32> =
             FxHashMap::with_capacity_and_hasher(self.len(), Default::default());
-        let mut order: Vec<Edge> = Vec::with_capacity(self.len());
+        let mut fates: Vec<(Edge, EdgeFate)> = Vec::with_capacity(self.len());
         for u in &self.updates {
             let e = u.edge();
-            match fate.get_mut(&e) {
-                None => {
-                    order.push(e);
-                    fate.insert(
+            match at.entry(e) {
+                Entry::Vacant(slot) => {
+                    slot.insert(fates.len() as u32);
+                    fates.push((
                         e,
                         EdgeFate {
                             first_insert: u.is_insert().then_some(*u),
                             last_is_insert: u.is_insert(),
                         },
-                    );
+                    ));
                 }
-                Some(f) => {
+                Entry::Occupied(slot) => {
+                    let f = &mut fates[*slot.get() as usize].1;
                     if u.is_insert() && f.first_insert.is_none() {
                         f.first_insert = Some(*u);
                     }
@@ -219,10 +223,9 @@ impl UpdateBatch {
                 }
             }
         }
-        let updates = order
+        let updates = fates
             .into_iter()
-            .filter_map(|e| {
-                let f = &fate[&e];
+            .filter_map(|(e, f)| {
                 // Net effect per edge: present iff its last update inserts.
                 if f.last_is_insert == g.contains_edge(e.0, e.1) {
                     return None; // no-op against the current graph
@@ -393,6 +396,72 @@ mod tests {
             let mut g_norm = g.clone();
             g_norm.apply_batch(&batch.normalize_against(&g));
             assert_eq!(g_raw.sorted_edges(), g_norm.sorted_edges());
+        }
+    }
+
+    /// `normalize_against` as it was before the fates moved into a `Vec`:
+    /// an edge map probed again by the emit pass.
+    fn normalize_against_reference(batch: &UpdateBatch, g: &DynamicGraph) -> UpdateBatch {
+        let mut fate: FxHashMap<Edge, (Option<Update>, bool)> = FxHashMap::default();
+        let mut order: Vec<Edge> = Vec::new();
+        for u in batch.iter() {
+            let e = u.edge();
+            match fate.get_mut(&e) {
+                None => {
+                    order.push(e);
+                    fate.insert(e, (u.is_insert().then_some(*u), u.is_insert()));
+                }
+                Some(f) => {
+                    if u.is_insert() && f.0.is_none() {
+                        f.0 = Some(*u);
+                    }
+                    f.1 = u.is_insert();
+                }
+            }
+        }
+        order
+            .into_iter()
+            .filter_map(|e| {
+                let (first_insert, last_is_insert) = fate[&e];
+                if last_is_insert == g.contains_edge(e.0, e.1) {
+                    None
+                } else if last_is_insert {
+                    first_insert
+                } else {
+                    Some(Update::delete(e.0, e.1))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn normalize_against_equals_the_reference_on_random_batches() {
+        use crate::generator::uniform_graph;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let g = uniform_graph(12, 40, 3, 5);
+        let mut rng = StdRng::seed_from_u64(77);
+        for _ in 0..200 {
+            // A small id range so edges repeat, flip between insert and
+            // delete, hit present and absent edges and fresh nodes.
+            let len = rng.gen_range(0..40usize);
+            let batch: UpdateBatch = (0..len)
+                .map(|_| {
+                    let (u, v) = (
+                        NodeId(rng.gen_range(0..14u32)),
+                        NodeId(rng.gen_range(0..14u32)),
+                    );
+                    match rng.gen_range(0..3u32) {
+                        0 => Update::delete(u, v),
+                        1 => Update::insert(u, v),
+                        _ => Update::insert_labeled(u, v, Some(Label(1)), Some(Label(2))),
+                    }
+                })
+                .collect();
+            assert_eq!(
+                batch.normalize_against(&g),
+                normalize_against_reference(&batch, &g)
+            );
         }
     }
 

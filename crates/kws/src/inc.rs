@@ -16,6 +16,13 @@
 //!   queue per keyword decides every entry at most once — interleaving
 //!   deletions and insertions exactly as the paper's Example 3 describes.
 //!
+//! **Affected marks.** Phase one marks the affected nodes per keyword; the
+//! mark is an epoch stamp in one writer-side `Vec<u32>` kept beside the
+//! [`Kdist`] lists (a node is marked iff its stamp is the current epoch).
+//! A fresh marking is one increment, a test in the potentials and
+//! insertion-seeding phases one array read; the stamps are cleared whole
+//! only when the epoch wraps, and `clone_view` publishes without them.
+//!
 //! The extension from the paper's Remark — answering queries with a larger
 //! bound `b′` by restarting propagation from the breakpoint snapshot — is
 //! [`IncKws::raise_bound`].
@@ -47,6 +54,9 @@ pub struct IncKws {
     state: Arc<KwsState>,
     work: WorkStats,
     metrics: ChangeMetrics,
+    /// Writer-side only: [`IncView::clone_view`](igc_core::IncView::clone_view)
+    /// publishes without it.
+    marks: Marks,
 }
 
 #[derive(Debug, Clone)]
@@ -56,12 +66,47 @@ struct KwsState {
     qualified: FxHashSet<NodeId>,
 }
 
+/// The affected marks (module docs): `v` is marked iff `stamp[v]` is the
+/// current epoch, so stamps left behind by earlier markings are inert.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    /// Start a fresh, empty marking over `n` nodes.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark `v`; `false` when it already was.
+    fn mark(&mut self, v: NodeId) -> bool {
+        let s = &mut self.stamp[v.index()];
+        let fresh = *s != self.epoch;
+        *s = self.epoch;
+        fresh
+    }
+
+    fn marked(&self, v: NodeId) -> bool {
+        self.stamp[v.index()] == self.epoch
+    }
+}
+
 /// One mutation's exclusive borrows: the shared state unshared once up
 /// front, so the maintenance below works through plain `&mut`.
 struct KwsPass<'a> {
     query: &'a mut KwsQuery,
     kd: &'a mut Kdist,
     qualified: &'a mut FxHashSet<NodeId>,
+    marks: &'a mut Marks,
     work: &'a mut WorkStats,
     metrics: &'a mut ChangeMetrics,
 }
@@ -91,6 +136,7 @@ impl IncKws {
             }),
             work,
             metrics: ChangeMetrics::default(),
+            marks: Marks::default(),
         }
     }
 
@@ -181,6 +227,7 @@ impl IncKws {
             query,
             kd,
             qualified,
+            marks: &mut self.marks,
             work: &mut self.work,
             metrics: &mut self.metrics,
         }
@@ -265,13 +312,14 @@ impl KwsPass<'_> {
     }
 
     /// Phase 1 of `IncKWS⁻` (lines 2–6): every node whose `next`-chain for
-    /// `ki` runs through a seed is affected.
+    /// `ki` runs through a seed is affected — returned in marking order, and
+    /// marked in `self.marks` until the next call.
     fn mark_affected(&mut self, g: &DynamicGraph, seeds: &[NodeId], ki: usize) -> Vec<NodeId> {
-        let mut affected: FxHashSet<NodeId> = FxHashSet::default();
+        self.marks.begin(self.kd.node_count());
         let mut order: Vec<NodeId> = Vec::new();
         let mut stack: Vec<NodeId> = Vec::new();
         for &s in seeds {
-            if affected.insert(s) {
+            if self.marks.mark(s) {
                 order.push(s);
                 stack.push(s);
             }
@@ -280,7 +328,7 @@ impl KwsPass<'_> {
             self.work.nodes_visited += 1;
             for &p in g.predecessors(u) {
                 self.work.edges_traversed += 1;
-                if self.kd.get(p, ki).next == Some(u) && affected.insert(p) {
+                if self.kd.get(p, ki).next == Some(u) && self.marks.mark(p) {
                     order.push(p);
                     stack.push(p);
                 }
@@ -290,7 +338,7 @@ impl KwsPass<'_> {
     }
 
     /// Phase 1 of `IncKWS⁻` (lines 7–9): recompute each affected entry from
-    /// its *unaffected* successors; enqueue finite potentials.
+    /// its *unaffected* (unmarked) successors; enqueue finite potentials.
     fn compute_potentials(
         &mut self,
         g: &DynamicGraph,
@@ -299,13 +347,12 @@ impl KwsPass<'_> {
         changed: &mut FxHashSet<NodeId>,
     ) -> BinaryHeap<Reverse<(u32, NodeId)>> {
         let b = self.query.bound;
-        let affected_set: FxHashSet<NodeId> = affected.iter().copied().collect();
         let mut heap = BinaryHeap::new();
         for &u in affected {
             let mut best = KdistEntry::BOTTOM;
             for &y in g.successors(u) {
                 self.work.edges_traversed += 1;
-                if affected_set.contains(&y) {
+                if self.marks.marked(y) {
                     continue;
                 }
                 let dy = self.kd.get(y, ki).dist;
@@ -388,13 +435,12 @@ impl KwsPass<'_> {
                 .map(|&(v, _)| v)
                 .collect();
             let affected = self.mark_affected(g, &seeds, ki);
-            let affected_set: FxHashSet<NodeId> = affected.iter().copied().collect();
             let mut heap = self.compute_potentials(g, &affected, ki, &mut changed);
 
             // (b) insertions with both endpoints unaffected seed the queue
             let b = self.query.bound;
             for &(v, w) in &insertions {
-                if affected_set.contains(&v) || affected_set.contains(&w) {
+                if self.marks.marked(v) || self.marks.marked(w) {
                     continue; // covered by potentials / later relaxation
                 }
                 let dw = self.kd.get(w, ki).dist;
@@ -561,9 +607,15 @@ impl igc_core::IncView for IncKws {
         "kws"
     }
 
-    /// `Clone` already is the cheap copy: one `Arc` bump.
+    /// One `Arc` bump; the marks stay with the writer (a copy that is
+    /// ever applied to grows its own).
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
-        Box::new(self.clone())
+        Box::new(IncKws {
+            state: Arc::clone(&self.state),
+            work: self.work,
+            metrics: self.metrics,
+            marks: Marks::default(),
+        })
     }
 
     /// Audit the answer signature (qualified roots with their distance
@@ -810,6 +862,23 @@ mod tests {
                 assert_matches_batch(&inc, &g);
             }
         }
+    }
+
+    #[test]
+    fn marks_survive_an_epoch_wrap() {
+        let mut m = Marks::default();
+        m.begin(3);
+        assert!(m.mark(NodeId(0)) && !m.mark(NodeId(0)));
+        m.epoch = u32::MAX - 1;
+        m.begin(4);
+        assert!(m.mark(NodeId(1)) && m.mark(NodeId(3)));
+        assert!(!m.marked(NodeId(0)) && !m.marked(NodeId(2)));
+        // The wrap clears every stamp once: a node stamped with epoch 1
+        // long ago would otherwise read as marked again.
+        m.stamp[2] = 1;
+        m.begin(4);
+        assert_eq!(m.epoch, 1);
+        assert!((0..4).all(|i| !m.marked(NodeId(i))));
     }
 
     /// Golden `WorkStats` + `ChangeMetrics` of a deletion-heavy run (delete

@@ -115,26 +115,32 @@ impl Record {
         Ok(g)
     }
 
-    /// Encode as one framed record: `len` prefix, body, CRC-32 seal.
+    /// Encode as one framed record: `len` prefix, body, CRC-32 seal — all
+    /// three written into one buffer, the prefix patched once the body's
+    /// length is known.
     pub fn encode_framed(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut out = ByteWriter::with_capacity(body.len() + 8);
-        out.put_u32(body.len() as u32);
-        let mut bytes = out.into_bytes();
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        let body_hint = match self {
+            Record::Checkpoint { labels, edges, .. } => 13 + labels.len() * 4 + 4 + edges.len() * 8,
+            Record::Delta { batch, .. } => 13 + batch.len() * 9,
+        };
+        let mut w = ByteWriter::with_capacity(4 + body_hint + 4);
+        w.put_u32(0);
+        self.encode_body(&mut w);
+        let mut bytes = w.into_bytes();
+        let body_len = (bytes.len() - 4) as u32;
+        bytes[..4].copy_from_slice(&body_len.to_le_bytes());
+        let crc = crc32(&bytes[4..]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         bytes
     }
 
-    fn encode_body(&self) -> Vec<u8> {
+    fn encode_body(&self, w: &mut ByteWriter) {
         match self {
             Record::Checkpoint {
                 epoch,
                 labels,
                 edges,
             } => {
-                let mut w =
-                    ByteWriter::with_capacity(1 + 8 + 4 + labels.len() * 4 + 4 + edges.len() * 8);
                 w.put_u8(KIND_CHECKPOINT);
                 w.put_u64(*epoch);
                 w.put_u32(labels.len() as u32);
@@ -146,10 +152,8 @@ impl Record {
                     w.put_u32(u.0);
                     w.put_u32(v.0);
                 }
-                w.into_bytes()
             }
             Record::Delta { epoch, batch } => {
-                let mut w = ByteWriter::with_capacity(1 + 8 + 4 + batch.len() * 9);
                 w.put_u8(KIND_DELTA);
                 w.put_u64(*epoch);
                 w.put_u32(batch.len() as u32);
@@ -185,7 +189,6 @@ impl Record {
                         }
                     }
                 }
-                w.into_bytes()
             }
         }
     }

@@ -18,6 +18,7 @@
 //!   recursive predicates from non-recursive ones) and rejects malformed
 //!   programs with a typed [`RuleError`].
 
+use crate::eval::Token;
 use igc_graph::{Label, NodeId};
 use std::fmt;
 
@@ -339,6 +340,18 @@ impl RuleSet {
                 crate::eval::ordered_body(&r.body, bound)
             })
             .collect();
+        let mut edge_sites = Vec::new();
+        let mut label_sites = Vec::new();
+        let mut pred_sites = vec![Vec::new(); n];
+        for (ri, r) in self.rules.iter().enumerate() {
+            for (j, atom) in r.body.iter().enumerate() {
+                match atom {
+                    Atom::Edge(..) => edge_sites.push((ri, j)),
+                    Atom::HasLabel(..) => label_sites.push((ri, j)),
+                    Atom::Pred(p, _) => pred_sites[p.0 as usize].push((ri, j)),
+                }
+            }
+        }
         Ok(Program {
             preds: self.preds,
             rules: self.rules,
@@ -346,6 +359,9 @@ impl RuleSet {
             recursive,
             deriving,
             head_bound,
+            edge_sites,
+            label_sites,
+            pred_sites,
         })
     }
 }
@@ -435,6 +451,12 @@ pub struct Program {
     deriving: Vec<Vec<usize>>,
     /// Per rule: its body in head-bound join order.
     head_bound: Vec<Vec<Atom>>,
+    /// The body atoms a token can be pinned at, as `(rule, position)` in
+    /// rule-then-position order: every edge atom, every label atom, and
+    /// per predicate the atoms over it.
+    edge_sites: Vec<(usize, usize)>,
+    label_sites: Vec<(usize, usize)>,
+    pred_sites: Vec<Vec<(usize, usize)>>,
 }
 
 impl Program {
@@ -494,6 +516,16 @@ impl Program {
     /// with the head's variables bound (sound only without a pin).
     pub(crate) fn head_bound_body(&self, rule: usize) -> &[Atom] {
         &self.head_bound[rule]
+    }
+
+    /// The `(rule, position)` of every body atom of `token`'s own kind, in
+    /// rule-then-position order — the only atoms it can be pinned at.
+    pub(crate) fn pin_sites(&self, token: &Token) -> &[(usize, usize)] {
+        match token {
+            Token::Edge(..) => &self.edge_sites,
+            Token::Node(_) => &self.label_sites,
+            Token::Derived(f) => &self.pred_sites[f.pred.0 as usize],
+        }
     }
 }
 

@@ -55,6 +55,18 @@
 //! not to the database or to from-scratch re-evaluation (the
 //! deletion-storm regression tests in `igc_bench` assert this on work
 //! counters).
+//!
+//! **The batch overlay.** The graph an `apply` is handed already reflects
+//! the whole batch, so the passes join against an overlay that hides
+//! inserted edges and fresh nodes until their token is processed and keeps
+//! deleted edges visible until theirs is. The worklists take node tokens in
+//! id order and edge tokens in the batch's sorted order, so what is still
+//! pending is always a suffix of a sorted list: the overlay (`Pending`) is
+//! three cursors over the batch's edges packed into `u64` keys, sorted once
+//! per apply. A neighbour walk tests a neighbour only when its node's range
+//! of pending edges — nearly always empty — is not, and a token is tried
+//! only against the body atoms of its own kind. The build is the same
+//! insertion pass over every node and every edge.
 
 use crate::ast::{PredId, Program};
 use crate::eval::{
@@ -65,7 +77,7 @@ use igc_core::work::{ChangeMetrics, WorkStats};
 use igc_core::{IncView, IncrementalAlgorithm, ViewInit};
 use igc_graph::fxhash::{FxHashMap, FxHashSet};
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, UpdateBatch};
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, VecDeque};
@@ -152,31 +164,114 @@ impl FactStore {
     }
 }
 
-/// The in-transition visibility overlay for one `apply`: the graph already
-/// reflects the whole batch, so inserted edges and fresh nodes are hidden
-/// until their token is processed, and deleted edges stay visible until
-/// theirs is.
-#[derive(Debug, Default)]
-struct Pending {
-    /// Inserted edges not yet revealed.
-    ins_edges: FxHashSet<Edge>,
-    /// Deleted edges not yet hidden (gone from the graph, still visible).
-    del_edges: FxHashSet<Edge>,
-    /// The batch's deletions sorted by source, and as `(target, source)`
-    /// sorted by target: a node's deleted out- and in-edges are one range.
-    dels_by_source: Vec<Edge>,
-    dels_by_target: Vec<Edge>,
-    /// Nodes below this id existed before the batch (label facts visible).
-    node_floor: usize,
-    /// Fresh nodes whose label fact has been revealed.
-    revealed: FxHashSet<NodeId>,
+/// An edge as one sortable key: source in the high half, target in the
+/// low half, so a sorted key list is sorted by `(source, target)`.
+fn key(u: NodeId, v: NodeId) -> u64 {
+    (u.0 as u64) << 32 | v.0 as u64
 }
 
-/// The entries of `sorted` (by first component) that start with `key`.
-fn range_of(sorted: &[Edge], key: NodeId) -> &[Edge] {
-    let lo = sorted.partition_point(|e| e.0 < key);
-    let len = sorted[lo..].partition_point(|e| e.0 == key);
+/// The edge a [`key`] packs.
+fn unkey(k: u64) -> Edge {
+    (NodeId((k >> 32) as u32), NodeId(k as u32))
+}
+
+/// The token of the edge a [`key`] packs.
+fn edge_token(&k: &u64) -> Token {
+    let (u, v) = unkey(k);
+    Token::Edge(u, v)
+}
+
+/// The keys of `sorted` whose high half is `n`: one node's out-edges in a
+/// source-keyed list, its in-edges in a target-keyed one.
+fn range_of(sorted: &[u64], n: NodeId) -> &[u64] {
+    let lo = sorted.partition_point(|&k| (k >> 32) < n.0 as u64);
+    let len = sorted[lo..].partition_point(|&k| (k >> 32) == n.0 as u64);
     &sorted[lo..lo + len]
+}
+
+/// The first key of a cursor's pending suffix: a key of its list is still
+/// pending iff it is at least this.
+fn first(pending: &[u64]) -> u64 {
+    pending.first().copied().unwrap_or(u64::MAX)
+}
+
+/// `sorted` re-keyed by target (`(target, source)` keys), sorted.
+fn by_target(sorted: &[u64]) -> Vec<u64> {
+    let mut t: Vec<u64> = sorted.iter().map(|&k| k.rotate_left(32)).collect();
+    t.sort_unstable();
+    t
+}
+
+/// The in-transition visibility overlay for one `apply` (module docs): three
+/// cursors over the sorted batch. The worklists consume node tokens in id
+/// order and edge tokens in the order of `ins` / `dels` — asserted as each
+/// is consumed — so an edge of the batch is still pending iff its key is at
+/// or past its list's cursor.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Inserted edges, sorted; `ins[ins_at..]` are not yet revealed.
+    ins: Vec<u64>,
+    ins_at: usize,
+    /// Deleted edges, sorted; `dels[dels_at..]` are gone from the graph
+    /// but still visible.
+    dels: Vec<u64>,
+    dels_at: usize,
+    /// Both lists keyed by target, so a node's inserted or deleted in-edges
+    /// are one range — built on the first walk into in-edges that needs
+    /// them (the deletion and insertion passes of most programs never do).
+    ins_by_target: OnceCell<Vec<u64>>,
+    dels_by_target: OnceCell<Vec<u64>>,
+    /// Nodes below this id have their label fact visible: the nodes that
+    /// existed before the batch, then each fresh node as it is revealed.
+    node_floor: usize,
+}
+
+impl Pending {
+    /// The overlay of a batch that deletes `dels` and inserts `ins` (edge
+    /// keys, any order) and brings fresh nodes from `node_floor` on.
+    fn new(mut dels: Vec<u64>, mut ins: Vec<u64>, node_floor: usize) -> Pending {
+        dels.sort_unstable();
+        ins.sort_unstable();
+        Pending {
+            ins,
+            dels,
+            node_floor,
+            ..Pending::default()
+        }
+    }
+
+    /// Inserted edges not yet revealed.
+    fn hidden(&self) -> &[u64] {
+        &self.ins[self.ins_at..]
+    }
+
+    /// Deleted edges not yet hidden.
+    fn deleted(&self) -> &[u64] {
+        &self.dels[self.dels_at..]
+    }
+
+    fn reveal_node(&mut self, v: NodeId) {
+        debug_assert_eq!(v.index(), self.node_floor, "fresh nodes out of id order");
+        self.node_floor += 1;
+    }
+
+    fn reveal_edge(&mut self, u: NodeId, v: NodeId) {
+        debug_assert_eq!(
+            self.hidden().first(),
+            Some(&key(u, v)),
+            "inserts out of order"
+        );
+        self.ins_at += 1;
+    }
+
+    fn hide_edge(&mut self, u: NodeId, v: NodeId) {
+        debug_assert_eq!(
+            self.deleted().first(),
+            Some(&key(u, v)),
+            "deletes out of order"
+        );
+        self.dels_at += 1;
+    }
 }
 
 /// The database a rule body is joined against in the middle of an `apply`.
@@ -215,36 +310,45 @@ impl<'a> ApplyView<'a> {
 
 impl FactView for ApplyView<'_> {
     fn edge(&self, u: NodeId, v: NodeId) -> bool {
-        (self.g.contains_edge(u, v) && !self.p.ins_edges.contains(&(u, v)))
-            || self.p.del_edges.contains(&(u, v))
+        let k = key(u, v);
+        (self.g.contains_edge(u, v) && self.p.hidden().binary_search(&k).is_err())
+            || self.p.deleted().binary_search(&k).is_ok()
     }
     fn for_succ(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
         if u.index() < self.g.node_count() {
+            let hidden = range_of(self.p.hidden(), u);
             for &w in self.g.successors(u) {
-                if !self.p.ins_edges.contains(&(u, w)) {
+                if hidden.is_empty() || hidden.binary_search(&key(u, w)).is_err() {
                     f(w);
                 }
             }
         }
-        if !self.p.del_edges.is_empty() {
-            for &(_, w) in range_of(&self.p.dels_by_source, u) {
-                if self.p.del_edges.contains(&(u, w)) {
-                    f(w);
-                }
-            }
+        for &k in range_of(self.p.deleted(), u) {
+            f(unkey(k).1);
         }
     }
     fn for_pred_nodes(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+        let p = self.p;
         if v.index() < self.g.node_count() {
+            let inserted = match p.hidden() {
+                [] => &[][..],
+                _ => range_of(p.ins_by_target.get_or_init(|| by_target(&p.ins)), v),
+            };
+            let cursor = first(p.hidden());
             for &u in self.g.predecessors(v) {
-                if !self.p.ins_edges.contains(&(u, v)) {
+                let hidden = !inserted.is_empty()
+                    && key(u, v) >= cursor
+                    && inserted.binary_search(&key(v, u)).is_ok();
+                if !hidden {
                     f(u);
                 }
             }
         }
-        if !self.p.del_edges.is_empty() {
-            for &(_, u) in range_of(&self.p.dels_by_target, v) {
-                if self.p.del_edges.contains(&(u, v)) {
+        if !p.deleted().is_empty() {
+            let cursor = first(p.deleted());
+            for &k in range_of(p.dels_by_target.get_or_init(|| by_target(&p.dels)), v) {
+                let u = unkey(k).1;
+                if key(u, v) >= cursor {
                     f(u);
                 }
             }
@@ -252,16 +356,17 @@ impl FactView for ApplyView<'_> {
     }
     fn for_edges(&self, f: &mut dyn FnMut(NodeId, NodeId)) {
         for (u, v) in self.g.edges() {
-            if !self.p.ins_edges.contains(&(u, v)) {
+            if self.p.hidden().binary_search(&key(u, v)).is_err() {
                 f(u, v);
             }
         }
-        for &(u, v) in &self.p.del_edges {
+        for &k in self.p.deleted() {
+            let (u, v) = unkey(k);
             f(u, v);
         }
     }
     fn node(&self, v: NodeId) -> bool {
-        v.index() < self.p.node_floor || self.p.revealed.contains(&v)
+        v.index() < self.p.node_floor
     }
     fn label_of(&self, v: NodeId) -> Option<Label> {
         (self.node(v) && v.index() < self.g.node_count()).then(|| self.g.label(v))
@@ -347,24 +452,24 @@ impl Pass<'_> {
     /// per instantiation (the pin discipline makes the multiset exact).
     fn pinned_heads(&mut self, token: &Token, out: &mut Vec<Fact>) {
         let view = ApplyView::new(self.g, &*self.store, &*self.pend, u64::MAX);
-        for rule in self.prog.rules() {
-            for (j, atom) in rule.body.iter().enumerate() {
-                let mut bind = Bind::new();
-                if bind_pinned(&view, atom, token, &mut bind) {
-                    let pin = Pin { pos: j, token };
-                    for_each_instantiation(
-                        &view,
-                        &rule.body,
-                        &mut bind,
-                        0,
-                        Some(&pin),
-                        self.work,
-                        &mut |b| {
-                            out.push(head_fact(rule, b));
-                            true
-                        },
-                    );
-                }
+        let rules = self.prog.rules();
+        for &(ri, j) in self.prog.pin_sites(token) {
+            let rule = &rules[ri];
+            let mut bind = Bind::new();
+            if bind_pinned(&view, &rule.body[j], token, &mut bind) {
+                let pin = Pin { pos: j, token };
+                for_each_instantiation(
+                    &view,
+                    &rule.body,
+                    &mut bind,
+                    0,
+                    Some(&pin),
+                    self.work,
+                    &mut |b| {
+                        out.push(head_fact(rule, b));
+                        true
+                    },
+                );
             }
         }
     }
@@ -403,12 +508,8 @@ impl Pass<'_> {
             self.work.queue_ops += 1;
             self.work.nodes_visited += 1;
             match tok {
-                Token::Edge(u, v) => {
-                    self.pend.ins_edges.remove(&(u, v));
-                }
-                Token::Node(v) => {
-                    self.pend.revealed.insert(v);
-                }
+                Token::Edge(u, v) => self.pend.reveal_edge(u, v),
+                Token::Node(v) => self.pend.reveal_node(v),
                 Token::Derived(f) => {
                     self.store.insert_visible(f);
                     self.delta.facts_added += 1;
@@ -466,9 +567,7 @@ impl Pass<'_> {
                 }
             }
             match tok {
-                Token::Edge(u, v) => {
-                    self.pend.del_edges.remove(&(u, v));
-                }
+                Token::Edge(u, v) => self.pend.hide_edge(u, v),
                 Token::Node(_) => unreachable!("node-label facts are never deleted"),
                 Token::Derived(f) => {
                     self.store.remove_visible(&f);
@@ -562,15 +661,10 @@ impl IncRules {
             metrics: ChangeMetrics::default(),
             last: RulesDelta::default(),
         };
-        let mut pend = Pending {
-            ins_edges: g.edges().collect(),
-            node_floor: 0,
-            ..Pending::default()
-        };
-        let edges = g.sorted_edges();
+        let mut pend = Pending::new(Vec::new(), g.edges().map(|(u, v)| key(u, v)).collect(), 0);
         let mut queue: VecDeque<Token> = (0..g.node_count())
             .map(|i| Token::Node(NodeId::from_index(i)))
-            .chain(edges.into_iter().map(|(u, v)| Token::Edge(u, v)))
+            .chain(pend.ins.iter().map(edge_token))
             .collect();
         let mut pass = Pass {
             prog: &me.program,
@@ -650,19 +744,17 @@ impl IncRules {
 impl IncrementalAlgorithm for IncRules {
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.last = RulesDelta::default();
-        let (mut dels, mut ins) = delta.split_edges();
-        dels.sort_unstable();
-        ins.sort_unstable();
-        let mut dels_by_target: Vec<Edge> = dels.iter().map(|&(u, v)| (v, u)).collect();
-        dels_by_target.sort_unstable();
-        let mut pend = Pending {
-            ins_edges: ins.iter().copied().collect(),
-            del_edges: dels.iter().copied().collect(),
-            dels_by_source: dels,
-            dels_by_target,
-            node_floor: self.known_nodes,
-            revealed: FxHashSet::default(),
-        };
+        let (mut dels, mut ins) = (Vec::new(), Vec::new());
+        for u in delta.iter() {
+            let (a, b) = u.edge();
+            if u.is_insert() { &mut ins } else { &mut dels }.push(key(a, b));
+        }
+        let mut pend = Pending::new(dels, ins, self.known_nodes);
+        let mut dq: VecDeque<Token> = pend.dels.iter().map(edge_token).collect();
+        let mut iq: VecDeque<Token> = (self.known_nodes..g.node_count())
+            .map(|i| Token::Node(NodeId::from_index(i)))
+            .chain(pend.ins.iter().map(edge_token))
+            .collect();
         let mut pass = Pass {
             prog: &self.program,
             g,
@@ -672,18 +764,8 @@ impl IncrementalAlgorithm for IncRules {
             delta: &mut self.last,
         };
         let mut suspects = Suspects::new();
-        let mut dq: VecDeque<Token> = pass
-            .pend
-            .dels_by_source
-            .iter()
-            .map(|&(u, v)| Token::Edge(u, v))
-            .collect();
         pass.run_deletion(&mut dq, &mut suspects);
         pass.repair(suspects, &mut dq);
-        let mut iq: VecDeque<Token> = (self.known_nodes..g.node_count())
-            .map(|i| Token::Node(NodeId::from_index(i)))
-            .chain(ins.iter().map(|&(u, v)| Token::Edge(u, v)))
-            .collect();
         pass.run_insertion(&mut iq);
         self.known_nodes = g.node_count();
         self.metrics.input_updates += delta.len() as u64;
