@@ -518,8 +518,8 @@ impl Engine {
             // Ref count is 1 on the quiescent path (the pre-commit GC above
             // just dropped the published version's handle), so this mutates in
             // place; if a pinned snapshot or dead worker still holds a graph
-            // handle, make_mut falls back to a clone (list handles and the
-            // edge set; each list is copied when first written) instead of
+            // handle, make_mut falls back to a clone (list handles only;
+            // each list is copied when first written) instead of
             // blocking or panicking — the pinned reader keeps its frozen graph.
             Arc::make_mut(&mut self.graph).apply_batch(&delta);
             receipt.graph_elapsed = graph_start.elapsed();

@@ -310,17 +310,8 @@ impl Replica {
     /// automatically.
     pub fn reattach(&mut self) -> Result<u64, EngineError> {
         let replayed = self.replayer.latest()?;
-        let (old, new) = (&self.graph, replayed.graph);
-        let (old_edges, new_edges) = (old.sorted_edges(), new.sorted_edges());
-        let deletes = old_edges
-            .iter()
-            .filter(|(a, b)| !new.contains_edge(*a, *b))
-            .map(|&(a, b)| Update::delete(a, b));
-        let inserts = new_edges
-            .iter()
-            .filter(|(a, b)| !old.contains_edge(*a, *b))
-            .map(|&e| Self::labeled_insert(e, &new));
-        let delta = UpdateBatch::from_updates(deletes.chain(inserts).collect());
+        let new = replayed.graph;
+        let delta = Self::diff(&self.graph, &new);
         if !delta.is_empty() {
             self.views.apply(&new, &delta);
         }
@@ -332,6 +323,34 @@ impl Replica {
         }
         self.reattaches += 1;
         Ok(jumped)
+    }
+
+    /// The normalized batch that turns `old` into `new`: deletes for the
+    /// edges only `old` has, in ascending order, then labelled inserts for
+    /// the edges only `new` has, in ascending order — one merge of the two
+    /// sorted edge lists.
+    fn diff(old: &DynamicGraph, new: &DynamicGraph) -> UpdateBatch {
+        let (old_edges, new_edges) = (old.sorted_edges(), new.sorted_edges());
+        let (mut deletes, mut inserts) = (Vec::new(), Vec::new());
+        let (mut i, mut j) = (0, 0);
+        while i < old_edges.len() && j < new_edges.len() {
+            match old_edges[i].cmp(&new_edges[j]) {
+                std::cmp::Ordering::Less => {
+                    deletes.push(old_edges[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    inserts.push(new_edges[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => (i, j) = (i + 1, j + 1),
+            }
+        }
+        deletes.extend_from_slice(&old_edges[i..]);
+        inserts.extend_from_slice(&new_edges[j..]);
+        let deletes = deletes.into_iter().map(|(a, b)| Update::delete(a, b));
+        let inserts = inserts.into_iter().map(|e| Self::labeled_insert(e, new));
+        UpdateBatch::from_updates(deletes.chain(inserts).collect())
     }
 
     /// A synthesized insert carrying the head graph's endpoint labels, so
@@ -481,8 +500,8 @@ impl Replica {
     /// reader threads while the replica keeps tailing.
     ///
     /// The graph is cloned on this call — one handle bump per adjacency
-    /// list plus a copy of the edge set, no list copied — and the tail
-    /// loop then copies each list it next writes, once; each view
+    /// list, nothing copied — and the tail loop then copies each list it
+    /// next writes, once; each view
     /// contributes its `clone_view` copy (one that panics making it is
     /// served as quarantined). Read it with the handles
     /// [`Replica::register`] returned ([`Snapshot::view`]), or look views
@@ -686,5 +705,43 @@ mod tests {
         assert_eq!(applied, 5, "the final drain catches every pre-stop commit");
         assert_eq!(replica.frontier(), g.epoch());
         assert_eq!(replica.graph().sorted_edges(), g.sorted_edges());
+    }
+
+    #[test]
+    fn reattach_diff_by_merge_equals_the_filtered_diff() {
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        use igc_graph::Label;
+        let old = uniform_graph(60, 240, 3, 9);
+        let mut new = old.clone();
+        for seed in 0..4 {
+            new.apply_batch(&random_update_batch(&new, 30, 0.5, seed));
+        }
+        // Fresh nodes on both sides of an edge, one past a gap.
+        let n = new.node_count() as u32;
+        new.apply_batch(&UpdateBatch::from_updates(vec![
+            Update::insert_labeled(NodeId(3), NodeId(n), None, Some(Label(2))),
+            Update::insert_labeled(NodeId(n + 2), NodeId(5), Some(Label(1)), None),
+        ]));
+        // The diff by filtering: each sorted list, by membership in the
+        // other graph.
+        let deletes = old
+            .sorted_edges()
+            .into_iter()
+            .filter(|&(a, b)| !new.contains_edge(a, b))
+            .map(|(a, b)| Update::delete(a, b));
+        let inserts = new
+            .sorted_edges()
+            .into_iter()
+            .filter(|&(a, b)| !old.contains_edge(a, b))
+            .map(|e| Replica::labeled_insert(e, &new));
+        let filtered = UpdateBatch::from_updates(deletes.chain(inserts).collect());
+        let merged = Replica::diff(&old, &new);
+        assert!(merged.deletions().count() > 0 && merged.insertions().count() > 2);
+        assert_eq!(merged, filtered);
+        let mut replayed = old.clone();
+        replayed.apply_batch(&merged);
+        assert_eq!(replayed.sorted_edges(), new.sorted_edges());
+        let labels = |g: &DynamicGraph| g.nodes().map(|v| g.label(v)).collect::<Vec<_>>();
+        assert_eq!(labels(&replayed), labels(&new));
     }
 }

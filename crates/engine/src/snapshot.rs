@@ -27,8 +27,8 @@
 //! costs a few `Arc` bumps per view. While a pin *is* live, the first
 //! write to a shared piece copies that piece once, and the pieces are
 //! small: `Arc::make_mut` on the graph bumps one handle per adjacency list
-//! and copies the edge set, after which each list the commit writes is
-//! copied alone ([`DynamicGraph`] documents the costs); inside each view
+//! and copies no edge, after which each list the commit writes is copied
+//! alone ([`DynamicGraph`] documents the costs); inside each view
 //! the same call copies the container of its answer state. A pin costs
 //! what the commit touched plus those handles, never the auxiliary state,
 //! and the pinned reader keeps serving its frozen state, unaffected.
@@ -292,7 +292,7 @@ impl SnapshotStore {
     /// across every commit so far: version GC, building each version's
     /// cells (one [`IncView::clone_view`] per active view) and publication.
     /// It *excludes* what a live pin makes a commit copy — the graph's
-    /// handles, edge set and written lists, and inside each view its answer
+    /// list handles and written lists, and inside each view its answer
     /// state — which is attributed where it
     /// happens: `graph_elapsed` and the view's own fan-out slot in the
     /// [`CommitReceipt`] (no pins → no copies).
@@ -341,7 +341,7 @@ pub struct SnapshotStoreStats {
     pub versions: usize,
     /// Distinct graph versions across the window (shared `Arc`s count
     /// once). A distinct version is not a whole copy: it has its own
-    /// edge set and list handles, and shares with its neighbours every
+    /// list handles, and shares with its neighbours every
     /// adjacency list, the labels and the label index that no commit
     /// between them wrote.
     pub distinct_graphs: usize,

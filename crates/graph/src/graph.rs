@@ -61,21 +61,17 @@ impl AdjList {
         self.len += 1;
     }
 
-    /// `Vec::swap_remove` of the entry equal to `v`, which must be present;
-    /// a shared slab is copied first.
-    fn swap_remove(&mut self, v: NodeId) {
-        let pos = self.as_slice().iter().position(|&x| x == v);
-        let pos = pos.expect("adjacency list out of sync with the edge set");
-        let last = self.len as usize - 1;
-        let slab = match Arc::get_mut(&mut self.buf) {
-            Some(slab) => slab,
-            None => {
-                self.buf = Arc::from(&*self.buf);
-                Arc::get_mut(&mut self.buf).expect("slab was just copied")
-            }
+    /// `Vec::swap_remove` of the entry equal to `v`, found by one scan;
+    /// `false` when there is none. A shared slab is copied first.
+    fn swap_remove(&mut self, v: NodeId) -> bool {
+        let Some(pos) = self.as_slice().iter().position(|&x| x == v) else {
+            return false;
         };
+        let last = self.len as usize - 1;
+        let slab = Arc::make_mut(&mut self.buf);
         slab[pos] = slab[last];
         self.len -= 1;
+        true
     }
 }
 
@@ -94,32 +90,32 @@ impl AdjList {
 /// slab that clones share, and the labels and the label index sit behind
 /// one `Arc` each.
 ///
-/// * **Clone** bumps one reference count per adjacency list (2·|V|), two
-///   more for the labels and the label index, and copies the edge set — no
-///   list is copied. Dropping a clone frees only the slabs nothing else
-///   shares.
-/// * **Write** (`insert_edge`, `delete_edge`) is amortised O(1) plus, for a
-///   delete, the scan of the two lists it edits. The first write to a list
-///   that a clone still shares copies that list alone; adding a node while
-///   a clone shares the labels copies the labels and the label index.
-/// * **Membership** (`contains_edge`) is O(1) via the edge hash set.
+/// * **Clone** bumps one reference count per adjacency list (2·|V|) and two
+///   more for the labels and the label index; it copies nothing.
+/// * **Membership** (`contains_edge`) scans the shorter of `out(u)` and
+///   `in(v)`, O(min(deg⁺u, deg⁻v)): the lists are the only copy of `E`.
+/// * **Write** (`insert_edge`, `delete_edge`) scans and edits the two lists
+///   it touches. The first write to a list that a clone still shares copies
+///   that list alone; adding a node while a clone shares the labels copies
+///   the labels and the label index. A dropped clone frees only the slabs
+///   nothing else shares.
 ///
 /// # Order
 ///
 /// [`successors`](Self::successors) and
 /// [`predecessors`](Self::predecessors) list neighbours in insertion order,
 /// except that deleting an edge moves the list's last entry into the freed
-/// slot (`Vec::swap_remove`); [`edges`](Self::edges) iterates the hash set.
-/// Both orders are functions of the sequence of writes alone — a clone, a
-/// graph rebuilt by the same writes, and [`from_edges`](Self::from_edges)
-/// on the same edge list all agree — and the work counters of the
-/// incremental algorithms depend on that.
+/// slot (`Vec::swap_remove`); [`edges`](Self::edges) walks the out-lists in
+/// node order. Both orders are functions of the sequence of writes alone —
+/// a clone, a graph rebuilt by the same writes, and
+/// [`from_edges`](Self::from_edges) on the same edge list all agree — and
+/// the work counters of the incremental algorithms depend on that.
 #[derive(Clone, Default)]
 pub struct DynamicGraph {
     labels: Arc<Vec<Label>>,
     out: Vec<AdjList>,
     inn: Vec<AdjList>,
-    edges: FxHashSet<Edge>,
+    edge_count: usize,
     by_label: Arc<FxHashMap<Label, Vec<NodeId>>>,
     /// The zero-capacity list every isolated node starts from.
     empty: AdjList,
@@ -136,16 +132,14 @@ impl DynamicGraph {
         Self::default()
     }
 
-    /// An empty graph with room for `nodes` nodes and `edges` edges.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        let mut g = DynamicGraph {
+    /// An empty graph with room for `nodes` nodes; `_edges` reserves nothing.
+    pub fn with_capacity(nodes: usize, _edges: usize) -> Self {
+        DynamicGraph {
             labels: Arc::new(Vec::with_capacity(nodes)),
             out: Vec::with_capacity(nodes),
             inn: Vec::with_capacity(nodes),
             ..Self::default()
-        };
-        g.edges.reserve(edges);
-        g
+        }
     }
 
     /// The graph with nodes `0..labels.len()` and the given edges, built in
@@ -157,8 +151,7 @@ impl DynamicGraph {
     /// `labels.len()`.
     pub fn from_edges(labels: Vec<Label>, edges: &[Edge]) -> Result<Self, Edge> {
         let n = labels.len();
-        let mut set = FxHashSet::default();
-        set.reserve(edges.len());
+        let mut set = FxHashSet::with_capacity_and_hasher(edges.len(), Default::default());
         let mut distinct = Vec::with_capacity(edges.len());
         for &(u, v) in edges {
             if u.index() >= n || v.index() >= n {
@@ -200,7 +193,7 @@ impl DynamicGraph {
             out,
             inn,
             labels: Arc::new(labels),
-            edges: set,
+            edge_count: distinct.len(),
             by_label: Arc::new(by_label),
             empty,
             epoch: 0,
@@ -230,7 +223,7 @@ impl DynamicGraph {
     /// Number of edges `|E|`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// True when `v` is a node of this graph.
@@ -250,10 +243,14 @@ impl DynamicGraph {
         self.by_label.get(&label).map_or(&[], |v| v.as_slice())
     }
 
-    /// True when the edge `(u, v)` is present.
+    /// True when the edge `(u, v)` is present; `false` for ids past |V|.
     #[inline]
     pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edges.contains(&(u, v))
+        match (self.out.get(u.index()), self.inn.get(v.index())) {
+            (Some(out), Some(inn)) if out.len <= inn.len => out.as_slice().contains(&v),
+            (Some(_), Some(inn)) => inn.as_slice().contains(&u),
+            _ => false,
+        }
     }
 
     /// Insert edge `(u, v)`. Returns `true` if the edge was new.
@@ -266,21 +263,23 @@ impl DynamicGraph {
             "insert_edge({u:?}, {v:?}): node out of bounds (|V| = {})",
             self.node_count()
         );
-        if !self.edges.insert((u, v)) {
+        if self.contains_edge(u, v) {
             return false;
         }
         self.out[u.index()].push(v);
         self.inn[v.index()].push(u);
+        self.edge_count += 1;
         true
     }
 
     /// Delete edge `(u, v)`. Returns `true` if the edge was present.
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if !self.edges.remove(&(u, v)) {
+        // One scan of out(u) both decides membership and finds the entry.
+        if !self.contains_node(u) || !self.out[u.index()].swap_remove(v) {
             return false;
         }
-        self.out[u.index()].swap_remove(v);
         self.inn[v.index()].swap_remove(u);
+        self.edge_count -= 1;
         true
     }
 
@@ -313,15 +312,18 @@ impl DynamicGraph {
         (0..self.labels.len()).map(NodeId::from_index)
     }
 
-    /// Iterate over all edges (in unspecified order).
+    /// Iterate over all edges, by source in node order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.edges.iter().copied()
+        self.nodes()
+            .flat_map(move |u| self.successors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// All edges as a sorted vector — for deterministic comparisons in tests.
+    /// All edges, ascending: [`edges`](Self::edges) with each source's run sorted.
     pub fn sorted_edges(&self) -> Vec<Edge> {
-        let mut e: Vec<_> = self.edges.iter().copied().collect();
-        e.sort_unstable();
+        let mut e = Vec::with_capacity(self.edge_count);
+        e.extend(self.edges());
+        e.chunk_by_mut(|a, b| a.0 == b.0)
+            .for_each(<[Edge]>::sort_unstable);
         e
     }
 
@@ -411,11 +413,12 @@ impl DynamicGraph {
         self.node_count() + self.edge_count()
     }
 
-    /// Check that the adjacency lists, the edge set and the label index
-    /// describe one graph: both list families hold exactly the edge set
-    /// (no entry twice), every live prefix fits its slab, and the label
-    /// index lists each node once, under its label, in creation order.
-    /// O(|G| log |G|) — test/debug use only.
+    /// Check that the adjacency lists, the edge count and the label index
+    /// describe one graph: every live prefix fits its slab, no list holds
+    /// an entry twice, `edge_count` is the out-lists' total, both list
+    /// families hold the same edges, and the label index lists each node
+    /// once, under its label, in creation order. O(|G| log |G|) —
+    /// test/debug use only.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.node_count();
         if self.out.len() != n || self.inn.len() != n {
@@ -425,29 +428,26 @@ impl DynamicGraph {
                 self.inn.len()
             ));
         }
-        let edges = self.sorted_edges();
-        for (family, lists, outgoing) in [("out", &self.out, true), ("in", &self.inn, false)] {
-            let mut listed = Vec::with_capacity(edges.len());
-            for (v, list) in lists.iter().enumerate() {
-                let v = NodeId::from_index(v);
-                if list.len as usize > list.buf.len() {
-                    return Err(format!(
-                        "{family}-list of {v:?}: live prefix {} exceeds capacity {}",
-                        list.len,
-                        list.buf.len()
-                    ));
-                }
-                let edge = |&w| if outgoing { (v, w) } else { (w, v) };
-                listed.extend(list.as_slice().iter().map(edge));
-            }
-            listed.sort_unstable();
-            if listed != edges {
-                return Err(format!(
-                    "{family}-lists hold {} entries that are not the {} edges of the edge set",
-                    listed.len(),
-                    edges.len()
-                ));
-            }
+        let overfull = |l: &AdjList| l.len as usize > l.buf.len();
+        if self.out.iter().chain(&self.inn).any(overfull) {
+            return Err("a list's live prefix exceeds its slab".into());
+        }
+        // Ascending, so an entry an out-list holds twice sits next to
+        // itself; an in-list's twice then shows as a disagreement below.
+        let by_out = self.sorted_edges();
+        if let Some(w) = by_out.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("an out-list holds {:?} twice", w[0]));
+        }
+        if by_out.len() != self.edge_count {
+            return Err("edge_count is not the out-lists' total".into());
+        }
+        let mut by_in = Vec::with_capacity(by_out.len());
+        for v in self.nodes() {
+            by_in.extend(self.predecessors(v).iter().map(|&w| (w, v)));
+        }
+        by_in.sort_unstable();
+        if by_out != by_in {
+            return Err("the out- and in-lists disagree".into());
         }
         let mut indexed = 0;
         for (&label, nodes) in self.by_label.iter() {
@@ -692,5 +692,122 @@ mod tests {
     fn size_counts_nodes_plus_edges() {
         let g = graph_from(&[0, 0, 0], &[(0, 1)]);
         assert_eq!(g.size(), 4);
+    }
+
+    #[test]
+    fn check_invariants_reports_each_broken_invariant() {
+        let base = graph_from(&[0; 3], &[(0, 1), (1, 2)]);
+        base.check_invariants().unwrap();
+        let breaks: [fn(&mut DynamicGraph); 3] = [
+            |g| {
+                g.out[2].push(NodeId(0));
+                g.edge_count += 1;
+            },
+            |g| {
+                g.out[0].push(NodeId(1));
+                g.inn[1].push(NodeId(0));
+                g.edge_count += 1;
+            },
+            |g| g.edge_count += 1,
+        ];
+        for (reported, break_one) in ["disagree", "twice", "edge_count"].into_iter().zip(breaks) {
+            let mut g = base.clone();
+            break_one(&mut g);
+            let err = g.check_invariants().unwrap_err();
+            assert!(err.contains(reported), "expected {reported:?} in {err:?}");
+        }
+    }
+
+    /// The membership API against a reference set, over random units on a
+    /// graph with a hub, self-loops, repeated and absent deletes, and ids
+    /// past the node count.
+    #[test]
+    fn membership_matches_a_reference_edge_set() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: u32 = 200;
+        let (hub, mut rng) = (NodeId(7), StdRng::seed_from_u64(5));
+        let mut g = graph_from(&[0; N as usize], &[]);
+        let mut model: FxHashSet<Edge> = FxHashSet::default();
+        let mut inserted: Vec<Edge> = Vec::new();
+        let mut hub_ratio: f64 = 0.0;
+        for step in 0..6_000 {
+            let node = |rng: &mut StdRng| NodeId(rng.gen_range(0..N));
+            let roll = if inserted.is_empty() {
+                0
+            } else {
+                rng.gen_range(0u32..100)
+            };
+            let (u, v) = match roll {
+                0..=49 => {
+                    let (u, v) = match rng.gen_range(0u32..10) {
+                        0..=3 => (hub, node(&mut rng)),
+                        4..=6 => (node(&mut rng), hub),
+                        7 => {
+                            let u = node(&mut rng);
+                            (u, u)
+                        }
+                        _ => (node(&mut rng), node(&mut rng)),
+                    };
+                    assert_eq!(
+                        g.insert_edge(u, v),
+                        model.insert((u, v)),
+                        "insert {u:?}→{v:?}"
+                    );
+                    inserted.push((u, v));
+                    (u, v)
+                }
+                // A past insert: present, or deleted before (a repeat).
+                50..=84 => inserted[rng.gen_range(0..inserted.len())],
+                85..=94 => (node(&mut rng), node(&mut rng)),
+                _ => {
+                    let past = NodeId(N + rng.gen_range(0u32..3));
+                    let (u, v) = if rng.gen_bool(0.5) {
+                        (past, node(&mut rng))
+                    } else {
+                        (node(&mut rng), past)
+                    };
+                    assert!(!g.contains_edge(u, v));
+                    (u, v)
+                }
+            };
+            if roll >= 50 {
+                assert_eq!(
+                    g.delete_edge(u, v),
+                    model.remove(&(u, v)),
+                    "delete {u:?}→{v:?}"
+                );
+            }
+            assert_eq!(g.contains_edge(u, v), model.contains(&(u, v)));
+            assert_eq!(g.edge_count(), model.len());
+            let mean = model.len() as f64 / N as f64;
+            let hub_degree = g.out_degree(hub).max(g.in_degree(hub)) as f64;
+            hub_ratio = hub_ratio.max(hub_degree / mean.max(1.0));
+            if step % 500 == 499 {
+                let walked: Vec<Edge> = g.edges().collect();
+                assert!(
+                    walked.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "edges() leaves node order"
+                );
+                assert_eq!(walked.iter().copied().collect::<FxHashSet<_>>(), model);
+                let sorted = g.sorted_edges();
+                assert!(
+                    sorted.windows(2).all(|w| w[0] < w[1]),
+                    "sorted_edges() not ascending"
+                );
+                let mut expected: Vec<Edge> = model.iter().copied().collect();
+                expected.sort_unstable();
+                assert_eq!(sorted, expected);
+                for w in g.nodes() {
+                    assert_eq!(g.contains_edge(hub, w), model.contains(&(hub, w)));
+                    assert_eq!(g.contains_edge(w, hub), model.contains(&(w, hub)));
+                }
+                g.check_invariants().unwrap();
+            }
+        }
+        assert!(
+            hub_ratio >= 20.0,
+            "the hub reached only {hub_ratio:.1} × the mean degree"
+        );
     }
 }
