@@ -931,6 +931,64 @@ mod tests {
         assert_matches_batch(&inc, &g);
     }
 
+    /// Digest of every `Kdist` entry, `next` included. Settling takes the
+    /// first predecessor the queue pops at each distance as `next`, so a tie
+    /// broken differently changes this digest where `WorkStats` and the
+    /// answer signature stay equal.
+    fn kdist_digest(inc: &IncKws) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let kd = inc.kdist();
+        let mut h = igc_graph::fxhash::FxHasher::default();
+        for v in 0..kd.node_count() {
+            for e in kd.list(NodeId::from_index(v)) {
+                (e.dist, e.next).hash(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    /// The deletion-heavy golden above replayed, and an insertion-heavy
+    /// companion (insert share 0.8, 40-unit batches: wide enough that two
+    /// successors of one node settle at the same distance, where only the
+    /// pop order picks `next`), each held to the `next` pointers it leaves
+    /// (`kdist_digest`). Captured from the implementation that settled
+    /// through a `BinaryHeap`.
+    #[test]
+    fn ordered_kdist_state_golden() {
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        let run = |count: usize, rho_insert: f64, seed: u64, unit_deletions: usize| {
+            let mut g = uniform_graph(80, 320, 5, 42);
+            let q = KwsQuery::new(vec![Label(0), Label(1), Label(2)], 3);
+            let mut inc = IncKws::new(&g, q);
+            for round in 0..10u64 {
+                let delta = random_update_batch(&g, count, rho_insert, seed + round);
+                g.apply_batch(&delta);
+                inc.apply(&g, &delta);
+            }
+            for ki in 0..unit_deletions {
+                let (v, w) = g
+                    .nodes()
+                    .find_map(|v| inc.kdist().get(v, ki).next.map(|w| (v, w)))
+                    .expect("a selected path");
+                let delta = UpdateBatch::from_updates(vec![Update::delete(v, w)]);
+                g.apply_batch(&delta);
+                inc.apply(&g, &delta);
+            }
+            assert_matches_batch(&inc, &g);
+            kdist_digest(&inc)
+        };
+        assert_eq!(
+            run(16, 0.2, 6000, 3),
+            895968644694649588,
+            "deletion-heavy scenario"
+        );
+        assert_eq!(
+            run(40, 0.8, 7000, 0),
+            14144368805282729255,
+            "insertion-heavy scenario"
+        );
+    }
+
     #[test]
     fn randomized_unit_updates_match_fresh_runs() {
         use igc_core::incremental::apply_one_by_one;

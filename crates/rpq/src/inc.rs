@@ -1043,6 +1043,61 @@ mod tests {
         assert_matches_batch(&inc, &g);
     }
 
+    /// Digest of the ordered marking state: every marking's key and
+    /// distance in key order, each with its `mpre` in list order. `relax`
+    /// appends predecessors in the order the settle queue pops, so a tie
+    /// broken differently changes this digest where `WorkStats` stay equal.
+    fn marking_digest(inc: &IncRpq) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut keys: Vec<MarkKey> = Vec::new();
+        for n in 0..inc.marks.node_count() {
+            let node = NodeId::from_index(n);
+            keys.extend(inc.marks.at_node(node).map(|(source, state, _)| MarkKey {
+                source,
+                node,
+                state,
+            }));
+        }
+        keys.sort_unstable();
+        let mut h = igc_graph::fxhash::FxHasher::default();
+        keys.len().hash(&mut h);
+        for key in keys {
+            let e = inc.marks.get(key).expect("listed above");
+            (key, e.dist, &e.mpre).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// The two `WorkStats` goldens above, replayed and held to the ordered
+    /// marking state they leave (`marking_digest`). Captured from the
+    /// implementation that settled through a `BinaryHeap`.
+    #[test]
+    fn ordered_marking_state_golden() {
+        use igc_graph::generator::{random_update_batch, uniform_graph};
+        let run = |count: usize, rho_insert: f64, seed: u64, rounds: u64| {
+            let mut g = uniform_graph(60, 240, 3, 42);
+            let mut it = LabelInterner::new();
+            let q = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
+            let mut inc = IncRpq::new(&g, &q);
+            for round in 0..rounds {
+                let delta = random_update_batch(&g, count, rho_insert, seed + round);
+                g.apply_batch(&delta);
+                inc.apply(&g, &delta);
+            }
+            marking_digest(&inc)
+        };
+        assert_eq!(
+            run(12, 0.5, 1000, 5),
+            16432223729870599081,
+            "buffer-reuse scenario"
+        );
+        assert_eq!(
+            run(15, 0.2, 2000, 8),
+            18151903451467491319,
+            "deletion-heavy scenario"
+        );
+    }
+
     /// Scratch contents must be semantically inert: a view whose buffers
     /// are dirty from earlier commits and a clone whose buffers were wiped
     /// must do bit-identical work on the next delta.

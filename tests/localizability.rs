@@ -196,6 +196,53 @@ fn incscc_work_and_aff_are_equal_at_three_graph_sizes() {
 }
 
 #[test]
+fn localizable_views_work_and_aff_are_equal_at_three_graph_sizes() {
+    // The localizable classes held to the scripted table, step by step and
+    // field by field — where the two tests at the top compare one batch's
+    // total. The script's cycles are inside the zone, so every step stays
+    // within d_Q of the updated edges.
+    let q = KwsQuery::new(vec![Label(0), Label(1)], 2);
+    let kws = |tail| -> Vec<(WorkStats, ChangeMetrics)> {
+        scripted(
+            tail,
+            |g| IncKws::new(g, q.clone()),
+            |kws| (kws.work(), kws.last_metrics()),
+        )
+    };
+    let p = Pattern::from_parts(&[0, 1, 0], &[(0, 1), (1, 2)]);
+    let iso = |tail| -> Vec<(WorkStats, ChangeMetrics)> {
+        scripted(
+            tail,
+            |g| IncIso::new(g, p.clone()),
+            |iso| (iso.work(), iso.last_metrics()),
+        )
+    };
+    let (kws_base, iso_base) = (kws(TAILS[0]), iso(TAILS[0]));
+    assert!(
+        kws_base.iter().all(|(w, _)| w.total() > 0)
+            && kws_base.iter().any(|(w, _)| w.queue_ops > 0)
+            && kws_base.iter().any(|(_, m)| m.output_changes > 0),
+        "every step must touch kdist, some must settle and move roots: {kws_base:?}"
+    );
+    assert!(
+        iso_base.iter().any(|(_, m)| m.output_changes > 0),
+        "the script must gain and lose matches: {iso_base:?}"
+    );
+    for tail in &TAILS[1..] {
+        assert_eq!(
+            kws_base,
+            kws(*tail),
+            "localizable: IncKWS work must not grow with |G| (tail {tail})"
+        );
+        assert_eq!(
+            iso_base,
+            iso(*tail),
+            "localizable: IncISO work must not grow with |G| (tail {tail})"
+        );
+    }
+}
+
+#[test]
 fn incrules_work_and_aff_are_equal_at_three_graph_sizes() {
     // Two-rule reachability from the label-0 nodes. The tail points *into*
     // the zone, so nothing out there is ever derived.
