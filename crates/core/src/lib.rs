@@ -6,6 +6,8 @@
 //! This crate holds everything that is shared between the four query classes
 //! and everything that makes the paper's *theory* executable:
 //!
+//! * [`bucket`] — the bucket queue the unit-weight settles of IncKWS and
+//!   IncRPQ pop in heap order,
 //! * [`work`] — work counters ([`work::WorkStats`]) and change metrics
 //!   ([`work::ChangeMetrics`]) with which the localizability and relative
 //!   boundedness claims are verified empirically,
@@ -19,12 +21,14 @@
 //! * [`gadgets`] — the two-cycle instance family of Fig. 9 behind the
 //!   insertion lower bound, for the "undoable" demonstration experiments.
 
+pub mod bucket;
 pub mod gadgets;
 pub mod incremental;
 pub mod reductions;
 pub mod ssrp;
 pub mod work;
 
+pub use bucket::BucketQueue;
 pub use incremental::{panic_cause, IncView, IncrementalAlgorithm, ViewInit};
 pub use ssrp::Ssrp;
 pub use work::{ChangeMetrics, WorkStats};

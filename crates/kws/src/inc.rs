@@ -10,18 +10,23 @@
 //!   chains backwards to mark the *affected* nodes (those whose selected
 //!   shortest path used the deleted edge) and computes their potential
 //!   distances from unaffected successors; phase two settles exact
-//!   distances with a priority queue, smallest first.
+//!   distances smallest first through a bucket queue, heap order: every
+//!   edge weighs 1, and [`igc_core::BucketQueue`] pops the `(dist, node)`
+//!   sequence a binary heap would.
 //! * **`IncKWS`** (batch): affected marking for all deletions per keyword,
-//!   insertion seeding for unaffected endpoints, then one shared priority
-//!   queue per keyword decides every entry at most once — interleaving
-//!   deletions and insertions exactly as the paper's Example 3 describes.
+//!   insertion seeding for unaffected endpoints, then one shared queue per
+//!   keyword (bucket queue, heap order) decides every entry at most once —
+//!   interleaving deletions and insertions exactly as the paper's Example 3
+//!   describes.
 //!
 //! **Affected marks.** Phase one marks the affected nodes per keyword; the
 //! mark is an epoch stamp in one writer-side `Vec<u32>` kept beside the
 //! [`Kdist`] lists (a node is marked iff its stamp is the current epoch).
 //! A fresh marking is one increment, a test in the potentials and
 //! insertion-seeding phases one array read; the stamps are cleared whole
-//! only when the epoch wraps, and `clone_view` publishes without them.
+//! only when the epoch wraps. The settle queue sits beside the stamps, so
+//! its buckets keep their capacity from commit to commit; `clone_view`
+//! publishes without either.
 //!
 //! The extension from the paper's Remark — answering queries with a larger
 //! bound `b′` by restarting propagation from the breakpoint snapshot — is
@@ -37,10 +42,9 @@ use crate::batch::compute_kdist;
 use crate::kdist::{Kdist, KdistEntry};
 use crate::query::{KwsQuery, MatchTree};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::IncrementalAlgorithm;
+use igc_core::{BucketQueue, IncrementalAlgorithm};
 use igc_graph::{DynamicGraph, FxHashSet, NodeId, Update, UpdateBatch};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maintained KWS state: query, keyword-distance lists and the root set.
@@ -54,9 +58,12 @@ pub struct IncKws {
     state: Arc<KwsState>,
     work: WorkStats,
     metrics: ChangeMetrics,
-    /// Writer-side only: [`IncView::clone_view`](igc_core::IncView::clone_view)
-    /// publishes without it.
+    /// Writer-side only, like the queue:
+    /// [`IncView::clone_view`](igc_core::IncView::clone_view) publishes
+    /// without either.
     marks: Marks,
+    /// The settle queue, cleared per keyword.
+    queue: BucketQueue<NodeId>,
 }
 
 #[derive(Debug, Clone)]
@@ -107,6 +114,7 @@ struct KwsPass<'a> {
     kd: &'a mut Kdist,
     qualified: &'a mut FxHashSet<NodeId>,
     marks: &'a mut Marks,
+    queue: &'a mut BucketQueue<NodeId>,
     work: &'a mut WorkStats,
     metrics: &'a mut ChangeMetrics,
 }
@@ -137,6 +145,7 @@ impl IncKws {
             work,
             metrics: ChangeMetrics::default(),
             marks: Marks::default(),
+            queue: BucketQueue::default(),
         }
     }
 
@@ -228,6 +237,7 @@ impl IncKws {
             kd,
             qualified,
             marks: &mut self.marks,
+            queue: &mut self.queue,
             work: &mut self.work,
             metrics: &mut self.metrics,
         }
@@ -305,8 +315,8 @@ impl KwsPass<'_> {
                 continue;
             }
             let affected = self.mark_affected(g, &[v], ki);
-            let mut heap = self.compute_potentials(g, &affected, ki, &mut changed);
-            self.settle(g, ki, &mut heap, &mut changed);
+            self.compute_potentials(g, &affected, ki, &mut changed);
+            self.settle(g, ki, &mut changed);
         }
         self.refresh_roots(g, &changed);
     }
@@ -338,16 +348,17 @@ impl KwsPass<'_> {
     }
 
     /// Phase 1 of `IncKWS⁻` (lines 7–9): recompute each affected entry from
-    /// its *unaffected* (unmarked) successors; enqueue finite potentials.
+    /// its *unaffected* (unmarked) successors; start the keyword's queue
+    /// with the finite potentials.
     fn compute_potentials(
         &mut self,
         g: &DynamicGraph,
         affected: &[NodeId],
         ki: usize,
         changed: &mut FxHashSet<NodeId>,
-    ) -> BinaryHeap<Reverse<(u32, NodeId)>> {
+    ) {
         let b = self.query.bound;
-        let mut heap = BinaryHeap::new();
+        self.queue.clear();
         for &u in affected {
             let mut best = KdistEntry::BOTTOM;
             for &y in g.successors(u) {
@@ -373,27 +384,20 @@ impl KwsPass<'_> {
             self.kd.set(u, ki, best);
             self.work.aux_touched += 1;
             if best.dist <= b {
-                heap.push(Reverse((best.dist, u)));
+                self.queue.push(best.dist, u);
                 self.work.queue_ops += 1;
             }
         }
-        heap
     }
 
     /// Phase 2 (lines 10–14 of Fig. 3 / phase (c) of the batch algorithm):
     /// settle exact distances smallest-first, relaxing predecessors.
-    fn settle(
-        &mut self,
-        g: &DynamicGraph,
-        ki: usize,
-        heap: &mut BinaryHeap<Reverse<(u32, NodeId)>>,
-        changed: &mut FxHashSet<NodeId>,
-    ) {
+    fn settle(&mut self, g: &DynamicGraph, ki: usize, changed: &mut FxHashSet<NodeId>) {
         let b = self.query.bound;
-        while let Some(Reverse((d, u))) = heap.pop() {
+        while let Some((d, u)) = self.queue.pop() {
             self.work.queue_ops += 1;
             if self.kd.get(u, ki).dist != d {
-                continue; // stale heap entry (lazy decrease-key)
+                continue; // stale entry (lazy decrease-key; bucket queue, heap order)
             }
             self.work.nodes_visited += 1;
             if d >= b {
@@ -412,7 +416,7 @@ impl KwsPass<'_> {
                         },
                     );
                     changed.insert(p);
-                    heap.push(Reverse((d + 1, p)));
+                    self.queue.push(d + 1, p);
                     self.work.queue_ops += 1;
                 }
             }
@@ -420,7 +424,7 @@ impl KwsPass<'_> {
     }
 
     /// The batch algorithm `IncKWS` (Section 4.2(3)): three phases per
-    /// keyword sharing one priority queue.
+    /// keyword sharing one queue.
     fn apply_batch(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.kd.grow(g.node_count());
         let (deletions, insertions) = delta.split_edges();
@@ -435,7 +439,7 @@ impl KwsPass<'_> {
                 .map(|&(v, _)| v)
                 .collect();
             let affected = self.mark_affected(g, &seeds, ki);
-            let mut heap = self.compute_potentials(g, &affected, ki, &mut changed);
+            self.compute_potentials(g, &affected, ki, &mut changed);
 
             // (b) insertions with both endpoints unaffected seed the queue
             let b = self.query.bound;
@@ -455,13 +459,13 @@ impl KwsPass<'_> {
                         },
                     );
                     changed.insert(v);
-                    heap.push(Reverse((dw + 1, v)));
+                    self.queue.push(dw + 1, v);
                     self.work.queue_ops += 1;
                 }
             }
 
             // (c) one shared settle pass decides every entry at most once
-            self.settle(g, ki, &mut heap, &mut changed);
+            self.settle(g, ki, &mut changed);
         }
         self.refresh_roots(g, &changed);
     }
@@ -607,14 +611,15 @@ impl igc_core::IncView for IncKws {
         "kws"
     }
 
-    /// One `Arc` bump; the marks stay with the writer (a copy that is
-    /// ever applied to grows its own).
+    /// One `Arc` bump; the marks and the queue stay with the writer (a copy
+    /// that is ever applied to grows its own).
     fn clone_view(&self) -> Box<dyn igc_core::IncView> {
         Box::new(IncKws {
             state: Arc::clone(&self.state),
             work: self.work,
             metrics: self.metrics,
             marks: Marks::default(),
+            queue: BucketQueue::default(),
         })
     }
 

@@ -11,9 +11,11 @@
 //!    from its unaffected predecessors (via the NFA's inverse transitions),
 //! 3. **insertion seeding** — each inserted edge proposes improved or new
 //!    markings from unaffected source markings,
-//! 4. **settle** — one shared priority queue fixes exact distances in
+//! 4. **settle** — one shared queue fixes exact distances in
 //!    monotonically increasing order (each affected entry is decided at
-//!    most once), guided by the NFA;
+//!    most once), guided by the NFA. Every product edge weighs 1, so the
+//!    queue is an [`igc_core::BucketQueue`]: a bucket queue, heap order —
+//!    it pops the `(dist, key)` sequence a binary heap would;
 //! 5. affected markings that never settle are removed, updating `Q(G)`.
 //!
 //! Every phase touches a marking once per product edge: δ and δ⁻¹ are the
@@ -25,11 +27,10 @@
 use crate::batch;
 use crate::marking::{MarkEntry, MarkKey, Markings, RpqDelta, INF_DIST};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::IncrementalAlgorithm;
+use igc_core::{BucketQueue, IncrementalAlgorithm};
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, UpdateBatch};
 use igc_nfa::{build_nfa, Nfa, Regex, StateId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Maintained RPQ state: NFA, markings and the match-pair answer.
@@ -62,8 +63,9 @@ pub struct IncRpq {
 /// the reuse (see the `work_counters` regression tests).
 #[derive(Debug, Clone, Default)]
 struct RpqScratch {
-    /// The settle queue (phase 4).
-    heap: BinaryHeap<Reverse<(u32, MarkKey)>>,
+    /// The settle queue (phase 4; bucket queue, heap order): phases 2 and
+    /// 3 push at any distance, phase 4 only at `d + 1` while it settles `d`.
+    queue: BucketQueue<MarkKey>,
     /// Affected markings in flag order (phase 1 output); each has its
     /// entry's `affected` flag set until phase 5.
     affected: Vec<MarkKey>,
@@ -78,7 +80,7 @@ struct RpqScratch {
 impl RpqScratch {
     /// Empty all buffers, retaining capacity.
     fn clear(&mut self) {
-        self.heap.clear();
+        self.queue.clear();
         self.affected.clear();
         self.stack.clear();
         self.keys.clear();
@@ -423,7 +425,7 @@ impl IncRpq {
             e.mpre.extend_from_slice(&sc.mpre);
             self.work.aux_touched += 1;
             if best != INF_DIST {
-                sc.heap.push(Reverse((best, key)));
+                sc.queue.push(best, key);
                 self.work.queue_ops += 1;
             }
         }
@@ -466,7 +468,7 @@ impl IncRpq {
                         node: w,
                         state: t,
                     };
-                    self.relax(key_w, dv + 1, (v, s_prime), &mut sc.heap);
+                    self.relax(key_w, dv + 1, (v, s_prime), &mut sc.queue);
                 }
             }
         }
@@ -478,12 +480,12 @@ impl IncRpq {
         key: MarkKey,
         cand: u32,
         pre: (NodeId, StateId),
-        heap: &mut BinaryHeap<Reverse<(u32, MarkKey)>>,
+        queue: &mut BucketQueue<MarkKey>,
     ) {
         match self.marks.get_mut(key) {
             None => {
                 self.create_mark(key, cand, vec![pre]);
-                heap.push(Reverse((cand, key)));
+                queue.push(cand, key);
                 self.work.queue_ops += 1;
             }
             Some(e) if cand < e.dist => {
@@ -492,7 +494,7 @@ impl IncRpq {
                 e.mpre.push(pre);
                 self.work.aux_touched += 1;
                 self.metrics.affected += 1;
-                heap.push(Reverse((cand, key)));
+                queue.push(cand, key);
                 self.work.queue_ops += 1;
             }
             Some(e) if cand == e.dist => {
@@ -505,9 +507,11 @@ impl IncRpq {
     }
 
     /// Phase 4 — settle exact distances smallest-first, relaxing product
-    /// successors through the (post-update) graph.
+    /// successors through the (post-update) graph. Bucket queue, heap
+    /// order: equal distances pop by key, and each `mpre` list fills in
+    /// that order.
     fn settle(&mut self, g: &DynamicGraph, nfa: &Nfa, sc: &mut RpqScratch) {
-        while let Some(Reverse((d, key))) = sc.heap.pop() {
+        while let Some((d, key)) = sc.queue.pop() {
             self.work.queue_ops += 1;
             if self.marks.dist(key) != d {
                 continue; // stale
@@ -522,7 +526,7 @@ impl IncRpq {
                         node: y,
                         state: t,
                     };
-                    self.relax(key_y, d + 1, (key.node, key.state), &mut sc.heap);
+                    self.relax(key_y, d + 1, (key.node, key.state), &mut sc.queue);
                 }
             }
         }
