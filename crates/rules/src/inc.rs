@@ -1262,14 +1262,12 @@ mod tests {
         ]
     }
 
-    /// Golden `WorkStats` + `RulesDelta` of a deletion-heavy storm on the
-    /// attack program, with fresh vulnerable and critical hosts attached as
-    /// it goes: the build, the deletion pass, repair and the insertion pass
-    /// all join through the batch overlay. Captured from the implementation
-    /// that kept the overlay in hash sets.
-    #[test]
-    fn work_counters_golden_on_attack_storm() {
-        let (program, _, goal) = attack_program();
+    /// A deletion-heavy storm on the attack program, with fresh vulnerable
+    /// and critical hosts attached as it goes: the build, the deletion pass,
+    /// repair and the insertion pass all join through the batch overlay.
+    /// Returns the view, the build's counters and the summed `RulesDelta`.
+    fn attack_storm() -> (IncRules, [u64; 4], [u64; 6]) {
+        let (program, _, _) = attack_program();
         let mut g = uniform_graph(80, 320, 4, 17);
         let mut view = IncRules::new(&g, program);
         let build = counters(view.work());
@@ -1292,6 +1290,15 @@ mod tests {
             ));
             step_summing(&mut g, &mut view, batch, &mut sum);
         }
+        (view, build, sum)
+    }
+
+    /// Golden `WorkStats` + `RulesDelta` of [`attack_storm`]. Captured from
+    /// the implementation that kept the overlay in hash sets.
+    #[test]
+    fn work_counters_golden_on_attack_storm() {
+        let (view, build, sum) = attack_storm();
+        let goal = view.program().pred_id("goal").unwrap();
         assert_eq!(
             build,
             [771, 290, 710, 488],
@@ -1310,14 +1317,12 @@ mod tests {
         assert_eq!((view.derived_count(), view.facts_of(goal).len()), (54, 11));
     }
 
-    /// Golden `WorkStats` + `RulesDelta` of the binary `reach` program where
-    /// every batch deletes and inserts in- and out-edges of one node and
-    /// hangs fresh nodes off it on both sides: `edge`, `for_succ`,
-    /// `for_pred_nodes` and `node` each answer under the overlay with the
-    /// node's hidden inserts and still-visible deletes in play. Captured
-    /// from the implementation that kept the overlay in hash sets.
-    #[test]
-    fn work_counters_golden_on_reach_around_one_node() {
+    /// The binary `reach` program where every batch deletes and inserts in-
+    /// and out-edges of one node and hangs fresh nodes off it on both
+    /// sides: `edge`, `for_succ`, `for_pred_nodes` and `node` each answer
+    /// under the overlay with the node's hidden inserts and still-visible
+    /// deletes in play. Returns what [`attack_storm`] returns.
+    fn reach_around_one_node() -> (IncRules, [u64; 4], [u64; 6]) {
         let (program, _) = reach_program();
         let mut g = uniform_graph(30, 60, 3, 23);
         let mut view = IncRules::new(&g, program);
@@ -1353,6 +1358,14 @@ mod tests {
             batch.extend(random_update_batch(&g, 6, 0.5, 5000 + round as u64).iter());
             step_summing(&mut g, &mut view, batch, &mut sum);
         }
+        (view, build, sum)
+    }
+
+    /// Golden `WorkStats` + `RulesDelta` of [`reach_around_one_node`].
+    /// Captured from the implementation that kept the overlay in hash sets.
+    #[test]
+    fn work_counters_golden_on_reach_around_one_node() {
+        let (view, build, sum) = reach_around_one_node();
         assert_eq!(
             build,
             [844, 1479, 1539, 1598],
@@ -1369,6 +1382,40 @@ mod tests {
             "RulesDelta drifted from the golden"
         );
         assert_eq!(view.derived_count(), 1331);
+    }
+
+    /// Digest of the derived state: every fact with its support count and
+    /// rank, in sorted-fact order. Ranks follow the order in which the
+    /// insertion pass met each fact's first derivation, which neither the
+    /// fact set nor `WorkStats` can see.
+    fn fact_digest(view: &IncRules) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = igc_graph::fxhash::FxHasher::default();
+        let facts = view.sorted_facts();
+        facts.len().hash(&mut h);
+        for f in facts {
+            let s = view.store.support[&f];
+            (f, s.count, s.rank).hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// The two `WorkStats` goldens' scenarios, held to the facts, supports
+    /// and ranks they leave (`fact_digest`) and to their `RulesDelta` sums.
+    #[test]
+    fn ordered_fact_state_golden() {
+        let (storm, _, storm_sum) = attack_storm();
+        assert_eq!(
+            (fact_digest(&storm), storm_sum),
+            (16630584239141035059, [28, 18, 22, 4, 4, 3]),
+            "attack storm"
+        );
+        let (reach, _, reach_sum) = reach_around_one_node();
+        assert_eq!(
+            (fact_digest(&reach), reach_sum),
+            (8775637793021100253, [1043, 466, 1417, 922, 608, 8]),
+            "reach around one node"
+        );
     }
 
     #[test]
