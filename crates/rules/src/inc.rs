@@ -551,6 +551,12 @@ impl Pass<'_> {
             self.pinned_heads(&tok, &mut buf);
             for &h in &buf {
                 self.work.aux_touched += 1;
+                // The token's own support goes with it: a fact repair
+                // retracts may still derive itself (`reach(x, y)` over a
+                // loop `y → y`), and must not queue itself again.
+                if tok == Token::Derived(h) {
+                    continue;
+                }
                 // A head the repair phase already retracted is recounted
                 // from scratch when it is re-grounded.
                 let Some(s) = self.store.support.get_mut(&h) else {
@@ -1112,6 +1118,31 @@ mod tests {
         assert_eq!(view.derived_count(), 2);
         let d = view.last_delta();
         assert_eq!((d.facts_removed, d.overdeleted, d.repairs), (3, 0, 0));
+    }
+
+    #[test]
+    fn a_fact_left_deriving_only_itself_is_retracted_once() {
+        // reach(0, 1) holds over the edge 0 → 1 and again over itself and
+        // the loop 1 → 1. Without the edge only the self-derivation is
+        // left: repair retracts reach(0, 1), and the instantiation it
+        // decrements is its own.
+        let (program, reach) = reach_program();
+        let mut g = graph_from(&[0, 0], &[(0, 1), (1, 1)]);
+        let mut view = IncRules::new(&g, program);
+        assert_eq!(view.support(reach, &[NodeId(0), NodeId(1)]), 2);
+
+        step(
+            &mut g,
+            &mut view,
+            vec![Update::delete(NodeId(0), NodeId(1))],
+        );
+        assert_eq!(
+            view.sorted_facts(),
+            vec![Fact::new(reach, &[NodeId(1), NodeId(1)])]
+        );
+        let d = view.last_delta();
+        assert_eq!((d.suspects, d.overdeleted, d.repairs), (1, 1, 1));
+        assert_eq!((d.facts_removed, d.rederived), (1, 0));
     }
 
     #[test]
