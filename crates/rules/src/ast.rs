@@ -345,10 +345,15 @@ impl RuleSet {
         let mut pred_sites = vec![Vec::new(); n];
         for (ri, r) in self.rules.iter().enumerate() {
             for (j, atom) in r.body.iter().enumerate() {
+                let site = PinSite {
+                    rule: ri,
+                    pos: j,
+                    guards: guards(&r.body, j),
+                };
                 match atom {
-                    Atom::Edge(..) => edge_sites.push((ri, j)),
-                    Atom::HasLabel(..) => label_sites.push((ri, j)),
-                    Atom::Pred(p, _) => pred_sites[p.0 as usize].push((ri, j)),
+                    Atom::Edge(..) => edge_sites.push(site),
+                    Atom::HasLabel(..) => label_sites.push(site),
+                    Atom::Pred(p, _) => pred_sites[p.0 as usize].push(site),
                 }
             }
         }
@@ -364,6 +369,36 @@ impl RuleSet {
             pred_sites,
         })
     }
+}
+
+/// The variables an atom mentions, as a bit set.
+fn var_mask(atom: &Atom) -> u32 {
+    let terms: &[Term] = match atom {
+        Atom::Edge(t1, t2) => &[*t1, *t2],
+        Atom::HasLabel(t, _) => &[*t],
+        Atom::Pred(_, ts) => ts,
+    };
+    terms.iter().fold(0, |mask, t| match t {
+        Term::Var(i) => mask | 1 << i,
+        Term::Node(_) => mask,
+    })
+}
+
+/// The guards of a token pinned at `body[j]` ([`PinSite::guards`]).
+fn guards(body: &[Atom], j: usize) -> Vec<Atom> {
+    let bound = var_mask(&body[j]);
+    let mut guards: Vec<Atom> = body
+        .iter()
+        .enumerate()
+        .filter(|&(k, a)| k != j && var_mask(a) & !bound == 0)
+        .map(|(_, a)| a.clone())
+        .collect();
+    guards.sort_by_key(|a| match a {
+        Atom::HasLabel(..) => 0,
+        Atom::Edge(..) => 1,
+        Atom::Pred(..) => 2,
+    });
+    guards
 }
 
 /// Tarjan condensation of the predicate dependency graph, emitted in
@@ -451,12 +486,27 @@ pub struct Program {
     deriving: Vec<Vec<usize>>,
     /// Per rule: its body in head-bound join order.
     head_bound: Vec<Vec<Atom>>,
-    /// The body atoms a token can be pinned at, as `(rule, position)` in
-    /// rule-then-position order: every edge atom, every label atom, and
-    /// per predicate the atoms over it.
-    edge_sites: Vec<(usize, usize)>,
-    label_sites: Vec<(usize, usize)>,
-    pred_sites: Vec<Vec<(usize, usize)>>,
+    /// The body atoms a token can be pinned at, in rule-then-position
+    /// order: every edge atom, every label atom, and per predicate the
+    /// atoms over it.
+    edge_sites: Vec<PinSite>,
+    label_sites: Vec<PinSite>,
+    pred_sites: Vec<Vec<PinSite>>,
+}
+
+/// A body atom a token can be pinned at, with the atoms the pin decides.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct PinSite {
+    /// The rule.
+    pub rule: usize,
+    /// The pinned atom's body position.
+    pub pos: usize,
+    /// The rule's other body atoms whose terms are all constants or
+    /// variables the pinned atom binds, cheapest first: label checks, then
+    /// edge membership, then fact lookups (body order within a kind). Once
+    /// the pin has bound the token, each is one probe, and a binding one of
+    /// them rejects completes no instantiation.
+    pub guards: Vec<Atom>,
 }
 
 impl Program {
@@ -518,9 +568,11 @@ impl Program {
         &self.head_bound[rule]
     }
 
-    /// The `(rule, position)` of every body atom of `token`'s own kind, in
-    /// rule-then-position order — the only atoms it can be pinned at.
-    pub(crate) fn pin_sites(&self, token: &Token) -> &[(usize, usize)] {
+    /// Every body atom of `token`'s own kind, in rule-then-position order —
+    /// the only atoms it can be pinned at — each with its guards: the other
+    /// atoms of its rule the pin alone decides, which the maintenance
+    /// passes probe before they join.
+    pub(crate) fn pin_sites(&self, token: &Token) -> &[PinSite] {
         match token {
             Token::Edge(..) => &self.edge_sites,
             Token::Node(_) => &self.label_sites,
@@ -582,6 +634,102 @@ mod tests {
                 Atom::has_label(v(1), Label(2)),
                 Atom::pred(reach, &[v(0), v(1)])
             ]
+        );
+    }
+
+    /// `(rule, position, guards)` of every pin site `token` is tried at.
+    fn sites(p: &Program, token: Token) -> Vec<(usize, usize, Vec<Atom>)> {
+        p.pin_sites(&token)
+            .iter()
+            .map(|s| (s.rule, s.pos, s.guards.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn pin_sites_carry_the_atoms_their_pin_binds_cheapest_first() {
+        use crate::eval::Fact;
+        use igc_graph::NodeId;
+        let (vuln, critical) = (Label(2), Label(3));
+        let mut rs = RuleSet::new();
+        let exec = rs.predicate("exec", 1).unwrap();
+        let goal = rs.predicate("goal", 1).unwrap();
+        rs.rule(exec, &[v(0)], vec![Atom::has_label(v(0), Label(1))])
+            .unwrap();
+        for target in [vuln, critical] {
+            rs.rule(
+                exec,
+                &[v(1)],
+                vec![
+                    Atom::pred(exec, &[v(0)]),
+                    Atom::edge(v(0), v(1)),
+                    Atom::has_label(v(1), target),
+                ],
+            )
+            .unwrap();
+        }
+        rs.rule(
+            goal,
+            &[v(0)],
+            vec![Atom::pred(exec, &[v(0)]), Atom::has_label(v(0), critical)],
+        )
+        .unwrap();
+        let p = rs.compile().unwrap();
+        let (x, y) = (v(0), v(1));
+        // An edge token binds both ends: the label check on the target
+        // goes before the fact lookup at the source, against body order.
+        assert_eq!(
+            sites(&p, Token::Edge(NodeId(0), NodeId(1))),
+            vec![
+                (1, 1, vec![Atom::has_label(y, vuln), Atom::pred(exec, &[x])]),
+                (
+                    2,
+                    1,
+                    vec![Atom::has_label(y, critical), Atom::pred(exec, &[x])]
+                ),
+            ]
+        );
+        // `exec(x)` in an edge rule binds no `y`: only goal's site guards.
+        assert_eq!(
+            sites(&p, Token::Derived(Fact::new(exec, &[NodeId(0)]))),
+            vec![
+                (1, 0, vec![]),
+                (2, 0, vec![]),
+                (3, 0, vec![Atom::has_label(x, critical)]),
+            ]
+        );
+        assert_eq!(
+            sites(&p, Token::Node(NodeId(0))),
+            vec![
+                (0, 0, vec![]),
+                (1, 2, vec![]),
+                (2, 2, vec![]),
+                (3, 1, vec![Atom::pred(exec, &[x])]),
+            ]
+        );
+
+        // Binary reach: each atom of the recursive rule leaves a variable
+        // of the other free, so no site has a guard.
+        let mut rs = RuleSet::new();
+        let reach = rs.predicate("reach", 2).unwrap();
+        rs.rule(reach, &[v(0), v(1)], vec![Atom::edge(v(0), v(1))])
+            .unwrap();
+        rs.rule(
+            reach,
+            &[v(0), v(2)],
+            vec![Atom::pred(reach, &[v(0), v(1)]), Atom::edge(v(1), v(2))],
+        )
+        .unwrap();
+        let p = rs.compile().unwrap();
+        assert_eq!(
+            sites(&p, Token::Edge(NodeId(0), NodeId(1))),
+            vec![(0, 0, vec![]), (1, 1, vec![])]
+        );
+        assert_eq!(
+            sites(
+                &p,
+                Token::Derived(Fact::new(reach, &[NodeId(0), NodeId(1)]))
+            ),
+            vec![(1, 0, vec![])]
         );
     }
 

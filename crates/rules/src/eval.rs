@@ -19,6 +19,13 @@
 //! using `t` at positions `S` is found exactly when `j = max(S)`, and an
 //! instantiation using several in-flight tokens is found exactly when its
 //! last-revealed (first-hidden) token is processed.
+//!
+//! The incremental side probes a pin site's *guards* — other body atoms
+//! the pinned token alone binds — before it enters the join. Guards only
+//! reject: a failed probe means the join would fail at that atom too,
+//! since the view and the bound values are the ones it would read. A
+//! token that passes runs the same positional join, exclusion included, so
+//! which instantiations are found, and at which pin, does not change.
 
 use crate::ast::{Atom, PredId, Rule, Term, MAX_ARITY, MAX_VARS};
 use igc_core::work::WorkStats;

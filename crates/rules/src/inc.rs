@@ -65,10 +65,15 @@
 //! three cursors over the batch's edges packed into `u64` keys, sorted once
 //! per apply. A neighbour walk tests a neighbour only when its node's range
 //! of pending edges — nearly always empty — is not, and a token is tried
-//! only against the body atoms of its own kind. The build is the same
-//! insertion pass over every node and every edge.
+//! only against the body atoms of its own kind. At each such atom it first
+//! meets the atom's *guards* (`Program::pin_sites`): the rule's other atoms
+//! whose terms the pin alone binds, label checks first, then edge
+//! membership under the overlay, then fact lookups. A token one of them
+//! rejects is dropped before any join, one probe in; one they all pass
+//! runs the positional join unchanged. The build is the same insertion
+//! pass over every node and every edge.
 
-use crate::ast::{PredId, Program};
+use crate::ast::{Atom, PredId, Program, Term, MAX_ARITY};
 use crate::eval::{
     bind_pinned, for_each_instantiation, head_fact, Bind, Fact, FactView, Pin, Token,
 };
@@ -434,6 +439,30 @@ fn for_each_derivation(
     work.aux_touched += view.rank_reads.take();
 }
 
+/// Whether a pin site's guard (every term bound) holds in `view`: one probe,
+/// counted where the join counts its atom kind.
+fn guard_holds(view: &ApplyView, atom: &Atom, bind: &Bind, work: &mut WorkStats) -> bool {
+    let at = |t: &Term| bind.get(t).expect("a pin binds its guards' terms");
+    match atom {
+        Atom::HasLabel(t, l) => {
+            work.nodes_visited += 1;
+            view.label_of(at(t)) == Some(*l)
+        }
+        Atom::Edge(t1, t2) => {
+            work.edges_traversed += 1;
+            view.edge(at(t1), at(t2))
+        }
+        Atom::Pred(p, terms) => {
+            work.aux_touched += 1;
+            let mut vals = [NodeId(0); MAX_ARITY];
+            for (val, t) in vals.iter_mut().zip(terms) {
+                *val = at(t);
+            }
+            view.fact(&Fact::new(*p, &vals[..terms.len()]))
+        }
+    }
+}
+
 /// Suspects, lowest rank first.
 type Suspects = BinaryHeap<Reverse<(u64, Fact)>>;
 
@@ -450,27 +479,38 @@ struct Pass<'a> {
 impl Pass<'_> {
     /// Heads of every instantiation the token participates in, one entry
     /// per instantiation (the pin discipline makes the multiset exact).
+    /// A site whose guard fails is dropped before the join: the join would
+    /// fail at that atom anyway.
     fn pinned_heads(&mut self, token: &Token, out: &mut Vec<Fact>) {
         let view = ApplyView::new(self.g, &*self.store, &*self.pend, u64::MAX);
         let rules = self.prog.rules();
-        for &(ri, j) in self.prog.pin_sites(token) {
-            let rule = &rules[ri];
+        for site in self.prog.pin_sites(token) {
+            let rule = &rules[site.rule];
             let mut bind = Bind::new();
-            if bind_pinned(&view, &rule.body[j], token, &mut bind) {
-                let pin = Pin { pos: j, token };
-                for_each_instantiation(
-                    &view,
-                    &rule.body,
-                    &mut bind,
-                    0,
-                    Some(&pin),
-                    self.work,
-                    &mut |b| {
-                        out.push(head_fact(rule, b));
-                        true
-                    },
-                );
+            if !bind_pinned(&view, &rule.body[site.pos], token, &mut bind)
+                || !site
+                    .guards
+                    .iter()
+                    .all(|a| guard_holds(&view, a, &bind, self.work))
+            {
+                continue;
             }
+            let pin = Pin {
+                pos: site.pos,
+                token,
+            };
+            for_each_instantiation(
+                &view,
+                &rule.body,
+                &mut bind,
+                0,
+                Some(&pin),
+                self.work,
+                &mut |b| {
+                    out.push(head_fact(rule, b));
+                    true
+                },
+            );
         }
     }
 
@@ -1324,20 +1364,22 @@ mod tests {
         (view, build, sum)
     }
 
-    /// Golden `WorkStats` + `RulesDelta` of [`attack_storm`]. Captured from
-    /// the implementation that kept the overlay in hash sets.
+    /// Golden `WorkStats` + `RulesDelta` of [`attack_storm`]. The
+    /// `RulesDelta` was captured from the implementation that kept the
+    /// overlay in hash sets; the `WorkStats` were re-baselined when pin
+    /// sites gained guards, whose probes count.
     #[test]
     fn work_counters_golden_on_attack_storm() {
         let (view, build, sum) = attack_storm();
         let goal = view.program().pred_id("goal").unwrap();
         assert_eq!(
             build,
-            [771, 290, 710, 488],
+            [1418, 290, 147, 488],
             "build work drifted from the golden"
         );
         assert_eq!(
             counters(view.work()),
-            [1041, 953, 1824, 593],
+            [1612, 953, 1170, 593],
             "work drifted from the golden"
         );
         assert_eq!(
