@@ -440,7 +440,10 @@ fn for_each_derivation(
 }
 
 /// Whether a pin site's guard (every term bound) holds in `view`: one probe,
-/// counted where the join counts its atom kind.
+/// counted where the join counts its atom kind. It is the probe the join's
+/// fully-bound branches make, written out because most tries end here:
+/// entering `for_each_instantiation` for it made the storm's deletion and
+/// insertion passes about a fifth slower.
 fn guard_holds(view: &ApplyView, atom: &Atom, bind: &Bind, work: &mut WorkStats) -> bool {
     let at = |t: &Term| bind.get(t).expect("a pin binds its guards' terms");
     match atom {
