@@ -7,9 +7,8 @@
 use crate::durability::DegradedState;
 use crate::error::EngineError;
 use crate::lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
-use crate::pool::{dispatch, ApplyRecord, WorkerPool};
 use crate::receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewTotals};
-use crate::registry::{downcast, Registry};
+use crate::registry::{downcast, ApplyRecord, Registry};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use igc_core::{IncView, ViewInit, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
@@ -33,31 +32,31 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 /// How [`Engine::commit`] fans a normalized delta out to the registered
 /// views (step 3 of the pipeline). Views are independent given the
 /// post-commit graph, so the fan-out parallelizes without any coordination
-/// beyond a shared read-only graph handle.
+/// beyond a shared read-only graph borrow.
 ///
 /// Everything *observable* is mode-independent: view answers, receipts
 /// (ordering, work attribution, outcomes — wall-clock durations aside) and
 /// the quarantine/lifecycle journal are bit-identical between modes,
-/// because workers only run `apply` and the engine merges their results in
-/// slot order after collecting every record. Parallel mode dispatches to a
-/// **persistent worker pool** (parked threads fed over a channel — built
-/// lazily on the first parallel commit and reused after, so the per-commit
-/// thread-spawn cost the first scoped implementation paid is gone); it
-/// wins when at least two views are individually expensive — see the
-/// README's engine section.
+/// because helpers only run `apply` and the engine merges their results in
+/// slot order after joining every helper. Both modes run one fan-out
+/// function; parallel mode only gives it scoped helper threads, spawned
+/// and joined inside each commit. One view carries most of a typical
+/// commit, so the helpers rarely pay for their spawn — see the README's
+/// engine section for the measured ratio.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitMode {
     /// Fan out on the committing thread, in slot order — the default, and
     /// byte-for-byte the pre-[`CommitMode`] behavior.
     #[default]
     Sequential,
-    /// Fan out across the persistent pool's `threads` workers (tasks are
-    /// pulled from a shared channel, so load balances itself — a worker
-    /// that drew a cheap view just pulls the next task). `threads == 0`
-    /// means [`std::thread::available_parallelism`]; `1` degenerates to
-    /// sequential fan-out without touching the pool.
+    /// Fan out on `threads` threads: the committing thread plus
+    /// `threads − 1` scoped helpers, all pulling views from one shared
+    /// queue, so load balances itself — a thread that drew a cheap view
+    /// just pulls the next one. `threads == 0` means
+    /// [`std::thread::available_parallelism`], read once by
+    /// [`Engine::set_commit_mode`]; `1` is sequential fan-out.
     Parallel {
-        /// Worker-thread count (`0` = available parallelism).
+        /// Fan-out thread count (`0` = available parallelism).
         threads: usize,
     },
 }
@@ -69,11 +68,9 @@ pub enum CommitMode {
 /// by [`Engine::apply_prepared`]; [`Engine::commit`] is exactly the two
 /// back to back.
 ///
-/// The split exists for *pipelining*: while commit *n*'s fan-out is in
-/// flight on the worker pool, the committing thread can already prepare
-/// commit *n+1* (normalize + WAL-append overlap with view work). A
-/// `PreparedCommit` is pinned to the epoch it was normalized at —
-/// applying it after any other commit landed is an
+/// The split lets a caller time or inspect the two halves of a commit on
+/// their own. A `PreparedCommit` is pinned to the epoch it was normalized
+/// at — applying it after any other commit landed is an
 /// [`EngineError::EpochGap`].
 ///
 /// On a logged engine the journal may run one record ahead of the graph
@@ -112,22 +109,19 @@ impl PreparedCommit {
 /// a view whose `apply` panics is quarantined instead of poisoning its
 /// neighbours.
 pub struct Engine {
-    /// The shared graph, behind an `Arc` so an in-flight parallel fan-out
-    /// can keep reading it while the committing thread *prepares* the
-    /// next tick (normalization reads the graph; only
-    /// [`Engine::apply_prepared`] mutates it, via [`Arc::make_mut`] once
-    /// every outstanding read handle is gone).
+    /// The shared graph, behind an `Arc` so each published MVCC version
+    /// holds it without a copy; [`Engine::apply_prepared`] mutates it via
+    /// [`Arc::make_mut`], which copies only while a pinned version still
+    /// holds the handle.
     pub(crate) graph: Arc<DynamicGraph>,
     views: Registry,
     /// Final cumulative totals of deregistered views, in retirement order.
     retired: Vec<ViewTotals>,
     events: Vec<LifecycleEvent>,
     totals: EngineTotals,
-    mode: CommitMode,
-    /// The persistent fan-out worker pool: built lazily on the first
-    /// parallel commit, reused across commits, rebuilt only when the
-    /// resolved thread count changes or a worker died.
-    pool: Option<WorkerPool>,
+    /// Fan-out thread count, resolved from the [`CommitMode`] by
+    /// [`Engine::set_commit_mode`] (1 = sequential).
+    threads: usize,
     /// The attached commit log, if any ([`Engine::with_log`] /
     /// [`Engine::recover`]); commits journal through it write-ahead.
     pub(crate) log: Option<CommitLog>,
@@ -165,8 +159,7 @@ impl Engine {
             retired: Vec::new(),
             events: Vec::new(),
             totals: EngineTotals::default(),
-            mode: CommitMode::Sequential,
-            pool: None,
+            threads: 1,
             log: None,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             logged_since_checkpoint: 0,
@@ -199,9 +192,16 @@ impl Engine {
     /// Switch the commit fan-out mode (default [`CommitMode::Sequential`]).
     /// Takes effect from the next commit;
     /// safe to toggle between commits at any time (answers, receipts and
-    /// journals do not depend on the mode).
+    /// journals do not depend on the mode). `Parallel { threads: 0 }` reads
+    /// [`std::thread::available_parallelism`] here, once, not per commit.
     pub fn set_commit_mode(&mut self, mode: CommitMode) {
-        self.mode = mode;
+        self.threads = match mode {
+            CommitMode::Sequential => 1,
+            CommitMode::Parallel { threads: 0 } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
+            CommitMode::Parallel { threads } => threads,
+        };
     }
 
     // ------------------------------------------------------------------
@@ -365,7 +365,7 @@ impl Engine {
     /// Commit a batch update: normalize it once against the current graph,
     /// apply ΔG to the graph exactly once (bumping the epoch), then
     /// propagate the normalized delta to every live active view — on this
-    /// thread in slot order, or across the persistent worker pool under
+    /// thread in slot order, or with scoped helper threads under
     /// [`CommitMode::Parallel`] (see [`Engine::set_commit_mode`]; receipts
     /// and journals are bit-identical either way).
     ///
@@ -454,15 +454,10 @@ impl Engine {
     /// for both commit modes — into the receipt, registry accounting and
     /// quarantine journal.
     ///
-    /// When `next` is given, the *following* commit is prepared inside
-    /// this call and its outcome returned — and under
-    /// [`CommitMode::Parallel`] that preparation (normalize + WAL append)
-    /// runs **while this commit's fan-out is still in flight** on the
-    /// worker pool. Write-ahead ordering per commit is preserved: every
-    /// delta is journaled before the graph applies it; the only overlap
-    /// is tick *n+1*'s append with tick *n*'s view work, which the log's
-    /// epoch chain keeps ordered. Errors from preparing `next` belong to
-    /// the next commit and are returned in the nested `Result`, never
+    /// When `next` is given, the *following* commit is prepared after this
+    /// one has fully landed — exactly [`Engine::prepare`] called next — and
+    /// its outcome returned. Errors from preparing `next` belong to the
+    /// next commit and are returned in the nested `Result`, never
     /// conflated with this commit's.
     ///
     /// Errors with [`EngineError::EpochGap`] if another commit landed
@@ -503,9 +498,7 @@ impl Engine {
             work: WorkStats::new(),
             log_retries,
         };
-        let next_prepared = if delta.is_empty() {
-            next.map(|b| self.prepare(b))
-        } else {
+        if !delta.is_empty() {
             // Open the MVCC publish window: GC every version no live snapshot
             // pins. Crucially that includes the unpinned newest version, which
             // returns unique ownership of the graph and of every view's shared
@@ -517,41 +510,16 @@ impl Engine {
             let graph_start = Instant::now();
             // Ref count is 1 on the quiescent path (the pre-commit GC above
             // just dropped the published version's handle), so this mutates in
-            // place; if a pinned snapshot or dead worker still holds a graph
-            // handle, make_mut falls back to a clone (list handles only;
-            // each list is copied when first written) instead of
-            // blocking or panicking — the pinned reader keeps its frozen graph.
+            // place; if a pinned snapshot still holds a graph handle, make_mut
+            // falls back to a clone (list handles only; each list is copied
+            // when first written) instead of blocking or panicking — the
+            // pinned reader keeps its frozen graph.
             Arc::make_mut(&mut self.graph).apply_batch(&delta);
             receipt.graph_elapsed = graph_start.elapsed();
             receipt.epoch = self.graph.epoch();
-            let delta = Arc::new(delta);
 
-            let threads = match self.mode {
-                CommitMode::Sequential => 1,
-                CommitMode::Parallel { threads: 0 } => {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                }
-                CommitMode::Parallel { threads } => threads,
-            };
-
-            // Fan-out. Both paths feed the same slot-ordered merge below, so
-            // everything observable is mode-independent.
             receipt.skipped_quarantined = self.views.quarantined();
-            let (records, next_prepared) = if threads <= 1 {
-                // Sequential: drive every view inline in slot order, then
-                // prepare the next tick (no overlap to exploit on one thread).
-                let records = self.views.fan_out(&self.graph, &delta);
-                (records, next.map(|b| self.prepare(b)))
-            } else {
-                self.ensure_pool(threads);
-                let in_flight = dispatch(self.pool.as_ref(), &mut self.views, &self.graph, &delta);
-                // *** The pipeline overlap: prepare the next tick while the
-                // pool is still applying this one. Prepare only reads the
-                // (post-apply) graph and writes the log — disjoint from
-                // everything the workers touch.
-                let next_prepared = next.map(|b| self.prepare(b));
-                (in_flight.collect(&mut self.views), next_prepared)
-            };
+            let records = self.views.fan_out(&self.graph, &delta, self.threads);
 
             // Merge in slot order — registry accounting, quarantine journal and
             // receipt entries are produced here and only here.
@@ -574,26 +542,12 @@ impl Engine {
                     v.outcome = failed.outcome;
                 }
             }
-            next_prepared
-        };
+        }
         // A no-op's normalization was paid for too: its wall-clock is
         // accounted even though no commit (epoch bump, fan-out) happened.
         receipt.elapsed = prepare_elapsed + apply_start.elapsed();
         self.totals.elapsed += receipt.elapsed;
-        Ok((receipt, next_prepared))
-    }
-
-    /// Make sure the persistent pool exists at the resolved size with all
-    /// workers alive; build/rebuild it otherwise (dropping a previous
-    /// pool joins its workers first, so two pools never coexist).
-    fn ensure_pool(&mut self, threads: usize) {
-        let rebuild = match &self.pool {
-            Some(p) => p.size() != threads || p.wounded(),
-            None => true,
-        };
-        if rebuild {
-            self.pool = Some(WorkerPool::new(threads));
-        }
+        Ok((receipt, next.map(|b| self.prepare(b))))
     }
 
     // ------------------------------------------------------------------
@@ -731,7 +685,7 @@ impl std::fmt::Debug for Engine {
             .field("epoch", &self.graph.epoch())
             .field("views", &self.labels().collect::<Vec<_>>())
             .field("commits", &self.totals.commits)
-            .field("mode", &self.mode)
+            .field("threads", &self.threads)
             .field("logged", &self.log.is_some())
             .field("degraded", &self.degraded.is_some())
             .finish()
@@ -1237,14 +1191,26 @@ pub(crate) mod tests {
 
     /// A maximally hostile view: `apply` panics, and afterwards even
     /// `work()` panics (its state is wrecked). The engine must fence both.
+    /// Wrecks sharing a `rendezvous` record the thread each `apply` runs on
+    /// and wait there (up to 10 s) until two have entered, so those two run
+    /// on two threads.
     #[derive(Clone, Debug)]
     struct PoisonedWork {
         wrecked: bool,
+        rendezvous: Option<Arc<std::sync::Mutex<Vec<String>>>>,
     }
 
     impl IncrementalAlgorithm for PoisonedWork {
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.wrecked = true;
+            if let Some(entered) = &self.rendezvous {
+                let me = std::thread::current().name().unwrap_or("").to_owned();
+                entered.lock().unwrap().push(me);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while entered.lock().unwrap().len() < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
             panic!("apply wrecked the state");
         }
         fn work(&self) -> WorkStats {
@@ -1270,27 +1236,47 @@ pub(crate) mod tests {
 
     #[test]
     fn post_panic_work_read_is_fenced_too() {
-        quiet_panics(|| {
-            let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-            let healthy = engine
-                .register(EdgeCount::new("a", engine.graph()))
-                .unwrap();
-            let p = engine.register(PoisonedWork { wrecked: false }).unwrap();
-            let receipt = engine
-                .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
-                .unwrap();
-            // The wreck is quarantined with zero work attributed; the
-            // commit (and the healthy view) survived both panics.
-            let q: Vec<_> = receipt.newly_quarantined().collect();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q[0].work.total(), 0);
-            assert!(matches!(
-                engine.state(p).unwrap(),
-                ViewState::Quarantined { .. }
-            ));
-            assert_eq!(engine.view(&healthy).unwrap().count, 1);
-            assert!(engine.verify_all().is_ok());
-        });
+        for mode in [CommitMode::Sequential, CommitMode::Parallel { threads: 2 }] {
+            quiet_panics(|| {
+                let mut engine = Engine::new(graph_from(&[0, 0], &[]));
+                engine.set_commit_mode(mode);
+                let healthy = engine
+                    .register(EdgeCount::new("a", engine.graph()))
+                    .unwrap();
+                // Under `Parallel` a second wreck meets the first inside
+                // `apply`, so one of them runs on the scoped helper: its
+                // panics must stop at the helper's fence, never reach this
+                // thread through the scope's join.
+                let parallel = mode != CommitMode::Sequential;
+                let entered = parallel.then(|| Arc::new(std::sync::Mutex::new(Vec::new())));
+                let wreck = || PoisonedWork {
+                    wrecked: false,
+                    rendezvous: entered.clone(),
+                };
+                let p = engine.register(wreck()).unwrap();
+                if parallel {
+                    engine.register_labeled("poisoned-2", wreck()).unwrap();
+                }
+                let receipt = engine
+                    .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
+                    .unwrap();
+                // The wreck is quarantined with zero work attributed; the
+                // commit (and the healthy view) survived both panics.
+                let q: Vec<_> = receipt.newly_quarantined().collect();
+                assert_eq!(q.len(), 1 + usize::from(parallel), "{mode:?}");
+                assert!(q.iter().all(|v| v.work.total() == 0), "{mode:?}");
+                if let Some(entered) = entered {
+                    let on = entered.lock().unwrap().clone();
+                    assert!(on.iter().any(|t| t == "igc-fan-out"), "{on:?}");
+                }
+                assert!(matches!(
+                    engine.state(p).unwrap(),
+                    ViewState::Quarantined { .. }
+                ));
+                assert_eq!(engine.view(&healthy).unwrap().count, 1);
+                assert!(engine.verify_all().is_ok());
+            });
+        }
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! (assigned epoch + the shared [`CommitReceipt`] of the tick that
 //! carried it). The tick loop drains everything pending (up to
 //! [`IngestConfig::max_coalesce`]), coalesces it into one mega-batch,
-//! and drives the engine's [prepare](Engine::prepare) /
-//! [apply](Engine::apply_prepared) split so that tick *n+1*'s
-//! normalization and WAL-append overlap tick *n*'s view fan-out (on the
-//! worker pool, under [`CommitMode::Parallel`](crate::CommitMode)).
+//! and commits it with [`Engine::commit`].
 //!
 //! Durability composes: [`IngestServer::set_durability`] flips the
 //! engine log's [`DurabilityMode`] mid-run, and the loop issues an
@@ -37,7 +34,7 @@
 //! at admission with [`EngineError::Degraded`] through their tickets,
 //! so callers observe the outage instead of queueing into a wall.
 
-use crate::engine::{Engine, PreparedCommit};
+use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::receipt::CommitReceipt;
 use crate::snapshot::{Snapshot, SnapshotStore};
@@ -63,7 +60,7 @@ struct Submission {
 }
 
 /// A submission waiting for its tick to commit (its batch has already
-/// been folded into the staged mega-batch).
+/// been folded into the tick's mega-batch).
 struct Waiter {
     units: usize,
     reply: Sender<Result<IngestReceipt, EngineError>>,
@@ -196,7 +193,7 @@ impl std::fmt::Debug for Ingest {
 /// The awaitable half of one submission: resolves to the submission's
 /// [`IngestReceipt`] once its tick commits, to the error that rejected
 /// it (e.g. [`EngineError::NodeOutOfBounds`] at admission, or a log
-/// failure at its tick's prepare), or to
+/// failure at its tick's commit), or to
 /// [`EngineError::SubmissionDropped`] if the server shut down with the
 /// submission still queued.
 #[derive(Debug)]
@@ -290,26 +287,28 @@ impl IngestServer {
         }
     }
 
-    /// The tick loop. One iteration = gather a group (blocking only when
-    /// idle with nothing staged), then either stage it (prepare) or
-    /// apply the previously staged tick — preparing the new group inside
-    /// that call, *while the staged tick's fan-out is in flight*.
+    /// The tick loop. One iteration = gather a group (blocking only on an
+    /// empty queue), commit it as one coalesced batch, resolve its waiters.
     fn serve(mut engine: Engine, rx: &Receiver<Msg>, config: IngestConfig) -> Engine {
         let max_coalesce = config.max_coalesce.max(1);
         let mut closing = false;
-        let mut staged: Option<(PreparedCommit, Vec<Waiter>)> = None;
-        loop {
+        while !closing {
             let mut group: Vec<Submission> = Vec::new();
-            if staged.is_none() && !closing {
-                // About to park: close any open group-commit window so
-                // everything accepted so far is durable while we idle.
-                if engine.log().is_some_and(|l| l.unsynced_appends() > 0) {
-                    let _ = engine.sync_log();
+            let first = match rx.try_recv() {
+                Ok(msg) => Some(msg),
+                Err(mpsc::TryRecvError::Empty) => {
+                    // About to park: close any open group-commit window so
+                    // everything accepted so far is durable while we idle.
+                    if engine.log().is_some_and(|l| l.unsynced_appends() > 0) {
+                        let _ = engine.sync_log();
+                    }
+                    rx.recv().ok()
                 }
-                match rx.recv() {
-                    Ok(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
-                    Err(_) => closing = true,
-                }
+                Err(mpsc::TryRecvError::Disconnected) => None,
+            };
+            match first {
+                Some(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
+                None => closing = true,
             }
             while group.len() < max_coalesce && !closing {
                 match rx.try_recv() {
@@ -321,35 +320,11 @@ impl IngestServer {
                     }
                 }
             }
-            match (staged.take(), group.is_empty()) {
-                (None, true) => {
-                    if closing {
-                        break;
-                    }
-                }
-                (None, false) => staged = Self::stage(&mut engine, Self::bundle(group)),
-                (Some((prepared, waiters)), _) => {
-                    let next = (!group.is_empty()).then(|| Self::bundle(group));
-                    let mega = next.as_ref().map(|(mega, _)| mega);
-                    match engine.apply_prepared(prepared, mega) {
-                        Ok((receipt, piped)) => {
-                            Self::resolve(waiters, &receipt);
-                            // `piped` is the next tick's prepare result.
-                            if let Some(((_, next_waiters), prep)) = next.zip(piped) {
-                                match prep {
-                                    Ok(p) => staged = Some((p, next_waiters)),
-                                    Err(e) => Self::reject(next_waiters, &e),
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Unreachable in this single-driver loop
-                            // (EpochGap needs an interleaved commit), but
-                            // never lose a waiter to an invariant.
-                            Self::reject(waiters, &e);
-                            staged = next.and_then(|bundle| Self::stage(&mut engine, bundle));
-                        }
-                    }
+            if !group.is_empty() {
+                let (mega, waiters) = Self::bundle(group);
+                match engine.commit(&mega) {
+                    Ok(receipt) => Self::resolve(waiters, &receipt),
+                    Err(e) => Self::reject(waiters, &e),
                 }
             }
         }
@@ -413,20 +388,6 @@ impl IngestServer {
             });
         }
         (mega, waiters)
-    }
-
-    /// Prepare a bundled group as the staged tick.
-    fn stage(
-        engine: &mut Engine,
-        (mega, waiters): (UpdateBatch, Vec<Waiter>),
-    ) -> Option<(PreparedCommit, Vec<Waiter>)> {
-        match engine.prepare(&mega) {
-            Ok(p) => Some((p, waiters)),
-            Err(e) => {
-                Self::reject(waiters, &e);
-                None
-            }
-        }
     }
 
     fn resolve(waiters: Vec<Waiter>, receipt: &CommitReceipt) {

@@ -28,9 +28,10 @@
 //!    [epoch](igc_graph::DynamicGraph::epoch);
 //! 3. **propagate** the normalized delta to every live active
 //!    [`IncView`](igc_core::IncView) — sequentially in slot order, or
-//!    across a persistent worker pool under [`CommitMode::Parallel`]
-//!    (views are independent given the post-commit graph; the mode changes
-//!    latency only, never results) — timing each view, attributing its
+//!    with scoped helper threads pulling views from one shared queue under
+//!    [`CommitMode::Parallel`] (views are independent given the
+//!    post-commit graph; the mode changes latency only, never results) —
+//!    timing each view, attributing its
 //!    [`WorkStats`](igc_core::WorkStats) delta, and catching panics
 //!    (quarantine instead of unwind, identical in both modes);
 //! 4. return a [`CommitReceipt`] with per-view outcomes and commit-wide
@@ -61,8 +62,7 @@
 //! submit batches, and await [`IngestTicket`]s for their receipts. Each
 //! tick coalesces everything pending into one normalized mega-batch
 //! (order-faithful normalization makes that bit-identical to
-//! per-submission commits), [`Engine::prepare`]/[`Engine::apply_prepared`]
-//! pipeline tick *n+1*'s WAL append with tick *n*'s fan-out, and
+//! per-submission commits) and commits it with [`Engine::commit`], and
 //! [`DurabilityMode`](igc_log::DurabilityMode) group-commit batches
 //! fsyncs across a tick's records — one barrier instead of one per
 //! submission ([`Engine::set_durability`]).
@@ -127,7 +127,6 @@ mod engine;
 mod error;
 mod ingest;
 mod lifecycle;
-mod pool;
 mod receipt;
 mod registry;
 mod replica;

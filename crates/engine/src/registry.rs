@@ -11,14 +11,80 @@
 
 use crate::error::{Divergence, EngineError};
 use crate::lifecycle::{ViewId, ViewState};
-use crate::pool::{drive_apply, ApplyRecord};
 use crate::receipt::{ViewCommitStats, ViewOutcome, ViewTotals};
 use crate::snapshot::{CellState, SnapCell};
 use igc_core::{panic_cause, IncView, ViewInit, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+/// What one view's `apply` produced during fan-out, before
+/// [`Registry::merge`] folds it into registry state and receipt (in slot
+/// order, identically for every fan-out width).
+pub(crate) struct ApplyRecord {
+    pub slot: usize,
+    pub elapsed: Duration,
+    pub work: WorkStats,
+    pub result: Result<(), String>,
+}
+
+impl ApplyRecord {
+    /// The record of a view that failed outside its own `apply` (lost with
+    /// a helper thread that died, or its `clone_view` panicked): no work,
+    /// quarantine for `cause`.
+    pub(crate) fn failed(slot: usize, cause: String) -> Self {
+        ApplyRecord {
+            slot,
+            elapsed: Duration::ZERO,
+            work: WorkStats::new(),
+            result: Err(cause),
+        }
+    }
+}
+
+/// Drive one view's `apply` against the post-commit graph and snapshot
+/// its cost — the single per-view runner behind every fan-out, on the
+/// committing thread and on its helpers alike.
+///
+/// Fully fenced: [`IncView::apply_caught`] converts an `apply` panic
+/// into `Err`, the post-panic `work()` read is fenced per the quarantine
+/// contract, and the outer `catch_unwind` covers the remaining view-code
+/// surface (a `work()` that panics even *before* `apply`), so no view
+/// can unwind a commit — or kill a fan-out helper.
+pub(crate) fn drive_apply(
+    slot: usize,
+    view: &mut dyn IncView,
+    graph: &DynamicGraph,
+    delta: &UpdateBatch,
+) -> ApplyRecord {
+    let start = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let before = view.work();
+        let result = view.apply_caught(graph, delta);
+        // After a panicking apply the view's state may be arbitrarily
+        // inconsistent, so even this one post-mortem work() read is
+        // fenced: if it panics too, attribute zero work rather than
+        // unwind out of the commit.
+        let work = match &result {
+            Ok(()) => view.work().since(&before),
+            Err(_) => catch_unwind(AssertUnwindSafe(|| view.work()))
+                .map_or(WorkStats::new(), |after| after.since(&before)),
+        };
+        (work, result)
+    }));
+    let elapsed = start.elapsed();
+    let (work, result) = match outcome {
+        Ok(pair) => pair,
+        Err(payload) => (WorkStats::new(), Err(panic_cause(payload.as_ref()))),
+    };
+    ApplyRecord {
+        slot,
+        elapsed,
+        work,
+        result,
+    }
+}
 
 /// A registered view plus its health and cumulative accounting
 /// (`totals.label` is its registry label).
@@ -210,37 +276,83 @@ impl Registry {
         self.entries().filter(|r| !r.state.is_active()).count()
     }
 
-    /// Every active view with its slot index — what a fan-out drives.
-    pub(crate) fn active_views_mut(
+    /// Drive every active view's `apply` on `threads` threads: this one
+    /// plus up to `threads − 1` scoped helpers, all pulling `(slot, view)`
+    /// pairs from one shared queue; `g` already reflects `delta`. With
+    /// `threads ≤ 1`, one active view, or no helper the OS would start,
+    /// this thread drains the queue alone, in slot order.
+    ///
+    /// Returns one record per active view, in slot order; nothing is
+    /// recorded yet — [`Registry::merge`] does that. [`drive_apply`] fences
+    /// every view-code surface, so a helper only dies on a fault outside
+    /// view code: it is joined by hand (its panic never reaches this
+    /// thread), and each view it pulled stays in its slot with a failed
+    /// record, which the merge quarantines.
+    pub(crate) fn fan_out(
         &mut self,
-    ) -> impl Iterator<Item = (usize, &mut Box<dyn IncView>)> {
-        self.slots.iter_mut().enumerate().filter_map(|(i, s)| {
-            let r = s.entry.as_mut().filter(|r| r.state.is_active())?;
-            Some((i, &mut r.view))
-        })
-    }
-
-    /// Put a view a worker handed back into the slot it was taken from.
-    pub(crate) fn put_back(&mut self, slot: usize, view: Box<dyn IncView>) {
-        if let Some(r) = self.slots.get_mut(slot).and_then(|s| s.entry.as_mut()) {
-            r.view = view;
+        g: &DynamicGraph,
+        delta: &UpdateBatch,
+        threads: usize,
+    ) -> Vec<ApplyRecord> {
+        let active: Vec<(usize, &mut Box<dyn IncView>)> = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| {
+                let r = s.entry.as_mut().filter(|r| r.state.is_active())?;
+                Some((i, &mut r.view))
+            })
+            .collect();
+        let slots: Vec<usize> = active.iter().map(|&(slot, _)| slot).collect();
+        let helpers = threads.min(active.len()).saturating_sub(1);
+        // Advancing the iterator is the only thing done under the lock, and
+        // it leaves the queue valid at every step: a poisoned lock is safe
+        // to keep draining.
+        let queue = Mutex::new(active.into_iter());
+        let drain = || {
+            let mut records = Vec::new();
+            loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((slot, view)) = next else {
+                    return records;
+                };
+                records.push(drive_apply(slot, view.as_mut(), g, delta));
+            }
+        };
+        let mut records = std::thread::scope(|s| {
+            let spawned: Vec<_> = (0..helpers)
+                .filter_map(|_| {
+                    std::thread::Builder::new()
+                        .name("igc-fan-out".into())
+                        .spawn_scoped(s, drain)
+                        .ok()
+                })
+                .collect();
+            let mut records = drain();
+            for helper in spawned {
+                if let Ok(mut theirs) = helper.join() {
+                    records.append(&mut theirs);
+                }
+            }
+            records
+        });
+        if records.len() < slots.len() {
+            let lost = "fan-out helper died mid-apply (the view's state is suspect)";
+            for &slot in &slots {
+                if !records.iter().any(|r| r.slot == slot) {
+                    records.push(ApplyRecord::failed(slot, lost.into()));
+                }
+            }
         }
+        records.sort_unstable_by_key(|r| r.slot);
+        records
     }
 
-    /// Drive every active view's `apply` on this thread, in slot order;
-    /// `g` already reflects `delta`. Nothing is recorded yet —
-    /// [`Registry::merge`] does that, for this and for the pool's records
-    /// alike.
-    pub(crate) fn fan_out(&mut self, g: &DynamicGraph, delta: &UpdateBatch) -> Vec<ApplyRecord> {
-        self.active_views_mut()
-            .map(|(slot, view)| drive_apply(slot, view.as_mut(), g, delta))
-            .collect()
-    }
-
-    /// [`Registry::fan_out`] + [`Registry::merge`] at `g`'s epoch, for an
-    /// owner that keeps no receipts (a replica replaying one delta).
+    /// [`Registry::fan_out`] on this thread + [`Registry::merge`] at `g`'s
+    /// epoch, for an owner that keeps no receipts (a replica replaying one
+    /// delta).
     pub(crate) fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        let records = self.fan_out(g, delta);
+        let records = self.fan_out(g, delta, 1);
         self.merge(records, g.epoch());
     }
 

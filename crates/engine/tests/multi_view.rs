@@ -3,6 +3,9 @@
 //! plus the v2 lifecycle: lazy mid-stream joins, deregistration, and
 //! per-view quarantine with real query classes as the survivors.
 
+mod common;
+
+use common::quiet_panics;
 use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{Engine, EngineError, ViewState};
 use igc_graph::generator::{random_update_batch, uniform_graph};
@@ -214,40 +217,6 @@ fn lazy_views_match_eager_views_bit_for_bit() {
     // The latecomers only paid for the suffix.
     assert_eq!(engine.view_totals(rpq2).unwrap().commits, 4);
     assert_eq!(engine.view_totals(rpq1).unwrap().commits, 7);
-}
-
-/// Run `f` with the default panic hook silenced, so the deliberate grenade
-/// panic does not clutter test output. The hook is global process state: a
-/// mutex serializes concurrent users within this test binary, and a drop
-/// guard restores the previous hook even if `f` itself panics (a failing
-/// assertion must not mute other tests' diagnostics).
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    use std::panic::PanicHookInfo;
-    use std::sync::{Mutex, MutexGuard};
-    type PrevHook = Box<dyn Fn(&PanicHookInfo<'_>) + Sync + Send>;
-    static HOOK_LOCK: Mutex<()> = Mutex::new(());
-    struct Restore<'a> {
-        prev: Option<PrevHook>,
-        _serialize: MutexGuard<'a, ()>,
-    }
-    impl Drop for Restore<'_> {
-        fn drop(&mut self) {
-            if let Some(prev) = self.prev.take() {
-                std::panic::set_hook(prev);
-            }
-        }
-    }
-    let guard = match HOOK_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let _restore = Restore {
-        prev: Some(prev),
-        _serialize: guard,
-    };
-    f()
 }
 
 /// A view that panics on its first apply, used to prove quarantine does not

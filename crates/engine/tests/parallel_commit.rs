@@ -4,6 +4,9 @@
 //! all four paper query classes registered, plus a canary view that panics
 //! mid-parallel-fan-out.
 
+mod common;
+
+use common::quiet_panics;
 use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{CommitMode, CommitReceipt, Engine};
 use igc_graph::generator::{random_update_batch, uniform_graph};
@@ -49,16 +52,6 @@ impl IncView for Grenade {
     fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(self.clone())
     }
-}
-
-/// Silence the default panic hook while `f` runs (the grenade's deliberate
-/// panic is caught by the engine but would still print a backtrace).
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
 }
 
 /// Build an engine over the given graph with all four classes plus the

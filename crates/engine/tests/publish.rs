@@ -3,6 +3,9 @@
 //! in either commit mode — and a copy that panics quarantines its view
 //! instead of stranding the publish window.
 
+mod common;
+
+use common::quiet_panics;
 use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
 use igc_engine::{CommitMode, Engine, EngineError, ViewOutcome, ViewState};
 use igc_graph::graph::graph_from;
@@ -63,14 +66,6 @@ impl IncView for Probe {
 
 fn insert(u: u32, v: u32) -> UpdateBatch {
     UpdateBatch::from_updates(vec![Update::insert(NodeId(u), NodeId(v))])
-}
-
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
 }
 
 #[test]

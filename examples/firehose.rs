@@ -5,8 +5,7 @@
 //!
 //! 1. an engine over a generator-built graph attaches a file-backed
 //!    commit log, registers RPQ + SCC views, and moves onto an
-//!    [`IngestServer`] commit-tick thread (parallel fan-out, pipelined
-//!    WAL append);
+//!    [`IngestServer`] commit-tick thread (parallel fan-out);
 //! 2. durability starts in **group commit** — one fsync barrier covers a
 //!    whole tick's records instead of one per submission;
 //! 3. N submitter threads clone the [`Ingest`] handle and firehose

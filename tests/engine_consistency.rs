@@ -26,9 +26,9 @@
 //! 5. *coalescing*: random submission streams grouped into arbitrary
 //!    commit ticks (each tick concatenating its submissions in arrival
 //!    order, exactly like the ingest front door) and driven through the
-//!    pipelined `prepare`/`apply_prepared` path on a WAL-logged,
-//!    pool-fanned engine must answer bit-identical to a twin that commits
-//!    every submission individually — for all five view classes, with a
+//!    chained `prepare`/`apply_prepared` path on a WAL-logged engine
+//!    fanning out on two threads must answer bit-identical to a twin that
+//!    commits every submission individually — for all five view classes, with a
 //!    deliberately panicking canary view quarantined on both sides, and
 //!    with recovery from the journal landing on the same frontier;
 //! 6. *crash mid-tick*: a torn WAL append inside a coalesced tick must
@@ -728,10 +728,10 @@ proptest! {
         let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
         let g = graph_from(&labels, &edges);
 
-        // A: WAL-logged, pool-fanned, commits coalesced mega-batches
-        // through the pipelined prepare/apply_prepared driver (tick n+1's
-        // WAL append in flight during tick n's fan-out). B: a twin that
-        // never coalesces — one plain commit per submission.
+        // A: WAL-logged, fanning out on two threads, commits coalesced
+        // mega-batches through the chained prepare/apply_prepared driver
+        // (each apply prepares tick n+1 once tick n has landed). B: a twin
+        // that never coalesces — one plain commit per submission.
         let backend = MemBackend::new();
         let mut a = {
             let mut a = engine_with_views(g.clone())
@@ -752,14 +752,14 @@ proptest! {
         let megas: Vec<UpdateBatch> = groups.iter().map(|g| coalesce(g)).collect();
 
         let (ticks_a, commits_b) = quiet_panics(|| {
-            // Pipelined driver: prepare tick 0, then every apply carries
-            // the next tick's prepare in flight.
+            // Chained driver: prepare tick 0, then every apply also
+            // prepares the next tick.
             let mut ticks_a = 0u64;
             let mut staged = a.prepare(&megas[0]).unwrap();
             for next in megas.iter().skip(1) {
                 let (receipt, piped) = a.apply_prepared(staged, Some(next)).unwrap();
                 ticks_a += u64::from(!receipt.is_noop());
-                staged = piped.expect("pipelined prepare was requested").unwrap();
+                staged = piped.expect("the next prepare was requested").unwrap();
             }
             let (receipt, tail) = a.apply_prepared(staged, None).unwrap();
             ticks_a += u64::from(!receipt.is_noop());
