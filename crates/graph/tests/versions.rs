@@ -76,6 +76,15 @@ fn edges_of(raw: &[(u32, u32)]) -> Vec<Edge> {
     raw.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect()
 }
 
+/// The reference for [`DynamicGraph::sorted_edges`]: the out-lists in node
+/// order, each source's run comparison-sorted.
+fn sorted_by_run(g: &DynamicGraph) -> Vec<Edge> {
+    let mut e: Vec<Edge> = g.edges().collect();
+    e.chunk_by_mut(|a, b| a.0 == b.0)
+        .for_each(<[Edge]>::sort_unstable);
+    e
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -127,5 +136,28 @@ proptest! {
         prop_assert_eq!(bulk.check_invariants(), Ok(()));
         prop_assert_eq!(observe(&bulk), observe(&unit));
         prop_assert_eq!(bulk.edges().collect::<Vec<_>>(), unit.edges().collect::<Vec<_>>());
+    }
+
+    /// `sorted_edges` on `from_edges` output, and on both sides of every
+    /// clone after one of them took a batch: swap-removed and re-grown
+    /// lists, fresh nodes, self-loops.
+    #[test]
+    fn sorted_edges_equals_the_per_run_sort(
+        (labels, edges) in arb_graph(),
+        generations in arb_generations(),
+    ) {
+        let bulk = DynamicGraph::from_edges(labels_of(&labels), &edges_of(&edges)).unwrap();
+        prop_assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
+        let mut live = bulk.clone();
+        for (write_the_clone, raw) in &generations {
+            let mut other = live.clone();
+            if *write_the_clone {
+                std::mem::swap(&mut live, &mut other);
+            }
+            live.apply_batch(&batch_of(raw));
+            prop_assert_eq!(live.sorted_edges(), sorted_by_run(&live));
+            prop_assert_eq!(other.sorted_edges(), sorted_by_run(&other));
+        }
+        prop_assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
     }
 }

@@ -494,6 +494,56 @@ mod tests {
         }
     }
 
+    /// One checkpoint frame of a graph whose adjacency lists are out of
+    /// order: the hub's out-list was filled in reverse and lost an entry
+    /// to a swap-remove, its in-list likewise; a self-loop, and a fresh
+    /// labelled node with edges both ways. Equal graph states must keep
+    /// encoding to these bytes.
+    #[test]
+    fn checkpoint_frame_is_frozen() {
+        const FROZEN: &str = "8100000001010000000000000006000000040000000100000002000000010000\
+                              0000000000090000000b00000000000000010000000000000003000000010000\
+                              0000000000020000000000000002000000020000000300000001000000030000\
+                              0005000000040000000000000004000000020000000500000000000000050000\
+                              0001000000b0162a6e";
+        let mut g = DynamicGraph::new();
+        for l in [4, 1, 2, 1, 0] {
+            g.add_node(Label(l));
+        }
+        let hub = NodeId(0);
+        for w in (1..5).rev() {
+            g.insert_edge(hub, NodeId(w));
+            g.insert_edge(NodeId(w), hub);
+        }
+        g.insert_edge(NodeId(3), NodeId(1));
+        g.insert_edge(NodeId(4), NodeId(2));
+        g.insert_edge(NodeId(2), NodeId(2));
+        g.delete_edge(hub, NodeId(4));
+        g.delete_edge(NodeId(3), hub);
+        g.apply_batch(&UpdateBatch::from_updates(vec![
+            Update::insert_labeled(NodeId(3), NodeId(5), None, Some(Label(9))),
+            Update::insert(NodeId(5), NodeId(1)),
+            Update::insert(NodeId(5), hub),
+            Update::delete(hub, NodeId(2)),
+        ]));
+        assert_ne!(
+            g.edges().collect::<Vec<_>>(),
+            g.sorted_edges(),
+            "the lists must be out of order"
+        );
+        let framed = Record::checkpoint_of(&g).encode_framed();
+        let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, FROZEN);
+        let Framed::Complete(got, end) = decode_framed(&framed, 0).unwrap() else {
+            panic!("complete record decoded as torn");
+        };
+        assert_eq!(end, framed.len());
+        assert_eq!(
+            got.restore_graph().unwrap().sorted_edges(),
+            g.sorted_edges()
+        );
+    }
+
     #[test]
     fn torn_tail_is_not_corruption() {
         let rec = Record::Delta {
