@@ -67,7 +67,18 @@ impl Engine {
     /// init" reproduces each view's answers exactly, since every
     /// [`ViewInit`] is a deterministic function of the graph.
     ///
+    /// Settings are **not** resurrected either — the journal holds none.
+    /// The recovered engine starts from the defaults: checkpoint cadence
+    /// [`DEFAULT_CHECKPOINT_EVERY`], [`DurabilityMode::None`],
+    /// [`RetryPolicy::none`] and [`CommitMode::Sequential`]. A caller that
+    /// ran with others re-applies them ([`Engine::set_checkpoint_every`],
+    /// [`Engine::set_durability`], [`Engine::set_retry_policy`],
+    /// [`Engine::set_commit_mode`]) before its first commit, or a crashed
+    /// `GroupCommit` engine resumes un-synced.
+    ///
     /// [`ViewInit`]: igc_core::ViewInit
+    /// [`DEFAULT_CHECKPOINT_EVERY`]: crate::DEFAULT_CHECKPOINT_EVERY
+    /// [`CommitMode::Sequential`]: crate::CommitMode::Sequential
     pub fn recover(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
         let log = CommitLog::open(backend)?;
         let replayed = log.replayer().latest()?;

@@ -1657,6 +1657,44 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn recovered_engine_starts_from_default_settings() {
+        // The journal holds deltas and checkpoints, not settings: whatever
+        // the crashed engine ran with, the recovered one starts from the
+        // defaults until its caller re-applies them.
+        let (_, backend) = mem_backend();
+        let mut engine = Engine::new(graph_from(&[0; 40], &[]))
+            .with_log(backend.clone())
+            .unwrap();
+        engine.set_checkpoint_every(1_000);
+        engine
+            .set_durability(igc_log::DurabilityMode::GroupCommit {
+                max_batch: 4,
+                max_delay: std::time::Duration::from_secs(1),
+            })
+            .unwrap();
+        engine.set_commit_mode(CommitMode::Parallel { threads: 2 });
+        let ring = |i: u32| Update::insert(NodeId(i % 40), NodeId((i + 1) % 40));
+        for i in 0..5 {
+            engine.commit(&delta(vec![ring(i)])).unwrap();
+        }
+        drop(engine); // crash
+        let mut recovered = Engine::recover(backend).unwrap();
+        assert_eq!(
+            recovered.log().unwrap().durability(),
+            igc_log::DurabilityMode::None
+        );
+        assert_eq!(recovered.threads, 1, "CommitMode::Sequential");
+        // The default cadence, seeded with the 5-delta tail: one checkpoint
+        // in the next 32 commits (the crashed engine's 1 000 would add
+        // none).
+        let before = recovered.log().unwrap().checkpoints();
+        for i in 5..37 {
+            recovered.commit(&delta(vec![ring(i)])).unwrap();
+        }
+        assert_eq!(recovered.log().unwrap().checkpoints(), before + 1);
+    }
+
+    #[test]
     fn durability_operations_without_a_log_are_precise_errors() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
         assert_eq!(

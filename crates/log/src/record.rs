@@ -148,9 +148,10 @@ impl Record {
                     w.put_u32(l.0);
                 }
                 w.put_u32(edges.len() as u32);
+                // `from u32, to u32` little-endian is the one word
+                // `from | to << 32`.
                 for (u, v) in edges {
-                    w.put_u32(u.0);
-                    w.put_u32(v.0);
+                    w.put_u64(u64::from(u.0) | u64::from(v.0) << 32);
                 }
             }
             Record::Delta { epoch, batch } => {
