@@ -1,6 +1,8 @@
 //! The versioning contract of [`DynamicGraph`]: a clone shares storage with
 //! its original, and no write to either side is visible through the other;
-//! the bulk constructor builds the graph the unit primitives build.
+//! the bulk constructor builds the graph the unit primitives build; a batch
+//! applies as its units applied one by one, whichever graph it was
+//! normalized against.
 
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, Label, NodeId, Update, UpdateBatch};
@@ -85,6 +87,66 @@ fn sorted_by_run(g: &DynamicGraph) -> Vec<Edge> {
     e
 }
 
+/// Everything [`observe`] reads but the epoch: what a write leaves behind.
+fn content(g: &DynamicGraph) -> Observed {
+    Observed {
+        epoch: 0,
+        ..observe(g)
+    }
+}
+
+/// `g.apply_batch(delta)` against [`DynamicGraph::apply`] called once per
+/// unit of `delta` on a copy of `g`: the same content, and a graph whose
+/// invariants hold (no list holds an entry twice).
+fn assert_applies_per_unit(g: &mut DynamicGraph, delta: &UpdateBatch) {
+    let mut reference = g.clone();
+    for u in delta {
+        reference.apply(u);
+    }
+    g.apply_batch(delta);
+    prop_assert_eq!(g.check_invariants(), Ok(()));
+    prop_assert_eq!(content(g), content(&reference));
+}
+
+/// Every generation's batch, normalized against the live graph, applied
+/// to a clone that shares every slab with it and then to the live graph
+/// itself; the run continues on whichever side the generation names.
+fn normalized_generations_apply_per_unit(
+    labels: &[u32],
+    edges: &[(u32, u32)],
+    generations: &[(bool, Vec<RawUnit>)],
+) {
+    let mut live = DynamicGraph::from_edges(labels_of(labels), &edges_of(edges)).unwrap();
+    for (continue_on_the_clone, raw) in generations {
+        let delta = batch_of(raw).normalize_against(&live);
+        let mut clone = live.clone();
+        assert_applies_per_unit(&mut clone, &delta);
+        assert_applies_per_unit(&mut live, &delta);
+        if *continue_on_the_clone {
+            live = clone;
+        }
+    }
+}
+
+/// A dense digraph on two to four nodes, and three generations of long
+/// batches whose ids reach one past it: several net deletes of one batch
+/// share a list, so an earlier delete's swap-remove moves a later one's
+/// entry, and an insert between them may refill the slot it left.
+type DenseCase = ((Vec<u32>, Vec<(u32, u32)>), Vec<(bool, Vec<RawUnit>)>);
+
+fn arb_dense() -> impl Strategy<Value = DenseCase> {
+    (2u32..5).prop_flat_map(|n| {
+        let unit = (any::<bool>(), 0..n + 1, 0..n + 1, 0..=LABELS, 0..=LABELS);
+        (
+            (
+                proptest::collection::vec(0..LABELS, n as usize),
+                proptest::collection::vec((0..n, 0..n), 0..24),
+            ),
+            proptest::collection::vec((any::<bool>(), proptest::collection::vec(unit, 8..32)), 3),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -159,5 +221,87 @@ proptest! {
             prop_assert_eq!(other.sorted_edges(), sorted_by_run(&other));
         }
         prop_assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
+    }
+
+    /// `apply_batch` of a delta normalized against the very graph it is
+    /// applied to, and of the same delta on a clone sharing its slabs.
+    #[test]
+    fn a_normalized_delta_applies_as_its_units(
+        (labels, edges) in arb_graph(),
+        generations in arb_generations(),
+    ) {
+        normalized_generations_apply_per_unit(&labels, &edges, &generations);
+    }
+
+    /// The same on dense graphs of two to four nodes: several deletes of
+    /// one batch hit one list.
+    #[test]
+    fn a_normalized_delta_on_a_dense_graph_applies_as_its_units(
+        ((labels, edges), generations) in arb_dense(),
+    ) {
+        normalized_generations_apply_per_unit(&labels, &edges, &generations);
+    }
+
+    /// A normalized delta that meets a graph or a batch other than the one
+    /// it was normalized into: every such apply still equals its units
+    /// applied one by one.
+    #[test]
+    fn a_delta_off_its_graph_applies_as_its_units(
+        (labels, edges) in arb_graph(),
+        generations in arb_generations(),
+    ) {
+        let mut live = DynamicGraph::from_edges(labels_of(&labels), &edges_of(&edges)).unwrap();
+        for (_, raw) in &generations {
+            let delta = batch_of(raw).normalize_against(&live);
+            let units: Vec<Update> = delta.iter().copied().collect();
+            let existing = |u: &&Update| {
+                let (a, b) = u.edge();
+                live.contains_node(a) && live.contains_node(b)
+            };
+            let insert = units.iter().filter(|u| u.is_insert()).find(existing);
+            let delete = units.iter().find(|u| !u.is_insert());
+
+            // A clone written after normalizing: the delta's first and last
+            // units are already applied to it.
+            let mut written = live.clone();
+            for u in units.first().into_iter().chain(units.last()) {
+                written.apply(u);
+            }
+            assert_applies_per_unit(&mut written, &delta);
+
+            // The delta given one more unit: its first, a second time.
+            if let Some(&first) = units.first() {
+                let mut pushed = delta.clone();
+                pushed.push(first);
+                assert_applies_per_unit(&mut live.clone(), &pushed);
+            }
+
+            // The graph written by a unit primitive in between.
+            let mut inserted = live.clone();
+            let (a, b) = insert.map_or((NodeId(0), NodeId(1)), Update::edge);
+            inserted.insert_edge(a, b);
+            assert_applies_per_unit(&mut inserted, &delta);
+            let mut deleted = live.clone();
+            let (a, b) = delete.map_or((NodeId(0), NodeId(1)), Update::edge);
+            deleted.delete_edge(a, b);
+            assert_applies_per_unit(&mut deleted, &delta);
+            let mut grown = live.clone();
+            grown.add_node(Label(0));
+            assert_applies_per_unit(&mut grown, &delta);
+
+            // A different graph at the same epoch, |V| and |E|: every edge
+            // reversed.
+            let reversed: Vec<Edge> = live.edges().map(|(u, v)| (v, u)).collect();
+            let labels: Vec<Label> = live.nodes().map(|v| live.label(v)).collect();
+            let mut other = DynamicGraph::from_edges(labels, &reversed).unwrap();
+            other.restore_epoch(live.epoch());
+            prop_assert_eq!(
+                (other.epoch(), other.node_count(), other.edge_count()),
+                (live.epoch(), live.node_count(), live.edge_count())
+            );
+            assert_applies_per_unit(&mut other, &delta);
+
+            assert_applies_per_unit(&mut live, &delta);
+        }
     }
 }
