@@ -4,6 +4,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::label::Label;
 use crate::node::NodeId;
 use crate::update::{Update, UpdateBatch};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A directed edge `(from, to)`.
@@ -61,17 +62,71 @@ impl AdjList {
         self.len += 1;
     }
 
+    /// The position of the entry equal to `v`, found by one scan.
+    #[inline]
+    fn position(&self, v: NodeId) -> Option<usize> {
+        self.as_slice().iter().position(|&x| x == v)
+    }
+
     /// `Vec::swap_remove` of the entry equal to `v`, found by one scan;
-    /// `false` when there is none. A shared slab is copied first.
+    /// `false` when there is none.
     fn swap_remove(&mut self, v: NodeId) -> bool {
-        let Some(pos) = self.as_slice().iter().position(|&x| x == v) else {
+        let Some(pos) = self.position(v) else {
             return false;
         };
+        self.swap_remove_at(pos);
+        true
+    }
+
+    /// `Vec::swap_remove` at `pos`, a live slot. A shared slab is copied
+    /// first.
+    fn swap_remove_at(&mut self, pos: usize) {
         let last = self.len as usize - 1;
         let slab = Arc::make_mut(&mut self.buf);
         slab[pos] = slab[last];
         self.len -= 1;
-        true
+    }
+}
+
+/// A graph's content stamp. One is drawn from a process-wide counter when
+/// a graph is built and after each write, and `Clone` copies it, so two
+/// graphs with equal versions hold equal content.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Version(u64);
+
+impl Version {
+    fn fresh() -> Version {
+        // Relaxed: a version must only be unique, which every ordering of
+        // `fetch_add` gives; it publishes no data to another thread.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Version(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for Version {
+    fn default() -> Version {
+        Version::fresh()
+    }
+}
+
+/// Where a membership scan found an edge `(u, v)`: the entry's position,
+/// shifted left by one, with the low bit saying which list was scanned (0:
+/// `v` in out(u), 1: `u` in in(v)). A position too large to pack reads as
+/// [`Slot::UNKNOWN`]; a slot is checked before it is trusted either way.
+#[derive(Clone, Copy)]
+pub(crate) struct Slot(u32);
+
+impl Slot {
+    /// A slot that holds nothing in any real list: its reader scans.
+    const UNKNOWN: Slot = Slot(u32::MAX);
+
+    fn at(pos: usize, in_list: bool) -> Slot {
+        u32::try_from((pos as u64) << 1 | in_list as u64).map_or(Slot::UNKNOWN, Slot)
+    }
+
+    /// `(position, whether the list is in(v))`.
+    fn unpack(self) -> (usize, bool) {
+        ((self.0 >> 1) as usize, self.0 & 1 == 1)
     }
 }
 
@@ -95,10 +150,14 @@ impl AdjList {
 /// * **Membership** (`contains_edge`) scans the shorter of `out(u)` and
 ///   `in(v)`, O(min(deg⁺u, deg⁻v)): the lists are the only copy of `E`.
 /// * **Write** (`insert_edge`, `delete_edge`) scans and edits the two lists
-///   it touches. The first write to a list that a clone still shares copies
-///   that list alone; adding a node while a clone shares the labels copies
-///   the labels and the label index. A dropped clone frees only the slabs
-///   nothing else shares.
+///   it touches. [`apply_batch`](Self::apply_batch) of a batch that
+///   [`UpdateBatch::normalize_against`] produced against this very content
+///   decides no unit again: an insert pushes to both lists without a scan,
+///   and a delete removes at the slot normalize found it in, then scans
+///   only the other list. The first write to a list that a clone still
+///   shares copies that list alone; adding a node while a clone shares the
+///   labels copies the labels and the label index. A dropped clone frees
+///   only the slabs nothing else shares.
 /// * **Sorted edges** ([`sorted_edges`](Self::sorted_edges), what a log
 ///   checkpoint writes) is one counting pass, O(|V| + |E|): out-degree
 ///   prefix sums, then the in-lists read in node order.
@@ -122,11 +181,15 @@ pub struct DynamicGraph {
     by_label: Arc<FxHashMap<Label, Vec<NodeId>>>,
     /// The zero-capacity list every isolated node starts from.
     empty: AdjList,
-    /// Version counter: the number of update transactions applied so far
+    /// Transaction counter: the number of update transactions applied so far
     /// (each [`DynamicGraph::apply`] and [`DynamicGraph::apply_batch`] call
     /// counts as one). Construction-time primitives (`add_node`,
     /// `insert_edge`, `delete_edge`) do not bump it.
     epoch: u64,
+    /// Content stamp, renewed by every write, the primitives included: a
+    /// batch normalized against this version may be applied without
+    /// deciding its units again.
+    version: Version,
 }
 
 impl DynamicGraph {
@@ -200,11 +263,18 @@ impl DynamicGraph {
             by_label: Arc::new(by_label),
             empty,
             epoch: 0,
+            version: Version::fresh(),
         })
     }
 
     /// Add a fresh isolated node with the given label; returns its id.
     pub fn add_node(&mut self, label: Label) -> NodeId {
+        self.version = Version::fresh();
+        self.push_node(label)
+    }
+
+    /// [`add_node`](Self::add_node) without renewing the version.
+    fn push_node(&mut self, label: Label) -> NodeId {
         let labels = Arc::make_mut(&mut self.labels);
         let id = NodeId::from_index(labels.len());
         labels.push(label);
@@ -249,11 +319,24 @@ impl DynamicGraph {
     /// True when the edge `(u, v)` is present; `false` for ids past |V|.
     #[inline]
     pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.find_edge(u, v).is_some()
+    }
+
+    /// Where the edge `(u, v)` sits: one scan of the shorter of out(u) and
+    /// in(v). `None` when it is absent or an id is past |V|.
+    #[inline]
+    pub(crate) fn find_edge(&self, u: NodeId, v: NodeId) -> Option<Slot> {
         match (self.out.get(u.index()), self.inn.get(v.index())) {
-            (Some(out), Some(inn)) if out.len <= inn.len => out.as_slice().contains(&v),
-            (Some(_), Some(inn)) => inn.as_slice().contains(&u),
-            _ => false,
+            (Some(out), Some(inn)) if out.len <= inn.len => Some(Slot::at(out.position(v)?, false)),
+            (Some(_), Some(inn)) => Some(Slot::at(inn.position(u)?, true)),
+            _ => None,
         }
+    }
+
+    /// The content stamp a normalized batch is checked against.
+    #[inline]
+    pub(crate) fn version(&self) -> Version {
+        self.version
     }
 
     /// Insert edge `(u, v)`. Returns `true` if the edge was new.
@@ -266,17 +349,29 @@ impl DynamicGraph {
             "insert_edge({u:?}, {v:?}): node out of bounds (|V| = {})",
             self.node_count()
         );
+        self.version = Version::fresh();
         if self.contains_edge(u, v) {
             return false;
         }
+        self.push_edge(u, v);
+        true
+    }
+
+    /// Append `(u, v)`, known absent, to both of its lists.
+    fn push_edge(&mut self, u: NodeId, v: NodeId) {
         self.out[u.index()].push(v);
         self.inn[v.index()].push(u);
         self.edge_count += 1;
-        true
     }
 
     /// Delete edge `(u, v)`. Returns `true` if the edge was present.
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.version = Version::fresh();
+        self.unlink(u, v)
+    }
+
+    /// [`delete_edge`](Self::delete_edge) without renewing the version.
+    fn unlink(&mut self, u: NodeId, v: NodeId) -> bool {
         // One scan of out(u) both decides membership and finds the entry.
         if !self.contains_node(u) || !self.out[u.index()].swap_remove(v) {
             return false;
@@ -284,6 +379,28 @@ impl DynamicGraph {
         self.inn[v.index()].swap_remove(u);
         self.edge_count -= 1;
         true
+    }
+
+    /// Delete `(u, v)`, known present, starting at `slot`, where a
+    /// membership scan found it. An earlier delete of the same batch may
+    /// have moved the entry since; then the hinted list is scanned again.
+    /// The other list is scanned either way.
+    fn unlink_at(&mut self, u: NodeId, v: NodeId, slot: Slot) {
+        let (pos, in_list) = slot.unpack();
+        let ((hinted, entry), (other, mirror)) = if in_list {
+            ((&mut self.inn[v.index()], u), (&mut self.out[u.index()], v))
+        } else {
+            ((&mut self.out[u.index()], v), (&mut self.inn[v.index()], u))
+        };
+        if hinted.as_slice().get(pos) == Some(&entry) {
+            hinted.swap_remove_at(pos);
+        } else {
+            let found = hinted.swap_remove(entry);
+            debug_assert!(found, "a normalized delete of absent ({u:?}, {v:?})");
+        }
+        let found = other.swap_remove(mirror);
+        debug_assert!(found, "({u:?}, {v:?}) was in one list only");
+        self.edge_count -= 1;
     }
 
     /// Successors of `v` (targets of out-edges).
@@ -373,15 +490,58 @@ impl DynamicGraph {
     pub fn apply(&mut self, update: &Update) {
         self.apply_update(update);
         self.epoch += 1;
+        self.version = Version::fresh();
     }
 
     /// Apply every update of a batch in order, as one transaction (the
     /// epoch advances by exactly one however long the batch is).
+    ///
+    /// A batch that [`UpdateBatch::normalize_against`] returned for this
+    /// graph's current content — this graph or a clone of it, with no
+    /// write to either since — is applied without deciding its units
+    /// again: each insert is pushed to both lists with no membership scan,
+    /// and each delete is removed at the slot normalize found it in. Any
+    /// other batch is applied unit by unit, each unit checked against the
+    /// graph first: one built with [`UpdateBatch::from_updates`] or
+    /// decoded from a log, one pushed to after normalizing, or one
+    /// normalized against another graph or against this one before a later
+    /// write. Both paths leave the same lists in the same order.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) {
-        for u in batch.iter() {
-            self.apply_update(u);
+        match batch.delete_slots(self.version) {
+            Some(slots) => self.apply_normalized(batch, slots),
+            None => batch.iter().for_each(|u| self.apply_update(u)),
         }
         self.epoch += 1;
+        self.version = Version::fresh();
+    }
+
+    /// Apply a batch normalized against exactly this content: each insert
+    /// is of an absent edge and each delete of a present one when its turn
+    /// comes, and `slots` holds, per delete in order, where normalize found
+    /// its edge.
+    fn apply_normalized(&mut self, batch: &UpdateBatch, slots: &[Slot]) {
+        let mut slots = slots.iter();
+        for u in batch {
+            match *u {
+                Update::Insert {
+                    from,
+                    to,
+                    from_label,
+                    to_label,
+                } => {
+                    self.ensure_endpoints(from, to, from_label, to_label);
+                    debug_assert!(
+                        !self.contains_edge(from, to),
+                        "a normalized insert of present ({from:?}, {to:?})"
+                    );
+                    self.push_edge(from, to);
+                }
+                Update::Delete { from, to } => {
+                    let slot = slots.next().copied().unwrap_or(Slot::UNKNOWN);
+                    self.unlink_at(from, to, slot);
+                }
+            }
+        }
     }
 
     /// Apply one unit update without advancing the epoch.
@@ -393,22 +553,34 @@ impl DynamicGraph {
                 from_label,
                 to_label,
             } => {
-                // Create endpoints in ascending id order: otherwise a
-                // lower-id fresh endpoint would first be materialised as
-                // default-labelled padding for the higher one, and its
-                // explicit label silently lost.
-                if from.index() <= to.index() {
-                    self.ensure_node(from, from_label);
-                    self.ensure_node(to, to_label);
-                } else {
-                    self.ensure_node(to, to_label);
-                    self.ensure_node(from, from_label);
+                self.ensure_endpoints(from, to, from_label, to_label);
+                if !self.contains_edge(from, to) {
+                    self.push_edge(from, to);
                 }
-                self.insert_edge(from, to);
             }
             Update::Delete { from, to } => {
-                self.delete_edge(from, to);
+                self.unlink(from, to);
             }
+        }
+    }
+
+    /// Create an insert's fresh endpoints in ascending id order: otherwise
+    /// a lower-id fresh endpoint would first be materialised as
+    /// default-labelled padding for the higher one, and its explicit label
+    /// silently lost.
+    fn ensure_endpoints(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        from_label: Option<Label>,
+        to_label: Option<Label>,
+    ) {
+        if from.index() <= to.index() {
+            self.ensure_node(from, from_label);
+            self.ensure_node(to, to_label);
+        } else {
+            self.ensure_node(to, to_label);
+            self.ensure_node(from, from_label);
         }
     }
 
@@ -418,10 +590,10 @@ impl DynamicGraph {
     /// [`Update::insert_labeled`] for the rule.
     fn ensure_node(&mut self, v: NodeId, label: Option<Label>) {
         while self.labels.len() < v.index() {
-            self.add_node(Label::DEFAULT);
+            self.push_node(Label::DEFAULT);
         }
         if self.labels.len() == v.index() {
-            self.add_node(label.unwrap_or(Label::DEFAULT));
+            self.push_node(label.unwrap_or(Label::DEFAULT));
         }
     }
 
@@ -611,6 +783,76 @@ mod tests {
         assert_eq!(g.epoch(), 2, "a batch is one transaction");
         let cloned = g.clone();
         assert_eq!(cloned.epoch(), 2);
+    }
+
+    #[test]
+    fn every_write_renews_the_version_and_a_clone_keeps_it() {
+        let mut g = graph_from(&[0, 0, 0], &[(0, 1)]);
+        assert!(DynamicGraph::new().version() != g.version());
+        let delta = UpdateBatch::from_updates(vec![
+            Update::insert(NodeId(1), NodeId(2)),
+            Update::delete(NodeId(0), NodeId(1)),
+        ])
+        .normalize_against(&g);
+        let clone = g.clone();
+        assert!(clone.version() == g.version());
+        assert!(delta.delete_slots(clone.version()).is_some());
+        let writes: [fn(&mut DynamicGraph); 5] = [
+            |g| {
+                g.add_node(Label(0));
+            },
+            |g| {
+                g.insert_edge(NodeId(2), NodeId(0));
+            },
+            // A write that changes nothing still renews the version.
+            |g| {
+                g.delete_edge(NodeId(2), NodeId(2));
+            },
+            |g| g.apply(&Update::insert(NodeId(0), NodeId(0))),
+            |g| g.apply_batch(&UpdateBatch::new()),
+        ];
+        for write in writes {
+            let before = g.version();
+            write(&mut g);
+            assert!(g.version() != before);
+            assert!(delta.delete_slots(g.version()).is_none());
+        }
+        let mut pushed = delta.clone();
+        assert!(pushed.delete_slots(clone.version()).is_some());
+        pushed.push(Update::delete(NodeId(0), NodeId(1)));
+        assert!(pushed.delete_slots(clone.version()).is_none());
+        assert_eq!(delta.delete_slots(clone.version()).map(<[_]>::len), Some(1));
+    }
+
+    /// Two deletes of one batch in one list: the first swap-removes the
+    /// entry the second's slot names, and an insert between them refills
+    /// that slot, so the second delete must scan instead.
+    #[test]
+    fn a_moved_entry_is_found_by_a_scan() {
+        // out(0) = [1, 2] is shorter than in(1) and in(2): both slots name it.
+        let edges = [(0, 1), (0, 2), (3, 1), (4, 1), (3, 2), (4, 2)];
+        let g = graph_from(&[0; 5], &edges);
+        let delta = UpdateBatch::from_updates(vec![
+            Update::delete(NodeId(0), NodeId(1)),
+            Update::insert(NodeId(0), NodeId(3)),
+            Update::delete(NodeId(0), NodeId(2)),
+        ])
+        .normalize_against(&g);
+        let slots = delta.delete_slots(g.version()).unwrap();
+        assert_eq!(
+            slots.iter().map(|s| s.unpack()).collect::<Vec<_>>(),
+            [(0, false), (1, false)]
+        );
+        let mut trusted = g.clone();
+        trusted.apply_batch(&delta);
+        let mut unit = g.clone();
+        delta.iter().for_each(|u| unit.apply(u));
+        assert_eq!(trusted.successors(NodeId(0)), &[NodeId(3)]);
+        for v in g.nodes() {
+            assert_eq!(trusted.successors(v), unit.successors(v));
+            assert_eq!(trusted.predecessors(v), unit.predecessors(v));
+        }
+        trusted.check_invariants().unwrap();
     }
 
     #[test]

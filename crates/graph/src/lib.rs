@@ -10,8 +10,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`DynamicGraph`] — an adjacency-list graph supporting O(1) edge
-//!   membership tests and efficient unit updates,
+//! * [`DynamicGraph`] — an adjacency-list graph whose clones share storage,
+//!   with membership by one scan of the shorter adjacency list and unit
+//!   and batch updates,
 //! * [`Update`] / [`UpdateBatch`] — the paper's update model, with the
 //!   w.l.o.g. normalisation that a batch never both inserts and deletes the
 //!   same edge,

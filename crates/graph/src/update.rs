@@ -1,7 +1,7 @@
 //! The paper's update model: unit edge insertions/deletions and batches.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::graph::{DynamicGraph, Edge};
+use crate::graph::{DynamicGraph, Edge, Slot, Version};
 use crate::label::Label;
 use crate::node::NodeId;
 use std::collections::hash_map::Entry;
@@ -88,9 +88,40 @@ impl Update {
 /// The paper assumes w.l.o.g. that no edge is both inserted and deleted in
 /// the same batch; [`UpdateBatch::normalized`] enforces this by cancelling
 /// such pairs and dropping duplicates, keeping first occurrences.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality and `Debug` read the unit updates alone.
+#[derive(Clone, Default)]
 pub struct UpdateBatch {
     updates: Vec<Update>,
+    /// What [`UpdateBatch::normalize_against`] decided, and against which
+    /// graph content; `None` for every other batch. Boxed, so a batch that
+    /// was never normalized carries one word for it.
+    normalized: Option<Box<Normalized>>,
+}
+
+/// A normalized batch's decisions, for [`DynamicGraph::apply_batch`].
+#[derive(Clone)]
+struct Normalized {
+    /// The version of the graph the batch was normalized against.
+    version: Version,
+    /// Per delete, in batch order: where the membership scan found its edge.
+    slots: Vec<Slot>,
+}
+
+impl PartialEq for UpdateBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.updates == other.updates
+    }
+}
+
+impl Eq for UpdateBatch {}
+
+impl std::fmt::Debug for UpdateBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UpdateBatch")
+            .field("updates", &self.updates)
+            .finish()
+    }
 }
 
 impl UpdateBatch {
@@ -102,12 +133,24 @@ impl UpdateBatch {
     /// Build from a sequence of unit updates (kept verbatim; call
     /// [`UpdateBatch::normalized`] to apply the paper's w.l.o.g. assumption).
     pub fn from_updates(updates: Vec<Update>) -> Self {
-        UpdateBatch { updates }
+        UpdateBatch {
+            updates,
+            normalized: None,
+        }
     }
 
-    /// Append a unit update.
+    /// Append a unit update. A normalized batch stops being one: the
+    /// graph applies it unit by unit, each unit checked.
     pub fn push(&mut self, u: Update) {
+        self.normalized = None;
         self.updates.push(u);
+    }
+
+    /// Per delete, where `normalize_against` found its edge — when this
+    /// batch was normalized against a graph at `version`.
+    pub(crate) fn delete_slots(&self, version: Version) -> Option<&[Slot]> {
+        let n = self.normalized.as_ref()?;
+        (n.version == version).then_some(n.slots.as_slice())
     }
 
     /// The unit updates in order.
@@ -162,7 +205,7 @@ impl UpdateBatch {
             .filter(|u| emitted.insert((u.is_insert(), u.edge())))
             .copied()
             .collect();
-        UpdateBatch { updates }
+        UpdateBatch::from_updates(updates)
     }
 
     /// Total normalization against a concrete graph, faithful to applying
@@ -187,6 +230,14 @@ impl UpdateBatch {
     /// insertion whose net effect is cancelled by a later deletion is
     /// dropped entirely, so fresh nodes it alone referenced are never
     /// materialised (no phantom isolated nodes).
+    ///
+    /// The result also carries what normalization decided: `g`'s content
+    /// version, and for each delete the list and position where the
+    /// membership scan found its edge (4 bytes per delete). A later
+    /// [`DynamicGraph::apply_batch`] on a graph that still holds exactly
+    /// that content reuses them instead of scanning again. They are not
+    /// compared by `==`, not printed by `Debug`, not encoded into a log
+    /// record, and [`push`](UpdateBatch::push) drops them.
     ///
     /// [`normalized`]: UpdateBatch::normalized
     pub fn normalize_against(&self, g: &DynamicGraph) -> UpdateBatch {
@@ -223,21 +274,26 @@ impl UpdateBatch {
                 }
             }
         }
+        let mut slots = Vec::new();
         let updates = fates
             .into_iter()
-            .filter_map(|(e, f)| {
-                // Net effect per edge: present iff its last update inserts.
-                if f.last_is_insert == g.contains_edge(e.0, e.1) {
-                    return None; // no-op against the current graph
-                }
-                if f.last_is_insert {
-                    f.first_insert // the insert that creates/labels nodes
-                } else {
+            // Net effect per edge: present iff its last update inserts.
+            .filter_map(|(e, f)| match (f.last_is_insert, g.find_edge(e.0, e.1)) {
+                (true, None) => f.first_insert, // the insert that creates/labels nodes
+                (false, Some(slot)) => {
+                    slots.push(slot);
                     Some(Update::delete(e.0, e.1))
                 }
+                _ => None, // no-op against the current graph
             })
             .collect();
-        UpdateBatch { updates }
+        UpdateBatch {
+            updates,
+            normalized: Some(Box::new(Normalized {
+                version: g.version(),
+                slots,
+            })),
+        }
     }
 
     /// Split into `(ΔG⁻, ΔG⁺)` edge lists — the order the incremental batch
@@ -251,9 +307,7 @@ impl UpdateBatch {
 
 impl FromIterator<Update> for UpdateBatch {
     fn from_iter<T: IntoIterator<Item = Update>>(iter: T) -> Self {
-        UpdateBatch {
-            updates: iter.into_iter().collect(),
-        }
+        UpdateBatch::from_updates(iter.into_iter().collect())
     }
 }
 
