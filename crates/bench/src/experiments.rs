@@ -14,7 +14,7 @@
 
 use crate::harness::{pct, time, Counters, Row, Series, Times};
 use crate::workloads::{self, WindowedStream, GRAPH_SEED};
-use igc_core::incremental::{apply_one_by_one, IncrementalAlgorithm};
+use igc_core::incremental::apply_one_by_one;
 use igc_core::work::WorkStats;
 use igc_core::IncView;
 use igc_graph::generator::{random_update_batch, Dataset};
@@ -60,7 +60,7 @@ fn delta_for(g: &DynamicGraph, frac: f64, rho_insert: f64, salt: u64) -> UpdateB
 /// of `base` and `g`: the grouped `apply` on `G ⊕ ΔG`, then the
 /// one-update-at-a-time variant. Returns the updated graph, both maintained
 /// states and both times in seconds.
-fn inc_arms<A: IncrementalAlgorithm + Clone>(
+fn inc_arms<A: IncView + Clone>(
     g: &DynamicGraph,
     base: &A,
     delta: &UpdateBatch,
@@ -539,19 +539,19 @@ pub fn locality_demo(cfg: &ExpConfig) -> Series {
         let mut g2 = g.clone();
 
         let mut kws = IncKws::new(&g, workloads::default_kws());
-        kws.reset_work();
+        let kws_built = kws.work();
         g2.apply_batch(&delta);
         kws.apply(&g2, &delta);
 
         let mut iso = IncIso::new(&g, workloads::default_iso());
-        iso.reset_work();
+        let iso_built = iso.work();
         iso.apply(&g2, &delta);
 
         rows.push(Row {
             x: format!("{factor}×"),
             times: vec![
-                ("IncKWS work", kws.work().total() as f64),
-                ("IncISO work", iso.work().total() as f64),
+                ("IncKWS work", kws.work().since(&kws_built).total() as f64),
+                ("IncISO work", iso.work().since(&iso_built).total() as f64),
                 ("|G|", g.size() as f64),
             ],
             counters: Counters::new(),

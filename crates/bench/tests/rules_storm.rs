@@ -17,7 +17,7 @@
 //! naive from-scratch re-evaluation of the post-storm graph.
 
 use igc_bench::workloads::{attack_label, attack_program, ATTACK_ENTRY, ATTACK_VULN};
-use igc_core::{IncView, IncrementalAlgorithm};
+use igc_core::IncView;
 use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
 use igc_rules::{naive_fixpoint, Fact, IncRules};
 
@@ -87,9 +87,9 @@ fn storm_touches_only_affected_facts() {
             .collect(),
     );
     g.apply_batch(&storm);
-    IncrementalAlgorithm::reset_work(&mut view);
-    IncrementalAlgorithm::apply(&mut view, &g, &storm);
-    let storm_work = IncrementalAlgorithm::work(&view).total();
+    let before = view.work();
+    view.apply(&g, &storm);
+    let storm_work = view.work().since(&before).total();
     view.verify_against_batch(&g).expect("post-storm audit");
 
     // Exactly region A's derived frontier died (the A entry fact stays:

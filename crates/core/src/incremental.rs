@@ -1,34 +1,33 @@
 //! The one contract every maintained query implements: the paper's
 //! incremental algorithm `T_Δ`, taking `(Q, G, Q(G), ΔG)` to `ΔO`
-//! (Section 2.2), declared once in two layers.
+//! (Section 2.2), declared once as [`IncView`].
 //!
-//! * [`IncrementalAlgorithm`] is `T_Δ` itself — `apply`, `work`,
-//!   `reset_work` — and all that statically dispatched users (the paper
-//!   experiments, the `Inc*ⁿ` one-by-one drivers, `DynScc`) need.
-//! * [`IncView`] has it as a supertrait and adds what a *registry* needs to
-//!   hold heterogeneous algorithms behind `Box<dyn IncView>`: a name, the
-//!   published copy, a from-scratch audit and a fenced `apply`.
-//!
-//! A view class writes one `impl` of each, with no method in common; a
-//! `&mut dyn IncView` calls `apply` / `work` directly, and
+//! A view class writes one `impl` with five methods: `apply` and `work`
+//! are `T_Δ` itself, and `name`, `clone_view` and `verify_against_batch`
+//! are what a registry needs to hold heterogeneous algorithms behind
+//! `Box<dyn IncView>`, publish them and audit them. Statically dispatched
+//! users (the paper experiments, the `Inc*ⁿ` one-by-one drivers, `DynScc`)
+//! call the same methods on the concrete type, and
 //! `view.downcast_ref::<IncRpq>()` (inherent on `dyn IncView`) gets the
-//! concrete type back.
+//! concrete type back from an erased one.
 
 use crate::work::WorkStats;
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::any::Any;
 
-/// An incremental algorithm `T_Δ` for some query class (Section 2.2).
+/// A standing query maintained incrementally over a shared dynamic graph:
+/// an incremental algorithm `T_Δ` for some query class (Section 2.2), plus
+/// what a registry needs to hold it type-erased, publish it and audit it.
 ///
 /// # Contract
 ///
-/// The algorithm is constructed from an initial graph (running its batch
+/// The view is constructed from an initial graph (running its batch
 /// counterpart once to build `Q(G)` and the auxiliary structures). To
 /// process a batch `ΔG`:
 ///
 /// 1. the **caller** applies `ΔG` to the graph (`g.apply_batch(delta)`),
-/// 2. then calls [`IncrementalAlgorithm::apply`] with the *post-update*
-///    graph and the batch.
+/// 2. then calls [`IncView::apply`] with the *post-update* graph and the
+///    batch.
 ///
 /// `delta` must be normalized: the paper assumes w.l.o.g. that no edge is
 /// both inserted and deleted in one batch, deletions reference present
@@ -38,20 +37,6 @@ use std::any::Any;
 /// (the generator produces such batches directly; the engine's commit
 /// pipeline normalizes once on behalf of every registered view, so the
 /// precondition holds for every `apply` it fans out).
-pub trait IncrementalAlgorithm {
-    /// Process a batch update; `g` already reflects `delta`.
-    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch);
-
-    /// Work accumulated since construction (or the last reset).
-    fn work(&self) -> WorkStats;
-
-    /// Zero the work counters.
-    fn reset_work(&mut self);
-}
-
-/// A standing query maintained incrementally over a shared dynamic graph:
-/// an [`IncrementalAlgorithm`] plus what a registry needs to hold it
-/// type-erased, publish it, audit it and fence it.
 ///
 /// The trait is object-safe on purpose: an engine holds
 /// `Box<dyn IncView>`s of heterogeneous query classes (RPQ, SCC, KWS, ISO,
@@ -59,7 +44,6 @@ pub trait IncrementalAlgorithm {
 ///
 /// # Supertraits
 ///
-/// [`IncrementalAlgorithm`] carries `apply` / `work` / `reset_work`.
 /// [`Any`] lets a registry hand the concrete type back (`downcast_ref`
 /// upcasts to `dyn Any`) and makes every view `'static`. `Send` lets the
 /// engine's commit pipeline fan a normalized delta out to views on worker
@@ -73,10 +57,9 @@ pub trait IncrementalAlgorithm {
 /// # Quarantine contract
 ///
 /// A view's `apply` may panic (a bug, an unmaintainable corner case, a
-/// poisoned auxiliary structure). The engine drives fan-out through
-/// [`apply_caught`](IncView::apply_caught), which converts the panic into
-/// an `Err` instead of unwinding through the commit pipeline. The contract
-/// is:
+/// poisoned auxiliary structure). The engine drives fan-out inside
+/// [`std::panic::catch_unwind`], which converts the panic into an `Err`
+/// instead of unwinding through the commit pipeline. The contract is:
 ///
 /// * after a panicking `apply`, the view's *logical* state (its answer and
 ///   auxiliary structures) may be arbitrarily inconsistent, but reading it
@@ -95,10 +78,17 @@ pub trait IncrementalAlgorithm {
 /// thread is caught on that worker, the commit joins every worker before
 /// journaling, and the quarantine record is identical to what a sequential
 /// commit would have produced.
-pub trait IncView: IncrementalAlgorithm + Any + Send + Sync {
+pub trait IncView: Any + Send + Sync {
     /// A stable human-readable identifier for registry listings, receipts
     /// and logs (e.g. `"rpq"`, `"scc:communities"`).
     fn name(&self) -> &str;
+
+    /// Process a batch update; `g` already reflects `delta`.
+    fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch);
+
+    /// Work accumulated since construction. A caller measuring one stretch
+    /// reads it before and after: `v.work().since(&before)`.
+    fn work(&self) -> WorkStats;
 
     /// The copy of this view that readers are served: what its read API
     /// answers, and nothing the view keeps only to *maintain* that answer.
@@ -134,21 +124,6 @@ pub trait IncView: IncrementalAlgorithm + Any + Send + Sync {
     /// and published as such.
     fn clone_view(&self) -> Box<dyn IncView>;
 
-    /// [`apply`](IncrementalAlgorithm::apply) with panic capture — the engine's fan-out
-    /// seam behind per-view quarantine.
-    ///
-    /// Returns `Err(cause)` when `apply` panicked, with the panic payload
-    /// rendered by [`panic_cause`]. The default implementation wraps the
-    /// call in [`std::panic::catch_unwind`]; the `AssertUnwindSafe` inside
-    /// is justified by the quarantine contract in the [trait
-    /// docs](IncView#quarantine-contract): a view that panicked is never
-    /// used again, so the (safe, but possibly logically inconsistent)
-    /// state the panic left behind is unobservable.
-    fn apply_caught(&mut self, g: &DynamicGraph, delta: &UpdateBatch) -> Result<(), String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.apply(g, delta)))
-            .map_err(|payload| panic_cause(payload.as_ref()))
-    }
-
     /// Consistency audit: recompute the view's answer from scratch on `g`
     /// (the batch counterpart the incrementalization was derived from) and
     /// compare. Returns `Err` with a human-readable diagnosis on
@@ -181,59 +156,11 @@ pub fn panic_cause(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A deferred view constructor: builds a view's *initial* state from
-/// whatever graph it is handed — the seam behind lazy registration, where
-/// the engine passes its own current graph so a view can join mid-stream
-/// (at any epoch) instead of only at engine construction.
-///
-/// This is Liu's "initialization from current state" dual of maintenance:
-/// the builder runs the view's batch counterpart once on the live graph,
-/// after which the engine keeps the view current incrementally.
-///
-/// Every closure `FnOnce(&DynamicGraph) -> V` where `V: IncView` is a
-/// `ViewInit` via the blanket impl, so ad-hoc lambdas work directly; the
-/// algorithm crates also export ready-made ones (`IncRpq::init`,
-/// `IncScc::init`, `IncKws::init`, `IncIso::init`, `IncRules::init`).
-///
-/// # Determinism and the epoch contract
-///
-/// A builder must be a **deterministic function of the graph state** it
-/// is handed (plus its own captured query): two calls on graphs with the
-/// same nodes, labels and edge set must produce views with identical
-/// answers. The durability layer leans on this twice —
-///
-/// * *recovery*: a crashed engine's graph is replayed from the commit log
-///   and views are re-initialized from it; determinism is what makes the
-///   recovered answers bit-identical to the lost ones;
-/// * *background builds*: the builder runs against a **checkpointed**
-///   graph at some epoch `e ≤ now` on a worker thread, and the view is
-///   then caught up by replaying the logged deltas `e+1, e+2, …` — the
-///   incremental-maintenance invariant (`init at e` + suffix ≡ `init at
-///   e'` + shorter suffix) only holds for deterministic builders.
-///
-/// Builders that consult ambient state (clocks, randomness, I/O) break
-/// both equivalences silently; don't.
-pub trait ViewInit {
-    /// The concrete view type this constructor builds.
-    type View: IncView;
-
-    /// Build the view, consistent with `g` as of this call.
-    fn build(self, g: &DynamicGraph) -> Self::View;
-}
-
-impl<V: IncView, F: FnOnce(&DynamicGraph) -> V> ViewInit for F {
-    type View = V;
-
-    fn build(self, g: &DynamicGraph) -> V {
-        self(g)
-    }
-}
-
 /// Drive an incremental algorithm one unit update at a time — the paper's
 /// `Inc*ⁿ` baselines, which forgo the batch-grouping optimisations. Returns
 /// the graph fully updated, with `alg` having processed each unit as a
 /// singleton batch.
-pub fn apply_one_by_one<A: IncrementalAlgorithm>(
+pub fn apply_one_by_one<A: IncView + ?Sized>(
     alg: &mut A,
     g: &mut DynamicGraph,
     delta: &UpdateBatch,
@@ -258,22 +185,16 @@ mod tests {
         work: WorkStats,
     }
 
-    impl IncrementalAlgorithm for EdgeCounter {
+    impl IncView for EdgeCounter {
+        fn name(&self) -> &str {
+            "edge-counter"
+        }
         fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
             self.count = g.edge_count();
             self.work.aux_touched += delta.len() as u64;
         }
         fn work(&self) -> WorkStats {
             self.work
-        }
-        fn reset_work(&mut self) {
-            self.work.reset();
-        }
-    }
-
-    impl IncView for EdgeCounter {
-        fn name(&self) -> &str {
-            "edge-counter"
         }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.count == g.edge_count() {

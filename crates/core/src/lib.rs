@@ -29,6 +29,6 @@ pub mod ssrp;
 pub mod work;
 
 pub use bucket::BucketQueue;
-pub use incremental::{panic_cause, IncView, IncrementalAlgorithm, ViewInit};
+pub use incremental::{panic_cause, IncView};
 pub use ssrp::Ssrp;
 pub use work::{ChangeMetrics, WorkStats};

@@ -18,7 +18,8 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::lifecycle::{LifecycleEventKind, ViewHandle, ViewId, ViewState};
 use crate::replica::Replica;
-use igc_core::{panic_cause, IncView, ViewInit};
+use igc_core::{panic_cause, IncView};
+use igc_graph::DynamicGraph;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -76,7 +77,7 @@ impl Engine {
     /// state from the live graph *on the calling thread* (blocking the
     /// commit path for the whole build), this spawns a worker that
     /// attaches a pinned follower to the journal (latest checkpoint +
-    /// tail), runs the [`ViewInit`] on the follower's graph, and catches
+    /// tail), runs the builder on the follower's graph, and catches
     /// the fresh view up on whatever commits landed meanwhile — the
     /// engine keeps committing (and journaling, and compacting)
     /// throughout. Finish with [`Engine::join_background`], which drains
@@ -89,13 +90,14 @@ impl Engine {
     /// the build and frees the label. Requires an attached log
     /// ([`EngineError::NoLog`]); the duplicate-label check runs before
     /// the worker spawns.
-    pub fn register_background<I>(
+    pub fn register_background<V, F>(
         &mut self,
         label: impl Into<Arc<str>>,
-        init: I,
-    ) -> Result<BackgroundBuild<I::View>, EngineError>
+        init: F,
+    ) -> Result<BackgroundBuild<V>, EngineError>
     where
-        I: ViewInit + Send + 'static,
+        V: IncView,
+        F: FnOnce(&DynamicGraph) -> V + Send + 'static,
     {
         let label: Arc<str> = label.into();
         if self.label_occupied(&label) {

@@ -64,8 +64,8 @@ impl Engine {
     /// view state. Re-register them (typically via
     /// [`Engine::register_lazy`], whose builder runs against the
     /// recovered graph): the combination "replayed graph + from-scratch
-    /// init" reproduces each view's answers exactly, since every
-    /// [`ViewInit`] is a deterministic function of the graph.
+    /// init" reproduces each view's answers exactly, since every builder
+    /// is a deterministic function of the graph ([`Engine::register_lazy`]).
     ///
     /// Settings are **not** resurrected either — the journal holds none.
     /// The recovered engine starts from the defaults: checkpoint cadence
@@ -76,7 +76,6 @@ impl Engine {
     /// [`Engine::set_commit_mode`]) before its first commit, or a crashed
     /// `GroupCommit` engine resumes un-synced.
     ///
-    /// [`ViewInit`]: igc_core::ViewInit
     /// [`DEFAULT_CHECKPOINT_EVERY`]: crate::DEFAULT_CHECKPOINT_EVERY
     /// [`CommitMode::Sequential`]: crate::CommitMode::Sequential
     pub fn recover(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {

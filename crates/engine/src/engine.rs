@@ -10,7 +10,7 @@ use crate::lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, V
 use crate::receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewTotals};
 use crate::registry::{downcast, ApplyRecord, Registry};
 use crate::snapshot::{Snapshot, SnapshotStore};
-use igc_core::{IncView, ViewInit, WorkStats};
+use igc_core::{IncView, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use igc_log::CommitLog;
 use std::sync::{Arc, Weak};
@@ -229,21 +229,42 @@ impl Engine {
     }
 
     /// Register a view *lazily*: build its initial state from the engine's
-    /// **current** graph via a [`ViewInit`] (any
-    /// `FnOnce(&DynamicGraph) -> V` closure, or a ready-made constructor
-    /// like `IncRpq::init`), so views can join mid-stream at any epoch
-    /// instead of only at engine construction. The freshly built view is
+    /// **current** graph via a deferred constructor (any
+    /// `FnOnce(&DynamicGraph) -> V` closure, or a ready-made one like
+    /// `IncRpq::init`), so views can join mid-stream at any epoch instead
+    /// of only at engine construction. The freshly built view is
     /// consistent as of this call and is maintained incrementally from the
     /// next commit on.
     ///
     /// The duplicate-label check runs *before* the build, so a rejected
     /// registration never pays for one; a panicking builder yields
     /// [`EngineError::InitPanicked`] and registers nothing.
-    pub fn register_lazy<I: ViewInit>(
+    ///
+    /// # Determinism and the epoch contract
+    ///
+    /// A builder must be a **deterministic function of the graph state** it
+    /// is handed (plus its own captured query): two calls on graphs with the
+    /// same nodes, labels and edge set must produce views with identical
+    /// answers. The durability layer leans on this twice —
+    ///
+    /// * *recovery* ([`Engine::recover`]): a crashed engine's graph is
+    ///   replayed from the commit log and views are re-initialized from it;
+    ///   determinism is what makes the recovered answers bit-identical to
+    ///   the lost ones;
+    /// * *background builds* ([`Engine::register_background`]): the builder
+    ///   runs against a **checkpointed** graph at some epoch `e ≤ now` on a
+    ///   worker thread, and the view is then caught up by replaying the
+    ///   logged deltas `e+1, e+2, …` — the incremental-maintenance invariant
+    ///   (`init at e` + suffix ≡ `init at e'` + shorter suffix) only holds
+    ///   for deterministic builders.
+    ///
+    /// Builders that consult ambient state (clocks, randomness, I/O) break
+    /// both equivalences silently; don't.
+    pub fn register_lazy<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
         &mut self,
         label: impl Into<Arc<str>>,
-        init: I,
-    ) -> Result<ViewHandle<I::View>, EngineError> {
+        init: F,
+    ) -> Result<ViewHandle<V>, EngineError> {
         let label: Arc<str> = label.into();
         if self.label_occupied(&label) {
             return Err(EngineError::DuplicateLabel { label });
@@ -695,7 +716,6 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use igc_core::IncrementalAlgorithm;
     use igc_graph::graph::graph_from;
     use igc_graph::{NodeId, Update};
 
@@ -718,22 +738,16 @@ pub(crate) mod tests {
         }
     }
 
-    impl IncrementalAlgorithm for EdgeCount {
+    impl IncView for EdgeCount {
+        fn name(&self) -> &str {
+            self.name
+        }
         fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
             self.count = g.edge_count();
             self.work.aux_touched += delta.len() as u64;
         }
         fn work(&self) -> WorkStats {
             self.work
-        }
-        fn reset_work(&mut self) {
-            self.work.reset();
-        }
-    }
-
-    impl IncView for EdgeCount {
-        fn name(&self) -> &str {
-            self.name
         }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.count == g.edge_count() {
@@ -765,7 +779,10 @@ pub(crate) mod tests {
         }
     }
 
-    impl IncrementalAlgorithm for PanicOn {
+    impl IncView for PanicOn {
+        fn name(&self) -> &str {
+            "panicky"
+        }
         fn apply(&mut self, _g: &DynamicGraph, delta: &UpdateBatch) {
             self.seen += 1;
             self.work.aux_touched += 1;
@@ -776,15 +793,6 @@ pub(crate) mod tests {
         }
         fn work(&self) -> WorkStats {
             self.work
-        }
-        fn reset_work(&mut self) {
-            self.work.reset();
-        }
-    }
-
-    impl IncView for PanicOn {
-        fn name(&self) -> &str {
-            "panicky"
         }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
@@ -1200,7 +1208,10 @@ pub(crate) mod tests {
         rendezvous: Option<Arc<std::sync::Mutex<Vec<String>>>>,
     }
 
-    impl IncrementalAlgorithm for PoisonedWork {
+    impl IncView for PoisonedWork {
+        fn name(&self) -> &str {
+            "poisoned"
+        }
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.wrecked = true;
             if let Some(entered) = &self.rendezvous {
@@ -1218,13 +1229,6 @@ pub(crate) mod tests {
                 panic!("work() on wrecked state");
             }
             WorkStats::new()
-        }
-        fn reset_work(&mut self) {}
-    }
-
-    impl IncView for PoisonedWork {
-        fn name(&self) -> &str {
-            "poisoned"
         }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())

@@ -80,9 +80,8 @@ pub enum EngineError {
         /// The first id past the admissible range at commit time.
         limit: u64,
     },
-    /// A lazy registration's [`ViewInit`](igc_core::ViewInit) builder
-    /// panicked (or a background build's worker died); nothing was
-    /// registered.
+    /// A lazy registration's builder panicked (or a background build's
+    /// worker died); nothing was registered.
     InitPanicked {
         /// The label the view would have been registered under.
         label: Arc<str>,

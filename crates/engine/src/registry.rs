@@ -4,16 +4,17 @@
 //!
 //! Everything that runs view code behind a fence, and everything that
 //! turns a [`ViewId`] into a view, happens here and only here — building
-//! from a [`ViewInit`], fan-out and quarantine, audits, a version's cells,
-//! and the read contract ([`resolve`] + [`downcast`], which a pinned
-//! [`Snapshot`](crate::Snapshot) goes through as well) — so a handle means
-//! the same on the live engine, on a follower and on a snapshot of either.
+//! from a deferred constructor, fan-out and quarantine, audits, a
+//! version's cells, and the read contract ([`resolve`] + [`downcast`],
+//! which a pinned [`Snapshot`](crate::Snapshot) goes through as well) — so
+//! a handle means the same on the live engine, on a follower and on a
+//! snapshot of either.
 
 use crate::error::{Divergence, EngineError};
 use crate::lifecycle::{ViewId, ViewState};
 use crate::receipt::{ViewCommitStats, ViewOutcome, ViewTotals};
 use crate::snapshot::{CellState, SnapCell};
-use igc_core::{panic_cause, IncView, ViewInit, WorkStats};
+use igc_core::{panic_cause, IncView, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,11 +48,13 @@ impl ApplyRecord {
 /// its cost — the single per-view runner behind every fan-out, on the
 /// committing thread and on its helpers alike.
 ///
-/// Fully fenced: [`IncView::apply_caught`] converts an `apply` panic
-/// into `Err`, the post-panic `work()` read is fenced per the quarantine
-/// contract, and the outer `catch_unwind` covers the remaining view-code
-/// surface (a `work()` that panics even *before* `apply`), so no view
-/// can unwind a commit — or kill a fan-out helper.
+/// Fully fenced: the inner `catch_unwind` converts an `apply` panic into
+/// `Err`, the post-panic `work()` read is fenced per the [quarantine
+/// contract](IncView#quarantine-contract), and the outer `catch_unwind`
+/// covers the remaining view-code surface (a `work()` that panics even
+/// *before* `apply`), so no view can unwind a commit — or kill a fan-out
+/// helper. The same contract makes `AssertUnwindSafe` sound: a view that
+/// panicked is never used again.
 pub(crate) fn drive_apply(
     slot: usize,
     view: &mut dyn IncView,
@@ -61,7 +64,8 @@ pub(crate) fn drive_apply(
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let before = view.work();
-        let result = view.apply_caught(graph, delta);
+        let result = catch_unwind(AssertUnwindSafe(|| view.apply(graph, delta)))
+            .map_err(|payload| panic_cause(payload.as_ref()));
         // After a panicking apply the view's state may be arbitrarily
         // inconsistent, so even this one post-mortem work() read is
         // fenced: if it panics too, attribute zero work rather than
@@ -173,12 +177,12 @@ pub(crate) struct Registry {
 impl Registry {
     /// Run a deferred view constructor against `g`. A panicking builder
     /// yields [`EngineError::InitPanicked`] instead of unwinding.
-    pub(crate) fn build<I: ViewInit>(
+    pub(crate) fn build<V: IncView>(
         label: &Arc<str>,
-        init: I,
+        init: impl FnOnce(&DynamicGraph) -> V,
         g: &DynamicGraph,
     ) -> Result<Box<dyn IncView>, EngineError> {
-        match catch_unwind(AssertUnwindSafe(move || init.build(g))) {
+        match catch_unwind(AssertUnwindSafe(move || init(g))) {
             Ok(view) => Ok(Box::new(view)),
             Err(payload) => Err(EngineError::InitPanicked {
                 label: label.clone(),

@@ -80,7 +80,7 @@ use crate::error::EngineError;
 use crate::lifecycle::{ViewHandle, ViewId, ViewState};
 use crate::registry::{downcast, Registered, Registry};
 use crate::snapshot::{Snapshot, VersionData};
-use igc_core::{IncView, ViewInit};
+use igc_core::IncView;
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
 use igc_log::{LogBackend, LogError, Replayer, RetentionPin, RetryPolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -205,11 +205,11 @@ impl Replica {
     /// error surface: [`EngineError::DuplicateLabel`],
     /// [`EngineError::InitPanicked`]. The handle reads this replica
     /// ([`Replica::view`]) and every [`Replica::snapshot`] taken after.
-    pub fn register<I: ViewInit>(
+    pub fn register<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
         &mut self,
         label: impl Into<Arc<str>>,
-        init: I,
-    ) -> Result<ViewHandle<I::View>, EngineError> {
+        init: F,
+    ) -> Result<ViewHandle<V>, EngineError> {
         let label: Arc<str> = label.into();
         if self.views.find(&label).is_some() {
             return Err(EngineError::DuplicateLabel { label });
@@ -539,7 +539,10 @@ mod tests {
         }
     }
 
-    impl igc_core::IncrementalAlgorithm for EdgeCount {
+    impl IncView for EdgeCount {
+        fn name(&self) -> &str {
+            "edge-count"
+        }
         fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
             if self.panic_at == Some(g.epoch()) {
                 panic!("armed at epoch {}", g.epoch());
@@ -550,13 +553,6 @@ mod tests {
         }
         fn work(&self) -> igc_core::WorkStats {
             igc_core::WorkStats::new()
-        }
-        fn reset_work(&mut self) {}
-    }
-
-    impl IncView for EdgeCount {
-        fn name(&self) -> &str {
-            "edge-count"
         }
         fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
             if self.edges == g.edge_count() as i64 {

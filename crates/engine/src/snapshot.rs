@@ -458,7 +458,7 @@ impl std::fmt::Debug for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igc_core::{IncrementalAlgorithm, WorkStats};
+    use igc_core::WorkStats;
     use igc_graph::graph::graph_from;
     use igc_graph::UpdateBatch;
 
@@ -467,19 +467,15 @@ mod tests {
         n: u64,
     }
 
-    impl IncrementalAlgorithm for Tally {
+    impl IncView for Tally {
+        fn name(&self) -> &str {
+            "tally"
+        }
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.n += 1;
         }
         fn work(&self) -> WorkStats {
             WorkStats::new()
-        }
-        fn reset_work(&mut self) {}
-    }
-
-    impl IncView for Tally {
-        fn name(&self) -> &str {
-            "tally"
         }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
@@ -557,17 +553,13 @@ mod tests {
         }
     }
 
-    impl IncrementalAlgorithm for FreedUnlocked {
-        fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {}
-        fn work(&self) -> WorkStats {
-            WorkStats::new()
-        }
-        fn reset_work(&mut self) {}
-    }
-
     impl IncView for FreedUnlocked {
         fn name(&self) -> &str {
             "freed-unlocked"
+        }
+        fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {}
+        fn work(&self) -> WorkStats {
+            WorkStats::new()
         }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())
@@ -650,19 +642,15 @@ mod tests {
     #[derive(Clone, Debug)]
     struct Other;
 
-    impl IncrementalAlgorithm for Other {
+    impl IncView for Other {
+        fn name(&self) -> &str {
+            "other"
+        }
         fn apply(&mut self, _g: &DynamicGraph, _d: &UpdateBatch) {
             panic!("deliberate");
         }
         fn work(&self) -> WorkStats {
             WorkStats::new()
-        }
-        fn reset_work(&mut self) {}
-    }
-
-    impl IncView for Other {
-        fn name(&self) -> &str {
-            "other"
         }
         fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
             Ok(())

@@ -684,19 +684,15 @@ fn a_rejected_commit_moves_no_totals_and_its_retry_counts_once() {
 #[derive(Debug, Clone)]
 struct SlowView;
 
-impl igc_core::IncrementalAlgorithm for SlowView {
+impl igc_core::IncView for SlowView {
+    fn name(&self) -> &str {
+        "slow"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         std::thread::sleep(Duration::from_millis(25));
     }
     fn work(&self) -> igc_core::work::WorkStats {
         igc_core::work::WorkStats::new()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl igc_core::IncView for SlowView {
-    fn name(&self) -> &str {
-        "slow"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

@@ -6,7 +6,7 @@
 mod common;
 
 use common::quiet_panics;
-use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
+use igc_core::{IncView, WorkStats};
 use igc_engine::{Engine, EngineError, ViewState};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
@@ -224,19 +224,15 @@ fn lazy_views_match_eager_views_bit_for_bit() {
 #[derive(Debug, Clone)]
 struct Grenade;
 
-impl IncrementalAlgorithm for Grenade {
+impl IncView for Grenade {
+    fn name(&self) -> &str {
+        "grenade"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         panic!("pin pulled");
     }
     fn work(&self) -> WorkStats {
         WorkStats::new()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl IncView for Grenade {
-    fn name(&self) -> &str {
-        "grenade"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

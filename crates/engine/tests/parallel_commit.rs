@@ -7,7 +7,7 @@
 mod common;
 
 use common::quiet_panics;
-use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
+use igc_core::{IncView, WorkStats};
 use igc_engine::{CommitMode, CommitReceipt, Engine};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, LabelInterner, UpdateBatch};
@@ -29,7 +29,10 @@ struct Grenade {
     seen: u64,
 }
 
-impl IncrementalAlgorithm for Grenade {
+impl IncView for Grenade {
+    fn name(&self) -> &str {
+        "grenade"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.seen += 1;
         if self.seen == self.n {
@@ -38,13 +41,6 @@ impl IncrementalAlgorithm for Grenade {
     }
     fn work(&self) -> WorkStats {
         WorkStats::new()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl IncView for Grenade {
-    fn name(&self) -> &str {
-        "grenade"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

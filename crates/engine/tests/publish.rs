@@ -6,7 +6,7 @@
 mod common;
 
 use common::quiet_panics;
-use igc_core::{IncView, IncrementalAlgorithm, WorkStats};
+use igc_core::{IncView, WorkStats};
 use igc_engine::{CommitMode, Engine, EngineError, ViewOutcome, ViewState};
 use igc_graph::graph::graph_from;
 use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
@@ -34,19 +34,15 @@ impl Probe {
     }
 }
 
-impl IncrementalAlgorithm for Probe {
+impl IncView for Probe {
+    fn name(&self) -> &str {
+        "probe"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
     }
     fn work(&self) -> WorkStats {
         WorkStats::new()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl IncView for Probe {
-    fn name(&self) -> &str {
-        "probe"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

@@ -22,7 +22,7 @@
 use crate::pattern::Pattern;
 use crate::vf2::{enumerate_matches, enumerate_seeded, MatchKey};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::IncrementalAlgorithm;
+use igc_core::IncView;
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, UpdateBatch};
 use std::sync::Arc;
@@ -33,10 +33,9 @@ type EdgeIndex = FxHashMap<Edge, FxHashSet<u64>>;
 /// Maintained ISO state: the pattern, the match set and an edge index.
 ///
 /// The pattern and the match set serve the read API and sit behind `Arc`s:
-/// the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
-/// publishes shares them, and `apply` unshares the match set once
-/// (`IsoPass`). The edge index is the writer's and is left out of that
-/// copy.
+/// the copy [`IncView::clone_view`] publishes shares them, and `apply`
+/// unshares the match set once (`IsoPass`). The edge index is the writer's
+/// and is left out of that copy.
 #[derive(Debug, Clone)]
 pub struct IncIso {
     pattern: Arc<Pattern>,
@@ -73,11 +72,10 @@ struct IsoPass<'a> {
 }
 
 impl IncIso {
-    /// A deferred constructor ([`ViewInit`](igc_core::ViewInit)) for lazy
-    /// engine registration: VF2 runs on the engine's *current* graph at
-    /// registration time (`engine.register_lazy("iso",
-    /// IncIso::init(pattern))`).
-    pub fn init(pattern: Pattern) -> impl igc_core::ViewInit<View = Self> {
+    /// A deferred constructor for lazy engine registration: VF2 runs on the
+    /// engine's *current* graph at registration time
+    /// (`engine.register_lazy("iso", IncIso::init(pattern))`).
+    pub fn init(pattern: Pattern) -> impl FnOnce(&DynamicGraph) -> Self {
         move |g: &DynamicGraph| IncIso::new(g, pattern)
     }
 
@@ -257,7 +255,11 @@ impl IsoPass<'_> {
     }
 }
 
-impl IncrementalAlgorithm for IncIso {
+impl IncView for IncIso {
+    fn name(&self) -> &str {
+        "iso"
+    }
+
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.pass().apply(g, delta);
     }
@@ -266,18 +268,8 @@ impl IncrementalAlgorithm for IncIso {
         self.work
     }
 
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl igc_core::IncView for IncIso {
-    fn name(&self) -> &str {
-        "iso"
-    }
-
     /// The pattern and the match set, shared; no edge index.
-    fn clone_view(&self) -> Box<dyn igc_core::IncView> {
+    fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(IncIso {
             pattern: Arc::clone(&self.pattern),
             state: Arc::clone(&self.state),
@@ -458,11 +450,11 @@ mod tests {
         };
         let run = |mut g: DynamicGraph| -> u64 {
             let mut inc = IncIso::new(&g, Pattern::from_parts(&[0, 1], &[(0, 1)]));
-            inc.reset_work();
+            let before = inc.work();
             let delta = UpdateBatch::from_updates(vec![Update::insert(NodeId(0), NodeId(1))]);
             g.apply_batch(&delta);
             inc.apply(&g, &delta);
-            inc.work().total()
+            inc.work().since(&before).total()
         };
         let _ = p;
         let w_small = run(small);

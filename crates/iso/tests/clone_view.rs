@@ -3,7 +3,7 @@
 //! view (its first `apply` rebuilds the edge index it was published
 //! without).
 
-use igc_core::{IncView, IncrementalAlgorithm};
+use igc_core::IncView;
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::DynamicGraph;
 use igc_iso::{IncIso, MatchKey, Pattern};

@@ -42,7 +42,7 @@ use crate::batch::compute_kdist;
 use crate::kdist::{Kdist, KdistEntry};
 use crate::query::{KwsQuery, MatchTree};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::{BucketQueue, IncrementalAlgorithm};
+use igc_core::{BucketQueue, IncView};
 use igc_graph::{DynamicGraph, FxHashSet, NodeId, Update, UpdateBatch};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -50,16 +50,14 @@ use std::sync::Arc;
 /// Maintained KWS state: query, keyword-distance lists and the root set.
 ///
 /// All three serve the read API (`match_tree` walks the lists), so they sit
-/// together behind one `Arc`: the copy
-/// [`IncView::clone_view`](igc_core::IncView::clone_view) publishes shares
-/// it, and every mutation unshares it once (`KwsPass`).
+/// together behind one `Arc`: the copy [`IncView::clone_view`] publishes
+/// shares it, and every mutation unshares it once (`KwsPass`).
 #[derive(Debug, Clone)]
 pub struct IncKws {
     state: Arc<KwsState>,
     work: WorkStats,
     metrics: ChangeMetrics,
-    /// Writer-side only, like the queue:
-    /// [`IncView::clone_view`](igc_core::IncView::clone_view) publishes
+    /// Writer-side only, like the queue: [`IncView::clone_view`] publishes
     /// without either.
     marks: Marks,
     /// The settle queue, cleared per keyword.
@@ -120,11 +118,10 @@ struct KwsPass<'a> {
 }
 
 impl IncKws {
-    /// A deferred constructor ([`ViewInit`](igc_core::ViewInit)) for lazy
-    /// engine registration: the kdist lists are computed from the engine's
-    /// *current* graph at registration time
+    /// A deferred constructor for lazy engine registration: the kdist lists
+    /// are computed from the engine's *current* graph at registration time
     /// (`engine.register_lazy("kws:near", IncKws::init(query))`).
-    pub fn init(query: KwsQuery) -> impl igc_core::ViewInit<View = Self> {
+    pub fn init(query: KwsQuery) -> impl FnOnce(&DynamicGraph) -> Self {
         move |g: &DynamicGraph| IncKws::new(g, query)
     }
 
@@ -592,7 +589,11 @@ impl KwsPass<'_> {
     }
 }
 
-impl IncrementalAlgorithm for IncKws {
+impl IncView for IncKws {
+    fn name(&self) -> &str {
+        "kws"
+    }
+
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.pass().apply(g, delta);
     }
@@ -601,19 +602,9 @@ impl IncrementalAlgorithm for IncKws {
         self.work
     }
 
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl igc_core::IncView for IncKws {
-    fn name(&self) -> &str {
-        "kws"
-    }
-
     /// One `Arc` bump; the marks and the queue stay with the writer (a copy
     /// that is ever applied to grows its own).
-    fn clone_view(&self) -> Box<dyn igc_core::IncView> {
+    fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(IncKws {
             state: Arc::clone(&self.state),
             work: self.work,
@@ -897,7 +888,7 @@ mod tests {
         let mut g = uniform_graph(80, 320, 5, 42);
         let q = KwsQuery::new(vec![Label(0), Label(1), Label(2)], 3);
         let mut inc = IncKws::new(&g, q);
-        inc.reset_work();
+        let before = inc.work();
         let (mut affected, mut output_changes) = (0, 0);
         let mut step = |g: &mut DynamicGraph, inc: &mut IncKws, delta: UpdateBatch| {
             g.apply_batch(&delta);
@@ -920,7 +911,7 @@ mod tests {
                 UpdateBatch::from_updates(vec![Update::delete(v, w)]),
             );
         }
-        let w = inc.work();
+        let w = inc.work().since(&before);
         assert_eq!(
             (
                 w.nodes_visited,

@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, and is still a valid
 //! view.
 
-use igc_core::{IncView, IncrementalAlgorithm};
+use igc_core::IncView;
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, Label, NodeId};
 use igc_kws::{IncKws, KwsQuery, MatchTree};

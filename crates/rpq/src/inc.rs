@@ -27,7 +27,7 @@
 use crate::batch;
 use crate::marking::{MarkEntry, MarkKey, Markings, RpqDelta, INF_DIST};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::{BucketQueue, IncrementalAlgorithm};
+use igc_core::{BucketQueue, IncView};
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, UpdateBatch};
 use igc_nfa::{build_nfa, Nfa, Regex, StateId};
 use std::collections::VecDeque;
@@ -36,10 +36,9 @@ use std::sync::Arc;
 /// Maintained RPQ state: NFA, markings and the match-pair answer.
 ///
 /// What a reader can see — the NFA and the answer — sits behind `Arc`s, so
-/// the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
-/// publishes shares it and carries nothing else: markings, `acc_count`
-/// and the scratch belong to the writer and are left out. `Clone` is the
-/// deep, writable copy (markings included).
+/// the copy [`IncView::clone_view`] publishes shares it and carries nothing
+/// else: markings, `acc_count` and the scratch belong to the writer and are
+/// left out. `Clone` is the deep, writable copy (markings included).
 #[derive(Debug, Clone)]
 pub struct IncRpq {
     nfa: Arc<Nfa>,
@@ -95,12 +94,11 @@ impl IncRpq {
         Self::with_nfa(g, build_nfa(query))
     }
 
-    /// A deferred constructor ([`ViewInit`](igc_core::ViewInit)) for lazy
-    /// engine registration: the view's initial markings are built from the
-    /// engine's *current* graph at registration time, so an RPQ tenant can
-    /// join mid-stream (`engine.register_lazy("rpq:alice",
-    /// IncRpq::init(query))`).
-    pub fn init(query: Regex) -> impl igc_core::ViewInit<View = Self> {
+    /// A deferred constructor for lazy engine registration: the view's
+    /// initial markings are built from the engine's *current* graph at
+    /// registration time, so an RPQ tenant can join mid-stream
+    /// (`engine.register_lazy("rpq:alice", IncRpq::init(query))`).
+    pub fn init(query: Regex) -> impl FnOnce(&DynamicGraph) -> Self {
         move |g: &DynamicGraph| IncRpq::new(g, &query)
     }
 
@@ -533,7 +531,11 @@ impl IncRpq {
     }
 }
 
-impl IncrementalAlgorithm for IncRpq {
+impl IncView for IncRpq {
+    fn name(&self) -> &str {
+        "rpq"
+    }
+
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         if self.detached() {
             // `g` already reflects `delta`, so a from-scratch build *is*
@@ -601,19 +603,9 @@ impl IncrementalAlgorithm for IncRpq {
         self.work
     }
 
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl igc_core::IncView for IncRpq {
-    fn name(&self) -> &str {
-        "rpq"
-    }
-
     /// The NFA and the answer, shared; no markings — the copy's first
     /// `apply` rebuilds them from the graph it is handed.
-    fn clone_view(&self) -> Box<dyn igc_core::IncView> {
+    fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(IncRpq {
             nfa: Arc::clone(&self.nfa),
             marks: Markings::default(),
@@ -860,13 +852,13 @@ mod tests {
             ],
         );
         assert!(inc.answer().is_empty());
-        inc.reset_work();
+        let before = inc.work();
         let delta = UpdateBatch::from_updates(vec![Update::insert(NodeId(7), NodeId(7))]);
         g.apply_batch(&delta);
         inc.apply(&g, &delta);
         assert_matches_batch(&inc, &g);
         assert_eq!(inc.answer().len(), 5, "(u, 7) for the four sources and 7");
-        let w = inc.work();
+        let w = inc.work().since(&before);
         assert_eq!(
             (
                 w.nodes_visited,
@@ -980,13 +972,13 @@ mod tests {
         let mut it = LabelInterner::new();
         let q = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
         let mut inc = IncRpq::new(&g, &q);
-        inc.reset_work();
+        let before = inc.work();
         for round in 0..5u64 {
             let delta = random_update_batch(&g, 12, 0.5, 1000 + round);
             g.apply_batch(&delta);
             inc.apply(&g, &delta);
         }
-        let w = inc.work();
+        let w = inc.work().since(&before);
         assert_eq!(
             w.nodes_visited, 485,
             "nodes_visited drifted from pre-refactor golden"
@@ -1020,7 +1012,7 @@ mod tests {
         let mut it = LabelInterner::new();
         let q = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
         let mut inc = IncRpq::new(&g, &q);
-        inc.reset_work();
+        let before = inc.work();
         let mut affected = 0;
         let mut output_changes = 0;
         for round in 0..8u64 {
@@ -1030,7 +1022,7 @@ mod tests {
             affected += inc.last_metrics().affected;
             output_changes += inc.last_metrics().output_changes;
         }
-        let w = inc.work();
+        let w = inc.work().since(&before);
         assert_eq!(
             (
                 w.nodes_visited,
@@ -1119,27 +1111,25 @@ mod tests {
         }
         let mut clean = dirty.clone();
         clean.scratch = RpqScratch::default();
-        dirty.reset_work();
-        clean.reset_work();
+        let before = dirty.work();
         let delta = random_update_batch(&g, 10, 0.5, 999);
         g.apply_batch(&delta);
         dirty.apply(&g, &delta);
         clean.apply(&g, &delta);
-        assert_eq!(dirty.work(), clean.work());
+        assert_eq!(dirty.work().since(&before), clean.work().since(&before));
         assert_eq!(dirty.sorted_answer(), clean.sorted_answer());
         assert_eq!(dirty.marking_signature(), clean.marking_signature());
     }
 
     #[test]
-    fn work_accumulates_and_resets() {
+    fn work_accumulates() {
         let (mut g, mut inc, _) = setup("a.b", &["a", "b", "b"], &[(0, 1)]);
+        let before = inc.work();
         g.insert_edge(NodeId(0), NodeId(2));
         inc.apply(
             &g,
             &UpdateBatch::from_updates(vec![Update::insert(NodeId(0), NodeId(2))]),
         );
-        assert!(inc.work().total() > 0);
-        inc.reset_work();
-        assert_eq!(inc.work().total(), 0);
+        assert!(inc.work().since(&before).total() > 0);
     }
 }

@@ -2,7 +2,7 @@
 //! answers like the original, is independent of it, is still a valid view —
 //! and carries no markings.
 
-use igc_core::{IncView, IncrementalAlgorithm};
+use igc_core::IncView;
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{DynamicGraph, LabelInterner, NodeId};
 use igc_nfa::Regex;

@@ -79,7 +79,7 @@ use crate::eval::{
 };
 use crate::naive::naive_fixpoint;
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::{IncView, IncrementalAlgorithm, ViewInit};
+use igc_core::IncView;
 use igc_graph::fxhash::{FxHashMap, FxHashSet};
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, UpdateBatch};
 use std::cell::{Cell, OnceCell};
@@ -732,9 +732,9 @@ impl IncRules {
     /// A deferred constructor for lazy registration
     /// ([`Engine::register_lazy`](../igc_engine), recovery, background
     /// builds, replica tailing): captures the program, builds from
-    /// whatever graph the engine hands it. Deterministic, as the
-    /// [`ViewInit`] contract requires.
-    pub fn init(program: Program) -> impl ViewInit<View = IncRules> {
+    /// whatever graph the engine hands it. Deterministic, as lazy
+    /// registration requires.
+    pub fn init(program: Program) -> impl FnOnce(&DynamicGraph) -> Self {
         move |g: &DynamicGraph| IncRules::new(g, program)
     }
 
@@ -790,7 +790,10 @@ impl IncRules {
     }
 }
 
-impl IncrementalAlgorithm for IncRules {
+impl IncView for IncRules {
+    fn name(&self) -> &str {
+        "rules"
+    }
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.last = RulesDelta::default();
         let (mut dels, mut ins) = (Vec::new(), Vec::new());
@@ -826,15 +829,6 @@ impl IncrementalAlgorithm for IncRules {
     }
     fn work(&self) -> WorkStats {
         self.work
-    }
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl IncView for IncRules {
-    fn name(&self) -> &str {
-        "rules"
     }
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         let oracle = naive_fixpoint(g, &self.program);
@@ -1339,13 +1333,12 @@ mod tests {
     /// A deletion-heavy storm on the attack program, with fresh vulnerable
     /// and critical hosts attached as it goes: the build, the deletion pass,
     /// repair and the insertion pass all join through the batch overlay.
-    /// Returns the view, the build's counters and the summed `RulesDelta`.
-    fn attack_storm() -> (IncRules, [u64; 4], [u64; 6]) {
+    /// Returns the view, the build's work and the summed `RulesDelta`.
+    fn attack_storm() -> (IncRules, WorkStats, [u64; 6]) {
         let (program, _, _) = attack_program();
         let mut g = uniform_graph(80, 320, 4, 17);
         let mut view = IncRules::new(&g, program);
-        let build = counters(view.work());
-        view.reset_work();
+        let build = view.work();
         let mut sum = [0u64; 6];
         for round in 0..10u64 {
             let mut batch: Vec<Update> = random_update_batch(&g, 40, 0.3, 4000 + round)
@@ -1376,12 +1369,12 @@ mod tests {
         let (view, build, sum) = attack_storm();
         let goal = view.program().pred_id("goal").unwrap();
         assert_eq!(
-            build,
+            counters(build),
             [1418, 290, 147, 488],
             "build work drifted from the golden"
         );
         assert_eq!(
-            counters(view.work()),
+            counters(view.work().since(&build)),
             [1612, 953, 1170, 593],
             "work drifted from the golden"
         );
@@ -1398,12 +1391,11 @@ mod tests {
     /// sides: `edge`, `for_succ`, `for_pred_nodes` and `node` each answer
     /// under the overlay with the node's hidden inserts and still-visible
     /// deletes in play. Returns what [`attack_storm`] returns.
-    fn reach_around_one_node() -> (IncRules, [u64; 4], [u64; 6]) {
+    fn reach_around_one_node() -> (IncRules, WorkStats, [u64; 6]) {
         let (program, _) = reach_program();
         let mut g = uniform_graph(30, 60, 3, 23);
         let mut view = IncRules::new(&g, program);
-        let build = counters(view.work());
-        view.reset_work();
+        let build = view.work();
         let mut sum = [0u64; 6];
         for round in 0..8u32 {
             let hub = NodeId(round % 5);
@@ -1443,12 +1435,12 @@ mod tests {
     fn work_counters_golden_on_reach_around_one_node() {
         let (view, build, sum) = reach_around_one_node();
         assert_eq!(
-            build,
+            counters(build),
             [844, 1479, 1539, 1598],
             "build work drifted from the golden"
         );
         assert_eq!(
-            counters(view.work()),
+            counters(view.work().since(&build)),
             [2856, 24010, 63157, 8685],
             "work drifted from the golden"
         );
@@ -1496,7 +1488,7 @@ mod tests {
 
     #[test]
     fn rebuilt_twin_matches_incremental_state() {
-        // The ViewInit contract: a view rebuilt from scratch on the final
+        // The builder contract: a view rebuilt from scratch on the final
         // graph is bit-identical (facts AND counts) to the incrementally
         // maintained one — recovery and replica paths depend on this.
         let (program, _) = reach_program();

@@ -30,7 +30,7 @@
 //! ```
 //! use igc_graph::graph::graph_from;
 //! use igc_graph::{Label, NodeId, Update, UpdateBatch};
-//! use igc_core::IncrementalAlgorithm;
+//! use igc_core::IncView;
 //! use igc_rules::{v, Atom, IncRules, RuleSet};
 //!
 //! // exec(y) ⇐ entry(y);  exec(y) ⇐ exec(x) ∧ edge(x,y)

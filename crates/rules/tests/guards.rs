@@ -3,7 +3,7 @@
 //! (`verify_against_batch`) through random batches that bring fresh
 //! labelled nodes.
 
-use igc_core::{IncView, IncrementalAlgorithm};
+use igc_core::IncView;
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, Update, UpdateBatch};
 use igc_rules::{v, Atom, Program, RuleSet, Term};
 use proptest::prelude::*;

@@ -16,7 +16,7 @@
 use crate::condensation::SccId;
 use crate::inc::IncScc;
 use igc_core::work::WorkStats;
-use igc_core::IncrementalAlgorithm;
+use igc_core::IncView;
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, NodeId, Update, UpdateBatch};
 
 /// A strong-connectivity certificate for one component.
@@ -52,14 +52,14 @@ pub struct DynScc {
 
 impl DynScc {
     /// Batch construction: Tarjan + condensation (via [`IncScc`]) plus a
-    /// certificate per non-singleton component.
+    /// certificate per non-singleton component; both count as its work.
     pub fn new(g: &DynamicGraph) -> Self {
         let inner = IncScc::new(g);
         let mut d = DynScc {
+            work: inner.work(),
             inner,
             certs: FxHashMap::default(),
             pending: FxHashMap::default(),
-            work: WorkStats::new(),
         };
         let ids: Vec<SccId> = d.inner.condensation().scc_ids().collect();
         for id in ids {
@@ -154,7 +154,11 @@ impl DynScc {
     }
 }
 
-impl IncrementalAlgorithm for DynScc {
+impl IncView for DynScc {
+    fn name(&self) -> &str {
+        "dynscc"
+    }
+
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         // Fast path: intra-component deletions outside both certificate
         // trees, in components untouched by any other update of this batch.
@@ -204,9 +208,9 @@ impl IncrementalAlgorithm for DynScc {
         // The inner view is told of every update — its own certificate must
         // see each deletion; what the fast path skips is this baseline's
         // certificate upkeep.
+        let before = self.inner.work();
         self.inner.apply(g, delta);
-        self.work += self.inner.work();
-        self.inner.reset_work();
+        self.work += self.inner.work().since(&before);
         if rest.is_empty() {
             return;
         }
@@ -247,14 +251,14 @@ impl IncrementalAlgorithm for DynScc {
         self.work
     }
 
-    fn reset_work(&mut self) {
-        self.work.reset();
+    fn clone_view(&self) -> Box<dyn IncView> {
+        Box::new(self.clone())
     }
-}
 
-impl std::ops::AddAssign<WorkStats> for DynScc {
-    fn add_assign(&mut self, rhs: WorkStats) {
-        self.work += rhs;
+    /// Audits the answer, which the inner [`IncScc`] holds; the
+    /// certificates are this baseline's upkeep, not part of the answer.
+    fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
+        self.inner.verify_against_batch(g)
     }
 }
 
@@ -291,7 +295,6 @@ mod tests {
         // 4-cycle 0→1→2→3→0 plus chord 1→3 and 3→1.
         let mut g = graph_from(&[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (3, 1)]);
         let mut d = DynScc::new(&g);
-        let before = d.work().nodes_visited;
         // Deleting 3→1: forward tree from 0 never uses it (3 is reached via
         // 2 at distance ≥ 2 vs 1→3 chord...); whether fast or slow, the
         // answer must stay correct.
@@ -302,7 +305,6 @@ mod tests {
         );
         assert_eq!(d.scc_count(), 1);
         assert_matches_batch(&d, &g);
-        let _ = before;
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::cert::{Certificates, SccDelta};
 use crate::condensation::{Condensation, SccId, RANK_GAP};
 use crate::tarjan::{tarjan, tarjan_restricted, LocalIndex};
 use igc_core::work::{ChangeMetrics, WorkStats};
-use igc_core::IncrementalAlgorithm;
+use igc_core::IncView;
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, FxHashMap, FxHashSet, Label, NodeId, UpdateBatch};
 use std::sync::Arc;
@@ -75,10 +75,9 @@ use std::sync::Arc;
 /// paper's auxiliary structures.
 ///
 /// Every read accessor is served by the condensation, so it sits behind an
-/// `Arc`: the copy [`IncView::clone_view`](igc_core::IncView::clone_view)
-/// publishes shares it, and `apply` unshares it once (`SccPass`). The
-/// certificates and the restricted Tarjan's node index are the writer's
-/// and are left out of that copy.
+/// `Arc`: the copy [`IncView::clone_view`] publishes shares it, and `apply`
+/// unshares it once (`SccPass`). The certificates and the restricted
+/// Tarjan's node index are the writer's and are left out of that copy.
 #[derive(Debug, Clone)]
 pub struct IncScc {
     cond: Arc<Condensation>,
@@ -110,10 +109,10 @@ struct SccPass<'a> {
 pub(crate) const INTACT_CHECK_BUDGET_FACTOR: u64 = 5;
 
 impl IncScc {
-    /// A deferred constructor ([`ViewInit`](igc_core::ViewInit)) for lazy
-    /// engine registration: Tarjan runs on the engine's *current* graph at
-    /// registration time (`engine.register_lazy("scc", IncScc::init())`).
-    pub fn init() -> impl igc_core::ViewInit<View = Self> {
+    /// A deferred constructor for lazy engine registration: Tarjan runs on
+    /// the engine's *current* graph at registration time
+    /// (`engine.register_lazy("scc", IncScc::init())`).
+    pub fn init() -> impl FnOnce(&DynamicGraph) -> Self {
         IncScc::new
     }
 
@@ -176,13 +175,13 @@ impl IncScc {
         &self.cond
     }
 
-    /// Change metrics of the most recent [`IncrementalAlgorithm::apply`].
+    /// Change metrics of the most recent [`IncView::apply`].
     pub fn last_metrics(&self) -> ChangeMetrics {
         self.metrics
     }
 
     /// Certificate counters of the most recent
-    /// [`IncrementalAlgorithm::apply`]: where its deletions went.
+    /// [`IncView::apply`]: where its deletions went.
     pub fn last_delta(&self) -> SccDelta {
         self.delta
     }
@@ -666,7 +665,11 @@ impl SccPass<'_> {
     }
 }
 
-impl IncrementalAlgorithm for IncScc {
+impl IncView for IncScc {
+    fn name(&self) -> &str {
+        "scc"
+    }
+
     fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
         self.pass().apply(g, delta);
     }
@@ -675,18 +678,8 @@ impl IncrementalAlgorithm for IncScc {
         self.work
     }
 
-    fn reset_work(&mut self) {
-        self.work.reset();
-    }
-}
-
-impl igc_core::IncView for IncScc {
-    fn name(&self) -> &str {
-        "scc"
-    }
-
     /// The condensation, shared; no certificates, cold index.
-    fn clone_view(&self) -> Box<dyn igc_core::IncView> {
+    fn clone_view(&self) -> Box<dyn IncView> {
         Box::new(IncScc {
             cond: Arc::clone(&self.cond),
             work: self.work,
@@ -928,11 +921,10 @@ mod tests {
     fn work_counters_accumulate() {
         let mut g = graph_from(&[0; 3], &[(0, 1), (1, 2)]);
         let mut inc = IncScc::new(&g);
+        let before = inc.work();
         g.insert_edge(NodeId(2), NodeId(0));
         inc.insert_edge(&g, NodeId(2), NodeId(0));
-        assert!(inc.work().total() > 0);
-        inc.reset_work();
-        assert_eq!(inc.work().total(), 0);
+        assert!(inc.work().since(&before).total() > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! off and are fused back, batch after batch — the shape under which every
 //! structural change must cost the smaller side and leave the giant alone.
 
-use igc_core::IncrementalAlgorithm;
+use igc_core::{IncView, WorkStats};
 use igc_graph::graph::{graph_from, Edge};
 use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
 use igc_scc::{tarjan, IncScc};
@@ -145,13 +145,13 @@ fn merging_a_singleton_costs_the_singleton() {
         let mut inc = IncScc::new(&g);
         let ring = inc.scc_of(NodeId(0));
         assert_eq!(inc.scc_count(), 2);
-        inc.reset_work();
+        let before = inc.work();
         apply(&mut g, &mut inc, vec![Update::insert(NodeId(0), NodeId(k))]);
         audit(&inc, &g, "merge");
         assert_eq!(inc.scc_count(), 1);
         assert_eq!(inc.scc_of(NodeId(k)), ring);
         assert_eq!(inc.last_metrics().affected, 1, "k = {k}");
-        inc.work()
+        inc.work().since(&before)
     };
     let small = work_for(50);
     assert!(small.total() > 0);
@@ -202,8 +202,9 @@ fn insert(g: &mut DynamicGraph, inc: &mut IncScc, edges: &[(u32, u32)]) {
 }
 
 /// The giant's certificate is built by its first intra deletion; every test
-/// below starts from a warm one.
-fn warm(g: &mut DynamicGraph, inc: &mut IncScc, chord: Edge) {
+/// below starts from a warm one. Returns the work done so far, which a
+/// test's measurement starts from.
+fn warm(g: &mut DynamicGraph, inc: &mut IncScc, chord: Edge) -> WorkStats {
     delete(g, inc, &[chord]);
     assert_eq!(
         inc.last_delta().fallbacks,
@@ -211,7 +212,7 @@ fn warm(g: &mut DynamicGraph, inc: &mut IncScc, chord: Edge) {
         "the first deletion certifies"
     );
     audit(inc, g, "warm");
-    inc.reset_work();
+    inc.work()
 }
 
 #[test]
@@ -219,7 +220,7 @@ fn non_tree_deletions_cost_the_same_at_any_giant_size() {
     let work_for = |n: u32| {
         let (mut g, chords) = ring_with_chords(n, 0);
         let mut inc = IncScc::new(&g);
-        warm(&mut g, &mut inc, chords[0]);
+        let warmed = warm(&mut g, &mut inc, chords[0]);
         delete(&mut g, &mut inc, &chords[1..9]);
         audit(&inc, &g, "chords gone");
         assert_eq!(inc.scc_count(), 1);
@@ -228,7 +229,7 @@ fn non_tree_deletions_cost_the_same_at_any_giant_size() {
             Default::default(),
             "n = {n}: no tree edge hit"
         );
-        inc.work()
+        inc.work().since(&warmed)
     };
     let small = work_for(50);
     assert!(small.total() > 0);
@@ -245,7 +246,7 @@ fn replaced_parent_costs_the_orphans_neighbourhood() {
         let mut inc = IncScc::new(&g);
         insert(&mut g, &mut inc, &[(2, x), (4, x), (x, 0)]);
         assert_eq!(inc.scc_count(), 1);
-        warm(&mut g, &mut inc, chords[0]);
+        let warmed = warm(&mut g, &mut inc, chords[0]);
         delete(&mut g, &mut inc, &[(NodeId(2), NodeId(x))]);
         audit(&inc, &g, "re-attached");
         assert_eq!(inc.scc_count(), 1);
@@ -255,7 +256,7 @@ fn replaced_parent_costs_the_orphans_neighbourhood() {
             (1, 1, 0, 0),
             "n = {n}"
         );
-        inc.work()
+        inc.work().since(&warmed)
     };
     let small = run(50);
     // One deletion classified and looked up, one orphan, one candidate, a
@@ -384,7 +385,6 @@ fn a_repair_over_budget_rebuilds_a_valid_certificate() {
     assert_eq!((d.fallbacks, d.carved), (1, 0), "{d:?}");
     // … under a certificate that works: the next deletions are repaired
     // without another rebuild, and a real cut is found.
-    inc.reset_work();
     delete(&mut g, &mut inc, &[(NodeId(q), NodeId(0))]);
     assert_eq!(inc.last_delta().fallbacks, 0);
     delete(&mut g, &mut inc, &[(NodeId(q), NodeId(head))]);

@@ -28,7 +28,10 @@ struct FlakyTenant {
     applies: u64,
 }
 
-impl IncrementalAlgorithm for FlakyTenant {
+impl IncView for FlakyTenant {
+    fn name(&self) -> &str {
+        "flaky"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
         if self.applies == 3 {
@@ -37,13 +40,6 @@ impl IncrementalAlgorithm for FlakyTenant {
     }
     fn work(&self) -> WorkStats {
         WorkStats::new()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl IncView for FlakyTenant {
-    fn name(&self) -> &str {
-        "flaky"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

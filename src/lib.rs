@@ -115,15 +115,15 @@ pub use igc_scc as scc;
 
 /// The most commonly used types, re-exported for glob import.
 ///
-/// Both view traits are here: [`IncrementalAlgorithm`](igc_core::IncrementalAlgorithm)
-/// carries `apply` / `work`, [`IncView`](igc_core::IncView) what a registry
-/// adds, and a custom view implements the two. Registering the built-in
-/// views needs neither import, and [`ViewInit`](igc_core::ViewInit) is not
-/// needed at call sites — `register_lazy` accepts plain closures and the
-/// `Inc*::init` constructors directly.
+/// The one view trait is here: [`IncView`](igc_core::IncView) carries
+/// `name`, `apply`, `work`, `clone_view` and `verify_against_batch`, and a
+/// custom view implements those five in one `impl`. Registering the
+/// built-in views needs no import: `register_lazy` accepts plain
+/// `FnOnce(&DynamicGraph) -> V` closures and the `Inc*::init` constructors
+/// directly.
 pub mod prelude {
     pub use igc_core::work::WorkStats;
-    pub use igc_core::{IncView, IncrementalAlgorithm};
+    pub use igc_core::IncView;
     pub use igc_engine::{
         BackgroundBuild, CommitMode, CommitReceipt, Engine, EngineError, EngineTotals, Ingest,
         IngestConfig, IngestReceipt, IngestServer, IngestTicket, LifecycleEvent,

@@ -130,5 +130,8 @@ fn dynscc_baseline_agrees_with_incscc() {
         // DynSCC runs per-unit in its natural mode; here feed it batches.
         dyn_scc.apply(&g, &delta);
         assert_eq!(inc.components(), dyn_scc.components(), "round {round}");
+        dyn_scc
+            .verify_against_batch(&g)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
     }
 }

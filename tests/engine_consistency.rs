@@ -192,7 +192,10 @@ struct Canary {
     applies: u64,
 }
 
-impl IncrementalAlgorithm for Canary {
+impl IncView for Canary {
+    fn name(&self) -> &str {
+        "canary"
+    }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
         self.applies += 1;
         if self.applies == 1 {
@@ -201,13 +204,6 @@ impl IncrementalAlgorithm for Canary {
     }
     fn work(&self) -> WorkStats {
         WorkStats::default()
-    }
-    fn reset_work(&mut self) {}
-}
-
-impl IncView for Canary {
-    fn name(&self) -> &str {
-        "canary"
     }
     fn verify_against_batch(&self, _g: &DynamicGraph) -> Result<(), String> {
         Ok(())

@@ -56,10 +56,10 @@ fn inckws_work_is_independent_of_graph_size() {
     let run = |tail: usize| -> u64 {
         let (mut g, delta) = host(tail);
         let mut kws = IncKws::new(&g, q.clone());
-        kws.reset_work();
+        let before = kws.work();
         g.apply_batch(&delta);
         kws.apply(&g, &delta);
-        kws.work().total()
+        kws.work().since(&before).total()
     };
     let small = run(10);
     let large = run(10_000);
@@ -76,10 +76,10 @@ fn inciso_work_is_independent_of_graph_size() {
     let run = |tail: usize| -> u64 {
         let (mut g, delta) = host(tail);
         let mut iso = IncIso::new(&g, p.clone());
-        iso.reset_work();
+        let before = iso.work();
         g.apply_batch(&delta);
         iso.apply(&g, &delta);
-        iso.work().total()
+        iso.work().since(&before).total()
     };
     let small = run(10);
     let large = run(10_000);
@@ -115,11 +115,11 @@ const TAILS: [usize; 3] = [600, 2_400, 9_600];
 /// `host`'s own batch, then — each normalized against what the one before
 /// leaves — close a 3-cycle, break it, close a cycle through the whole
 /// zone, break that. Returns per step what `step` reports after the view
-/// applied it.
-fn scripted<V: IncrementalAlgorithm, R>(
+/// applied it, handed the work of that step alone.
+fn scripted<V: IncView, R>(
     tail: usize,
     build: impl Fn(&DynamicGraph) -> V,
-    step: impl Fn(&V) -> R,
+    step: impl Fn(WorkStats, &V) -> R,
 ) -> Vec<R> {
     let (mut g, first) = host(tail);
     let n = |i: u32| NodeId(i);
@@ -134,10 +134,10 @@ fn scripted<V: IncrementalAlgorithm, R>(
     script
         .iter()
         .map(|delta| {
-            view.reset_work();
+            let before = view.work();
             g.apply_batch(delta);
             view.apply(&g, delta);
-            step(&view)
+            step(view.work().since(&before), &view)
         })
         .collect()
 }
@@ -158,7 +158,7 @@ fn relative_boundedness_work_tracks_aff_not_graph() {
         scripted(
             tail,
             |g| IncRpq::new(g, &q),
-            |rpq| (rpq.work(), rpq.last_metrics()),
+            |w, rpq| (w, rpq.last_metrics()),
         )
     };
     let base = run(TAILS[0]);
@@ -179,7 +179,7 @@ fn relative_boundedness_work_tracks_aff_not_graph() {
 #[test]
 fn incscc_work_and_aff_are_equal_at_three_graph_sizes() {
     let run = |tail| -> Vec<(WorkStats, ChangeMetrics)> {
-        scripted(tail, IncScc::new, |scc| (scc.work(), scc.last_metrics()))
+        scripted(tail, IncScc::new, |w, scc| (w, scc.last_metrics()))
     };
     let base = run(TAILS[0]);
     assert!(
@@ -206,7 +206,7 @@ fn localizable_views_work_and_aff_are_equal_at_three_graph_sizes() {
         scripted(
             tail,
             |g| IncKws::new(g, q.clone()),
-            |kws| (kws.work(), kws.last_metrics()),
+            |w, kws| (w, kws.last_metrics()),
         )
     };
     let p = Pattern::from_parts(&[0, 1, 0], &[(0, 1), (1, 2)]);
@@ -214,7 +214,7 @@ fn localizable_views_work_and_aff_are_equal_at_three_graph_sizes() {
         scripted(
             tail,
             |g| IncIso::new(g, p.clone()),
-            |iso| (iso.work(), iso.last_metrics()),
+            |w, iso| (w, iso.last_metrics()),
         )
     };
     let (kws_base, iso_base) = (kws(TAILS[0]), iso(TAILS[0]));
@@ -266,7 +266,7 @@ fn incrules_work_and_aff_are_equal_at_three_graph_sizes() {
         scripted(
             tail,
             |g| IncRules::new(g, program()),
-            |r| (r.work(), r.metrics(), r.derived_count()),
+            |w, r| (w, r.metrics(), r.derived_count()),
         )
     };
     let base = run(TAILS[0]);
