@@ -255,13 +255,14 @@ impl Replica {
     }
 
     /// Translate a raw catch-up error to the engine surface. The chain
-    /// itself never runs backwards, so a gap with `found > expected`
+    /// itself never runs backwards, so a gap with `found ≥ expected`
     /// means the tail we needed was compacted away underneath an
-    /// unpinned follower.
+    /// unpinned follower: a delta past the one expected, or a checkpoint
+    /// at or past it, which follows the expected delta in append order.
     fn map_catch_up_error(r: Result<u64, LogError>) -> Result<u64, EngineError> {
         match r {
             Ok(n) => Ok(n),
-            Err(LogError::EpochGap { expected, found }) if found > expected => {
+            Err(LogError::EpochGap { expected, found }) if found >= expected => {
                 Err(EngineError::FrontierCompacted {
                     frontier: expected.saturating_sub(1),
                     oldest: found,
@@ -312,7 +313,9 @@ impl Replica {
         let replayed = self.replayer.latest()?;
         let new = replayed.graph;
         let delta = Self::diff(&self.graph, &new);
-        if !delta.is_empty() {
+        // Nodes the skipped window added are news to the views even when
+        // its edges cancelled out.
+        if !delta.is_empty() || new.node_count() > self.graph.node_count() {
             self.views.apply(&new, &delta);
         }
         let jumped = new.epoch().saturating_sub(self.graph.epoch());

@@ -2,13 +2,25 @@
 //! its original, and no write to either side is visible through the other;
 //! the bulk constructor builds the graph the unit primitives build; a batch
 //! applies as its units applied one by one, whichever graph it was
-//! normalized against.
+//! normalized against. Each property runs 96 seeded cases; a failing
+//! case's seed is printed.
 
 use igc_graph::graph::Edge;
 use igc_graph::{DynamicGraph, Label, NodeId, Update, UpdateBatch};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 const LABELS: u32 = 4;
+
+/// Run `body` on 96 seeded cases. Each prints its seed first, so the
+/// output of a failing test ends with the seed of the case that failed.
+fn cases(mut body: impl FnMut(&mut StdRng)) {
+    for seed in 0..96 {
+        eprintln!("case seed {seed}");
+        body(&mut StdRng::seed_from_u64(seed));
+    }
+}
 
 /// Everything a reader can observe of a graph, adjacency in list order.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,13 +47,17 @@ fn observe(g: &DynamicGraph) -> Observed {
 }
 
 /// A small digraph as (labels, edges); repeated edges and self-loops occur.
-fn arb_graph() -> impl Strategy<Value = (Vec<u32>, Vec<(u32, u32)>)> {
-    (2u32..12).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(0..LABELS, n as usize),
-            proptest::collection::vec((0..n, 0..n), 0..40),
-        )
-    })
+fn arb_graph(rng: &mut StdRng) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let n = rng.gen_range(2u32..12);
+    graph_on(rng, n, 0..40)
+}
+
+/// Labels for `n` nodes, and a number of edges in `edges` among them.
+fn graph_on(rng: &mut StdRng, n: u32, edges: Range<usize>) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let labels = (0..n).map(|_| rng.gen_range(0..LABELS)).collect();
+    let edge = |rng: &mut StdRng| (rng.gen_range(0..n), rng.gen_range(0..n));
+    let edges: Vec<_> = (0..rng.gen_range(edges)).map(|_| edge(rng)).collect();
+    (labels, edges)
 }
 
 /// One raw unit: delete or insert between ids that may lie a few past the
@@ -49,10 +65,19 @@ fn arb_graph() -> impl Strategy<Value = (Vec<u32>, Vec<(u32, u32)>)> {
 /// each endpoint with or without an explicit label.
 type RawUnit = (bool, u32, u32, u32, u32);
 
-/// Three generations of batches, each with the side it is applied to.
-fn arb_generations() -> impl Strategy<Value = Vec<(bool, Vec<RawUnit>)>> {
-    let unit = (any::<bool>(), 0u32..16, 0u32..16, 0..=LABELS, 0..=LABELS);
-    proptest::collection::vec((any::<bool>(), proptest::collection::vec(unit, 0..12)), 3)
+/// Three generations of batches, each with the side it is applied to, of
+/// `units` units between ids below `ids`.
+fn generations(rng: &mut StdRng, ids: u32, units: Range<usize>) -> Vec<(bool, Vec<RawUnit>)> {
+    let label = |rng: &mut StdRng| rng.gen_range(0..=LABELS);
+    let unit = |rng: &mut StdRng| {
+        let (a, b) = (rng.gen_range(0..ids), rng.gen_range(0..ids));
+        (rng.gen(), a, b, label(rng), label(rng))
+    };
+    let generation = |rng: &mut StdRng| {
+        let (side, n) = (rng.gen(), rng.gen_range(units.clone()));
+        (side, (0..n).map(|_| unit(rng)).collect())
+    };
+    (0..3).map(|_| generation(rng)).collect()
 }
 
 fn batch_of(raw: &[RawUnit]) -> UpdateBatch {
@@ -104,8 +129,8 @@ fn assert_applies_per_unit(g: &mut DynamicGraph, delta: &UpdateBatch) {
         reference.apply(u);
     }
     g.apply_batch(delta);
-    prop_assert_eq!(g.check_invariants(), Ok(()));
-    prop_assert_eq!(content(g), content(&reference));
+    assert_eq!(g.check_invariants(), Ok(()));
+    assert_eq!(content(g), content(&reference));
 }
 
 /// Every generation's batch, normalized against the live graph, applied
@@ -134,27 +159,16 @@ fn normalized_generations_apply_per_unit(
 /// entry, and an insert between them may refill the slot it left.
 type DenseCase = ((Vec<u32>, Vec<(u32, u32)>), Vec<(bool, Vec<RawUnit>)>);
 
-fn arb_dense() -> impl Strategy<Value = DenseCase> {
-    (2u32..5).prop_flat_map(|n| {
-        let unit = (any::<bool>(), 0..n + 1, 0..n + 1, 0..=LABELS, 0..=LABELS);
-        (
-            (
-                proptest::collection::vec(0..LABELS, n as usize),
-                proptest::collection::vec((0..n, 0..n), 0..24),
-            ),
-            proptest::collection::vec((any::<bool>(), proptest::collection::vec(unit, 8..32)), 3),
-        )
-    })
+fn arb_dense(rng: &mut StdRng) -> DenseCase {
+    let n = rng.gen_range(2u32..5);
+    (graph_on(rng, n, 0..24), generations(rng, n + 1, 8..32))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn writes_to_one_version_never_show_in_another(
-        (labels, edges) in arb_graph(),
-        generations in arb_generations(),
-    ) {
+#[test]
+fn writes_to_one_version_never_show_in_another() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
+        let generations = generations(rng, 16, 0..12);
         let mut live = DynamicGraph::from_edges(labels_of(&labels), &edges_of(&edges)).unwrap();
         // The same writes on a graph that is never cloned.
         let mut unversioned = live.clone();
@@ -167,25 +181,26 @@ proptest! {
                 std::mem::swap(&mut live, &mut other);
             }
             live.apply_batch(&delta);
-            prop_assert_eq!(&observe(&other), &before);
+            assert_eq!(&observe(&other), &before);
             unversioned.apply_batch(&delta);
-            prop_assert_eq!(observe(&live), observe(&unversioned));
+            assert_eq!(observe(&live), observe(&unversioned));
             frozen.push((other, before));
         }
-        prop_assert_eq!(live.check_invariants(), Ok(()));
+        assert_eq!(live.check_invariants(), Ok(()));
         // Drop the versions oldest first: each must still read as it did
         // when it was frozen, whatever was written or freed since.
         for (version, seen) in frozen {
-            prop_assert_eq!(version.check_invariants(), Ok(()));
-            prop_assert_eq!(observe(&version), seen);
+            assert_eq!(version.check_invariants(), Ok(()));
+            assert_eq!(observe(&version), seen);
         }
-        prop_assert_eq!(observe(&live), observe(&unversioned));
-    }
+        assert_eq!(observe(&live), observe(&unversioned));
+    });
+}
 
-    #[test]
-    fn bulk_build_equals_unit_build(
-        (labels, edges) in arb_graph(),
-    ) {
+#[test]
+fn bulk_build_equals_unit_build() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
         let (labels, edges) = (labels_of(&labels), edges_of(&edges));
         let mut unit = DynamicGraph::with_capacity(labels.len(), edges.len());
         for &l in &labels {
@@ -195,21 +210,25 @@ proptest! {
             unit.insert_edge(u, v);
         }
         let bulk = DynamicGraph::from_edges(labels, &edges).unwrap();
-        prop_assert_eq!(bulk.check_invariants(), Ok(()));
-        prop_assert_eq!(observe(&bulk), observe(&unit));
-        prop_assert_eq!(bulk.edges().collect::<Vec<_>>(), unit.edges().collect::<Vec<_>>());
-    }
+        assert_eq!(bulk.check_invariants(), Ok(()));
+        assert_eq!(observe(&bulk), observe(&unit));
+        assert_eq!(
+            bulk.edges().collect::<Vec<_>>(),
+            unit.edges().collect::<Vec<_>>()
+        );
+    });
+}
 
-    /// `sorted_edges` on `from_edges` output, and on both sides of every
-    /// clone after one of them took a batch: swap-removed and re-grown
-    /// lists, fresh nodes, self-loops.
-    #[test]
-    fn sorted_edges_equals_the_per_run_sort(
-        (labels, edges) in arb_graph(),
-        generations in arb_generations(),
-    ) {
+/// `sorted_edges` on `from_edges` output, and on both sides of every
+/// clone after one of them took a batch: swap-removed and re-grown
+/// lists, fresh nodes, self-loops.
+#[test]
+fn sorted_edges_equals_the_per_run_sort() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
+        let generations = generations(rng, 16, 0..12);
         let bulk = DynamicGraph::from_edges(labels_of(&labels), &edges_of(&edges)).unwrap();
-        prop_assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
+        assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
         let mut live = bulk.clone();
         for (write_the_clone, raw) in &generations {
             let mut other = live.clone();
@@ -217,39 +236,42 @@ proptest! {
                 std::mem::swap(&mut live, &mut other);
             }
             live.apply_batch(&batch_of(raw));
-            prop_assert_eq!(live.sorted_edges(), sorted_by_run(&live));
-            prop_assert_eq!(other.sorted_edges(), sorted_by_run(&other));
+            assert_eq!(live.sorted_edges(), sorted_by_run(&live));
+            assert_eq!(other.sorted_edges(), sorted_by_run(&other));
         }
-        prop_assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
-    }
+        assert_eq!(bulk.sorted_edges(), sorted_by_run(&bulk));
+    });
+}
 
-    /// `apply_batch` of a delta normalized against the very graph it is
-    /// applied to, and of the same delta on a clone sharing its slabs.
-    #[test]
-    fn a_normalized_delta_applies_as_its_units(
-        (labels, edges) in arb_graph(),
-        generations in arb_generations(),
-    ) {
+/// `apply_batch` of a delta normalized against the very graph it is
+/// applied to, and of the same delta on a clone sharing its slabs.
+#[test]
+fn a_normalized_delta_applies_as_its_units() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
+        let generations = generations(rng, 16, 0..12);
         normalized_generations_apply_per_unit(&labels, &edges, &generations);
-    }
+    });
+}
 
-    /// The same on dense graphs of two to four nodes: several deletes of
-    /// one batch hit one list.
-    #[test]
-    fn a_normalized_delta_on_a_dense_graph_applies_as_its_units(
-        ((labels, edges), generations) in arb_dense(),
-    ) {
+/// The same on dense graphs of two to four nodes: several deletes of
+/// one batch hit one list.
+#[test]
+fn a_normalized_delta_on_a_dense_graph_applies_as_its_units() {
+    cases(|rng| {
+        let ((labels, edges), generations) = arb_dense(rng);
         normalized_generations_apply_per_unit(&labels, &edges, &generations);
-    }
+    });
+}
 
-    /// A normalized delta that meets a graph or a batch other than the one
-    /// it was normalized into: every such apply still equals its units
-    /// applied one by one.
-    #[test]
-    fn a_delta_off_its_graph_applies_as_its_units(
-        (labels, edges) in arb_graph(),
-        generations in arb_generations(),
-    ) {
+/// A normalized delta that meets a graph or a batch other than the one
+/// it was normalized into: every such apply still equals its units
+/// applied one by one.
+#[test]
+fn a_delta_off_its_graph_applies_as_its_units() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
+        let generations = generations(rng, 16, 0..12);
         let mut live = DynamicGraph::from_edges(labels_of(&labels), &edges_of(&edges)).unwrap();
         for (_, raw) in &generations {
             let delta = batch_of(raw).normalize_against(&live);
@@ -295,7 +317,7 @@ proptest! {
             let labels: Vec<Label> = live.nodes().map(|v| live.label(v)).collect();
             let mut other = DynamicGraph::from_edges(labels, &reversed).unwrap();
             other.restore_epoch(live.epoch());
-            prop_assert_eq!(
+            assert_eq!(
                 (other.epoch(), other.node_count(), other.edge_count()),
                 (live.epoch(), live.node_count(), live.edge_count())
             );
@@ -303,5 +325,5 @@ proptest! {
 
             assert_applies_per_unit(&mut live, &delta);
         }
-    }
+    });
 }

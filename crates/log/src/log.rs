@@ -395,19 +395,30 @@ impl CommitLog {
     /// fresh one); returns the segment it landed in.
     fn append_framed(&mut self, framed: &[u8]) -> Result<u32, LogError> {
         let segments = self.backend.segments()?;
-        let fresh = self.force_fresh_segment
-            || segments == 0
-            || self.backend.len(segments - 1)? >= self.segment_bytes;
-        let result = if fresh {
+        let tail = match segments {
+            0 => None,
+            _ if self.force_fresh_segment => None,
+            n => Some(self.backend.len(n - 1)?).filter(|&len| len < self.segment_bytes),
+        };
+        let (target, before) = tail.map_or((segments, 0), |len| (segments - 1, len));
+        let result = if tail.is_none() {
             // Header and record go down in one atomic append, so a
             // concurrent reader (or a crash) never sees a headered-but-
             // empty segment with committed data pending.
             let mut bytes = segment_header().to_vec();
             bytes.extend_from_slice(framed);
-            self.backend.append(segments, &bytes)
+            self.backend.append(target, &bytes)
         } else {
-            self.backend.append(segments - 1, framed)
+            self.backend.append(target, framed)
         };
+        // A failed append that still stored every byte stored the record:
+        // every scan reads it back. Count it as appended, or a retry (or
+        // the next record at the same epoch) would chain it twice.
+        let stored = before + (framed.len() + tail.map_or(SEGMENT_HEADER_BYTES, |_| 0)) as u64;
+        let result = result.or_else(|e| match self.backend.len(target) {
+            Ok(len) if len == stored => Ok(()),
+            _ => Err(e),
+        });
         // The failed append may have left *partial* bytes in the target
         // segment (write_all can die mid-way). Appending another record
         // after them would bury committed data behind garbage mid-segment
@@ -416,7 +427,7 @@ impl CommitLog {
         // each retry of this attempt land in a fresh segment past the
         // garbage of the previous one.
         self.force_fresh_segment = result.is_err();
-        result.map(|()| if fresh { segments } else { segments - 1 })
+        result.map(|()| target)
     }
 
     /// Post-append durability bookkeeping: mark `segment` dirty, then

@@ -1,14 +1,24 @@
 //! Pin-site guards only reject: `IncRules` with a guard on every atom kind
 //! holds the naive fixpoint's facts, support counts and rank certificates
 //! (`verify_against_batch`) through random batches that bring fresh
-//! labelled nodes.
+//! labelled nodes, over 64 seeded cases; a failing case's seed is printed.
 
 use igc_core::IncView;
 use igc_graph::{DynamicGraph, Edge, Label, NodeId, Update, UpdateBatch};
 use igc_rules::{v, Atom, Program, RuleSet, Term};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const LABELS: u32 = 4;
+
+/// Run `body` on 64 seeded cases. Each prints its seed first, so the
+/// output of a failing test ends with the seed of the case that failed.
+fn cases(mut body: impl FnMut(&mut StdRng)) {
+    for seed in 0..64 {
+        eprintln!("case seed {seed}");
+        body(&mut StdRng::seed_from_u64(seed));
+    }
+}
 
 /// Guards of every kind at every kind of pin site (`x` = `?0`, `y` = `?1`):
 ///
@@ -115,22 +125,26 @@ fn attack_program() -> Program {
 }
 
 /// A small digraph as (labels, edges); self-loops occur.
-fn arb_graph() -> impl Strategy<Value = (Vec<u32>, Vec<(u32, u32)>)> {
-    (3u32..14).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(0..LABELS, n as usize),
-            proptest::collection::vec((0..n, 0..n), 0..48),
-        )
-    })
+fn arb_graph(rng: &mut StdRng) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let n = rng.gen_range(3u32..14);
+    let labels = (0..n).map(|_| rng.gen_range(0..LABELS)).collect();
+    let edge = |rng: &mut StdRng| (rng.gen_range(0..n), rng.gen_range(0..n));
+    let edges: Vec<_> = (0..rng.gen_range(0usize..48)).map(|_| edge(rng)).collect();
+    (labels, edges)
 }
 
 /// One raw unit: delete or insert between ids up to a few past any graph
 /// [`arb_graph`] draws (fresh nodes), each end with or without a label.
 type RawUnit = (bool, u32, u32, u32, u32);
 
-fn arb_batches() -> impl Strategy<Value = Vec<Vec<RawUnit>>> {
-    let unit = (any::<bool>(), 0u32..17, 0u32..17, 0..=LABELS, 0..=LABELS);
-    proptest::collection::vec(proptest::collection::vec(unit, 0..16), 5)
+fn arb_batches(rng: &mut StdRng) -> Vec<Vec<RawUnit>> {
+    let label = |rng: &mut StdRng| rng.gen_range(0..=LABELS);
+    let unit = |rng: &mut StdRng| {
+        let (a, b) = (rng.gen_range(0u32..17), rng.gen_range(0u32..17));
+        (rng.gen(), a, b, label(rng), label(rng))
+    };
+    let batch = |rng: &mut StdRng| (0..rng.gen_range(0usize..16)).map(|_| unit(rng)).collect();
+    (0..5).map(|_| batch(rng)).collect()
 }
 
 fn batch_of(raw: &[RawUnit]) -> UpdateBatch {
@@ -148,28 +162,28 @@ fn batch_of(raw: &[RawUnit]) -> UpdateBatch {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn guarded_views_match_the_naive_fixpoint(
-        (labels, edges) in arb_graph(),
-        batches in arb_batches(),
-    ) {
+#[test]
+fn guarded_views_match_the_naive_fixpoint() {
+    cases(|rng| {
+        let (labels, edges) = arb_graph(rng);
+        let batches = arb_batches(rng);
         let labels: Vec<Label> = labels.into_iter().map(Label).collect();
-        let edges: Vec<Edge> = edges.into_iter().map(|(a, b)| (NodeId(a), NodeId(b))).collect();
+        let edges: Vec<Edge> = edges
+            .into_iter()
+            .map(|(a, b)| (NodeId(a), NodeId(b)))
+            .collect();
         for program in [guarded_program(), attack_program()] {
             let mut g = DynamicGraph::from_edges(labels.clone(), &edges).unwrap();
             let mut view = igc_rules::IncRules::new(&g, program);
-            prop_assert_eq!(view.verify_against_batch(&g), Ok(()));
+            assert_eq!(view.verify_against_batch(&g), Ok(()));
             for raw in &batches {
                 let delta = batch_of(raw).normalize_against(&g);
                 g.apply_batch(&delta);
                 view.apply(&g, &delta);
-                prop_assert_eq!(view.verify_against_batch(&g), Ok(()));
+                assert_eq!(view.verify_against_batch(&g), Ok(()));
             }
         }
-    }
+    });
 }
 
 /// The property above is only as strong as the facts it sees: on a graph

@@ -1,206 +1,213 @@
-//! Cross-view consistency properties for the engine.
+//! One seeded simulation holds the engine to one executable specification:
+//! the paper's oracle (§2.2), stated once per epoch. The graph at epoch `e`
+//! is the fold of the normalized deltas up to `e`, and every answer at `e`
+//! is batch recomputation on it. [`Model`] holds that, the label roster and
+//! the live pins, and is checked after every action.
 //!
-//! Three properties live here:
+//! A `u64` seed draws an action list ([`generate`]); [`Sim`] drives one
+//! journaled engine, its followers and its pins through it. A failure is
+//! shrunk ([`minimise`]) and printed with its seed as a Rust literal, which
+//! [`replay`] reproduces. The seven properties this file held, and what
+//! covers each now:
 //!
-//! 1. all five query classes (rpq, scc, kws, iso, and the delta-rule
-//!    views of `igc_rules`) registered on one engine, driven by
-//!    *arbitrary* (denormalized) commits — duplicates, insert/delete pairs,
-//!    no-op updates, self-loops, fresh nodes — must agree with from-scratch
-//!    batch recomputation after every commit;
-//! 2. the same under a randomly interleaved *lifecycle*: commits,
-//!    deregistrations and lazy registrations across the 5 view classes,
-//!    with every surviving view audited after every commit (lazy-joined
-//!    views must match from-scratch recomputation exactly, from their very
-//!    first commit);
-//! 3. *crash replay*: a write-ahead-logged engine driven through random
-//!    commit/lifecycle interleavings, crashed (dropped) at a random epoch
-//!    and rebuilt with `Engine::recover` must serve answers bit-identical
-//!    to a twin engine that never crashed — for all five view classes,
-//!    both right after recovery and across the remaining commit stream;
-//! 4. *replication*: log-shipped followers attaching at random epochs
-//!    (one pinned via `Engine::replica`, one unpinned via
-//!    `Replica::attach`) and catching up after every commit must serve
-//!    all five classes bit-identical to the leader *and* to a
-//!    never-replicated twin at every compared frontier — including a
-//!    fresh follower joining after the log has been compacted;
-//! 5. *coalescing*: random submission streams grouped into arbitrary
-//!    commit ticks (each tick concatenating its submissions in arrival
-//!    order, exactly like the ingest front door) and driven through the
-//!    chained `prepare`/`apply_prepared` path on a WAL-logged engine
-//!    fanning out on two threads must answer bit-identical to a twin that
-//!    commits every submission individually — for all five view classes, with a
-//!    deliberately panicking canary view quarantined on both sides, and
-//!    with recovery from the journal landing on the same frontier;
-//! 6. *crash mid-tick*: a torn WAL append inside a coalesced tick must
-//!    fail that commit atomically; recovery lands on a clean epoch
-//!    boundary (never a partially applied mega-batch) and retrying the
-//!    tick lands it exactly once, converging back to the per-submission
-//!    twin.
+//! 1. `all_views_agree_with_batch_recomputation_after_every_commit`:
+//!    [`Sim::check`] after each `Commit` of raw units (duplicates, pairs,
+//!    no-ops, self-loops, fresh nodes); [`Sim::landed`] checks its receipt.
+//! 2. `lifecycle_interleavings_keep_every_surviving_view_consistent`:
+//!    `Register` and `Deregister` keep the roster equal to the model's, and
+//!    a dropped handle stale.
+//! 3. `crash_replay_recovers_all_five_classes_bit_identically`: `Crash`
+//!    recovers at the frontier; every surface shows one answer per epoch.
+//! 4. `replicas_joining_at_random_epochs_converge_bit_identically`: `Attach`
+//!    and `CatchUp` followers show the model at their frontier, and seed
+//!    past a `Compact`ed base.
+//! 5. `coalesced_ticks_match_per_submission_commits_bit_identically`:
+//!    `Ticks` chain `apply_prepared`, on one thread or two, beside canaries
+//!    quarantined at their first commit that is not a no-op.
+//! 6. `crash_mid_tick_recovers_to_a_clean_epoch_boundary`: a torn tick moves
+//!    nothing, recovery lands before it, and its retry lands exactly once.
+//! 7. `pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow`:
+//!    every `Pin` keeps showing its epoch, a commit keeps the pinned versions
+//!    and the head, and `snapshot_at` errs at the window's edges.
 
 use incgraph::graph::graph::graph_from;
 use incgraph::prelude::*;
-use proptest::prelude::*;
-use std::sync::Arc;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Once};
+use std::time::Duration;
+use Action::*;
+use Class::*;
+use EngineError::{EpochRetired, FrontierCompacted, SnapshotUnavailable};
+use U::*;
 
-/// The five classes' canonical answers, as one comparison key for the
-/// crash-replay property: (rpq pairs, scc components, kws signature, iso
-/// matches, rule facts with their support counts).
-type ClassAnswers = (
-    Vec<(NodeId, NodeId)>,
-    Vec<Vec<NodeId>>,
-    Vec<(NodeId, Vec<u32>)>,
-    Vec<incgraph::iso::MatchKey>,
-    Vec<(Fact, u32)>,
-);
+/// Seeds per tier-1 run, and actions per seed.
+const SEEDS: u64 = 64;
+const ACTIONS: usize = 72;
+/// The base graph is a ring of 10 nodes labelled `i % 3`; fresh nodes grow
+/// it up to `MAX_NODES`.
+const BASE_NODES: u32 = 10;
+const MAX_NODES: u32 = 24;
 
-fn rpq_query() -> Regex {
-    let mut it = LabelInterner::new();
-    // Interner ids follow first-use order: l0→0, l1→1, l2→2, matching the
-    // `i % 3` node labels below.
-    Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap()
+/// One raw unit: an insert, an insert that labels fresh endpoints, a delete.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum U {
+    I(u32, u32),
+    L(u32, u32, u32, u32),
+    D(u32, u32),
 }
 
-/// The delta-rule program for the fifth class: executability anchored at
-/// label-1 nodes, propagated along edges — recursive, so random deletion
-/// streams exercise the support-counting + over-delete/re-derive repair
-/// machinery (cycles reachable from an anchor have cyclic support).
+/// The five view classes, and two canaries that panic at their first
+/// commit that is not a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Class {
+    Rpq,
+    Scc,
+    Kws,
+    Iso,
+    Rules,
+    PanicInApply,
+    PanicInClone,
+}
+
+const CORE: [Class; 5] = [Rpq, Scc, Kws, Iso, Rules];
+
+/// One step of a history. Any subsequence of a history is a history:
+/// picks are taken modulo what exists, and an action with nothing to act
+/// on does nothing.
+#[derive(Debug, Clone, PartialEq)]
+enum Action {
+    Commit(Vec<U>),
+    /// Ticks chained through `apply_prepared`; `true` fans out on 2 threads.
+    Ticks(Vec<Vec<U>>, bool),
+    Register(Class),
+    Deregister(usize),
+    Checkpoint,
+    Compact,
+    Retry(bool),
+    /// Drop the engine and recover it; first, with `(keep, tick)`, commit
+    /// `tick` into an append torn after `keep` bytes.
+    Crash(Option<(usize, Vec<U>)>),
+    /// A pinned (`Engine::replica`) or unpinned (`Replica::attach`) follower.
+    Attach(bool),
+    CatchUp(usize),
+    /// Pin the head, or `Some(k)`: a held epoch, with `snapshot_at`.
+    Pin(Option<usize>),
+    Unpin(usize),
+}
+
+/// What the seeds must exercise: each action kind, each surface check, and
+/// the events the action kinds exist for.
+const COVERED: &str = "Commit Ticks Register Deregister Checkpoint Compact Retry Crash Attach \
+    CatchUp Pin Unpin engine_check follower_check pin_check parallel_tick quarantine torn_tick \
+    retried_append stored_torn_append compaction_drop reattach snapshot_at";
+
+type Stats = BTreeMap<String, u64>;
+
+fn bump(stats: &mut Stats, what: &str) {
+    *stats.entry(what.to_owned()).or_default() += 1;
+}
+
+/// The action list seed `seed` draws.
+fn generate(seed: u64) -> Vec<Action> {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    // A bound on the node count, so ids reach a few past it (fresh nodes),
+    // and deletes of the edges inserted so far, so deletes hit.
+    let (mut nodes, mut deletes) = (BASE_NODES, Vec::new());
+    let mut batch = |rng: &mut StdRng| {
+        let mut units = Vec::new();
+        for _ in 0..rng.gen_range(1u32..14) {
+            let ids = 0..(nodes + 3).min(MAX_NODES);
+            let (a, b) = (rng.gen_range(ids.clone()), rng.gen_range(ids));
+            let unit = match rng.gen_range(0u32..8) {
+                0..=2 => I(a, b),
+                3 => L(a, b, rng.gen_range(0u32..3), rng.gen_range(0u32..3)),
+                4..=6 if !deletes.is_empty() => deletes[rng.gen_range(0..deletes.len())],
+                _ => D(a, b),
+            };
+            let inverse = match unit {
+                I(a, b) | L(a, b, ..) => {
+                    nodes = nodes.max(a.max(b) + 1);
+                    deletes.push(D(a, b));
+                    D(a, b)
+                }
+                D(a, b) => I(a, b),
+            };
+            units.push(unit);
+            units.extend(rng.gen_bool(0.1).then_some(unit));
+            units.extend(rng.gen_bool(0.1).then_some(inverse));
+        }
+        units
+    };
+    let mut action = |rng: &mut StdRng| {
+        let pick = rng.gen_range(0usize..64);
+        match rng.gen_range(0u32..100) {
+            0..=31 => Commit(batch(rng)),
+            32..=39 => {
+                let ticks = rng.gen_range(1usize..4);
+                Ticks((0..ticks).map(|_| batch(rng)).collect(), rng.gen())
+            }
+            40..=46 if pick % 4 == 0 => Register([PanicInApply, PanicInClone][pick / 4 % 2]),
+            40..=46 => Register(CORE[pick % 5]),
+            47..=52 => Deregister(pick),
+            53..=55 => Checkpoint,
+            56..=59 => Compact,
+            60..=63 => Retry(rng.gen()),
+            64..=70 if rng.gen_bool(0.6) => Crash(Some((rng.gen_range(0usize..64), batch(rng)))),
+            64..=70 => Crash(None),
+            71..=75 => Attach(rng.gen()),
+            76..=84 => CatchUp(pick),
+            85..=93 => Pin(rng.gen_bool(0.5).then_some(pick)),
+            _ => Unpin(pick),
+        }
+    };
+    (0..ACTIONS).map(|_| action(rng)).collect()
+}
+
+fn batch_of(units: &[U]) -> UpdateBatch {
+    let (n, l) = (NodeId, |l| Some(Label(l)));
+    let update = |&u: &U| match u {
+        I(a, b) => Update::insert(n(a), n(b)),
+        L(a, b, la, lb) => Update::insert_labeled(n(a), n(b), l(la), l(lb)),
+        D(a, b) => Update::delete(n(a), n(b)),
+    };
+    units.iter().map(update).collect()
+}
+
+fn rpq_query() -> Regex {
+    // Interner ids follow first use: l0 → 0, l1 → 1, l2 → 2, the base labels.
+    Regex::parse("l0.(l1+l2)*.l2", &mut LabelInterner::new()).unwrap()
+}
+
+/// `exec` anchored at label-1 nodes and carried along edges: recursive, so
+/// deletes exercise over-delete and re-derive, and over a self-loop a fact
+/// derives itself.
 fn rules_program() -> Program {
     let mut rs = RuleSet::new();
     let exec = rs.predicate("exec", 1).unwrap();
-    rs.rule(exec, &[v(0)], vec![Atom::has_label(v(0), Label(1))])
-        .unwrap();
-    rs.rule(
-        exec,
-        &[v(1)],
-        vec![Atom::pred(exec, &[v(0)]), Atom::edge(v(0), v(1))],
-    )
-    .unwrap();
+    let anchor = vec![Atom::has_label(v(0), Label(1))];
+    let step = vec![Atom::pred(exec, &[v(0)]), Atom::edge(v(0), v(1))];
+    rs.rule(exec, &[v(0)], anchor).unwrap();
+    rs.rule(exec, &[v(1)], step).unwrap();
     rs.compile().unwrap()
 }
 
-/// A rule view's bit-identity key: every derived fact *and* its exact
-/// support count, sorted.
-fn rules_answer(view: &IncRules) -> Vec<(Fact, u32)> {
-    view.sorted_facts()
-        .into_iter()
-        .map(|f| (f, view.support(f.pred, f.args())))
-        .collect()
-}
-
-/// Build an engine over the given graph with all five classes registered.
-fn engine_with_views(g: DynamicGraph) -> Engine {
-    let mut engine = Engine::new(g);
-    engine
-        .register(IncRpq::new(engine.graph(), &rpq_query()))
-        .unwrap();
-    engine.register(IncScc::new(engine.graph())).unwrap();
-    engine
-        .register(IncKws::new(
-            engine.graph(),
-            KwsQuery::new(vec![Label(1), Label(2)], 2),
-        ))
-        .unwrap();
-    engine
-        .register(IncIso::new(
-            engine.graph(),
-            Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]),
-        ))
-        .unwrap();
-    engine
-        .register(IncRules::new(engine.graph(), rules_program()))
-        .unwrap();
-    engine
-}
-
-fn batch_from_raw(raw: &[(bool, u32, u32)]) -> UpdateBatch {
-    raw.iter()
-        .map(|&(ins, a, b)| {
-            if ins {
-                Update::insert(NodeId(a), NodeId(b))
-            } else {
-                Update::delete(NodeId(a), NodeId(b))
-            }
-        })
-        .collect()
-}
-
-/// Concatenate a tick group's submissions in arrival order — exactly what
-/// the ingest loop's coalescer does before the engine normalizes once.
-fn coalesce(group: &[UpdateBatch]) -> UpdateBatch {
-    group.iter().flat_map(|b| b.iter().copied()).collect()
-}
-
-/// Split per-client submissions into tick groups: bit `i % 64` of `mask`
-/// decides whether submission `i` starts a new tick.
-fn split_groups(batches: &[UpdateBatch], mask: u64) -> Vec<Vec<UpdateBatch>> {
-    let mut groups: Vec<Vec<UpdateBatch>> = vec![Vec::new()];
-    for (i, b) in batches.iter().enumerate() {
-        if i > 0 && (mask >> (i % 64)) & 1 == 1 {
-            groups.push(Vec::new());
-        }
-        groups.last_mut().unwrap().push(b.clone());
-    }
-    groups
-}
-
-/// Canonical five-class answers under the default registration labels
-/// (the names `engine_with_views` registers under).
-fn five_class_answers(e: &Engine) -> ClassAnswers {
-    let rpq: ViewHandle<IncRpq> = e.typed(e.find("rpq").unwrap()).unwrap();
-    let scc: ViewHandle<IncScc> = e.typed(e.find("scc").unwrap()).unwrap();
-    let kws: ViewHandle<IncKws> = e.typed(e.find("kws").unwrap()).unwrap();
-    let iso: ViewHandle<IncIso> = e.typed(e.find("iso").unwrap()).unwrap();
-    let rules: ViewHandle<IncRules> = e.typed(e.find("rules").unwrap()).unwrap();
-    (
-        e.view(&rpq).unwrap().sorted_answer(),
-        e.view(&scc).unwrap().components(),
-        e.view(&kws).unwrap().answer_signature(),
-        e.view(&iso).unwrap().sorted_matches(),
-        rules_answer(e.view(&rules).unwrap()),
-    )
-}
-
-/// Re-register the five classes under their default labels from the
-/// engine's *current* graph — the post-recovery re-join step.
-fn register_five_lazily(engine: &mut Engine) {
-    engine
-        .register_lazy("rpq", IncRpq::init(rpq_query()))
-        .unwrap();
-    engine.register_lazy("scc", IncScc::init()).unwrap();
-    engine
-        .register_lazy(
-            "kws",
-            IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
-        )
-        .unwrap();
-    engine
-        .register_lazy(
-            "iso",
-            IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
-        )
-        .unwrap();
-    engine
-        .register_lazy("rules", IncRules::init(rules_program()))
-        .unwrap();
-}
-
-/// A deliberately faulty view: panics on its first apply and is
-/// quarantined by the engine. Rides on both engines in the coalescing
-/// property so bit-identity is pinned *under quarantine* too.
-#[derive(Debug, Default, Clone)]
-struct Canary {
-    applies: u64,
-}
+/// A view that panics at its first commit that is not a no-op: in `apply`,
+/// or (`.0`) in the `clone_view` of the publish after it. `.1` counts its
+/// applies.
+#[derive(Clone)]
+struct Canary(bool, u32);
 
 impl IncView for Canary {
     fn name(&self) -> &str {
         "canary"
     }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
-        self.applies += 1;
-        if self.applies == 1 {
-            panic!("deliberate canary failure");
-        }
+        self.1 += 1;
+        assert!(self.0, "canary: deliberate panic in apply");
     }
     fn work(&self) -> WorkStats {
         WorkStats::default()
@@ -209,895 +216,680 @@ impl IncView for Canary {
         Ok(())
     }
     fn clone_view(&self) -> Box<dyn IncView> {
+        assert!(self.1 == 0, "canary: deliberate panic in clone_view");
         Box::new(self.clone())
     }
 }
 
-/// Run `f` with panic messages suppressed — the canary's deliberate panics
-/// (caught and quarantined by the engine) would otherwise spam the test
-/// output. The hook is process-global, so swaps are serialized.
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    use std::panic::PanicHookInfo;
-    use std::sync::{Mutex, MutexGuard};
-    type PrevHook = Box<dyn Fn(&PanicHookInfo<'_>) + Sync + Send>;
-    static HOOK_LOCK: Mutex<()> = Mutex::new(());
-    struct Restore<'a> {
-        prev: Option<PrevHook>,
-        _serialize: MutexGuard<'a, ()>,
-    }
-    impl Drop for Restore<'_> {
-        fn drop(&mut self) {
-            if let Some(prev) = self.prev.take() {
-                std::panic::set_hook(prev);
-            }
-        }
-    }
-    let guard = Restore {
-        _serialize: HOOK_LOCK.lock().unwrap_or_else(|p| p.into_inner()),
-        prev: Some(std::panic::take_hook()),
-    };
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    drop(guard);
-    out
+/// Where views register: the engine, or a follower.
+trait Host {
+    fn add<V: IncView>(&mut self, label: &str, init: impl FnOnce(&DynamicGraph) -> V);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+impl Host for Engine {
+    fn add<V: IncView>(&mut self, label: &str, init: impl FnOnce(&DynamicGraph) -> V) {
+        self.register_lazy(label, init).expect("register");
+    }
+}
 
-    #[test]
-    fn all_views_agree_with_batch_recomputation_after_every_commit(
-        (n, edges, commits) in (8u32..18).prop_flat_map(|n| (
-            Just(n),
-            // Initial edges: arbitrary ordered pairs, duplicates allowed
-            // (the graph's edge set dedupes).
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..40,
-            ),
-            // 1–4 commits of raw unit updates. Ids range past n so
-            // insertions create fresh (default-labelled) nodes; nothing
-            // forbids duplicates, insert/delete pairs, no-ops or
-            // self-loops — that is the point.
-            proptest::collection::vec(
-                proptest::collection::vec(
-                    (any::<bool>(), 0..n + 3, 0..n + 3),
-                    1..14,
-                ),
-                1..5,
-            ),
-        ))
-    ) {
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
-        let mut engine = engine_with_views(g);
+impl Host for Replica {
+    fn add<V: IncView>(&mut self, label: &str, init: impl FnOnce(&DynamicGraph) -> V) {
+        self.register(label, init).expect("register on a follower");
+    }
+}
 
-        let mut last_epoch = engine.epoch();
-        for (round, raw) in commits.iter().enumerate() {
-            let batch = batch_from_raw(raw);
-            let receipt = engine.commit(&batch).unwrap();
+fn register(host: &mut impl Host, label: &str, class: Class) {
+    let kws = KwsQuery::new(vec![Label(1), Label(2)], 2);
+    let path = Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]);
+    match class {
+        Rpq => host.add(label, IncRpq::init(rpq_query())),
+        Scc => host.add(label, IncScc::init()),
+        Kws => host.add(label, IncKws::init(kws)),
+        Iso => host.add(label, IncIso::init(path)),
+        Rules => host.add(label, IncRules::init(rules_program())),
+        _ => host.add(label, |_: &DynamicGraph| Canary(class == PanicInClone, 0)),
+    }
+}
 
-            // Receipt arithmetic is conserved; the epoch advances exactly
-            // when something was applied.
-            prop_assert_eq!(receipt.submitted, raw.len());
-            prop_assert_eq!(receipt.applied + receipt.dropped, receipt.submitted);
-            if receipt.is_noop() {
-                prop_assert_eq!(receipt.epoch, last_epoch);
-            } else {
-                prop_assert_eq!(receipt.epoch, last_epoch + 1);
-                prop_assert_eq!(receipt.per_view.len(), 5);
-            }
-            last_epoch = receipt.epoch;
-
-            // The heart of the property: every registered view equals its
-            // from-scratch batch recomputation on the current graph.
-            if let Err(failures) = engine.verify_all() {
-                panic!("commit {round}: views diverged from batch recomputation: {failures}");
-            }
+/// A view's answer key: its canonical answer, with support counts for rules.
+fn answer(view: &dyn IncView, class: Class) -> String {
+    fn as_<V: IncView>(view: &dyn IncView) -> &V {
+        view.downcast_ref().expect("the registered type")
+    }
+    match class {
+        Rpq => format!("{:?}", as_::<IncRpq>(view).sorted_answer()),
+        Scc => format!("{:?}", as_::<IncScc>(view).components()),
+        Kws => format!("{:?}", as_::<IncKws>(view).answer_signature()),
+        Iso => format!("{:?}", as_::<IncIso>(view).sorted_matches()),
+        _ => {
+            let r = as_::<IncRules>(view);
+            let facts = r.sorted_facts().into_iter();
+            let supported: Vec<_> = facts.map(|f| (f, r.support(f.pred, f.args()))).collect();
+            format!("{supported:?}")
         }
     }
+}
 
-    #[test]
-    fn lifecycle_interleavings_keep_every_surviving_view_consistent(
-        (n, edges, rounds) in (8u32..16).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            // 3–7 rounds; each round: a lifecycle op (0 = none,
-            // 1 = deregister, 2 = lazy-register), a pick that selects the
-            // op's target (view slot / class), and a raw commit batch.
-            proptest::collection::vec(
-                (
-                    0u32..3,
-                    0u32..64,
-                    proptest::collection::vec(
-                        (any::<bool>(), 0..n + 3, 0..n + 3),
-                        1..10,
-                    ),
-                ),
-                3..8,
-            ),
-        ))
-    ) {
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
-        let mut engine = engine_with_views(g);
-        // Shadow roster of live labels, kept in sync with the registry.
-        let mut live: Vec<String> =
-            engine.labels().map(str::to_owned).collect();
-        let mut fresh = 0u32;
+type Roster = Vec<(String, Class)>;
 
-        for (round, (op, pick, raw)) in rounds.iter().enumerate() {
-            match op {
-                // Deregister a pseudo-randomly picked live view; its label
-                // frees up, its handle goes stale, its totals retire.
-                1 if !live.is_empty() => {
-                    let victim = live.remove((*pick as usize) % live.len());
-                    let id = engine.find(&victim).expect("live view findable");
-                    let retired_before = engine.retired().len();
-                    let totals = engine.deregister(id).unwrap();
-                    prop_assert_eq!(&*totals.label, victim.as_str());
-                    prop_assert_eq!(engine.retired().len(), retired_before + 1);
-                    prop_assert!(engine.find(&victim).is_none());
-                    prop_assert!(engine.view_dyn(id).is_err(), "stale after deregister");
-                }
-                // Lazily register a fresh view of a pseudo-randomly picked
-                // class: its initial state is built from the *current*
-                // graph, mid-stream.
-                2 => {
-                    fresh += 1;
-                    let label = match pick % 5 {
-                        0 => {
-                            let l = format!("rpq:g{fresh}");
-                            engine.register_lazy(l.as_str(), IncRpq::init(rpq_query())).unwrap();
-                            l
-                        }
-                        1 => {
-                            let l = format!("scc:g{fresh}");
-                            engine.register_lazy(l.as_str(), IncScc::init()).unwrap();
-                            l
-                        }
-                        2 => {
-                            let l = format!("kws:g{fresh}");
-                            engine.register_lazy(
-                                l.as_str(),
-                                IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
-                            ).unwrap();
-                            l
-                        }
-                        3 => {
-                            let l = format!("iso:g{fresh}");
-                            engine.register_lazy(
-                                l.as_str(),
-                                IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
-                            ).unwrap();
-                            l
-                        }
-                        _ => {
-                            let l = format!("rules:g{fresh}");
-                            engine.register_lazy(l.as_str(), IncRules::init(rules_program())).unwrap();
-                            l
-                        }
-                    };
-                    live.push(label.clone());
-                    // A lazy joiner is consistent immediately, before its
-                    // first commit: exact match with from-scratch state.
-                    let id = engine.find(&label).expect("lazy view findable");
-                    prop_assert!(engine.verify(id).is_ok(), "lazy view consistent at join");
-                }
-                _ => {}
-            }
-            prop_assert_eq!(engine.view_count(), live.len());
+/// The five classes under their class names: the start of every roster,
+/// and every follower's.
+fn core_roster() -> Roster {
+    CORE.map(|c| (format!("{c:?}"), c)).to_vec()
+}
 
-            let receipt = engine.commit(&batch_from_raw(raw)).unwrap();
-            prop_assert_eq!(receipt.applied + receipt.dropped, receipt.submitted);
-            if !receipt.is_noop() {
-                prop_assert_eq!(receipt.per_view.len(), live.len());
-                prop_assert_eq!(receipt.skipped_quarantined, 0);
-            }
+/// The specification, per epoch.
+#[derive(Default)]
+struct Model {
+    /// `graphs[e]`: the fold of the normalized deltas up to epoch `e`.
+    graphs: Vec<DynamicGraph>,
+    /// A class's answer key at an epoch, as the first surface showed it.
+    answers: HashMap<(u64, Class), String>,
+    /// The labels live on the engine; the quarantined canaries among them.
+    roster: Roster,
+    quarantined: Vec<String>,
+    /// Per epoch of the version store: its last publication and roster.
+    published: BTreeMap<u64, (u64, Roster)>,
+    publications: u64,
+    /// The live pins, with their roster and publication.
+    pins: Vec<(Snapshot, Roster, u64)>,
+}
 
-            // Audit every surviving view after every commit — lazy joiners
-            // included, against from-scratch recomputation.
-            if let Err(failures) = engine.verify_all() {
-                panic!("round {round}: surviving views diverged: {failures}");
-            }
-            let mut roster: Vec<&str> = live.iter().map(String::as_str).collect();
-            roster.sort_unstable();
-            let mut got: Vec<&str> = engine.labels().collect();
-            got.sort_unstable();
-            prop_assert_eq!(got, roster, "registry roster matches shadow roster");
-        }
+impl Model {
+    fn epoch(&self) -> u64 {
+        self.graphs.len() as u64 - 1
     }
 
-    #[test]
-    fn crash_replay_recovers_all_five_classes_bit_identically(
-        (n, edges, rounds, crash_pick) in (8u32..16).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            // Each round: a lifecycle op (0 = none, 1 = deregister,
-            // 2 = lazy-register), its target pick, and a raw commit batch
-            // — the same op/commit alphabet as the lifecycle property.
-            proptest::collection::vec(
-                (
-                    0u32..3,
-                    0u32..64,
-                    proptest::collection::vec(
-                        (any::<bool>(), 0..n + 3, 0..n + 3),
-                        1..10,
-                    ),
-                ),
-                3..7,
-            ),
-            any::<u32>(),
-        ))
-    ) {
-        // The canonical answers of the five classes under their
-        // post-crash labels — the bit-identity comparison key.
-        fn class_answers(engine: &Engine) -> Result<ClassAnswers, EngineError> {
-            let rpq: ViewHandle<IncRpq> =
-                engine.typed(engine.find("post:rpq").expect("post:rpq live"))?;
-            let scc: ViewHandle<IncScc> =
-                engine.typed(engine.find("post:scc").expect("post:scc live"))?;
-            let kws: ViewHandle<IncKws> =
-                engine.typed(engine.find("post:kws").expect("post:kws live"))?;
-            let iso: ViewHandle<IncIso> =
-                engine.typed(engine.find("post:iso").expect("post:iso live"))?;
-            let rules: ViewHandle<IncRules> =
-                engine.typed(engine.find("post:rules").expect("post:rules live"))?;
-            Ok((
-                engine.view(&rpq)?.sorted_answer(),
-                engine.view(&scc)?.components(),
-                engine.view(&kws)?.answer_signature(),
-                engine.view(&iso)?.sorted_matches(),
-                rules_answer(engine.view(&rules)?),
-            ))
-        }
-        /// Register the five classes under `post:` labels (used on both
-        /// engines right after the crash point, so both build from what
-        /// each believes the graph is — the recovered one from replay).
-        fn register_post(engine: &mut Engine) {
-            engine.register_lazy("post:rpq", IncRpq::init(rpq_query())).unwrap();
-            engine.register_lazy("post:scc", IncScc::init()).unwrap();
-            engine.register_lazy(
-                "post:kws",
-                IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
-            ).unwrap();
-            engine.register_lazy(
-                "post:iso",
-                IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
-            ).unwrap();
-            engine.register_lazy("post:rules", IncRules::init(rules_program())).unwrap();
-        }
-
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
-
-        // Twin trajectories over one script: `durable` journals through a
-        // shared in-memory backend and will crash; `twin` never crashes.
-        let backend = MemBackend::new();
-        let mut durable = Some(
-            Engine::new(g.clone())
-                .with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                .unwrap(),
-        );
-        durable.as_mut().unwrap().set_checkpoint_every(2);
-        let mut twin = Engine::new(g);
-        for e in [durable.as_mut().unwrap(), &mut twin] {
-            e.register(IncRpq::new(e.graph(), &rpq_query())).unwrap();
-            e.register(IncScc::new(e.graph())).unwrap();
-            e.register(IncRules::new(e.graph(), rules_program())).unwrap();
-        }
-        let mut live: Vec<String> = vec!["rpq".into(), "scc".into(), "rules".into()];
-        let mut fresh = 0u32;
-
-        let crash_round = (crash_pick as usize) % rounds.len();
-        let mut recovered: Option<Engine> = None;
-        for (round, (op, pick, raw)) in rounds.iter().enumerate() {
-            if recovered.is_none() {
-                // Pre-crash phase: identical lifecycle script on both.
-                match op {
-                    1 if !live.is_empty() => {
-                        let victim = live.remove((*pick as usize) % live.len());
-                        for e in [durable.as_mut().unwrap(), &mut twin] {
-                            let id = e.find(&victim).expect("live view findable");
-                            e.deregister(id).unwrap();
-                        }
-                    }
-                    2 => {
-                        fresh += 1;
-                        let label = format!("rpq:g{fresh}");
-                        for e in [durable.as_mut().unwrap(), &mut twin] {
-                            e.register_lazy(label.as_str(), IncRpq::init(rpq_query())).unwrap();
-                        }
-                        live.push(label);
-                    }
-                    _ => {}
-                }
-            }
-            let batch = batch_from_raw(raw);
-            let receipt_twin = twin.commit(&batch).unwrap();
-            match (&mut recovered, &mut durable) {
-                (Some(r), _) => {
-                    // Post-crash phase: the recovered engine serves the
-                    // same stream with answers bit-identical to the twin.
-                    let receipt = r.commit(&batch).unwrap();
-                    prop_assert_eq!(receipt.epoch, receipt_twin.epoch);
-                    prop_assert_eq!(class_answers(r).unwrap(), class_answers(&twin).unwrap());
-                }
-                (None, Some(d)) => {
-                    d.commit(&batch).unwrap();
-                }
-                (None, None) => unreachable!("durable lives until the crash"),
-            }
-
-            if recovered.is_none() && round == crash_round {
-                // CRASH: drop the logged engine mid-stream, then rebuild
-                // it purely from the journal.
-                let epoch = durable.as_ref().unwrap().epoch();
-                durable = None;
-                let mut r = Engine::recover(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                    .unwrap();
-                prop_assert_eq!(r.epoch(), epoch, "recovered at the crash epoch");
-                prop_assert_eq!(
-                    r.graph().sorted_edges(),
-                    twin.graph().sorted_edges(),
-                    "replayed edge set matches the never-crashed graph"
-                );
-                prop_assert_eq!(r.graph().node_count(), twin.graph().node_count());
-                // Both engines get fresh `post:` views of all 4 classes —
-                // the recovered one builds them from the replayed graph.
-                register_post(&mut r);
-                register_post(&mut twin);
-                prop_assert_eq!(
-                    class_answers(&r).unwrap(),
-                    class_answers(&twin).unwrap(),
-                    "post-recovery answers match immediately"
-                );
-                recovered = Some(r);
-            }
-        }
-        // Final audits: every recovered view also agrees with from-scratch
-        // recomputation on its own graph.
-        let r = recovered.expect("crash point inside the script");
-        if let Err(failures) = r.verify_all() {
-            panic!("recovered views diverged from recomputation: {failures}");
-        }
+    fn graph(&self) -> &DynamicGraph {
+        self.graphs.last().expect("the base graph")
     }
 
-    #[test]
-    fn replicas_joining_at_random_epochs_converge_bit_identically(
-        (n, edges, rounds, picks) in (8u32..16).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            // 4–7 rounds of raw (denormalized) commit batches.
-            proptest::collection::vec(
-                proptest::collection::vec(
-                    (any::<bool>(), 0..n + 3, 0..n + 3),
-                    1..10,
-                ),
-                4..8,
-            ),
-            // Two join epochs, one per follower, reduced mod the round
-            // count below.
-            (any::<u32>(), any::<u32>()),
-        ))
-    ) {
-        // A follower's five typed handles, for reading its answers.
-        struct FollowerViews {
-            rpq: ViewHandle<IncRpq>,
-            scc: ViewHandle<IncScc>,
-            kws: ViewHandle<IncKws>,
-            iso: ViewHandle<IncIso>,
-            rules: ViewHandle<IncRules>,
-        }
-        fn register_follower(r: &mut Replica) -> FollowerViews {
-            FollowerViews {
-                rpq: r.register("rpq", IncRpq::init(rpq_query())).unwrap(),
-                scc: r.register("scc", IncScc::init()).unwrap(),
-                kws: r
-                    .register("kws", IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)))
-                    .unwrap(),
-                iso: r
-                    .register(
-                        "iso",
-                        IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
-                    )
-                    .unwrap(),
-                rules: r.register("rules", IncRules::init(rules_program())).unwrap(),
-            }
-        }
-        fn follower_answers(r: &Replica, v: &FollowerViews) -> ClassAnswers {
-            (
-                r.view(&v.rpq).unwrap().sorted_answer(),
-                r.view(&v.scc).unwrap().components(),
-                r.view(&v.kws).unwrap().answer_signature(),
-                r.view(&v.iso).unwrap().sorted_matches(),
-                rules_answer(r.view(&v.rules).unwrap()),
-            )
-        }
-        fn leader_answers(e: &Engine) -> ClassAnswers {
-            five_class_answers(e)
-        }
-        /// One follower's full convergence check against both references.
-        fn assert_converged(r: &mut Replica, v: &FollowerViews, leader: &Engine, twin: &Engine) {
-            r.catch_up().unwrap();
-            prop_assert_eq!(r.frontier(), leader.epoch(), "follower at the head");
-            prop_assert_eq!(r.status().unwrap().lag, 0);
-            prop_assert_eq!(
-                r.graph().sorted_edges(),
-                leader.graph().sorted_edges(),
-                "follower graph matches the leader"
-            );
-            let got = follower_answers(r, v);
-            prop_assert_eq!(&got, &leader_answers(leader), "follower == leader");
-            prop_assert_eq!(&got, &leader_answers(twin), "follower == never-replicated twin");
-            r.verify_all().unwrap();
-        }
-
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
-
-        let backend = MemBackend::new();
-        let mut leader = engine_with_views(g.clone());
-        leader = leader
-            .with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-            .unwrap();
-        leader.set_checkpoint_every(2);
-        let mut twin = engine_with_views(g);
-
-        let join_a = (picks.0 as usize) % rounds.len();
-        let join_b = (picks.1 as usize) % rounds.len();
-        let mut follower_a: Option<(Replica, FollowerViews)> = None; // pinned
-        let mut follower_b: Option<(Replica, FollowerViews)> = None; // unpinned
-
-        for (round, raw) in rounds.iter().enumerate() {
-            // Followers join *before* this round's commit, at whatever
-            // epoch the leader happens to be at.
-            if round == join_a {
-                let mut r = leader.replica().unwrap();
-                prop_assert!(r.is_pinned());
-                let v = register_follower(&mut r);
-                assert_converged(&mut r, &v, &leader, &twin);
-                follower_a = Some((r, v));
-            }
-            if round == join_b {
-                let mut r =
-                    Replica::attach(Arc::new(backend.clone()) as Arc<dyn LogBackend>).unwrap();
-                prop_assert!(!r.is_pinned());
-                let v = register_follower(&mut r);
-                assert_converged(&mut r, &v, &leader, &twin);
-                follower_b = Some((r, v));
-            }
-
-            let batch = batch_from_raw(raw);
-            let receipt = leader.commit(&batch).unwrap();
-            let receipt_twin = twin.commit(&batch).unwrap();
-            prop_assert_eq!(receipt.epoch, receipt_twin.epoch, "twin trajectories agree");
-
-            for (r, v) in [&mut follower_a, &mut follower_b].into_iter().flatten() {
-                assert_converged(r, v, &leader, &twin);
-            }
-        }
-
-        // Both followers are at the head, so compaction may drop every
-        // segment behind the newest checkpoint — and a *fresh* follower
-        // joining the compacted log must still converge bit-identically.
-        let c = leader.compact_log().unwrap();
-        let mut late = leader.replica().unwrap();
-        prop_assert!(
-            late.seed_base() >= c.base_epoch,
-            "post-compaction joiner seeds at or past the retained base"
-        );
-        let v = register_follower(&mut late);
-        assert_converged(&mut late, &v, &leader, &twin);
+    /// A raw batch, and its delta against the head.
+    fn normalize(&self, units: &[U]) -> (UpdateBatch, UpdateBatch) {
+        let batch = batch_of(units);
+        let delta = batch.normalize_against(self.graph());
+        (batch, delta)
     }
 
-    #[test]
-    fn coalesced_ticks_match_per_submission_commits_bit_identically(
-        (n, edges, subs, mask) in (8u32..14).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            // 4–10 client submissions of raw unit updates — the streams the
-            // ingest front door would coalesce. Duplicates, insert/delete
-            // pairs, no-ops and fresh nodes all allowed, as ever.
-            proptest::collection::vec(
-                proptest::collection::vec(
-                    (any::<bool>(), 0..n + 3, 0..n + 3),
-                    1..8,
-                ),
-                4..11,
-            ),
-            any::<u64>(),
-        ))
-    ) {
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
+    fn advance(&mut self, delta: &UpdateBatch) {
+        let mut g = self.graph().clone();
+        g.apply_batch(delta);
+        self.graphs.push(g);
+        self.republish();
+    }
 
-        // A: WAL-logged, fanning out on two threads, commits coalesced
-        // mega-batches through the chained prepare/apply_prepared driver
-        // (each apply prepares tick n+1 once tick n has landed). B: a twin
-        // that never coalesces — one plain commit per submission.
-        let backend = MemBackend::new();
-        let mut a = {
-            let mut a = engine_with_views(g.clone())
-                .with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                .unwrap();
-            a.set_checkpoint_every(3);
-            a.set_commit_mode(CommitMode::Parallel { threads: 2 });
-            a
+    fn republish(&mut self) {
+        self.publications += 1;
+        let publication = (self.publications, self.roster.clone());
+        self.published.insert(self.epoch(), publication);
+    }
+
+    fn is_canary(&self, label: &str) -> bool {
+        let class = self.roster.iter().find(|(l, _)| l == label).map(|c| c.1);
+        matches!(class, Some(PanicInApply | PanicInClone))
+    }
+
+    /// The epochs whose last publication a pin holds: what a commit keeps.
+    fn held(&self) -> Vec<u64> {
+        let last = |p: &&(Snapshot, Roster, u64)| {
+            self.published.get(&p.0.epoch()).is_some_and(|q| q.0 == p.2)
         };
-        let mut b = engine_with_views(g);
-        // A canary that panics on its first apply rides on both engines:
-        // coalescing equality must hold under a quarantined view too.
-        a.register(Canary::default()).unwrap();
-        b.register(Canary::default()).unwrap();
-
-        let batches: Vec<UpdateBatch> = subs.iter().map(|raw| batch_from_raw(raw)).collect();
-        let groups = split_groups(&batches, mask);
-        let megas: Vec<UpdateBatch> = groups.iter().map(|g| coalesce(g)).collect();
-
-        let (ticks_a, commits_b) = quiet_panics(|| {
-            // Chained driver: prepare tick 0, then every apply also
-            // prepares the next tick.
-            let mut ticks_a = 0u64;
-            let mut staged = a.prepare(&megas[0]).unwrap();
-            for next in megas.iter().skip(1) {
-                let (receipt, piped) = a.apply_prepared(staged, Some(next)).unwrap();
-                ticks_a += u64::from(!receipt.is_noop());
-                staged = piped.expect("the next prepare was requested").unwrap();
-            }
-            let (receipt, tail) = a.apply_prepared(staged, None).unwrap();
-            ticks_a += u64::from(!receipt.is_noop());
-            prop_assert!(tail.is_none(), "no prepare requested on the last tick");
-
-            // Twin: one commit per submission, same arrival order.
-            let mut commits_b = 0u64;
-            for sub in &batches {
-                commits_b += u64::from(!b.commit(sub).unwrap().is_noop());
-            }
-            (ticks_a, commits_b)
-        });
-
-        // The heart of the property: identical graphs and bit-identical
-        // answers for all five classes, despite different tick boundaries
-        // (epochs legitimately differ — one bump per non-noop tick vs one
-        // per non-noop submission).
-        prop_assert_eq!(a.epoch(), ticks_a);
-        prop_assert_eq!(b.epoch(), commits_b);
-        prop_assert_eq!(a.graph().sorted_edges(), b.graph().sorted_edges());
-        prop_assert_eq!(a.graph().node_count(), b.graph().node_count());
-        prop_assert_eq!(five_class_answers(&a), five_class_answers(&b));
-        a.verify_all().unwrap();
-        b.verify_all().unwrap();
-
-        // The canary quarantined at each engine's first non-noop commit.
-        // (A whole tick can normalize to a no-op even when its member
-        // submissions don't — e.g. an insert/delete pair coalesced away —
-        // so each side is gated on its own non-noop count.)
-        for (e, nonnoop) in [(&a, ticks_a), (&b, commits_b)] {
-            if nonnoop > 0 {
-                let canary = e.find("canary").expect("canary stays registered");
-                prop_assert!(
-                    matches!(e.state(canary).unwrap(), ViewState::Quarantined { .. }),
-                    "canary quarantined after the first non-noop commit"
-                );
-            }
-        }
-
-        // The journal recorded whole mega-batches: recovery lands on A's
-        // exact frontier — no re-split or torn ticks.
-        let r = Engine::recover(Arc::new(backend.clone()) as Arc<dyn LogBackend>).unwrap();
-        prop_assert_eq!(r.epoch(), a.epoch());
-        prop_assert_eq!(r.graph().sorted_edges(), a.graph().sorted_edges());
-        prop_assert_eq!(r.graph().node_count(), a.graph().node_count());
+        let mut held: Vec<u64> = self.pins.iter().filter(last).map(|p| p.0.epoch()).collect();
+        held.sort_unstable();
+        held.dedup();
+        held
     }
 
-    #[test]
-    fn crash_mid_tick_recovers_to_a_clean_epoch_boundary(
-        (n, edges, subs, mask, (crash_pick, keep)) in (8u32..14).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            proptest::collection::vec(
-                proptest::collection::vec(
-                    (any::<bool>(), 0..n + 3, 0..n + 3),
-                    1..8,
-                ),
-                4..9,
-            ),
-            any::<u64>(),
-            // Crash-tick pick, and how many bytes of the torn record the
-            // fault keeps: 0 (nothing hit the backend) up past
-            // whole-record size (fully written but never acknowledged).
-            (any::<u32>(), 0usize..64),
-        ))
-    ) {
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
+    /// A published version shows the model graph at its epoch, and each
+    /// view of `roster` the answers the engine's live views, checked against
+    /// batch recomputation, showed at that epoch.
+    fn check(&mut self, what: &str, snap: &Snapshot, roster: &Roster) {
+        let e = snap.epoch();
+        let (shown, g) = (snap.graph(), &self.graphs[e as usize]);
+        let labels = |g: &DynamicGraph| g.nodes().map(|v| g.label(v)).collect::<Vec<_>>();
+        let edges = (shown.sorted_edges(), g.sorted_edges());
+        assert!(edges.0 == edges.1, "{what}: edges at {e}");
+        assert!(labels(shown) == labels(g), "{what}: labels at {e}");
+        for (label, class) in roster.iter().filter(|(_, c)| CORE.contains(c)) {
+            let view = snap.find(label).map(|id| snap.view_dyn(id));
+            let view = match view {
+                Some(Ok(view)) => view,
+                other => panic!("{what}: {label} at {e}: {:?}", other.map(|v| v.err())),
+            };
+            self.agree(&format!("{what}: {label} at {e}"), e, *class, view);
+        }
+    }
 
+    /// `view` shows the answer every surface showed for `class` at epoch `e`.
+    fn agree(&mut self, what: &str, e: u64, class: Class, view: &dyn IncView) {
+        let key = answer(view, class);
+        let first = self.answers.entry((e, class)).or_insert(key.clone());
+        assert!(key == *first, "{what}: surfaces differ");
+    }
+}
+
+/// One journaled engine, its followers and the model it is held to.
+struct Sim {
+    backend: ChaosBackend,
+    engine: Engine,
+    followers: Vec<Replica>,
+    retry: bool,
+    mode: CommitMode,
+    compacted_base: u64,
+    /// The publication the engine's views were last verified at.
+    verified: u64,
+    model: Model,
+    stats: Stats,
+}
+
+fn set_retry(engine: &mut Engine, on: bool) {
+    let policy = RetryPolicy::retries(on.into());
+    let policy = policy.with_delays(Duration::ZERO, Duration::ZERO);
+    engine.set_retry_policy(policy).expect("a journal");
+}
+
+impl Sim {
+    fn new() -> Sim {
+        let labels: Vec<u32> = (0..BASE_NODES).map(|i| i % 3).collect();
+        let ring: Vec<(u32, u32)> = (0..BASE_NODES).map(|i| (i, (i + 1) % BASE_NODES)).collect();
+        let base = graph_from(&labels, &ring);
         let backend = ChaosBackend::new(Arc::new(MemBackend::new()), FaultPlan::none());
-        let mut a = engine_with_views(g.clone())
-            .with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-            .unwrap();
-        a.set_checkpoint_every(2);
-        let mut b = engine_with_views(g);
-
-        let batches: Vec<UpdateBatch> = subs.iter().map(|raw| batch_from_raw(raw)).collect();
-        let groups = split_groups(&batches, mask);
-        let megas: Vec<UpdateBatch> = groups.iter().map(|g| coalesce(g)).collect();
-
-        let crash_group = (crash_pick as usize) % megas.len();
-        // The injector arms at the chosen tick but only fires on the first
-        // *append* — no-op ticks never touch the log and slide through.
-        let mut armed = false;
-        for (k, mega) in megas.iter().enumerate() {
-            if k == crash_group {
-                backend.fail_next_append(keep);
-                armed = true;
-            }
-            let epoch_before = a.epoch();
-            match a.commit(mega) {
-                Ok(receipt) => {
-                    if armed {
-                        prop_assert!(
-                            receipt.is_noop(),
-                            "an armed fault must fail the first real append"
-                        );
-                    }
-                }
-                Err(_) => {
-                    prop_assert!(armed, "only the injected tear may fail a commit");
-                    armed = false;
-                    // All-or-nothing: the torn tick moved nothing — not the
-                    // graph, not the epoch, not a single view.
-                    prop_assert_eq!(a.epoch(), epoch_before);
-                    // CRASH: drop the wounded engine, rebuild from the
-                    // journal alone. Recovery must land on an epoch
-                    // *boundary*: either the record never became durable
-                    // (torn tail, skipped) or — when the fault kept every
-                    // byte — it is replayed whole. A partially applied
-                    // mega-batch is impossible either way.
-                    let mut r =
-                        Engine::recover(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                            .unwrap();
-                    prop_assert!(
-                        r.epoch() == epoch_before || r.epoch() == epoch_before + 1,
-                        "recovered epoch {} is a clean boundary around pre-tick epoch {}",
-                        r.epoch(),
-                        epoch_before
-                    );
-                    r.set_checkpoint_every(2);
-                    register_five_lazily(&mut r);
-                    // Retrying the whole tick is idempotent under
-                    // normalization: it lands exactly once whether or not
-                    // the replay already carried it.
-                    r.commit(mega).unwrap();
-                    prop_assert_eq!(
-                        r.epoch(),
-                        epoch_before + 1,
-                        "the torn tick lands exactly once after retry"
-                    );
-                    a = r;
-                }
-            }
-            for sub in &groups[k] {
-                b.commit(sub).unwrap();
-            }
-            prop_assert_eq!(a.graph().sorted_edges(), b.graph().sorted_edges());
-        }
-
-        prop_assert_eq!(a.graph().node_count(), b.graph().node_count());
-        prop_assert_eq!(five_class_answers(&a), five_class_answers(&b));
-        a.verify_all().unwrap();
-        b.verify_all().unwrap();
-
-        // And the journal is still coherent end-to-end: a second recovery
-        // (over the rotated-past torn bytes) reaches the same frontier.
-        let r2 = Engine::recover(Arc::new(backend.clone()) as Arc<dyn LogBackend>).unwrap();
-        prop_assert_eq!(r2.epoch(), a.epoch());
-        prop_assert_eq!(r2.graph().sorted_edges(), a.graph().sorted_edges());
+        let engine = Engine::new(base.clone()).with_log(Arc::new(backend.clone()));
+        let mut sim = Sim {
+            backend,
+            engine: engine.expect("an empty journal"),
+            followers: Vec::new(),
+            retry: false,
+            mode: CommitMode::Sequential,
+            compacted_base: 0,
+            verified: 0,
+            model: Model {
+                graphs: vec![base],
+                roster: core_roster(),
+                ..Model::default()
+            },
+            stats: Stats::new(),
+        };
+        sim.settle();
+        sim
     }
 
-    #[test]
-    fn pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow(
-        (n, edges, rounds, crash_pick) in (8u32..14).prop_flat_map(|n| (
-            Just(n),
-            proptest::collection::vec(
-                (0..n, 0..n).prop_filter("no initial self-loops", |(a, b)| a != b),
-                10..30,
-            ),
-            // ≥ 8 rounds; each: a lifecycle op on *extra* views (0 = none,
-            // 1 = deregister, 2 = lazy-register — the five core classes
-            // stay registered so their labels resolve in every snapshot),
-            // its target pick, a raw commit batch, and whether a reader
-            // pins a snapshot right after the commit.
-            proptest::collection::vec(
-                (
-                    0u32..3,
-                    0u32..64,
-                    proptest::collection::vec(
-                        (any::<bool>(), 0..n + 3, 0..n + 3),
-                        1..8,
-                    ),
-                    any::<bool>(),
-                ),
-                8..12,
-            ),
-            any::<u32>(),
-        ))
-    ) {
-        /// The five classes' answers as served by a pinned snapshot —
-        /// label-resolved and downcast, so the key is comparable with
-        /// `five_class_answers` on a live engine.
-        fn snap_answers(s: &Snapshot) -> ClassAnswers {
-            fn get<'a, V: IncView>(s: &'a Snapshot, label: &str) -> &'a V {
-                s.view_dyn(s.find(label).expect("core label published"))
-                    .expect("core view active in snapshot")
-                    .downcast_ref::<V>()
-                    .expect("published cell has the registered type")
-            }
-            (
-                get::<IncRpq>(s, "rpq").sorted_answer(),
-                get::<IncScc>(s, "scc").components(),
-                get::<IncKws>(s, "kws").answer_signature(),
-                get::<IncIso>(s, "iso").sorted_matches(),
-                rules_answer(get::<IncRules>(s, "rules")),
-            )
+    /// Apply the settings and register the roster on a new or recovered
+    /// engine: the journal holds neither.
+    fn settle(&mut self) {
+        let e = &mut self.engine;
+        e.set_checkpoint_every(3);
+        e.set_commit_mode(self.mode);
+        set_retry(e, self.retry);
+        for (label, class) in &self.model.roster {
+            register(e, label, *class);
         }
+        self.model.quarantined.clear();
+        self.model.published.clear();
+        self.model.republish();
+    }
 
-        let labels: Vec<u32> = (0..n).map(|i| i % 3).collect();
-        let g = graph_from(&labels, &edges);
+    fn step(&mut self, action: &Action) {
+        let kind = format!("{action:?}");
+        bump(&mut self.stats, kind.split('(').next().unwrap_or(""));
+        match action {
+            Commit(units) => {
+                let (batch, delta) = self.model.normalize(units);
+                let receipt = self.engine.commit(&batch).expect("commit");
+                self.landed(&receipt, units.len(), &delta);
+            }
+            Ticks(ticks, parallel) => self.ticks(ticks, *parallel),
+            Register(class) => {
+                let label = format!("{class:?}:{}", self.model.publications);
+                register(&mut self.engine, &label, *class);
+                self.model.roster.push((label, *class));
+                self.model.republish();
+            }
+            Deregister(pick) => self.deregister(*pick),
+            Checkpoint => self.engine.checkpoint().expect("checkpoint"),
+            Compact => {
+                let c = self.engine.compact_log().expect("compaction");
+                assert!(c.base_epoch >= self.compacted_base, "the base moved back");
+                self.compacted_base = c.base_epoch;
+                if c.dropped_segments > 0 {
+                    bump(&mut self.stats, "compaction_drop");
+                }
+            }
+            Retry(on) => {
+                self.retry = *on;
+                set_retry(&mut self.engine, *on);
+            }
+            Crash(torn) => self.crash(torn.as_ref()),
+            Attach(pinned) => self.attach(*pinned),
+            CatchUp(pick) => self.catch_up(*pick),
+            Pin(at) => self.pin(*at),
+            Unpin(pick) => {
+                if let Some(i) = pick.checked_rem(self.model.pins.len()) {
+                    self.model.pins.remove(i);
+                }
+            }
+        }
+        self.check();
+    }
 
-        // The serving engine journals through a WAL (it will crash at a
-        // random round and recover); the twin never snapshots, never
-        // crashes — it is the frozen reference a pin is compared against:
-        // its answers *at the pinned epoch* are captured at pin time and
-        // must keep matching the snapshot forever after.
-        let backend = MemBackend::new();
-        let mut engine = Some(
-            engine_with_views(g.clone())
-                .with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                .unwrap(),
-        );
-        engine.as_mut().unwrap().set_checkpoint_every(3);
-        let mut twin = engine_with_views(g);
+    /// Check a receipt against the model's `delta`, then advance the model.
+    fn landed(&mut self, r: &CommitReceipt, n: usize, delta: &UpdateBatch) {
+        let m = &mut self.model;
+        let active = m.roster.len() - m.quarantined.len();
+        assert_eq!((r.submitted, r.applied), (n, delta.len()), "receipt");
+        assert_eq!(r.applied + r.dropped, r.submitted, "receipt arithmetic");
+        if delta.is_empty() {
+            return assert_eq!(r.epoch, m.epoch(), "a no-op keeps the epoch");
+        }
+        assert_eq!(r.epoch, m.epoch() + 1, "a commit advances the epoch by one");
+        assert_eq!(r.per_view.len(), active, "per_view holds the active views");
+        assert_eq!(r.skipped_quarantined, m.quarantined.len());
+        for v in &r.per_view {
+            let canary = m.is_canary(&v.label);
+            assert!(v.applied() != canary, "{}: quarantined", v.label);
+            if canary {
+                m.quarantined.push(v.label.to_string());
+                bump(&mut self.stats, "quarantine");
+            }
+        }
+        m.advance(delta);
+        // A commit retires every version no pin holds.
+        let window = self.engine.snapshot_store().window();
+        assert_eq!(window, m.held().len() + 1, "window: the pins and the head");
+    }
 
-        let crash_round = (crash_pick as usize) % rounds.len();
-        let mut extra: Vec<String> = Vec::new();
-        let mut fresh = 0u32;
-        // Every pin ever taken: (snapshot, frozen expectation at its epoch).
-        let mut pins: Vec<(Snapshot, ClassAnswers, Vec<Edge>)> = Vec::new();
+    fn ticks(&mut self, ticks: &[Vec<U>], parallel: bool) {
+        self.mode = match parallel {
+            true => CommitMode::Parallel { threads: 2 },
+            false => CommitMode::Sequential,
+        };
+        self.engine.set_commit_mode(self.mode);
+        if parallel {
+            bump(&mut self.stats, "parallel_tick");
+        }
+        let batches: Vec<UpdateBatch> = ticks.iter().map(|t| batch_of(t)).collect();
+        let Some(first) = batches.first() else { return };
+        let mut staged = self.engine.prepare(first).expect("prepare");
+        for (i, tick) in ticks.iter().enumerate() {
+            let delta = batches[i].normalize_against(self.model.graph());
+            let next = batches.get(i + 1);
+            let (receipt, piped) = self.engine.apply_prepared(staged, next).expect("apply");
+            self.landed(&receipt, tick.len(), &delta);
+            match piped {
+                Some(prepared) => staged = prepared.expect("the next tick prepares"),
+                None => return assert!(next.is_none(), "a requested prepare is returned"),
+            }
+        }
+    }
 
-        for (round, (op, pick, raw, pin)) in rounds.iter().enumerate() {
-            let e = engine.as_mut().unwrap();
-            // Lifecycle churn on extra views, mirrored on the twin so the
-            // two engines stay structurally identical.
-            match op {
-                1 if !extra.is_empty() => {
-                    let victim = extra.remove((*pick as usize) % extra.len());
-                    for e in [&mut *e, &mut twin] {
-                        let id = e.find(&victim).expect("extra view live");
-                        e.deregister(id).unwrap();
+    fn deregister(&mut self, pick: usize) {
+        let (e, roster) = (&mut self.engine, &mut self.model.roster);
+        let Some(i) = pick.checked_rem(roster.len()) else {
+            return;
+        };
+        let (label, _) = roster.remove(i);
+        let id = e.find(&label).expect("a roster label resolves");
+        let retired = e.retired().len();
+        let totals = e.deregister(id).expect("deregister");
+        assert_eq!((&*totals.label, e.retired().len()), (&*label, retired + 1));
+        assert!(e.find(&label).is_none(), "{label} still resolves");
+        assert!(e.view_dyn(id).is_err(), "{label}: a handle not stale");
+        self.model.quarantined.retain(|l| *l != label);
+        self.model.republish();
+    }
+
+    fn crash(&mut self, torn: Option<&(usize, Vec<U>)>) {
+        // The tick a torn append failed, retried after the recovery.
+        let mut failed = None;
+        if let Some((keep, units)) = torn {
+            let (batch, delta) = self.model.normalize(units);
+            // A no-op never appends, and would leave the fault armed.
+            if !delta.is_empty() {
+                self.backend.fail_next_append(*keep);
+                match self.engine.commit(&batch) {
+                    // The torn append stored every byte, or a retry did.
+                    Ok(r) => {
+                        assert!(r.log_retries <= self.retry.into(), "retried more than once");
+                        let event = ["stored_torn_append", "retried_append"];
+                        bump(&mut self.stats, event[r.log_retries as usize]);
+                        self.landed(&r, units.len(), &delta);
+                    }
+                    Err(err) => {
+                        assert!(!self.retry, "a retry absorbs a torn append: {err}");
+                        bump(&mut self.stats, "torn_tick");
+                        // A torn tick is atomic: the engine still shows the model.
+                        self.check();
+                        failed = Some(units);
                     }
                 }
-                2 => {
-                    fresh += 1;
-                    let label = format!("rpq:extra{fresh}");
-                    for e in [&mut *e, &mut twin] {
-                        e.register_lazy(label.as_str(), IncRpq::init(rpq_query())).unwrap();
-                    }
-                    extra.push(label);
-                }
-                _ => {}
-            }
-
-            let batch = batch_from_raw(raw);
-            let receipt = e.commit(&batch).unwrap();
-            let receipt_twin = twin.commit(&batch).unwrap();
-            prop_assert_eq!(receipt.epoch, receipt_twin.epoch);
-
-            if *pin || round == 0 {
-                // A reader pins the newest published version; the frozen
-                // expectation comes from the *twin* at this very epoch.
-                let s = e.snapshot().unwrap();
-                prop_assert_eq!(s.epoch(), e.epoch(), "head snapshot pins the commit frontier");
-                let expected = five_class_answers(&twin);
-                prop_assert_eq!(
-                    &snap_answers(&s),
-                    &expected,
-                    "snapshot serves the twin's answers at pin time"
-                );
-                // Pinning the same epoch explicitly lands on the same data.
-                let again = e.snapshot_at(s.epoch()).unwrap();
-                prop_assert_eq!(again.epoch(), s.epoch());
-                pins.push((s, expected, twin.graph().sorted_edges()));
-            }
-
-            // The heart of the property: *every* pin ever taken still
-            // serves its frozen answers and graph, no matter how many
-            // commits and lifecycle events have flowed since.
-            for (s, expected, frozen_edges) in &pins {
-                prop_assert_eq!(&snap_answers(s), expected, "pinned answers frozen");
-                prop_assert_eq!(&s.graph().sorted_edges(), frozen_edges, "pinned graph frozen");
-            }
-            // GC keeps the version window bounded by the live pins:
-            // retained versions ≤ distinct pinned epochs + the head.
-            let mut pinned_epochs: Vec<u64> = pins.iter().map(|(s, _, _)| s.epoch()).collect();
-            pinned_epochs.sort_unstable();
-            pinned_epochs.dedup();
-            prop_assert!(
-                e.snapshot_store().window() <= pinned_epochs.len() + 1,
-                "version window {} exceeds pins {} + 1",
-                e.snapshot_store().window(),
-                pinned_epochs.len()
-            );
-
-            if round == crash_round {
-                // CRASH: the serving engine dies. Pinned snapshots are
-                // self-contained Arcs — they must keep serving unchanged —
-                // and the recovered engine publishes fresh versions.
-                drop(engine.take());
-                for (s, expected, _) in &pins {
-                    prop_assert_eq!(&snap_answers(s), expected, "pins outlive the engine");
-                }
-                let mut r = Engine::recover(Arc::new(backend.clone()) as Arc<dyn LogBackend>)
-                    .unwrap();
-                prop_assert_eq!(r.epoch(), twin.epoch(), "recovered at the crash frontier");
-                r.set_checkpoint_every(3);
-                register_five_lazily(&mut r);
-                for label in &extra {
-                    r.register_lazy(label.as_str(), IncRpq::init(rpq_query())).unwrap();
-                }
-                // Re-registration republished: a fresh pin on the recovered
-                // engine serves the twin's current answers immediately.
-                let s = r.snapshot().unwrap();
-                prop_assert_eq!(
-                    snap_answers(&s),
-                    five_class_answers(&twin),
-                    "post-recovery snapshot matches the never-crashed twin"
-                );
-                engine = Some(r);
             }
         }
-
-        // Epochs no pin held are gone (EpochRetired), future epochs are
-        // not yet published (SnapshotUnavailable) — the error contract at
-        // the window's two edges.
-        let e = engine.as_ref().unwrap();
-        let future = e.snapshot_store().head() + 1;
-        prop_assert!(matches!(
-            e.snapshot_at(future),
-            Err(EngineError::SnapshotUnavailable { .. })
-        ));
-        let oldest = e.snapshot_store().oldest();
-        if oldest > 0 {
-            prop_assert!(matches!(
-                e.snapshot_at(oldest - 1),
-                Err(EngineError::EpochRetired { .. })
-            ));
+        // The process dies with its in-process (pinned) followers; pins and
+        // out-of-process followers outlive it.
+        let frontier = self.model.epoch();
+        self.engine = Engine::new(DynamicGraph::new());
+        self.followers.retain(|r| !r.is_pinned());
+        let recovered = Engine::recover(Arc::new(self.backend.clone()));
+        self.engine = recovered.unwrap_or_else(|e| panic!("recovery at {frontier}: {e}"));
+        // A failed tick left nothing recovery replays.
+        assert_eq!(self.engine.epoch(), frontier, "recovered off the frontier");
+        self.settle();
+        if let Some(units) = failed {
+            let (batch, delta) = self.model.normalize(units);
+            let receipt = self.engine.commit(&batch).expect("the retried tick");
+            self.landed(&receipt, units.len(), &delta);
+            assert_eq!(self.engine.epoch(), frontier + 1, "landed not once");
         }
-        // Dropping every pin lets the next commit's GC shrink the window
-        // to the head version alone.
-        pins.clear();
-        let e = engine.as_mut().unwrap();
-        e.commit(&UpdateBatch::from_updates(vec![Update::insert(
-            NodeId(0),
-            NodeId(n),
-        )]))
-        .unwrap();
-        prop_assert_eq!(e.snapshot_store().window(), 1, "no pins → head-only window");
+    }
+
+    fn attach(&mut self, pinned: bool) {
+        let mut r = match pinned {
+            true => self.engine.replica().expect("replica"),
+            false => Replica::attach(Arc::new(self.backend.clone())).expect("attach"),
+        };
+        assert_eq!(r.is_pinned(), pinned);
+        let (base, head) = (self.compacted_base, self.model.epoch());
+        assert!(r.seed_base() >= base, "a joiner seeds past the base");
+        assert_eq!(r.frontier(), head, "a joiner starts at the head");
+        for (label, class) in core_roster() {
+            register(&mut r, &label, class);
+        }
+        r.verify_all().expect("a joiner is batch recomputation");
+        self.followers.push(r);
+    }
+
+    fn catch_up(&mut self, pick: usize) {
+        let Some(i) = pick.checked_rem(self.followers.len()) else {
+            return;
+        };
+        let r = &mut self.followers[i];
+        match r.catch_up() {
+            Ok(_) => {}
+            Err(FrontierCompacted { .. }) if !r.is_pinned() => {
+                r.reattach().expect("reattach");
+                bump(&mut self.stats, "reattach");
+            }
+            Err(e) => panic!("catch-up of a follower pinned: {}: {e}", r.is_pinned()),
+        }
+        let head = self.model.epoch();
+        assert_eq!(r.frontier(), head, "caught up to the frontier");
+        assert_eq!(r.status().expect("status").lag, 0);
+        r.verify_all().expect("a follower is batch recomputation");
+    }
+
+    fn pin(&mut self, at: Option<usize>) {
+        let snap = match at {
+            None => self.engine.snapshot().expect("snapshot"),
+            Some(k) => {
+                let mut held = self.model.held();
+                held.push(self.model.epoch());
+                held.dedup();
+                bump(&mut self.stats, "snapshot_at");
+                let at = held[k % held.len()];
+                self.engine.snapshot_at(at).expect("a held epoch pins")
+            }
+        };
+        let (publication, roster) = self.model.published[&snap.epoch()].clone();
+        self.model.check("new pin", &snap, &roster);
+        self.model.pins.push((snap, roster, publication));
+    }
+
+    /// Every surface against the model: the engine, each follower, each pin.
+    fn check(&mut self) {
+        let (e, m) = (&self.engine, &mut self.model);
+        let live: BTreeSet<&str> = e.labels().collect();
+        let shadow: BTreeSet<&str> = m.roster.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(live, shadow, "the registry roster is the shadow roster");
+        assert_eq!(e.view_count(), m.roster.len());
+        for (label, _) in m.roster.iter().filter(|(l, _)| m.is_canary(l)) {
+            let state = e.state(e.find(label).expect("a roster label resolves"));
+            let quarantined = m.quarantined.contains(label);
+            assert_eq!(!state.expect("state").is_active(), quarantined, "{label}");
+        }
+        // After every change the live views meet batch recomputation and
+        // the answers of every surface at this epoch; the published version
+        // meets the model after every action.
+        if std::mem::replace(&mut self.verified, m.publications) != m.publications {
+            let at = m.epoch();
+            let edges = (e.graph().sorted_edges(), m.graph().sorted_edges());
+            assert!(edges.0 == edges.1, "engine: edges at {at}");
+            let audit = e.verify_all();
+            audit.unwrap_or_else(|err| panic!("engine at {at}: {err}"));
+            for (label, class) in m.roster.clone().into_iter().filter(|l| CORE.contains(&l.1)) {
+                let live = e.view_dyn(e.find(&label).expect("a roster label resolves"));
+                let what = format!("engine: {label} at {at}");
+                m.agree(&what, at, class, live.expect("active"));
+            }
+        }
+        let published = e.snapshot().expect("the head");
+        m.check("engine", &published, &m.roster.clone());
+        bump(&mut self.stats, "engine_check");
+
+        let store = e.snapshot_store();
+        let (head, oldest) = (store.head(), store.oldest());
+        assert_eq!(head, m.epoch(), "the store publishes every epoch");
+        let future = e.snapshot_at(head + 1);
+        assert!(matches!(future, Err(SnapshotUnavailable { .. })));
+        let gone = e.snapshot_at(oldest.wrapping_sub(1));
+        assert!(oldest == 0 || matches!(gone, Err(EpochRetired { .. })));
+
+        for r in &self.followers {
+            m.check("follower", &r.snapshot(), &core_roster());
+            bump(&mut self.stats, "follower_check");
+        }
+        for pin in std::mem::take(&mut m.pins) {
+            m.check("pin", &pin.0, &pin.1);
+            m.pins.push(pin);
+            bump(&mut self.stats, "pin_check");
+        }
+    }
+}
+
+thread_local!(static QUIET: Cell<bool> = const { Cell::new(false) });
+
+/// Run one history; `Err` names the first action whose check failed.
+fn run(actions: &[Action]) -> Result<Stats, String> {
+    // Silence the panics of a history, which `run` reports: on its thread,
+    // and the canaries' on the fan-out's helper threads.
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let text = info.payload_as_str().unwrap_or_default();
+            if !text.starts_with("canary") && !QUIET.get() {
+                default(info);
+            }
+        }));
+    });
+    let at = Cell::new(0);
+    QUIET.set(true);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Sim::new();
+        sim.check();
+        for (i, action) in actions.iter().enumerate() {
+            at.set(i);
+            sim.step(action);
+        }
+        sim.stats
+    }));
+    QUIET.set(false);
+    outcome.map_err(|payload| {
+        let text = payload.downcast_ref::<String>().map(String::as_str);
+        let text = text.or(payload.downcast_ref::<&str>().copied());
+        let text = text.unwrap_or("?");
+        format!("action {} of {}: {text}", at.get(), actions.len())
+    })
+}
+
+/// Reproduce a printed case.
+fn replay(actions: &[Action]) {
+    if let Err(failure) = run(actions) {
+        panic!("{failure}");
+    }
+}
+
+/// Delta debugging (Zeller and Hildebrandt) over complements: the result
+/// still `fails`, and without any one of its elements it passes.
+fn ddmin<T: Clone>(mut case: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec<T> {
+    let mut parts = 2;
+    while !case.is_empty() {
+        let chunk = case.len().div_ceil(parts);
+        let smaller = (0..case.len()).step_by(chunk).find_map(|start| {
+            let end = (start + chunk).min(case.len());
+            let rest: Vec<T> = case[..start].iter().chain(&case[end..]).cloned().collect();
+            fails(&rest).then_some(rest)
+        });
+        match smaller {
+            Some(rest) => (case, parts) = (rest, (parts - 1).max(2)),
+            None if chunk == 1 => break,
+            None => parts = (parts * 2).min(case.len()),
+        }
+    }
+    case
+}
+
+/// The unit lists an action carries.
+fn lists(action: &mut Action) -> Vec<&mut Vec<U>> {
+    match action {
+        Commit(units) | Crash(Some((_, units))) => vec![units],
+        Ticks(ticks, _) => ticks.iter_mut().collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// Shrink a failing history: [`ddmin`] over its actions, then over each of
+/// their unit lists, then over its actions again.
+fn minimise(history: Vec<Action>) -> Vec<Action> {
+    let fails = |case: &[Action]| run(case).is_err();
+    let mut case = ddmin(history, fails);
+    for i in 0..case.len() {
+        for j in 0..lists(&mut case[i]).len() {
+            let units = lists(&mut case[i])[j].clone();
+            let shrunk = ddmin(units, |units| {
+                let mut trial = case.clone();
+                *lists(&mut trial[i])[j] = units.to_vec();
+                fails(&trial)
+            });
+            *lists(&mut case[i])[j] = shrunk;
+        }
+    }
+    ddmin(case, fails)
+}
+
+/// A case as a Rust literal: `Debug` writes each `Vec` as `[..]`.
+fn literal(actions: &[Action]) -> String {
+    format!("{actions:?}").replace('[', "vec![")
+}
+
+/// A case written as a literal, with its source text.
+macro_rules! case {
+    ($($action:expr),* $(,)?) => {
+        (stringify!($($action),*), vec![$($action),*])
+    };
+}
+
+/// `literal(actions)` prints `text`, up to whitespace and trailing commas.
+fn prints_as(actions: &[Action], text: &str) {
+    let squeeze = |s: &str| {
+        let s: String = s.chars().filter(|c| !c.is_whitespace()).collect();
+        s.replace(",]", "]").replace(",)", ")")
+    };
+    let (printed, written) = (literal(actions), format!("vec![{text}]"));
+    assert_eq!(squeeze(&printed), squeeze(&written));
+}
+
+#[test]
+fn simulated_histories_hold_every_surface_to_batch_recomputation() {
+    // Two workers, one per core, each running every other seed.
+    let runs = |first| (first..SEEDS).step_by(2).map(|s| (s, run(&generate(s))));
+    let mut runs: Vec<_> = std::thread::scope(|scope| {
+        let workers = [0, 1].map(|first| scope.spawn(move || runs(first).collect::<Vec<_>>()));
+        workers.map(|w| w.join().expect("a worker")).concat()
+    });
+    runs.sort_by_key(|r| r.0);
+    let mut total = Stats::new();
+    for (seed, outcome) in runs {
+        let stats = outcome.unwrap_or_else(|failure| {
+            let minimal = minimise(generate(seed));
+            let (n, again) = (minimal.len(), run(&minimal).err().unwrap_or_default());
+            let case = literal(&minimal);
+            panic!("seed {seed}: {failure}\n{n} actions ({again}):\n{case}")
+        });
+        for (what, n) in stats {
+            *total.entry(what).or_default() += n;
+        }
+    }
+    let kinds = COVERED.split_whitespace().take(12);
+    let actions: u64 = kinds.map(|k| total.get(k).unwrap_or(&0)).sum();
+    assert!(actions >= 4000, "{actions} actions: {total:?}");
+    for what in COVERED.split_whitespace() {
+        assert!(total.contains_key(what), "no {what}: {total:?}");
+    }
+}
+
+#[test]
+fn ddmin_returns_the_two_actions_a_failure_needs() {
+    let (text, pair) = case![
+        Crash(Some((99, vec![L(3, 3, 1, 2)]))),
+        Ticks(vec![vec![I(0, 1), D(0, 1)], vec![]], true)
+    ];
+    let mut history = generate(7);
+    history.insert(9, pair[0].clone());
+    history.insert(50, pair[1].clone());
+    let minimal = ddmin(history, |case| pair.iter().all(|a| case.contains(a)));
+    assert_eq!(minimal, pair);
+    prints_as(&minimal, text);
+    replay(&pair);
+}
+
+/// The minimised cases of five historical bugs, re-introduced one at a
+/// time, and of three the simulation found.
+#[test]
+fn replayed_cases_stay_green() {
+    let cases = [
+        // `IncKws` seeds a keyword-labelled fresh node at distance 0.
+        case![Ticks(vec![vec![L(16, 7, 1, 2)], vec![], vec![]], true)],
+        // A retried append rotates past the torn bytes of the one before.
+        case![
+            Retry(true),
+            Crash(Some((
+                56,
+                vec![I(21, 7), I(13, 8), L(17, 20, 2, 2), I(22, 20)]
+            )))
+        ],
+        // A merge moves condensation edges with their multiplicity.
+        case![
+            Crash(Some((8, vec![I(0, 6)]))),
+            Commit(vec![I(14, 3)]),
+            Commit(vec![I(18, 23), I(3, 12), I(12, 18)]),
+            Crash(Some((50, vec![I(12, 23), I(19, 18)]))),
+            Commit(vec![D(2, 3), I(18, 14)]),
+            Commit(vec![L(7, 19, 1, 2)])
+        ],
+        // A panicking `clone_view` quarantines its view.
+        case![Register(PanicInClone), Commit(vec![L(1, 7, 2, 1)])],
+        // A retracted fact that derives itself is queued once.
+        case![
+            Commit(vec![I(5, 12), I(21, 11), I(11, 11)]),
+            Commit(vec![I(12, 18), L(18, 21, 1, 2)]),
+            Commit(vec![D(18, 21)])
+        ],
+        // A failed append that stored every byte is appended, once.
+        case![Crash(Some((52, vec![I(21, 12)])))],
+        // A checkpoint where a follower's next delta was is a compaction gap,
+        // and the reattach tells the views of the nodes the window added.
+        case![
+            Commit(vec![I(4, 2)]),
+            Commit(vec![I(8, 5)]),
+            Attach(false),
+            Commit(vec![I(15, 18)]),
+            Commit(vec![D(15, 18)]),
+            Compact,
+            CatchUp(27)
+        ],
+    ];
+    for (i, (text, case)) in cases.into_iter().enumerate() {
+        prints_as(&case, text);
+        run(&case).unwrap_or_else(|failure| panic!("case {i}: {failure}"));
     }
 }
