@@ -7,8 +7,10 @@
 //! A `u64` seed draws an action list ([`generate`]); [`Sim`] drives one
 //! journaled engine, its followers and its pins through it. A failure is
 //! shrunk ([`minimise`]) and printed with its seed as a Rust literal, which
-//! [`replay`] reproduces. The seven properties this file held, and what
-//! covers each now:
+//! [`replay`] reproduces. The seven properties this file held keep their
+//! names: each is the simulation on its own 16 seeds, drawing only the
+//! action kinds it drove, and asserting they and its events fired. What
+//! checks each:
 //!
 //! 1. `all_views_agree_with_batch_recomputation_after_every_commit`:
 //!    [`Sim::check`] after each `Commit` of raw units (duplicates, pairs,
@@ -36,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 use std::time::Duration;
@@ -44,8 +47,10 @@ use Class::*;
 use EngineError::{EpochRetired, FrontierCompacted, SnapshotUnavailable};
 use U::*;
 
-/// Seeds per tier-1 run, and actions per seed.
+/// Seeds per tier-1 run of the whole mix, and of each cut-down mix; and
+/// actions per seed.
 const SEEDS: u64 = 64;
+const FOCUSED: u64 = 16;
 const ACTIONS: usize = 72;
 /// The base graph is a ring of 10 nodes labelled `i % 3`; fresh nodes grow
 /// it up to `MAX_NODES`.
@@ -99,10 +104,25 @@ enum Action {
     Unpin(usize),
 }
 
-/// What the seeds must exercise: each action kind, each surface check, and
-/// the events the action kinds exist for.
-const COVERED: &str = "Commit Ticks Register Deregister Checkpoint Compact Retry Crash Attach \
-    CatchUp Pin Unpin engine_check follower_check pin_check parallel_tick quarantine torn_tick \
+/// The action kinds, and the chance in 100 that a draw is of each.
+const MIX: [(&str, u32); 12] = [
+    ("Commit", 32),
+    ("Ticks", 8),
+    ("Register", 7),
+    ("Deregister", 6),
+    ("Checkpoint", 3),
+    ("Compact", 4),
+    ("Retry", 4),
+    ("Crash", 7),
+    ("Attach", 5),
+    ("CatchUp", 9),
+    ("Pin", 9),
+    ("Unpin", 6),
+];
+
+/// What the seeds must exercise beside each action kind: each surface
+/// check, and the events the action kinds exist for.
+const EVENTS: &str = "engine_check follower_check pin_check parallel_tick quarantine torn_tick \
     retried_append stored_torn_append compaction_drop reattach snapshot_at";
 
 type Stats = BTreeMap<String, u64>;
@@ -113,6 +133,22 @@ fn bump(stats: &mut Stats, what: &str) {
 
 /// The action list seed `seed` draws.
 fn generate(seed: u64) -> Vec<Action> {
+    generate_of(seed, &MIX.map(|m| m.0))
+}
+
+fn kind_of(mut roll: u32) -> &'static str {
+    for (kind, weight) in MIX {
+        match roll.checked_sub(weight) {
+            Some(rest) => roll = rest,
+            None => return kind,
+        }
+    }
+    unreachable!("the weights sum to 100")
+}
+
+/// The action list seed `seed` draws from the mix cut down to `kinds`: a
+/// draw of another kind is drawn again.
+fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
     let rng = &mut StdRng::seed_from_u64(seed);
     // A bound on the node count, so ids reach a few past it (fresh nodes),
     // and deletes of the edges inserted so far, so deletes hit.
@@ -142,27 +178,30 @@ fn generate(seed: u64) -> Vec<Action> {
         }
         units
     };
-    let mut action = |rng: &mut StdRng| {
-        let pick = rng.gen_range(0usize..64);
-        match rng.gen_range(0u32..100) {
-            0..=31 => Commit(batch(rng)),
-            32..=39 => {
+    let mut action = |rng: &mut StdRng| loop {
+        let (pick, kind) = (rng.gen_range(0usize..64), kind_of(rng.gen_range(0u32..100)));
+        if !kinds.contains(&kind) {
+            continue;
+        }
+        return match kind {
+            "Commit" => Commit(batch(rng)),
+            "Ticks" => {
                 let ticks = rng.gen_range(1usize..4);
                 Ticks((0..ticks).map(|_| batch(rng)).collect(), rng.gen())
             }
-            40..=46 if pick % 4 == 0 => Register([PanicInApply, PanicInClone][pick / 4 % 2]),
-            40..=46 => Register(CORE[pick % 5]),
-            47..=52 => Deregister(pick),
-            53..=55 => Checkpoint,
-            56..=59 => Compact,
-            60..=63 => Retry(rng.gen()),
-            64..=70 if rng.gen_bool(0.6) => Crash(Some((rng.gen_range(0usize..64), batch(rng)))),
-            64..=70 => Crash(None),
-            71..=75 => Attach(rng.gen()),
-            76..=84 => CatchUp(pick),
-            85..=93 => Pin(rng.gen_bool(0.5).then_some(pick)),
+            "Register" if pick % 4 == 0 => Register([PanicInApply, PanicInClone][pick / 4 % 2]),
+            "Register" => Register(CORE[pick % 5]),
+            "Deregister" => Deregister(pick),
+            "Checkpoint" => Checkpoint,
+            "Compact" => Compact,
+            "Retry" => Retry(rng.gen()),
+            "Crash" if rng.gen_bool(0.6) => Crash(Some((rng.gen_range(0usize..64), batch(rng)))),
+            "Crash" => Crash(None),
+            "Attach" => Attach(rng.gen()),
+            "CatchUp" => CatchUp(pick),
+            "Pin" => Pin(rng.gen_bool(0.5).then_some(pick)),
             _ => Unpin(pick),
-        }
+        };
     };
     (0..ACTIONS).map(|_| action(rng)).collect()
 }
@@ -798,33 +837,99 @@ fn prints_as(actions: &[Action], text: &str) {
     assert_eq!(squeeze(&printed), squeeze(&written));
 }
 
-#[test]
-fn simulated_histories_hold_every_surface_to_batch_recomputation() {
+/// Run the histories `seeds` draw from `kinds`, and sum their stats. A
+/// failing seed panics with its minimised case.
+fn simulate(seeds: Range<u64>, kinds: &[&str]) -> Stats {
     // Two workers, one per core, each running every other seed.
-    let runs = |first| (first..SEEDS).step_by(2).map(|s| (s, run(&generate(s))));
+    let (first, end) = (seeds.start, seeds.end);
+    let draw = |s| generate_of(s, kinds);
+    let runs = |from| (from..end).step_by(2).map(|s| (s, run(&draw(s))));
     let mut runs: Vec<_> = std::thread::scope(|scope| {
-        let workers = [0, 1].map(|first| scope.spawn(move || runs(first).collect::<Vec<_>>()));
+        let workers =
+            [first, first + 1].map(|from| scope.spawn(move || runs(from).collect::<Vec<_>>()));
         workers.map(|w| w.join().expect("a worker")).concat()
     });
     runs.sort_by_key(|r| r.0);
     let mut total = Stats::new();
     for (seed, outcome) in runs {
         let stats = outcome.unwrap_or_else(|failure| {
-            let minimal = minimise(generate(seed));
+            let minimal = minimise(draw(seed));
             let (n, again) = (minimal.len(), run(&minimal).err().unwrap_or_default());
             let case = literal(&minimal);
-            panic!("seed {seed}: {failure}\n{n} actions ({again}):\n{case}")
+            panic!("seed {seed} of {kinds:?}: {failure}\n{n} actions ({again}):\n{case}")
         });
         for (what, n) in stats {
             *total.entry(what).or_default() += n;
         }
     }
-    let kinds = COVERED.split_whitespace().take(12);
-    let actions: u64 = kinds.map(|k| total.get(k).unwrap_or(&0)).sum();
-    assert!(actions >= 4000, "{actions} actions: {total:?}");
-    for what in COVERED.split_whitespace() {
+    total
+}
+
+/// [`simulate`] on the `k`th block of seeds, drawing only `kinds`: each
+/// kind fired, and each of `events`.
+fn focused(k: u64, kinds: &[&str], events: &str) {
+    let total = simulate(k * 1000..k * 1000 + FOCUSED, kinds);
+    fired(&total, &kinds.join(" "));
+    fired(&total, events);
+}
+
+/// Every one of `what` fired in `total`.
+fn fired(total: &Stats, what: &str) {
+    for what in what.split_whitespace() {
         assert!(total.contains_key(what), "no {what}: {total:?}");
     }
+}
+
+#[test]
+fn simulated_histories_hold_every_surface_to_batch_recomputation() {
+    let total = simulate(0..SEEDS, &MIX.map(|m| m.0));
+    let actions: u64 = MIX.iter().map(|m| total.get(m.0).unwrap_or(&0)).sum();
+    assert!(actions >= 4000, "{actions} actions: {total:?}");
+    fired(&total, &MIX.map(|m| m.0).join(" "));
+    fired(&total, EVENTS);
+}
+
+// The seven properties this file held before the simulation, each now the
+// simulation on its own seeds, drawing only the kinds the property drove.
+
+#[test]
+fn all_views_agree_with_batch_recomputation_after_every_commit() {
+    focused(1, &["Commit"], "engine_check");
+}
+
+#[test]
+fn lifecycle_interleavings_keep_every_surviving_view_consistent() {
+    focused(2, &["Commit", "Register", "Deregister"], "quarantine");
+}
+
+#[test]
+fn crash_replay_recovers_all_five_classes_bit_identically() {
+    let kinds = ["Commit", "Ticks", "Checkpoint", "Compact", "Crash"];
+    focused(3, &kinds, "compaction_drop torn_tick");
+}
+
+#[test]
+fn replicas_joining_at_random_epochs_converge_bit_identically() {
+    let kinds = ["Commit", "Checkpoint", "Compact", "Attach", "CatchUp"];
+    focused(4, &kinds, "follower_check compaction_drop reattach");
+}
+
+#[test]
+fn coalesced_ticks_match_per_submission_commits_bit_identically() {
+    let kinds = ["Commit", "Ticks", "Register"];
+    focused(5, &kinds, "parallel_tick quarantine");
+}
+
+#[test]
+fn crash_mid_tick_recovers_to_a_clean_epoch_boundary() {
+    let kinds = ["Commit", "Checkpoint", "Retry", "Crash"];
+    focused(6, &kinds, "torn_tick retried_append stored_torn_append");
+}
+
+#[test]
+fn pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow() {
+    let kinds = ["Commit", "Register", "Deregister", "Pin", "Unpin"];
+    focused(7, &kinds, "pin_check snapshot_at quarantine");
 }
 
 #[test]
