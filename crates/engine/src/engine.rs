@@ -1820,8 +1820,7 @@ pub(crate) mod tests {
 
     #[test]
     fn failed_log_append_rejects_the_commit_atomically_and_degrades() {
-        let chaos =
-            igc_log::ChaosBackend::new(Arc::new(MemBackend::new()), igc_log::FaultPlan::none());
+        let chaos = igc_log::ChaosBackend::new(Arc::new(MemBackend::new()));
         let backend: Arc<dyn igc_log::LogBackend> = Arc::new(chaos.clone());
         let mut engine = Engine::new(graph_from(&[0, 0, 0], &[]))
             .with_log(backend)

@@ -178,12 +178,11 @@ pub enum EngineError {
         cause: String,
     },
     /// An [`Ingest::submit`](crate::Ingest::submit) found the bounded
-    /// submission queue full and could not enqueue within the configured
-    /// [`submit_timeout`](crate::IngestConfig::submit_timeout) — the
-    /// overload-shedding contract: the batch was **not** accepted, so
+    /// submission queue full and could not enqueue within its 100 ms
+    /// wait — the overload-shedding contract: the batch was **not** accepted, so
     /// the caller can retry later or route elsewhere.
     Overloaded {
-        /// The queue bound ([`IngestConfig::max_queue`](crate::IngestConfig::max_queue)).
+        /// The queue bound (1 024 submissions).
         capacity: usize,
         /// How long the submitter waited for a slot before giving up.
         waited: std::time::Duration,

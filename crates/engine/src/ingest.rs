@@ -15,9 +15,9 @@
 //! [`Ingest::submit`] enqueues an [`UpdateBatch`] and returns an
 //! [`IngestTicket`] the submitter can await for its [`IngestReceipt`]
 //! (assigned epoch + the shared [`CommitReceipt`] of the tick that
-//! carried it). The tick loop drains everything pending (up to
-//! [`IngestConfig::max_coalesce`]), coalesces it into one mega-batch,
-//! and commits it with [`Engine::commit`].
+//! carried it). The tick loop drains everything pending (up to 64
+//! submissions), coalesces it into one mega-batch, and commits it with
+//! [`Engine::commit`].
 //!
 //! Durability composes: [`IngestServer::set_durability`] flips the
 //! engine log's [`DurabilityMode`] mid-run, and the loop issues an
@@ -26,10 +26,9 @@
 //! implies "everything accepted is durable" under group commit.
 //!
 //! Overload and fault propagation: the submission queue is **bounded**
-//! ([`IngestConfig::max_queue`]) — a submitter that cannot enqueue
-//! within [`IngestConfig::submit_timeout`] is shed with
-//! [`EngineError::Overloaded`] instead of growing the queue without
-//! limit. And when the engine is in degraded read-only mode (journal
+//! (1 024 submissions) — a submitter that cannot enqueue within 100 ms
+//! is shed with [`EngineError::Overloaded`] instead of growing the queue
+//! without limit. And when the engine is in degraded read-only mode (journal
 //! retries exhausted — see [`Engine::heal`]), submissions are rejected
 //! at admission with [`EngineError::Degraded`] through their tickets,
 //! so callers observe the outage instead of queueing into a wall.
@@ -66,35 +65,15 @@ struct Waiter {
     reply: Sender<Result<IngestReceipt, EngineError>>,
 }
 
-/// Tuning for an [`IngestServer`]'s commit-tick loop.
-#[derive(Debug, Clone, Copy)]
-pub struct IngestConfig {
-    /// Most submissions coalesced into one commit tick (clamped to ≥ 1;
-    /// `1` degenerates to one-commit-per-submission, the useful baseline
-    /// arm for benchmarks). Default 64.
-    pub max_coalesce: usize,
-    /// Bound on the submission queue (clamped to ≥ 1). Submissions past
-    /// the bound block in [`Ingest::submit`] up to
-    /// [`submit_timeout`](IngestConfig::submit_timeout), then shed with
-    /// [`EngineError::Overloaded`] — backpressure instead of unbounded
-    /// memory growth when submitters outrun the commit loop. Default
-    /// 1024.
-    pub max_queue: usize,
-    /// How long [`Ingest::submit`] waits for a queue slot before
-    /// shedding the submission ([`EngineError::Overloaded`]). Default
-    /// 100 ms.
-    pub submit_timeout: Duration,
-}
-
-impl Default for IngestConfig {
-    fn default() -> Self {
-        IngestConfig {
-            max_coalesce: 64,
-            max_queue: 1024,
-            submit_timeout: Duration::from_millis(100),
-        }
-    }
-}
+/// Most submissions coalesced into one commit tick.
+const MAX_COALESCE: usize = 64;
+/// Bound on the submission queue: past it, [`Ingest::submit`] waits up to
+/// [`SUBMIT_TIMEOUT`] for a slot, then sheds the submission with
+/// [`EngineError::Overloaded`] — backpressure instead of unbounded memory
+/// growth when submitters outrun the commit loop.
+const MAX_QUEUE: usize = 1024;
+/// How long [`Ingest::submit`] waits for a queue slot before shedding.
+const SUBMIT_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// What a submitter gets back for one accepted submission, once the tick
 /// that carried it commits.
@@ -119,8 +98,6 @@ pub struct IngestReceipt {
 #[derive(Clone)]
 pub struct Ingest {
     tx: SyncSender<Msg>,
-    capacity: usize,
-    submit_timeout: Duration,
     snapshots: Arc<SnapshotStore>,
 }
 
@@ -128,8 +105,8 @@ impl Ingest {
     /// Enqueue a batch for the next commit tick. Returns with a ticket
     /// to await — immediately while the bounded queue has room, after a
     /// bounded wait otherwise. Errors with [`EngineError::Overloaded`]
-    /// when no slot frees up within
-    /// [`IngestConfig::submit_timeout`] (the shed contract: the batch
+    /// when no slot of the 1 024-submission queue frees up within 100 ms
+    /// (the shed contract: the batch
     /// was *not* accepted, retry later), and with
     /// [`EngineError::IngestClosed`] if the server is gone.
     pub fn submit(&self, batch: UpdateBatch) -> Result<IngestTicket, EngineError> {
@@ -142,9 +119,9 @@ impl Ingest {
                 Err(TrySendError::Disconnected(_)) => return Err(EngineError::IngestClosed),
                 Err(TrySendError::Full(back)) => {
                     let waited = start.elapsed();
-                    if waited >= self.submit_timeout {
+                    if waited >= SUBMIT_TIMEOUT {
                         return Err(EngineError::Overloaded {
-                            capacity: self.capacity,
+                            capacity: MAX_QUEUE,
                             waited,
                         });
                     }
@@ -152,9 +129,7 @@ impl Ingest {
                     // Brief nap, bounded by the remaining budget: the
                     // commit loop drains in ticks, not per record, so
                     // busy-spinning would only steal its CPU.
-                    std::thread::sleep(
-                        Duration::from_micros(200).min(self.submit_timeout - waited),
-                    );
+                    std::thread::sleep(Duration::from_micros(200).min(SUBMIT_TIMEOUT - waited));
                 }
             }
         }
@@ -226,32 +201,20 @@ pub struct IngestServer {
 }
 
 impl IngestServer {
-    /// Spawn the commit-tick loop with default [`IngestConfig`].
+    /// Spawn the commit-tick loop. (In the vanishingly unlikely case the
+    /// OS refuses the thread, the server is closed from birth: every
+    /// submit fails with [`EngineError::IngestClosed`].)
     pub fn spawn(engine: Engine) -> Self {
-        Self::spawn_with(engine, IngestConfig::default())
-    }
-
-    /// Spawn the commit-tick loop with explicit tuning. (In the
-    /// vanishingly unlikely case the OS refuses the thread, the server
-    /// is closed from birth: every submit fails with
-    /// [`EngineError::IngestClosed`].)
-    pub fn spawn_with(engine: Engine, config: IngestConfig) -> Self {
-        let capacity = config.max_queue.max(1);
-        let (tx, rx) = mpsc::sync_channel(capacity);
+        let (tx, rx) = mpsc::sync_channel(MAX_QUEUE);
         // The snapshot store is shared by `Arc`, so handles keep pinning
         // versions after the engine itself moves onto the tick thread.
         let snapshots = Arc::clone(engine.snapshot_store());
         let thread = std::thread::Builder::new()
             .name("igc-ingest".into())
-            .spawn(move || Self::serve(engine, &rx, config))
+            .spawn(move || Self::serve(engine, &rx))
             .ok();
         IngestServer {
-            ingest: Ingest {
-                tx,
-                capacity,
-                submit_timeout: config.submit_timeout,
-                snapshots,
-            },
+            ingest: Ingest { tx, snapshots },
             thread,
         }
     }
@@ -289,8 +252,7 @@ impl IngestServer {
 
     /// The tick loop. One iteration = gather a group (blocking only on an
     /// empty queue), commit it as one coalesced batch, resolve its waiters.
-    fn serve(mut engine: Engine, rx: &Receiver<Msg>, config: IngestConfig) -> Engine {
-        let max_coalesce = config.max_coalesce.max(1);
+    fn serve(mut engine: Engine, rx: &Receiver<Msg>) -> Engine {
         let mut closing = false;
         while !closing {
             let mut group: Vec<Submission> = Vec::new();
@@ -310,7 +272,7 @@ impl IngestServer {
                 Some(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
                 None => closing = true,
             }
-            while group.len() < max_coalesce && !closing {
+            while group.len() < MAX_COALESCE && !closing {
                 match rx.try_recv() {
                     Ok(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
                     Err(mpsc::TryRecvError::Empty) => break,

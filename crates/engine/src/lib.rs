@@ -135,7 +135,7 @@ mod snapshot;
 pub use background::BackgroundBuild;
 pub use engine::{CommitMode, Engine, PreparedCommit, DEFAULT_CHECKPOINT_EVERY, MAX_FRESH_NODES};
 pub use error::{Divergence, EngineError};
-pub use ingest::{Ingest, IngestConfig, IngestReceipt, IngestServer, IngestTicket};
+pub use ingest::{Ingest, IngestReceipt, IngestServer, IngestTicket};
 pub use lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
 pub use receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewOutcome, ViewTotals};
 pub use replica::{Replica, ReplicaStatus};

@@ -1,25 +1,23 @@
-//! Chaos integration: deterministic fault plans driven through the whole
-//! stack — retrying WAL appends, degraded read-only mode with
+//! Chaos integration: one-shot faults placed through the whole stack —
+//! retrying WAL appends, degraded read-only mode with
 //! [`Engine::heal`], sync failures at the group-commit quiesce barrier
 //! and during a runtime durability flip, overload shedding at the ingest
 //! front door, and self-healing replicas (transient-read retry and
 //! post-compaction reattach) — each checked against the four real query
-//! classes, bit-identical to a never-faulted reference.
+//! classes. Seeded fault storms run in the simulation
+//! (`tests/engine_consistency.rs`), which decides when each fault fires.
 
-use igc_engine::{Engine, EngineError, EngineTotals, IngestConfig, IngestServer, Replica};
+use igc_engine::{Engine, EngineError, EngineTotals, IngestServer, Replica};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::graph::graph_from;
 use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
-use igc_log::{
-    ChaosBackend, ChaosProfile, DurabilityMode, Fault, FaultKind, FaultOp, FaultPlan, LogBackend,
-    MemBackend, RetryPolicy,
-};
+use igc_log::{ChaosBackend, DurabilityMode, LogBackend, MemBackend, RetryPolicy};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
 use igc_scc::IncScc;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,7 +106,7 @@ fn replica_answers(replica: &Replica, views: &ReplicaViews) -> Answers {
 }
 
 fn backend_pair() -> (ChaosBackend, Arc<dyn LogBackend>) {
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()), FaultPlan::none());
+    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()));
     let arc: Arc<dyn LogBackend> = Arc::new(chaos.clone());
     (chaos, arc)
 }
@@ -119,142 +117,26 @@ fn fast_retries(retries: u32) -> RetryPolicy {
     RetryPolicy::retries(retries).with_delays(Duration::ZERO, Duration::ZERO)
 }
 
-/// Drive one delta into a leader living under a fault storm: heal
-/// whenever degraded, retry the commit until it lands. Bounded — a
-/// finite fault plan must let the commit through eventually.
-fn commit_through_storm(leader: &mut Engine, delta: &UpdateBatch) {
-    for _ in 0..500 {
-        if leader.is_degraded() {
-            // The heal probe itself may hit the next fault window; keep
-            // probing, the plan's horizon is finite.
-            let _ = leader.heal();
-            continue;
-        }
-        match leader.commit(delta) {
-            Ok(_) => return,
-            Err(EngineError::RetriesExhausted { .. }) => {} // degraded now
-            Err(other) => panic!("storm surfaced a non-transient error: {other:?}"),
-        }
-    }
-    panic!("commit did not land within the fault plan's horizon");
-}
-
-/// The tentpole property: under seeded storms of append/read/sync faults
-/// (torn half-writes included, bit-flips excluded — those corrupt
-/// acknowledged records by design), no acknowledged commit is ever lost
-/// and every view stays bit-identical to a never-faulted twin — live,
-/// after crash recovery, and on a follower.
-#[test]
-fn seeded_chaos_storms_lose_no_acked_commit() {
-    let mut total_faults = 0u64;
-    for seed in [11u64, 42, 77, 1234] {
-        let profile = ChaosProfile {
-            horizon: 200,
-            append_fail: 0.10,
-            read_fail: 0.05,
-            sync_fail: 0.10,
-            torn_fraction: 0.5,
-            bit_flip: 0.0,
-            max_burst: 3,
-        };
-        let (chaos, backend) = backend_pair();
-        chaos.set_plan(FaultPlan::seeded(seed, &profile));
-
-        let g = uniform_graph(24, 64, 3, seed);
-        let mut leader = Engine::new(g.clone()).with_log(backend).unwrap();
-        leader.set_checkpoint_every(3);
-        leader.set_retry_policy(fast_retries(2)).unwrap();
-        leader
-            .set_durability(DurabilityMode::GroupCommit {
-                max_batch: 4,
-                max_delay: Duration::from_secs(3600),
-            })
-            .unwrap();
-        register_all(&mut leader);
-
-        // The reference twin never sees a fault and never journals.
-        let mut reference = Engine::new(g);
-        register_all(&mut reference);
-
-        for round in 0..25u64 {
-            let delta = random_update_batch(leader.graph(), 8, 0.5, seed * 1000 + round);
-            commit_through_storm(&mut leader, &delta);
-            reference.commit(&delta).unwrap();
-            assert_eq!(
-                answers(&leader),
-                answers(&reference),
-                "seed {seed} round {round}: views diverged from the \
-                 never-faulted twin"
-            );
-        }
-        let stats = chaos.stats();
-        total_faults += stats.append_faults + stats.read_faults + stats.sync_faults;
-
-        // Quiet the storm, settle, and check every acked commit is
-        // durable: a crash-recovered engine replays to the exact state.
-        chaos.set_plan(FaultPlan::none());
-        while leader.is_degraded() {
-            leader.heal().unwrap();
-        }
-        leader.sync_log().unwrap();
-        leader.verify_all().unwrap();
-
-        let mut recovered = Engine::recover(chaos.inner()).unwrap();
-        assert_eq!(
-            recovered.epoch(),
-            leader.epoch(),
-            "seed {seed}: lost epochs"
-        );
-        assert_eq!(
-            recovered.graph().sorted_edges(),
-            leader.graph().sorted_edges(),
-            "seed {seed}: recovered graph diverged"
-        );
-        register_all(&mut recovered);
-        assert_eq!(answers(&recovered), answers(&leader));
-
-        // And a follower attaching to the same journal converges too.
-        let mut replica = leader.replica().unwrap();
-        let views = register_replica(&mut replica);
-        replica.catch_up().unwrap();
-        assert_eq!(replica.frontier(), leader.epoch());
-        assert_eq!(replica_answers(&replica, &views), answers(&leader));
-        replica.verify_all().unwrap();
-    }
-    assert!(
-        total_faults > 20,
-        "the storms must actually storm (saw {total_faults} faults)"
-    );
-}
-
 /// `heal` keeps failing while the fault window persists (the checkpoint
 /// probe hits the same dead disk), the engine stays degraded, and the
 /// window is only accounted once the probe finally lands.
 #[test]
 fn heal_fails_while_the_fault_persists_then_recovers() {
-    // Append call 0 is the base checkpoint `with_log` writes; call 1 is
-    // the first commit. The window covers calls 2..=4.
-    let plan = FaultPlan::scripted(vec![Fault {
-        op: FaultOp::Append,
-        at: 2,
-        count: 3,
-        kind: FaultKind::Fail,
-    }])
-    .unwrap();
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()), plan);
-    let backend: Arc<dyn LogBackend> = Arc::new(chaos.clone());
-
+    let (chaos, backend) = backend_pair();
     let mut engine = Engine::new(uniform_graph(16, 40, 3, 9))
         .with_log(backend)
         .unwrap();
     register_all(&mut engine);
 
-    // Append call 1: fine.
     let d0 = random_update_batch(engine.graph(), 6, 0.5, 900);
     engine.commit(&d0).unwrap();
 
-    // Append call 2: the window opens; the commit is rejected and the
-    // engine degrades.
+    // The disk dies for the next three appends.
+    for _ in 0..3 {
+        chaos.fail_next_append(0);
+    }
+
+    // The first fault: the commit is rejected and the engine degrades.
     let d1 = random_update_batch(engine.graph(), 6, 0.5, 901);
     let err = engine.commit(&d1).unwrap_err();
     assert!(
@@ -263,15 +145,15 @@ fn heal_fails_while_the_fault_persists_then_recovers() {
     );
     assert!(engine.is_degraded());
 
-    // Append calls 3 and 4: still inside the window — heal's checkpoint
-    // probe fails, the engine stays degraded, no window is accounted.
+    // The second and third: heal's checkpoint probe fails, the engine
+    // stays degraded, no window is accounted.
     assert!(engine.heal().is_err());
     assert!(engine.is_degraded());
     assert_eq!(engine.degraded_windows(), 0);
     assert!(engine.heal().is_err());
     assert!(engine.is_degraded());
 
-    // Append call 5: past the window — heal lands, the window closes.
+    // The faults are spent: heal lands, the window closes.
     engine.heal().unwrap();
     assert!(!engine.is_degraded());
     assert_eq!(engine.degraded_windows(), 1);
@@ -292,17 +174,7 @@ fn heal_fails_while_the_fault_persists_then_recovers() {
 /// without disturbing either.
 #[test]
 fn degraded_mode_still_serves_snapshots() {
-    // One dead-disk window: append call 2 (the second commit) fails.
-    let plan = FaultPlan::scripted(vec![Fault {
-        op: FaultOp::Append,
-        at: 2,
-        count: 1,
-        kind: FaultKind::Fail,
-    }])
-    .unwrap();
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()), plan);
-    let backend: Arc<dyn LogBackend> = Arc::new(chaos.clone());
-
+    let (chaos, backend) = backend_pair();
     let mut engine = Engine::new(uniform_graph(16, 40, 3, 9))
         .with_log(backend)
         .unwrap();
@@ -315,6 +187,7 @@ fn degraded_mode_still_serves_snapshots() {
     assert_eq!(pinned.epoch(), engine.epoch());
     let frozen_answers = answers(&engine);
     let frozen_edges = engine.graph().sorted_edges();
+    chaos.fail_next_append(0);
 
     // The next commit hits the dead disk: the engine degrades, the commit
     // is rejected, the pre-outage pin is untouched.
@@ -679,17 +552,19 @@ fn a_rejected_commit_moves_no_totals_and_its_retry_counts_once() {
     }
 }
 
-/// A deliberately slow view, to wedge the commit loop so the submission
-/// queue actually fills.
+/// A view whose `apply` waits until the test opens the gate, to wedge
+/// the commit loop so the submission queue actually fills.
 #[derive(Debug, Clone)]
-struct SlowView;
+struct GateView(Arc<AtomicBool>);
 
-impl igc_core::IncView for SlowView {
+impl igc_core::IncView for GateView {
     fn name(&self) -> &str {
-        "slow"
+        "gate"
     }
     fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
-        std::thread::sleep(Duration::from_millis(25));
+        while !self.0.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
     fn work(&self) -> igc_core::work::WorkStats {
         igc_core::work::WorkStats::new()
@@ -707,40 +582,40 @@ impl igc_core::IncView for SlowView {
 /// everything that *was* accepted still resolves to exactly one receipt.
 #[test]
 fn overloaded_ingest_sheds_submissions_with_a_precise_error() {
-    let mut engine = Engine::new(uniform_graph(24, 64, 3, 71));
-    engine.register(SlowView).unwrap();
-    let seed_graph = engine.graph().clone();
-    let server = IngestServer::spawn_with(
-        engine,
-        IngestConfig {
-            max_coalesce: 1,
-            max_queue: 1,
-            submit_timeout: Duration::from_millis(5),
-        },
-    );
+    let gate = Arc::new(AtomicBool::new(false));
+    let mut engine = Engine::new(graph_from(&[0; 8], &[]));
+    engine.register(GateView(gate.clone())).unwrap();
+    let server = IngestServer::spawn(engine);
     let ingest = server.handle();
 
+    // The first tick blocks in the gate, and the 1 024-slot queue behind
+    // it fills: one tick of at most 64 plus the queue, then a shed.
     let mut tickets = Vec::new();
-    let mut shed = 0usize;
-    for i in 0..12u64 {
-        match ingest.submit(random_update_batch(&seed_graph, 4, 0.5, 7100 + i)) {
+    let shed = loop {
+        assert!(tickets.len() <= 64 + 1024, "the bounded queue never shed");
+        let i = tickets.len() as u32;
+        let unit = Update::insert(NodeId(i % 8), NodeId(i / 8 % 8));
+        match ingest.submit(UpdateBatch::from_updates(vec![unit])) {
             Ok(t) => tickets.push(t),
-            Err(EngineError::Overloaded { capacity, waited }) => {
-                assert_eq!(capacity, 1);
-                assert!(waited >= Duration::from_millis(5));
-                shed += 1;
-            }
-            Err(other) => panic!("expected Overloaded, got {other:?}"),
+            Err(e) => break e,
         }
+    };
+    match shed {
+        EngineError::Overloaded { capacity, waited } => {
+            assert_eq!(capacity, 1024);
+            assert!(waited >= Duration::from_millis(100), "{waited:?}");
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
     }
-    assert!(
-        shed >= 1,
-        "12 rapid submissions against 25 ms ticks and a \
-                        1-slot queue must shed"
-    );
-    assert!(!tickets.is_empty(), "the queue still admits work");
-    for t in tickets {
-        t.wait().unwrap(); // accepted ⇒ exactly one receipt, no loss
-    }
+
+    // Open the gate: every accepted submission resolves to one receipt,
+    // and the ticks carried each of them exactly once.
+    gate.store(true, Ordering::Release);
+    let accepted = tickets.len();
+    let receipts: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+    assert_eq!(receipts.iter().map(|r| r.units).sum::<usize>(), accepted);
+    let mut ticks: Vec<_> = receipts.iter().map(|r| &*r.commit).collect();
+    ticks.dedup_by(|a, b| std::ptr::eq(*a, *b));
+    assert_eq!(ticks.iter().map(|c| c.submitted).sum::<usize>(), accepted);
     server.shutdown().unwrap();
 }

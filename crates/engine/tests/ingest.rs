@@ -10,7 +10,7 @@
 //! - flipping the durability mode mid-run (through the server, between
 //!   in-flight submissions) never perturbs results.
 
-use igc_engine::{Engine, EngineError, IngestConfig, IngestServer};
+use igc_engine::{Engine, EngineError, IngestServer};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{LabelInterner, UpdateBatch};
 use igc_log::{DurabilityMode, LogBackend, MemBackend};
@@ -54,13 +54,7 @@ fn concurrent_submitters_conserve_units_and_recover_bit_identically() {
     engine.set_checkpoint_every(5);
     let seed_graph = engine.graph().clone();
 
-    let server = IngestServer::spawn_with(
-        engine,
-        IngestConfig {
-            max_coalesce: 16,
-            ..IngestConfig::default()
-        },
-    );
+    let server = IngestServer::spawn(engine);
 
     // Batches are generated against the *seed* graph (submitters race, so
     // they cannot see a current graph) — updates may be no-ops by commit
@@ -129,7 +123,7 @@ fn concurrent_submitters_conserve_units_and_recover_bit_identically() {
         }
     }
     // Coalescing happened at all (8 racing submitters against a commit
-    // tick must collide at least once under max_coalesce 16).
+    // tick must collide at least once).
     assert!(
         by_tick.len() < receipts.len(),
         "at least one tick carried more than one submission"

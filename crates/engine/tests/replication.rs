@@ -10,7 +10,7 @@ use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::{Label, LabelInterner, NodeId};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
-use igc_log::{ChaosBackend, FaultPlan, LogBackend, MemBackend};
+use igc_log::{ChaosBackend, LogBackend, MemBackend};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
 use igc_scc::IncScc;
@@ -101,7 +101,7 @@ fn replica_answers(replica: &Replica, views: &ReplicaViews) -> Answers {
 }
 
 fn backend_pair() -> (ChaosBackend, Arc<dyn LogBackend>) {
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()), FaultPlan::none());
+    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()));
     let arc: Arc<dyn LogBackend> = Arc::new(chaos.clone());
     (chaos, arc)
 }

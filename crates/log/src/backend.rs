@@ -427,20 +427,14 @@ mod tests {
     // the same contract it forwards, compaction included.
     #[test]
     fn chaos_backend_contract() {
-        use crate::chaos::{ChaosBackend, FaultPlan};
-        exercise(&ChaosBackend::new(
-            Arc::new(MemBackend::new()),
-            FaultPlan::none(),
-        ));
+        use crate::chaos::ChaosBackend;
+        exercise(&ChaosBackend::new(Arc::new(MemBackend::new())));
     }
 
     #[test]
     fn chaos_backend_compaction_contract() {
-        use crate::chaos::{ChaosBackend, FaultPlan};
-        exercise_compaction(&ChaosBackend::new(
-            Arc::new(MemBackend::new()),
-            FaultPlan::none(),
-        ));
+        use crate::chaos::ChaosBackend;
+        exercise_compaction(&ChaosBackend::new(Arc::new(MemBackend::new())));
     }
 
     #[test]

@@ -1,346 +1,52 @@
-//! Deterministic fault injection for the journal: [`ChaosBackend`] wraps
-//! any [`LogBackend`] and executes a [`FaultPlan`] — a scripted or seeded
-//! schedule of append/read/sync failures, torn half-writes, and bit-flips.
+//! Fault injection for the journal: [`ChaosBackend`] wraps any
+//! [`LogBackend`] and fires one-shot faults armed at runtime — a torn
+//! append ([`ChaosBackend::fail_next_append`]), a failed read
+//! ([`ChaosBackend::fail_next_read`]) or a failed sync
+//! ([`ChaosBackend::fail_next_sync`]) — plus read-side overlays
+//! ([`ChaosBackend::corrupt_byte`], [`ChaosBackend::truncate_segment`]).
 //!
-//! The point is *reproducibility*: a chaos run is a pure function of the
-//! plan (and the plan of its seed), so a failure found under
-//! `FaultPlan::seeded(42, ..)` replays byte-for-byte under the same seed.
-//! This replaces the ad-hoc one-shot injectors that used to live inside
-//! `MemBackend` and as test-local backend wrappers; the same four fault
-//! shapes are still available as runtime one-shots
-//! ([`ChaosBackend::fail_next_append`], [`ChaosBackend::fail_next_read`],
-//! [`ChaosBackend::fail_next_sync`]) and read-side overlays
-//! ([`ChaosBackend::corrupt_byte`], [`ChaosBackend::truncate_segment`])
-//! for tests that want one precisely-placed fault rather than a schedule.
+//! One-shots are the one fault mechanism, and the wrapper keeps no
+//! schedule: whoever arms a fault decides when it fires. The seeded
+//! simulation in `tests/engine_consistency.rs` is the one scheduler — its
+//! seed decides which faults are armed before which call, so a fault
+//! history reproduces from its seed.
 //!
 //! Fault semantics mirror what real storage does:
 //!
-//! * **Fail** — the call reports an I/O error and (for appends) stores
-//!   nothing: a clean transient failure the caller may retry.
-//! * **Torn** (append only) — the first `keep` bytes land, then the call
-//!   reports failure: the shape a mid-write `ENOSPC` or power cut leaves
-//!   behind. The write was never acknowledged; a correct writer rotates
-//!   past the garbage (see `CommitLog`'s forced rotation).
-//! * **BitFlip** (append only) — the append *succeeds* but one stored bit
-//!   is flipped: silent corruption, which the CRC-sealed record format
-//!   must detect at read time (detection, not survival, is the contract).
+//! * **Torn append** — the first `keep` bytes land, then the call reports
+//!   failure: the shape a mid-write `ENOSPC` or power cut leaves behind
+//!   (`keep == 0` stores nothing). The write was never acknowledged; a
+//!   correct writer rotates past the garbage (see `CommitLog`'s forced
+//!   rotation).
+//! * **Failed read or sync** — the call reports an I/O error: a transient
+//!   failure the caller may retry.
+//! * **Corrupt byte** — every later read sees a stored byte XORed with a
+//!   mask: silent corruption of an acknowledged record, which the
+//!   CRC-sealed record format must detect at read time (detection, not
+//!   survival, is the contract).
 //!
 //! ```
-//! use igc_log::{ChaosBackend, CommitLog, Fault, FaultKind, FaultOp, FaultPlan, MemBackend};
+//! use igc_log::{ChaosBackend, CommitLog, MemBackend};
 //! use igc_graph::graph::graph_from;
 //! use std::sync::Arc;
 //!
-//! // Fail the 2nd and 3rd appends (call indices 1..3), then heal.
-//! let plan = FaultPlan::scripted(vec![Fault {
-//!     op: FaultOp::Append,
-//!     at: 1,
-//!     count: 2,
-//!     kind: FaultKind::Fail,
-//! }])
-//! .unwrap();
-//! let chaos = ChaosBackend::new(Arc::new(MemBackend::new()), plan);
+//! let chaos = ChaosBackend::new(Arc::new(MemBackend::new()));
 //! let mut log = CommitLog::create(Arc::new(chaos.clone())).unwrap();
 //! let g = graph_from(&[0, 0], &[]);
-//! log.append_checkpoint(&g).unwrap(); // append #0: clean
-//! assert!(log.append_checkpoint(&g).is_err()); // #1: injected failure
-//! assert!(log.append_checkpoint(&g).is_err()); // #2: injected failure
-//! log.append_checkpoint(&g).unwrap(); // #3: the window is over
+//! log.append_checkpoint(&g).unwrap(); // clean
+//! // Tear the next two appends before their first byte, then heal.
+//! chaos.fail_next_append(0);
+//! chaos.fail_next_append(0);
+//! assert!(log.append_checkpoint(&g).is_err());
+//! assert!(log.append_checkpoint(&g).is_err());
+//! log.append_checkpoint(&g).unwrap(); // the one-shots are spent
 //! assert_eq!(chaos.stats().append_faults, 2);
 //! ```
 
 use crate::backend::LogBackend;
 use crate::error::LogError;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::{Arc, Mutex};
-
-/// Which backend operation a [`Fault`] targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultOp {
-    /// [`LogBackend::append`] calls.
-    Append,
-    /// [`LogBackend::read`] calls.
-    Read,
-    /// [`LogBackend::sync`] calls.
-    Sync,
-}
-
-impl FaultOp {
-    fn index(self) -> usize {
-        match self {
-            FaultOp::Append => 0,
-            FaultOp::Read => 1,
-            FaultOp::Sync => 2,
-        }
-    }
-}
-
-impl fmt::Display for FaultOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FaultOp::Append => "append",
-            FaultOp::Read => "read",
-            FaultOp::Sync => "sync",
-        })
-    }
-}
-
-/// What an injected fault does to the targeted call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The call reports an I/O error; an append stores nothing.
-    Fail,
-    /// Append only: the first `keep` bytes (clamped to the write's length)
-    /// land, then the call reports failure — a mid-write crash.
-    Torn {
-        /// Bytes of the attempted write that reach storage.
-        keep: usize,
-    },
-    /// Append only: the call *succeeds* but the stored byte at `offset`
-    /// (modulo the write's length) is XORed with `mask` — silent
-    /// corruption the CRC layer must catch at read time.
-    BitFlip {
-        /// Byte offset within the written bytes (taken modulo their length).
-        offset: u64,
-        /// XOR mask applied to that byte (0 would be a no-op; use ≥ 1).
-        mask: u8,
-    },
-}
-
-impl FaultKind {
-    fn name(&self) -> &'static str {
-        match self {
-            FaultKind::Fail => "fail",
-            FaultKind::Torn { .. } => "torn write",
-            FaultKind::BitFlip { .. } => "bit-flip",
-        }
-    }
-}
-
-/// One scheduled fault window: calls `at .. at + count` (zero-based,
-/// per-op call indices) of `op` each suffer `kind`. `count == 1` is a
-/// transient blip; a larger window models a persistent outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fault {
-    /// The targeted operation.
-    pub op: FaultOp,
-    /// Zero-based call index (per op) of the first faulted call.
-    pub at: u64,
-    /// How many consecutive calls the window covers (≥ 1).
-    pub count: u64,
-    /// What each faulted call suffers.
-    pub kind: FaultKind,
-}
-
-/// Why [`FaultPlan::scripted`] rejected a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosPlanError {
-    /// [`FaultKind::Torn`] / [`FaultKind::BitFlip`] describe partial or
-    /// corrupted *writes*; scheduling one on a read or sync is meaningless.
-    KindRequiresAppend {
-        /// Call index of the offending fault.
-        at: u64,
-        /// The write-only kind that was scheduled (`"torn write"` / `"bit-flip"`).
-        kind: &'static str,
-        /// The non-append operation it was scheduled on.
-        op: FaultOp,
-    },
-    /// A fault window with `count == 0` covers no calls.
-    EmptyWindow {
-        /// Call index of the offending fault.
-        at: u64,
-        /// The operation it was scheduled on.
-        op: FaultOp,
-    },
-    /// Two windows on the same operation overlap, so a call would have two
-    /// contradictory faults.
-    OverlappingWindows {
-        /// The operation both windows target.
-        op: FaultOp,
-        /// Start of the earlier window.
-        first_at: u64,
-        /// Start of the later (overlapping) window.
-        second_at: u64,
-    },
-}
-
-impl fmt::Display for ChaosPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosPlanError::KindRequiresAppend { at, kind, op } => write!(
-                f,
-                "fault plan invalid: {kind} at call {at} targets {op}, \
-                 but that kind only applies to appends"
-            ),
-            ChaosPlanError::EmptyWindow { at, op } => write!(
-                f,
-                "fault plan invalid: window at {op} call {at} has count 0 (covers no calls)"
-            ),
-            ChaosPlanError::OverlappingWindows {
-                op,
-                first_at,
-                second_at,
-            } => write!(
-                f,
-                "fault plan invalid: {op} windows starting at calls {first_at} and \
-                 {second_at} overlap"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ChaosPlanError {}
-
-/// Probabilities and shape parameters for [`FaultPlan::seeded`]. Each
-/// operation's first `horizon` calls are walked with the seeded PRNG; a
-/// call not covered by a window starts one with the op's probability, and
-/// windows last `1..=max_burst` calls.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosProfile {
-    /// Per-op call indices considered (faults never start past this).
-    pub horizon: u64,
-    /// Probability an uncovered append call starts a fault window.
-    pub append_fail: f64,
-    /// Probability an uncovered read call starts a fault window.
-    pub read_fail: f64,
-    /// Probability an uncovered sync call starts a fault window.
-    pub sync_fail: f64,
-    /// Of append faults, the fraction that are torn writes instead of
-    /// clean failures.
-    pub torn_fraction: f64,
-    /// Probability an append fault is a silent bit-flip instead. Off by
-    /// default: bit-flips corrupt *acknowledged* records, which the log
-    /// detects but by design cannot survive — schedule them only in tests
-    /// asserting detection.
-    pub bit_flip: f64,
-    /// Longest persistent window, in consecutive calls (clamped ≥ 1).
-    pub max_burst: u64,
-}
-
-impl Default for ChaosProfile {
-    fn default() -> Self {
-        ChaosProfile {
-            horizon: 256,
-            append_fail: 0.08,
-            read_fail: 0.04,
-            sync_fail: 0.08,
-            torn_fraction: 0.5,
-            bit_flip: 0.0,
-            max_burst: 3,
-        }
-    }
-}
-
-/// A validated, deterministic schedule of [`Fault`]s — the whole behavior
-/// of a [`ChaosBackend`] is a pure function of its plan.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Per-op windows, sorted by `at` (validated non-overlapping).
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// The empty plan: every call passes through (runtime one-shots and
-    /// overlays still work).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Validate an explicit schedule: write-only kinds must target
-    /// appends, windows must cover ≥ 1 call, and windows on the same op
-    /// must not overlap.
-    pub fn scripted(faults: Vec<Fault>) -> Result<Self, ChaosPlanError> {
-        let mut sorted = faults;
-        sorted.sort_by_key(|f| (f.op.index(), f.at));
-        for f in &sorted {
-            if f.count == 0 {
-                return Err(ChaosPlanError::EmptyWindow { at: f.at, op: f.op });
-            }
-            if f.op != FaultOp::Append && !matches!(f.kind, FaultKind::Fail) {
-                return Err(ChaosPlanError::KindRequiresAppend {
-                    at: f.at,
-                    kind: f.kind.name(),
-                    op: f.op,
-                });
-            }
-        }
-        for w in sorted.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            if a.op == b.op && b.at < a.at + a.count {
-                return Err(ChaosPlanError::OverlappingWindows {
-                    op: a.op,
-                    first_at: a.at,
-                    second_at: b.at,
-                });
-            }
-        }
-        Ok(FaultPlan { faults: sorted })
-    }
-
-    /// Generate a deterministic random schedule: same `seed` + `profile`
-    /// → same plan → same run, which is what makes a chaos failure
-    /// reproducible from its seed alone.
-    pub fn seeded(seed: u64, profile: &ChaosProfile) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut faults = Vec::new();
-        let burst = profile.max_burst.max(1);
-        for op in [FaultOp::Append, FaultOp::Read, FaultOp::Sync] {
-            let p = match op {
-                FaultOp::Append => profile.append_fail,
-                FaultOp::Read => profile.read_fail,
-                FaultOp::Sync => profile.sync_fail,
-            }
-            .clamp(0.0, 1.0);
-            if p == 0.0 {
-                continue;
-            }
-            let mut at = 0u64;
-            while at < profile.horizon {
-                if !rng.gen_bool(p) {
-                    at += 1;
-                    continue;
-                }
-                let count = rng.gen_range(1..=burst);
-                let kind = if op != FaultOp::Append {
-                    FaultKind::Fail
-                } else if rng.gen_bool(profile.bit_flip.clamp(0.0, 1.0)) {
-                    FaultKind::BitFlip {
-                        offset: rng.gen_range(0u64..1024),
-                        mask: 1 << rng.gen_range(0u32..8),
-                    }
-                } else if rng.gen_bool(profile.torn_fraction.clamp(0.0, 1.0)) {
-                    FaultKind::Torn {
-                        keep: rng.gen_range(0usize..48),
-                    }
-                } else {
-                    FaultKind::Fail
-                };
-                faults.push(Fault {
-                    op,
-                    at,
-                    count,
-                    kind,
-                });
-                at += count;
-            }
-        }
-        FaultPlan::scripted(faults).expect("seeded plans are non-overlapping by construction")
-    }
-
-    /// The scheduled windows, sorted per op.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    fn kind_for(&self, op: FaultOp, call: u64) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.op == op && f.at <= call && call < f.at + f.count)
-            .map(|f| f.kind)
-    }
-}
 
 /// What a [`ChaosBackend`] observed and injected so far — the raw series
 /// behind retry counters and chaos-drill reporting.
@@ -352,16 +58,12 @@ pub struct ChaosStats {
     pub reads: u64,
     /// Total sync calls (faulted included).
     pub syncs: u64,
-    /// Appends that suffered an injected fault of any kind.
+    /// Appends torn by an injected fault.
     pub append_faults: u64,
     /// Reads that suffered an injected failure.
     pub read_faults: u64,
     /// Syncs that suffered an injected failure.
     pub sync_faults: u64,
-    /// Of the append faults, how many were torn (partial bytes landed).
-    pub torn_writes: u64,
-    /// Of the append faults, how many silently flipped a stored bit.
-    pub bit_flips: u64,
 }
 
 /// A read-side mutation of stored bytes, emulating what the old
@@ -382,51 +84,39 @@ enum Overlay {
 
 #[derive(Debug, Default)]
 struct ChaosState {
-    plan: FaultPlan,
-    /// Per-op call counters ([`FaultOp::index`] order), advanced on every
-    /// call whether or not it faults.
-    calls: [u64; 3],
-    /// Runtime one-shot faults, consulted before the plan (front first).
-    armed: [VecDeque<FaultKind>; 3],
+    /// Armed one-shots, each fired by the next call of its kind: the
+    /// `keep` of each torn append (oldest first), and the count of failed
+    /// reads and of failed syncs.
+    torn: VecDeque<usize>,
+    failed_reads: u64,
+    failed_syncs: u64,
     overlays: Vec<Overlay>,
     stats: ChaosStats,
 }
 
 impl ChaosState {
-    /// Count the call and decide its fate: a one-shot if armed, else the
-    /// plan's window for this call index.
-    fn dispatch(&mut self, op: FaultOp) -> Option<FaultKind> {
-        let i = op.index();
-        let call = self.calls[i];
-        self.calls[i] += 1;
-        match op {
-            FaultOp::Append => self.stats.appends += 1,
-            FaultOp::Read => self.stats.reads += 1,
-            FaultOp::Sync => self.stats.syncs += 1,
+    /// Count one read (or, with `sync`, sync) call: fire, and count, an
+    /// armed one-shot.
+    fn fire(&mut self, sync: bool) -> bool {
+        let s = &mut self.stats;
+        let (calls, armed, faults) = match sync {
+            false => (&mut s.reads, &mut self.failed_reads, &mut s.read_faults),
+            true => (&mut s.syncs, &mut self.failed_syncs, &mut s.sync_faults),
+        };
+        *calls += 1;
+        let fired = *armed > 0;
+        if fired {
+            *armed -= 1;
+            *faults += 1;
         }
-        let kind = self.armed[i]
-            .pop_front()
-            .or_else(|| self.plan.kind_for(op, call));
-        if let Some(k) = kind {
-            match op {
-                FaultOp::Append => self.stats.append_faults += 1,
-                FaultOp::Read => self.stats.read_faults += 1,
-                FaultOp::Sync => self.stats.sync_faults += 1,
-            }
-            match k {
-                FaultKind::Torn { .. } => self.stats.torn_writes += 1,
-                FaultKind::BitFlip { .. } => self.stats.bit_flips += 1,
-                FaultKind::Fail => {}
-            }
-        }
-        kind
+        fired
     }
 }
 
-/// A [`LogBackend`] wrapper that injects the faults its [`FaultPlan`]
-/// schedules (plus any runtime one-shots and overlays) and passes
-/// everything else through to the wrapped backend. Cloning shares the
-/// plan state and counters — exactly like reopening the same flaky device.
+/// A [`LogBackend`] wrapper that fires its armed one-shot faults and
+/// overlays and passes everything else through to the wrapped backend.
+/// Cloning shares the armed faults and counters — exactly like reopening
+/// the same flaky device.
 #[derive(Debug, Clone)]
 pub struct ChaosBackend {
     inner: Arc<dyn LogBackend>,
@@ -434,14 +124,11 @@ pub struct ChaosBackend {
 }
 
 impl ChaosBackend {
-    /// Wrap `inner`, executing `plan`.
-    pub fn new(inner: Arc<dyn LogBackend>, plan: FaultPlan) -> Self {
+    /// Wrap `inner`; every call passes through until a fault is armed.
+    pub fn new(inner: Arc<dyn LogBackend>) -> Self {
         ChaosBackend {
             inner,
-            state: Arc::new(Mutex::new(ChaosState {
-                plan,
-                ..ChaosState::default()
-            })),
+            state: Arc::default(),
         }
     }
 
@@ -450,34 +137,25 @@ impl ChaosBackend {
         self.inner.clone()
     }
 
-    /// Replace the plan and restart its per-op call indices at 0 (stats
-    /// and overlays are kept).
-    pub fn set_plan(&self, plan: FaultPlan) {
-        let mut s = self.lock();
-        s.plan = plan;
-        s.calls = [0; 3];
-    }
-
-    /// Counters so far (calls, injected faults, by shape).
+    /// Counters so far (calls, injected faults).
     pub fn stats(&self) -> ChaosStats {
         self.lock().stats
     }
 
     /// Arm a one-shot torn append: the next append stores only its first
-    /// `keep` bytes and then reports failure. One-shots stack (FIFO) and
-    /// take precedence over the plan.
+    /// `keep` bytes and then reports failure. One-shots stack (FIFO).
     pub fn fail_next_append(&self, keep: usize) {
-        self.lock().armed[FaultOp::Append.index()].push_back(FaultKind::Torn { keep });
+        self.lock().torn.push_back(keep);
     }
 
-    /// Arm a one-shot read failure.
+    /// Arm a one-shot read failure (they stack).
     pub fn fail_next_read(&self) {
-        self.lock().armed[FaultOp::Read.index()].push_back(FaultKind::Fail);
+        self.lock().failed_reads += 1;
     }
 
-    /// Arm a one-shot sync failure.
+    /// Arm a one-shot sync failure (they stack).
     pub fn fail_next_sync(&self) {
-        self.lock().armed[FaultOp::Sync.index()].push_back(FaultKind::Fail);
+        self.lock().failed_syncs += 1;
     }
 
     /// Flip one stored bit as seen by every later read — the corruption
@@ -581,37 +259,32 @@ impl LogBackend for ChaosBackend {
     }
 
     fn read(&self, segment: u32) -> Result<Vec<u8>, LogError> {
-        if self.lock().dispatch(FaultOp::Read).is_some() {
+        if self.lock().fire(false) {
             return Err(Self::injected("read segment", segment));
         }
         Ok(self.overlay_bytes(segment, self.inner.read(segment)?))
     }
 
     fn append(&self, segment: u32, bytes: &[u8]) -> Result<(), LogError> {
-        match self.lock().dispatch(FaultOp::Append) {
-            None => self.inner.append(segment, bytes),
-            Some(FaultKind::Fail) => Err(Self::injected("append", segment)),
-            Some(FaultKind::Torn { keep }) => {
-                // The partial bytes land (as on a real device), but the
-                // write is never acknowledged.
-                self.inner
-                    .append(segment, &bytes[..keep.min(bytes.len())])?;
-                Err(LogError::Io {
-                    operation: "append",
-                    segment,
-                    cause: "chaos: injected mid-write failure".to_owned(),
-                })
-            }
-            Some(FaultKind::BitFlip { offset, mask }) => {
-                let mut flipped = bytes.to_vec();
-                if !flipped.is_empty() {
-                    let i = (offset % flipped.len() as u64) as usize;
-                    flipped[i] ^= mask.max(1);
-                }
-                // Silent: the append is acknowledged with bad bytes down.
-                self.inner.append(segment, &flipped)
-            }
-        }
+        let torn = {
+            let mut s = self.lock();
+            s.stats.appends += 1;
+            let keep = s.torn.pop_front();
+            s.stats.append_faults += u64::from(keep.is_some());
+            keep
+        };
+        let Some(keep) = torn else {
+            return self.inner.append(segment, bytes);
+        };
+        // The partial bytes land (as on a real device), but the write is
+        // never acknowledged.
+        self.inner
+            .append(segment, &bytes[..keep.min(bytes.len())])?;
+        Err(LogError::Io {
+            operation: "append",
+            segment,
+            cause: "chaos: injected mid-write failure".to_owned(),
+        })
     }
 
     fn len(&self, segment: u32) -> Result<u64, LogError> {
@@ -623,7 +296,7 @@ impl LogBackend for ChaosBackend {
     }
 
     fn sync(&self, segment: u32) -> Result<(), LogError> {
-        if self.lock().dispatch(FaultOp::Sync).is_some() {
+        if self.lock().fire(true) {
             return Err(Self::injected("sync", segment));
         }
         self.inner.sync(segment)
@@ -635,14 +308,14 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
 
-    fn chaos(plan: FaultPlan) -> (MemBackend, ChaosBackend) {
+    fn chaos() -> (MemBackend, ChaosBackend) {
         let mem = MemBackend::new();
-        (mem.clone(), ChaosBackend::new(Arc::new(mem), plan))
+        (mem.clone(), ChaosBackend::new(Arc::new(mem)))
     }
 
     #[test]
     fn clean_plan_is_a_transparent_wrapper() {
-        let (_, b) = chaos(FaultPlan::none());
+        let (_, b) = chaos();
         b.append(0, b"hello ").unwrap();
         b.append(0, b"world").unwrap();
         assert_eq!(b.read(0).unwrap(), b"hello world");
@@ -654,37 +327,8 @@ mod tests {
     }
 
     #[test]
-    fn scripted_windows_hit_exactly_their_call_indices() {
-        let plan = FaultPlan::scripted(vec![
-            Fault {
-                op: FaultOp::Append,
-                at: 1,
-                count: 2,
-                kind: FaultKind::Fail,
-            },
-            Fault {
-                op: FaultOp::Sync,
-                at: 0,
-                count: 1,
-                kind: FaultKind::Fail,
-            },
-        ])
-        .unwrap();
-        let (mem, b) = chaos(plan);
-        b.append(0, b"a").unwrap(); // call 0: clean
-        assert!(b.append(0, b"b").is_err()); // 1: window
-        assert!(b.append(0, b"c").is_err()); // 2: window
-        b.append(0, b"d").unwrap(); // 3: clean again
-        assert_eq!(mem.read(0).unwrap(), b"ad", "failed appends stored nothing");
-        assert!(b.sync(0).is_err());
-        b.sync(0).unwrap();
-        let s = b.stats();
-        assert_eq!((s.append_faults, s.sync_faults), (2, 1));
-    }
-
-    #[test]
     fn torn_append_stores_a_prefix_and_reports_failure() {
-        let (mem, b) = chaos(FaultPlan::none());
+        let (mem, b) = chaos();
         b.append(0, b"committed").unwrap();
         b.fail_next_append(3);
         let err = b.append(0, b"DOOMED").unwrap_err();
@@ -701,30 +345,12 @@ mod tests {
         // The one-shot is spent: the retry goes through.
         b.append(1, b"retried").unwrap();
         assert_eq!(b.read(1).unwrap(), b"retried");
-        assert_eq!(b.stats().torn_writes, 1);
-    }
-
-    #[test]
-    fn bit_flip_is_silent_and_corrupts_one_byte() {
-        let plan = FaultPlan::scripted(vec![Fault {
-            op: FaultOp::Append,
-            at: 0,
-            count: 1,
-            kind: FaultKind::BitFlip {
-                offset: 2,
-                mask: 0x01,
-            },
-        }])
-        .unwrap();
-        let (_, b) = chaos(plan);
-        b.append(0, b"abcd").unwrap(); // acknowledged!
-        assert_eq!(b.read(0).unwrap(), b"ab\x62d");
-        assert_eq!(b.stats().bit_flips, 1);
+        assert_eq!(b.stats().append_faults, 1);
     }
 
     #[test]
     fn read_overlays_replace_the_old_mem_backend_hooks() {
-        let (mem, b) = chaos(FaultPlan::none());
+        let (mem, b) = chaos();
         b.append(0, b"0123456789").unwrap();
         // Corrupt: reads see the flip; the store is untouched.
         b.corrupt_byte(0, 4, 0xFF);
@@ -741,7 +367,7 @@ mod tests {
 
     #[test]
     fn one_shot_read_and_sync_failures() {
-        let (_, b) = chaos(FaultPlan::none());
+        let (_, b) = chaos();
         b.append(0, b"x").unwrap();
         b.fail_next_read();
         assert!(b.read(0).is_err());
@@ -752,148 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn scripted_validation_rejects_bad_plans() {
-        let torn_on_read = FaultPlan::scripted(vec![Fault {
-            op: FaultOp::Read,
-            at: 0,
-            count: 1,
-            kind: FaultKind::Torn { keep: 1 },
-        }]);
-        assert_eq!(
-            torn_on_read.unwrap_err(),
-            ChaosPlanError::KindRequiresAppend {
-                at: 0,
-                kind: "torn write",
-                op: FaultOp::Read,
-            }
-        );
-        let empty = FaultPlan::scripted(vec![Fault {
-            op: FaultOp::Sync,
-            at: 3,
-            count: 0,
-            kind: FaultKind::Fail,
-        }]);
-        assert_eq!(
-            empty.unwrap_err(),
-            ChaosPlanError::EmptyWindow {
-                at: 3,
-                op: FaultOp::Sync
-            }
-        );
-        let overlap = FaultPlan::scripted(vec![
-            Fault {
-                op: FaultOp::Append,
-                at: 0,
-                count: 3,
-                kind: FaultKind::Fail,
-            },
-            Fault {
-                op: FaultOp::Append,
-                at: 2,
-                count: 1,
-                kind: FaultKind::Fail,
-            },
-        ]);
-        assert_eq!(
-            overlap.unwrap_err(),
-            ChaosPlanError::OverlappingWindows {
-                op: FaultOp::Append,
-                first_at: 0,
-                second_at: 2,
-            }
-        );
-    }
-
-    #[test]
-    fn chaos_plan_errors_display_their_details() {
-        // Exhaustive: one row per variant, each rendering its payload.
-        let table = [
-            (
-                ChaosPlanError::KindRequiresAppend {
-                    at: 7,
-                    kind: "bit-flip",
-                    op: FaultOp::Sync,
-                },
-                vec!["bit-flip", "7", "sync", "append"],
-            ),
-            (
-                ChaosPlanError::EmptyWindow {
-                    at: 9,
-                    op: FaultOp::Read,
-                },
-                vec!["read", "9", "count 0"],
-            ),
-            (
-                ChaosPlanError::OverlappingWindows {
-                    op: FaultOp::Append,
-                    first_at: 4,
-                    second_at: 5,
-                },
-                vec!["append", "4", "5", "overlap"],
-            ),
-        ];
-        for (err, needles) in table {
-            // The exhaustive match keeps this test honest when variants
-            // are added: extend the table or fail to compile.
-            match &err {
-                ChaosPlanError::KindRequiresAppend { .. }
-                | ChaosPlanError::EmptyWindow { .. }
-                | ChaosPlanError::OverlappingWindows { .. } => {}
-            }
-            let shown = err.to_string();
-            for needle in needles {
-                assert!(
-                    shown.contains(needle),
-                    "{shown:?} should contain {needle:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_valid() {
-        let profile = ChaosProfile::default();
-        let a = FaultPlan::seeded(42, &profile);
-        let b = FaultPlan::seeded(42, &profile);
-        assert_eq!(a, b, "same seed, same plan");
-        let c = FaultPlan::seeded(43, &profile);
-        assert_ne!(a, c, "different seeds diverge");
-        assert!(
-            !a.faults().is_empty(),
-            "the default profile over 256 calls schedules something"
-        );
-        // No bit-flips unless explicitly asked for: they corrupt
-        // acknowledged records, which recovery by design cannot survive.
-        assert!(a
-            .faults()
-            .iter()
-            .all(|f| !matches!(f.kind, FaultKind::BitFlip { .. })));
-        // And identical *behavior*, not just identical plans.
-        let (_, ba) = chaos(a);
-        let (_, bb) = chaos(b);
-        for i in 0..32u32 {
-            let bytes = format!("record {i}");
-            assert_eq!(
-                ba.append(0, bytes.as_bytes()).is_ok(),
-                bb.append(0, bytes.as_bytes()).is_ok()
-            );
-        }
-        assert_eq!(ba.stats(), bb.stats());
-    }
-
-    #[test]
     fn clones_share_the_schedule() {
-        let plan = FaultPlan::scripted(vec![Fault {
-            op: FaultOp::Append,
-            at: 1,
-            count: 1,
-            kind: FaultKind::Fail,
-        }])
-        .unwrap();
-        let (_, b) = chaos(plan);
+        let (_, b) = chaos();
         let clone = b.clone();
-        b.append(0, b"a").unwrap(); // call 0 via the original
-        assert!(clone.append(0, b"b").is_err(), "call 1 via the clone");
-        assert_eq!(b.stats().append_faults, 1);
+        b.append(0, b"a").unwrap();
+        clone.fail_next_append(0); // armed through the clone…
+        assert!(b.append(0, b"b").is_err(), "…fires on the original");
+        assert_eq!(clone.stats().append_faults, 1);
     }
 }

@@ -33,11 +33,11 @@
 //!   or batched group-commit barriers — one backend `sync` covering every
 //!   record appended since the last barrier, issued when the window's
 //!   `max_batch`/`max_delay` closes.
-//! * **Fault tolerance** ([`chaos`], [`RetryPolicy`]) — a deterministic
-//!   fault-injection wrapper over any backend ([`ChaosBackend`] executing
-//!   a scripted or seeded [`FaultPlan`] of append/read/sync failures, torn
-//!   writes and bit-flips), plus bounded exponential-backoff retry — one
-//!   loop, [`RetryPolicy::run`] — on the append/sync paths
+//! * **Fault tolerance** ([`chaos`], [`RetryPolicy`]) — a fault-injection
+//!   wrapper over any backend ([`ChaosBackend`]: one-shot torn appends and
+//!   failed reads and syncs, armed by whoever drives it, plus read-side
+//!   corruption and truncation), plus bounded exponential-backoff retry —
+//!   one loop, [`RetryPolicy::run`] — on the append/sync paths
 //!   ([`CommitLog::set_retry_policy`]); a failed policy-driven barrier
 //!   becomes *sync debt* ([`CommitLog::sync_debt`]) rather than failing an
 //!   already-stored append.
@@ -79,9 +79,7 @@ mod replay;
 mod retry;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
-pub use chaos::{
-    ChaosBackend, ChaosPlanError, ChaosProfile, ChaosStats, Fault, FaultKind, FaultOp, FaultPlan,
-};
+pub use chaos::{ChaosBackend, ChaosStats};
 pub use error::LogError;
 pub use log::{CommitLog, Compaction, DurabilityMode, RetentionPin, DEFAULT_SEGMENT_BYTES};
 pub use record::Record;

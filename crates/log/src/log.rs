@@ -694,7 +694,7 @@ impl CommitLog {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::chaos::{ChaosBackend, FaultPlan};
+    use crate::chaos::ChaosBackend;
     use igc_graph::graph::graph_from;
     use igc_graph::{NodeId, Update};
 
@@ -711,7 +711,7 @@ mod tests {
     /// A quiet chaos wrapper over a fresh `MemBackend` — the shared
     /// injector for every fault-shaped test below.
     fn chaos_backend() -> (ChaosBackend, Arc<dyn LogBackend>) {
-        let c = ChaosBackend::new(Arc::new(MemBackend::new()), FaultPlan::none());
+        let c = ChaosBackend::new(Arc::new(MemBackend::new()));
         let arc: Arc<dyn LogBackend> = Arc::new(c.clone());
         (c, arc)
     }
@@ -1230,34 +1230,22 @@ mod tests {
 
     #[test]
     fn silent_bit_flip_on_an_acknowledged_append_is_detected_at_open() {
-        use crate::chaos::{Fault, FaultKind, FaultOp};
         let (chaos, arc) = chaos_backend();
         let mut log = CommitLog::create(arc.clone()).unwrap();
         let mut g = graph_from(&[0, 0], &[]);
         log.append_checkpoint(&g).unwrap();
-        // Schedule a bit-flip on the next append: the write is
-        // *acknowledged* with bad bytes down — the fault class the log
-        // detects (CRC) but by design cannot survive.
-        chaos.set_plan(
-            FaultPlan::scripted(vec![Fault {
-                op: FaultOp::Append,
-                at: 0,
-                count: 1,
-                // Offset 6 sits inside the record *body* (the frame is
-                // `len u32 | body | crc u32`), so the flip is a CRC
-                // mismatch — corruption — never a shortened length that
-                // would read as a skippable torn tail.
-                kind: FaultKind::BitFlip {
-                    offset: 6,
-                    mask: 0x04,
-                },
-            }])
-            .unwrap(),
-        );
+        let frame = chaos.len(0).unwrap();
         let b = delta(vec![Update::insert(NodeId(0), NodeId(1))]);
         g.apply_batch(&b);
         log.append_delta(1, &b).unwrap(); // acknowledged!
-        assert_eq!(chaos.stats().bit_flips, 1);
+                                          // Flip a bit of the stored delta: the write was *acknowledged*
+                                          // with bad bytes down — the fault class the log detects (CRC) but
+                                          // by design cannot survive. Offset 6 sits inside the record
+                                          // *body* (the frame is `len u32 | body | crc u32`), so the flip is
+                                          // a CRC mismatch — corruption — never a shortened length that
+                                          // would read as a skippable torn tail.
+        assert_eq!(chaos.segments().unwrap(), 1, "the delta shares segment 0");
+        chaos.corrupt_byte(0, frame + 6, 0x04);
         match CommitLog::open(arc).unwrap_err() {
             LogError::Corrupt { .. } => {}
             other => panic!("expected Corrupt, got {other:?}"),

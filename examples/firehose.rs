@@ -56,13 +56,7 @@ fn main() -> Result<(), EngineError> {
         log_dir.display()
     );
 
-    let server = IngestServer::spawn_with(
-        engine,
-        IngestConfig {
-            max_coalesce: 64,
-            ..IngestConfig::default()
-        },
-    );
+    let server = IngestServer::spawn(engine);
     // 2. Group commit: one barrier per tick (or per 5 ms, whichever
     //    comes first), not one per submission.
     server.set_durability(DurabilityMode::GroupCommit {

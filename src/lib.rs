@@ -126,17 +126,16 @@ pub mod prelude {
     pub use igc_core::IncView;
     pub use igc_engine::{
         BackgroundBuild, CommitMode, CommitReceipt, Engine, EngineError, EngineTotals, Ingest,
-        IngestConfig, IngestReceipt, IngestServer, IngestTicket, LifecycleEvent,
-        LifecycleEventKind, PreparedCommit, Replica, ReplicaStatus, Snapshot, SnapshotStore,
-        SnapshotStoreStats, ViewCommitStats, ViewHandle, ViewId, ViewOutcome, ViewState,
-        ViewTotals,
+        IngestReceipt, IngestServer, IngestTicket, LifecycleEvent, LifecycleEventKind,
+        PreparedCommit, Replica, ReplicaStatus, Snapshot, SnapshotStore, SnapshotStoreStats,
+        ViewCommitStats, ViewHandle, ViewId, ViewOutcome, ViewState, ViewTotals,
     };
     pub use igc_graph::{DynamicGraph, Edge, Label, LabelInterner, NodeId, Update, UpdateBatch};
     pub use igc_iso::{IncIso, Pattern};
     pub use igc_kws::{IncKws, KwsQuery};
     pub use igc_log::{
-        ChaosBackend, ChaosProfile, ChaosStats, CommitLog, Compaction, DurabilityMode, FaultPlan,
-        FileBackend, LogBackend, LogError, MemBackend, Replayer, RetentionPin, RetryPolicy,
+        ChaosBackend, ChaosStats, CommitLog, Compaction, DurabilityMode, FileBackend, LogBackend,
+        LogError, MemBackend, Replayer, RetentionPin, RetryPolicy,
     };
     pub use igc_nfa::{Nfa, Regex};
     pub use igc_rpq::IncRpq;

@@ -7,7 +7,8 @@
 //! A `u64` seed draws an action list ([`generate`]); [`Sim`] drives one
 //! journaled engine, its followers and its pins through it. A failure is
 //! shrunk ([`minimise`]) and printed with its seed as a Rust literal, which
-//! [`replay`] reproduces. The seven properties this file held keep their
+//! [`replay`] reproduces. The seven properties this file held, and the
+//! seeded fault storm `crates/engine/tests/chaos.rs` held, keep their
 //! names: each is the simulation on its own 16 seeds, drawing only the
 //! action kinds it drove, and asserting they and its events fired. What
 //! checks each:
@@ -31,6 +32,15 @@
 //! 7. `pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow`:
 //!    every `Pin` keeps showing its epoch, a commit keeps the pinned versions
 //!    and the head, and `snapshot_at` errs at the window's edges.
+//! 8. `seeded_chaos_storms_lose_no_acked_commit`: a `Fault` arms torn
+//!    appends and failed syncs ahead of a commit, under each `Durability`
+//!    mode. Degraded, the engine shows the model and rejects a commit
+//!    without moving; [`Sim::fault`] heals it, and ends healthy once every
+//!    fault fired. A `ReadFault` under a follower is absorbed by a retrying
+//!    `tail`, or surfaced by `catch_up` with the frontier unmoved.
+//!
+//! The simulation is the one fault scheduler: `ChaosBackend` only fires the
+//! one-shots an action arms, so the seed decides when every fault fires.
 
 use incgraph::graph::graph::graph_from;
 use incgraph::prelude::*;
@@ -40,11 +50,15 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Once};
 use std::time::Duration;
 use Action::*;
+use Barrier::*;
 use Class::*;
-use EngineError::{EpochRetired, FrontierCompacted, SnapshotUnavailable};
+use EngineError::SnapshotUnavailable;
+use EngineError::{Degraded, EpochRetired, FrontierCompacted, RetriesExhausted};
+use Hit::*;
 use U::*;
 
 /// Seeds per tier-1 run of the whole mix, and of each cut-down mix; and
@@ -80,6 +94,34 @@ enum Class {
 
 const CORE: [Class; 5] = [Rpq, Scc, Kws, Iso, Rules];
 
+/// The journal's durability mode, by name ([`Barrier::mode`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Barrier {
+    Never,
+    EveryAppend,
+    GroupCommit,
+}
+
+impl Barrier {
+    fn mode(self) -> DurabilityMode {
+        match self {
+            Never => DurabilityMode::None,
+            EveryAppend => DurabilityMode::EveryAppend,
+            GroupCommit => DurabilityMode::GroupCommit {
+                max_batch: 4,
+                max_delay: Duration::from_secs(3600),
+            },
+        }
+    }
+}
+
+/// One armed one-shot: an append torn after `keep` bytes, or a failed sync.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hit {
+    Torn(usize),
+    NoSync,
+}
+
 /// One step of a history. Any subsequence of a history is a history:
 /// picks are taken modulo what exists, and an action with nothing to act
 /// on does nothing.
@@ -102,28 +144,41 @@ enum Action {
     /// Pin the head, or `Some(k)`: a held epoch, with `snapshot_at`.
     Pin(Option<usize>),
     Unpin(usize),
+    Durability(Barrier),
+    /// Arm the hits, in order, then commit the units through them.
+    Fault(Vec<Hit>, Vec<U>),
+    /// Fail a follower's next read.
+    ReadFault(usize),
 }
 
 /// The action kinds, and the chance in 100 that a draw is of each.
-const MIX: [(&str, u32); 12] = [
-    ("Commit", 32),
-    ("Ticks", 8),
-    ("Register", 7),
+const MIX: [(&str, u32); 15] = [
+    ("Commit", 26),
+    ("Ticks", 7),
+    ("Register", 6),
     ("Deregister", 6),
     ("Checkpoint", 3),
     ("Compact", 4),
     ("Retry", 4),
     ("Crash", 7),
     ("Attach", 5),
-    ("CatchUp", 9),
-    ("Pin", 9),
-    ("Unpin", 6),
+    ("CatchUp", 8),
+    ("Pin", 8),
+    ("Unpin", 5),
+    ("Durability", 3),
+    ("Fault", 5),
+    ("ReadFault", 3),
 ];
 
 /// What the seeds must exercise beside each action kind: each surface
 /// check, and the events the action kinds exist for.
 const EVENTS: &str = "engine_check follower_check pin_check parallel_tick quarantine torn_tick \
     retried_append stored_torn_append compaction_drop reattach snapshot_at";
+/// What the fault kinds exist for: a degraded engine, refused and granted
+/// heals, sync debt, absorbed and surfaced read faults, and faults under
+/// each durability mode.
+const FAULT_EVENTS: &str = "degraded heal_refused healed sync_debt read_absorbed read_surfaced \
+    faults_under_Never faults_under_EveryAppend faults_under_GroupCommit";
 
 type Stats = BTreeMap<String, u64>;
 
@@ -200,7 +255,16 @@ fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
             "Attach" => Attach(rng.gen()),
             "CatchUp" => CatchUp(pick),
             "Pin" => Pin(rng.gen_bool(0.5).then_some(pick)),
-            _ => Unpin(pick),
+            "Unpin" => Unpin(pick),
+            "Durability" => Durability([Never, EveryAppend, GroupCommit][pick % 3]),
+            "Fault" => {
+                let hits = (0..rng.gen_range(1u32..5)).map(|_| match rng.gen_bool(0.6) {
+                    true => Torn(rng.gen_range(0usize..64)),
+                    false => NoSync,
+                });
+                Fault(hits.collect(), batch(rng))
+            }
+            _ => ReadFault(pick),
         };
     };
     (0..ACTIONS).map(|_| action(rng)).collect()
@@ -414,6 +478,7 @@ struct Sim {
     followers: Vec<Replica>,
     retry: bool,
     mode: CommitMode,
+    durability: Barrier,
     compacted_base: u64,
     /// The publication the engine's views were last verified at.
     verified: u64,
@@ -421,10 +486,9 @@ struct Sim {
     stats: Stats,
 }
 
-fn set_retry(engine: &mut Engine, on: bool) {
-    let policy = RetryPolicy::retries(on.into());
-    let policy = policy.with_delays(Duration::ZERO, Duration::ZERO);
-    engine.set_retry_policy(policy).expect("a journal");
+/// One retry, or none, without sleeping.
+fn retries(on: bool) -> RetryPolicy {
+    RetryPolicy::retries(on.into()).with_delays(Duration::ZERO, Duration::ZERO)
 }
 
 impl Sim {
@@ -432,7 +496,7 @@ impl Sim {
         let labels: Vec<u32> = (0..BASE_NODES).map(|i| i % 3).collect();
         let ring: Vec<(u32, u32)> = (0..BASE_NODES).map(|i| (i, (i + 1) % BASE_NODES)).collect();
         let base = graph_from(&labels, &ring);
-        let backend = ChaosBackend::new(Arc::new(MemBackend::new()), FaultPlan::none());
+        let backend = ChaosBackend::new(Arc::new(MemBackend::new()));
         let engine = Engine::new(base.clone()).with_log(Arc::new(backend.clone()));
         let mut sim = Sim {
             backend,
@@ -440,6 +504,7 @@ impl Sim {
             followers: Vec::new(),
             retry: false,
             mode: CommitMode::Sequential,
+            durability: Never,
             compacted_base: 0,
             verified: 0,
             model: Model {
@@ -456,16 +521,22 @@ impl Sim {
     /// Apply the settings and register the roster on a new or recovered
     /// engine: the journal holds neither.
     fn settle(&mut self) {
-        let e = &mut self.engine;
-        e.set_checkpoint_every(3);
-        e.set_commit_mode(self.mode);
-        set_retry(e, self.retry);
+        self.configure();
         for (label, class) in &self.model.roster {
-            register(e, label, *class);
+            register(&mut self.engine, label, *class);
         }
         self.model.quarantined.clear();
         self.model.published.clear();
         self.model.republish();
+    }
+
+    /// Apply the settings the actions flip.
+    fn configure(&mut self) {
+        let e = &mut self.engine;
+        e.set_checkpoint_every(3);
+        e.set_commit_mode(self.mode);
+        e.set_retry_policy(retries(self.retry)).expect("a journal");
+        e.set_durability(self.durability.mode()).expect("a journal");
     }
 
     fn step(&mut self, action: &Action) {
@@ -496,7 +567,7 @@ impl Sim {
             }
             Retry(on) => {
                 self.retry = *on;
-                set_retry(&mut self.engine, *on);
+                self.configure();
             }
             Crash(torn) => self.crash(torn.as_ref()),
             Attach(pinned) => self.attach(*pinned),
@@ -507,6 +578,12 @@ impl Sim {
                     self.model.pins.remove(i);
                 }
             }
+            Durability(barrier) => {
+                self.durability = *barrier;
+                self.configure();
+            }
+            Fault(hits, units) => self.fault(hits, units),
+            ReadFault(pick) => self.read_fault(*pick),
         }
         self.check();
     }
@@ -619,6 +696,98 @@ impl Sim {
             self.landed(&receipt, units.len(), &delta);
             assert_eq!(self.engine.epoch(), frontier + 1, "landed not once");
         }
+    }
+
+    /// Arm `hits` and commit `units` through them. Degraded, the engine
+    /// shows the model and a commit moves nothing; it heals until healthy,
+    /// and commits again after a rejection. The action ends healthy, once
+    /// every hit fired.
+    fn fault(&mut self, hits: &[Hit], units: &[U]) {
+        let fired = |s: ChaosStats| s.append_faults + s.sync_faults;
+        let all = fired(self.backend.stats()) + hits.len() as u64;
+        for hit in hits {
+            match *hit {
+                Torn(keep) => self.backend.fail_next_append(keep),
+                NoSync => self.backend.fail_next_sync(),
+            }
+        }
+        let under = format!("faults_under_{:?}", self.durability);
+        bump(&mut self.stats, &under);
+        let (batch, delta) = self.model.normalize(units);
+        let mut landed = false;
+        // Every round fires a hit, lands the commit, heals, or settles.
+        for _ in 0..2 * hits.len() + 4 {
+            let totals = self.engine.totals();
+            if self.engine.is_degraded() {
+                bump(&mut self.stats, "degraded");
+                // Reads serve the last healthy epoch: the model's.
+                self.check();
+                if !landed {
+                    let err = self.engine.commit(&batch).expect_err("a degraded commit");
+                    assert!(matches!(err, Degraded { .. }), "{err}");
+                    self.unmoved(totals);
+                }
+                let healed = self.engine.heal().is_ok();
+                bump(&mut self.stats, ["heal_refused", "healed"][healed as usize]);
+            } else if !landed {
+                match self.engine.commit(&batch) {
+                    Ok(r) => {
+                        landed = true;
+                        self.landed(&r, units.len(), &delta);
+                        if self.engine.is_degraded() {
+                            bump(&mut self.stats, "sync_debt");
+                        }
+                    }
+                    Err(RetriesExhausted { .. }) => self.unmoved(totals),
+                    Err(err) => panic!("a fault surfaced as {err}"),
+                }
+            } else if fired(self.backend.stats()) < all {
+                // Hits the commit left armed fire on a checkpoint's append
+                // and on a barrier; a failed barrier degrades.
+                let _ = self.engine.checkpoint();
+                let _ = self.engine.sync_log();
+            } else if self.engine.log().and_then(CommitLog::sync_debt).is_some() {
+                self.engine.sync_log().expect("a barrier, no fault armed");
+            } else {
+                return;
+            }
+        }
+        panic!("{hits:?} did not settle");
+    }
+
+    /// A rejected commit moved nothing: not the totals, the epoch or the
+    /// graph.
+    fn unmoved(&self, totals: EngineTotals) {
+        let (e, m) = (&self.engine, &self.model);
+        let shown = (e.totals(), e.epoch(), e.graph().sorted_edges());
+        let model = (totals, m.epoch(), m.graph().sorted_edges());
+        assert!(shown == model, "a rejected commit moved");
+    }
+
+    /// Fail a follower's next read. A retrying `tail` absorbs it; without
+    /// retries, `catch_up` surfaces it and leaves the frontier, and the
+    /// next `catch_up` converges.
+    fn read_fault(&mut self, pick: usize) {
+        let Some(i) = pick.checked_rem(self.followers.len()) else {
+            return;
+        };
+        let (r, reads) = (&mut self.followers[i], self.backend.stats().read_faults);
+        self.backend.fail_next_read();
+        r.set_retry_policy(retries(self.retry));
+        if self.retry {
+            let (absorbed, stop) = (r.tail_retries() + 1, AtomicBool::new(true));
+            r.tail(&stop, Duration::ZERO).expect("a retrying tail");
+            assert_eq!(r.tail_retries(), absorbed, "the tail absorbed the fault");
+            bump(&mut self.stats, "read_absorbed");
+        } else {
+            let frontier = r.frontier();
+            assert!(r.catch_up().is_err(), "a read fault surfaces");
+            assert_eq!(r.frontier(), frontier, "a failed catch-up moved");
+            bump(&mut self.stats, "read_surfaced");
+        }
+        let fired = self.backend.stats().read_faults - reads;
+        assert_eq!(fired, 1, "the read fault fired");
+        self.catch_up(i);
     }
 
     fn attach(&mut self, pinned: bool) {
@@ -749,6 +918,15 @@ fn run(actions: &[Action]) -> Result<Stats, String> {
             at.set(i);
             sim.step(action);
         }
+        let s = sim.backend.stats();
+        let faults = [
+            ("append_faults", s.append_faults),
+            ("sync_faults", s.sync_faults),
+            ("read_faults", s.read_faults),
+        ];
+        for (what, n) in faults.into_iter().filter(|f| f.1 > 0) {
+            sim.stats.insert(what.to_owned(), n);
+        }
         sim.stats
     }));
     QUIET.set(false);
@@ -790,18 +968,26 @@ fn ddmin<T: Clone>(mut case: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec<T> {
 /// The unit lists an action carries.
 fn lists(action: &mut Action) -> Vec<&mut Vec<U>> {
     match action {
-        Commit(units) | Crash(Some((_, units))) => vec![units],
+        Commit(units) | Crash(Some((_, units))) | Fault(_, units) => vec![units],
         Ticks(ticks, _) => ticks.iter_mut().collect(),
         _ => Vec::new(),
     }
 }
 
 /// Shrink a failing history: [`ddmin`] over its actions, then over each of
-/// their unit lists, then over its actions again.
+/// their hit and unit lists, then over its actions again.
 fn minimise(history: Vec<Action>) -> Vec<Action> {
     let fails = |case: &[Action]| run(case).is_err();
     let mut case = ddmin(history, fails);
     for i in 0..case.len() {
+        if let Fault(hits, units) = case[i].clone() {
+            let hits = ddmin(hits, |hits| {
+                let mut trial = case.clone();
+                trial[i] = Fault(hits.to_vec(), units.clone());
+                fails(&trial)
+            });
+            case[i] = Fault(hits, units);
+        }
         for j in 0..lists(&mut case[i]).len() {
             let units = lists(&mut case[i])[j].clone();
             let shrunk = ddmin(units, |units| {
@@ -887,10 +1073,17 @@ fn simulated_histories_hold_every_surface_to_batch_recomputation() {
     assert!(actions >= 4000, "{actions} actions: {total:?}");
     fired(&total, &MIX.map(|m| m.0).join(" "));
     fired(&total, EVENTS);
+    fired(&total, FAULT_EVENTS);
+    // At least the faults the seeded storm this run replaced fired.
+    let faults = |what| total.get(what).copied().unwrap_or(0);
+    let storm = (faults("append_faults"), faults("sync_faults"));
+    assert!(storm.0 >= 38 && storm.1 >= 11, "{total:?}");
+    fired(&total, "read_faults");
 }
 
-// The seven properties this file held before the simulation, each now the
-// simulation on its own seeds, drawing only the kinds the property drove.
+// The seven properties this file held before the simulation, and the seeded
+// fault storm of `crates/engine/tests/chaos.rs`, each now the simulation on
+// its own seeds, drawing only the kinds the property drove.
 
 #[test]
 fn all_views_agree_with_batch_recomputation_after_every_commit() {
@@ -933,6 +1126,13 @@ fn pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow() {
 }
 
 #[test]
+fn seeded_chaos_storms_lose_no_acked_commit() {
+    let storm = ["Commit", "Retry", "Durability", "Fault", "ReadFault"];
+    let kinds = [&storm[..], &["Attach", "CatchUp", "Crash"]].concat();
+    focused(8, &kinds, FAULT_EVENTS);
+}
+
+#[test]
 fn ddmin_returns_the_two_actions_a_failure_needs() {
     let (text, pair) = case![
         Crash(Some((99, vec![L(3, 3, 1, 2)]))),
@@ -945,6 +1145,23 @@ fn ddmin_returns_the_two_actions_a_failure_needs() {
     assert_eq!(minimal, pair);
     prints_as(&minimal, text);
     replay(&pair);
+}
+
+#[test]
+fn ddmin_shrinks_a_storm_to_the_fault_action_a_failure_needs() {
+    let (text, fault) = case![Fault(
+        vec![Torn(5), NoSync, Torn(40)],
+        vec![I(2, 7), D(2, 7)]
+    )];
+    let mut history = generate(9);
+    history.retain(|a| !matches!(a, Fault(..)));
+    history.insert(40, fault[0].clone());
+    // A synthetic failure: a fault action that arms a failed sync.
+    let no_sync = |a: &Action| matches!(a, Fault(hits, _) if hits.contains(&NoSync));
+    let minimal = ddmin(history, |case| case.iter().any(no_sync));
+    assert_eq!(minimal, fault);
+    prints_as(&minimal, text);
+    replay(&minimal);
 }
 
 /// The minimised cases of five historical bugs, re-introduced one at a
