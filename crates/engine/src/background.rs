@@ -73,7 +73,7 @@ impl<V> std::fmt::Debug for BackgroundBuild<V> {
 
 impl Engine {
     /// Register a view in the **background**: the payoff of the commit
-    /// log. Where [`Engine::register_lazy`] builds the view's initial
+    /// log. Where [`Engine::register`] builds the view's initial
     /// state from the live graph *on the calling thread* (blocking the
     /// commit path for the whole build), this spawns a worker that
     /// attaches a pinned follower to the journal (latest checkpoint +
@@ -82,8 +82,8 @@ impl Engine {
     /// engine keeps committing (and journaling, and compacting)
     /// throughout. Finish with [`Engine::join_background`], which drains
     /// the final sliver of tail and atomically splices the view into the
-    /// registry; its answers are then bit-identical to an eager
-    /// registration driven through the same commits.
+    /// registry; its answers are then bit-identical to a view registered
+    /// at the start and driven through the same commits.
     ///
     /// `label` is *reserved* while the returned [`BackgroundBuild`] is
     /// alive (duplicate registrations fail); dropping the handle abandons

@@ -62,10 +62,10 @@ impl Engine {
     ///
     /// Views are **not** resurrected — the journal records deltas, not
     /// view state. Re-register them (typically via
-    /// [`Engine::register_lazy`], whose builder runs against the
+    /// [`Engine::register`], whose builder runs against the
     /// recovered graph): the combination "replayed graph + from-scratch
     /// init" reproduces each view's answers exactly, since every builder
-    /// is a deterministic function of the graph ([`Engine::register_lazy`]).
+    /// is a deterministic function of the graph ([`Engine::register`]).
     ///
     /// Settings are **not** resurrected either — the journal holds none.
     /// The recovered engine starts from the defaults: checkpoint cadence
@@ -162,9 +162,9 @@ impl Engine {
     }
 
     /// Create a **pinned** read replica over this engine's commit log
-    /// ([`EngineError::NoLog`] without one): a follower with its own
-    /// graph and views that tails the journal and serves reads at its
-    /// replay frontier — see [`Replica`] for the model. The replica
+    /// ([`EngineError::NoLog`] without one): a follower engine, with its
+    /// own graph and views, that the journal feeds and that serves reads at
+    /// its replay frontier — see [`Replica`] for the model. The replica
     /// seeds from the newest checkpoint plus the delta tail, so it is
     /// current as of this call.
     ///

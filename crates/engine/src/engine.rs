@@ -1,8 +1,10 @@
 //! The engine proper: view lifecycle over the shared [`Registry`]
-//! (registration, lazy registration, deregistration, quarantine), the
-//! fallible ΔG commit pipeline, MVCC publication and accounting. The
-//! durability layer (journaling, checkpoints, recovery, degraded mode) is
-//! `durability.rs`; background registration is `background.rs`.
+//! (registration, deregistration, quarantine), the fallible ΔG commit
+//! pipeline and the one stage every delta lands through — a leader's
+//! commits and a follower's replayed deltas alike — MVCC publication and
+//! accounting. The durability layer (journaling, checkpoints, recovery,
+//! degraded mode) is `durability.rs`; background registration is
+//! `background.rs`.
 
 use crate::durability::DegradedState;
 use crate::error::EngineError;
@@ -114,7 +116,7 @@ pub struct Engine {
     /// [`Arc::make_mut`], which copies only while a pinned version still
     /// holds the handle.
     pub(crate) graph: Arc<DynamicGraph>,
-    views: Registry,
+    pub(crate) views: Registry,
     /// Final cumulative totals of deregistered views, in retirement order.
     retired: Vec<ViewTotals>,
     events: Vec<LifecycleEvent>,
@@ -175,10 +177,8 @@ impl Engine {
         engine
     }
 
-    /// The shared graph. Eagerly registered views must be constructed
-    /// against exactly this graph (the usual shape:
-    /// `let h = engine.register(IncRpq::new(engine.graph(), &query))?;`);
-    /// [`Engine::register_lazy`] does that plumbing for you.
+    /// The shared graph, as of [`Engine::epoch`]: the graph
+    /// [`Engine::register`] builds a joining view from.
     pub fn graph(&self) -> &DynamicGraph {
         &self.graph
     }
@@ -208,37 +208,20 @@ impl Engine {
     // Registration and lifecycle
     // ------------------------------------------------------------------
 
-    /// Register a view under its own [`IncView::name`]. The view must
-    /// already be consistent with [`Engine::graph`] — it sees only commits
-    /// from now on. Errors with [`EngineError::DuplicateLabel`] if the
-    /// label is currently occupied.
-    pub fn register<V: IncView>(&mut self, view: V) -> Result<ViewHandle<V>, EngineError> {
-        let label = Arc::from(view.name());
-        self.insert(label, Box::new(view), LifecycleEventKind::Registered)
-    }
-
-    /// Register a view under an explicit registry label — required when one
-    /// query class serves several tenants (e.g. `"rpq:alice"`,
-    /// `"rpq:bob"`).
-    pub fn register_labeled<V: IncView>(
-        &mut self,
-        label: impl Into<Arc<str>>,
-        view: V,
-    ) -> Result<ViewHandle<V>, EngineError> {
-        self.insert(label.into(), Box::new(view), LifecycleEventKind::Registered)
-    }
-
-    /// Register a view *lazily*: build its initial state from the engine's
-    /// **current** graph via a deferred constructor (any
+    /// Register a view under a registry label: build its initial state
+    /// from the engine's **current** graph via a deferred constructor (any
     /// `FnOnce(&DynamicGraph) -> V` closure, or a ready-made one like
-    /// `IncRpq::init`), so views can join mid-stream at any epoch instead
-    /// of only at engine construction. The freshly built view is
-    /// consistent as of this call and is maintained incrementally from the
-    /// next commit on.
+    /// `IncRpq::init`), so views can join at any epoch. The freshly built
+    /// view is consistent as of this call and is maintained incrementally
+    /// from the next commit on. A view built elsewhere registers as
+    /// `|_| view`, and must then already be consistent with
+    /// [`Engine::graph`]. One label per live view; one query class can
+    /// serve several tenants (`"rpq:alice"`, `"rpq:bob"`).
     ///
     /// The duplicate-label check runs *before* the build, so a rejected
-    /// registration never pays for one; a panicking builder yields
-    /// [`EngineError::InitPanicked`] and registers nothing.
+    /// registration ([`EngineError::DuplicateLabel`]) never pays for one; a
+    /// panicking builder yields [`EngineError::InitPanicked`] and
+    /// registers nothing.
     ///
     /// # Determinism and the epoch contract
     ///
@@ -260,7 +243,7 @@ impl Engine {
     ///
     /// Builders that consult ambient state (clocks, randomness, I/O) break
     /// both equivalences silently; don't.
-    pub fn register_lazy<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
+    pub fn register<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
         &mut self,
         label: impl Into<Arc<str>>,
         init: F,
@@ -270,7 +253,17 @@ impl Engine {
             return Err(EngineError::DuplicateLabel { label });
         }
         let view = Registry::build(&label, init, &self.graph)?;
-        self.insert(label, view, LifecycleEventKind::RegisteredLazy)
+        self.insert(label, view, LifecycleEventKind::Registered)
+    }
+
+    /// [`Engine::register`] under its former name, kept only because the
+    /// benchmark calls it.
+    pub fn register_lazy<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
+        &mut self,
+        label: impl Into<Arc<str>>,
+        init: F,
+    ) -> Result<ViewHandle<V>, EngineError> {
+        self.register(label, init)
     }
 
     /// Deregister a view: tombstone its slot (bumping the generation, so
@@ -361,8 +354,8 @@ impl Engine {
     /// is stale ([`EngineError::StaleHandle`]), the view is quarantined
     /// ([`EngineError::ViewQuarantined`] — a panicked view's state is not
     /// served) or it is not a `V` ([`EngineError::WrongViewType`]) — the
-    /// contract every reader shares ([`Snapshot::view`],
-    /// [`Replica::view`](crate::Replica::view)).
+    /// contract every reader shares ([`Snapshot::view`], and a
+    /// [`Replica`](crate::Replica), which reads through its engine).
     pub fn view<V: IncView>(&self, h: &ViewHandle<V>) -> Result<&V, EngineError> {
         downcast(self.views.active(h.id)?)
     }
@@ -471,9 +464,8 @@ impl Engine {
 
     /// Steps 2–4 of [`Engine::commit`]: apply a [`PreparedCommit`]'s
     /// delta to the graph (bumping the epoch), fan it out to every live
-    /// active view, and merge the records — in slot order, identically
-    /// for both commit modes — into the receipt, registry accounting and
-    /// quarantine journal.
+    /// active view, merge the records into the receipt and publish — the
+    /// one stage a follower's replayed deltas land through too.
     ///
     /// When `next` is given, the *following* commit is prepared after this
     /// one has fully landed — exactly [`Engine::prepare`] called next — and
@@ -495,6 +487,29 @@ impl Engine {
                 found: self.graph.epoch(),
             });
         }
+        Ok((self.land(prepared, None), next.map(|b| self.prepare(b))))
+    }
+
+    /// A delta from the log landing on a follower — one replayed delta, or
+    /// a reattach's net diff with the re-seeded graph it leads to: the
+    /// leader already normalized and journaled it.
+    pub(crate) fn replay(&mut self, delta: UpdateBatch, reseeded: Option<DynamicGraph>) {
+        let prepared = PreparedCommit {
+            submitted: delta.len(),
+            delta,
+            prepare_elapsed: Duration::ZERO,
+            base_epoch: self.graph.epoch(),
+            log_retries: 0,
+        };
+        self.land(prepared, reseeded);
+    }
+
+    /// The one stage every delta lands through — a client commit, a
+    /// coalesced tick, a replayed or a reattach delta: open the publish
+    /// window, step the graph (apply the delta, or swap in `reseeded`), fan
+    /// out and merge in slot order for both commit modes, publish. A no-op
+    /// delta with no graph to swap in skips the stage.
+    fn land(&mut self, prepared: PreparedCommit, reseeded: Option<DynamicGraph>) -> CommitReceipt {
         let apply_start = Instant::now();
         let PreparedCommit {
             delta,
@@ -519,7 +534,7 @@ impl Engine {
             work: WorkStats::new(),
             log_retries,
         };
-        if !delta.is_empty() {
+        if !delta.is_empty() || reseeded.is_some() {
             // Open the MVCC publish window: GC every version no live snapshot
             // pins. Crucially that includes the unpinned newest version, which
             // returns unique ownership of the graph and of every view's shared
@@ -529,13 +544,17 @@ impl Engine {
             // window always closes.
             self.snapshots.begin_commit();
             let graph_start = Instant::now();
-            // Ref count is 1 on the quiescent path (the pre-commit GC above
-            // just dropped the published version's handle), so this mutates in
-            // place; if a pinned snapshot still holds a graph handle, make_mut
-            // falls back to a clone (list handles only; each list is copied
-            // when first written) instead of blocking or panicking — the
-            // pinned reader keeps its frozen graph.
-            Arc::make_mut(&mut self.graph).apply_batch(&delta);
+            match reseeded {
+                // Ref count is 1 on the quiescent path (the pre-commit GC
+                // above just dropped the published version's handle), so
+                // this mutates in place; if a pinned snapshot still holds a
+                // graph handle, make_mut falls back to a clone (list handles
+                // only; each list is copied when first written) instead of
+                // blocking or panicking — the pinned reader keeps its frozen
+                // graph.
+                None => Arc::make_mut(&mut self.graph).apply_batch(&delta),
+                Some(g) => self.graph = Arc::new(g),
+            }
             receipt.graph_elapsed = graph_start.elapsed();
             receipt.epoch = self.graph.epoch();
 
@@ -568,7 +587,7 @@ impl Engine {
         // accounted even though no commit (epoch bump, fan-out) happened.
         receipt.elapsed = prepare_elapsed + apply_start.elapsed();
         self.totals.elapsed += receipt.elapsed;
-        Ok((receipt, next.map(|b| self.prepare(b))))
+        receipt
     }
 
     // ------------------------------------------------------------------
@@ -691,7 +710,7 @@ impl Engine {
         &self.retired
     }
 
-    /// The lifecycle journal: every registration (eager and lazy),
+    /// The lifecycle journal: every registration (direct and background),
     /// deregistration and quarantine, each stamped with the graph epoch it
     /// happened at, in order.
     pub fn events(&self) -> &[LifecycleEvent] {
@@ -844,11 +863,9 @@ pub(crate) mod tests {
     fn commit_normalizes_once_and_fans_out() {
         let g = graph_from(&[0, 0, 0], &[(0, 1)]);
         let mut engine = Engine::new(g);
-        let a = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        let a = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let b = engine
-            .register_labeled("b", EdgeCount::new("ignored", engine.graph()))
+            .register("b", |g| EdgeCount::new("ignored", g))
             .unwrap();
 
         let receipt = engine
@@ -881,9 +898,7 @@ pub(crate) mod tests {
     fn noop_commit_leaves_everything_untouched() {
         let g = graph_from(&[0, 0], &[(0, 1)]);
         let mut engine = Engine::new(g);
-        engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let receipt = engine
             .commit(&delta(vec![
                 Update::insert(NodeId(0), NodeId(1)), // present
@@ -902,9 +917,7 @@ pub(crate) mod tests {
     fn accounting_accumulates_across_commits() {
         let g = graph_from(&[0, 0, 0, 0], &[]);
         let mut engine = Engine::new(g);
-        let id = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        let id = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         engine
             .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
             .unwrap();
@@ -928,10 +941,10 @@ pub(crate) mod tests {
     fn registry_lookup_and_labels() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
         let a = engine
-            .register(EdgeCount::new("alpha", engine.graph()))
+            .register("alpha", |g| EdgeCount::new("alpha", g))
             .unwrap();
         let b = engine
-            .register_labeled("beta", EdgeCount::new("alpha", engine.graph()))
+            .register("beta", |g| EdgeCount::new("alpha", g))
             .unwrap();
         assert_eq!(engine.view_count(), 2);
         assert_eq!(engine.labels().collect::<Vec<_>>(), vec!["alpha", "beta"]);
@@ -959,10 +972,10 @@ pub(crate) mod tests {
     fn error_duplicate_label() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
         engine
-            .register(EdgeCount::new("dup", engine.graph()))
+            .register("dup", |g| EdgeCount::new("dup", g))
             .unwrap();
         let err = engine
-            .register(EdgeCount::new("dup", engine.graph()))
+            .register("dup", |g| EdgeCount::new("dup", g))
             .unwrap_err();
         assert_eq!(
             err,
@@ -972,17 +985,13 @@ pub(crate) mod tests {
         );
         assert!(err.to_string().contains("dup"));
         // The engine is not poisoned: a different label still registers.
-        assert!(engine
-            .register(EdgeCount::new("ok", engine.graph()))
-            .is_ok());
+        assert!(engine.register("ok", |g| EdgeCount::new("ok", g)).is_ok());
     }
 
     #[test]
     fn error_stale_handle_after_deregister_and_slot_reuse() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-        let a = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        let a = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let totals = engine.deregister(a).unwrap();
         assert_eq!(&*totals.label, "a");
         assert_eq!(
@@ -994,9 +1003,7 @@ pub(crate) mod tests {
         );
         // The slot is reused by the next registration under a bumped
         // generation: same index, the stale handle still misses.
-        let b = engine
-            .register(EdgeCount::new("b", engine.graph()))
-            .unwrap();
+        let b = engine.register("b", |g| EdgeCount::new("b", g)).unwrap();
         assert_eq!(b.index(), a.index());
         assert_eq!(b.generation(), 1);
         assert!(engine.view(&a).is_err());
@@ -1007,15 +1014,13 @@ pub(crate) mod tests {
         // The deregistered view's totals stay queryable.
         assert_eq!(&*engine.retired()[0].label, "a");
         // The old label is free again.
-        assert!(engine.register(EdgeCount::new("a", engine.graph())).is_ok());
+        assert!(engine.register("a", |g| EdgeCount::new("a", g)).is_ok());
     }
 
     #[test]
     fn error_wrong_view_type() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-        let a = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        let a = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let err = engine.typed::<PanicOn>(a.id()).unwrap_err();
         match err {
             EngineError::WrongViewType { label, expected } => {
@@ -1030,7 +1035,7 @@ pub(crate) mod tests {
     fn error_view_quarantined_on_access() {
         quiet_panics(|| {
             let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-            let p = engine.register(PanicOn::nth(1)).unwrap();
+            let p = engine.register("panicky", |_| PanicOn::nth(1)).unwrap();
             engine
                 .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
                 .unwrap();
@@ -1056,18 +1061,15 @@ pub(crate) mod tests {
     fn error_views_diverged() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
         engine
-            .register(EdgeCount::new("healthy", engine.graph()))
+            .register("healthy", |g| EdgeCount::new("healthy", g))
             .unwrap();
         // A view constructed against the *wrong* state diverges immediately.
         let stale = engine
-            .register_labeled(
-                "stale",
-                EdgeCount {
-                    name: "stale",
-                    count: 99,
-                    work: WorkStats::new(),
-                },
-            )
+            .register("stale", |_| EdgeCount {
+                name: "stale",
+                count: 99,
+                work: WorkStats::new(),
+            })
             .unwrap();
         let err = engine.verify_all().unwrap_err();
         match &err {
@@ -1085,9 +1087,7 @@ pub(crate) mod tests {
     #[test]
     fn error_node_out_of_bounds() {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-        engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let err = engine
             .commit(&delta(vec![Update::insert(NodeId(0), NodeId(u32::MAX))]))
             .unwrap_err();
@@ -1120,7 +1120,7 @@ pub(crate) mod tests {
         let mut engine = Engine::new(graph_from(&[0, 0], &[]));
         let err = quiet_panics(|| {
             engine
-                .register_lazy("doomed", |_g: &DynamicGraph| -> EdgeCount {
+                .register("doomed", |_g: &DynamicGraph| -> EdgeCount {
                     panic!("builder exploded")
                 })
                 .unwrap_err()
@@ -1135,7 +1135,7 @@ pub(crate) mod tests {
         // Nothing was registered; the label is still free.
         assert_eq!(engine.view_count(), 0);
         assert!(engine
-            .register_lazy("doomed", |g: &DynamicGraph| EdgeCount::new("doomed", g))
+            .register("doomed", |g: &DynamicGraph| EdgeCount::new("doomed", g))
             .is_ok());
     }
 
@@ -1147,10 +1147,8 @@ pub(crate) mod tests {
     fn quarantined_view_is_skipped_while_others_keep_committing() {
         quiet_panics(|| {
             let mut engine = Engine::new(graph_from(&[0, 0, 0, 0], &[]));
-            let healthy = engine
-                .register(EdgeCount::new("a", engine.graph()))
-                .unwrap();
-            let p = engine.register(PanicOn::nth(2)).unwrap();
+            let healthy = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
+            let p = engine.register("panicky", |_| PanicOn::nth(2)).unwrap();
 
             let r1 = engine
                 .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
@@ -1185,7 +1183,7 @@ pub(crate) mod tests {
             // Recovery: deregister, lazily register a replacement, audit.
             engine.deregister(p).unwrap();
             let replacement = engine
-                .register_lazy("panicky", |g: &DynamicGraph| EdgeCount::new("panicky", g))
+                .register("panicky", |g: &DynamicGraph| EdgeCount::new("panicky", g))
                 .unwrap();
             let r4 = engine
                 .commit(&delta(vec![Update::insert(NodeId(3), NodeId(0))]))
@@ -1244,9 +1242,7 @@ pub(crate) mod tests {
             quiet_panics(|| {
                 let mut engine = Engine::new(graph_from(&[0, 0], &[]));
                 engine.set_commit_mode(mode);
-                let healthy = engine
-                    .register(EdgeCount::new("a", engine.graph()))
-                    .unwrap();
+                let healthy = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
                 // Under `Parallel` a second wreck meets the first inside
                 // `apply`, so one of them runs on the scoped helper: its
                 // panics must stop at the helper's fence, never reach this
@@ -1257,9 +1253,9 @@ pub(crate) mod tests {
                     wrecked: false,
                     rendezvous: entered.clone(),
                 };
-                let p = engine.register(wreck()).unwrap();
+                let p = engine.register("poisoned", |_| wreck()).unwrap();
                 if parallel {
-                    engine.register_labeled("poisoned-2", wreck()).unwrap();
+                    engine.register("poisoned-2", |_| wreck()).unwrap();
                 }
                 let receipt = engine
                     .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
@@ -1288,7 +1284,7 @@ pub(crate) mod tests {
         let g = graph_from(&[0, 0, 0, 0], &[(0, 1)]);
         let mut engine = Engine::new(g);
         let eager = engine
-            .register(EdgeCount::new("eager", engine.graph()))
+            .register("eager", |g| EdgeCount::new("eager", g))
             .unwrap();
 
         engine
@@ -1296,7 +1292,7 @@ pub(crate) mod tests {
             .unwrap();
         // Join mid-stream: built from the *current* graph (2 edges).
         let lazy = engine
-            .register_lazy("lazy", |g: &DynamicGraph| EdgeCount::new("lazy", g))
+            .register("lazy", |g: &DynamicGraph| EdgeCount::new("lazy", g))
             .unwrap();
         assert_eq!(engine.view(&lazy).unwrap().count, 2);
 
@@ -1321,16 +1317,14 @@ pub(crate) mod tests {
     fn lifecycle_events_journal_everything_in_order() {
         quiet_panics(|| {
             let mut engine = Engine::new(graph_from(&[0, 0, 0], &[]));
-            let a = engine
-                .register(EdgeCount::new("a", engine.graph()))
-                .unwrap();
-            engine.register(PanicOn::nth(1)).unwrap();
+            let a = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
+            engine.register("panicky", |_| PanicOn::nth(1)).unwrap();
             engine
                 .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
                 .unwrap();
             engine.deregister(a).unwrap();
             engine
-                .register_lazy("late", |g: &DynamicGraph| EdgeCount::new("late", g))
+                .register("late", |g: &DynamicGraph| EdgeCount::new("late", g))
                 .unwrap();
 
             let got: Vec<(u64, &'static str, &str)> = engine
@@ -1345,7 +1339,7 @@ pub(crate) mod tests {
                     (0, "registered", "panicky"),
                     (1, "quarantined", "panicky"),
                     (1, "deregistered", "a"),
-                    (1, "registered_lazy", "late"),
+                    (1, "registered", "late"),
                 ]
             );
         });
@@ -1370,7 +1364,7 @@ pub(crate) mod tests {
         engine.set_commit_mode(mode);
         for i in 0..views {
             engine
-                .register_labeled(format!("v{i}"), EdgeCount::new("v", engine.graph()))
+                .register(format!("v{i}"), |g| EdgeCount::new("v", g))
                 .unwrap();
         }
         let script = [
@@ -1426,13 +1420,9 @@ pub(crate) mod tests {
                 let g = graph_from(&[0, 0, 0, 0], &[]);
                 let mut engine = Engine::new(g);
                 engine.set_commit_mode(mode);
-                engine
-                    .register(EdgeCount::new("a", engine.graph()))
-                    .unwrap();
-                engine.register(PanicOn::nth(2)).unwrap();
-                engine
-                    .register_labeled("b", EdgeCount::new("b", engine.graph()))
-                    .unwrap();
+                engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
+                engine.register("panicky", |_| PanicOn::nth(2)).unwrap();
+                engine.register("b", |g| EdgeCount::new("b", g)).unwrap();
                 let r1 = engine
                     .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
                     .unwrap();
@@ -1495,9 +1485,7 @@ pub(crate) mod tests {
         let mut engine = Engine::new(graph_from(&[0, 0, 0], &[(0, 1)]))
             .with_log(backend.clone())
             .unwrap();
-        engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         let log = engine.log().expect("log attached");
         assert_eq!(log.checkpoints(), 1, "initial checkpoint at attach");
         assert_eq!(log.last_epoch(), Some(0));
@@ -1556,7 +1544,7 @@ pub(crate) mod tests {
         // Views re-join lazily from the recovered graph and the engine
         // keeps committing + journaling on the same chain.
         let h = recovered
-            .register_lazy("a", |g: &DynamicGraph| EdgeCount::new("a", g))
+            .register("a", |g: &DynamicGraph| EdgeCount::new("a", g))
             .unwrap();
         recovered
             .commit(&delta(vec![Update::insert(NodeId(0), NodeId(2))]))
@@ -1726,7 +1714,7 @@ pub(crate) mod tests {
             .with_log(backend)
             .unwrap();
         let eager = engine
-            .register_labeled("eager", EdgeCount::new("eager", engine.graph()))
+            .register("eager", |g| EdgeCount::new("eager", g))
             .unwrap();
         engine
             .commit(&delta(vec![Update::insert(NodeId(1), NodeId(2))]))
@@ -1738,7 +1726,7 @@ pub(crate) mod tests {
         assert_eq!(build.label(), "bg");
         // The label is reserved while the build is in flight …
         let dup = engine
-            .register_labeled("bg", EdgeCount::new("dup", engine.graph()))
+            .register("bg", |g| EdgeCount::new("dup", g))
             .unwrap_err();
         assert!(matches!(dup, EngineError::DuplicateLabel { .. }));
         // … and commits keep flowing meanwhile (the worker reads the log,
@@ -1786,7 +1774,7 @@ pub(crate) mod tests {
         drop(build); // abandon
                      // The reservation token is dead: the label registers again.
         assert!(engine
-            .register_lazy("bg", |g: &DynamicGraph| EdgeCount::new("bg", g))
+            .register("bg", |g: &DynamicGraph| EdgeCount::new("bg", g))
             .is_ok());
     }
 
@@ -1813,7 +1801,7 @@ pub(crate) mod tests {
             assert_eq!(engine.view_count(), 0);
             // Failure freed the label.
             assert!(engine
-                .register_lazy("doomed", |g: &DynamicGraph| EdgeCount::new("doomed", g))
+                .register("doomed", |g: &DynamicGraph| EdgeCount::new("doomed", g))
                 .is_ok());
         });
     }
@@ -1825,9 +1813,7 @@ pub(crate) mod tests {
         let mut engine = Engine::new(graph_from(&[0, 0, 0], &[]))
             .with_log(backend)
             .unwrap();
-        let h = engine
-            .register(EdgeCount::new("a", engine.graph()))
-            .unwrap();
+        let h = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
         engine
             .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
             .unwrap();

@@ -54,7 +54,7 @@ pub enum EngineError {
     },
     /// The view is quarantined: a past `apply` panicked, the engine caught
     /// it, and the view has been fenced off since. Deregister it (and, if
-    /// wanted, lazily register a replacement built from the current graph).
+    /// wanted, register a replacement built from the current graph).
     ViewQuarantined {
         /// The quarantined view's registry label.
         label: Arc<str>,
@@ -132,8 +132,10 @@ pub enum EngineError {
     /// deltas it still needed — possible only for *unpinned* followers
     /// ([`Replica::attach`](crate::Replica::attach)); followers created
     /// via [`Engine::replica`](crate::Engine::replica) hold a retention
-    /// pin that prevents this. The replica cannot resume incrementally;
-    /// attach a fresh one (it seeds from the newest checkpoint).
+    /// pin that prevents this. The replica cannot replay the missing
+    /// deltas; [`Replica::reattach`](crate::Replica::reattach) re-seeds it
+    /// from the newest checkpoint and lands the net diff as one delta
+    /// ([`Replica::tail`](crate::Replica::tail) does so itself).
     FrontierCompacted {
         /// The replica's replay frontier (last consumed epoch).
         frontier: u64,

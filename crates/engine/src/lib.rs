@@ -12,7 +12,7 @@
 //! Szárnyas's property-graph IVM work, with Fan–Hu–Tian algorithms as the
 //! per-view maintenance procedures. Incremental maintenance only pays off
 //! when views are *long-lived*, so the registry is built for long lives:
-//! views join at any epoch ([`Engine::register_lazy`] builds their initial
+//! views join at any epoch ([`Engine::register`] builds their initial
 //! state from the current graph — Liu's initialization-from-current-state
 //! dual of maintenance), leave at any epoch ([`Engine::deregister`], with
 //! totals retained), and fail alone (a panicking `apply` quarantines that
@@ -49,12 +49,12 @@
 //! ([`Engine::set_checkpoint_every`]) bounding the replay tail.
 //! [`Engine::recover`] rebuilds a crashed engine's graph bit-for-bit from
 //! `latest checkpoint + tail replay`, ready for views to re-join via
-//! [`Engine::register_lazy`]. And [`Engine::register_background`] builds
+//! [`Engine::register`]. And [`Engine::register_background`] builds
 //! a joining view's initial state *off the commit path* — a worker runs a
 //! pinned [`Replica`] holding just that view while commits keep flowing —
 //! then [`Engine::join_background`] catches it up on the log tail and
-//! moves the view into the registry, answer-identical to an eager
-//! registration.
+//! moves the view into the registry, answer-identical to a view registered
+//! before those commits.
 //!
 //! **Ingest** ([`ingest` module](IngestServer)): the async front door
 //! for heavy write traffic. [`IngestServer::spawn`] moves the engine onto
@@ -85,16 +85,17 @@
 //! without stopping the commit-tick thread; degraded read-only mode never
 //! gates snapshot creation or pinned reads.
 //!
-//! **One registry, one read path**: an [`Engine`] and a [`Replica`] hold
-//! their views in the same private registry, and a [`Snapshot`] of either
-//! resolves handles through the registry's read function — so a
-//! [`ViewHandle`] reads all four ([`Engine::view`], [`Replica::view`],
-//! [`Snapshot::view`]) under one contract: [`EngineError::StaleHandle`],
-//! [`EngineError::ViewQuarantined`], [`EngineError::WrongViewType`].
+//! **One engine, one read path**: a [`Replica`] derefs to the [`Engine`]
+//! the log feeds, whose replayed deltas land through a leader's commit
+//! stage, and a [`Snapshot`] resolves handles through the registry's read
+//! function. So a [`ViewHandle`] reads a leader, a follower and a snapshot
+//! of either ([`Engine::view`], [`Snapshot::view`]) under one contract:
+//! [`EngineError::StaleHandle`], [`EngineError::ViewQuarantined`],
+//! [`EngineError::WrongViewType`].
 //!
 //! **Replication** ([`replica` module](Replica)): [`Engine::replica`]
-//! creates a log-shipped read [`Replica`] — a follower with its own
-//! graph and views that tails the journal ([`Replica::catch_up`] /
+//! creates a log-shipped read [`Replica`] — a follower engine with its
+//! own graph and views that tails the journal ([`Replica::catch_up`] /
 //! [`Replica::tail`]), reports its staleness ([`Replica::status`],
 //! [`Replica::ensure_fresh`]), and holds a retention pin so
 //! [`Engine::compact_log`] — which drops whole log segments behind the
@@ -108,7 +109,7 @@
 //! use igc_graph::{graph::graph_from, NodeId, Update, UpdateBatch};
 //!
 //! let mut engine = Engine::new(graph_from(&[0, 0, 0], &[(0, 1)]));
-//! // (register views here — see `Engine::register` / `register_lazy`)
+//! // (register views here — see `Engine::register`)
 //! let receipt = engine
 //!     .commit(&UpdateBatch::from_updates(vec![
 //!         Update::insert(NodeId(1), NodeId(2)),

@@ -36,9 +36,8 @@ impl ViewId {
 /// Typed handle to a registered view: a [`ViewId`] that additionally
 /// remembers the concrete view type `V`, so
 /// [`Engine::view`](crate::Engine::view),
-/// [`Snapshot::view`](crate::Snapshot::view) and
-/// [`Replica::view`](crate::Replica::view) return `&V` without any
-/// caller-side downcasting.
+/// and [`Snapshot::view`](crate::Snapshot::view) — on a leader and on a
+/// follower alike — return `&V` without any caller-side downcasting.
 ///
 /// Handles are `Copy` and independent of `V`'s own traits (the type only
 /// rides along in `PhantomData`). Like [`ViewId`], a handle goes stale once
@@ -136,11 +135,9 @@ impl ViewState {
 /// What happened in a [`LifecycleEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleEventKind {
-    /// An eager registration (`register` / `register_labeled`).
+    /// A registration ([`register`](crate::Engine::register)): the view's
+    /// initial state was built from the engine's graph at this epoch.
     Registered,
-    /// A lazy registration (`register_lazy`): the view's initial state was
-    /// built from the engine's graph at this epoch.
-    RegisteredLazy,
     /// A background registration completed
     /// ([`join_background`](crate::Engine::join_background)): the view's
     /// initial state was built off the commit path from a checkpointed
@@ -154,13 +151,11 @@ pub enum LifecycleEventKind {
 }
 
 impl LifecycleEventKind {
-    /// A stable lowercase tag (`"registered"`, `"registered_lazy"`,
-    /// `"registered_background"`, `"deregistered"`, `"quarantined"`) for
-    /// logs and JSON.
+    /// A stable lowercase tag (`"registered"`, `"registered_background"`,
+    /// `"deregistered"`, `"quarantined"`) for logs and JSON.
     pub fn tag(self) -> &'static str {
         match self {
             LifecycleEventKind::Registered => "registered",
-            LifecycleEventKind::RegisteredLazy => "registered_lazy",
             LifecycleEventKind::RegisteredBackground => "registered_background",
             LifecycleEventKind::Deregistered => "deregistered",
             LifecycleEventKind::Quarantined => "quarantined",

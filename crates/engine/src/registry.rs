@@ -1,6 +1,6 @@
-//! The view registry an [`Engine`](crate::Engine) and a
-//! [`Replica`](crate::Replica) each hold one of: generation-checked slots
-//! of type-erased [`IncView`]s with their health and accounting.
+//! The view registry every [`Engine`](crate::Engine) — a leader, or the
+//! one inside a [`Replica`](crate::Replica) — holds: generation-checked
+//! slots of type-erased [`IncView`]s with their health and accounting.
 //!
 //! Everything that runs view code behind a fence, and everything that
 //! turns a [`ViewId`] into a view, happens here and only here — building
@@ -133,8 +133,7 @@ fn stale(id: ViewId) -> EngineError {
     }
 }
 
-/// The read contract, stated once for the live engine, a replica and a
-/// snapshot of either: nothing behind `id` (never registered, deregistered,
+/// The read contract, stated once for the live engine and its snapshots: nothing behind `id` (never registered, deregistered,
 /// or the slot has moved on to another generation) is
 /// [`EngineError::StaleHandle`]; a quarantined view is
 /// [`EngineError::ViewQuarantined`] — a panicked view's state is not
@@ -352,14 +351,6 @@ impl Registry {
         records
     }
 
-    /// [`Registry::fan_out`] on this thread + [`Registry::merge`] at `g`'s
-    /// epoch, for an owner that keeps no receipts (a replica replaying one
-    /// delta).
-    pub(crate) fn apply(&mut self, g: &DynamicGraph, delta: &UpdateBatch) {
-        let records = self.fan_out(g, delta, 1);
-        self.merge(records, g.epoch());
-    }
-
     /// Fold a fan-out's records (in slot order) into the registry:
     /// accounting for every view that ran, quarantine at `epoch` for each
     /// whose `apply` panicked. Returns the per-view receipt entries and
@@ -431,7 +422,7 @@ impl Registry {
     /// a quarantine record, or the copy the view makes of itself
     /// ([`IncView::clone_view`], fenced by [`CellState::publish`]). A view
     /// whose `clone_view` panics gets a cell quarantined at `epoch` and a
-    /// failed record, for an owner that can write to [`Registry::merge`].
+    /// failed record, for [`Registry::merge`].
     pub(crate) fn cells(&self, epoch: u64) -> (Vec<SnapCell>, Vec<ApplyRecord>) {
         let mut failed = Vec::new();
         let mut cells = Vec::with_capacity(self.slots.len());

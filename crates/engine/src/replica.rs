@@ -1,26 +1,27 @@
 //! Log-shipped read replicas: follower engines that tail a leader's
-//! commit log and serve view reads at their own replay frontier.
+//! commit log and serve reads at their own replay frontier.
 //!
-//! The leader's [`Engine`](crate::Engine) owns the single-writer commit
-//! pipeline; a [`Replica`] owns nothing but a [`Replayer`] over the same
-//! log, its private [`DynamicGraph`], and its own registered views — in the
-//! same registry type the engine uses, so [`Replica::register`] returns an
-//! ordinary [`ViewHandle`] that reads the replica ([`Replica::view`]) and
-//! its snapshots ([`Replica::snapshot`] + [`Snapshot::view`]) under the
-//! engine's error contract. It seeds from the **newest checkpoint** (never
-//! genesis — that is the whole point of the checkpoint cadence), replays
-//! normalized deltas in epoch order, and advances a *frontier*: the last
-//! epoch it has fully consumed. Reads are always internally consistent —
-//! graph and every view agree on the frontier epoch — they are just
-//! possibly *stale*, which [`ReplicaStatus`] quantifies and
-//! [`Replica::ensure_fresh`] gates on.
+//! A follower is an [`Engine`] whose deltas come from the log instead of
+//! from clients: a [`Replica`] is that engine (with no log of its own), a
+//! [`Replayer`] over the leader's log, its retention pin, seed base and
+//! retry counters. Each replayed delta lands through the engine's one
+//! commit stage, so a follower publishes versions, keeps totals and
+//! journals events exactly as a leader does, and `Replica` derefs to the
+//! engine for every read.
+//!
+//! A follower seeds from the **newest checkpoint** (never genesis — that
+//! is the whole point of the checkpoint cadence), replays normalized
+//! deltas in epoch order, and advances a *frontier*: the last epoch it
+//! has fully consumed, its engine's [`Engine::epoch`]. Reads are always
+//! internally consistent — graph and every view agree on the frontier
+//! epoch — they are just possibly *stale*, which [`ReplicaStatus`]
+//! quantifies and [`Replica::ensure_fresh`] gates on.
 //!
 //! Two attachment modes:
 //!
-//! * [`Engine::replica`](crate::Engine::replica) — in-process follower
-//!   (typically over a shared [`MemBackend`](igc_log::MemBackend)). The
-//!   leader registers a [`RetentionPin`] for it, so
-//!   [`Engine::compact_log`](crate::Engine::compact_log) never drops the
+//! * [`Engine::replica`] — in-process follower (typically over a shared
+//!   [`MemBackend`](igc_log::MemBackend)). The leader registers a
+//!   [`RetentionPin`] for it, so [`Engine::compact_log`] never drops the
 //!   history this follower still needs; the pin advances lock-free on
 //!   every catch-up round and releases automatically when the replica is
 //!   dropped.
@@ -73,16 +74,19 @@
 //! replica.catch_up().unwrap();
 //! let status = replica.ensure_fresh(0).unwrap(); // now current
 //! assert_eq!(status.frontier_epoch, leader.epoch());
+//! // The follower's reads are its engine's.
 //! assert!(replica.graph().contains_edge(NodeId(1), NodeId(2)));
+//! assert_eq!(replica.totals().commits, 1);
 //! ```
 
+use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::lifecycle::{ViewHandle, ViewId, ViewState};
-use crate::registry::{downcast, Registered, Registry};
-use crate::snapshot::{Snapshot, VersionData};
+use crate::lifecycle::{ViewHandle, ViewId};
+use crate::registry::Registered;
 use igc_core::IncView;
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
 use igc_log::{LogBackend, LogError, Replayer, RetentionPin, RetryPolicy};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,17 +110,19 @@ pub struct ReplicaStatus {
     pub lag: u64,
 }
 
-/// A follower engine tailing a leader's commit log. See the
-/// [crate docs](crate) for the replication model and an example.
+/// A follower tailing a leader's commit log: an [`Engine`] the log feeds,
+/// which a `Replica` derefs to for every read — views, snapshots, events,
+/// totals. Its replayed deltas land through the engine's one commit stage.
+/// There is no `DerefMut`, so the engine's writes (`commit`, `deregister`,
+/// the setters) are out of reach on a follower. See the [crate docs](crate)
+/// for the replication model and an example.
 pub struct Replica {
+    /// The follower's engine: no log, fed only by [`Replica::catch_up`]
+    /// and [`Replica::reattach`].
+    engine: Engine,
     replayer: Replayer,
-    graph: DynamicGraph,
-    /// The follower-side views: the same [`Registry`] the leader's engine
-    /// holds, so handles, quarantine and reads mean the same on both.
-    views: Registry,
     /// The leader-registered retention pin, for followers created via
-    /// [`Engine::replica`](crate::Engine::replica); `None` for unpinned
-    /// cross-process attachments.
+    /// [`Engine::replica`]; `None` for unpinned cross-process attachments.
     pin: Option<RetentionPin>,
     /// Epoch of the checkpoint this replica seeded from.
     seed_base: u64,
@@ -130,10 +136,18 @@ pub struct Replica {
     reattaches: u64,
 }
 
+impl Deref for Replica {
+    type Target = Engine;
+
+    fn deref(&self) -> &Engine {
+        &self.engine
+    }
+}
+
 impl std::fmt::Debug for Replica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replica")
-            .field("frontier", &self.graph.epoch())
+            .field("frontier", &self.frontier())
             .field("seed_base", &self.seed_base)
             .field("views", &self.view_count())
             .field("pinned", &self.pin.is_some())
@@ -150,13 +164,13 @@ impl Replica {
     /// does not know about it, so a long-dormant follower can be cut off
     /// ([`EngineError::FrontierCompacted`] on its next catch-up) and
     /// must [re-attach](Replica::reattach). In-process followers should prefer
-    /// [`Engine::replica`](crate::Engine::replica), which pins.
+    /// [`Engine::replica`], which pins.
     pub fn attach(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
         Self::attach_pinned(backend, None)
     }
 
     /// Shared attachment path; `pin` present = leader-registered
-    /// follower ([`Engine::replica`](crate::Engine::replica)).
+    /// follower ([`Engine::replica`]).
     pub(crate) fn attach_pinned(
         backend: Arc<dyn LogBackend>,
         pin: Option<RetentionPin>,
@@ -167,10 +181,9 @@ impl Replica {
             pin.advance(replayed.graph.epoch());
         }
         Ok(Replica {
+            engine: Engine::new(replayed.graph),
             replayer,
             seed_base: replayed.base_epoch,
-            graph: replayed.graph,
-            views: Registry::default(),
             pin,
             retry: RetryPolicy::none(),
             tail_retries: 0,
@@ -197,32 +210,22 @@ impl Replica {
         self.reattaches
     }
 
-    /// Register a view on this replica: its initial state is built from
-    /// the replica's **current** graph (the replay frontier), then
-    /// maintained incrementally by every subsequent catch-up round —
-    /// the follower-side mirror of
-    /// [`Engine::register_lazy`](crate::Engine::register_lazy). Same
-    /// error surface: [`EngineError::DuplicateLabel`],
-    /// [`EngineError::InitPanicked`]. The handle reads this replica
-    /// ([`Replica::view`]) and every [`Replica::snapshot`] taken after.
+    /// [`Engine::register`] on the follower's engine: the view is built
+    /// from the graph at the replay frontier, then maintained by every
+    /// later catch-up round.
     pub fn register<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
         &mut self,
         label: impl Into<Arc<str>>,
         init: F,
     ) -> Result<ViewHandle<V>, EngineError> {
-        let label: Arc<str> = label.into();
-        if self.views.find(&label).is_some() {
-            return Err(EngineError::DuplicateLabel { label });
-        }
-        let view = Registry::build(&label, init, &self.graph)?;
-        Ok(ViewHandle::new(self.views.insert(label, view)))
+        self.engine.register(label, init)
     }
 
     /// Drain everything the log currently holds past this replica's
-    /// frontier: apply each delta to the private graph, then fan it out
-    /// to every active view (post-update, the `IncView::apply`
-    /// contract), then advance the retention pin (if pinned). Returns
-    /// the number of deltas consumed — `0` when already at the head.
+    /// frontier: each delta lands through the engine's commit stage —
+    /// graph, fan-out to every active view, a published version — then
+    /// the retention pin (if pinned) advances. Returns the number of
+    /// deltas consumed — `0` when already at the head.
     ///
     /// Safe to call repeatedly while the leader keeps committing; each
     /// call consumes whatever is complete at scan time (a record the
@@ -244,14 +247,19 @@ impl Replica {
     /// `From<LogError> for EngineError` (which folds `Io` into
     /// `LogCorrupt`) would erase.
     fn catch_up_raw(&mut self) -> Result<u64, LogError> {
-        let views = &mut self.views;
+        let engine = &mut self.engine;
         let applied = self
             .replayer
-            .catch_up(&mut self.graph, |g, delta| views.apply(g, delta))?;
-        if let Some(pin) = &self.pin {
-            pin.advance(self.graph.epoch());
-        }
+            .catch_up(engine.epoch(), |delta| engine.replay(delta, None))?;
+        self.advance_pin();
         Ok(applied)
+    }
+
+    /// Move the retention pin (if pinned) up to the frontier.
+    fn advance_pin(&self) {
+        if let Some(pin) = &self.pin {
+            pin.advance(self.frontier());
+        }
     }
 
     /// Translate a raw catch-up error to the engine surface. The chain
@@ -276,9 +284,8 @@ impl Replica {
     /// retried under the [`Replica::set_retry_policy`] budget (counted in
     /// [`Replica::tail_retries`]), and a compacted-away frontier triggers
     /// [`Replica::reattach`]. A reattach skips the individual deltas of
-    /// the compacted window, which nothing here observes: a replica keeps
-    /// no receipts and calls no per-delta hooks, and its views get the
-    /// net diff.
+    /// the compacted window: the follower's receipts, totals and views
+    /// see their net diff as one delta.
     fn tail_round(&mut self) -> Result<u64, EngineError> {
         loop {
             let (policy, mut absorbed) = (self.retry, 0);
@@ -300,30 +307,24 @@ impl Replica {
     /// edge-set diff between its stale graph and the fresh head,
     /// synthesizes it as one normalized ΔG batch (deletes for edges only
     /// the stale graph had, labelled inserts for edges only the head
-    /// has), and fans that batch out to every active view with the new
-    /// graph as post-state — by the views' confluence contract (the same
-    /// one that makes ingest coalescing answer-identical), their answers
-    /// land exactly where replaying the compacted window one delta at a
-    /// time would have put them. Quarantined views stay quarantined.
+    /// has), and lands that batch through the engine's commit stage with
+    /// the re-seeded graph as post-state — by the views' confluence
+    /// contract (the same one that makes ingest coalescing
+    /// answer-identical), their answers land exactly where replaying the
+    /// compacted window one delta at a time would have put them. The
+    /// window counts as one delta in [`Engine::totals`], and its version
+    /// publishes at the head's epoch. Quarantined views stay quarantined.
     ///
     /// Returns the number of epochs the frontier jumped. Counted in
     /// [`Replica::reattaches`]; [`Replica::tail`] calls this
     /// automatically.
     pub fn reattach(&mut self) -> Result<u64, EngineError> {
         let replayed = self.replayer.latest()?;
-        let new = replayed.graph;
-        let delta = Self::diff(&self.graph, &new);
-        // Nodes the skipped window added are news to the views even when
-        // its edges cancelled out.
-        if !delta.is_empty() || new.node_count() > self.graph.node_count() {
-            self.views.apply(&new, &delta);
-        }
-        let jumped = new.epoch().saturating_sub(self.graph.epoch());
-        self.graph = new;
+        let jumped = replayed.graph.epoch().saturating_sub(self.frontier());
+        let delta = Self::diff(self.engine.graph(), &replayed.graph);
+        self.engine.replay(delta, Some(replayed.graph));
         self.seed_base = replayed.base_epoch;
-        if let Some(pin) = &self.pin {
-            pin.advance(self.graph.epoch());
-        }
+        self.advance_pin();
         self.reattaches += 1;
         Ok(jumped)
     }
@@ -408,7 +409,7 @@ impl Replica {
     /// the leader's journaled head.
     pub fn status(&self) -> Result<ReplicaStatus, EngineError> {
         let summary = self.replayer.summary()?;
-        let frontier_epoch = self.graph.epoch();
+        let frontier_epoch = self.frontier();
         Ok(ReplicaStatus {
             frontier_epoch,
             leader_epoch: summary.last_epoch,
@@ -433,15 +434,10 @@ impl Replica {
         Ok(status)
     }
 
-    /// The replica's graph at its replay frontier.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
     /// The replay frontier: the last epoch this replica has fully
-    /// consumed.
+    /// consumed ([`Engine::epoch`] of its engine).
     pub fn frontier(&self) -> u64 {
-        self.graph.epoch()
+        self.engine.epoch()
     }
 
     /// Epoch of the checkpoint this replica seeded from at attach time —
@@ -451,42 +447,9 @@ impl Replica {
     }
 
     /// Whether this follower holds a leader-side retention pin (created
-    /// via [`Engine::replica`](crate::Engine::replica)).
+    /// via [`Engine::replica`]).
     pub fn is_pinned(&self) -> bool {
         self.pin.is_some()
-    }
-
-    /// Number of registered follower-side views.
-    pub fn view_count(&self) -> usize {
-        self.views.entries().count()
-    }
-
-    /// Registry labels of the follower-side views, in registration order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.views.entries().map(|r| &*r.totals.label)
-    }
-
-    /// A registered view's health ([`ViewState::Active`], or
-    /// [`ViewState::Quarantined`] with the panic's epoch and cause).
-    pub fn state(&self, id: impl Into<ViewId>) -> Result<&ViewState, EngineError> {
-        Ok(&self.views.occupied(id.into())?.state)
-    }
-
-    /// The view behind a typed handle — the follower's read path,
-    /// consistent with [`Replica::graph`] as of the frontier, under the
-    /// error contract of [`Engine::view`](crate::Engine::view)
-    /// ([`EngineError::ViewQuarantined`] if a past catch-up panicked this
-    /// view).
-    pub fn view<V: IncView>(&self, h: &ViewHandle<V>) -> Result<&V, EngineError> {
-        downcast(self.views.active(h.id)?)
-    }
-
-    /// Consistency audit of every active follower-side view against
-    /// from-scratch recomputation on the replica's graph — the same
-    /// audit as [`Engine::verify_all`](crate::Engine::verify_all), at
-    /// the replica's frontier.
-    pub fn verify_all(&self) -> Result<(), EngineError> {
-        self.views.audit_all(&self.graph)
     }
 
     /// End this follower and hand back the entry behind `id` — the view
@@ -494,34 +457,14 @@ impl Replica {
     /// [background build](crate::Engine::join_background) moves its view
     /// into the engine's registry.
     pub(crate) fn into_entry(mut self, id: ViewId) -> Result<Registered, EngineError> {
-        self.views.remove(id)
-    }
-
-    /// Freeze the replica at its current replay frontier as a
-    /// [`Snapshot`]: an immutable, independently-owned version of the
-    /// follower's graph and every follower-side view, safe to hand to
-    /// reader threads while the replica keeps tailing.
-    ///
-    /// The graph is cloned on this call — one handle bump per adjacency
-    /// list, nothing copied — and the tail loop then copies each list it
-    /// next writes, once; each view
-    /// contributes its `clone_view` copy (one that panics making it is
-    /// served as quarantined). Read it with the handles
-    /// [`Replica::register`] returned ([`Snapshot::view`]), or look views
-    /// up by label ([`Snapshot::find`]).
-    pub fn snapshot(&self) -> Snapshot {
-        let epoch = self.graph.epoch();
-        Snapshot::detached(VersionData {
-            epoch,
-            graph: Arc::new(self.graph.clone()),
-            cells: self.views.cells(epoch).0,
-        })
+        self.engine.views.remove(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{LifecycleEventKind, ViewState};
     use igc_graph::{graph::graph_from, NodeId, Update, UpdateBatch};
     use igc_log::{CommitLog, MemBackend};
 
@@ -678,6 +621,16 @@ mod tests {
         ));
         // The audit skips the quarantined view and passes on the healthy.
         replica.verify_all().unwrap();
+        // The follower is an engine: its journal, totals and published
+        // versions saw the two replayed deltas as commits.
+        let last = replica.events().last().unwrap();
+        assert_eq!(
+            (last.kind, &*last.label, last.epoch),
+            (LifecycleEventKind::Quarantined, "doomed", 6)
+        );
+        assert_eq!(replica.totals().commits, 2);
+        let pinned = replica.snapshot_at(replica.frontier()).unwrap();
+        assert_eq!(pinned.epoch(), g.epoch());
     }
 
     #[test]

@@ -102,10 +102,10 @@ pub(crate) struct SnapCell {
 
 /// An immutable published version: the graph at one epoch plus the answer
 /// cells of every then-occupied registry slot.
-pub(crate) struct VersionData {
-    pub(crate) epoch: u64,
-    pub(crate) graph: Arc<DynamicGraph>,
-    pub(crate) cells: Vec<SnapCell>,
+struct VersionData {
+    epoch: u64,
+    graph: Arc<DynamicGraph>,
+    cells: Vec<SnapCell>,
 }
 
 struct StoreInner {
@@ -361,14 +361,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Wrap an already-built version that lives outside any store — how
-    /// replicas serve one-off snapshots at their replay frontier.
-    pub(crate) fn detached(data: VersionData) -> Self {
-        Snapshot {
-            data: Arc::new(data),
-        }
-    }
-
     /// The epoch this snapshot is pinned at.
     pub fn epoch(&self) -> u64 {
         self.data.epoch
@@ -415,8 +407,7 @@ impl Snapshot {
 
     /// Read a view's frozen answers through its typed handle, exactly like
     /// [`Engine::view`](crate::Engine::view) but against the pinned epoch —
-    /// or, on a [`Replica::snapshot`](crate::Replica::snapshot), like
-    /// [`Replica::view`](crate::Replica::view) against the frozen frontier.
+    /// a leader's or a follower's.
     ///
     /// The same error contract as the live reader applies, through the
     /// same code: a handle whose view was not registered at the pinned
@@ -676,11 +667,9 @@ mod tests {
         let mut replica = Replica::attach(backend).unwrap();
         // The same registrations in the same order: the same ids on both.
         let tally = engine
-            .register_lazy("tally", |_: &DynamicGraph| Tally { n: 0 })
+            .register("tally", |_: &DynamicGraph| Tally { n: 0 })
             .unwrap();
-        let hurt = engine
-            .register_lazy("hurt", |_: &DynamicGraph| Other)
-            .unwrap();
+        let hurt = engine.register("hurt", |_: &DynamicGraph| Other).unwrap();
         let on_replica = replica.register("tally", |_: &DynamicGraph| Tally { n: 0 });
         assert_eq!(on_replica.unwrap(), tally);
         assert_eq!(
@@ -695,7 +684,7 @@ mod tests {
             replica.catch_up().unwrap();
         });
         let pinned = engine.snapshot().unwrap();
-        let frozen = replica.snapshot();
+        let frozen = replica.snapshot().unwrap();
 
         let stale_generation: ViewHandle<Tally> = ViewHandle::new(ViewId {
             index: 0,

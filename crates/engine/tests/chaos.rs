@@ -35,16 +35,10 @@ fn iso_pattern() -> Pattern {
 }
 
 fn register_all(engine: &mut Engine) {
-    engine
-        .register_lazy("rpq", IncRpq::init(rpq_query()))
-        .unwrap();
-    engine.register_lazy("scc", IncScc::init()).unwrap();
-    engine
-        .register_lazy("kws", IncKws::init(kws_query()))
-        .unwrap();
-    engine
-        .register_lazy("iso", IncIso::init(iso_pattern()))
-        .unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
+    engine.register("kws", IncKws::init(kws_query())).unwrap();
+    engine.register("iso", IncIso::init(iso_pattern())).unwrap();
 }
 
 /// The four views' complete answers in canonical form — the bit-identical
@@ -584,7 +578,7 @@ impl igc_core::IncView for GateView {
 fn overloaded_ingest_sheds_submissions_with_a_precise_error() {
     let gate = Arc::new(AtomicBool::new(false));
     let mut engine = Engine::new(graph_from(&[0; 8], &[]));
-    engine.register(GateView(gate.clone())).unwrap();
+    engine.register("gate", |_| GateView(gate.clone())).unwrap();
     let server = IngestServer::spawn(engine);
     let ingest = server.handle();
 

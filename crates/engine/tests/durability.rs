@@ -30,16 +30,10 @@ fn iso_pattern() -> Pattern {
 }
 
 fn register_all(engine: &mut Engine) {
-    engine
-        .register_lazy("rpq", IncRpq::init(rpq_query()))
-        .unwrap();
-    engine.register_lazy("scc", IncScc::init()).unwrap();
-    engine
-        .register_lazy("kws", IncKws::init(kws_query()))
-        .unwrap();
-    engine
-        .register_lazy("iso", IncIso::init(iso_pattern()))
-        .unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
+    engine.register("kws", IncKws::init(kws_query())).unwrap();
+    engine.register("iso", IncIso::init(iso_pattern())).unwrap();
 }
 
 /// The four views' complete answers, in canonical (sorted) form — the
@@ -246,9 +240,7 @@ fn compaction_during_a_background_build_does_not_strand_it() {
     let g = uniform_graph(26, 70, 3, 56);
     let (_, backend) = backend_pair();
     let mut eager = Engine::new(g.clone());
-    let twin = eager
-        .register_lazy("rpq", IncRpq::init(rpq_query()))
-        .unwrap();
+    let twin = eager.register("rpq", IncRpq::init(rpq_query())).unwrap();
     let mut engine = Engine::new(g).with_log(backend).unwrap();
     engine.set_checkpoint_every(3);
 
@@ -315,7 +307,7 @@ fn recovery_after_background_join_spans_the_whole_history() {
     assert_eq!(recovered.epoch(), epoch);
     register_all(&mut recovered);
     let h = recovered
-        .register_lazy("rpq:late", IncRpq::init(rpq_query()))
+        .register("rpq:late", IncRpq::init(rpq_query()))
         .unwrap();
     assert_eq!(answers(&recovered), pre_crash);
     assert_eq!(recovered.view(&h).unwrap().sorted_answer(), late_answer);

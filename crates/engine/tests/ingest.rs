@@ -29,10 +29,8 @@ fn rpq_query() -> Regex {
 fn seeded_engine(seed: u64) -> Engine {
     let g = uniform_graph(64, 160, 3, seed);
     let mut engine = Engine::new(g);
-    engine
-        .register(IncRpq::new(engine.graph(), &rpq_query()))
-        .unwrap();
-    engine.register(IncScc::new(engine.graph())).unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
     engine
 }
 

@@ -29,20 +29,19 @@ fn engine_with_all_views(nodes: usize, edges: usize, seed: u64) -> Engine {
     let g = uniform_graph(nodes, edges, 3, seed);
     let mut engine = Engine::new(g);
 
-    let rpq = IncRpq::new(engine.graph(), &rpq_query());
-    engine.register(rpq).unwrap();
-    engine.register(IncScc::new(engine.graph())).unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
     engine
-        .register(IncKws::new(
-            engine.graph(),
-            KwsQuery::new(vec![Label(1), Label(2)], 2),
-        ))
+        .register(
+            "kws",
+            IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
+        )
         .unwrap();
     engine
-        .register(IncIso::new(
-            engine.graph(),
-            Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]),
-        ))
+        .register(
+            "iso",
+            IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
+        )
         .unwrap();
 
     engine
@@ -154,17 +153,17 @@ fn lazy_views_match_eager_views_bit_for_bit() {
 
     // All four classes join mid-stream, built from the current graph.
     let rpq2 = engine
-        .register_lazy("rpq:late", IncRpq::init(rpq_query()))
+        .register("rpq:late", IncRpq::init(rpq_query()))
         .unwrap();
-    let scc2 = engine.register_lazy("scc:late", IncScc::init()).unwrap();
+    let scc2 = engine.register("scc:late", IncScc::init()).unwrap();
     let kws2 = engine
-        .register_lazy(
+        .register(
             "kws:late",
             IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
         )
         .unwrap();
     let iso2 = engine
-        .register_lazy(
+        .register(
             "iso:late",
             IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
         )
@@ -248,7 +247,7 @@ impl IncView for Grenade {
 #[test]
 fn quarantine_isolates_a_panicking_view_from_real_classes() {
     let mut engine = engine_with_all_views(30, 90, 13);
-    let grenade = engine.register(Grenade).unwrap();
+    let grenade = engine.register("grenade", |_| Grenade).unwrap();
 
     // Commit 1: the grenade goes off mid-fan-out; the commit succeeds.
     let delta = random_update_batch(engine.graph(), 10, 0.5, 77);
@@ -284,7 +283,7 @@ fn quarantine_isolates_a_panicking_view_from_real_classes() {
 
     // Recovery: deregister the wreck, lazily register a healthy stand-in.
     engine.deregister(grenade).unwrap();
-    let standin = engine.register_lazy("grenade", IncScc::init()).unwrap();
+    let standin = engine.register("grenade", IncScc::init()).unwrap();
     let delta = random_update_batch(engine.graph(), 10, 0.5, 999);
     let receipt = engine.commit(&delta).unwrap();
     assert_eq!(receipt.per_view.len(), 5);

@@ -55,22 +55,23 @@ impl IncView for Grenade {
 fn build(g: &DynamicGraph, mode: CommitMode) -> Engine {
     let mut engine = Engine::new(g.clone());
     engine.set_commit_mode(mode);
-    let rpq = IncRpq::new(engine.graph(), &rpq_query());
-    engine.register(rpq).unwrap();
-    engine.register(IncScc::new(engine.graph())).unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
     engine
-        .register(IncKws::new(
-            engine.graph(),
-            KwsQuery::new(vec![Label(1), Label(2)], 2),
-        ))
+        .register(
+            "kws",
+            IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
+        )
         .unwrap();
     engine
-        .register(IncIso::new(
-            engine.graph(),
-            Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]),
-        ))
+        .register(
+            "iso",
+            IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
+        )
         .unwrap();
-    engine.register(Grenade { n: 3, seen: 0 }).unwrap();
+    engine
+        .register("grenade", |_| Grenade { n: 3, seen: 0 })
+        .unwrap();
     engine
 }
 

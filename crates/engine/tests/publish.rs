@@ -81,9 +81,9 @@ fn clone_view_runs_once_per_active_view_per_publish() {
             };
 
             // Lifecycle events publish: every active view, once.
-            let a = engine.register_labeled("a", a).unwrap();
+            let a = engine.register("a", |_| a).unwrap();
             assert_eq!(count(), (1, 0), "{what}");
-            let b = engine.register_labeled("b", b).unwrap();
+            let b = engine.register("b", |_| b).unwrap();
             assert_eq!(count(), (2, 1), "{what}");
 
             let pin = pinned.then(|| engine.snapshot().unwrap());
@@ -116,10 +116,10 @@ fn clone_view_runs_once_per_active_view_per_publish() {
 fn a_panicking_clone_view_quarantines_the_view_and_closes_the_publish_window() {
     let mut engine = Engine::new(graph_from(&[0; 3], &[(0, 1)]));
     let (healthy, _) = Probe::new(None);
-    let healthy = engine.register_labeled("healthy", healthy).unwrap();
+    let healthy = engine.register("healthy", |_| healthy).unwrap();
     // Call #1 is the registration's own publish; #2 is the first commit's.
     let (doomed, _) = Probe::new(Some(2));
-    let doomed = engine.register_labeled("doomed", doomed).unwrap();
+    let doomed = engine.register("doomed", |_| doomed).unwrap();
 
     let receipt = quiet_panics(|| engine.commit(&insert(1, 2))).expect("the commit itself lands");
     assert_eq!(receipt.epoch, 1);

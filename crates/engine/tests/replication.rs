@@ -47,16 +47,10 @@ struct ReplicaViews {
 }
 
 fn register_leader(engine: &mut Engine) {
-    engine
-        .register_lazy("rpq", IncRpq::init(rpq_query()))
-        .unwrap();
-    engine.register_lazy("scc", IncScc::init()).unwrap();
-    engine
-        .register_lazy("kws", IncKws::init(kws_query()))
-        .unwrap();
-    engine
-        .register_lazy("iso", IncIso::init(iso_pattern()))
-        .unwrap();
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
+    engine.register("kws", IncKws::init(kws_query())).unwrap();
+    engine.register("iso", IncIso::init(iso_pattern())).unwrap();
 }
 
 fn register_replica(replica: &mut Replica) -> ReplicaViews {

@@ -197,53 +197,42 @@ impl Replayer {
         self.replay_at(epoch).map(|r| r.graph)
     }
 
-    /// Catch a consumer up to the head of the log: apply, in order, every
-    /// delta record with an epoch past `g.epoch()` — first to `g`, then
-    /// (post-update, exactly the `IncView::apply` contract of `igc_core`)
-    /// hand `(g, batch)` to `f`. Returns the number of deltas applied.
-    /// Only the tail deltas actually applied are decoded — checkpoints
-    /// and already-consumed history are skipped at the frame level, so
-    /// the repeated catch-up rounds of a background build (including the
-    /// final one on the commit thread) stay cheap on long histories.
+    /// Catch a consumer at `epoch` up to the head of the log: hand `f`, in
+    /// order, every delta record with an epoch past `epoch`, decoded and
+    /// not applied — the consumer applies it, and stands at that record's
+    /// epoch afterwards. Returns the number of deltas handed over. Only
+    /// those deltas are decoded — checkpoints and already-consumed
+    /// history are skipped at the frame level, so the repeated catch-up
+    /// rounds of a follower stay cheap on long histories.
     ///
-    /// The first applicable delta must be exactly `g.epoch() + 1`
+    /// The first delta handed over must be exactly `epoch + 1`
     /// ([`LogError::EpochGap`] otherwise — the consumer's state predates
-    /// the oldest retained tail). A *checkpoint* ahead of `g.epoch()` is
-    /// the same gap: in append order a checkpoint always follows its
-    /// epoch's delta, so reaching one the consumer hasn't caught up to
-    /// means the deltas leading to it were compacted away — reported as
+    /// the oldest retained tail). A *checkpoint* past the consumer is the
+    /// same gap: in append order a checkpoint always follows its epoch's
+    /// delta, so reaching one the consumer hasn't caught up to means the
+    /// deltas leading to it were compacted away — reported as
     /// [`LogError::EpochGap`] even when no delta follows the checkpoint
-    /// yet. A consumer already at or past the head applies nothing. Safe
-    /// to call repeatedly while a writer keeps appending; each call
+    /// yet. A consumer already at or past the head is handed nothing.
+    /// Safe to call repeatedly while a writer keeps appending; each call
     /// drains whatever is complete at scan time.
-    pub fn catch_up(
-        &self,
-        g: &mut DynamicGraph,
-        mut f: impl FnMut(&DynamicGraph, &UpdateBatch),
-    ) -> Result<u64, LogError> {
+    pub fn catch_up(&self, epoch: u64, mut f: impl FnMut(UpdateBatch)) -> Result<u64, LogError> {
         let scanned = scan(&*self.backend)?;
-        let mut applied = 0;
+        let (mut at, mut applied) = (epoch, 0);
         for r in &scanned.records {
-            if r.epoch <= g.epoch() {
+            if r.epoch <= at {
                 continue;
             }
-            if r.is_checkpoint {
+            if r.is_checkpoint || r.epoch != at + 1 {
                 return Err(LogError::EpochGap {
-                    expected: g.epoch() + 1,
-                    found: r.epoch,
-                });
-            }
-            if r.epoch != g.epoch() + 1 {
-                return Err(LogError::EpochGap {
-                    expected: g.epoch() + 1,
+                    expected: at + 1,
                     found: r.epoch,
                 });
             }
             let Record::Delta { batch, .. } = Self::decode(r)? else {
                 unreachable!("frame header said delta");
             };
-            g.apply_batch(&batch);
-            f(g, &batch);
+            f(batch);
+            at = r.epoch;
             applied += 1;
         }
         Ok(applied)
@@ -339,7 +328,9 @@ mod tests {
         for epoch in 1..=6u64 {
             let direct = replayer.graph_at(epoch).unwrap();
             let mut stepped = prev.clone();
-            let applied = replayer.catch_up(&mut stepped, |_, _| {}).unwrap();
+            let applied = replayer
+                .catch_up(stepped.epoch(), |b| stepped.apply_batch(&b))
+                .unwrap();
             assert!(applied >= 1);
             // catch_up runs to the head; compare at the head only once.
             if epoch == 6 {
@@ -376,8 +367,9 @@ mod tests {
         let mut g = replayer.graph_at(2).unwrap();
         let mut seen: Vec<(u64, usize)> = Vec::new();
         let applied = replayer
-            .catch_up(&mut g, |g_now, batch| {
-                seen.push((g_now.epoch(), batch.len()))
+            .catch_up(g.epoch(), |batch| {
+                g.apply_batch(&batch);
+                seen.push((g.epoch(), batch.len()))
             })
             .unwrap();
         assert_eq!(applied, 4);
@@ -387,13 +379,13 @@ mod tests {
         );
         assert_same_graph(&g, &g_final);
         // Already caught up: nothing more to do.
-        assert_eq!(replayer.catch_up(&mut g, |_, _| {}).unwrap(), 0);
+        assert_eq!(replayer.catch_up(g.epoch(), |_| {}).unwrap(), 0);
     }
 
     #[test]
     fn catch_up_rejects_a_consumer_older_than_the_retained_tail() {
-        // A log whose first checkpoint is at epoch 5 cannot catch up a
-        // graph sitting at epoch 2.
+        // A log whose first checkpoint is at epoch 10 cannot catch up a
+        // consumer at epoch 2.
         let arc: Arc<dyn LogBackend> = Arc::new(MemBackend::new());
         let mut log = CommitLog::create(arc.clone()).unwrap();
         let mut g = graph_from(&[0, 0], &[]);
@@ -407,16 +399,12 @@ mod tests {
         g.apply_batch(&batch);
         log.append_delta(g.epoch(), &batch).unwrap();
 
-        let mut stale = graph_from(&[0, 0], &[]);
-        stale.restore_epoch(2);
         // The gap is reported at the base checkpoint itself (epoch 10),
         // not the first delta past it — so the error fires even on a
         // freshly-compacted log whose only retained record is the
         // checkpoint.
         assert_eq!(
-            Replayer::new(arc)
-                .catch_up(&mut stale, |_, _| {})
-                .unwrap_err(),
+            Replayer::new(arc).catch_up(2, |_| {}).unwrap_err(),
             LogError::EpochGap {
                 expected: 3,
                 found: 10

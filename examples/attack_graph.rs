@@ -72,7 +72,7 @@ fn main() -> Result<(), EngineError> {
 
     let (program, exec, goal) = attack_program();
     let mut engine = Engine::new(g);
-    let rules = engine.register(IncRules::new(engine.graph(), program))?;
+    let rules = engine.register("rules", IncRules::init(program))?;
     println!(
         "initial compromise: {} hosts executable, goal reached: {}",
         engine.view(&rules)?.facts_of(exec).len(),

@@ -41,12 +41,12 @@ fn main() -> Result<(), EngineError> {
     let backend: Arc<dyn LogBackend> =
         Arc::new(FileBackend::new(&log_dir).expect("create log directory"));
 
-    // 1. A logged engine with two eager views.
+    // 1. A logged engine with two views.
     let g = uniform_graph(400, 1600, 3, 2017);
     let mut engine = Engine::new(g).with_log(backend.clone())?;
     engine.set_checkpoint_every(4);
-    let rpq = engine.register(IncRpq::new(engine.graph(), &rpq_query()))?;
-    engine.register(IncScc::new(engine.graph()))?;
+    let rpq = engine.register("rpq", IncRpq::init(rpq_query()))?;
+    engine.register("scc", IncScc::init())?;
     println!(
         "engine up: |V| = {}, |E| = {}, journal at {}",
         engine.graph().node_count(),
@@ -99,9 +99,9 @@ fn main() -> Result<(), EngineError> {
         pre_crash_epoch,
         "recovered at the crash epoch"
     );
-    let rpq = engine.register_lazy("rpq", IncRpq::init(rpq_query()))?;
-    engine.register_lazy("scc", IncScc::init())?;
-    engine.register_lazy("kws", IncKws::init(kws_query()))?;
+    let rpq = engine.register("rpq", IncRpq::init(rpq_query()))?;
+    engine.register("scc", IncScc::init())?;
+    engine.register("kws", IncKws::init(kws_query()))?;
     assert_eq!(
         engine.view(&rpq)?.sorted_answer(),
         pre_crash_rpq,

@@ -41,13 +41,13 @@ fn main() -> Result<(), EngineError> {
     let backend: Arc<dyn LogBackend> =
         Arc::new(FileBackend::new(&log_dir).expect("create log directory"));
 
-    // 1. A logged engine with two eager views, handed to the front door.
+    // 1. A logged engine with two views, handed to the front door.
     let g = uniform_graph(400, 1600, 3, 2017);
     let mut engine = Engine::new(g).with_log(backend.clone())?;
     engine.set_checkpoint_every(32);
     engine.set_commit_mode(CommitMode::Parallel { threads: 0 });
-    engine.register(IncRpq::new(engine.graph(), &rpq_query()))?;
-    engine.register(IncScc::new(engine.graph()))?;
+    engine.register("rpq", IncRpq::init(rpq_query()))?;
+    engine.register("scc", IncScc::init())?;
     let seed_graph = engine.graph().clone();
     println!(
         "engine up: |V| = {}, |E| = {}, journal at {}",

@@ -71,34 +71,34 @@ fn main() -> Result<(), EngineError> {
     // Tenant "alice": a reachability-style RPQ. Registration hands back a
     // *typed* handle — snapshot reads below need no downcasting.
     let q_alice = Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap();
-    let alice = engine.register_labeled("rpq:alice", IncRpq::new(engine.graph(), &q_alice))?;
+    let alice = engine.register("rpq:alice", IncRpq::init(q_alice))?;
 
     // Tenant "bob": a different RPQ over the same graph.
     let q_bob = Regex::parse("l1.l0*.l3", &mut it).unwrap();
-    let bob = engine.register_labeled("rpq:bob", IncRpq::new(engine.graph(), &q_bob))?;
+    let bob = engine.register("rpq:bob", IncRpq::init(q_bob))?;
 
     // A shared SCC view (e.g. for cycle-aware ranking downstream).
-    let scc = engine.register(IncScc::new(engine.graph()))?;
+    let scc = engine.register("scc", IncScc::init())?;
 
     // Two KWS tenants with different bounds.
-    let near = engine.register_labeled(
+    let near = engine.register(
         "kws:near",
-        IncKws::new(engine.graph(), KwsQuery::new(vec![Label(1), Label(2)], 1)),
+        IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 1)),
     )?;
-    engine.register_labeled(
+    engine.register(
         "kws:far",
-        IncKws::new(engine.graph(), KwsQuery::new(vec![Label(1), Label(3)], 3)),
+        IncKws::init(KwsQuery::new(vec![Label(1), Label(3)], 3)),
     )?;
 
     // A motif-watch ISO view, and the buggy tenant that will blow up later.
-    let iso = engine.register(IncIso::new(
-        engine.graph(),
-        Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]),
-    ))?;
-    engine.register(FlakyTenant { applies: 0 })?;
+    let iso = engine.register(
+        "iso",
+        IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
+    )?;
+    engine.register("flaky", |_| FlakyTenant { applies: 0 })?;
 
     // Duplicate labels are an error, not a panic — the engine shrugs it off.
-    let dup = engine.register_labeled("rpq:alice", IncScc::new(engine.graph()));
+    let dup = engine.register("rpq:alice", IncScc::init());
     println!("re-registering rpq:alice: {}", dup.unwrap_err());
     println!(
         "registered views: {:?}\n",
@@ -127,7 +127,7 @@ fn main() -> Result<(), EngineError> {
         // *lazily* — its initial state is built from the engine's current
         // graph, then maintained incrementally like the rest.
         if round == 6 {
-            let farther = engine.register_lazy(
+            let farther = engine.register(
                 "kws:farther",
                 IncKws::init(KwsQuery::new(vec![Label(1), Label(3)], 2)),
             )?;
@@ -222,7 +222,7 @@ fn main() -> Result<(), EngineError> {
 
             let wreck = engine.find("flaky").expect("quarantined but still live");
             engine.deregister(wreck)?;
-            engine.register_lazy("flaky:v2", IncScc::init())?;
+            engine.register("flaky:v2", IncScc::init())?;
             engine.verify_all()?;
             println!("[lifecycle] replaced it lazily (\"flaky:v2\"); audit ✓");
         }

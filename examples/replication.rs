@@ -32,12 +32,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> Result<(), EngineError> {
-    // 1. A logged leader with one eager SCC view.
+    // 1. A logged leader with one SCC view.
     let backend = MemBackend::new();
     let g = uniform_graph(400, 1600, 3, 2017);
     let mut leader = Engine::new(g).with_log(Arc::new(backend.clone()) as Arc<dyn LogBackend>)?;
     leader.set_checkpoint_every(4);
-    let leader_scc = leader.register(IncScc::new(leader.graph()))?;
+    let leader_scc = leader.register("scc", IncScc::init())?;
     println!(
         "leader up: |V| = {}, |E| = {}, epoch {}",
         leader.graph().node_count(),

@@ -70,16 +70,16 @@ fn main() -> Result<(), EngineError> {
         it.intern(&format!("l{i}"));
     }
     let q = Regex::parse("l0.(l1+l2)*.l3", &mut it).unwrap();
-    let rpq = engine.register(IncRpq::new(engine.graph(), &q))?;
-    let scc = engine.register(IncScc::new(engine.graph()))?;
-    let kws = engine.register_labeled(
+    let rpq = engine.register("rpq", IncRpq::init(q))?;
+    let scc = engine.register("scc", IncScc::init())?;
+    let kws = engine.register(
         "kws",
-        IncKws::new(engine.graph(), KwsQuery::new(vec![Label(1), Label(2)], 2)),
+        IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
     )?;
-    engine.register(IncIso::new(
-        engine.graph(),
-        Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)]),
-    ))?;
+    engine.register(
+        "iso",
+        IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
+    )?;
 
     // A long-lived pin at the pre-churn epoch: whatever the writer does,
     // this handle keeps serving the world exactly as it was.

@@ -76,8 +76,8 @@
 //!
 //! let mut engine = Engine::new(g);
 //! let q = Regex::parse("person.person", &mut interner).unwrap();
-//! let rpq = engine.register(IncRpq::new(engine.graph(), &q))?;
-//! let scc = engine.register(IncScc::new(engine.graph()))?;
+//! let rpq = engine.register("rpq", IncRpq::init(q.clone()))?;
+//! let scc = engine.register("scc", IncScc::init())?;
 //!
 //! // An arbitrary (even denormalized) batch: one commit updates the graph
 //! // and every view, and reports what it cost.
@@ -91,7 +91,7 @@
 //!
 //! // A view can join mid-stream: its initial state is built from the
 //! // engine's *current* graph, then maintained incrementally like the rest.
-//! let late = engine.register_lazy("rpq:late", IncRpq::init(q.clone()))?;
+//! let late = engine.register("rpq:late", IncRpq::init(q.clone()))?;
 //! assert!(engine.view(&late)?.contains_pair(v1, v0));
 //! engine.verify_all()?;
 //!
@@ -118,7 +118,7 @@ pub use igc_scc as scc;
 /// The one view trait is here: [`IncView`](igc_core::IncView) carries
 /// `name`, `apply`, `work`, `clone_view` and `verify_against_batch`, and a
 /// custom view implements those five in one `impl`. Registering the
-/// built-in views needs no import: `register_lazy` accepts plain
+/// built-in views needs no import: `Engine::register` accepts plain
 /// `FnOnce(&DynamicGraph) -> V` closures and the `Inc*::init` constructors
 /// directly.
 pub mod prelude {

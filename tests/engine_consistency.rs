@@ -141,7 +141,8 @@ enum Action {
     /// A pinned (`Engine::replica`) or unpinned (`Replica::attach`) follower.
     Attach(bool),
     CatchUp(usize),
-    /// Pin the head, or `Some(k)`: a held epoch, with `snapshot_at`.
+    /// Pin the head, or `Some(k)`: a held epoch, with `snapshot_at`; for
+    /// `k % 4 == 3` while a follower lives, a follower's frontier.
     Pin(Option<usize>),
     Unpin(usize),
     Durability(Barrier),
@@ -173,7 +174,7 @@ const MIX: [(&str, u32); 15] = [
 /// What the seeds must exercise beside each action kind: each surface
 /// check, and the events the action kinds exist for.
 const EVENTS: &str = "engine_check follower_check pin_check parallel_tick quarantine torn_tick \
-    retried_append stored_torn_append compaction_drop reattach snapshot_at";
+    retried_append stored_torn_append compaction_drop reattach snapshot_at follower_pin";
 /// What the fault kinds exist for: a degraded engine, refused and granted
 /// heals, sync debt, absorbed and surfaced read faults, and faults under
 /// each durability mode.
@@ -331,7 +332,7 @@ trait Host {
 
 impl Host for Engine {
     fn add<V: IncView>(&mut self, label: &str, init: impl FnOnce(&DynamicGraph) -> V) {
-        self.register_lazy(label, init).expect("register");
+        self.register(label, init).expect("register");
     }
 }
 
@@ -394,8 +395,9 @@ struct Model {
     /// Per epoch of the version store: its last publication and roster.
     published: BTreeMap<u64, (u64, Roster)>,
     publications: u64,
-    /// The live pins, with their roster and publication.
-    pins: Vec<(Snapshot, Roster, u64)>,
+    /// The live pins, with their roster and their publication on the
+    /// engine (`None`: a follower's).
+    pins: Vec<(Snapshot, Roster, Option<u64>)>,
 }
 
 impl Model {
@@ -434,8 +436,8 @@ impl Model {
 
     /// The epochs whose last publication a pin holds: what a commit keeps.
     fn held(&self) -> Vec<u64> {
-        let last = |p: &&(Snapshot, Roster, u64)| {
-            self.published.get(&p.0.epoch()).is_some_and(|q| q.0 == p.2)
+        let last = |p: &&(Snapshot, Roster, Option<u64>)| {
+            p.2.is_some() && p.2 == self.published.get(&p.0.epoch()).map(|q| q.0)
         };
         let mut held: Vec<u64> = self.pins.iter().filter(last).map(|p| p.0.epoch()).collect();
         held.sort_unstable();
@@ -826,6 +828,18 @@ impl Sim {
     }
 
     fn pin(&mut self, at: Option<usize>) {
+        // A follower's version, held across its later catch-ups,
+        // reattaches, crashes and compactions.
+        let follower = at.filter(|k| k % 4 == 3).map(|k| k / 4);
+        if let Some(i) = follower.and_then(|i| i.checked_rem(self.followers.len())) {
+            let r = &self.followers[i];
+            let snap = r
+                .snapshot_at(r.frontier())
+                .expect("a follower's frontier pins");
+            self.model.check("new follower pin", &snap, &core_roster());
+            self.model.pins.push((snap, core_roster(), None));
+            return bump(&mut self.stats, "follower_pin");
+        }
         let snap = match at {
             None => self.engine.snapshot().expect("snapshot"),
             Some(k) => {
@@ -839,7 +853,7 @@ impl Sim {
         };
         let (publication, roster) = self.model.published[&snap.epoch()].clone();
         self.model.check("new pin", &snap, &roster);
-        self.model.pins.push((snap, roster, publication));
+        self.model.pins.push((snap, roster, Some(publication)));
     }
 
     /// Every surface against the model: the engine, each follower, each pin.
@@ -882,7 +896,8 @@ impl Sim {
         assert!(oldest == 0 || matches!(gone, Err(EpochRetired { .. })));
 
         for r in &self.followers {
-            m.check("follower", &r.snapshot(), &core_roster());
+            let published = r.snapshot().expect("a follower's head");
+            m.check("follower", &published, &core_roster());
             bump(&mut self.stats, "follower_check");
         }
         for pin in std::mem::take(&mut m.pins) {

@@ -22,17 +22,17 @@ fn pinned_versions_retain_answers_not_auxiliary_state() -> Result<(), EngineErro
         vec![Atom::pred(exec, &[v(0)]), Atom::edge(v(0), v(1))],
     )
     .unwrap();
-    let rpq = engine.register_lazy("rpq", IncRpq::init(query))?;
-    engine.register_lazy("scc", IncScc::init())?;
-    engine.register_lazy(
+    let rpq = engine.register("rpq", IncRpq::init(query))?;
+    engine.register("scc", IncScc::init())?;
+    engine.register(
         "kws",
         IncKws::init(KwsQuery::new(vec![Label(1), Label(2)], 2)),
     )?;
-    engine.register_lazy(
+    engine.register(
         "iso",
         IncIso::init(Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])),
     )?;
-    engine.register_lazy("rules", IncRules::init(rs.compile().unwrap()))?;
+    engine.register("rules", IncRules::init(rs.compile().unwrap()))?;
 
     let long_pin = engine.snapshot()?;
     let long_answer = long_pin.view(&rpq)?.sorted_answer();
