@@ -256,8 +256,8 @@ impl Engine {
         self.insert(label, view, LifecycleEventKind::Registered)
     }
 
-    /// [`Engine::register`] under its former name, kept only because the
-    /// benchmark calls it.
+    /// The same as [`Engine::register`]; kept only because the benchmark
+    /// calls it.
     pub fn register_lazy<V: IncView, F: FnOnce(&DynamicGraph) -> V>(
         &mut self,
         label: impl Into<Arc<str>>,

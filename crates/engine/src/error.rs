@@ -80,7 +80,7 @@ pub enum EngineError {
         /// The first id past the admissible range at commit time.
         limit: u64,
     },
-    /// A lazy registration's builder panicked (or a background build's
+    /// A registration's builder panicked (or a background build's
     /// worker died); nothing was registered.
     InitPanicked {
         /// The label the view would have been registered under.
