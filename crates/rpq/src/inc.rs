@@ -145,35 +145,22 @@ impl IncRpq {
         self.marks.len()
     }
 
-    /// The `(key, dist)` signature of all markings — equality with a fresh
-    /// batch construction is the auxiliary-structure correctness oracle.
-    /// (`mpre` sets are *not* compared: the incremental algorithm maintains
-    /// them as a sound subset; see `marking` module docs.)
+    /// The sorted `(key, rank)` signature of all markings. Two views that
+    /// applied the same deltas have equal signatures; a fresh construction
+    /// has the same keys ([`IncRpq::marking_keys`]) but may rank lower,
+    /// since an incremental rank is not a distance.
     pub fn marking_signature(&self) -> Vec<(MarkKey, u32)> {
-        self.signature_and_flagged().0
+        let mut v: Vec<(MarkKey, u32)> = self.marks.iter().map(|(k, e)| (k, e.dist)).collect();
+        v.sort_unstable();
+        v
     }
 
-    /// One pass over the markings: their signature, and how many still
-    /// carry the `affected` flag (none may, outside an `apply`).
-    fn signature_and_flagged(&self) -> (Vec<(MarkKey, u32)>, usize) {
-        let mut v: Vec<(MarkKey, u32)> = Vec::with_capacity(self.marks.len());
-        let mut flagged = 0;
-        for n in 0..self.marks.node_count() {
-            let node = NodeId::from_index(n);
-            for (u, s, e) in self.marks.at_node(node) {
-                v.push((
-                    MarkKey {
-                        source: u,
-                        node,
-                        state: s,
-                    },
-                    e.dist,
-                ));
-                flagged += usize::from(e.affected);
-            }
-        }
+    /// The sorted marking keys: the product configurations reached, equal
+    /// to a fresh construction's after every `apply`.
+    pub fn marking_keys(&self) -> Vec<MarkKey> {
+        let mut v: Vec<MarkKey> = self.marks.iter().map(|(k, _)| k).collect();
         v.sort_unstable();
-        (v, flagged)
+        v
     }
 
     /// True for a view with no markings to maintain: a copy made by
@@ -217,7 +204,7 @@ impl IncRpq {
                 state: s,
             };
             if self.marks.get(key).is_none() {
-                self.create_mark(key, 0, Vec::new());
+                self.create_mark(key, MarkEntry::new(0, Vec::new()));
                 queue.push_back((u, s));
             }
         }
@@ -239,7 +226,7 @@ impl IncRpq {
                     };
                     match self.marks.get_mut(key) {
                         None => {
-                            self.create_mark(key, d + 1, vec![(x, s)]);
+                            self.create_mark(key, MarkEntry::new(d + 1, vec![(x, s)]));
                             queue.push_back((y, t));
                         }
                         Some(e) if e.dist == d + 1 => {
@@ -260,9 +247,9 @@ impl IncRpq {
 
     /// Create a marking, maintaining the accepting-state counters and the
     /// answer set.
-    fn create_mark(&mut self, key: MarkKey, dist: u32, mpre: Vec<(NodeId, StateId)>) {
+    fn create_mark(&mut self, key: MarkKey, entry: MarkEntry) {
         debug_assert!(self.marks.get(key).is_none());
-        self.marks.set(key, MarkEntry::new(dist, mpre));
+        self.marks.set(key, entry);
         self.work.aux_touched += 1;
         self.delta.created += 1;
         // A created marking is part of AFF: it is data RPQ_NFA inspects on
@@ -466,36 +453,38 @@ impl IncRpq {
                         node: w,
                         state: t,
                     };
-                    self.relax(key_w, dv + 1, (v, s_prime), &mut sc.queue);
+                    self.relax(key_w, dv + 1, (v, s_prime), sc);
                 }
             }
         }
     }
 
-    /// Offer `key` the distance `cand` through predecessor `pre`.
-    fn relax(
-        &mut self,
-        key: MarkKey,
-        cand: u32,
-        pre: (NodeId, StateId),
-        queue: &mut BucketQueue<MarkKey>,
-    ) {
+    /// Offer `key` the rank `cand` through `pre`, a marking of rank
+    /// `cand − 1`. A marking that was valid before this `apply` keeps its
+    /// rank, and `pre` joins its supports when it ranks below it. A pending
+    /// one — flagged, or created by this `apply` — takes the least rank it
+    /// is offered and is queued to settle at it.
+    fn relax(&mut self, key: MarkKey, cand: u32, pre: (NodeId, StateId), sc: &mut RpqScratch) {
         match self.marks.get_mut(key) {
             None => {
-                self.create_mark(key, cand, vec![pre]);
-                queue.push(cand, key);
+                let entry = MarkEntry {
+                    affected: true,
+                    ..MarkEntry::new(cand, vec![pre])
+                };
+                self.create_mark(key, entry);
+                sc.affected.push(key);
+                sc.queue.push(cand, key);
                 self.work.queue_ops += 1;
             }
-            Some(e) if cand < e.dist => {
+            Some(e) if e.affected && cand < e.dist => {
                 e.dist = cand;
                 e.mpre.clear();
                 e.mpre.push(pre);
                 self.work.aux_touched += 1;
-                self.metrics.affected += 1;
-                queue.push(cand, key);
+                sc.queue.push(cand, key);
                 self.work.queue_ops += 1;
             }
-            Some(e) if cand == e.dist => {
+            Some(e) if cand <= e.dist => {
                 if !e.mpre.contains(&pre) {
                     e.mpre.push(pre);
                 }
@@ -524,10 +513,85 @@ impl IncRpq {
                         node: y,
                         state: t,
                     };
-                    self.relax(key_y, d + 1, (key.node, key.state), &mut sc.queue);
+                    self.relax(key_y, d + 1, (key.node, key.state), sc);
                 }
             }
         }
+    }
+}
+
+impl IncRpq {
+    /// Hold one marking of rank `r` to its promise: a non-seed has a
+    /// support; each support is a marking of rank `< r` that δ steps from
+    /// over an edge of `g`; every such marking is listed, and none twice.
+    /// `sorted` is a reused buffer for the sorted supports.
+    fn audit_supports(
+        &self,
+        g: &DynamicGraph,
+        key: MarkKey,
+        e: &MarkEntry,
+        sorted: &mut Vec<(NodeId, StateId)>,
+    ) -> Result<(), String> {
+        let lv = g.label(key.node);
+        let seed = key.node == key.source && self.nfa.start_states(lv).contains(&key.state);
+        if e.mpre.is_empty() && !seed {
+            return Err(format!("rpq: marking {key:?} has no support"));
+        }
+        sorted.clear();
+        sorted.extend_from_slice(&e.mpre);
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(format!("rpq: marking {key:?} lists a support twice"));
+        }
+        for &(p, s_prime) in &e.mpre {
+            let support = MarkKey {
+                source: key.source,
+                node: p,
+                state: s_prime,
+            };
+            let Some(se) = self.marks.get(support) else {
+                return Err(format!("rpq: support {support:?} of {key:?} is not marked"));
+            };
+            if !self.nfa.next(s_prime, lv).contains(&key.state) {
+                return Err(format!(
+                    "rpq: δ does not step from support {support:?} to {key:?}"
+                ));
+            }
+            if se.dist >= e.dist {
+                return Err(format!(
+                    "rpq: support {support:?} of {key:?} has rank {}, not below {}",
+                    se.dist, e.dist
+                ));
+            }
+        }
+        // Every lower-ranked in-neighbour marking must be listed; the ones
+        // found account for the whole list only if none is over an edge
+        // that `g` lacks.
+        let mut found = 0;
+        for &p in g.predecessors(key.node) {
+            for &s_prime in self.nfa.prev(key.state, lv) {
+                let support = MarkKey {
+                    source: key.source,
+                    node: p,
+                    state: s_prime,
+                };
+                if self.marks.get(support).is_none_or(|se| se.dist >= e.dist) {
+                    continue;
+                }
+                if sorted.binary_search(&(p, s_prime)).is_err() {
+                    return Err(format!(
+                        "rpq: lower-ranked support {support:?} of {key:?} is missing"
+                    ));
+                }
+                found += 1;
+            }
+        }
+        if found != sorted.len() {
+            return Err(format!(
+                "rpq: a support of {key:?} is over an edge not in the graph"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -571,8 +635,7 @@ impl IncView for IncRpq {
                         node: u,
                         state: s,
                     },
-                    0,
-                    Vec::new(),
+                    MarkEntry::new(0, Vec::new()),
                 );
             }
         }
@@ -619,10 +682,11 @@ impl IncView for IncRpq {
     }
 
     /// Audit both layers of maintained state: the answer against a
-    /// marking-free batch `RPQ_NFA` evaluation, and the auxiliary markings
-    /// against a fresh instrumented construction — with no `affected` flag
-    /// left behind by the last `apply` (skipped on a copy made by
-    /// `clone_view`, which has no markings to audit).
+    /// marking-free batch `RPQ_NFA` evaluation; then, in one pass over the
+    /// markings, their key set against a fresh instrumented construction,
+    /// no `affected` flag left behind by the last `apply`, and every
+    /// marking's supports against the promise of [`crate::marking`] (skipped
+    /// on a copy made by `clone_view`, which has no markings to audit).
     fn verify_against_batch(&self, g: &DynamicGraph) -> Result<(), String> {
         let mut w = WorkStats::new();
         let fresh_answer = batch::evaluate(g, &self.nfa, &mut w);
@@ -637,17 +701,25 @@ impl IncView for IncRpq {
             return Ok(());
         }
         let fresh = IncRpq::build(g, Arc::clone(&self.nfa));
-        let (signature, flagged) = self.signature_and_flagged();
-        if signature != fresh.marking_signature() {
+        let mut sorted = Vec::new();
+        for (key, e) in self.marks.iter() {
+            if fresh.marks.get(key).is_none() {
+                return Err(format!(
+                    "rpq: marking {key:?} is not in a fresh construction"
+                ));
+            }
+            if e.affected {
+                return Err(format!(
+                    "rpq: marking {key:?} left flagged affected after apply"
+                ));
+            }
+            self.audit_supports(g, key, e, &mut sorted)?;
+        }
+        if self.mark_count() != fresh.mark_count() {
             return Err(format!(
                 "rpq: markings ({}) diverged from a fresh construction ({})",
                 self.mark_count(),
                 fresh.mark_count()
-            ));
-        }
-        if flagged != 0 {
-            return Err(format!(
-                "rpq: {flagged} markings left flagged affected after apply"
             ));
         }
         Ok(())
@@ -669,9 +741,10 @@ mod tests {
         (g, inc, q)
     }
 
-    /// Oracle: answer equals a marking-free batch run; markings equal a
-    /// fresh instrumented construction; the view's own audit agrees (it
-    /// also rejects an `affected` flag left behind).
+    /// Oracle: answer equals a marking-free batch run; the marking keys
+    /// equal a fresh instrumented construction's; the view's own audit
+    /// agrees (it also holds every marking's rank and supports to their
+    /// promise and rejects an `affected` flag left behind).
     fn assert_matches_batch(inc: &IncRpq, g: &DynamicGraph) {
         igc_core::IncView::verify_against_batch(inc, g).unwrap();
         let mut w = WorkStats::new();
@@ -683,9 +756,9 @@ mod tests {
         );
         let fresh = IncRpq::with_nfa(g, inc.nfa().clone());
         assert_eq!(
-            inc.marking_signature(),
-            fresh.marking_signature(),
-            "markings diverged from a fresh construction"
+            inc.marking_keys(),
+            fresh.marking_keys(),
+            "marking keys diverged from a fresh construction"
         );
     }
 

@@ -149,6 +149,23 @@ impl Markings {
             .map(|(&(u, s), e)| (u, s, e))
     }
 
+    /// Iterate every marking, node by node.
+    pub fn iter(&self) -> impl Iterator<Item = (MarkKey, &MarkEntry)> + '_ {
+        self.per_node.iter().enumerate().flat_map(|(n, m)| {
+            let node = NodeId::from_index(n);
+            m.iter().map(move |(&(source, state), e)| {
+                (
+                    MarkKey {
+                        source,
+                        node,
+                        state,
+                    },
+                    e,
+                )
+            })
+        })
+    }
+
     /// True when `v` carries no markings — the hot-path guard for updates
     /// touching unmarked regions.
     #[inline]

@@ -52,9 +52,12 @@ fn main() {
         );
     }
 
-    // Verify against a fresh batch run.
+    // Verify against a fresh batch run: the same answer and the same
+    // marked configurations, and every marking's rank and supports keep
+    // their promise (the view's own audit).
     let fresh = IncRpq::new(&g, &q);
     assert_eq!(rpq.sorted_answer(), fresh.sorted_answer());
-    assert_eq!(rpq.marking_signature(), fresh.marking_signature());
+    assert_eq!(rpq.marking_keys(), fresh.marking_keys());
+    rpq.verify_against_batch(&g).unwrap();
     println!("final answer and auxiliary markings verified against batch ✓");
 }

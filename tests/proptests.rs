@@ -113,9 +113,11 @@ fn rpq_incremental_equals_batch() {
         let mut w = WorkStats::new();
         let fresh = rpq_batch::evaluate(&g, &build_nfa(&q), &mut w);
         assert_eq!(inc.sorted_answer(), rpq_batch::sorted_answer(&fresh));
-        // auxiliary structure equals a fresh construction
+        // the marked configurations equal a fresh construction's, and
+        // every rank and support list keeps its promise
         let rebuilt = IncRpq::new(&g, &q);
-        assert_eq!(inc.marking_signature(), rebuilt.marking_signature());
+        assert_eq!(inc.marking_keys(), rebuilt.marking_keys());
+        inc.verify_against_batch(&g).unwrap();
     });
 }
 
