@@ -5,24 +5,37 @@
 //! with accepting states. A batch update is processed in the same shape as
 //! the batch `IncKWS`:
 //!
-//! 1. **identAff** — walk `mpre` chains forward from deleted product edges
-//!    to find the affected markings,
-//! 2. **potentials** — recompute each affected marking's tentative distance
-//!    from its unaffected predecessors (via the NFA's inverse transitions),
-//! 3. **insertion seeding** — each inserted edge proposes improved or new
-//!    markings from unaffected source markings,
-//! 4. **settle** — one shared queue fixes exact distances in
-//!    monotonically increasing order (each affected entry is decided at
-//!    most once), guided by the NFA. Every product edge weighs 1, so the
-//!    queue is an [`igc_core::BucketQueue`]: a bucket queue, heap order —
-//!    it pops the `(dist, key)` sequence a binary heap would;
-//! 5. affected markings that never settle are removed, updating `Q(G)`.
+//! 1. **identAff** — take deleted product edges out of the supports
+//!    (`mpre`) of the markings they led to; a marking left with none has no
+//!    lower-ranked support, so it is flagged, and it leaves the supports of
+//!    the markings it leads to in turn,
+//! 2. **potentials** — give each flagged marking the least rank its
+//!    unflagged in-neighbour markings offer (via the NFA's inverse
+//!    transitions), with every one that offers it as `mpre`,
+//! 3. **insertion seeding** — each inserted edge offers rank + 1 from the
+//!    unflagged markings at its tail: a missing marking is created
+//!    pending, a pending one takes a lower offer, and a valid one of
+//!    higher rank takes the tail marking as one more support,
+//! 4. **settle** — one shared queue settles the pending markings (flagged
+//!    or created by this `apply`) in increasing rank, each at most once,
+//!    relaxing their product successors alike. A marking that was valid
+//!    before the `apply` is never lowered or re-queued, however close an
+//!    insertion brings it: only reachability decides the answer. Every
+//!    product edge weighs 1, so the queue is an [`igc_core::BucketQueue`]:
+//!    a bucket queue, heap order — it pops the `(rank, key)` sequence a
+//!    binary heap would;
+//! 5. flagged markings that never settle are removed, updating `Q(G)`.
 //!
 //! Every phase touches a marking once per product edge: δ and δ⁻¹ are the
 //! NFA's dense tables ([`Nfa::next`] / [`Nfa::prev`], iterated in place),
-//! and "is it affected?" is a flag on the entry the phase fetches anyway
-//! ([`MarkEntry::affected`]) — phase 1 sets it, phase 5 clears it on the
-//! survivors, so no marking carries it out of an `apply`.
+//! and "is it pending?" is a flag on the entry the phase fetches anyway
+//! ([`MarkEntry::affected`]) — phases 1 and 3–4 set it, phase 5 clears it
+//! on the survivors, so no marking carries it out of an `apply`.
+//!
+//! **|AFF|** ([`IncRpq::last_metrics`]'s `affected`) is the number of
+//! markings an `apply` flags plus the number it creates, a new node's seeds
+//! included. A marking that only gains or loses supports is not counted:
+//! it keeps its key and its rank.
 
 use crate::batch;
 use crate::marking::{MarkEntry, MarkKey, Markings, RpqDelta, INF_DIST};
@@ -170,7 +183,8 @@ impl IncRpq {
         self.marks.node_count() == 0
     }
 
-    /// Change metrics of the last `apply`.
+    /// Change metrics of the last `apply`; `affected` is |AFF| as the
+    /// module docs define it.
     pub fn last_metrics(&self) -> ChangeMetrics {
         self.metrics
     }
@@ -204,7 +218,7 @@ impl IncRpq {
                 state: s,
             };
             if self.marks.get(key).is_none() {
-                self.create_mark(key, MarkEntry::new(0, Vec::new()));
+                self.create_mark(key, 0, Vec::new());
                 queue.push_back((u, s));
             }
         }
@@ -226,7 +240,7 @@ impl IncRpq {
                     };
                     match self.marks.get_mut(key) {
                         None => {
-                            self.create_mark(key, MarkEntry::new(d + 1, vec![(x, s)]));
+                            self.create_mark(key, d + 1, vec![(x, s)]);
                             queue.push_back((y, t));
                         }
                         Some(e) if e.dist == d + 1 => {
@@ -245,9 +259,14 @@ impl IncRpq {
     // Answer bookkeeping
     // ------------------------------------------------------------------
 
-    /// Create a marking, maintaining the accepting-state counters and the
-    /// answer set.
-    fn create_mark(&mut self, key: MarkKey, entry: MarkEntry) {
+    /// Create an unaffected marking; see [`IncRpq::insert_mark`].
+    fn create_mark(&mut self, key: MarkKey, dist: u32, mpre: Vec<(NodeId, StateId)>) {
+        self.insert_mark(key, MarkEntry::new(dist, mpre));
+    }
+
+    /// Insert a new marking, maintaining the accepting-state counters and
+    /// the answer set.
+    fn insert_mark(&mut self, key: MarkKey, entry: MarkEntry) {
         debug_assert!(self.marks.get(key).is_none());
         self.marks.set(key, entry);
         self.work.aux_touched += 1;
@@ -289,8 +308,8 @@ impl IncRpq {
     // Incremental phases
     // ------------------------------------------------------------------
 
-    /// Take `pre` out of `key`'s shortest predecessors. A marking left with
-    /// none is affected — flagged, recorded in flag order, pushed on the
+    /// Take `pre` out of `key`'s supports. A marking left with none is
+    /// affected — flagged, recorded in flag order, pushed on the
     /// cascade stack — unless it is a seed `(u, u, s)`, `s` a start state of
     /// `l(u)`, which exists independently of any edge.
     fn unlink(
@@ -315,8 +334,8 @@ impl IncRpq {
         }
     }
 
-    /// Phase 1 — identAff: remove deleted/invalidated predecessors from
-    /// `mpre` sets; entries whose `mpre` empties are affected, and the
+    /// Phase 1 — identAff: remove deleted/invalidated supports from `mpre`
+    /// sets; entries whose `mpre` empties are affected, and the
     /// invalidation cascades along the product graph. Fills
     /// `scratch.affected` (flag order) and flags each entry.
     fn ident_aff(
@@ -372,9 +391,11 @@ impl IncRpq {
         }
     }
 
-    /// Phase 2 — tentative distances for affected markings from their
-    /// unaffected predecessors (scanning in-neighbours through the inverse
-    /// transition table; see module docs for the `cpre` deviation).
+    /// Phase 2 — tentative ranks for affected markings from their
+    /// unaffected in-neighbour markings (scanning in-neighbours through the
+    /// inverse transition table; see the `marking` module docs for the
+    /// `cpre` deviation). Every unaffected one that offers the least rank
+    /// becomes a support; none offers less.
     fn compute_potentials(&mut self, g: &DynamicGraph, nfa: &Nfa, sc: &mut RpqScratch) {
         for ai in 0..sc.affected.len() {
             let key = sc.affected[ai];
@@ -439,9 +460,8 @@ impl IncRpq {
                     node: v,
                     state: s_prime,
                 };
-                // Read now, not with the keys: an earlier insertion of this
-                // batch (a self-loop at `v` is one) may have brought it
-                // closer. An affected one is covered when it settles.
+                // An affected one, flagged or created by this batch, is
+                // covered when it settles.
                 let dv = match self.marks.get(key_v) {
                     Some(e) if !e.affected => e.dist,
                     _ => continue,
@@ -471,7 +491,7 @@ impl IncRpq {
                     affected: true,
                     ..MarkEntry::new(cand, vec![pre])
                 };
-                self.create_mark(key, entry);
+                self.insert_mark(key, entry);
                 sc.affected.push(key);
                 sc.queue.push(cand, key);
                 self.work.queue_ops += 1;
@@ -493,9 +513,9 @@ impl IncRpq {
         }
     }
 
-    /// Phase 4 — settle exact distances smallest-first, relaxing product
-    /// successors through the (post-update) graph. Bucket queue, heap
-    /// order: equal distances pop by key, and each `mpre` list fills in
+    /// Phase 4 — settle pending markings smallest rank first, relaxing
+    /// product successors through the (post-update) graph. Bucket queue,
+    /// heap order: equal ranks pop by key, and each `mpre` list fills in
     /// that order.
     fn settle(&mut self, g: &DynamicGraph, nfa: &Nfa, sc: &mut RpqScratch) {
         while let Some((d, key)) = sc.queue.pop() {
@@ -635,7 +655,8 @@ impl IncView for IncRpq {
                         node: u,
                         state: s,
                     },
-                    MarkEntry::new(0, Vec::new()),
+                    0,
+                    Vec::new(),
                 );
             }
         }
@@ -963,6 +984,140 @@ mod tests {
             .affected = true;
         let err = igc_core::IncView::verify_against_batch(&inc, &g).unwrap_err();
         assert!(err.contains("flagged affected"), "{err}");
+    }
+
+    /// The one marking of `source` at `node`.
+    fn only_mark(inc: &IncRpq, source: u32, node: u32) -> MarkKey {
+        let mut at = inc
+            .marks
+            .at_node(NodeId(node))
+            .filter(|&(u, _, _)| u == NodeId(source));
+        let (_, state, _) = at.next().expect("marked");
+        assert!(at.next().is_none(), "one marking of {source} at {node}");
+        MarkKey {
+            source: NodeId(source),
+            node: NodeId(node),
+            state,
+        }
+    }
+
+    /// The diamond `a(0) → b(1), b(2) → c(3)` under `a.b.c`: the marking
+    /// of source 0 at node 3 has rank 2 and the two supports at 1 and 2,
+    /// both of rank 1. The audit passes before `corrupt` runs and must
+    /// fail after, with `expected` in its message.
+    fn audit_rejects(corrupt: impl FnOnce(&mut DynamicGraph, &mut IncRpq), expected: &str) {
+        let (mut g, mut inc, _) = setup(
+            "a.b.c",
+            &["a", "b", "b", "c"],
+            &[(0, 1), (0, 2), (1, 3), (2, 3)],
+        );
+        assert_matches_batch(&inc, &g);
+        let top = only_mark(&inc, 0, 3);
+        let e = inc.marks.get(top).unwrap();
+        assert_eq!((e.dist, e.mpre.len()), (2, 2));
+        corrupt(&mut g, &mut inc);
+        let err = igc_core::IncView::verify_against_batch(&inc, &g).unwrap_err();
+        assert!(err.contains(expected), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_rank_not_above_its_supports() {
+        audit_rejects(
+            |_, inc| {
+                let top = only_mark(inc, 0, 3);
+                inc.marks.get_mut(top).unwrap().dist = 1;
+            },
+            "not below",
+        );
+    }
+
+    /// The edge `1 → 3` goes from the graph but not from the markings: the
+    /// key set and the answer still match, only the support list is stale.
+    #[test]
+    fn audit_rejects_a_support_over_a_deleted_edge() {
+        audit_rejects(
+            |g, _| {
+                g.delete_edge(NodeId(1), NodeId(3));
+            },
+            "over an edge not in the graph",
+        );
+    }
+
+    #[test]
+    fn audit_rejects_a_missing_lower_ranked_support() {
+        audit_rejects(
+            |_, inc| {
+                let top = only_mark(inc, 0, 3);
+                inc.marks.get_mut(top).unwrap().mpre.pop();
+            },
+            "is missing",
+        );
+    }
+
+    /// Node 1 (labelled `b`) is no source of `a.b.c`, so a fresh build
+    /// marks nothing for it.
+    #[test]
+    fn audit_rejects_a_marking_the_fresh_build_lacks() {
+        audit_rejects(
+            |_, inc| {
+                let top = only_mark(inc, 0, 3);
+                let stray = MarkKey {
+                    source: NodeId(1),
+                    ..top
+                };
+                inc.marks
+                    .set(stray, MarkEntry::new(1, vec![(NodeId(1), 1)]));
+            },
+            "not in a fresh construction",
+        );
+    }
+
+    /// The chain `a(0) → b(1) → b(2) → c(3)` under `a.b*.c`.
+    fn chain() -> (DynamicGraph, IncRpq) {
+        let (g, inc, _) = setup("a.b*.c", &["a", "b", "b", "c"], &[(0, 1), (1, 2), (2, 3)]);
+        (g, inc)
+    }
+
+    /// A shortcut `0 → 2` reaches no configuration that was not reached:
+    /// the marking at node 2 keeps rank 2, gains the source's seed as a
+    /// second support, and nothing is flagged, created, settled or removed.
+    #[test]
+    fn shortcut_to_a_reached_configuration_only_adds_a_support() {
+        let (mut g, mut inc) = chain();
+        let signature = inc.marking_signature();
+        let delta = UpdateBatch::from_updates(vec![Update::insert(NodeId(0), NodeId(2))]);
+        g.apply_batch(&delta);
+        inc.apply(&g, &delta);
+        assert_matches_batch(&inc, &g);
+        assert_eq!(inc.last_delta(), RpqDelta::default());
+        assert_eq!(inc.last_metrics().output_changes, 0);
+        assert_eq!(inc.marking_signature(), signature);
+        let seed = only_mark(&inc, 0, 0);
+        let e = inc.marks.get(only_mark(&inc, 0, 2)).unwrap();
+        assert_eq!(e.dist, 2);
+        assert!(e.mpre.contains(&(seed.node, seed.state)), "{:?}", e.mpre);
+    }
+
+    /// The mirror: once the shortcut is in, the marking at node 2 has two
+    /// lower-ranked supports, and deleting the edge under one of them
+    /// flags nothing.
+    #[test]
+    fn deleting_one_of_two_lower_ranked_supports_flags_nothing() {
+        let (mut g, mut inc) = chain();
+        let shortcut = UpdateBatch::from_updates(vec![Update::insert(NodeId(0), NodeId(2))]);
+        g.apply_batch(&shortcut);
+        inc.apply(&g, &shortcut);
+        let signature = inc.marking_signature();
+        let delta = UpdateBatch::from_updates(vec![Update::delete(NodeId(1), NodeId(2))]);
+        g.apply_batch(&delta);
+        inc.apply(&g, &delta);
+        assert_matches_batch(&inc, &g);
+        assert_eq!(inc.last_delta(), RpqDelta::default());
+        assert_eq!(inc.last_metrics().output_changes, 0);
+        assert_eq!(inc.marking_signature(), signature);
+        let seed = only_mark(&inc, 0, 0);
+        let e = inc.marks.get(only_mark(&inc, 0, 2)).unwrap();
+        assert_eq!(e.mpre, vec![(seed.node, seed.state)]);
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //!
 //! * [`batch`] — `RPQ_NFA`: translate `Q` to a small ε-free NFA, then
 //!   traverse the intersection (product) graph of `G` and `M_Q`,
-//! * [`marking`] — the auxiliary markings `pmarkᵉ` with `dist`/`mpre`,
+//! * [`marking`] — the auxiliary markings `pmarkᵉ`: a well-founded rank
+//!   (`dist`) and every lower-ranked support (`mpre`) per reached
+//!   configuration,
 //! * [`inc`] — [`IncRpq`]: affected-marking identification (`identAff`),
 //!   potential recomputation, insertion seeding, and a shared
-//!   priority-queue settle phase mirroring the structure of `IncKWS`.
+//!   priority-queue settle phase mirroring the structure of `IncKWS`. Only
+//!   markings that lose their last lower-ranked support or are newly
+//!   reached are settled; ranks are never lowered to track distances.
 
 pub mod batch;
 pub mod inc;

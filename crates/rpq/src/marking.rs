@@ -3,30 +3,38 @@
 //! For every source `u`, node `v` and NFA state `s` reached in the product
 //! graph, `v.pmarkᵉ(u)[s]` records:
 //!
-//! * `dist` — the BFS distance from the source configuration of `u` to
-//!   `(v, s)` in the intersection graph, and
-//! * `mpre` — the predecessors `(v′, s′)` on shortest paths.
+//! * `dist` — a well-founded *rank*: 0 at a seed `(u, u, s)`, `s` a start
+//!   state of `l(u)`, and above the rank of some support otherwise. A build
+//!   sets it to the BFS distance from the source configuration of `u` to
+//!   `(v, s)` in the intersection graph; an `apply` keeps it for as long as
+//!   the marking keeps a support, so it may exceed the distance. The answer
+//!   depends only on which markings exist, never on their ranks.
+//! * `mpre` — the supports: *every* marking `(u, p, s′)` with `p → v` in
+//!   `G`, `s ∈ δ(s′, l(v))` and a lower rank, and nothing else. A non-seed
+//!   marking has at least one.
+//!
+//! Following supports, ranks fall strictly down to a seed, so every
+//! marking is reachable; and because `mpre` is complete, an emptied `mpre`
+//! proves that no lower-ranked support is left — `identAff` flags exactly
+//! those markings. `verify_against_batch` holds every marking to this
+//! promise.
 //!
 //! The paper additionally stores `cpre` (all marked predecessors); we
 //! derive candidate predecessors by scanning in-neighbours through the
 //! NFA's inverse transition table instead, which costs a degree factor —
 //! a deliberate deviation that saves the `cpre` sets' memory and upkeep.
-//! `mpre` is maintained as a *subset* of the true shortest-path
-//! predecessors (it may lose entries that are re-validated later); this is
-//! sound because it is used only as a
-//! conservative trigger — an empty `mpre` marks the entry affected, and the
-//! potential recomputation scans all unaffected predecessors regardless.
 //!
 //! An entry also carries IncRPQ's per-`apply` `affected` flag, so that the
-//! lookup which fetches a marking answers "is it affected?" as well — there
-//! is no side set. `identAff` sets it, the last phase of the same `apply`
-//! clears it on every survivor (the rest are removed), and between two
-//! `apply` calls it is false everywhere; `verify_against_batch` checks that.
+//! lookup which fetches a marking answers "is it pending?" as well — there
+//! is no side set. `identAff` sets it, and so does the creation of a
+//! marking inside an `apply`; the last phase of the same `apply` clears it
+//! on every survivor (the rest are removed), and between two `apply` calls
+//! it is false everywhere; `verify_against_batch` checks that.
 
 use igc_graph::{FxHashMap, NodeId};
 use igc_nfa::StateId;
 
-/// "No path" distance.
+/// "No rank": a flagged marking no unflagged marking supports yet.
 pub const INF_DIST: u32 = u32::MAX;
 
 /// Identifies one marking: `(source, node, state)`.
@@ -40,15 +48,18 @@ pub struct MarkKey {
     pub state: StateId,
 }
 
-/// One marking: distance and shortest-path predecessors.
+/// One marking: its rank and all of its lower-ranked supports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarkEntry {
-    /// Shortest product-graph distance from the source configuration.
+    /// The rank: 0 at a seed, above some support's rank otherwise (the BFS
+    /// distance after a build; never lowered while the marking is valid).
     pub dist: u32,
-    /// Known shortest-path predecessors `(node, state)` for the same source.
+    /// Every in-neighbour marking `(node, state)` of the same source that
+    /// ranks lower and steps here by δ.
     pub mpre: Vec<(NodeId, StateId)>,
-    /// Flagged by the `identAff` phase of the `apply` in progress; false
-    /// outside one.
+    /// Pending in the `apply` in progress: flagged by `identAff`, or
+    /// created by this `apply`. A pending marking takes the least rank it
+    /// is offered; a valid one keeps its rank. False outside an `apply`.
     pub affected: bool,
 }
 
@@ -67,11 +78,12 @@ impl MarkEntry {
 /// structure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RpqDelta {
-    /// Markings `identAff` flagged: their last known shortest predecessor
-    /// went with a deleted edge or with another flagged marking.
+    /// Markings `identAff` flagged: their last lower-ranked support went
+    /// with a deleted edge or with another flagged marking.
     pub flagged: u64,
-    /// Markings whose distance the settle queue fixed: flagged ones that
-    /// are still reachable, ones an insertion brought closer, new ones.
+    /// Markings the settle queue ranked: flagged ones that are still
+    /// reachable, and new ones. A marking that stays valid is never
+    /// re-settled, however close an insertion brings it.
     pub resettled: u64,
     /// Markings created (a configuration newly reached).
     pub created: u64,
