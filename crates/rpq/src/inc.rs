@@ -538,9 +538,7 @@ impl IncRpq {
             }
         }
     }
-}
 
-impl IncRpq {
     /// Hold one marking of rank `r` to its promise: a non-seed has a
     /// support; each support is a marking of rank `< r` that δ steps from
     /// over an edge of `g`; every such marking is listed, and none twice.

@@ -162,7 +162,7 @@ impl Markings {
     }
 
     /// Iterate every marking, node by node.
-    pub fn iter(&self) -> impl Iterator<Item = (MarkKey, &MarkEntry)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (MarkKey, &MarkEntry)> + '_ {
         self.per_node.iter().enumerate().flat_map(|(n, m)| {
             let node = NodeId::from_index(n);
             m.iter().map(move |(&(source, state), e)| {
