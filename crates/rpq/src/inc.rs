@@ -76,10 +76,11 @@ pub struct IncRpq {
 #[derive(Debug, Clone, Default)]
 struct RpqScratch {
     /// The settle queue (phase 4; bucket queue, heap order): phases 2 and
-    /// 3 push at any distance, phase 4 only at `d + 1` while it settles `d`.
+    /// 3 push at any rank, phase 4 only at `d + 1` while it settles `d`.
     queue: BucketQueue<MarkKey>,
-    /// Affected markings in flag order (phase 1 output); each has its
-    /// entry's `affected` flag set until phase 5.
+    /// Pending markings: the flagged ones in flag order (phase 1 output),
+    /// then the ones phases 3–4 create; each has its entry's `affected`
+    /// flag set until phase 5.
     affected: Vec<MarkKey>,
     /// identAff cascade stack.
     stack: Vec<MarkKey>,
