@@ -139,8 +139,8 @@ pub struct Engine {
     /// The MVCC snapshot store: epoch-tagged published versions of the
     /// graph + view answers, pinned by [`Snapshot`] handles and served
     /// lock-free to reader threads. Behind an `Arc` so the ingest front
-    /// door can hand out snapshot access while the engine lives on its
-    /// commit-tick thread.
+    /// door can hand out snapshot access while the engine sits behind its
+    /// lock.
     snapshots: Arc<SnapshotStore>,
     /// `Some` while the engine is in degraded read-only mode (journal
     /// retries exhausted, or unsettled sync debt); cleared by
@@ -677,8 +677,8 @@ impl Engine {
 
     /// The engine's snapshot store — a cloneable `Arc` read front door.
     /// The ingest server hands a clone to every [`Ingest`](crate::Ingest)
-    /// handle so readers pin versions without stopping the commit-tick
-    /// thread; benches use it for window accounting
+    /// handle so readers pin versions without taking the engine lock a
+    /// running tick holds; benches use it for window accounting
     /// ([`SnapshotStore::window`], [`SnapshotStore::retained_stats`]).
     pub fn snapshot_store(&self) -> &Arc<SnapshotStore> {
         &self.snapshots

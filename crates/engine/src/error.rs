@@ -143,14 +143,14 @@ pub enum EngineError {
         oldest: u64,
     },
     /// A submission was handed to an [`Ingest`](crate::Ingest) handle whose
-    /// server has already shut down — the commit-tick loop is gone and
-    /// nothing will ever drain the queue. Spawn a fresh
-    /// [`IngestServer`](crate::IngestServer) and resubmit.
+    /// server has already shut down — its queue is closed and the engine
+    /// is gone. Spawn a fresh [`IngestServer`](crate::IngestServer) and
+    /// resubmit.
     IngestClosed,
     /// An awaited [`IngestTicket`](crate::IngestTicket) will never resolve:
-    /// the ingest server dropped the submission without committing it
-    /// (it was still queued when the server shut down, or the server
-    /// thread died). The update batch was **not** applied.
+    /// a commit tick panicked and the ingest server discarded the engine
+    /// with the submission uncommitted. The update batch was **not**
+    /// applied.
     SubmissionDropped,
     /// A journal operation exhausted its
     /// [`RetryPolicy`](igc_log::RetryPolicy) budget on transient I/O
@@ -307,8 +307,8 @@ impl fmt::Display for EngineError {
             ),
             EngineError::SubmissionDropped => write!(
                 f,
-                "ingest submission dropped before commit: the server shut down \
-                 (or died) with the batch still queued; the batch was not applied"
+                "ingest submission dropped before commit: a commit tick panicked \
+                 with the batch still queued or in flight; the batch was not applied"
             ),
             EngineError::RetriesExhausted {
                 operation,

@@ -1,5 +1,6 @@
-//! The async ingest front door: many concurrent submitters, one
-//! commit-tick loop, one coalesced ΔG per tick.
+//! The async ingest front door: many concurrent submitters, one coalesced
+//! ΔG per commit tick, and no thread of its own — the submitter that
+//! waits runs the tick.
 //!
 //! The paper's economics make batching the highest-leverage throughput
 //! win available: incremental maintenance cost scales with the *net*
@@ -10,20 +11,28 @@
 //! bit-identical graph and view answers to committing each submission on
 //! its own (property-tested in `tests/engine_consistency.rs`).
 //!
-//! Shape: [`IngestServer::spawn`] moves the [`Engine`] onto a dedicated
-//! commit-tick thread and hands out clonable [`Ingest`] handles. Each
-//! [`Ingest::submit`] enqueues an [`UpdateBatch`] and returns an
-//! [`IngestTicket`] the submitter can await for its [`IngestReceipt`]
-//! (assigned epoch + the shared [`CommitReceipt`] of the tick that
-//! carried it). The tick loop drains everything pending (up to 64
-//! submissions), coalesces it into one mega-batch, and commits it with
-//! [`Engine::commit`].
+//! Shape: [`IngestServer::spawn`] puts the [`Engine`] behind a lock and
+//! hands out clonable [`Ingest`] handles. [`Ingest::submit`] only queues
+//! an [`UpdateBatch`] and returns an [`IngestTicket`] the submitter can
+//! await for its [`IngestReceipt`] (assigned epoch + the shared
+//! [`CommitReceipt`] of the tick that carried it). [`IngestTicket::wait`]
+//! runs the ticks: while its receipt has not arrived, it takes the engine
+//! lock and, on the caller's thread, drains up to 64 queued submissions,
+//! coalesces them into one mega-batch, commits it with
+//! [`Engine::commit`] and resolves every ticket it carried. A submission
+//! leaves the queue only under the engine lock and is resolved before
+//! that lock is released, so a client that submits a wave (of up to 64)
+//! and then waits gets exactly one tick for it: tick boundaries follow
+//! from the inputs, never from when some thread happens to wake up.
+//! A queued submission commits when some ticket is waited on, or at
+//! [`IngestServer::shutdown`] or drop; a queue nobody waits on fills up
+//! and then sheds.
 //!
 //! Durability composes: [`IngestServer::set_durability`] flips the
-//! engine log's [`DurabilityMode`] mid-run, and the loop issues an
-//! explicit [`Engine::sync_log`] barrier whenever it is about to park on
-//! an empty queue (and once more at shutdown), so "queue drained" always
-//! implies "everything accepted is durable" under group commit.
+//! engine log's [`DurabilityMode`] mid-run, and a tick that leaves the
+//! queue empty issues an explicit [`Engine::sync_log`] barrier (as does
+//! shutdown), so "queue drained" always implies "everything accepted is
+//! durable" under group commit.
 //!
 //! Overload and fault propagation: the submission queue is **bounded**
 //! (1 024 submissions) — a submitter that cannot enqueue within 100 ms
@@ -39,17 +48,10 @@ use crate::receipt::CommitReceipt;
 use crate::snapshot::{Snapshot, SnapshotStore};
 use igc_graph::UpdateBatch;
 use igc_log::DurabilityMode;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// What flows from handles to the server thread.
-enum Msg {
-    Submit(Submission),
-    SetDurability(DurabilityMode),
-    Shutdown,
-}
 
 /// One client submission: the batch plus the channel its receipt goes
 /// back on.
@@ -58,22 +60,139 @@ struct Submission {
     reply: Sender<Result<IngestReceipt, EngineError>>,
 }
 
-/// A submission waiting for its tick to commit (its batch has already
-/// been folded into the tick's mega-batch).
-struct Waiter {
-    units: usize,
-    reply: Sender<Result<IngestReceipt, EngineError>>,
-}
-
 /// Most submissions coalesced into one commit tick.
 const MAX_COALESCE: usize = 64;
 /// Bound on the submission queue: past it, [`Ingest::submit`] waits up to
 /// [`SUBMIT_TIMEOUT`] for a slot, then sheds the submission with
 /// [`EngineError::Overloaded`] — backpressure instead of unbounded memory
-/// growth when submitters outrun the commit loop.
+/// growth when submitters outrun the ticks.
 const MAX_QUEUE: usize = 1024;
 /// How long [`Ingest::submit`] waits for a queue slot before shedding.
 const SUBMIT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// What a server, its handles and their tickets share.
+struct Door {
+    /// `None` once the server has shut down.
+    engine: Mutex<Option<Engine>>,
+    /// Submissions waiting for a tick; `None` once the server has shut
+    /// down. Locked after `engine` whenever both are held.
+    queue: Mutex<Option<VecDeque<Submission>>>,
+    /// The engine's store, so handles pin versions without the engine
+    /// lock, and after the engine is gone.
+    snapshots: Arc<SnapshotStore>,
+}
+
+impl Door {
+    /// The engine lock. A tick that panicked left the engine in an
+    /// unknown state: it is discarded with the queue, and the server
+    /// counts as shut down.
+    fn engine(&self) -> MutexGuard<'_, Option<Engine>> {
+        self.engine.lock().unwrap_or_else(|poisoned| {
+            let mut engine = poisoned.into_inner();
+            *engine = None;
+            *self.queue() = None;
+            engine
+        })
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Option<VecDeque<Submission>>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One commit tick on the caller's thread: commit up to
+    /// [`MAX_COALESCE`] queued submissions as one batch, then the quiesce
+    /// barrier if that left the queue empty. `false` once shut down.
+    fn tick(&self) -> bool {
+        let mut engine = self.engine();
+        let Some(engine) = engine.as_mut() else {
+            return false;
+        };
+        // The queue lock is dropped before the commit: submitters keep
+        // enqueueing while it runs.
+        let group: Vec<Submission> = match self.queue().as_mut() {
+            Some(queue) => queue.drain(..queue.len().min(MAX_COALESCE)).collect(),
+            None => Vec::new(),
+        };
+        commit(engine, group);
+        if self.queue().as_ref().is_none_or(VecDeque::is_empty) {
+            barrier(engine);
+        }
+        true
+    }
+
+    /// Close the queue (later submissions get
+    /// [`EngineError::IngestClosed`]), commit what it held, run the final
+    /// barrier, and take the engine — all under the engine lock, so no
+    /// waiter ever finds its submission neither queued nor resolved.
+    fn close(&self) -> Option<Engine> {
+        let mut slot = self.engine();
+        let mut queued = self.queue().take().unwrap_or_default();
+        let engine = slot.as_mut()?;
+        while !queued.is_empty() {
+            commit(engine, queued.drain(..queued.len().min(MAX_COALESCE)));
+        }
+        barrier(engine);
+        slot.take()
+    }
+}
+
+impl std::fmt::Debug for Door {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Door").finish_non_exhaustive()
+    }
+}
+
+/// Commit one tick's group. Each submission is admission-checked on its
+/// own, so one out-of-bounds batch is rejected alone instead of poisoning
+/// the tick, and a degraded engine fails the ticket at admission
+/// ([`EngineError::Degraded`]) instead of queueing it into a wall. The
+/// rest are coalesced in arrival order, so the order-faithful
+/// normalization sees exactly the sequential history, and every ticket
+/// the commit carried is resolved with its outcome.
+fn commit(engine: &mut Engine, group: impl IntoIterator<Item = Submission>) {
+    let mut mega = UpdateBatch::new();
+    let mut waiters = Vec::new();
+    for sub in group {
+        match engine
+            .degraded_error()
+            .map_or_else(|| engine.admit(&sub.batch), Err)
+        {
+            Ok(()) => {
+                for u in sub.batch.iter() {
+                    mega.push(*u);
+                }
+                waiters.push((sub.batch.len(), sub.reply));
+            }
+            Err(e) => {
+                let _ = sub.reply.send(Err(e));
+            }
+        }
+    }
+    if waiters.is_empty() {
+        return;
+    }
+    let outcome = engine.commit(&mega).map(Arc::new);
+    let coalesced = waiters.len();
+    for (units, reply) in waiters {
+        let _ = reply.send(match &outcome {
+            Ok(commit) => Ok(IngestReceipt {
+                epoch: commit.epoch,
+                units,
+                coalesced,
+                commit: Arc::clone(commit),
+            }),
+            Err(e) => Err(e.clone()),
+        });
+    }
+}
+
+/// Make everything committed so far durable. A failed barrier degrades
+/// the engine, so the next tick rejects at admission.
+fn barrier(engine: &mut Engine) {
+    if engine.log().is_some_and(|l| l.unsynced_appends() > 0) {
+        let _ = engine.sync_log();
+    }
+}
 
 /// What a submitter gets back for one accepted submission, once the tick
 /// that carried it commits.
@@ -92,61 +211,61 @@ pub struct IngestReceipt {
     pub commit: Arc<CommitReceipt>,
 }
 
-/// A clonable submission handle to a running [`IngestServer`]. Cheap to
-/// clone (one channel sender); any number of threads can submit
-/// concurrently.
-#[derive(Clone)]
+/// A clonable submission handle to an [`IngestServer`]. Cheap to clone
+/// (one `Arc`); any number of threads can submit concurrently.
+#[derive(Clone, Debug)]
 pub struct Ingest {
-    tx: SyncSender<Msg>,
-    snapshots: Arc<SnapshotStore>,
+    door: Arc<Door>,
 }
 
 impl Ingest {
-    /// Enqueue a batch for the next commit tick. Returns with a ticket
-    /// to await — immediately while the bounded queue has room, after a
-    /// bounded wait otherwise. Errors with [`EngineError::Overloaded`]
-    /// when no slot of the 1 024-submission queue frees up within 100 ms
-    /// (the shed contract: the batch
-    /// was *not* accepted, retry later), and with
-    /// [`EngineError::IngestClosed`] if the server is gone.
+    /// Queue a batch for a later commit tick (run by whoever next waits
+    /// on a ticket). Returns with a ticket to await — immediately while
+    /// the bounded queue has room, after a bounded wait otherwise. Errors
+    /// with [`EngineError::Overloaded`] when no slot of the
+    /// 1 024-submission queue frees up within 100 ms (the shed contract:
+    /// the batch was *not* accepted, retry later), and with
+    /// [`EngineError::IngestClosed`] once the server has shut down.
     pub fn submit(&self, batch: UpdateBatch) -> Result<IngestTicket, EngineError> {
         let (reply, rx) = mpsc::channel();
-        let mut msg = Msg::Submit(Submission { batch, reply });
+        let sub = Submission { batch, reply };
         let start = Instant::now();
         loop {
-            match self.tx.try_send(msg) {
-                Ok(()) => return Ok(IngestTicket { rx }),
-                Err(TrySendError::Disconnected(_)) => return Err(EngineError::IngestClosed),
-                Err(TrySendError::Full(back)) => {
-                    let waited = start.elapsed();
-                    if waited >= SUBMIT_TIMEOUT {
-                        return Err(EngineError::Overloaded {
-                            capacity: MAX_QUEUE,
-                            waited,
-                        });
-                    }
-                    msg = back;
-                    // Brief nap, bounded by the remaining budget: the
-                    // commit loop drains in ticks, not per record, so
-                    // busy-spinning would only steal its CPU.
-                    std::thread::sleep(Duration::from_micros(200).min(SUBMIT_TIMEOUT - waited));
+            match self.door.queue().as_mut() {
+                None => return Err(EngineError::IngestClosed),
+                Some(queue) if queue.len() < MAX_QUEUE => {
+                    queue.push_back(sub);
+                    let door = Arc::clone(&self.door);
+                    return Ok(IngestTicket { rx, door });
                 }
+                Some(_) => {}
             }
+            let waited = start.elapsed();
+            if waited >= SUBMIT_TIMEOUT {
+                return Err(EngineError::Overloaded {
+                    capacity: MAX_QUEUE,
+                    waited,
+                });
+            }
+            // Brief nap, bounded by the remaining budget: the queue
+            // drains a tick at a time, not per record, so busy-spinning
+            // would only steal the waiters' CPU.
+            std::thread::sleep(Duration::from_micros(200).min(SUBMIT_TIMEOUT - waited));
         }
     }
 
     /// Pin the newest published MVCC version as a [`Snapshot`] — the
     /// graph and every view's answers exactly as the most recently
-    /// *published* commit tick left them — without stopping or even
-    /// contending with the commit-tick thread (the pin is a short store
-    /// lock, never the queue). Snapshots keep serving while the engine is
+    /// *published* commit tick left them — without contending with a
+    /// running tick (the pin is a short store lock, never the engine lock
+    /// or the queue). Snapshots keep serving while the engine is
     /// in degraded read-only mode ([`Ingest::submit`] would be shed with
     /// [`EngineError::Degraded`], but reads stay up). Errors with
     /// [`EngineError::SnapshotUnavailable`] only if a publish stalls past
     /// its internal wait — see [`Engine::snapshot`] for the full
     /// contract.
     pub fn snapshot(&self) -> Result<Snapshot, EngineError> {
-        self.snapshots.snapshot()
+        self.door.snapshots.snapshot()
     }
 
     /// Pin the retained version at exactly `epoch` — see
@@ -155,13 +274,7 @@ impl Ingest {
     /// [`EngineError::SnapshotUnavailable`] when it has not been
     /// published yet).
     pub fn snapshot_at(&self, epoch: u64) -> Result<Snapshot, EngineError> {
-        self.snapshots.snapshot_at(epoch)
-    }
-}
-
-impl std::fmt::Debug for Ingest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ingest").finish_non_exhaustive()
+        self.door.snapshots.snapshot_at(epoch)
     }
 }
 
@@ -169,53 +282,62 @@ impl std::fmt::Debug for Ingest {
 /// [`IngestReceipt`] once its tick commits, to the error that rejected
 /// it (e.g. [`EngineError::NodeOutOfBounds`] at admission, or a log
 /// failure at its tick's commit), or to
-/// [`EngineError::SubmissionDropped`] if the server shut down with the
-/// submission still queued.
+/// [`EngineError::SubmissionDropped`] if a tick panicked and took the
+/// engine with it.
 #[derive(Debug)]
 pub struct IngestTicket {
     rx: Receiver<Result<IngestReceipt, EngineError>>,
+    door: Arc<Door>,
 }
 
 impl IngestTicket {
-    /// Block until the submission's tick commits (or fails).
+    /// Block until the submission's tick commits (or fails). While its
+    /// receipt has not arrived, the caller runs commit ticks itself — the
+    /// first of them carries every submission queued before it (up to
+    /// 64), this one included.
     pub fn wait(self) -> Result<IngestReceipt, EngineError> {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(EngineError::SubmissionDropped),
+        loop {
+            match self.rx.try_recv() {
+                Ok(result) => return result,
+                Err(TryRecvError::Empty) if self.door.tick() => {}
+                // Shut down since the last look: the final drain resolved
+                // every queued ticket before it let go of the engine.
+                Err(_) => {
+                    return self
+                        .rx
+                        .try_recv()
+                        .unwrap_or(Err(EngineError::SubmissionDropped))
+                }
+            }
         }
     }
 }
 
-/// The commit-tick loop's owner: moves the [`Engine`] onto a dedicated
-/// thread at [`IngestServer::spawn`] and gives it back at
-/// [`IngestServer::shutdown`] (after draining every already-queued
+/// The owner of the front door: takes the [`Engine`] at
+/// [`IngestServer::spawn`] and gives it back at
+/// [`IngestServer::shutdown`] (after committing every already-queued
 /// submission and issuing a final durability barrier). Dropping the
-/// server without calling `shutdown` also drains and joins — the engine
-/// is then simply discarded with the thread.
+/// server without calling `shutdown` also drains the queue — the engine
+/// is then discarded.
 #[derive(Debug)]
 pub struct IngestServer {
-    /// The handle [`IngestServer::handle`] clones; its sender doubles as
-    /// the control channel.
+    /// The handle [`IngestServer::handle`] clones.
     ingest: Ingest,
-    thread: Option<JoinHandle<Engine>>,
 }
 
 impl IngestServer {
-    /// Spawn the commit-tick loop. (In the vanishingly unlikely case the
-    /// OS refuses the thread, the server is closed from birth: every
-    /// submit fails with [`EngineError::IngestClosed`].)
+    /// Put the engine behind the front door. Starts no thread: commit
+    /// ticks run on the threads that wait on tickets.
     pub fn spawn(engine: Engine) -> Self {
-        let (tx, rx) = mpsc::sync_channel(MAX_QUEUE);
-        // The snapshot store is shared by `Arc`, so handles keep pinning
-        // versions after the engine itself moves onto the tick thread.
-        let snapshots = Arc::clone(engine.snapshot_store());
-        let thread = std::thread::Builder::new()
-            .name("igc-ingest".into())
-            .spawn(move || Self::serve(engine, &rx))
-            .ok();
+        let door = Door {
+            snapshots: Arc::clone(engine.snapshot_store()),
+            engine: Mutex::new(Some(engine)),
+            queue: Mutex::new(Some(VecDeque::new())),
+        };
         IngestServer {
-            ingest: Ingest { tx, snapshots },
-            thread,
+            ingest: Ingest {
+                door: Arc::new(door),
+            },
         }
     }
 
@@ -224,163 +346,36 @@ impl IngestServer {
         self.ingest.clone()
     }
 
-    /// Flip the engine log's [`DurabilityMode`] mid-run. Applied by the
-    /// tick loop in queue order, so the switch lands on a clean tick
-    /// boundary; on an engine without a log it is a no-op. Errors with
+    /// Flip the engine log's [`DurabilityMode`] mid-run. Applied under the
+    /// engine lock, so the switch lands between two ticks (submissions
+    /// still queued commit under the new mode); on an engine without a
+    /// log it is a no-op — no log, nothing to make durable. Errors with
     /// [`EngineError::IngestClosed`] if the server is gone.
     pub fn set_durability(&self, mode: DurabilityMode) -> Result<(), EngineError> {
-        self.ingest
-            .tx
-            .send(Msg::SetDurability(mode))
-            .map_err(|_| EngineError::IngestClosed)
+        let mut engine = self.ingest.door.engine();
+        let engine = engine.as_mut().ok_or(EngineError::IngestClosed)?;
+        let _ = engine.set_durability(mode);
+        Ok(())
     }
 
-    /// Stop the loop and take the engine back: already-queued
+    /// Close the front door and take the engine back: already-queued
     /// submissions are committed and their tickets resolved first
-    /// (submissions arriving *after* this call resolve as
-    /// [`EngineError::SubmissionDropped`]), then a final
+    /// (submissions arriving *after* this call fail with
+    /// [`EngineError::IngestClosed`]), then a final
     /// [`Engine::sync_log`] barrier runs. Errors with
-    /// [`EngineError::IngestClosed`] only if the server thread died —
-    /// then the engine is lost with it.
-    pub fn shutdown(mut self) -> Result<Engine, EngineError> {
-        let _ = self.ingest.tx.send(Msg::Shutdown);
-        match self.thread.take() {
-            Some(h) => h.join().map_err(|_| EngineError::IngestClosed),
-            None => Err(EngineError::IngestClosed),
-        }
-    }
-
-    /// The tick loop. One iteration = gather a group (blocking only on an
-    /// empty queue), commit it as one coalesced batch, resolve its waiters.
-    fn serve(mut engine: Engine, rx: &Receiver<Msg>) -> Engine {
-        let mut closing = false;
-        while !closing {
-            let mut group: Vec<Submission> = Vec::new();
-            let first = match rx.try_recv() {
-                Ok(msg) => Some(msg),
-                Err(mpsc::TryRecvError::Empty) => {
-                    // About to park: close any open group-commit window so
-                    // everything accepted so far is durable while we idle.
-                    if engine.log().is_some_and(|l| l.unsynced_appends() > 0) {
-                        let _ = engine.sync_log();
-                    }
-                    rx.recv().ok()
-                }
-                Err(mpsc::TryRecvError::Disconnected) => None,
-            };
-            match first {
-                Some(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
-                None => closing = true,
-            }
-            while group.len() < MAX_COALESCE && !closing {
-                match rx.try_recv() {
-                    Ok(msg) => Self::accept(msg, &mut engine, &mut group, &mut closing),
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        closing = true;
-                        break;
-                    }
-                }
-            }
-            if !group.is_empty() {
-                let (mega, waiters) = Self::bundle(group);
-                match engine.commit(&mega) {
-                    Ok(receipt) => Self::resolve(waiters, &receipt),
-                    Err(e) => Self::reject(waiters, &e),
-                }
-            }
-        }
-        // Final barrier: everything accepted is durable before the engine
-        // is handed back (or discarded).
-        if engine.log().is_some() {
-            let _ = engine.sync_log();
-        }
-        engine
-    }
-
-    /// Route one queue message. Submissions are admission-checked *here*,
-    /// per submission, so one out-of-bounds batch is rejected alone
-    /// instead of poisoning the whole coalesced tick. Submissions
-    /// arriving after shutdown began are dropped (their tickets resolve
-    /// as [`EngineError::SubmissionDropped`] when the reply sender goes).
-    fn accept(msg: Msg, engine: &mut Engine, group: &mut Vec<Submission>, closing: &mut bool) {
-        match msg {
-            Msg::Submit(sub) => {
-                if *closing {
-                    return;
-                }
-                // A degraded engine rejects every commit anyway: fail the
-                // ticket here, at admission, instead of queueing the
-                // submission into a wall ([`EngineError::Degraded`]
-                // propagates through the ticket like any admission error).
-                if let Some(e) = engine.degraded_error() {
-                    let _ = sub.reply.send(Err(e));
-                    return;
-                }
-                match engine.admit(&sub.batch) {
-                    Ok(()) => group.push(sub),
-                    Err(e) => {
-                        let _ = sub.reply.send(Err(e));
-                    }
-                }
-            }
-            Msg::SetDurability(mode) => {
-                // No-op (not an error) on an engine without a log: the
-                // knob is durability *policy*, and no log means there is
-                // nothing to make durable.
-                let _ = engine.set_durability(mode);
-            }
-            Msg::Shutdown => *closing = true,
-        }
-    }
-
-    /// Coalesce a group into one mega-batch (arrival order, so the
-    /// order-faithful normalization sees exactly the sequential history)
-    /// plus the waiters to resolve when its tick commits.
-    fn bundle(group: Vec<Submission>) -> (UpdateBatch, Vec<Waiter>) {
-        let mut mega = UpdateBatch::new();
-        let mut waiters = Vec::with_capacity(group.len());
-        for sub in group {
-            for u in sub.batch.iter() {
-                mega.push(*u);
-            }
-            waiters.push(Waiter {
-                units: sub.batch.len(),
-                reply: sub.reply,
-            });
-        }
-        (mega, waiters)
-    }
-
-    fn resolve(waiters: Vec<Waiter>, receipt: &CommitReceipt) {
-        let commit = Arc::new(receipt.clone());
-        let coalesced = waiters.len();
-        for w in waiters {
-            let _ = w.reply.send(Ok(IngestReceipt {
-                epoch: commit.epoch,
-                units: w.units,
-                coalesced,
-                commit: Arc::clone(&commit),
-            }));
-        }
-    }
-
-    fn reject(waiters: Vec<Waiter>, e: &EngineError) {
-        for w in waiters {
-            let _ = w.reply.send(Err(e.clone()));
-        }
+    /// [`EngineError::IngestClosed`] only if a tick panicked — then the
+    /// engine is lost with it.
+    pub fn shutdown(self) -> Result<Engine, EngineError> {
+        self.ingest.door.close().ok_or(EngineError::IngestClosed)
     }
 }
 
 impl Drop for IngestServer {
-    /// Best-effort orderly stop: request shutdown (drains the queue,
-    /// final durability barrier) and join, discarding the engine. Use
+    /// Best-effort orderly stop: commit the queue, run the final
+    /// durability barrier and discard the engine. Use
     /// [`IngestServer::shutdown`] to get the engine back instead.
     fn drop(&mut self) {
-        let _ = self.ingest.tx.send(Msg::Shutdown);
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
+        self.ingest.door.close();
     }
 }
 
@@ -416,11 +411,8 @@ mod tests {
 
     #[test]
     fn coalescing_merges_pending_submissions_into_one_tick() {
-        // max_coalesce is plenty and the server can't start a tick while
-        // we hold the queue: submit everything first, then watch the
-        // receipts — at least the later ones must share a tick (the first
-        // may slip into its own tick if the loop wakes early, so assert
-        // on totals, not an exact grouping).
+        // Nothing commits before a ticket is waited on, so the first wait
+        // carries all eight submissions in one tick.
         let engine = Engine::new(graph_from(&[0; 16], &[]));
         let server = IngestServer::spawn(engine);
         let ingest = server.handle();
@@ -432,18 +424,15 @@ mod tests {
             })
             .collect();
         let receipts: Vec<IngestReceipt> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        let max_epoch = receipts.iter().map(|r| r.epoch).max().unwrap();
-        assert!(
-            max_epoch <= 8,
-            "8 submissions must take at most 8 ticks, took {max_epoch}"
-        );
         let engine = server.shutdown().unwrap();
         assert_eq!(engine.graph().edge_count(), 8);
-        assert_eq!(engine.epoch(), max_epoch);
-        // Every receipt's shared commit receipt covers its submission.
-        for r in receipts {
-            assert!(r.coalesced >= 1);
-            assert!(r.commit.applied >= r.units);
+        assert_eq!(engine.epoch(), 1, "one tick");
+        assert_eq!(receipts[0].commit.applied, 8);
+        for r in &receipts {
+            assert_eq!(r.coalesced, 8);
+            assert_eq!(r.epoch, 1);
+            assert_eq!(r.units, 1);
+            assert!(Arc::ptr_eq(&r.commit, &receipts[0].commit));
         }
     }
 

@@ -57,12 +57,14 @@
 //! before those commits.
 //!
 //! **Ingest** ([`ingest` module](IngestServer)): the async front door
-//! for heavy write traffic. [`IngestServer::spawn`] moves the engine onto
-//! a commit-tick thread; concurrent clients clone an [`Ingest`] handle,
-//! submit batches, and await [`IngestTicket`]s for their receipts. Each
-//! tick coalesces everything pending into one normalized mega-batch
+//! for heavy write traffic. [`IngestServer::spawn`] puts the engine behind
+//! a lock; concurrent clients clone an [`Ingest`] handle, queue batches,
+//! and await [`IngestTicket`]s for their receipts. The waiting client runs
+//! the commit tick on its own thread (no ingest thread exists): a tick
+//! coalesces up to 64 queued submissions into one normalized mega-batch
 //! (order-faithful normalization makes that bit-identical to
-//! per-submission commits) and commits it with [`Engine::commit`], and
+//! per-submission commits) and commits it with [`Engine::commit`], so a
+//! wave submitted and then awaited always commits as one tick, and
 //! [`DurabilityMode`](igc_log::DurabilityMode) group-commit batches
 //! fsyncs across a tick's records — one barrier instead of one per
 //! submission ([`Engine::set_durability`]).
@@ -82,8 +84,8 @@
 //! version, so with no pins nothing is copied and the retained window
 //! stays ≤ distinct pinned epochs + 1.
 //! Through the ingest front door, [`Ingest::snapshot`] pins versions
-//! without stopping the commit-tick thread; degraded read-only mode never
-//! gates snapshot creation or pinned reads.
+//! without taking the engine lock a running tick holds; degraded read-only
+//! mode never gates snapshot creation or pinned reads.
 //!
 //! **One engine, one read path**: a [`Replica`] derefs to the [`Engine`]
 //! the log feeds, whose replayed deltas land through a leader's commit

@@ -234,10 +234,10 @@ fn degraded_mode_still_serves_snapshots() {
     engine.verify_all().unwrap();
 }
 
-/// A sync failure at the group-commit quiesce barrier (the ingest server
-/// parking on an empty queue) degrades the engine; later submissions are
-/// rejected fast through their tickets; shutdown returns the degraded
-/// engine, which heals and resumes.
+/// A sync failure at the group-commit quiesce barrier (the one a tick
+/// issues when it leaves the queue empty) degrades the engine; later
+/// submissions are rejected fast through their tickets; shutdown returns
+/// the degraded engine, which heals and resumes.
 #[test]
 fn sync_failure_at_the_quiesce_barrier_degrades_the_ingest() {
     let (chaos, backend) = backend_pair();
@@ -252,48 +252,30 @@ fn sync_failure_at_the_quiesce_barrier_degrades_the_ingest() {
         })
         .unwrap();
     let seed_graph = engine.graph().clone();
-    // Settle the log here, so the server's first park has nothing to sync
-    // and the only barrier below is the one that follows `d0`.
+    // Settle the log here, so the only barrier below is the one that
+    // follows `d0`.
     engine.sync_log().unwrap();
     let settled = chaos.stats().syncs;
     let server = IngestServer::spawn(engine);
     let ingest = server.handle();
 
-    // A clean round trip first — its quiesce barrier settles the log. That
-    // barrier runs after the receipt is sent: wait it out, or the one-shot
-    // armed below could land on it and reject `d1` at admission.
+    // A clean round trip first: the tick that `wait` runs leaves the
+    // queue empty, so its quiesce barrier has run by the time it returns.
     let d0 = random_update_batch(&seed_graph, 6, 0.5, 2100);
     ingest.submit(d0).unwrap().wait().unwrap();
-    let waited = std::time::Instant::now();
-    while chaos.stats().syncs == settled {
-        assert!(
-            waited.elapsed() < Duration::from_secs(10),
-            "no quiesce barrier"
-        );
-        std::thread::yield_now();
-    }
+    assert_eq!(chaos.stats().syncs, settled + 1, "one quiesce barrier");
 
     // Arm the one-shot: the *next* barrier with pending records fails.
-    // That barrier is the park after the next commit's records land.
+    // That barrier closes `d1`'s tick, after its receipt is sent.
     chaos.fail_next_sync();
     let d1 = random_update_batch(&seed_graph, 6, 0.5, 2101);
     ingest.submit(d1).unwrap().wait().unwrap();
 
-    // The park runs asynchronously after the receipt; poll until the
-    // degradation propagates to submissions (bounded).
-    let mut rejected = None;
-    for i in 0..200u64 {
-        let d = random_update_batch(&seed_graph, 6, 0.5, 2200 + i);
-        match ingest.submit(d).unwrap().wait() {
-            Ok(_) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => {
-                rejected = Some(e);
-                break;
-            }
-        }
-    }
-    match rejected {
-        Some(EngineError::Degraded { cause, .. }) => {
+    // The engine degraded before `d1`'s wait returned: the next
+    // submission is rejected at admission.
+    let d = random_update_batch(&seed_graph, 6, 0.5, 2200);
+    match ingest.submit(d).unwrap().wait() {
+        Err(EngineError::Degraded { cause, .. }) => {
             assert!(cause.contains("injected"), "{cause}")
         }
         other => panic!("expected a Degraded rejection, got {other:?}"),
@@ -546,8 +528,8 @@ fn a_rejected_commit_moves_no_totals_and_its_retry_counts_once() {
     }
 }
 
-/// A view whose `apply` waits until the test opens the gate, to wedge
-/// the commit loop so the submission queue actually fills.
+/// A view whose `apply` waits until the test opens the gate, so no tick
+/// can drain the submission queue before the test has seen it fill.
 #[derive(Debug, Clone)]
 struct GateView(Arc<AtomicBool>);
 
@@ -571,7 +553,7 @@ impl igc_core::IncView for GateView {
     }
 }
 
-/// Submitters that outrun the commit loop are shed with a precise
+/// Submitters that outrun the commit ticks are shed with a precise
 /// `Overloaded` (bounded queue + bounded wait), never queued into a wall;
 /// everything that *was* accepted still resolves to exactly one receipt.
 #[test]
@@ -582,8 +564,9 @@ fn overloaded_ingest_sheds_submissions_with_a_precise_error() {
     let server = IngestServer::spawn(engine);
     let ingest = server.handle();
 
-    // The first tick blocks in the gate, and the 1 024-slot queue behind
-    // it fills: one tick of at most 64 plus the queue, then a shed.
+    // No ticket is waited on yet, so no tick drains the queue (and the gate
+    // would hold one that started): at most one tick of 64 plus the
+    // 1 024-slot queue is accepted, then a shed.
     let mut tickets = Vec::new();
     let shed = loop {
         assert!(tickets.len() <= 64 + 1024, "the bounded queue never shed");

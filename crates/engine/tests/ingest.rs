@@ -8,11 +8,16 @@
 //!   engine recovered from the WAL lands bit-identical to it — coalesced
 //!   ticks journal as whole records;
 //! - flipping the durability mode mid-run (through the server, between
-//!   in-flight submissions) never perturbs results.
+//!   in-flight submissions) never perturbs results;
+//! - a closed-loop wave (submit every submission, then wait) commits as
+//!   exactly one tick, so views fed the whole wave book exactly the work
+//!   the tick's receipt reports — the cross-check the benchmark runs.
 
+use igc_core::IncView;
 use igc_engine::{Engine, EngineError, IngestServer};
 use igc_graph::generator::{random_update_batch, uniform_graph};
-use igc_graph::{LabelInterner, UpdateBatch};
+use igc_graph::{Label, LabelInterner, Update, UpdateBatch};
+use igc_kws::{IncKws, KwsQuery};
 use igc_log::{DurabilityMode, LogBackend, MemBackend};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
@@ -211,4 +216,65 @@ fn dropped_server_resolves_outstanding_tickets_with_precise_errors() {
         .submit(UpdateBatch::new())
         .expect_err("closed server rejects");
     assert!(matches!(err, EngineError::IngestClosed));
+}
+
+#[test]
+fn a_closed_loop_wave_is_one_tick_and_books_its_shadows_work() {
+    const WAVES: u64 = 20;
+    const SUBMISSIONS: usize = 32;
+    const UNITS: usize = 4;
+
+    let g = uniform_graph(64, 160, 3, 13);
+    let kws = KwsQuery::new(vec![Label(1), Label(2)], 2);
+    let mut engine = Engine::new(g.clone());
+    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
+    engine.register("scc", IncScc::init()).unwrap();
+    engine.register("kws", IncKws::init(kws.clone())).unwrap();
+    // The shadows: the same views, fed each whole wave in one apply.
+    let mut shadow_graph = g;
+    let mut shadows: Vec<Box<dyn IncView>> = vec![
+        Box::new(IncRpq::new(&shadow_graph, &rpq_query())),
+        Box::new(IncScc::new(&shadow_graph)),
+        Box::new(IncKws::new(&shadow_graph, kws)),
+    ];
+
+    let server = IngestServer::spawn(engine);
+    let ingest = server.handle();
+    for w in 0..WAVES {
+        let wave = random_update_batch(&shadow_graph, SUBMISSIONS * UNITS, 0.6, 0xBEEF + w);
+        let units: Vec<Update> = wave.iter().copied().collect();
+        let tickets: Vec<_> = units
+            .chunks(UNITS)
+            .map(|c| {
+                ingest
+                    .submit(UpdateBatch::from_updates(c.to_vec()))
+                    .unwrap()
+            })
+            .collect();
+        let receipts: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let commit = &receipts[0].commit;
+        for r in &receipts {
+            assert!(Arc::ptr_eq(&r.commit, commit), "wave {w} took two ticks");
+            assert_eq!(r.coalesced, SUBMISSIONS);
+        }
+        assert_eq!(commit.submitted, SUBMISSIONS * UNITS);
+
+        let delta = wave.normalize_against(&shadow_graph);
+        shadow_graph.apply_batch(&delta);
+        assert_eq!(commit.per_view.len(), shadows.len());
+        for (view, booked) in shadows.iter_mut().zip(&commit.per_view) {
+            let before = view.work();
+            view.apply(&shadow_graph, &delta);
+            assert_eq!(
+                view.work().since(&before),
+                booked.work,
+                "wave {w}: {} booked other work than its shadow",
+                booked.label
+            );
+        }
+    }
+    let engine = server.shutdown().unwrap();
+    assert_eq!(engine.epoch(), WAVES);
+    assert_eq!(engine.graph().sorted_edges(), shadow_graph.sorted_edges());
+    engine.verify_all().unwrap();
 }

@@ -4,8 +4,9 @@
 //! The script:
 //!
 //! 1. an engine over a generator-built graph attaches a file-backed
-//!    commit log, registers RPQ + SCC views, and moves onto an
-//!    [`IngestServer`] commit-tick thread (parallel fan-out);
+//!    commit log, registers RPQ + SCC views (parallel fan-out), and goes
+//!    behind an [`IngestServer`] — no thread of its own: a submitter that
+//!    waits on its ticket runs the commit tick;
 //! 2. durability starts in **group commit** — one fsync barrier covers a
 //!    whole tick's records instead of one per submission;
 //! 3. N submitter threads clone the [`Ingest`] handle and firehose
