@@ -45,12 +45,13 @@ use std::any::Any;
 /// # Supertraits
 ///
 /// [`Any`] lets a registry hand the concrete type back (`downcast_ref`
-/// upcasts to `dyn Any`) and makes every view `'static`. `Send` lets the
-/// engine's commit pipeline fan a normalized delta out to views on worker
-/// threads (each view is touched by exactly one thread per commit, against
-/// a shared `&DynamicGraph`); `Sync` lets an MVCC snapshot serve a view's
-/// published copy ([`clone_view`](IncView::clone_view)) to any number of
-/// reader threads concurrently. Views built from ordinary owned data
+/// upcasts to `dyn Any`) and makes every view `'static`. `Send` lets a
+/// registered view move between threads with its engine — behind the
+/// ingest front door, whichever submitter waits runs the commit tick — and
+/// lets a background build construct and catch up a view on a worker
+/// thread before handing it to the registry; `Sync` lets an MVCC snapshot
+/// serve a view's published copy ([`clone_view`](IncView::clone_view)) to
+/// any number of reader threads concurrently. Views built from ordinary owned data
 /// satisfy both for free; a view holding `Rc`/`Cell`/raw-pointer state must
 /// be refactored (or wrapped) before it can register.
 ///
@@ -73,11 +74,6 @@ use std::any::Any;
 ///   attribute the partial work the view performed before failing; the
 ///   engine fences that read too — if `work()` also panics, the view is
 ///   quarantined with zero work attributed instead of unwinding.
-///
-/// The contract holds unchanged under parallel fan-out: a panic on a worker
-/// thread is caught on that worker, the commit joins every worker before
-/// journaling, and the quarantine record is identical to what a sequential
-/// commit would have produced.
 pub trait IncView: Any + Send + Sync {
     /// A stable human-readable identifier for registry listings, receipts
     /// and logs (e.g. `"rpq"`, `"scc:communities"`).

@@ -69,15 +69,13 @@ impl Engine {
     ///
     /// Settings are **not** resurrected either — the journal holds none.
     /// The recovered engine starts from the defaults: checkpoint cadence
-    /// [`DEFAULT_CHECKPOINT_EVERY`], [`DurabilityMode::None`],
-    /// [`RetryPolicy::none`] and [`CommitMode::Sequential`]. A caller that
-    /// ran with others re-applies them ([`Engine::set_checkpoint_every`],
-    /// [`Engine::set_durability`], [`Engine::set_retry_policy`],
-    /// [`Engine::set_commit_mode`]) before its first commit, or a crashed
+    /// [`DEFAULT_CHECKPOINT_EVERY`], [`DurabilityMode::None`] and
+    /// [`RetryPolicy::none`]. A caller that ran with others re-applies them
+    /// ([`Engine::set_checkpoint_every`], [`Engine::set_durability`],
+    /// [`Engine::set_retry_policy`]) before its first commit, or a crashed
     /// `GroupCommit` engine resumes un-synced.
     ///
     /// [`DEFAULT_CHECKPOINT_EVERY`]: crate::DEFAULT_CHECKPOINT_EVERY
-    /// [`CommitMode::Sequential`]: crate::CommitMode::Sequential
     pub fn recover(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
         let log = CommitLog::open(backend)?;
         let replayed = log.replayer().latest()?;
@@ -222,10 +220,10 @@ impl Engine {
 
     /// Force a durability barrier right now: fsync every journal record
     /// appended since the last barrier (a no-op when nothing is pending).
-    /// The explicit flush for quiesce points — e.g. the ingest server
-    /// calls this before parking on an empty queue, so "queue drained"
-    /// always implies "everything accepted is durable" under group
-    /// commit. [`EngineError::NoLog`] without an attached log.
+    /// The explicit flush for quiesce points — e.g. an ingest tick calls
+    /// this when it leaves the queue empty, so "queue drained" always
+    /// implies "everything accepted is durable" under group commit.
+    /// [`EngineError::NoLog`] without an attached log.
     pub fn sync_log(&mut self) -> Result<(), EngineError> {
         let log = attached_mut(&mut self.log, "sync_log")?;
         // A failed explicit barrier means records we acknowledged may not

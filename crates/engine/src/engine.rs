@@ -10,7 +10,7 @@ use crate::durability::DegradedState;
 use crate::error::EngineError;
 use crate::lifecycle::{LifecycleEvent, LifecycleEventKind, ViewHandle, ViewId, ViewState};
 use crate::receipt::{CommitReceipt, EngineTotals, ViewCommitStats, ViewTotals};
-use crate::registry::{downcast, ApplyRecord, Registry};
+use crate::registry::{downcast, Registry};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use igc_core::{IncView, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
@@ -31,34 +31,15 @@ pub const MAX_FRESH_NODES: u32 = 1 << 20;
 /// [`Engine::set_checkpoint_every`].
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
-/// How [`Engine::commit`] fans a normalized delta out to the registered
-/// views (step 3 of the pipeline). Views are independent given the
-/// post-commit graph, so the fan-out parallelizes without any coordination
-/// beyond a shared read-only graph borrow.
-///
-/// Everything *observable* is mode-independent: view answers, receipts
-/// (ordering, work attribution, outcomes — wall-clock durations aside) and
-/// the quarantine/lifecycle journal are bit-identical between modes,
-/// because helpers only run `apply` and the engine merges their results in
-/// slot order after joining every helper. Both modes run one fan-out
-/// function; parallel mode only gives it scoped helper threads, spawned
-/// and joined inside each commit. One view carries most of a typical
-/// commit, so the helpers rarely pay for their spawn — see the README's
-/// engine section for the measured ratio.
+/// A no-op shim, kept only because the benchmark's traced rounds name a mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitMode {
-    /// Fan out on the committing thread, in slot order — the default, and
-    /// byte-for-byte the pre-[`CommitMode`] behavior.
+    /// The default.
     #[default]
     Sequential,
-    /// Fan out on `threads` threads: the committing thread plus
-    /// `threads − 1` scoped helpers, all pulling views from one shared
-    /// queue, so load balances itself — a thread that drew a cheap view
-    /// just pulls the next one. `threads == 0` means
-    /// [`std::thread::available_parallelism`], read once by
-    /// [`Engine::set_commit_mode`]; `1` is sequential fan-out.
+    /// Accepted and ignored.
     Parallel {
-        /// Fan-out thread count (`0` = available parallelism).
+        /// Ignored.
         threads: usize,
     },
 }
@@ -121,9 +102,6 @@ pub struct Engine {
     retired: Vec<ViewTotals>,
     events: Vec<LifecycleEvent>,
     totals: EngineTotals,
-    /// Fan-out thread count, resolved from the [`CommitMode`] by
-    /// [`Engine::set_commit_mode`] (1 = sequential).
-    threads: usize,
     /// The attached commit log, if any ([`Engine::with_log`] /
     /// [`Engine::recover`]); commits journal through it write-ahead.
     pub(crate) log: Option<CommitLog>,
@@ -161,7 +139,6 @@ impl Engine {
             retired: Vec::new(),
             events: Vec::new(),
             totals: EngineTotals::default(),
-            threads: 1,
             log: None,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             logged_since_checkpoint: 0,
@@ -189,20 +166,8 @@ impl Engine {
         self.graph.epoch()
     }
 
-    /// Switch the commit fan-out mode (default [`CommitMode::Sequential`]).
-    /// Takes effect from the next commit;
-    /// safe to toggle between commits at any time (answers, receipts and
-    /// journals do not depend on the mode). `Parallel { threads: 0 }` reads
-    /// [`std::thread::available_parallelism`] here, once, not per commit.
-    pub fn set_commit_mode(&mut self, mode: CommitMode) {
-        self.threads = match mode {
-            CommitMode::Sequential => 1,
-            CommitMode::Parallel { threads: 0 } => {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            }
-            CommitMode::Parallel { threads } => threads,
-        };
-    }
+    /// A no-op shim, kept only because the benchmark's traced rounds call it.
+    pub fn set_commit_mode(&mut self, _: CommitMode) {}
 
     // ------------------------------------------------------------------
     // Registration and lifecycle
@@ -378,10 +343,8 @@ impl Engine {
 
     /// Commit a batch update: normalize it once against the current graph,
     /// apply ΔG to the graph exactly once (bumping the epoch), then
-    /// propagate the normalized delta to every live active view — on this
-    /// thread in slot order, or with scoped helper threads under
-    /// [`CommitMode::Parallel`] (see [`Engine::set_commit_mode`]; receipts
-    /// and journals are bit-identical either way).
+    /// propagate the normalized delta to every live active view, on this
+    /// thread in slot order.
     ///
     /// `batch` may be arbitrary — denormalized, with duplicates,
     /// insert/delete pairs of the same edge, deletions of absent edges and
@@ -507,8 +470,8 @@ impl Engine {
     /// The one stage every delta lands through — a client commit, a
     /// coalesced tick, a replayed or a reattach delta: open the publish
     /// window, step the graph (apply the delta, or swap in `reseeded`), fan
-    /// out and merge in slot order for both commit modes, publish. A no-op
-    /// delta with no graph to swap in skips the stage.
+    /// out in slot order, publish. A no-op delta with no graph to swap in
+    /// skips the stage.
     fn land(&mut self, prepared: PreparedCommit, reseeded: Option<DynamicGraph>) -> CommitReceipt {
         let apply_start = Instant::now();
         let PreparedCommit {
@@ -559,11 +522,9 @@ impl Engine {
             receipt.epoch = self.graph.epoch();
 
             receipt.skipped_quarantined = self.views.quarantined();
-            let records = self.views.fan_out(&self.graph, &delta, self.threads);
-
-            // Merge in slot order — registry accounting, quarantine journal and
-            // receipt entries are produced here and only here.
-            (receipt.per_view, receipt.work) = self.merge(records, receipt.epoch);
+            (receipt.per_view, receipt.work) =
+                self.views.fan_out(&self.graph, &delta, receipt.epoch);
+            self.journal_quarantines(&receipt.per_view, receipt.epoch);
 
             self.totals.commits += 1;
             self.totals.units_applied += receipt.applied as u64;
@@ -632,17 +593,13 @@ impl Engine {
         let (cells, failed) = self.views.cells(epoch);
         self.snapshots
             .publish(epoch, Arc::clone(&self.graph), cells, start);
-        self.merge(failed, epoch).0
+        self.journal_quarantines(&failed, epoch);
+        failed
     }
 
-    /// Fold fan-out (or publish) records into the registry, journaling a
-    /// lifecycle event for every view they quarantine.
-    fn merge(
-        &mut self,
-        records: Vec<ApplyRecord>,
-        epoch: u64,
-    ) -> (Vec<ViewCommitStats>, WorkStats) {
-        let (per_view, work) = self.views.merge(records, epoch);
+    /// Journal a lifecycle event for every view a fan-out (or publish)
+    /// quarantined.
+    fn journal_quarantines(&mut self, per_view: &[ViewCommitStats], epoch: u64) {
         for v in per_view.iter().filter(|v| !v.applied()) {
             self.events.push(LifecycleEvent {
                 epoch,
@@ -650,7 +607,6 @@ impl Engine {
                 label: v.label.clone(),
             });
         }
-        (per_view, work)
     }
 
     /// Pin the newest published version: the graph and every view's
@@ -725,7 +681,6 @@ impl std::fmt::Debug for Engine {
             .field("epoch", &self.graph.epoch())
             .field("views", &self.labels().collect::<Vec<_>>())
             .field("commits", &self.totals.commits)
-            .field("threads", &self.threads)
             .field("logged", &self.log.is_some())
             .field("degraded", &self.degraded.is_some())
             .finish()
@@ -1197,13 +1152,9 @@ pub(crate) mod tests {
 
     /// A maximally hostile view: `apply` panics, and afterwards even
     /// `work()` panics (its state is wrecked). The engine must fence both.
-    /// Wrecks sharing a `rendezvous` record the thread each `apply` runs on
-    /// and wait there (up to 10 s) until two have entered, so those two run
-    /// on two threads.
     #[derive(Clone, Debug)]
     struct PoisonedWork {
         wrecked: bool,
-        rendezvous: Option<Arc<std::sync::Mutex<Vec<String>>>>,
     }
 
     impl IncView for PoisonedWork {
@@ -1212,14 +1163,6 @@ pub(crate) mod tests {
         }
         fn apply(&mut self, _g: &DynamicGraph, _delta: &UpdateBatch) {
             self.wrecked = true;
-            if let Some(entered) = &self.rendezvous {
-                let me = std::thread::current().name().unwrap_or("").to_owned();
-                entered.lock().unwrap().push(me);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while entered.lock().unwrap().len() < 2 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-            }
             panic!("apply wrecked the state");
         }
         fn work(&self) -> WorkStats {
@@ -1238,45 +1181,27 @@ pub(crate) mod tests {
 
     #[test]
     fn post_panic_work_read_is_fenced_too() {
-        for mode in [CommitMode::Sequential, CommitMode::Parallel { threads: 2 }] {
-            quiet_panics(|| {
-                let mut engine = Engine::new(graph_from(&[0, 0], &[]));
-                engine.set_commit_mode(mode);
-                let healthy = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
-                // Under `Parallel` a second wreck meets the first inside
-                // `apply`, so one of them runs on the scoped helper: its
-                // panics must stop at the helper's fence, never reach this
-                // thread through the scope's join.
-                let parallel = mode != CommitMode::Sequential;
-                let entered = parallel.then(|| Arc::new(std::sync::Mutex::new(Vec::new())));
-                let wreck = || PoisonedWork {
-                    wrecked: false,
-                    rendezvous: entered.clone(),
-                };
-                let p = engine.register("poisoned", |_| wreck()).unwrap();
-                if parallel {
-                    engine.register("poisoned-2", |_| wreck()).unwrap();
-                }
-                let receipt = engine
-                    .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
-                    .unwrap();
-                // The wreck is quarantined with zero work attributed; the
-                // commit (and the healthy view) survived both panics.
-                let q: Vec<_> = receipt.newly_quarantined().collect();
-                assert_eq!(q.len(), 1 + usize::from(parallel), "{mode:?}");
-                assert!(q.iter().all(|v| v.work.total() == 0), "{mode:?}");
-                if let Some(entered) = entered {
-                    let on = entered.lock().unwrap().clone();
-                    assert!(on.iter().any(|t| t == "igc-fan-out"), "{on:?}");
-                }
-                assert!(matches!(
-                    engine.state(p).unwrap(),
-                    ViewState::Quarantined { .. }
-                ));
-                assert_eq!(engine.view(&healthy).unwrap().count, 1);
-                assert!(engine.verify_all().is_ok());
-            });
-        }
+        quiet_panics(|| {
+            let mut engine = Engine::new(graph_from(&[0, 0], &[]));
+            let healthy = engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
+            let p = engine
+                .register("poisoned", |_| PoisonedWork { wrecked: false })
+                .unwrap();
+            let receipt = engine
+                .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
+                .unwrap();
+            // The wreck is quarantined with zero work attributed; the
+            // commit (and the healthy view) survived both panics.
+            let q: Vec<_> = receipt.newly_quarantined().collect();
+            assert_eq!(q.len(), 1);
+            assert_eq!(q[0].work.total(), 0);
+            assert!(matches!(
+                engine.state(p).unwrap(),
+                ViewState::Quarantined { .. }
+            ));
+            assert_eq!(engine.view(&healthy).unwrap().count, 1);
+            assert!(engine.verify_all().is_ok());
+        });
     }
 
     #[test]
@@ -1350,121 +1275,6 @@ pub(crate) mod tests {
         fn assert_send_sync<T: Send + Sync + Copy + std::hash::Hash>() {}
         assert_send_sync::<ViewHandle<EdgeCount>>();
         assert_send_sync::<ViewId>();
-    }
-
-    // ------------------------------------------------------------------
-    // Parallel fan-out
-    // ------------------------------------------------------------------
-
-    /// Build an engine with `n` edge-count views and run the same 3-commit
-    /// script, returning the receipts.
-    fn run_script(mode: CommitMode, views: usize) -> (Engine, Vec<CommitReceipt>) {
-        let g = graph_from(&[0, 0, 0, 0], &[(0, 1)]);
-        let mut engine = Engine::new(g);
-        engine.set_commit_mode(mode);
-        for i in 0..views {
-            engine
-                .register(format!("v{i}"), |g| EdgeCount::new("v", g))
-                .unwrap();
-        }
-        let script = [
-            delta(vec![
-                Update::insert(NodeId(1), NodeId(2)),
-                Update::insert(NodeId(2), NodeId(3)),
-            ]),
-            delta(vec![
-                Update::delete(NodeId(0), NodeId(1)),
-                Update::insert(NodeId(3), NodeId(0)),
-            ]),
-            delta(vec![Update::insert(NodeId(0), NodeId(2))]),
-        ];
-        let receipts = script.iter().map(|d| engine.commit(d).unwrap()).collect();
-        (engine, receipts)
-    }
-
-    #[test]
-    fn parallel_commit_matches_sequential_bit_for_bit() {
-        let (seq_engine, seq) = run_script(CommitMode::Sequential, 5);
-        for threads in [1usize, 2, 3, 8] {
-            let (par_engine, par) = run_script(CommitMode::Parallel { threads }, 5);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.epoch, b.epoch);
-                assert_eq!(a.applied, b.applied);
-                assert_eq!(a.dropped, b.dropped);
-                assert_eq!(a.skipped_quarantined, b.skipped_quarantined);
-                assert_eq!(a.work, b.work);
-                assert_eq!(a.per_view.len(), b.per_view.len());
-                for (x, y) in a.per_view.iter().zip(&b.per_view) {
-                    assert_eq!(x.label, y.label, "slot order must be preserved");
-                    assert_eq!(x.work, y.work);
-                    assert_eq!(x.outcome, y.outcome);
-                }
-            }
-            assert_eq!(seq_engine.totals().work, par_engine.totals().work);
-            assert!(par_engine.verify_all().is_ok());
-        }
-    }
-
-    #[test]
-    fn parallel_zero_threads_means_available_parallelism() {
-        let (engine, receipts) = run_script(CommitMode::Parallel { threads: 0 }, 4);
-        assert_eq!(receipts.len(), 3);
-        assert!(engine.verify_all().is_ok());
-    }
-
-    #[test]
-    fn parallel_worker_panic_quarantines_like_sequential() {
-        quiet_panics(|| {
-            let run = |mode: CommitMode| {
-                let g = graph_from(&[0, 0, 0, 0], &[]);
-                let mut engine = Engine::new(g);
-                engine.set_commit_mode(mode);
-                engine.register("a", |g| EdgeCount::new("a", g)).unwrap();
-                engine.register("panicky", |_| PanicOn::nth(2)).unwrap();
-                engine.register("b", |g| EdgeCount::new("b", g)).unwrap();
-                let r1 = engine
-                    .commit(&delta(vec![Update::insert(NodeId(0), NodeId(1))]))
-                    .unwrap();
-                let r2 = engine
-                    .commit(&delta(vec![Update::insert(NodeId(1), NodeId(2))]))
-                    .unwrap();
-                let r3 = engine
-                    .commit(&delta(vec![Update::insert(NodeId(2), NodeId(3))]))
-                    .unwrap();
-                (engine, r1, r2, r3)
-            };
-            let (se, s1, s2, s3) = run(CommitMode::Sequential);
-            let (pe, p1, p2, p3) = run(CommitMode::Parallel { threads: 3 });
-            assert!(s1.per_view.iter().all(|v| v.applied()));
-            assert!(p1.per_view.iter().all(|v| v.applied()));
-            for (a, b) in [(&s2, &p2), (&s3, &p3)] {
-                assert_eq!(a.skipped_quarantined, b.skipped_quarantined);
-                let qa: Vec<_> = a.newly_quarantined().map(|v| v.label.clone()).collect();
-                let qb: Vec<_> = b.newly_quarantined().map(|v| v.label.clone()).collect();
-                assert_eq!(qa, qb);
-            }
-            assert_eq!(s2.newly_quarantined().count(), 1);
-            assert_eq!(s3.skipped_quarantined, 1);
-            // Identical quarantine journals (same kinds, labels, epochs).
-            let journal = |e: &Engine| {
-                e.events()
-                    .iter()
-                    .map(|ev| (ev.epoch, ev.kind, ev.label.to_string()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(journal(&se), journal(&pe));
-            // Healthy views keep serving in both modes.
-            assert!(se.verify_all().is_ok());
-            assert!(pe.verify_all().is_ok());
-        });
-    }
-
-    #[test]
-    fn parallel_mode_with_more_threads_than_views_is_clamped() {
-        let (engine, receipts) = run_script(CommitMode::Parallel { threads: 64 }, 2);
-        assert_eq!(receipts[0].per_view.len(), 2);
-        assert!(engine.verify_all().is_ok());
     }
 
     // ------------------------------------------------------------------
@@ -1664,7 +1474,6 @@ pub(crate) mod tests {
                 max_delay: std::time::Duration::from_secs(1),
             })
             .unwrap();
-        engine.set_commit_mode(CommitMode::Parallel { threads: 2 });
         let ring = |i: u32| Update::insert(NodeId(i % 40), NodeId((i + 1) % 40));
         for i in 0..5 {
             engine.commit(&delta(vec![ring(i)])).unwrap();
@@ -1675,7 +1484,6 @@ pub(crate) mod tests {
             recovered.log().unwrap().durability(),
             igc_log::DurabilityMode::None
         );
-        assert_eq!(recovered.threads, 1, "CommitMode::Sequential");
         // The default cadence, seeded with the 5-delta tail: one checkpoint
         // in the next 32 commits (the crashed engine's 1 000 would add
         // none).

@@ -489,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_pin_published_versions_while_the_tick_thread_runs() {
+    fn snapshots_pin_published_versions_while_ticks_run() {
         let engine = Engine::new(graph_from(&[0; 8], &[]));
         let server = IngestServer::spawn(engine);
         let ingest = server.handle();

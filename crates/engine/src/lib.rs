@@ -27,13 +27,10 @@
 //! 2. **apply ΔG to the graph exactly once**, bumping the graph
 //!    [epoch](igc_graph::DynamicGraph::epoch);
 //! 3. **propagate** the normalized delta to every live active
-//!    [`IncView`](igc_core::IncView) — sequentially in slot order, or
-//!    with scoped helper threads pulling views from one shared queue under
-//!    [`CommitMode::Parallel`] (views are independent given the
-//!    post-commit graph; the mode changes latency only, never results) —
-//!    timing each view, attributing its
+//!    [`IncView`](igc_core::IncView), on the committing thread in slot
+//!    order — timing each view, attributing its
 //!    [`WorkStats`](igc_core::WorkStats) delta, and catching panics
-//!    (quarantine instead of unwind, identical in both modes);
+//!    (quarantine instead of unwind);
 //! 4. return a [`CommitReceipt`] with per-view outcomes and commit-wide
 //!    totals, labels shared as `Arc<str>` (no per-commit string cloning).
 //!

@@ -17,26 +17,22 @@ use crate::snapshot::{CellState, SnapCell};
 use igc_core::{panic_cause, IncView, WorkStats};
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What one view's `apply` produced during fan-out, before
-/// [`Registry::merge`] folds it into registry state and receipt (in slot
-/// order, identically for every fan-out width).
-pub(crate) struct ApplyRecord {
-    pub slot: usize,
-    pub elapsed: Duration,
-    pub work: WorkStats,
-    pub result: Result<(), String>,
+/// What one view's `apply` cost and how it ended, before
+/// [`Registered::fold`] books it into the view's accounting.
+struct ApplyRecord {
+    elapsed: Duration,
+    work: WorkStats,
+    result: Result<(), String>,
 }
 
 impl ApplyRecord {
-    /// The record of a view that failed outside its own `apply` (lost with
-    /// a helper thread that died, or its `clone_view` panicked): no work,
-    /// quarantine for `cause`.
-    pub(crate) fn failed(slot: usize, cause: String) -> Self {
+    /// The record of a view whose `clone_view` panicked at publish: no
+    /// work, quarantine for `cause`.
+    fn failed(cause: String) -> Self {
         ApplyRecord {
-            slot,
             elapsed: Duration::ZERO,
             work: WorkStats::new(),
             result: Err(cause),
@@ -45,22 +41,16 @@ impl ApplyRecord {
 }
 
 /// Drive one view's `apply` against the post-commit graph and snapshot
-/// its cost — the single per-view runner behind every fan-out, on the
-/// committing thread and on its helpers alike.
+/// its cost.
 ///
 /// Fully fenced: the inner `catch_unwind` converts an `apply` panic into
 /// `Err`, the post-panic `work()` read is fenced per the [quarantine
 /// contract](IncView#quarantine-contract), and the outer `catch_unwind`
 /// covers the remaining view-code surface (a `work()` that panics even
-/// *before* `apply`), so no view can unwind a commit — or kill a fan-out
-/// helper. The same contract makes `AssertUnwindSafe` sound: a view that
-/// panicked is never used again.
-pub(crate) fn drive_apply(
-    slot: usize,
-    view: &mut dyn IncView,
-    graph: &DynamicGraph,
-    delta: &UpdateBatch,
-) -> ApplyRecord {
+/// *before* `apply`), so no view can unwind a commit. The same contract
+/// makes `AssertUnwindSafe` sound: a view that panicked is never used
+/// again.
+fn drive_apply(view: &mut dyn IncView, graph: &DynamicGraph, delta: &UpdateBatch) -> ApplyRecord {
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let before = view.work();
@@ -83,7 +73,6 @@ pub(crate) fn drive_apply(
         Err(payload) => (WorkStats::new(), Err(panic_cause(payload.as_ref()))),
     };
     ApplyRecord {
-        slot,
         elapsed,
         work,
         result,
@@ -111,6 +100,32 @@ impl Registered {
             ViewState::Quarantined { epoch, cause } => Err((*epoch, cause.as_str())),
         };
         (&self.totals.label, slot)
+    }
+
+    /// Book `rec` into this view's accounting — quarantined at `epoch` if
+    /// it failed — and return its receipt entry.
+    fn fold(&mut self, rec: ApplyRecord, epoch: u64) -> ViewCommitStats {
+        self.totals.elapsed += rec.elapsed;
+        self.totals.work += rec.work;
+        let outcome = match rec.result {
+            Ok(()) => {
+                self.totals.commits += 1;
+                ViewOutcome::Applied
+            }
+            Err(cause) => {
+                self.state = ViewState::Quarantined {
+                    epoch,
+                    cause: cause.clone(),
+                };
+                ViewOutcome::Quarantined { cause }
+            }
+        };
+        ViewCommitStats {
+            label: self.totals.label.clone(),
+            elapsed: rec.elapsed,
+            work: rec.work,
+            outcome,
+        }
     }
 }
 
@@ -279,115 +294,25 @@ impl Registry {
         self.entries().filter(|r| !r.state.is_active()).count()
     }
 
-    /// Drive every active view's `apply` on `threads` threads: this one
-    /// plus up to `threads − 1` scoped helpers, all pulling `(slot, view)`
-    /// pairs from one shared queue; `g` already reflects `delta`. With
-    /// `threads ≤ 1`, one active view, or no helper the OS would start,
-    /// this thread drains the queue alone, in slot order.
-    ///
-    /// Returns one record per active view, in slot order; nothing is
-    /// recorded yet — [`Registry::merge`] does that. [`drive_apply`] fences
-    /// every view-code surface, so a helper only dies on a fault outside
-    /// view code: it is joined by hand (its panic never reaches this
-    /// thread), and each view it pulled stays in its slot with a failed
-    /// record, which the merge quarantines.
+    /// Drive every active view's `apply` on this thread, in slot order;
+    /// `g` already reflects `delta`. Each record is folded into its view as
+    /// it is produced — quarantine at `epoch` for a view whose `apply`
+    /// panicked. Returns the per-view receipt entries and the work they
+    /// sum to.
     pub(crate) fn fan_out(
         &mut self,
         g: &DynamicGraph,
         delta: &UpdateBatch,
-        threads: usize,
-    ) -> Vec<ApplyRecord> {
-        let active: Vec<(usize, &mut Box<dyn IncView>)> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let r = s.entry.as_mut().filter(|r| r.state.is_active())?;
-                Some((i, &mut r.view))
-            })
-            .collect();
-        let slots: Vec<usize> = active.iter().map(|&(slot, _)| slot).collect();
-        let helpers = threads.min(active.len()).saturating_sub(1);
-        // Advancing the iterator is the only thing done under the lock, and
-        // it leaves the queue valid at every step: a poisoned lock is safe
-        // to keep draining.
-        let queue = Mutex::new(active.into_iter());
-        let drain = || {
-            let mut records = Vec::new();
-            loop {
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some((slot, view)) = next else {
-                    return records;
-                };
-                records.push(drive_apply(slot, view.as_mut(), g, delta));
-            }
-        };
-        let mut records = std::thread::scope(|s| {
-            let spawned: Vec<_> = (0..helpers)
-                .filter_map(|_| {
-                    std::thread::Builder::new()
-                        .name("igc-fan-out".into())
-                        .spawn_scoped(s, drain)
-                        .ok()
-                })
-                .collect();
-            let mut records = drain();
-            for helper in spawned {
-                if let Ok(mut theirs) = helper.join() {
-                    records.append(&mut theirs);
-                }
-            }
-            records
-        });
-        if records.len() < slots.len() {
-            let lost = "fan-out helper died mid-apply (the view's state is suspect)";
-            for &slot in &slots {
-                if !records.iter().any(|r| r.slot == slot) {
-                    records.push(ApplyRecord::failed(slot, lost.into()));
-                }
-            }
-        }
-        records.sort_unstable_by_key(|r| r.slot);
-        records
-    }
-
-    /// Fold a fan-out's records (in slot order) into the registry:
-    /// accounting for every view that ran, quarantine at `epoch` for each
-    /// whose `apply` panicked. Returns the per-view receipt entries and
-    /// the work they sum to.
-    pub(crate) fn merge(
-        &mut self,
-        records: Vec<ApplyRecord>,
         epoch: u64,
     ) -> (Vec<ViewCommitStats>, WorkStats) {
-        let mut per_view = Vec::with_capacity(records.len());
+        let mut per_view = Vec::with_capacity(self.slots.len());
         let mut total = WorkStats::new();
-        for rec in records {
-            let Some(r) = self.slots.get_mut(rec.slot).and_then(|s| s.entry.as_mut()) else {
-                continue;
-            };
-            r.totals.elapsed += rec.elapsed;
-            r.totals.work += rec.work;
-            total += rec.work;
-            let outcome = match rec.result {
-                Ok(()) => {
-                    r.totals.commits += 1;
-                    ViewOutcome::Applied
-                }
-                Err(cause) => {
-                    r.state = ViewState::Quarantined {
-                        epoch,
-                        cause: cause.clone(),
-                    };
-                    ViewOutcome::Quarantined { cause }
-                }
-            };
-            per_view.push(ViewCommitStats {
-                label: r.totals.label.clone(),
-                elapsed: rec.elapsed,
-                work: rec.work,
-                outcome,
-            });
+        for r in self.slots.iter_mut().filter_map(|s| s.entry.as_mut()) {
+            if r.state.is_active() {
+                let rec = drive_apply(r.view.as_mut(), g, delta);
+                total += rec.work;
+                per_view.push(r.fold(rec, epoch));
+            }
         }
         (per_view, total)
     }
@@ -421,25 +346,26 @@ impl Registry {
     /// The cells of a version published at `epoch`: one per occupied slot —
     /// a quarantine record, or the copy the view makes of itself
     /// ([`IncView::clone_view`], fenced by [`CellState::publish`]). A view
-    /// whose `clone_view` panics gets a cell quarantined at `epoch` and a
-    /// failed record, for [`Registry::merge`].
-    pub(crate) fn cells(&self, epoch: u64) -> (Vec<SnapCell>, Vec<ApplyRecord>) {
+    /// whose `clone_view` panics gets a cell quarantined at `epoch`, is
+    /// quarantined itself, and gets a receipt entry saying so.
+    pub(crate) fn cells(&mut self, epoch: u64) -> (Vec<SnapCell>, Vec<ViewCommitStats>) {
         let mut failed = Vec::new();
         let mut cells = Vec::with_capacity(self.slots.len());
-        for (slot, s) in self.slots.iter().enumerate() {
-            let Some(r) = s.entry.as_ref() else {
+        for (slot, s) in self.slots.iter_mut().enumerate() {
+            let Some(r) = s.entry.as_mut() else {
                 continue;
             };
             let state = match r.found().1 {
-                Ok(view) => CellState::publish(view).unwrap_or_else(|cause| {
-                    failed.push(ApplyRecord::failed(slot, cause.clone()));
-                    CellState::Quarantined { epoch, cause }
-                }),
-                Err((epoch, cause)) => CellState::Quarantined {
+                Ok(view) => CellState::publish(view),
+                Err((epoch, cause)) => Ok(CellState::Quarantined {
                     epoch,
                     cause: cause.to_owned(),
-                },
+                }),
             };
+            let state = state.unwrap_or_else(|cause| {
+                failed.push(r.fold(ApplyRecord::failed(cause.clone()), epoch));
+                CellState::Quarantined { epoch, cause }
+            });
             cells.push(SnapCell {
                 index: slot as u32,
                 generation: s.generation,

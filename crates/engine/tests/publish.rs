@@ -1,13 +1,13 @@
 //! Publishing an MVCC version asks every active view for its `clone_view`
-//! copy: exactly once per publish, never on a no-op commit, pinned or not,
-//! in either commit mode — and a copy that panics quarantines its view
-//! instead of stranding the publish window.
+//! copy: exactly once per publish, never on a no-op commit, pinned or not
+//! — and a copy that panics quarantines its view instead of stranding the
+//! publish window.
 
 mod common;
 
 use common::quiet_panics;
 use igc_core::{IncView, WorkStats};
-use igc_engine::{CommitMode, Engine, EngineError, ViewOutcome, ViewState};
+use igc_engine::{Engine, EngineError, ViewOutcome, ViewState};
 use igc_graph::graph::graph_from;
 use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,49 +66,46 @@ fn insert(u: u32, v: u32) -> UpdateBatch {
 
 #[test]
 fn clone_view_runs_once_per_active_view_per_publish() {
-    for mode in [CommitMode::Sequential, CommitMode::Parallel { threads: 2 }] {
-        for pinned in [false, true] {
-            let what = format!("{mode:?}, pinned: {pinned}");
-            let mut engine = Engine::new(graph_from(&[0; 4], &[(0, 1)]));
-            engine.set_commit_mode(mode);
-            let (a, a_clones) = Probe::new(None);
-            let (b, b_clones) = Probe::new(None);
-            let count = || {
-                (
-                    a_clones.load(Ordering::Relaxed),
-                    b_clones.load(Ordering::Relaxed),
-                )
-            };
+    for pinned in [false, true] {
+        let what = format!("pinned: {pinned}");
+        let mut engine = Engine::new(graph_from(&[0; 4], &[(0, 1)]));
+        let (a, a_clones) = Probe::new(None);
+        let (b, b_clones) = Probe::new(None);
+        let count = || {
+            (
+                a_clones.load(Ordering::Relaxed),
+                b_clones.load(Ordering::Relaxed),
+            )
+        };
 
-            // Lifecycle events publish: every active view, once.
-            let a = engine.register("a", |_| a).unwrap();
-            assert_eq!(count(), (1, 0), "{what}");
-            let b = engine.register("b", |_| b).unwrap();
-            assert_eq!(count(), (2, 1), "{what}");
+        // Lifecycle events publish: every active view, once.
+        let a = engine.register("a", |_| a).unwrap();
+        assert_eq!(count(), (1, 0), "{what}");
+        let b = engine.register("b", |_| b).unwrap();
+        assert_eq!(count(), (2, 1), "{what}");
 
-            let pin = pinned.then(|| engine.snapshot().unwrap());
+        let pin = pinned.then(|| engine.snapshot().unwrap());
 
-            // A commit publishes once; a no-op commit publishes nothing.
-            for round in 1..=3 {
-                let receipt = engine.commit(&insert(round, 0)).unwrap();
-                assert!(!receipt.is_noop());
-                assert_eq!(count(), (2 + round as usize, 1 + round as usize), "{what}");
-                let receipt = engine.commit(&insert(round, 0)).unwrap();
-                assert!(receipt.is_noop());
-                assert_eq!(count(), (2 + round as usize, 1 + round as usize), "{what}");
-            }
-            assert_eq!(engine.view(&a).unwrap().applies, 3, "{what}");
-
-            // The pin still serves the copies of its own epoch.
-            if let Some(pin) = &pin {
-                assert_eq!(pin.view(&a).unwrap().applies, 0, "{what}");
-                assert_eq!(pin.view(&b).unwrap().applies, 0, "{what}");
-            }
-
-            // A departed view is not asked again.
-            engine.deregister(b).unwrap();
-            assert_eq!(count(), (6, 4), "{what}");
+        // A commit publishes once; a no-op commit publishes nothing.
+        for round in 1..=3 {
+            let receipt = engine.commit(&insert(round, 0)).unwrap();
+            assert!(!receipt.is_noop());
+            assert_eq!(count(), (2 + round as usize, 1 + round as usize), "{what}");
+            let receipt = engine.commit(&insert(round, 0)).unwrap();
+            assert!(receipt.is_noop());
+            assert_eq!(count(), (2 + round as usize, 1 + round as usize), "{what}");
         }
+        assert_eq!(engine.view(&a).unwrap().applies, 3, "{what}");
+
+        // The pin still serves the copies of its own epoch.
+        if let Some(pin) = &pin {
+            assert_eq!(pin.view(&a).unwrap().applies, 0, "{what}");
+            assert_eq!(pin.view(&b).unwrap().applies, 0, "{what}");
+        }
+
+        // A departed view is not asked again.
+        engine.deregister(b).unwrap();
+        assert_eq!(count(), (6, 4), "{what}");
     }
 }
 

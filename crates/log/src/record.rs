@@ -377,8 +377,10 @@ pub(crate) fn read_frame(buf: &[u8], pos: usize, segment: u32) -> Result<RawFram
 pub enum Framed {
     /// A complete, checksum-verified record, plus the offset just past it.
     Complete(Record, usize),
-    /// The bytes stop mid-record — a torn tail. Recovery ignores it when
-    /// it sits at the very end of the log; anywhere else it is corruption.
+    /// The bytes stop mid-record — or its length prefix claims more bytes
+    /// than the buffer holds, which a flipped length bit looks like too: no
+    /// checksum covers the prefix. A scan accepts a torn frame at the end
+    /// of any segment and skips what follows it there.
     Torn,
 }
 
@@ -571,6 +573,59 @@ mod tests {
         let mid = framed.len() / 2;
         framed[mid] ^= 0x40;
         assert!(decode_framed(&framed, 0).is_err());
+    }
+
+    /// One delta frame (deletes and labelled inserts) and one checkpoint
+    /// frame, as the mutation tests below damage them.
+    fn sample_frames() -> [Vec<u8>; 2] {
+        let delta = Record::Delta {
+            epoch: 7,
+            batch: sample_batch(),
+        };
+        let g = graph_from(&[0, 1, 2, 1], &[(0, 1), (1, 2), (3, 0), (2, 2)]);
+        let checkpoint = Record::checkpoint_of(&g);
+        [delta.encode_framed(), checkpoint.encode_framed()]
+    }
+
+    /// Every truncation of a frame reads as a torn tail, and every
+    /// single-bit flip at every offset as a torn tail or as corruption:
+    /// never as a complete record, and never as a panic.
+    #[test]
+    fn every_flip_and_cut_of_a_frame_is_torn_or_corrupt() {
+        for framed in sample_frames() {
+            for cut in 0..framed.len() {
+                let got = decode_framed(&framed[..cut], 0);
+                assert!(matches!(got, Ok(Framed::Torn)), "cut {cut}: {got:?}");
+            }
+            for offset in 0..framed.len() {
+                for bit in 0..8 {
+                    let mut flipped = framed.clone();
+                    flipped[offset] ^= 1 << bit;
+                    let got = decode_framed(&flipped, 0);
+                    let at = format!("offset {offset} bit {bit}");
+                    assert!(!matches!(got, Ok(Framed::Complete(..))), "{at}: {got:?}");
+                }
+            }
+        }
+    }
+
+    /// With the checksum bypassed, every single-bit flip of a bare body
+    /// decodes to `Ok` or `Err` without a panic, and every checkpoint it
+    /// decodes to restores (or refuses to) without one.
+    #[test]
+    fn a_flipped_body_decodes_or_errs_without_a_panic() {
+        for framed in sample_frames() {
+            let body = &framed[4..framed.len() - 4];
+            for offset in 0..body.len() {
+                for bit in 0..8 {
+                    let mut flipped = body.to_vec();
+                    flipped[offset] ^= 1 << bit;
+                    if let Ok(rec @ Record::Checkpoint { .. }) = Record::decode_body(&flipped) {
+                        let _ = rec.restore_graph();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

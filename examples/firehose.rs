@@ -4,9 +4,9 @@
 //! The script:
 //!
 //! 1. an engine over a generator-built graph attaches a file-backed
-//!    commit log, registers RPQ + SCC views (parallel fan-out), and goes
-//!    behind an [`IngestServer`] — no thread of its own: a submitter that
-//!    waits on its ticket runs the commit tick;
+//!    commit log, registers RPQ + SCC views, and goes behind an
+//!    [`IngestServer`] — no thread of its own: a submitter that waits on
+//!    its ticket runs the commit tick;
 //! 2. durability starts in **group commit** — one fsync barrier covers a
 //!    whole tick's records instead of one per submission;
 //! 3. N submitter threads clone the [`Ingest`] handle and firehose
@@ -46,7 +46,6 @@ fn main() -> Result<(), EngineError> {
     let g = uniform_graph(400, 1600, 3, 2017);
     let mut engine = Engine::new(g).with_log(backend.clone())?;
     engine.set_checkpoint_every(32);
-    engine.set_commit_mode(CommitMode::Parallel { threads: 0 });
     engine.register("rpq", IncRpq::init(rpq_query()))?;
     engine.register("scc", IncScc::init())?;
     let seed_graph = engine.graph().clone();

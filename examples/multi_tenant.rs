@@ -141,16 +141,6 @@ fn main() -> Result<(), EngineError> {
             println!("[lifecycle] audit after lazy registration ✓");
         }
 
-        // Lifecycle, phase 2½ (before commit 5): flip the commit fan-out
-        // to two worker threads. The mode is purely a latency knob —
-        // answers, receipts and journals are bit-identical either way, and
-        // the audits below keep proving it.
-        if round == 5 {
-            let mode = CommitMode::Parallel { threads: 2 };
-            engine.set_commit_mode(mode);
-            println!("[lifecycle] switched fan-out to {mode:?}");
-        }
-
         let clean = random_update_batch(engine.graph(), 40, 0.5, 7000 + round);
         // Clients are messy: every unit arrives twice, plus two no-ops.
         let mut messy: Vec<Update> = Vec::new();

@@ -25,8 +25,8 @@
 //!    and `CatchUp` followers show the model at their frontier, and seed
 //!    past a `Compact`ed base.
 //! 5. `coalesced_ticks_match_per_submission_commits_bit_identically`:
-//!    `Ticks` chain `apply_prepared`, on one thread or two, beside canaries
-//!    quarantined at their first commit that is not a no-op.
+//!    `Ticks` chain `apply_prepared`, beside canaries quarantined at their
+//!    first commit that is not a no-op.
 //! 6. `crash_mid_tick_recovers_to_a_clean_epoch_boundary`: a torn tick moves
 //!    nothing, recovery lands before it, and its retry lands exactly once.
 //! 7. `pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow`:
@@ -128,8 +128,8 @@ enum Hit {
 #[derive(Debug, Clone, PartialEq)]
 enum Action {
     Commit(Vec<U>),
-    /// Ticks chained through `apply_prepared`; `true` fans out on 2 threads.
-    Ticks(Vec<Vec<U>>, bool),
+    /// Ticks chained through `apply_prepared`.
+    Ticks(Vec<Vec<U>>),
     Register(Class),
     Deregister(usize),
     Checkpoint,
@@ -173,8 +173,8 @@ const MIX: [(&str, u32); 15] = [
 
 /// What the seeds must exercise beside each action kind: each surface
 /// check, and the events the action kinds exist for.
-const EVENTS: &str = "engine_check follower_check pin_check parallel_tick quarantine torn_tick \
-    retried_append stored_torn_append compaction_drop reattach snapshot_at follower_pin";
+const EVENTS: &str = "engine_check follower_check pin_check quarantine torn_tick retried_append \
+    stored_torn_append compaction_drop reattach snapshot_at follower_pin";
 /// What the fault kinds exist for: a degraded engine, refused and granted
 /// heals, sync debt, absorbed and surfaced read faults, and faults under
 /// each durability mode.
@@ -243,7 +243,10 @@ fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
             "Commit" => Commit(batch(rng)),
             "Ticks" => {
                 let ticks = rng.gen_range(1usize..4);
-                Ticks((0..ticks).map(|_| batch(rng)).collect(), rng.gen())
+                let ticks = Ticks((0..ticks).map(|_| batch(rng)).collect());
+                // Ticks once carried a commit-mode flag: drawing it keeps every seed's history.
+                let _: bool = rng.gen();
+                ticks
             }
             "Register" if pick % 4 == 0 => Register([PanicInApply, PanicInClone][pick / 4 % 2]),
             "Register" => Register(CORE[pick % 5]),
@@ -479,7 +482,6 @@ struct Sim {
     engine: Engine,
     followers: Vec<Replica>,
     retry: bool,
-    mode: CommitMode,
     durability: Barrier,
     compacted_base: u64,
     /// The publication the engine's views were last verified at.
@@ -505,7 +507,6 @@ impl Sim {
             engine: engine.expect("an empty journal"),
             followers: Vec::new(),
             retry: false,
-            mode: CommitMode::Sequential,
             durability: Never,
             compacted_base: 0,
             verified: 0,
@@ -536,7 +537,6 @@ impl Sim {
     fn configure(&mut self) {
         let e = &mut self.engine;
         e.set_checkpoint_every(3);
-        e.set_commit_mode(self.mode);
         e.set_retry_policy(retries(self.retry)).expect("a journal");
         e.set_durability(self.durability.mode()).expect("a journal");
     }
@@ -550,7 +550,7 @@ impl Sim {
                 let receipt = self.engine.commit(&batch).expect("commit");
                 self.landed(&receipt, units.len(), &delta);
             }
-            Ticks(ticks, parallel) => self.ticks(ticks, *parallel),
+            Ticks(ticks) => self.ticks(ticks),
             Register(class) => {
                 let label = format!("{class:?}:{}", self.model.publications);
                 register(&mut self.engine, &label, *class);
@@ -616,15 +616,7 @@ impl Sim {
         assert_eq!(window, m.held().len() + 1, "window: the pins and the head");
     }
 
-    fn ticks(&mut self, ticks: &[Vec<U>], parallel: bool) {
-        self.mode = match parallel {
-            true => CommitMode::Parallel { threads: 2 },
-            false => CommitMode::Sequential,
-        };
-        self.engine.set_commit_mode(self.mode);
-        if parallel {
-            bump(&mut self.stats, "parallel_tick");
-        }
+    fn ticks(&mut self, ticks: &[Vec<U>]) {
         let batches: Vec<UpdateBatch> = ticks.iter().map(|t| batch_of(t)).collect();
         let Some(first) = batches.first() else { return };
         let mut staged = self.engine.prepare(first).expect("prepare");
@@ -912,14 +904,13 @@ thread_local!(static QUIET: Cell<bool> = const { Cell::new(false) });
 
 /// Run one history; `Err` names the first action whose check failed.
 fn run(actions: &[Action]) -> Result<Stats, String> {
-    // Silence the panics of a history, which `run` reports: on its thread,
-    // and the canaries' on the fan-out's helper threads.
+    // Silence the panics of a history, which `run` reports; every one of
+    // them, the canaries' included, happens on its thread.
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let text = info.payload_as_str().unwrap_or_default();
-            if !text.starts_with("canary") && !QUIET.get() {
+            if !QUIET.get() {
                 default(info);
             }
         }));
@@ -984,7 +975,7 @@ fn ddmin<T: Clone>(mut case: Vec<T>, fails: impl Fn(&[T]) -> bool) -> Vec<T> {
 fn lists(action: &mut Action) -> Vec<&mut Vec<U>> {
     match action {
         Commit(units) | Crash(Some((_, units))) | Fault(_, units) => vec![units],
-        Ticks(ticks, _) => ticks.iter_mut().collect(),
+        Ticks(ticks) => ticks.iter_mut().collect(),
         _ => Vec::new(),
     }
 }
@@ -1125,7 +1116,7 @@ fn replicas_joining_at_random_epochs_converge_bit_identically() {
 #[test]
 fn coalesced_ticks_match_per_submission_commits_bit_identically() {
     let kinds = ["Commit", "Ticks", "Register"];
-    focused(5, &kinds, "parallel_tick quarantine");
+    focused(5, &kinds, "quarantine");
 }
 
 #[test]
@@ -1151,7 +1142,7 @@ fn seeded_chaos_storms_lose_no_acked_commit() {
 fn ddmin_returns_the_two_actions_a_failure_needs() {
     let (text, pair) = case![
         Crash(Some((99, vec![L(3, 3, 1, 2)]))),
-        Ticks(vec![vec![I(0, 1), D(0, 1)], vec![]], true)
+        Ticks(vec![vec![I(0, 1), D(0, 1)], vec![]])
     ];
     let mut history = generate(7);
     history.insert(9, pair[0].clone());
@@ -1185,7 +1176,7 @@ fn ddmin_shrinks_a_storm_to_the_fault_action_a_failure_needs() {
 fn replayed_cases_stay_green() {
     let cases = [
         // `IncKws` seeds a keyword-labelled fresh node at distance 0.
-        case![Ticks(vec![vec![L(16, 7, 1, 2)], vec![], vec![]], true)],
+        case![Ticks(vec![vec![L(16, 7, 1, 2)], vec![], vec![]])],
         // A retried append rotates past the torn bytes of the one before.
         case![
             Retry(true),
