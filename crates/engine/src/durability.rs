@@ -7,9 +7,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::replica::Replica;
 use igc_graph::UpdateBatch;
-use igc_log::{
-    CommitLog, Compaction, DurabilityMode, LogBackend, LogError, RetentionPin, RetryPolicy,
-};
+use igc_log::{CommitLog, Compaction, DurabilityMode, LogBackend, LogError, RetentionPin};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,10 +67,9 @@ impl Engine {
     ///
     /// Settings are **not** resurrected either — the journal holds none.
     /// The recovered engine starts from the defaults: checkpoint cadence
-    /// [`DEFAULT_CHECKPOINT_EVERY`], [`DurabilityMode::None`] and
-    /// [`RetryPolicy::none`]. A caller that ran with others re-applies them
-    /// ([`Engine::set_checkpoint_every`], [`Engine::set_durability`],
-    /// [`Engine::set_retry_policy`]) before its first commit, or a crashed
+    /// [`DEFAULT_CHECKPOINT_EVERY`] and [`DurabilityMode::None`]. A caller
+    /// that ran with others re-applies them ([`Engine::set_checkpoint_every`],
+    /// [`Engine::set_durability`]) before its first commit, or a crashed
     /// `GroupCommit` engine resumes un-synced.
     ///
     /// [`DEFAULT_CHECKPOINT_EVERY`]: crate::DEFAULT_CHECKPOINT_EVERY
@@ -127,13 +124,11 @@ impl Engine {
     /// The write-ahead half of [`Engine::prepare`]: journal a non-empty
     /// normalized `delta` — the cadence checkpoint first if one is due,
     /// then the delta chained to exactly the epoch applying it will
-    /// produce — and return the journal retries absorbed. `Ok(0)` on an
-    /// engine without a log.
-    pub(crate) fn journal(&mut self, delta: &UpdateBatch) -> Result<u64, EngineError> {
+    /// produce. A no-op on an engine without a log.
+    pub(crate) fn journal(&mut self, delta: &UpdateBatch) -> Result<(), EngineError> {
         let Some(log) = &mut self.log else {
-            return Ok(0);
+            return Ok(());
         };
-        let retries_before = log.append_retries() + log.sync_retries();
         let mut journaled = Ok(());
         if self.checkpoint_every > 0 && self.logged_since_checkpoint >= self.checkpoint_every {
             journaled = log.append_checkpoint(&self.graph);
@@ -142,12 +137,11 @@ impl Engine {
             }
         }
         let journaled = journaled.and_then(|()| log.append_delta(self.graph.epoch() + 1, delta));
-        let log_retries = (log.append_retries() + log.sync_retries()) - retries_before;
         // A policy-driven barrier that failed did NOT fail the append (the
-        // record is stored; failing it would make a correct caller retry
-        // and double-append the epoch — see CommitLog::sync_debt). But it
-        // leaves acknowledged records non-durable, so no *further* commit
-        // may proceed until Engine::heal settles the debt.
+        // record is stored; failing it would make a correct caller commit
+        // again and double-append the epoch — see CommitLog::sync_debt).
+        // But it leaves acknowledged records non-durable, so no *further*
+        // commit may proceed until Engine::heal settles the debt.
         let debt = log.sync_debt().map(|d| format!("unsettled sync debt: {d}"));
         // Write-ahead ordering rejects a failed commit atomically (the
         // chain never advanced).
@@ -156,7 +150,7 @@ impl Engine {
         if let Some(cause) = debt {
             self.enter_degraded(cause);
         }
-        Ok(log_retries)
+        Ok(())
     }
 
     /// Create a **pinned** read replica over this engine's commit log
@@ -231,36 +225,19 @@ impl Engine {
         log.sync().map_err(|e| self.journal_failed("sync", e))
     }
 
-    /// What a failed journal write becomes. A transient error that
-    /// survived the whole retry budget means the device is genuinely down:
-    /// degrade to read-only instead of grinding every later commit against
-    /// a dead journal.
+    /// What a failed journal write becomes. An I/O error means the device
+    /// failed under the write: degrade to read-only, on the first failure,
+    /// instead of grinding every later commit against a dead journal
+    /// ([`Engine::heal`] re-probes it). A structural error (corruption, a
+    /// broken epoch chain) describes the log or the caller, not the
+    /// device, and surfaces as itself.
     fn journal_failed(&mut self, operation: &'static str, e: LogError) -> EngineError {
-        if !RetryPolicy::is_transient(&e) {
+        if !matches!(e, LogError::Io { .. }) {
             return e.into();
         }
         let cause = e.to_string();
         self.enter_degraded(cause.clone());
-        let policy = self.log.as_ref().map(CommitLog::retry_policy);
-        EngineError::RetriesExhausted {
-            operation,
-            attempts: policy.unwrap_or_default().attempts(),
-            cause,
-        }
-    }
-
-    /// Set the attached log's [`RetryPolicy`]: bounded exponential-backoff
-    /// retry for transient journal I/O failures on the append and sync
-    /// paths. The default is [`RetryPolicy::none`] — fail on the first
-    /// error. Retries a commit absorbed are reported in its receipt
-    /// ([`CommitReceipt::log_retries`]).
-    /// [`EngineError::NoLog`] without an attached log.
-    ///
-    /// [`CommitReceipt::log_retries`]: crate::CommitReceipt::log_retries
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) -> Result<(), EngineError> {
-        let log = attached_mut(&mut self.log, "set_retry_policy")?;
-        log.set_retry_policy(policy);
-        Ok(())
+        EngineError::JournalFailed { operation, cause }
     }
 
     // ------------------------------------------------------------------
@@ -268,8 +245,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Whether the engine is in degraded read-only mode: a journal append
-    /// or durability barrier exhausted its retry budget (or left
-    /// unsettled sync debt), so commits and checkpoints fail fast with
+    /// or durability barrier failed with an I/O error (or left unsettled
+    /// sync debt), so commits and checkpoints fail fast with
     /// [`EngineError::Degraded`] until [`Engine::heal`] succeeds. Reads,
     /// view queries, audits and replica tailing are unaffected.
     pub fn is_degraded(&self) -> bool {
@@ -311,9 +288,8 @@ impl Engine {
     /// accounted ([`Engine::degraded_windows`],
     /// [`Engine::degraded_elapsed`]). On failure the engine stays
     /// degraded and the journal error is returned — call again once the
-    /// fault has actually cleared (the probe itself runs under the log's
-    /// [`RetryPolicy`]). Healthy engines return `Ok(())` immediately;
-    /// [`EngineError::NoLog`] without an attached log.
+    /// fault has actually cleared. Healthy engines return `Ok(())`
+    /// immediately; [`EngineError::NoLog`] without an attached log.
     pub fn heal(&mut self) -> Result<(), EngineError> {
         if self.degraded.is_none() {
             return Ok(());
@@ -341,5 +317,57 @@ impl Engine {
                 entered_at: Instant::now(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use igc_graph::graph::graph_from;
+    use igc_log::MemBackend;
+
+    #[test]
+    fn only_io_degrades_and_structural_errors_surface_as_themselves() {
+        let mut engine = Engine::new(graph_from(&[0, 0], &[]))
+            .with_log(Arc::new(MemBackend::new()))
+            .unwrap();
+        for fatal in [
+            LogError::Corrupt {
+                segment: 0,
+                offset: 0,
+                reason: "bad".into(),
+            },
+            LogError::EpochGap {
+                expected: 1,
+                found: 5,
+            },
+            LogError::Empty,
+            LogError::NotEmpty { segments: 2 },
+            LogError::NoCheckpoint { epoch: 3 },
+            LogError::EpochUnavailable {
+                requested: 9,
+                latest: 4,
+            },
+        ] {
+            let err = engine.journal_failed("append", fatal.clone());
+            assert_eq!(err, EngineError::from(fatal), "surfaces as itself");
+            assert!(!engine.is_degraded(), "{err:?} must not degrade");
+        }
+        let err = engine.journal_failed(
+            "sync",
+            LogError::Io {
+                operation: "sync",
+                segment: 0,
+                cause: "flaky".into(),
+            },
+        );
+        match err {
+            EngineError::JournalFailed {
+                operation: "sync",
+                cause,
+            } => assert!(cause.contains("flaky"), "{cause}"),
+            other => panic!("expected JournalFailed, got {other:?}"),
+        }
+        assert!(engine.is_degraded(), "the first I/O error degrades");
     }
 }

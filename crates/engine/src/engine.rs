@@ -69,9 +69,6 @@ pub struct PreparedCommit {
     submitted: usize,
     prepare_elapsed: Duration,
     base_epoch: u64,
-    /// Journal retries absorbed while preparing this commit (append +
-    /// any policy-driven barrier), surfaced in the receipt.
-    log_retries: u64,
 }
 
 impl PreparedCommit {
@@ -120,8 +117,8 @@ pub struct Engine {
     /// door can hand out snapshot access while the engine sits behind its
     /// lock.
     snapshots: Arc<SnapshotStore>,
-    /// `Some` while the engine is in degraded read-only mode (journal
-    /// retries exhausted, or unsettled sync debt); cleared by
+    /// `Some` while the engine is in degraded read-only mode (a journal
+    /// write failed, or sync debt is unsettled); cleared by
     /// [`Engine::heal`].
     pub(crate) degraded: Option<DegradedState>,
     /// Completed degraded windows (entered *and* healed).
@@ -411,17 +408,14 @@ impl Engine {
         let start = Instant::now();
         let submitted = batch.len();
         let delta = batch.normalize_against(&self.graph);
-        let log_retries = if delta.is_empty() {
-            0
-        } else {
-            self.journal(&delta)?
-        };
+        if !delta.is_empty() {
+            self.journal(&delta)?;
+        }
         Ok(PreparedCommit {
             delta,
             submitted,
             prepare_elapsed: start.elapsed(),
             base_epoch: self.graph.epoch(),
-            log_retries,
         })
     }
 
@@ -462,7 +456,6 @@ impl Engine {
             delta,
             prepare_elapsed: Duration::ZERO,
             base_epoch: self.graph.epoch(),
-            log_retries: 0,
         };
         self.land(prepared, reseeded);
     }
@@ -478,7 +471,6 @@ impl Engine {
             delta,
             submitted,
             prepare_elapsed,
-            log_retries,
             ..
         } = prepared;
         // Counted here, not in `prepare`: past this point the commit can
@@ -495,7 +487,7 @@ impl Engine {
             per_view: Vec::new(),
             skipped_quarantined: 0,
             work: WorkStats::new(),
-            log_retries,
+            log_retries: 0,
         };
         if !delta.is_empty() || reseeded.is_some() {
             // Open the MVCC publish window: GC every version no live snapshot
@@ -1628,8 +1620,8 @@ pub(crate) mod tests {
         assert!(!engine.is_degraded());
 
         // Disk dies: the write-ahead append fails, so the commit is
-        // rejected before the graph or any view saw it — and with no
-        // retry budget left, the engine degrades to read-only.
+        // rejected before the graph or any view saw it — and the engine
+        // degrades to read-only on that first failure.
         chaos.fail_next_append(0);
         let err = engine
             .commit(&delta(vec![Update::insert(NodeId(1), NodeId(2))]))
@@ -1637,9 +1629,8 @@ pub(crate) mod tests {
         assert!(
             matches!(
                 err,
-                EngineError::RetriesExhausted {
+                EngineError::JournalFailed {
                     operation: "append",
-                    attempts: 1,
                     ..
                 }
             ),

@@ -152,27 +152,22 @@ pub enum EngineError {
     /// with the submission uncommitted. The update batch was **not**
     /// applied.
     SubmissionDropped,
-    /// A journal operation exhausted its
-    /// [`RetryPolicy`](igc_log::RetryPolicy) budget on transient I/O
-    /// failures. The failing commit was rejected atomically (write-ahead
-    /// ordering: nothing moved), and the engine entered degraded
-    /// read-only mode — see [`EngineError::Degraded`] and
-    /// [`Engine::heal`](crate::Engine::heal).
-    RetriesExhausted {
-        /// The journal operation that gave up (`"append"` or `"sync"`).
+    /// A journal operation failed with an I/O error. The failing commit
+    /// was rejected atomically (write-ahead ordering: nothing moved), and
+    /// the engine entered degraded read-only mode — see
+    /// [`EngineError::Degraded`] and [`Engine::heal`](crate::Engine::heal).
+    JournalFailed {
+        /// The journal operation that failed (`"append"` or `"sync"`).
         operation: &'static str,
-        /// Attempts made, the first included.
-        attempts: u32,
-        /// The rendered final transient error.
+        /// The rendered I/O error.
         cause: String,
     },
     /// The engine is in **degraded read-only mode**: a past journal
-    /// append or durability barrier exhausted its retries, so accepting
-    /// new commits could silently diverge the log from the graph. Reads,
-    /// view queries and replica tailing all keep working; commits and
-    /// checkpoints fail fast with this error until
-    /// [`Engine::heal`](crate::Engine::heal) re-probes the journal and
-    /// succeeds.
+    /// append or durability barrier failed, so accepting new commits
+    /// could silently diverge the log from the graph. Reads, view queries
+    /// and replica tailing all keep working; commits and checkpoints fail
+    /// fast with this error until [`Engine::heal`](crate::Engine::heal)
+    /// re-probes the journal and succeeds.
     Degraded {
         /// Graph epoch at which the engine entered degraded mode.
         since_epoch: u64,
@@ -310,13 +305,9 @@ impl fmt::Display for EngineError {
                 "ingest submission dropped before commit: a commit tick panicked \
                  with the batch still queued or in flight; the batch was not applied"
             ),
-            EngineError::RetriesExhausted {
-                operation,
-                attempts,
-                cause,
-            } => write!(
+            EngineError::JournalFailed { operation, cause } => write!(
                 f,
-                "journal {operation} failed after {attempts} attempt(s): {cause}; \
+                "journal {operation} failed: {cause}; \
                  the engine is degraded read-only until Engine::heal succeeds"
             ),
             EngineError::Degraded { since_epoch, cause } => write!(
@@ -467,13 +458,12 @@ mod tests {
                 vec!["dropped before commit", "still queued", "not applied"],
             ),
             (
-                EngineError::RetriesExhausted {
+                EngineError::JournalFailed {
                     operation: "append",
-                    attempts: 4,
                     cause: "log I/O failed during append of segment 3: disk on fire".into(),
                 },
                 vec![
-                    "journal append failed after 4 attempt(s)",
+                    "journal append failed: log I/O failed",
                     "disk on fire",
                     "Engine::heal",
                 ],
@@ -534,7 +524,7 @@ mod tests {
                 | EngineError::FrontierCompacted { .. }
                 | EngineError::IngestClosed
                 | EngineError::SubmissionDropped
-                | EngineError::RetriesExhausted { .. }
+                | EngineError::JournalFailed { .. }
                 | EngineError::Degraded { .. }
                 | EngineError::Overloaded { .. }
                 | EngineError::EpochRetired { .. }

@@ -37,8 +37,8 @@
 //! Overload and fault propagation: the submission queue is **bounded**
 //! (1 024 submissions) — a submitter that cannot enqueue within 100 ms
 //! is shed with [`EngineError::Overloaded`] instead of growing the queue
-//! without limit. And when the engine is in degraded read-only mode (journal
-//! retries exhausted — see [`Engine::heal`]), submissions are rejected
+//! without limit. And when the engine is in degraded read-only mode (a
+//! journal write failed — see [`Engine::heal`]), submissions are rejected
 //! at admission with [`EngineError::Degraded`] through their tickets,
 //! so callers observe the outage instead of queueing into a wall.
 

@@ -99,9 +99,10 @@
 //! [`Replica::ensure_fresh`]), and holds a retention pin so
 //! [`Engine::compact_log`] — which drops whole log segments behind the
 //! newest checkpoint — never cuts off a live follower's catch-up window.
-//! Journal I/O is retried in one place, [`RetryPolicy::run`](igc_log::RetryPolicy::run):
-//! under [`Engine::set_retry_policy`] for the writer,
-//! [`Replica::set_retry_policy`] for a tailing follower.
+//! Journal I/O is tried once. A failed append or barrier rejects the
+//! commit and degrades the writer until [`Engine::heal`] succeeds; a
+//! follower's read error surfaces from [`Replica::catch_up`] /
+//! [`Replica::tail`]. A caller that wants another attempt makes it.
 //!
 //! ```
 //! use igc_engine::Engine;

@@ -75,12 +75,7 @@ pub struct CommitReceipt {
     /// Sum of all views' work during this commit (including partial work
     /// of a view quarantined by this commit).
     pub work: WorkStats,
-    /// Journal retries this commit's write-ahead append (and any
-    /// policy-driven durability barrier it triggered) absorbed under the
-    /// log's [`RetryPolicy`](igc_log::RetryPolicy) — `0` on an unlogged
-    /// engine, and under the default no-retry policy. A nonzero count is
-    /// the observable trace of a transient I/O window the commit
-    /// survived.
+    /// Always `0`: kept only because the benchmark's traced run reads it.
     pub log_retries: u64,
 }
 

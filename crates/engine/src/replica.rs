@@ -3,11 +3,10 @@
 //!
 //! A follower is an [`Engine`] whose deltas come from the log instead of
 //! from clients: a [`Replica`] is that engine (with no log of its own), a
-//! [`Replayer`] over the leader's log, its retention pin, seed base and
-//! retry counters. Each replayed delta lands through the engine's one
-//! commit stage, so a follower publishes versions, keeps totals and
-//! journals events exactly as a leader does, and `Replica` derefs to the
-//! engine for every read.
+//! [`Replayer`] over the leader's log, its retention pin and seed base.
+//! Each replayed delta lands through the engine's one commit stage, so a
+//! follower publishes versions, keeps totals and journals events exactly
+//! as a leader does, and `Replica` derefs to the engine for every read.
 //!
 //! A follower seeds from the **newest checkpoint** (never genesis — that
 //! is the whole point of the checkpoint cadence), replays normalized
@@ -39,12 +38,11 @@
 //! **Self-healing**: a [`Replica::tail`] loop that finds its frontier
 //! compacted away [re-attaches](Replica::reattach) — the follower
 //! re-seeds from the newest checkpoint and catches its views up with one
-//! synthesized diff batch instead of being rebuilt from scratch — and
-//! under a [`Replica::set_retry_policy`] budget it absorbs transient I/O
-//! errors through the same [`RetryPolicy::run`] loop as the leader's
-//! journal writes (counted by [`Replica::tail_retries`]).
-//! [`Replica::catch_up`] driven by hand does neither: it reports the
-//! precise error.
+//! synthesized diff batch instead of being rebuilt from scratch. Any
+//! other error, a transient read fault included, ends the tail the first
+//! time it happens; the caller tails again once the fault has cleared.
+//! [`Replica::catch_up`] driven by hand does not re-attach either: it
+//! reports the precise error.
 //!
 //! A [background view build](crate::Engine::register_background) is a
 //! pinned `Replica` too — one view, caught up on a worker thread, moved
@@ -85,7 +83,7 @@ use crate::lifecycle::{ViewHandle, ViewId};
 use crate::registry::Registered;
 use igc_core::IncView;
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
-use igc_log::{LogBackend, LogError, Replayer, RetentionPin, RetryPolicy};
+use igc_log::{LogBackend, LogError, Replayer, RetentionPin};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -126,11 +124,6 @@ pub struct Replica {
     pin: Option<RetentionPin>,
     /// Epoch of the checkpoint this replica seeded from.
     seed_base: u64,
-    /// Retry budget of [`Replica::tail`]'s catch-up rounds for transient
-    /// I/O (default [`RetryPolicy::none`]: fail on the first error).
-    retry: RetryPolicy,
-    /// Transient errors absorbed by tailing under that budget.
-    tail_retries: u64,
     /// Times this replica re-seeded from a newer checkpoint
     /// ([`Replica::reattach`], manual calls included).
     reattaches: u64,
@@ -185,23 +178,8 @@ impl Replica {
             replayer,
             seed_base: replayed.base_epoch,
             pin,
-            retry: RetryPolicy::none(),
-            tail_retries: 0,
             reattaches: 0,
         })
-    }
-
-    /// Set the retry budget [`Replica::tail`] spends on *transient* I/O
-    /// errors in a catch-up round (the same transient-vs-fatal split and
-    /// the same loop as the leader's journal: [`RetryPolicy::run`]). The
-    /// default [`RetryPolicy::none`] never retries.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// Transient catch-up errors absorbed by tailing so far.
-    pub fn tail_retries(&self) -> u64 {
-        self.tail_retries
     }
 
     /// Times this replica has re-seeded from a newer checkpoint
@@ -239,18 +217,11 @@ impl Replica {
     /// outrun by compaction); [`EngineError::LogCorrupt`] /
     /// [`EngineError::EpochGap`] on genuine log damage.
     pub fn catch_up(&mut self) -> Result<u64, EngineError> {
-        Self::map_catch_up_error(self.catch_up_raw())
-    }
-
-    /// The raw catch-up round, keeping the [`LogError`] shape — the retry
-    /// loop needs the transient-vs-fatal distinction that
-    /// `From<LogError> for EngineError` (which folds `Io` into
-    /// `LogCorrupt`) would erase.
-    fn catch_up_raw(&mut self) -> Result<u64, LogError> {
         let engine = &mut self.engine;
         let applied = self
             .replayer
-            .catch_up(engine.epoch(), |delta| engine.replay(delta, None))?;
+            .catch_up(engine.epoch(), |delta| engine.replay(delta, None));
+        let applied = Self::map_catch_up_error(applied)?;
         self.advance_pin();
         Ok(applied)
     }
@@ -280,18 +251,14 @@ impl Replica {
         }
     }
 
-    /// One catch-up round of [`Replica::tail`]: transient I/O errors are
-    /// retried under the [`Replica::set_retry_policy`] budget (counted in
-    /// [`Replica::tail_retries`]), and a compacted-away frontier triggers
-    /// [`Replica::reattach`]. A reattach skips the individual deltas of
-    /// the compacted window: the follower's receipts, totals and views
-    /// see their net diff as one delta.
+    /// One catch-up round of [`Replica::tail`]: a compacted-away
+    /// frontier triggers [`Replica::reattach`], and any other error
+    /// surfaces. A reattach skips the individual deltas of the compacted
+    /// window: the follower's receipts, totals and views see their net
+    /// diff as one delta.
     fn tail_round(&mut self) -> Result<u64, EngineError> {
         loop {
-            let (policy, mut absorbed) = (self.retry, 0);
-            let raw = policy.run(&mut absorbed, || self.catch_up_raw());
-            self.tail_retries += absorbed;
-            match Self::map_catch_up_error(raw) {
+            match self.catch_up() {
                 // Re-seed from the newest checkpoint and go round again:
                 // the reattach leaves the frontier at the head, so the
                 // next round normally drains clean.
@@ -389,10 +356,11 @@ impl Replica {
     /// stop.store(true, std::sync::atomic::Ordering::Release);
     /// let (replica, applied) = worker.join().unwrap().unwrap();
     /// ```
-    /// The loop self-heals: a compacted-away frontier re-attaches from
-    /// the newest checkpoint ([`Replica::reattach`]), and under a
-    /// [`Replica::set_retry_policy`] budget transient I/O errors are
-    /// retried with backoff instead of killing the tail.
+    /// The loop self-heals one way: a compacted-away frontier re-attaches
+    /// from the newest checkpoint ([`Replica::reattach`]). Any other
+    /// error, a transient read fault included, ends the tail the first
+    /// time it happens; call `tail` (or [`Replica::catch_up`]) again once
+    /// the fault has cleared.
     pub fn tail(&mut self, stop: &AtomicBool, poll: Duration) -> Result<u64, EngineError> {
         let mut total = 0;
         loop {

@@ -1,9 +1,9 @@
 //! Chaos integration: one-shot faults placed through the whole stack —
-//! retrying WAL appends, degraded read-only mode with
-//! [`Engine::heal`], sync failures at the group-commit quiesce barrier
-//! and during a runtime durability flip, overload shedding at the ingest
-//! front door, and self-healing replicas (transient-read retry and
-//! post-compaction reattach) — each checked against the four real query
+//! a failed WAL append that degrades the engine and the one recovery
+//! path, [`Engine::heal`] then commit again; sync failures at the
+//! group-commit quiesce barrier and during a runtime durability flip;
+//! overload shedding at the ingest front door; and a follower's
+//! post-compaction reattach — each checked against the four real query
 //! classes. Seeded fault storms run in the simulation
 //! (`tests/engine_consistency.rs`), which decides when each fault fires.
 
@@ -13,7 +13,7 @@ use igc_graph::graph::graph_from;
 use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
 use igc_iso::{IncIso, MatchKey, Pattern};
 use igc_kws::{IncKws, KwsQuery};
-use igc_log::{ChaosBackend, DurabilityMode, LogBackend, MemBackend, RetryPolicy};
+use igc_log::{ChaosBackend, DurabilityMode, LogBackend, MemBackend};
 use igc_nfa::Regex;
 use igc_rpq::IncRpq;
 use igc_scc::IncScc;
@@ -105,12 +105,6 @@ fn backend_pair() -> (ChaosBackend, Arc<dyn LogBackend>) {
     (chaos, arc)
 }
 
-/// A retry policy with real attempts but zero sleep — chaos tests want
-/// the retry *logic*, not the wall-clock backoff.
-fn fast_retries(retries: u32) -> RetryPolicy {
-    RetryPolicy::retries(retries).with_delays(Duration::ZERO, Duration::ZERO)
-}
-
 /// `heal` keeps failing while the fault window persists (the checkpoint
 /// probe hits the same dead disk), the engine stays degraded, and the
 /// window is only accounted once the probe finally lands.
@@ -133,10 +127,7 @@ fn heal_fails_while_the_fault_persists_then_recovers() {
     // The first fault: the commit is rejected and the engine degrades.
     let d1 = random_update_batch(engine.graph(), 6, 0.5, 901);
     let err = engine.commit(&d1).unwrap_err();
-    assert!(
-        matches!(err, EngineError::RetriesExhausted { .. }),
-        "{err:?}"
-    );
+    assert!(matches!(err, EngineError::JournalFailed { .. }), "{err:?}");
     assert!(engine.is_degraded());
 
     // The second and third: heal's checkpoint probe fails, the engine
@@ -188,7 +179,7 @@ fn degraded_mode_still_serves_snapshots() {
     let d1 = random_update_batch(engine.graph(), 6, 0.5, 911);
     assert!(matches!(
         engine.commit(&d1),
-        Err(EngineError::RetriesExhausted { .. })
+        Err(EngineError::JournalFailed { .. })
     ));
     assert!(engine.is_degraded());
     assert!(matches!(
@@ -332,7 +323,7 @@ fn sync_failure_during_a_durability_flip_degrades_on_sync_debt() {
     assert!(matches!(err, EngineError::Degraded { .. }), "{err:?}");
     engine.verify_all().unwrap();
 
-    // Heal settles the debt (the barrier retries the still-dirty
+    // Heal settles the debt (the barrier syncs the still-dirty
     // segments) and writes resume.
     engine.heal().unwrap();
     assert_eq!(engine.degraded_windows(), 1);
@@ -346,38 +337,6 @@ fn sync_failure_during_a_durability_flip_degrades_on_sync_debt() {
     assert_eq!(recovered.epoch(), engine.epoch());
     register_all(&mut recovered);
     assert_eq!(answers(&recovered), answers(&engine));
-}
-
-/// A resilient follower absorbs transient read faults inside its retry
-/// budget — the tail keeps going where the fail-fast `catch_up` would
-/// have surfaced an error — and counts what it absorbed.
-#[test]
-fn resilient_tail_absorbs_transient_read_faults() {
-    let (chaos, backend) = backend_pair();
-    let mut leader = Engine::new(uniform_graph(24, 64, 3, 41))
-        .with_log(backend)
-        .unwrap();
-    register_all(&mut leader);
-    let mut replica = leader.replica().unwrap();
-    let views = register_replica(&mut replica);
-    replica.set_retry_policy(fast_retries(5));
-
-    let stopped = AtomicBool::new(true); // pre-stopped: tail = one resilient drain
-    for round in 0..4u64 {
-        let d = random_update_batch(leader.graph(), 8, 0.5, 4100 + round);
-        leader.commit(&d).unwrap();
-        chaos.fail_next_read();
-        replica.tail(&stopped, Duration::from_millis(1)).unwrap();
-        assert_eq!(replica.frontier(), leader.epoch(), "round {round}");
-    }
-    assert!(
-        replica.tail_retries() >= 4,
-        "each armed read fault must be absorbed and counted \
-         (tail_retries = {})",
-        replica.tail_retries()
-    );
-    assert_eq!(replica_answers(&replica, &views), answers(&leader));
-    replica.verify_all().unwrap();
 }
 
 /// Compaction outruns an unpinned follower: fail-fast `catch_up` reports
@@ -416,8 +375,7 @@ fn reattach_recovers_an_unpinned_follower_after_compaction() {
         other => panic!("expected FrontierCompacted, got {other:?}"),
     }
 
-    // Self-healing contract: the resilient tail reattaches and converges.
-    follower.set_retry_policy(fast_retries(2));
+    // Self-healing contract: the tail reattaches and converges.
     let stopped = AtomicBool::new(true);
     follower.tail(&stopped, Duration::from_millis(1)).unwrap();
     assert_eq!(follower.reattaches(), 1);
@@ -437,41 +395,6 @@ fn reattach_recovers_an_unpinned_follower_after_compaction() {
     assert_eq!(follower.frontier(), leader.epoch());
     assert_eq!(replica_answers(&follower, &views), answers(&leader));
     follower.verify_all().unwrap();
-}
-
-/// Retries a commit absorbed surface in its receipt: a torn append that
-/// the policy retried costs `log_retries ≥ 1` but the commit succeeds
-/// and nothing degrades.
-#[test]
-fn commit_receipts_surface_absorbed_retries() {
-    let (chaos, backend) = backend_pair();
-    let mut engine = Engine::new(uniform_graph(24, 64, 3, 61))
-        .with_log(backend)
-        .unwrap();
-    engine.set_retry_policy(fast_retries(3)).unwrap();
-    register_all(&mut engine);
-
-    let quiet = engine
-        .commit(&random_update_batch(engine.graph(), 6, 0.5, 6100))
-        .unwrap();
-    assert_eq!(quiet.log_retries, 0, "no fault, no retries");
-
-    chaos.fail_next_append(10); // torn: 10 garbage bytes land, then failure
-    let receipt = engine
-        .commit(&random_update_batch(engine.graph(), 6, 0.5, 6101))
-        .unwrap();
-    assert!(
-        receipt.log_retries >= 1,
-        "the absorbed retry must be visible (log_retries = {})",
-        receipt.log_retries
-    );
-    assert!(
-        !engine.is_degraded(),
-        "an absorbed fault is not degradation"
-    );
-    engine.verify_all().unwrap();
-    let replayed = engine.log().unwrap().replayer().latest().unwrap();
-    assert_eq!(replayed.graph.sorted_edges(), engine.graph().sorted_edges());
 }
 
 /// A rejected commit counts nothing: the units normalization dropped from
@@ -510,7 +433,7 @@ fn a_rejected_commit_moves_no_totals_and_its_retry_counts_once() {
         let (rejected, outcome) = attempt(engine);
         engine = rejected;
         assert!(
-            matches!(outcome, Err(EngineError::RetriesExhausted { .. })),
+            matches!(outcome, Err(EngineError::JournalFailed { .. })),
             "{outcome:?}"
         );
         assert_eq!(engine.epoch(), 0);

@@ -211,16 +211,14 @@ fn replica_survives_a_failed_then_retried_append() {
     let delta = random_update_batch(leader.graph(), 8, 0.5, 5301);
     mem.fail_next_append(20);
     match leader.commit(&delta).unwrap_err() {
-        EngineError::RetriesExhausted {
-            operation, cause, ..
-        } => {
+        EngineError::JournalFailed { operation, cause } => {
             assert_eq!(operation, "append");
             assert!(cause.contains("injected"), "{cause}")
         }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
+        other => panic!("expected JournalFailed, got {other:?}"),
     }
     assert_eq!(leader.epoch(), epoch_before, "failed commit moved nothing");
-    assert!(leader.is_degraded(), "exhausted retries degrade the leader");
+    assert!(leader.is_degraded(), "a failed append degrades the leader");
 
     // The follower sees no phantom epoch and no corruption — degraded
     // mode is leader-side only; tailing keeps working.

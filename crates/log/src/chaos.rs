@@ -19,7 +19,8 @@
 //!   correct writer rotates past the garbage (see `CommitLog`'s forced
 //!   rotation).
 //! * **Failed read or sync** — the call reports an I/O error: a transient
-//!   failure the caller may retry.
+//!   failure that surfaces the first time it happens; the next call goes
+//!   through.
 //! * **Corrupt byte** — every later read sees a stored byte XORed with a
 //!   mask: silent corruption of an acknowledged record, which the
 //!   CRC-sealed record format must detect at read time (detection, not
@@ -49,7 +50,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// What a [`ChaosBackend`] observed and injected so far — the raw series
-/// behind retry counters and chaos-drill reporting.
+/// behind chaos-drill reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosStats {
     /// Total append calls (faulted included).

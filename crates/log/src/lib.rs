@@ -33,14 +33,14 @@
 //!   or batched group-commit barriers — one backend `sync` covering every
 //!   record appended since the last barrier, issued when the window's
 //!   `max_batch`/`max_delay` closes.
-//! * **Fault tolerance** ([`chaos`], [`RetryPolicy`]) — a fault-injection
-//!   wrapper over any backend ([`ChaosBackend`]: one-shot torn appends and
-//!   failed reads and syncs, armed by whoever drives it, plus read-side
-//!   corruption and truncation), plus bounded exponential-backoff retry —
-//!   one loop, [`RetryPolicy::run`] — on the append/sync paths
-//!   ([`CommitLog::set_retry_policy`]); a failed policy-driven barrier
-//!   becomes *sync debt* ([`CommitLog::sync_debt`]) rather than failing an
-//!   already-stored append.
+//! * **Fault injection** ([`chaos`]) — a fault-injection wrapper over any
+//!   backend ([`ChaosBackend`]: one-shot torn appends and failed reads and
+//!   syncs, armed by whoever drives it, plus read-side corruption and
+//!   truncation). A failed append or barrier is tried once: the error
+//!   surfaces to the caller, and a failed *policy-driven* barrier becomes
+//!   *sync debt* ([`CommitLog::sync_debt`]) rather than failing an
+//!   already-stored append. Nothing here retries; a caller that wants
+//!   another attempt makes it.
 //! * **Compaction** ([`CommitLog::compact`], [`RetentionPin`]) — every
 //!   checkpoint starts a fresh segment, so whole segments behind the
 //!   newest checkpoint can be dropped once no registered follower
@@ -76,7 +76,6 @@ pub mod error;
 mod log;
 pub mod record;
 mod replay;
-mod retry;
 
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use chaos::{ChaosBackend, ChaosStats};
@@ -84,4 +83,3 @@ pub use error::LogError;
 pub use log::{CommitLog, Compaction, DurabilityMode, RetentionPin, DEFAULT_SEGMENT_BYTES};
 pub use record::Record;
 pub use replay::{LogSummary, Replayed, Replayer};
-pub use retry::RetryPolicy;

@@ -8,7 +8,6 @@ use crate::record::{
     check_segment_header, read_frame, segment_header, RawFrame, RawFramed, Record,
     SEGMENT_HEADER_BYTES,
 };
-use crate::retry::RetryPolicy;
 use igc_graph::{DynamicGraph, UpdateBatch};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -255,13 +254,6 @@ pub struct CommitLog {
     /// Barriers issued so far (for observability: fsyncs ÷ appends is the
     /// measured group-commit batching factor).
     syncs: u64,
-    /// Retry schedule for transient append/sync failures (default
-    /// [`RetryPolicy::none`]: fail on the first error).
-    retry: RetryPolicy,
-    /// Transient append failures absorbed by retries so far.
-    append_retries: u64,
-    /// Transient sync failures absorbed by retries so far.
-    sync_retries: u64,
     /// The error a failed *policy-driven* barrier left behind, while the
     /// debt is outstanding (see [`CommitLog::sync_debt`]).
     sync_debt: Option<LogError>,
@@ -284,9 +276,6 @@ impl CommitLog {
             unsynced: 0,
             first_unsynced: None,
             syncs: 0,
-            retry: RetryPolicy::none(),
-            append_retries: 0,
-            sync_retries: 0,
             sync_debt: None,
         }
     }
@@ -384,15 +373,12 @@ impl CommitLog {
     }
 
     fn write(&mut self, record: &Record) -> Result<(), LogError> {
-        let framed = record.encode_framed();
-        let (policy, mut absorbed) = (self.retry, 0);
-        let target = policy.run(&mut absorbed, || self.append_framed(&framed));
-        self.append_retries += absorbed;
-        self.apply_durability(target?)
+        let target = self.append_framed(&record.encode_framed())?;
+        self.apply_durability(target)
     }
 
-    /// One attempt at appending a framed record to the tail segment (or a
-    /// fresh one); returns the segment it landed in.
+    /// Append a framed record to the tail segment (or a fresh one);
+    /// returns the segment it landed in.
     fn append_framed(&mut self, framed: &[u8]) -> Result<u32, LogError> {
         let segments = self.backend.segments()?;
         let tail = match segments {
@@ -412,8 +398,8 @@ impl CommitLog {
             self.backend.append(target, framed)
         };
         // A failed append that still stored every byte stored the record:
-        // every scan reads it back. Count it as appended, or a retry (or
-        // the next record at the same epoch) would chain it twice.
+        // every scan reads it back. Count it as appended, or the next
+        // record at the same epoch would chain it twice.
         let stored = before + (framed.len() + tail.map_or(SEGMENT_HEADER_BYTES, |_| 0)) as u64;
         let result = result.or_else(|e| match self.backend.len(target) {
             Ok(len) if len == stored => Ok(()),
@@ -423,9 +409,8 @@ impl CommitLog {
         // segment (write_all can die mid-way). Appending another record
         // after them would bury committed data behind garbage mid-segment
         // — unrecoverable corruption. Rotating turns the partial bytes
-        // into an ordinary torn tail every scan skips — which also makes
-        // each retry of this attempt land in a fresh segment past the
-        // garbage of the previous one.
+        // into an ordinary torn tail every scan skips, so the next append
+        // lands in a fresh segment past the garbage.
         self.force_fresh_segment = result.is_err();
         result.map(|()| target)
     }
@@ -461,7 +446,7 @@ impl CommitLog {
             // epoch chain, so an error here would make a correct caller
             // retry an append that *succeeded* — appending the same epoch
             // twice and corrupting the chain. The un-flushed segments stay
-            // dirty (a later barrier retries them); the failure is
+            // dirty (a later barrier syncs them); the failure is
             // surfaced as sync debt for the caller to observe and settle
             // ([`CommitLog::sync_debt`]).
             if let Err(e) = self.sync() {
@@ -486,16 +471,12 @@ impl CommitLog {
 
     /// Force a durability barrier right now: [`LogBackend::sync`] every
     /// segment appended to since the last barrier, oldest first. A no-op
-    /// (and no `syncs()` increment) when nothing is pending. Transient
-    /// failures are retried per the [`RetryPolicy`]; on final failure the
-    /// un-flushed segments stay pending, so a later barrier retries them.
-    /// Success settles any outstanding sync debt.
+    /// (and no `syncs()` increment) when nothing is pending. On failure
+    /// the un-flushed segments stay pending, so a later barrier syncs
+    /// them. Success settles any outstanding sync debt.
     pub fn sync(&mut self) -> Result<(), LogError> {
         if !self.dirty.is_empty() {
-            let (policy, mut absorbed) = (self.retry, 0);
-            let synced = policy.run(&mut absorbed, || self.sync_dirty());
-            self.sync_retries += absorbed;
-            synced?;
+            self.sync_dirty()?;
             self.syncs += 1;
         }
         self.unsynced = 0;
@@ -505,35 +486,14 @@ impl CommitLog {
     }
 
     /// One pass over the dirty segments; on failure the remainder stays
-    /// pending (already-flushed segments are not re-synced by a retry).
+    /// pending (already-flushed segments are not re-synced by a later
+    /// barrier).
     fn sync_dirty(&mut self) -> Result<(), LogError> {
         while let Some(&seg) = self.dirty.first() {
             self.backend.sync(seg)?;
             self.dirty.remove(0);
         }
         Ok(())
-    }
-
-    /// Set the retry schedule for transient append/sync failures (default
-    /// [`RetryPolicy::none`]: fail on the first error).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The active retry schedule.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Transient append failures absorbed by retries so far (the series
-    /// behind the `log_retries` receipt counter).
-    pub fn append_retries(&self) -> u64 {
-        self.append_retries
-    }
-
-    /// Transient sync failures absorbed by retries so far.
-    pub fn sync_retries(&self) -> u64 {
-        self.sync_retries
     }
 
     /// The error the last failed *policy-driven* barrier left behind,
@@ -856,12 +816,12 @@ mod tests {
         assert!(log.append_delta(2, &b2).is_err());
         assert_eq!(log.last_epoch(), Some(1), "failed append never committed");
 
-        // The retry must NOT land behind the garbage in the same segment
-        // — it rotates, turning the partial bytes into a skippable torn
-        // tail, and the whole chain stays scannable.
+        // The re-append must NOT land behind the garbage in the same
+        // segment — it rotates, turning the partial bytes into a skippable
+        // torn tail, and the whole chain stays scannable.
         g.apply_batch(&b2);
         log.append_delta(2, &b2).unwrap();
-        assert_eq!(chaos.segments().unwrap(), 2, "retry rotated");
+        assert_eq!(chaos.segments().unwrap(), 2, "the re-append rotated");
         let scanned = scan(&*arc).unwrap();
         assert_eq!(scanned.records.len(), 3);
         assert_eq!(scanned.torn_tails, 1);
@@ -871,71 +831,6 @@ mod tests {
         let replayed = reopened.replayer().latest().unwrap();
         assert_eq!(replayed.graph.epoch(), 2);
         assert_eq!(replayed.graph.sorted_edges(), g.sorted_edges());
-    }
-
-    #[test]
-    fn retry_policy_absorbs_a_transient_append_window() {
-        let (chaos, arc) = chaos_backend();
-        let mut log = CommitLog::create(arc.clone()).unwrap();
-        log.set_retry_policy(RetryPolicy::retries(3).with_delays(Duration::ZERO, Duration::ZERO));
-        let mut g = graph_from(&[0, 0, 0], &[]);
-        log.append_checkpoint(&g).unwrap();
-        // Two consecutive torn appends, then the device recovers: well
-        // inside the 4-attempt budget, so the caller never sees an error.
-        chaos.fail_next_append(9);
-        chaos.fail_next_append(5);
-        let b = delta(vec![Update::insert(NodeId(0), NodeId(1))]);
-        g.apply_batch(&b);
-        log.append_delta(1, &b).unwrap();
-        assert_eq!(log.last_epoch(), Some(1));
-        assert_eq!(log.append_retries(), 2);
-        // Each failed attempt rotated past its own garbage: the committed
-        // record lives alone in the third segment, and the chain replays.
-        assert_eq!(chaos.segments().unwrap(), 3);
-        let scanned = scan(&*arc).unwrap();
-        assert_eq!(scanned.records.len(), 2);
-        assert_eq!(scanned.torn_tails, 2);
-        let replayed = log.replayer().latest().unwrap();
-        assert_eq!(replayed.graph.sorted_edges(), g.sorted_edges());
-    }
-
-    #[test]
-    fn retry_exhaustion_surfaces_the_transient_error() {
-        let (chaos, arc) = chaos_backend();
-        let mut log = CommitLog::create(arc).unwrap();
-        log.set_retry_policy(RetryPolicy::retries(2).with_delays(Duration::ZERO, Duration::ZERO));
-        let g = graph_from(&[0, 0], &[]);
-        // A persistent outage covering the whole 3-attempt budget.
-        for _ in 0..3 {
-            chaos.fail_next_append(0);
-        }
-        let err = log.append_checkpoint(&g).unwrap_err();
-        assert!(matches!(err, LogError::Io { .. }));
-        assert_eq!(log.append_retries(), 2, "both retries were spent");
-        assert_eq!(log.last_epoch(), None, "nothing was committed");
-        // The outage ends: the same checkpoint goes through unchanged.
-        log.append_checkpoint(&g).unwrap();
-        assert_eq!(log.last_epoch(), Some(0));
-    }
-
-    #[test]
-    fn fatal_errors_are_never_retried() {
-        let (_, arc) = backend();
-        let mut log = CommitLog::create(arc).unwrap();
-        log.set_retry_policy(RetryPolicy::retries(5));
-        let g = graph_from(&[0, 0], &[]);
-        log.append_checkpoint(&g).unwrap();
-        // An epoch-chain violation is the caller's bug, not the device's
-        // weather: it must surface immediately, with no retries burned.
-        let b = delta(vec![Update::insert(NodeId(0), NodeId(1))]);
-        assert_eq!(
-            log.append_delta(7, &b).unwrap_err(),
-            LogError::EpochGap {
-                expected: 1,
-                found: 7
-            }
-        );
-        assert_eq!(log.append_retries(), 0);
     }
 
     #[test]
@@ -1237,17 +1132,44 @@ mod tests {
         let frame = chaos.len(0).unwrap();
         let b = delta(vec![Update::insert(NodeId(0), NodeId(1))]);
         g.apply_batch(&b);
-        log.append_delta(1, &b).unwrap(); // acknowledged!
-                                          // Flip a bit of the stored delta: the write was *acknowledged*
-                                          // with bad bytes down — the fault class the log detects (CRC) but
-                                          // by design cannot survive. Offset 6 sits inside the record
-                                          // *body* (the frame is `len u32 | body | crc u32`), so the flip is
-                                          // a CRC mismatch — corruption — never a shortened length that
-                                          // would read as a skippable torn tail.
+        // A bit of the acknowledged delta flips on the device: the fault
+        // class the log detects (CRC) but by design cannot survive. Offset
+        // 10 sits inside the record *body* (the frame is `len u32 |
+        // crc32(len) u32 | body | crc32(body) u32`), so the flip is a body
+        // checksum mismatch.
+        log.append_delta(1, &b).unwrap();
         assert_eq!(chaos.segments().unwrap(), 1, "the delta shares segment 0");
-        chaos.corrupt_byte(0, frame + 6, 0x04);
+        chaos.corrupt_byte(0, frame + 10, 0x04);
         match CommitLog::open(arc).unwrap_err() {
             LogError::Corrupt { .. } => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A flipped bit in an acknowledged frame's *length prefix* is
+    /// corruption at open, not a torn tail: unsealed, the longer length
+    /// ran past the segment, the scan skipped the rest of it, and the log
+    /// opened one epoch short with two acknowledged deltas gone.
+    #[test]
+    fn a_flipped_length_bit_is_corruption_not_a_torn_tail() {
+        let (chaos, arc) = chaos_backend();
+        let mut log = CommitLog::create(arc.clone()).unwrap();
+        log.set_durability(DurabilityMode::EveryAppend);
+        let mut g = graph_from(&[0, 0, 0], &[]);
+        log.append_checkpoint(&g).unwrap();
+        for (epoch, (u, v)) in [(0, 1), (1, 2), (2, 0)].into_iter().enumerate() {
+            let b = delta(vec![Update::insert(NodeId(u), NodeId(v))]);
+            g.apply_batch(&b);
+            log.append_delta(epoch as u64 + 1, &b).unwrap();
+        }
+        assert_eq!(log.unsynced_appends(), 0, "every delta synced");
+        let records = scan(&*arc).unwrap().records;
+        assert_eq!(records.len(), 4, "a checkpoint and three deltas");
+        let delta_2 = &records[2];
+        assert_eq!((delta_2.segment, delta_2.epoch), (0, 2));
+        chaos.corrupt_byte(0, delta_2.offset + 1, 0x01);
+        match CommitLog::open(arc) {
+            Err(LogError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

@@ -6,9 +6,14 @@
 //! ┌──────────────────────── segment header (8 bytes) ───────────────────────┐
 //! │ magic "IGCL" (4)  │ version u16 LE │ reserved u16                       │
 //! ├──────────────────────────── record, repeated ───────────────────────────┤
-//! │ body_len u32 LE │ body: kind u8 + payload │ crc32(body) u32 LE          │
+//! │ body_len u32 LE │ crc32(body_len) u32 LE │ body: kind u8 + payload │    │
+//! │ crc32(body) u32 LE                                                      │
 //! └─────────────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! Both the length prefix and the body carry their own checksum, so a
+//! flipped bit anywhere in a stored frame is corruption: a damaged length
+//! can never pass for a frame that runs past the end of its segment.
 //!
 //! Two record kinds exist:
 //!
@@ -26,7 +31,7 @@
 //!
 //! Decoding distinguishes a **torn tail** (a record that stops mid-way —
 //! the expected shape after a crash mid-append, silently ignored at the
-//! very end of the log) from **corruption** (checksum or structural
+//! very end of a segment) from **corruption** (checksum or structural
 //! failure anywhere, a hard error).
 
 use crate::codec::{crc32, ByteReader, ByteWriter};
@@ -34,13 +39,17 @@ use igc_graph::{DynamicGraph, Label, NodeId, Update, UpdateBatch};
 
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"IGCL";
-/// Wire-format version (bumped on any incompatible layout change).
-pub const FORMAT_VERSION: u16 = 1;
+/// Wire-format version (bumped on any incompatible layout change; 2 seals
+/// the length prefix with its own checksum).
+pub const FORMAT_VERSION: u16 = 2;
 /// Size of the per-segment header.
 pub const SEGMENT_HEADER_BYTES: usize = 8;
 /// Upper bound on a single record body — anything larger is corruption,
 /// not data (a full checkpoint of a 100M-edge graph stays well below it).
 pub const MAX_RECORD_BYTES: u32 = 1 << 30;
+
+/// The frame's header: `body_len u32`, then `crc32(body_len) u32`.
+const FRAME_HEADER_BYTES: usize = 8;
 
 const KIND_CHECKPOINT: u8 = 1;
 const KIND_DELTA: u8 = 2;
@@ -115,21 +124,22 @@ impl Record {
         Ok(g)
     }
 
-    /// Encode as one framed record: `len` prefix, body, CRC-32 seal — all
-    /// three written into one buffer, the prefix patched once the body's
-    /// length is known.
+    /// Encode as one framed record: `len` prefix and its CRC-32, body,
+    /// the body's CRC-32 — all written into one buffer, the header patched
+    /// once the body's length is known.
     pub fn encode_framed(&self) -> Vec<u8> {
         let body_hint = match self {
             Record::Checkpoint { labels, edges, .. } => 13 + labels.len() * 4 + 4 + edges.len() * 8,
             Record::Delta { batch, .. } => 13 + batch.len() * 9,
         };
-        let mut w = ByteWriter::with_capacity(4 + body_hint + 4);
-        w.put_u32(0);
+        let mut w = ByteWriter::with_capacity(FRAME_HEADER_BYTES + body_hint + 4);
+        w.put_u64(0);
         self.encode_body(&mut w);
         let mut bytes = w.into_bytes();
-        let body_len = (bytes.len() - 4) as u32;
-        bytes[..4].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&bytes[4..]);
+        let body_len = ((bytes.len() - FRAME_HEADER_BYTES) as u32).to_le_bytes();
+        bytes[..4].copy_from_slice(&body_len);
+        bytes[4..8].copy_from_slice(&crc32(&body_len).to_le_bytes());
+        let crc = crc32(&bytes[FRAME_HEADER_BYTES..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
         bytes
     }
@@ -316,29 +326,34 @@ pub(crate) enum RawFramed {
 /// check, CRC verification, and a light header parse (kind + epoch).
 /// `Err(reason)` means the bytes are structurally invalid — corruption,
 /// not a torn tail. `segment` only labels the frame for error reports.
+///
+/// The order of the checks is the contract: fewer than the 8 header bytes
+/// left is torn; a length whose checksum fails, or an implausible one, is
+/// corruption; a sealed length that runs past the buffer is torn; a bad
+/// body checksum or header is corruption.
 pub(crate) fn read_frame(buf: &[u8], pos: usize, segment: u32) -> Result<RawFramed, String> {
-    let remaining = buf.len() - pos;
-    if remaining < 4 {
+    let word = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+    if buf.len() - pos < FRAME_HEADER_BYTES {
         return Ok(RawFramed::Torn);
     }
-    let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]);
+    let (len, stored) = (word(pos), word(pos + 4));
+    let actual = crc32(&buf[pos..pos + 4]);
+    if stored != actual {
+        return Err(format!(
+            "length checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+        ));
+    }
     if len == 0 || len > MAX_RECORD_BYTES {
         return Err(format!("implausible record length {len}"));
     }
-    let body_start = pos + 4;
+    let body_start = pos + FRAME_HEADER_BYTES;
     let body_end = body_start + len as usize;
     let frame_end = body_end + 4;
     if frame_end > buf.len() {
         return Ok(RawFramed::Torn);
     }
     let body = &buf[body_start..body_end];
-    let stored = u32::from_le_bytes([
-        buf[body_end],
-        buf[body_end + 1],
-        buf[body_end + 2],
-        buf[body_end + 3],
-    ]);
-    let actual = crc32(body);
+    let (stored, actual) = (word(body_end), crc32(body));
     if stored != actual {
         return Err(format!(
             "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
@@ -377,16 +392,14 @@ pub(crate) fn read_frame(buf: &[u8], pos: usize, segment: u32) -> Result<RawFram
 pub enum Framed {
     /// A complete, checksum-verified record, plus the offset just past it.
     Complete(Record, usize),
-    /// The bytes stop mid-record — or its length prefix claims more bytes
-    /// than the buffer holds, which a flipped length bit looks like too: no
-    /// checksum covers the prefix. A scan accepts a torn frame at the end
-    /// of any segment and skips what follows it there.
+    /// The bytes stop mid-record.
     Torn,
 }
 
 /// Decode the framed record starting at `pos`. `Err(reason)` means the
-/// bytes are structurally invalid (bad length, checksum mismatch, payload
-/// that does not parse) — corruption, not a torn tail.
+/// bytes are structurally invalid (a length or body checksum mismatch, an
+/// implausible length, a payload that does not parse) — corruption, not a
+/// torn tail.
 pub fn decode_framed(buf: &[u8], pos: usize) -> Result<Framed, String> {
     match read_frame(buf, pos, 0)? {
         RawFramed::Torn => Ok(Framed::Torn),
@@ -476,21 +489,38 @@ mod tests {
         assert_eq!(Record::checkpoint_of(&restored).encode_framed(), framed);
     }
 
+    /// The bytes as lowercase hex.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `framed` is the version-1 frame `v1` with the length prefix's
+    /// checksum inserted after the prefix: version 2 changed only the
+    /// frame header.
+    fn is_v1_with_a_sealed_length(framed: &[u8], v1: &str) {
+        let seal = hex(&crc32(&framed[..4]).to_le_bytes());
+        assert_eq!(hex(framed), format!("{}{seal}{}", &v1[..8], &v1[8..]));
+    }
+
     /// One delta frame as the byte-at-a-time CRC and the two-buffer encoder
-    /// wrote it: journals written then must still encode — and so decode —
+    /// wrote it (version 1), and with its length sealed (version 2):
+    /// journals written now must keep encoding — and so decoding —
     /// byte-for-byte.
     #[test]
     fn delta_frame_is_frozen() {
-        const FROZEN: &str = "3d000000022a00000000000000040000000000000000010000000401000000\
-                              07000000030000000608000000090000000100000002000000010200000000\
-                              00000097d10448";
+        const V1: &str = "3d000000022a0000000000000004000000000000000001000000040100000007\
+                          0000000300000006080000000900000001000000020000000102000000000000\
+                          0097d10448";
+        const FROZEN: &str = "3d00000060ff0523022a00000000000000040000000000000000010000000401\
+                              0000000700000003000000060800000009000000010000000200000001020000\
+                              000000000097d10448";
         let rec = Record::Delta {
             epoch: 42,
             batch: sample_batch(),
         };
         let framed = rec.encode_framed();
-        let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, FROZEN);
+        assert_eq!(hex(&framed), FROZEN);
+        is_v1_with_a_sealed_length(&framed, V1);
         match decode_framed(&framed, 0).unwrap() {
             Framed::Complete(got, end) => assert_eq!((got, end), (rec, framed.len())),
             Framed::Torn => panic!("complete record decoded as torn"),
@@ -501,14 +531,20 @@ mod tests {
     /// order: the hub's out-list was filled in reverse and lost an entry
     /// to a swap-remove, its in-list likewise; a self-loop, and a fresh
     /// labelled node with edges both ways. Equal graph states must keep
-    /// encoding to these bytes.
+    /// encoding to these bytes (version 1, and version 2 with its length
+    /// sealed).
     #[test]
     fn checkpoint_frame_is_frozen() {
-        const FROZEN: &str = "8100000001010000000000000006000000040000000100000002000000010000\
-                              0000000000090000000b00000000000000010000000000000003000000010000\
-                              0000000000020000000000000002000000020000000300000001000000030000\
-                              0005000000040000000000000004000000020000000500000000000000050000\
-                              0001000000b0162a6e";
+        const V1: &str = "8100000001010000000000000006000000040000000100000002000000010000\
+                          0000000000090000000b00000000000000010000000000000003000000010000\
+                          0000000000020000000000000002000000020000000300000001000000030000\
+                          0005000000040000000000000004000000020000000500000000000000050000\
+                          0001000000b0162a6e";
+        const FROZEN: &str = "81000000420ea174010100000000000000060000000400000001000000020000\
+                              000100000000000000090000000b000000000000000100000000000000030000\
+                              0001000000000000000200000000000000020000000200000003000000010000\
+                              0003000000050000000400000000000000040000000200000005000000000000\
+                              000500000001000000b0162a6e";
         let mut g = DynamicGraph::new();
         for l in [4, 1, 2, 1, 0] {
             g.add_node(Label(l));
@@ -535,8 +571,8 @@ mod tests {
             "the lists must be out of order"
         );
         let framed = Record::checkpoint_of(&g).encode_framed();
-        let hex: String = framed.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, FROZEN);
+        assert_eq!(hex(&framed), FROZEN);
+        is_v1_with_a_sealed_length(&framed, V1);
         let Framed::Complete(got, end) = decode_framed(&framed, 0).unwrap() else {
             panic!("complete record decoded as torn");
         };
@@ -588,8 +624,9 @@ mod tests {
     }
 
     /// Every truncation of a frame reads as a torn tail, and every
-    /// single-bit flip at every offset as a torn tail or as corruption:
-    /// never as a complete record, and never as a panic.
+    /// single-bit flip at every offset as corruption: never as a torn tail
+    /// (the length prefix is sealed), never as a complete record, and
+    /// never as a panic.
     #[test]
     fn every_flip_and_cut_of_a_frame_is_torn_or_corrupt() {
         for framed in sample_frames() {
@@ -602,8 +639,7 @@ mod tests {
                     let mut flipped = framed.clone();
                     flipped[offset] ^= 1 << bit;
                     let got = decode_framed(&flipped, 0);
-                    let at = format!("offset {offset} bit {bit}");
-                    assert!(!matches!(got, Ok(Framed::Complete(..))), "{at}: {got:?}");
+                    assert!(got.is_err(), "offset {offset} bit {bit}: {got:?}");
                 }
             }
         }
@@ -615,7 +651,7 @@ mod tests {
     #[test]
     fn a_flipped_body_decodes_or_errs_without_a_panic() {
         for framed in sample_frames() {
-            let body = &framed[4..framed.len() - 4];
+            let body = &framed[FRAME_HEADER_BYTES..framed.len() - 4];
             for offset in 0..body.len() {
                 for bit in 0..8 {
                     let mut flipped = body.to_vec();
@@ -649,6 +685,11 @@ mod tests {
         let mut wrong_version = h;
         wrong_version[4] = 99;
         assert!(check_segment_header(&wrong_version).is_err());
+        // A version-1 journal (unsealed length prefixes) no longer opens.
+        let mut v1 = h;
+        v1[4] = 1;
+        let err = check_segment_header(&v1).unwrap_err();
+        assert!(err.contains("unsupported format version 1"), "{err}");
         assert!(check_segment_header(&h[..4]).is_err());
     }
 }

@@ -135,7 +135,7 @@ pub mod prelude {
     pub use igc_kws::{IncKws, KwsQuery};
     pub use igc_log::{
         ChaosBackend, ChaosStats, CommitLog, Compaction, DurabilityMode, FileBackend, LogBackend,
-        LogError, MemBackend, Replayer, RetentionPin, RetryPolicy,
+        LogError, MemBackend, Replayer, RetentionPin,
     };
     pub use igc_nfa::{Nfa, Regex};
     pub use igc_rpq::IncRpq;

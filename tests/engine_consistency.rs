@@ -28,16 +28,18 @@
 //!    `Ticks` chain `apply_prepared`, beside canaries quarantined at their
 //!    first commit that is not a no-op.
 //! 6. `crash_mid_tick_recovers_to_a_clean_epoch_boundary`: a torn tick moves
-//!    nothing, recovery lands before it, and its retry lands exactly once.
+//!    nothing, recovery lands before it, and committing it again lands it
+//!    exactly once.
 //! 7. `pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow`:
 //!    every `Pin` keeps showing its epoch, a commit keeps the pinned versions
 //!    and the head, and `snapshot_at` errs at the window's edges.
 //! 8. `seeded_chaos_storms_lose_no_acked_commit`: a `Fault` arms torn
 //!    appends and failed syncs ahead of a commit, under each `Durability`
 //!    mode. Degraded, the engine shows the model and rejects a commit
-//!    without moving; [`Sim::fault`] heals it, and ends healthy once every
-//!    fault fired. A `ReadFault` under a follower is absorbed by a retrying
-//!    `tail`, or surfaced by `catch_up` with the frontier unmoved.
+//!    without moving; [`Sim::fault`] heals it, commits again, and ends
+//!    healthy once every fault fired. A `ReadFault` under a follower is
+//!    surfaced by `catch_up` with the frontier unmoved, and the next
+//!    `catch_up` converges.
 //!
 //! The simulation is the one fault scheduler: `ChaosBackend` only fires the
 //! one-shots an action arms, so the seed decides when every fault fires.
@@ -50,14 +52,13 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Once};
 use std::time::Duration;
 use Action::*;
 use Barrier::*;
 use Class::*;
 use EngineError::SnapshotUnavailable;
-use EngineError::{Degraded, EpochRetired, FrontierCompacted, RetriesExhausted};
+use EngineError::{Degraded, EpochRetired, FrontierCompacted, JournalFailed};
 use Hit::*;
 use U::*;
 
@@ -134,7 +135,6 @@ enum Action {
     Deregister(usize),
     Checkpoint,
     Compact,
-    Retry(bool),
     /// Drop the engine and recover it; first, with `(keep, tick)`, commit
     /// `tick` into an append torn after `keep` bytes.
     Crash(Option<(usize, Vec<U>)>),
@@ -153,6 +153,10 @@ enum Action {
 }
 
 /// The action kinds, and the chance in 100 that a draw is of each.
+/// `Retry` is a retired kind (the journal no longer retries): a draw of it
+/// takes its flag and is dropped, so every other action of a seed is drawn
+/// as before. It stays in the cut-down mixes that drew it, for the same
+/// reason, and is never counted as fired.
 const MIX: [(&str, u32); 15] = [
     ("Commit", 26),
     ("Ticks", 7),
@@ -173,12 +177,12 @@ const MIX: [(&str, u32); 15] = [
 
 /// What the seeds must exercise beside each action kind: each surface
 /// check, and the events the action kinds exist for.
-const EVENTS: &str = "engine_check follower_check pin_check quarantine torn_tick retried_append \
+const EVENTS: &str = "engine_check follower_check pin_check quarantine torn_tick \
     stored_torn_append compaction_drop reattach snapshot_at follower_pin";
 /// What the fault kinds exist for: a degraded engine, refused and granted
-/// heals, sync debt, absorbed and surfaced read faults, and faults under
-/// each durability mode.
-const FAULT_EVENTS: &str = "degraded heal_refused healed sync_debt read_absorbed read_surfaced \
+/// heals, sync debt, surfaced read faults, and faults under each
+/// durability mode.
+const FAULT_EVENTS: &str = "degraded heal_refused healed sync_debt read_surfaced \
     faults_under_Never faults_under_EveryAppend faults_under_GroupCommit";
 
 type Stats = BTreeMap<String, u64>;
@@ -239,7 +243,7 @@ fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
         if !kinds.contains(&kind) {
             continue;
         }
-        return match kind {
+        return Some(match kind {
             "Commit" => Commit(batch(rng)),
             "Ticks" => {
                 let ticks = rng.gen_range(1usize..4);
@@ -253,7 +257,10 @@ fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
             "Deregister" => Deregister(pick),
             "Checkpoint" => Checkpoint,
             "Compact" => Compact,
-            "Retry" => Retry(rng.gen()),
+            "Retry" => {
+                let _: bool = rng.gen();
+                return None;
+            }
             "Crash" if rng.gen_bool(0.6) => Crash(Some((rng.gen_range(0usize..64), batch(rng)))),
             "Crash" => Crash(None),
             "Attach" => Attach(rng.gen()),
@@ -269,9 +276,9 @@ fn generate_of(seed: u64, kinds: &[&str]) -> Vec<Action> {
                 Fault(hits.collect(), batch(rng))
             }
             _ => ReadFault(pick),
-        };
+        });
     };
-    (0..ACTIONS).map(|_| action(rng)).collect()
+    (0..ACTIONS).filter_map(|_| action(rng)).collect()
 }
 
 fn batch_of(units: &[U]) -> UpdateBatch {
@@ -481,18 +488,12 @@ struct Sim {
     backend: ChaosBackend,
     engine: Engine,
     followers: Vec<Replica>,
-    retry: bool,
     durability: Barrier,
     compacted_base: u64,
     /// The publication the engine's views were last verified at.
     verified: u64,
     model: Model,
     stats: Stats,
-}
-
-/// One retry, or none, without sleeping.
-fn retries(on: bool) -> RetryPolicy {
-    RetryPolicy::retries(on.into()).with_delays(Duration::ZERO, Duration::ZERO)
 }
 
 impl Sim {
@@ -506,7 +507,6 @@ impl Sim {
             backend,
             engine: engine.expect("an empty journal"),
             followers: Vec::new(),
-            retry: false,
             durability: Never,
             compacted_base: 0,
             verified: 0,
@@ -537,7 +537,6 @@ impl Sim {
     fn configure(&mut self) {
         let e = &mut self.engine;
         e.set_checkpoint_every(3);
-        e.set_retry_policy(retries(self.retry)).expect("a journal");
         e.set_durability(self.durability.mode()).expect("a journal");
     }
 
@@ -566,10 +565,6 @@ impl Sim {
                 if c.dropped_segments > 0 {
                     bump(&mut self.stats, "compaction_drop");
                 }
-            }
-            Retry(on) => {
-                self.retry = *on;
-                self.configure();
             }
             Crash(torn) => self.crash(torn.as_ref()),
             Attach(pinned) => self.attach(*pinned),
@@ -649,7 +644,7 @@ impl Sim {
     }
 
     fn crash(&mut self, torn: Option<&(usize, Vec<U>)>) {
-        // The tick a torn append failed, retried after the recovery.
+        // The tick a torn append failed, committed again after the recovery.
         let mut failed = None;
         if let Some((keep, units)) = torn {
             let (batch, delta) = self.model.normalize(units);
@@ -657,15 +652,12 @@ impl Sim {
             if !delta.is_empty() {
                 self.backend.fail_next_append(*keep);
                 match self.engine.commit(&batch) {
-                    // The torn append stored every byte, or a retry did.
+                    // The torn append stored every byte.
                     Ok(r) => {
-                        assert!(r.log_retries <= self.retry.into(), "retried more than once");
-                        let event = ["stored_torn_append", "retried_append"];
-                        bump(&mut self.stats, event[r.log_retries as usize]);
+                        bump(&mut self.stats, "stored_torn_append");
                         self.landed(&r, units.len(), &delta);
                     }
-                    Err(err) => {
-                        assert!(!self.retry, "a retry absorbs a torn append: {err}");
+                    Err(_) => {
                         bump(&mut self.stats, "torn_tick");
                         // A torn tick is atomic: the engine still shows the model.
                         self.check();
@@ -686,7 +678,7 @@ impl Sim {
         self.settle();
         if let Some(units) = failed {
             let (batch, delta) = self.model.normalize(units);
-            let receipt = self.engine.commit(&batch).expect("the retried tick");
+            let receipt = self.engine.commit(&batch).expect("the tick, again");
             self.landed(&receipt, units.len(), &delta);
             assert_eq!(self.engine.epoch(), frontier + 1, "landed not once");
         }
@@ -732,7 +724,7 @@ impl Sim {
                             bump(&mut self.stats, "sync_debt");
                         }
                     }
-                    Err(RetriesExhausted { .. }) => self.unmoved(totals),
+                    Err(JournalFailed { .. }) => self.unmoved(totals),
                     Err(err) => panic!("a fault surfaced as {err}"),
                 }
             } else if fired(self.backend.stats()) < all {
@@ -758,27 +750,18 @@ impl Sim {
         assert!(shown == model, "a rejected commit moved");
     }
 
-    /// Fail a follower's next read. A retrying `tail` absorbs it; without
-    /// retries, `catch_up` surfaces it and leaves the frontier, and the
-    /// next `catch_up` converges.
+    /// Fail a follower's next read: `catch_up` surfaces it and leaves the
+    /// frontier, and the next `catch_up` converges.
     fn read_fault(&mut self, pick: usize) {
         let Some(i) = pick.checked_rem(self.followers.len()) else {
             return;
         };
         let (r, reads) = (&mut self.followers[i], self.backend.stats().read_faults);
         self.backend.fail_next_read();
-        r.set_retry_policy(retries(self.retry));
-        if self.retry {
-            let (absorbed, stop) = (r.tail_retries() + 1, AtomicBool::new(true));
-            r.tail(&stop, Duration::ZERO).expect("a retrying tail");
-            assert_eq!(r.tail_retries(), absorbed, "the tail absorbed the fault");
-            bump(&mut self.stats, "read_absorbed");
-        } else {
-            let frontier = r.frontier();
-            assert!(r.catch_up().is_err(), "a read fault surfaces");
-            assert_eq!(r.frontier(), frontier, "a failed catch-up moved");
-            bump(&mut self.stats, "read_surfaced");
-        }
+        let frontier = r.frontier();
+        assert!(r.catch_up().is_err(), "a read fault surfaces");
+        assert_eq!(r.frontier(), frontier, "a failed catch-up moved");
+        bump(&mut self.stats, "read_surfaced");
         let fired = self.backend.stats().read_faults - reads;
         assert_eq!(fired, 1, "the read fault fired");
         self.catch_up(i);
@@ -1061,8 +1044,14 @@ fn simulate(seeds: Range<u64>, kinds: &[&str]) -> Stats {
 /// kind fired, and each of `events`.
 fn focused(k: u64, kinds: &[&str], events: &str) {
     let total = simulate(k * 1000..k * 1000 + FOCUSED, kinds);
-    fired(&total, &kinds.join(" "));
+    fired(&total, &drawn(kinds));
     fired(&total, events);
+}
+
+/// The kinds of `kinds` a history can hold: all but the retired `Retry`.
+fn drawn(kinds: &[&str]) -> String {
+    let kinds: Vec<&str> = kinds.iter().copied().filter(|k| *k != "Retry").collect();
+    kinds.join(" ")
 }
 
 /// Every one of `what` fired in `total`.
@@ -1077,7 +1066,7 @@ fn simulated_histories_hold_every_surface_to_batch_recomputation() {
     let total = simulate(0..SEEDS, &MIX.map(|m| m.0));
     let actions: u64 = MIX.iter().map(|m| total.get(m.0).unwrap_or(&0)).sum();
     assert!(actions >= 4000, "{actions} actions: {total:?}");
-    fired(&total, &MIX.map(|m| m.0).join(" "));
+    fired(&total, &drawn(&MIX.map(|m| m.0)));
     fired(&total, EVENTS);
     fired(&total, FAULT_EVENTS);
     // At least the faults the seeded storm this run replaced fired.
@@ -1122,7 +1111,7 @@ fn coalesced_ticks_match_per_submission_commits_bit_identically() {
 #[test]
 fn crash_mid_tick_recovers_to_a_clean_epoch_boundary() {
     let kinds = ["Commit", "Checkpoint", "Retry", "Crash"];
-    focused(6, &kinds, "torn_tick retried_append stored_torn_append");
+    focused(6, &kinds, "torn_tick stored_torn_append");
 }
 
 #[test]
@@ -1177,13 +1166,11 @@ fn replayed_cases_stay_green() {
     let cases = [
         // `IncKws` seeds a keyword-labelled fresh node at distance 0.
         case![Ticks(vec![vec![L(16, 7, 1, 2)], vec![], vec![]])],
-        // A retried append rotates past the torn bytes of the one before.
+        // An append after a failed one rotates past its torn bytes.
         case![
-            Retry(true),
-            Crash(Some((
-                56,
-                vec![I(21, 7), I(13, 8), L(17, 20, 2, 2), I(22, 20)]
-            )))
+            Fault(vec![Torn(50), Torn(31)], vec![]),
+            Commit(vec![I(3, 11)]),
+            Attach(true)
         ],
         // A merge moves condensation edges with their multiplicity.
         case![
