@@ -2,17 +2,17 @@
 //! [`Engine::register_background`](crate::Engine::register_background).
 //!
 //! A background build runs a view's expensive initial construction *off
-//! the commit path*, and it is nothing but a pinned [`Replica`] with one
-//! view: a worker thread attaches a follower to the engine's commit log
-//! (newest checkpoint + tail), registers the view on it, and catches it
-//! up on the commits that kept flowing meanwhile. The engine thread
-//! finally drains the last sliver of tail and moves the view out of the
-//! follower's registry into its own —
+//! the commit path*, and it is nothing but a [`Replica`] with one view: a
+//! worker thread attaches a follower to the engine's commit log (newest
+//! checkpoint + tail), registers the view on it, and catches it up on the
+//! commits that kept flowing meanwhile. The engine thread finally drains
+//! the last sliver of tail and moves the view out of the follower's
+//! registry into its own —
 //! [`Engine::join_background`](crate::Engine::join_background). Being a
-//! follower, the build holds the retention pin every in-process follower
-//! holds, so [`Engine::compact_log`](crate::Engine::compact_log) cannot
-//! strand it, and a log failure reaches the caller as the error a
-//! `Replica` reports.
+//! follower, the build survives an
+//! [`Engine::compact_log`](crate::Engine::compact_log) the way every
+//! follower does — its next catch-up re-seeds it — and a log failure
+//! reaches the caller as the error a `Replica` reports.
 
 use crate::engine::Engine;
 use crate::error::EngineError;
@@ -33,8 +33,7 @@ use std::thread::JoinHandle;
 /// registrations of the same label fail with
 /// [`EngineError::DuplicateLabel`](crate::EngineError::DuplicateLabel).
 /// Dropping the handle without joining abandons the build and frees the
-/// label; the detached worker finishes its (read-only) replay and exits,
-/// releasing its retention pin.
+/// label; the detached worker finishes its (read-only) replay and exits.
 ///
 /// [`Engine::join_background`]: crate::Engine::join_background
 pub struct BackgroundBuild<V> {
@@ -76,11 +75,10 @@ impl Engine {
     /// log. Where [`Engine::register`] builds the view's initial
     /// state from the live graph *on the calling thread* (blocking the
     /// commit path for the whole build), this spawns a worker that
-    /// attaches a pinned follower to the journal (latest checkpoint +
-    /// tail), runs the builder on the follower's graph, and catches
-    /// the fresh view up on whatever commits landed meanwhile — the
-    /// engine keeps committing (and journaling, and compacting)
-    /// throughout. Finish with [`Engine::join_background`], which drains
+    /// attaches a follower to the journal (latest checkpoint + tail),
+    /// runs the builder on the follower's graph, and catches the fresh
+    /// view up on whatever commits landed meanwhile — the engine keeps
+    /// committing (and journaling, and compacting) throughout. Finish with [`Engine::join_background`], which drains
     /// the final sliver of tail and atomically splices the view into the
     /// registry; its answers are then bit-identical to a view registered
     /// at the start and driven through the same commits.
@@ -103,9 +101,11 @@ impl Engine {
         if self.label_occupied(&label) {
             return Err(EngineError::DuplicateLabel { label });
         }
-        // The pin is taken here, on the engine thread, so no compaction
-        // can slip in between this call and the worker's attach.
-        let (backend, pin) = self.pin_log("register_background")?;
+        let operation = "register_background";
+        let backend = self
+            .log()
+            .ok_or(EngineError::NoLog { operation })?
+            .backend();
         let token = Arc::new(());
         // Opportunistic pruning keeps the reservation list bounded by the
         // number of *live* builds.
@@ -113,7 +113,7 @@ impl Engine {
         self.reserved.push((label.clone(), Arc::downgrade(&token)));
         let worker_label = label.clone();
         let handle = std::thread::spawn(move || {
-            let mut follower = Replica::attach_pinned(backend, Some(pin))?;
+            let mut follower = Replica::attach(backend)?;
             let id = follower.register(worker_label, init)?.id();
             // First catch-up round on the worker: drain the commits that
             // landed while the initial build ran, off the commit path.

@@ -1,13 +1,12 @@
 //! The engine's durability layer: write-ahead journaling, checkpoints,
-//! crash recovery, pinned replicas, log compaction, and the degraded
+//! crash recovery, log compaction, and the degraded
 //! read-only mode a dead journal puts the engine in. One `impl Engine`
 //! block; the commit pipeline (`engine.rs`) calls [`Engine::journal`].
 
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::replica::Replica;
 use igc_graph::UpdateBatch;
-use igc_log::{CommitLog, Compaction, DurabilityMode, LogBackend, LogError, RetentionPin};
+use igc_log::{CommitLog, Compaction, DurabilityMode, LogBackend, LogError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,8 +40,9 @@ impl Engine {
     /// as the replay base.
     ///
     /// Errors with [`EngineError::LogCorrupt`] when the backend already
-    /// holds history (recover from it instead — [`Engine::recover`]) or
-    /// the initial checkpoint cannot be written.
+    /// holds history (recover from it instead — [`Engine::recover`]), and
+    /// with [`EngineError::JournalFailed`] when the initial checkpoint
+    /// cannot be written.
     pub fn with_log(mut self, backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
         let mut log = CommitLog::create(backend)?;
         log.append_checkpoint(&self.graph)?;
@@ -99,13 +99,14 @@ impl Engine {
 
     /// Journal a checkpoint of the current graph right now
     /// ([`EngineError::NoLog`] without an attached log). Also resets the
-    /// cadence counter.
+    /// cadence counter. A failed append degrades the engine as a commit's
+    /// would ([`EngineError::JournalFailed`]).
     pub fn checkpoint(&mut self) -> Result<(), EngineError> {
         if let Some(e) = self.degraded_error() {
             return Err(e);
         }
-        let log = attached_mut(&mut self.log, "checkpoint")?;
-        log.append_checkpoint(&self.graph)?;
+        let appended = attached_mut(&mut self.log, "checkpoint")?.append_checkpoint(&self.graph);
+        appended.map_err(|e| self.journal_failed("checkpoint", e))?;
         self.logged_since_checkpoint = 0;
         Ok(())
     }
@@ -153,46 +154,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Create a **pinned** read replica over this engine's commit log
-    /// ([`EngineError::NoLog`] without one): a follower engine, with its
-    /// own graph and views, that the journal feeds and that serves reads at
-    /// its replay frontier — see [`Replica`] for the model. The replica
-    /// seeds from the newest checkpoint plus the delta tail, so it is
-    /// current as of this call.
-    ///
-    /// The engine registers a [`RetentionPin`](igc_log::RetentionPin)
-    /// for it: [`Engine::compact_log`] will never drop the history this
-    /// follower still needs, however far it falls behind, and dropping
-    /// the replica releases the pin automatically. For followers in
-    /// *other* processes (over a shared
-    /// [`FileBackend`](igc_log::FileBackend) directory), use
-    /// [`Replica::attach`] — unpinned, at the cost of
-    /// [`EngineError::FrontierCompacted`] if compaction outruns them.
-    pub fn replica(&mut self) -> Result<Replica, EngineError> {
-        let (backend, pin) = self.pin_log("replica")?;
-        Replica::attach_pinned(backend, Some(pin))
-    }
-
-    /// What an in-process follower attaches with
-    /// ([`Replica::attach_pinned`]): the log's backend and a fresh
-    /// retention pin at the newest checkpoint — exactly the seed base the
-    /// attach will replay from. `&mut self` serializes this against
-    /// compact_log, so the pin can never race a compaction.
-    pub(crate) fn pin_log(
-        &mut self,
-        operation: &'static str,
-    ) -> Result<(Arc<dyn LogBackend>, RetentionPin), EngineError> {
-        let log = attached_mut(&mut self.log, operation)?;
-        let pin = log.register_pin(log.last_checkpoint().unwrap_or(0));
-        Ok((log.backend(), pin))
-    }
-
     /// Compact the commit log ([`EngineError::NoLog`] without one): drop
-    /// every whole segment behind the newest checkpoint that all
-    /// registered (live) replicas have already consumed past — see
+    /// every whole segment behind the newest checkpoint — see
     /// [`CommitLog::compact`]. Bounds journal growth under a steady
-    /// checkpoint cadence; safe to call at any time (a call that can
-    /// drop nothing is a successful no-op).
+    /// checkpoint cadence however far a follower lags: none is waited
+    /// for, and one whose frontier was dropped re-seeds on its next
+    /// [`Replica::catch_up`](crate::Replica::catch_up). Safe to call at
+    /// any time (a call that can drop nothing is a successful no-op).
     pub fn compact_log(&mut self) -> Result<Compaction, EngineError> {
         let log = attached_mut(&mut self.log, "compact_log")?;
         Ok(log.compact()?)

@@ -88,11 +88,13 @@ pub enum EngineError {
         /// The rendered panic payload.
         cause: String,
     },
-    /// The attached commit log failed — an I/O error, checksum mismatch
-    /// or structural violation (the rendered
-    /// [`LogError`](igc_log::LogError)). On the commit path this rejects
-    /// the commit *atomically*: the append happens before the graph or
-    /// any view is touched, so nothing moved.
+    /// The commit log's contents cannot serve the operation: a checksum
+    /// mismatch or structural violation, or a backend that holds no log
+    /// where one was needed (or history where none was allowed) — the
+    /// rendered [`LogError`](igc_log::LogError). Structural damage only:
+    /// an I/O error is [`EngineError::JournalFailed`]. On the commit path
+    /// this rejects the commit *atomically*: the append happens before the
+    /// graph or any view is touched, so nothing moved.
     LogCorrupt {
         /// The rendered underlying log error.
         cause: String,
@@ -127,21 +129,6 @@ pub enum EngineError {
         /// `leader_epoch - frontier`, the lag that exceeded the bound.
         lag: u64,
     },
-    /// A replica fell so far behind that
-    /// [`CommitLog::compact`](igc_log::CommitLog::compact) dropped the
-    /// deltas it still needed — possible only for *unpinned* followers
-    /// ([`Replica::attach`](crate::Replica::attach)); followers created
-    /// via [`Engine::replica`](crate::Engine::replica) hold a retention
-    /// pin that prevents this. The replica cannot replay the missing
-    /// deltas; [`Replica::reattach`](crate::Replica::reattach) re-seeds it
-    /// from the newest checkpoint and lands the net diff as one delta
-    /// ([`Replica::tail`](crate::Replica::tail) does so itself).
-    FrontierCompacted {
-        /// The replica's replay frontier (last consumed epoch).
-        frontier: u64,
-        /// The oldest delta epoch the log still retains.
-        oldest: u64,
-    },
     /// A submission was handed to an [`Ingest`](crate::Ingest) handle whose
     /// server has already shut down — its queue is closed and the engine
     /// is gone. Spawn a fresh [`IngestServer`](crate::IngestServer) and
@@ -152,12 +139,19 @@ pub enum EngineError {
     /// with the submission uncommitted. The update batch was **not**
     /// applied.
     SubmissionDropped,
-    /// A journal operation failed with an I/O error. The failing commit
-    /// was rejected atomically (write-ahead ordering: nothing moved), and
-    /// the engine entered degraded read-only mode — see
-    /// [`EngineError::Degraded`] and [`Engine::heal`](crate::Engine::heal).
+    /// A journal operation failed with an I/O error. After a failed
+    /// *write* — a commit's append, [`Engine::checkpoint`](crate::Engine::checkpoint),
+    /// [`Engine::sync_log`](crate::Engine::sync_log), [`Engine::heal`](crate::Engine::heal)
+    /// — the engine is in degraded read-only mode (see
+    /// [`EngineError::Degraded`]); a rejected commit moved nothing
+    /// (write-ahead ordering). After a failed *read* — attaching a
+    /// replica, [`Replica::catch_up`](crate::Replica::catch_up),
+    /// [`Replica::status`](crate::Replica::status),
+    /// [`Engine::recover`](crate::Engine::recover) — nothing moved and the
+    /// call can be repeated once the fault has cleared.
     JournalFailed {
-        /// The journal operation that failed (`"append"` or `"sync"`).
+        /// The journal operation that failed (`"append"`, `"sync"`,
+        /// `"checkpoint"`, or the backend's own, like `"read segment"`).
         operation: &'static str,
         /// The rendered I/O error.
         cause: String,
@@ -208,14 +202,19 @@ pub enum EngineError {
 }
 
 impl From<igc_log::LogError> for EngineError {
-    /// Epoch discontinuities keep their precise shape; every other log
-    /// failure (I/O, corruption, empty/non-empty backend misuse) is
-    /// surfaced as [`EngineError::LogCorrupt`] with the rendered cause.
+    /// Epoch discontinuities keep their precise shape, an I/O error is
+    /// [`EngineError::JournalFailed`] under the backend's operation name,
+    /// and every other log failure (corruption, empty/non-empty backend
+    /// misuse) is [`EngineError::LogCorrupt`] with the rendered cause.
     fn from(e: igc_log::LogError) -> Self {
         match e {
             igc_log::LogError::EpochGap { expected, found } => {
                 EngineError::EpochGap { expected, found }
             }
+            igc_log::LogError::Io { operation, .. } => EngineError::JournalFailed {
+                operation,
+                cause: e.to_string(),
+            },
             other => EngineError::LogCorrupt {
                 cause: other.to_string(),
             },
@@ -289,12 +288,6 @@ impl fmt::Display for EngineError {
                 "replica lagging: frontier epoch {frontier} is {lag} epoch(s) behind \
                  the leader (epoch {leader_epoch}); catch_up before reading"
             ),
-            EngineError::FrontierCompacted { frontier, oldest } => write!(
-                f,
-                "replica frontier (epoch {frontier}) predates the oldest retained \
-                 delta (epoch {oldest}): the history it needs was compacted away; \
-                 attach a fresh replica"
-            ),
             EngineError::IngestClosed => write!(
                 f,
                 "ingest server is shut down: the submission was not accepted; \
@@ -307,8 +300,8 @@ impl fmt::Display for EngineError {
             ),
             EngineError::JournalFailed { operation, cause } => write!(
                 f,
-                "journal {operation} failed: {cause}; \
-                 the engine is degraded read-only until Engine::heal succeeds"
+                "journal {operation} failed: {cause}; a failed write leaves the engine \
+                 degraded read-only until Engine::heal succeeds, a failed read moved nothing"
             ),
             EngineError::Degraded { since_epoch, cause } => write!(
                 f,
@@ -443,13 +436,6 @@ mod tests {
                 vec!["frontier epoch 90", "7 epoch(s) behind", "epoch 97"],
             ),
             (
-                EngineError::FrontierCompacted {
-                    frontier: 12,
-                    oldest: 33,
-                },
-                vec!["epoch 12", "epoch 33", "compacted away", "fresh replica"],
-            ),
-            (
                 EngineError::IngestClosed,
                 vec!["shut down", "not accepted", "resubmit"],
             ),
@@ -521,7 +507,6 @@ mod tests {
                 | EngineError::EpochGap { .. }
                 | EngineError::NoLog { .. }
                 | EngineError::ReplicaLagging { .. }
-                | EngineError::FrontierCompacted { .. }
                 | EngineError::IngestClosed
                 | EngineError::SubmissionDropped
                 | EngineError::JournalFailed { .. }
@@ -538,8 +523,8 @@ mod tests {
                 );
             }
         }
-        // Cheap coverage check in the other direction: 19 variants, 19 rows.
-        assert_eq!(table.len(), 19);
+        // Cheap coverage check in the other direction: 18 variants, 18 rows.
+        assert_eq!(table.len(), 18);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! `latest checkpoint + tail replay`, ready for views to re-join via
 //! [`Engine::register`]. And [`Engine::register_background`] builds
 //! a joining view's initial state *off the commit path* — a worker runs a
-//! pinned [`Replica`] holding just that view while commits keep flowing —
+//! [`Replica`] holding just that view while commits keep flowing —
 //! then [`Engine::join_background`] catches it up on the log tail and
 //! moves the view into the registry, answer-identical to a view registered
 //! before those commits.
@@ -92,17 +92,20 @@
 //! [`EngineError::StaleHandle`], [`EngineError::ViewQuarantined`],
 //! [`EngineError::WrongViewType`].
 //!
-//! **Replication** ([`replica` module](Replica)): [`Engine::replica`]
-//! creates a log-shipped read [`Replica`] — a follower engine with its
-//! own graph and views that tails the journal ([`Replica::catch_up`] /
-//! [`Replica::tail`]), reports its staleness ([`Replica::status`],
-//! [`Replica::ensure_fresh`]), and holds a retention pin so
-//! [`Engine::compact_log`] — which drops whole log segments behind the
-//! newest checkpoint — never cuts off a live follower's catch-up window.
-//! Journal I/O is tried once. A failed append or barrier rejects the
-//! commit and degrades the writer until [`Engine::heal`] succeeds; a
-//! follower's read error surfaces from [`Replica::catch_up`] /
-//! [`Replica::tail`]. A caller that wants another attempt makes it.
+//! **Replication** ([`replica` module](Replica)): [`Replica::attach`]
+//! over the journal's backend creates a log-shipped read [`Replica`] — a
+//! follower engine with its own graph and views that tails the journal
+//! ([`Replica::catch_up`] / [`Replica::tail`]) and reports its staleness
+//! ([`Replica::status`], [`Replica::ensure_fresh`]). [`Engine::compact_log`]
+//! drops whole log segments behind the newest checkpoint and waits for no
+//! follower; a follower whose frontier it dropped re-seeds from the
+//! retained checkpoint on its next catch-up.
+//! Journal I/O is tried once, and an I/O error is always
+//! [`EngineError::JournalFailed`]. A failed append or barrier (a commit's,
+//! a checkpoint's) rejects the write and degrades the writer until
+//! [`Engine::heal`] succeeds; a follower's read error surfaces from
+//! [`Replica::catch_up`] / [`Replica::tail`] with nothing moved. A caller
+//! that wants another attempt makes it.
 //!
 //! ```
 //! use igc_engine::Engine;

@@ -3,10 +3,10 @@
 //!
 //! A follower is an [`Engine`] whose deltas come from the log instead of
 //! from clients: a [`Replica`] is that engine (with no log of its own), a
-//! [`Replayer`] over the leader's log, its retention pin and seed base.
-//! Each replayed delta lands through the engine's one commit stage, so a
-//! follower publishes versions, keeps totals and journals events exactly
-//! as a leader does, and `Replica` derefs to the engine for every read.
+//! [`Replayer`] over the leader's log and its seed base. Each replayed
+//! delta lands through the engine's one commit stage, so a follower
+//! publishes versions, keeps totals and journals events exactly as a
+//! leader does, and `Replica` derefs to the engine for every read.
 //!
 //! A follower seeds from the **newest checkpoint** (never genesis — that
 //! is the whole point of the checkpoint cadence), replays normalized
@@ -16,37 +16,27 @@
 //! epoch — they are just possibly *stale*, which [`ReplicaStatus`]
 //! quantifies and [`Replica::ensure_fresh`] gates on.
 //!
-//! Two attachment modes:
+//! One way to attach: [`Replica::attach`] over the leader's log backend —
+//! a shared [`MemBackend`](igc_log::MemBackend) in-process
+//! (`Engine::log()?.backend()`), or a [`FileBackend`](igc_log::FileBackend)
+//! over the leader's log directory from another process. The leader does
+//! not know its followers: [`Engine::compact_log`] holds no history back
+//! for them.
 //!
-//! * [`Engine::replica`] — in-process follower (typically over a shared
-//!   [`MemBackend`](igc_log::MemBackend)). The leader registers a
-//!   [`RetentionPin`] for it, so [`Engine::compact_log`] never drops the
-//!   history this follower still needs; the pin advances lock-free on
-//!   every catch-up round and releases automatically when the replica is
-//!   dropped.
-//! * [`Replica::attach`] — cross-process follower (typically over a
-//!   [`FileBackend`](igc_log::FileBackend) pointed at the leader's log
-//!   directory). Unpinned: if it falls behind a compaction its next
-//!   catch-up is [`EngineError::FrontierCompacted`] and it must
-//!   [re-attach](Replica::reattach).
-//!
-//! Tail the log from a worker thread with [`Replica::tail`], or drive
-//! [`Replica::catch_up`] by hand. Torn tails, segment rotation and
-//! mid-stream checkpoints are all handled by the scan layer underneath —
-//! a replica simply never observes them.
-//!
-//! **Self-healing**: a [`Replica::tail`] loop that finds its frontier
-//! compacted away [re-attaches](Replica::reattach) — the follower
-//! re-seeds from the newest checkpoint and catches its views up with one
-//! synthesized diff batch instead of being rebuilt from scratch. Any
-//! other error, a transient read fault included, ends the tail the first
-//! time it happens; the caller tails again once the fault has cleared.
-//! [`Replica::catch_up`] driven by hand does not re-attach either: it
-//! reports the precise error.
+//! **Self-healing**: a [`Replica::catch_up`] that finds its frontier
+//! compacted away re-seeds the follower from the newest checkpoint and
+//! catches its views up with one synthesized diff batch instead of
+//! rebuilding them — by the views' confluence contract, the same answers
+//! the window's deltas one at a time would have given ([`Replica::reattaches`]
+//! counts these). [`Replica::tail`] is a loop of catch-ups. Any other
+//! error, a transient read fault included, surfaces the first time it
+//! happens; the caller catches up again once the fault has cleared. Torn
+//! tails, segment rotation and mid-stream checkpoints are handled by the
+//! scan layer underneath — a replica never observes them.
 //!
 //! A [background view build](crate::Engine::register_background) is a
-//! pinned `Replica` too — one view, caught up on a worker thread, moved
-//! into the engine's registry at join time.
+//! `Replica` too — one view, caught up on a worker thread, moved into the
+//! engine's registry at join time.
 //!
 //! ```
 //! use igc_engine::{Engine, Replica};
@@ -59,8 +49,8 @@
 //!     .with_log(backend.clone())
 //!     .unwrap();
 //!
-//! // A pinned in-process follower, serving reads at its own frontier.
-//! let mut replica = leader.replica().unwrap();
+//! // A follower over the leader's log, serving reads at its own frontier.
+//! let mut replica = Replica::attach(backend).unwrap();
 //! leader
 //!     .commit(&UpdateBatch::from_updates(vec![Update::insert(
 //!         NodeId(1),
@@ -83,7 +73,7 @@ use crate::lifecycle::{ViewHandle, ViewId};
 use crate::registry::Registered;
 use igc_core::IncView;
 use igc_graph::{DynamicGraph, Update, UpdateBatch};
-use igc_log::{LogBackend, LogError, Replayer, RetentionPin};
+use igc_log::{LogBackend, LogError, Replayer};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -115,17 +105,12 @@ pub struct ReplicaStatus {
 /// the setters) are out of reach on a follower. See the [crate docs](crate)
 /// for the replication model and an example.
 pub struct Replica {
-    /// The follower's engine: no log, fed only by [`Replica::catch_up`]
-    /// and [`Replica::reattach`].
+    /// The follower's engine: no log, fed only by [`Replica::catch_up`].
     engine: Engine,
     replayer: Replayer,
-    /// The leader-registered retention pin, for followers created via
-    /// [`Engine::replica`]; `None` for unpinned cross-process attachments.
-    pin: Option<RetentionPin>,
-    /// Epoch of the checkpoint this replica seeded from.
+    /// Epoch of the checkpoint this replica last seeded from.
     seed_base: u64,
-    /// Times this replica re-seeded from a newer checkpoint
-    /// ([`Replica::reattach`], manual calls included).
+    /// Times a catch-up re-seeded this replica from a newer checkpoint.
     reattaches: u64,
 }
 
@@ -143,47 +128,29 @@ impl std::fmt::Debug for Replica {
             .field("frontier", &self.frontier())
             .field("seed_base", &self.seed_base)
             .field("views", &self.view_count())
-            .field("pinned", &self.pin.is_some())
             .finish()
     }
 }
 
 impl Replica {
-    /// Attach a follower to a log backend (typically a
-    /// [`FileBackend`](igc_log::FileBackend) over the leader's log
-    /// directory, from another process). Seeds from the **newest
-    /// checkpoint** plus the delta tail — a late joiner never replays
-    /// from genesis. The follower is *unpinned*: the leader's compaction
-    /// does not know about it, so a long-dormant follower can be cut off
-    /// ([`EngineError::FrontierCompacted`] on its next catch-up) and
-    /// must [re-attach](Replica::reattach). In-process followers should prefer
-    /// [`Engine::replica`], which pins.
+    /// Attach a follower to a log backend: the leader's
+    /// ([`CommitLog::backend`](igc_log::CommitLog::backend)) in-process, or
+    /// a [`FileBackend`](igc_log::FileBackend) over its log directory from
+    /// another process. Seeds from the **newest checkpoint** plus the
+    /// delta tail — a late joiner never replays from genesis.
     pub fn attach(backend: Arc<dyn LogBackend>) -> Result<Self, EngineError> {
-        Self::attach_pinned(backend, None)
-    }
-
-    /// Shared attachment path; `pin` present = leader-registered
-    /// follower ([`Engine::replica`]).
-    pub(crate) fn attach_pinned(
-        backend: Arc<dyn LogBackend>,
-        pin: Option<RetentionPin>,
-    ) -> Result<Self, EngineError> {
         let replayer = Replayer::new(backend);
         let replayed = replayer.latest()?;
-        if let Some(pin) = &pin {
-            pin.advance(replayed.graph.epoch());
-        }
         Ok(Replica {
             engine: Engine::new(replayed.graph),
             replayer,
             seed_base: replayed.base_epoch,
-            pin,
             reattaches: 0,
         })
     }
 
-    /// Times this replica has re-seeded from a newer checkpoint
-    /// ([`Replica::reattach`] — automatic or manual).
+    /// Times a [`catch_up`](Replica::catch_up) found this replica's
+    /// frontier compacted away and re-seeded it from a newer checkpoint.
     pub fn reattaches(&self) -> u64 {
         self.reattaches
     }
@@ -201,99 +168,63 @@ impl Replica {
 
     /// Drain everything the log currently holds past this replica's
     /// frontier: each delta lands through the engine's commit stage —
-    /// graph, fan-out to every active view, a published version — then
-    /// the retention pin (if pinned) advances. Returns the number of
-    /// deltas consumed — `0` when already at the head.
+    /// graph, fan-out to every active view, a published version. Returns
+    /// the epochs the frontier advanced — the deltas consumed, `0` when
+    /// already at the head.
     ///
-    /// Safe to call repeatedly while the leader keeps committing; each
-    /// call consumes whatever is complete at scan time (a record the
-    /// leader is mid-appending shows up as a torn tail this scan ignores
-    /// and the next one sees whole). A view whose `apply` panics is
-    /// quarantined at the offending epoch and skipped from then on; the
-    /// replica itself keeps tailing.
+    /// Safe to call repeatedly while the leader keeps committing (and
+    /// compacting); each call consumes whatever is complete at scan time
+    /// (a record the leader is mid-appending shows up as a torn tail this
+    /// scan ignores and the next one sees whole). A view whose `apply`
+    /// panics is quarantined at the offending epoch and skipped from then
+    /// on; the replica itself keeps tailing.
     ///
-    /// Errors: [`EngineError::FrontierCompacted`] when the log's oldest
-    /// retained delta is already past `frontier + 1` (unpinned follower
-    /// outrun by compaction); [`EngineError::LogCorrupt`] /
-    /// [`EngineError::EpochGap`] on genuine log damage.
+    /// When a compaction has dropped deltas the follower still needed, the
+    /// follower re-seeds from the newest checkpoint plus the tail and goes
+    /// round again ([`Replica::reattaches`] counts it). The dropped window
+    /// lands as its net diff in one delta — one commit in
+    /// [`Engine::totals`], one version at the head's epoch — and by the
+    /// views' confluence contract their answers land where replaying the
+    /// window one delta at a time would have put them. Quarantined views
+    /// stay quarantined.
+    ///
+    /// Errors: [`EngineError::JournalFailed`] when a read of the log
+    /// fails (nothing moved; call again once the fault has cleared);
+    /// [`EngineError::LogCorrupt`] / [`EngineError::EpochGap`] on genuine
+    /// log damage.
     pub fn catch_up(&mut self) -> Result<u64, EngineError> {
-        let engine = &mut self.engine;
-        let applied = self
-            .replayer
-            .catch_up(engine.epoch(), |delta| engine.replay(delta, None));
-        let applied = Self::map_catch_up_error(applied)?;
-        self.advance_pin();
-        Ok(applied)
-    }
-
-    /// Move the retention pin (if pinned) up to the frontier.
-    fn advance_pin(&self) {
-        if let Some(pin) = &self.pin {
-            pin.advance(self.frontier());
-        }
-    }
-
-    /// Translate a raw catch-up error to the engine surface. The chain
-    /// itself never runs backwards, so a gap with `found ≥ expected`
-    /// means the tail we needed was compacted away underneath an
-    /// unpinned follower: a delta past the one expected, or a checkpoint
-    /// at or past it, which follows the expected delta in append order.
-    fn map_catch_up_error(r: Result<u64, LogError>) -> Result<u64, EngineError> {
-        match r {
-            Ok(n) => Ok(n),
-            Err(LogError::EpochGap { expected, found }) if found >= expected => {
-                Err(EngineError::FrontierCompacted {
-                    frontier: expected.saturating_sub(1),
-                    oldest: found,
-                })
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// One catch-up round of [`Replica::tail`]: a compacted-away
-    /// frontier triggers [`Replica::reattach`], and any other error
-    /// surfaces. A reattach skips the individual deltas of the compacted
-    /// window: the follower's receipts, totals and views see their net
-    /// diff as one delta.
-    fn tail_round(&mut self) -> Result<u64, EngineError> {
+        let start = self.frontier();
         loop {
-            match self.catch_up() {
-                // Re-seed from the newest checkpoint and go round again:
-                // the reattach leaves the frontier at the head, so the
-                // next round normally drains clean.
-                Err(EngineError::FrontierCompacted { .. }) => self.reattach()?,
-                done => return done,
-            };
+            let engine = &mut self.engine;
+            let caught = self
+                .replayer
+                .catch_up(engine.epoch(), |d| engine.replay(d, None));
+            match caught {
+                Ok(_) => return Ok(self.frontier().saturating_sub(start)),
+                // The chain never runs backwards, so a gap with `found ≥
+                // expected` means the tail this follower needed was
+                // compacted away: a delta past the one expected, or a
+                // checkpoint at or past it, which follows the expected
+                // delta in append order.
+                Err(LogError::EpochGap { expected, found }) if found >= expected => {
+                    self.reattach()?
+                }
+                Err(e) => return Err(e.into()),
+            }
         }
     }
 
-    /// Re-seed this replica from the **newest checkpoint** plus the delta
-    /// tail — recovery from [`EngineError::FrontierCompacted`] *without*
-    /// rebuilding the views from scratch. The replica computes the
-    /// edge-set diff between its stale graph and the fresh head,
-    /// synthesizes it as one normalized ΔG batch (deletes for edges only
-    /// the stale graph had, labelled inserts for edges only the head
-    /// has), and lands that batch through the engine's commit stage with
-    /// the re-seeded graph as post-state — by the views' confluence
-    /// contract (the same one that makes ingest coalescing
-    /// answer-identical), their answers land exactly where replaying the
-    /// compacted window one delta at a time would have put them. The
-    /// window counts as one delta in [`Engine::totals`], and its version
-    /// publishes at the head's epoch. Quarantined views stay quarantined.
-    ///
-    /// Returns the number of epochs the frontier jumped. Counted in
-    /// [`Replica::reattaches`]; [`Replica::tail`] calls this
-    /// automatically.
-    pub fn reattach(&mut self) -> Result<u64, EngineError> {
+    /// Re-seed this replica from the newest checkpoint plus the delta
+    /// tail *without* rebuilding the views: the edge-set diff between the
+    /// stale graph and the head lands as one normalized batch through the
+    /// engine's commit stage, with the head graph as post-state.
+    fn reattach(&mut self) -> Result<(), EngineError> {
         let replayed = self.replayer.latest()?;
-        let jumped = replayed.graph.epoch().saturating_sub(self.frontier());
         let delta = Self::diff(self.engine.graph(), &replayed.graph);
         self.engine.replay(delta, Some(replayed.graph));
         self.seed_base = replayed.base_epoch;
-        self.advance_pin();
         self.reattaches += 1;
-        Ok(jumped)
+        Ok(())
     }
 
     /// The normalized batch that turns `old` into `new`: deletes for the
@@ -338,7 +269,8 @@ impl Replica {
     /// [`catch_up`](Replica::catch_up), sleeping `poll` between rounds,
     /// with one final drain after the stop signal (so everything the
     /// leader journaled *before* raising `stop` is consumed). Returns
-    /// the total deltas applied. Designed to run on a worker thread:
+    /// the epochs the frontier advanced in all. Designed to run on a
+    /// worker thread:
     ///
     /// ```no_run
     /// # use igc_engine::Replica;
@@ -356,17 +288,16 @@ impl Replica {
     /// stop.store(true, std::sync::atomic::Ordering::Release);
     /// let (replica, applied) = worker.join().unwrap().unwrap();
     /// ```
-    /// The loop self-heals one way: a compacted-away frontier re-attaches
-    /// from the newest checkpoint ([`Replica::reattach`]). Any other
-    /// error, a transient read fault included, ends the tail the first
-    /// time it happens; call `tail` (or [`Replica::catch_up`]) again once
-    /// the fault has cleared.
+    /// Each round is a [`catch_up`](Replica::catch_up), so the loop
+    /// heals a compaction the same way. Any other error, a transient
+    /// read fault included, ends the tail the first time it happens; call
+    /// `tail` (or `catch_up`) again once the fault has cleared.
     pub fn tail(&mut self, stop: &AtomicBool, poll: Duration) -> Result<u64, EngineError> {
         let mut total = 0;
         loop {
-            total += self.tail_round()?;
+            total += self.catch_up()?;
             if stop.load(Ordering::Acquire) {
-                total += self.tail_round()?;
+                total += self.catch_up()?;
                 return Ok(total);
             }
             std::thread::sleep(poll);
@@ -408,16 +339,11 @@ impl Replica {
         self.engine.epoch()
     }
 
-    /// Epoch of the checkpoint this replica seeded from at attach time —
-    /// a late joiner's base is the newest checkpoint, never genesis.
+    /// Epoch of the checkpoint this replica seeded from, at attach time
+    /// or at its last re-seed — a late joiner's base is the newest
+    /// checkpoint, never genesis.
     pub fn seed_base(&self) -> u64 {
         self.seed_base
-    }
-
-    /// Whether this follower holds a leader-side retention pin (created
-    /// via [`Engine::replica`]).
-    pub fn is_pinned(&self) -> bool {
-        self.pin.is_some()
     }
 
     /// End this follower and hand back the entry behind `id` — the view
@@ -503,7 +429,6 @@ mod tests {
         let replica = Replica::attach(arc).unwrap();
         assert_eq!(replica.frontier(), g.epoch());
         assert_eq!(replica.seed_base(), 2, "mid-stream checkpoint is the base");
-        assert!(!replica.is_pinned());
         assert_eq!(replica.graph().sorted_edges(), g.sorted_edges());
     }
 

@@ -2,108 +2,24 @@
 //! a failed WAL append that degrades the engine and the one recovery
 //! path, [`Engine::heal`] then commit again; sync failures at the
 //! group-commit quiesce barrier and during a runtime durability flip;
-//! overload shedding at the ingest front door; and a follower's
-//! post-compaction reattach — each checked against the four real query
-//! classes. Seeded fault storms run in the simulation
+//! overload shedding at the ingest front door; a failed checkpoint
+//! append and a follower's failed read, each `JournalFailed`; and a
+//! follower's post-compaction reattach — each checked against the four
+//! real query classes. Seeded fault storms run in the simulation
 //! (`tests/engine_consistency.rs`), which decides when each fault fires.
 
 use igc_engine::{Engine, EngineError, EngineTotals, IngestServer, Replica};
 use igc_graph::generator::{random_update_batch, uniform_graph};
 use igc_graph::graph::graph_from;
-use igc_graph::{DynamicGraph, Label, LabelInterner, NodeId, Update, UpdateBatch};
-use igc_iso::{IncIso, MatchKey, Pattern};
-use igc_kws::{IncKws, KwsQuery};
-use igc_log::{ChaosBackend, DurabilityMode, LogBackend, MemBackend};
-use igc_nfa::Regex;
+use igc_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
+use igc_log::DurabilityMode;
 use igc_rpq::IncRpq;
-use igc_scc::IncScc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn rpq_query() -> Regex {
-    let mut it = LabelInterner::new();
-    Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap()
-}
-
-fn kws_query() -> KwsQuery {
-    KwsQuery::new(vec![Label(1), Label(2)], 2)
-}
-
-fn iso_pattern() -> Pattern {
-    Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])
-}
-
-fn register_all(engine: &mut Engine) {
-    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
-    engine.register("scc", IncScc::init()).unwrap();
-    engine.register("kws", IncKws::init(kws_query())).unwrap();
-    engine.register("iso", IncIso::init(iso_pattern())).unwrap();
-}
-
-/// The four views' complete answers in canonical form — the bit-identical
-/// comparison key between a faulted engine and its reference twin.
-#[derive(Debug, PartialEq, Eq)]
-struct Answers {
-    rpq: Vec<(NodeId, NodeId)>,
-    scc: Vec<Vec<NodeId>>,
-    kws: Vec<(NodeId, Vec<u32>)>,
-    iso: Vec<MatchKey>,
-}
-
-fn answers(engine: &Engine) -> Answers {
-    let rpq: &IncRpq = engine
-        .view(&engine.typed(engine.find("rpq").unwrap()).unwrap())
-        .unwrap();
-    let scc: &IncScc = engine
-        .view(&engine.typed(engine.find("scc").unwrap()).unwrap())
-        .unwrap();
-    let kws: &IncKws = engine
-        .view(&engine.typed(engine.find("kws").unwrap()).unwrap())
-        .unwrap();
-    let iso: &IncIso = engine
-        .view(&engine.typed(engine.find("iso").unwrap()).unwrap())
-        .unwrap();
-    Answers {
-        rpq: rpq.sorted_answer(),
-        scc: scc.components(),
-        kws: kws.answer_signature(),
-        iso: iso.sorted_matches(),
-    }
-}
-
-struct ReplicaViews {
-    rpq: igc_engine::ViewHandle<IncRpq>,
-    scc: igc_engine::ViewHandle<IncScc>,
-    kws: igc_engine::ViewHandle<IncKws>,
-    iso: igc_engine::ViewHandle<IncIso>,
-}
-
-fn register_replica(replica: &mut Replica) -> ReplicaViews {
-    ReplicaViews {
-        rpq: replica.register("rpq", IncRpq::init(rpq_query())).unwrap(),
-        scc: replica.register("scc", IncScc::init()).unwrap(),
-        kws: replica.register("kws", IncKws::init(kws_query())).unwrap(),
-        iso: replica
-            .register("iso", IncIso::init(iso_pattern()))
-            .unwrap(),
-    }
-}
-
-fn replica_answers(replica: &Replica, views: &ReplicaViews) -> Answers {
-    Answers {
-        rpq: replica.view(&views.rpq).unwrap().sorted_answer(),
-        scc: replica.view(&views.scc).unwrap().components(),
-        kws: replica.view(&views.kws).unwrap().answer_signature(),
-        iso: replica.view(&views.iso).unwrap().sorted_matches(),
-    }
-}
-
-fn backend_pair() -> (ChaosBackend, Arc<dyn LogBackend>) {
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()));
-    let arc: Arc<dyn LogBackend> = Arc::new(chaos.clone());
-    (chaos, arc)
-}
+mod four_classes;
+use four_classes::*;
 
 /// `heal` keeps failing while the fault window persists (the checkpoint
 /// probe hits the same dead disk), the engine stays degraded, and the
@@ -339,10 +255,9 @@ fn sync_failure_during_a_durability_flip_degrades_on_sync_debt() {
     assert_eq!(answers(&recovered), answers(&engine));
 }
 
-/// Compaction outruns an unpinned follower: fail-fast `catch_up` reports
-/// a precise `FrontierCompacted`; `tail` re-attaches by itself — the
-/// follower re-seeds from the newest checkpoint *through its
-/// live views* — answers match the leader without re-registering.
+/// Compaction outruns a follower: `catch_up` re-seeds it from the newest
+/// checkpoint *through its live views* and converges, and so does `tail`
+/// the next time — answers match the leader without re-registering.
 #[test]
 fn reattach_recovers_an_unpinned_follower_after_compaction() {
     let (chaos, backend) = backend_pair();
@@ -352,11 +267,10 @@ fn reattach_recovers_an_unpinned_follower_after_compaction() {
     leader.set_checkpoint_every(3);
     register_all(&mut leader);
 
-    // An unpinned (cross-process shape) follower, caught up at epoch 0.
+    // A follower caught up at epoch 0.
     let mut follower = Replica::attach(Arc::new(chaos.clone())).unwrap();
     let views = register_replica(&mut follower);
     follower.catch_up().unwrap();
-    let stranded_at = follower.frontier();
 
     // The leader runs ahead and compacts the follower's window away.
     for round in 0..9u64 {
@@ -366,35 +280,89 @@ fn reattach_recovers_an_unpinned_follower_after_compaction() {
     let compaction = leader.compact_log().unwrap();
     assert!(compaction.dropped_segments > 0, "compaction must bite");
 
-    // Fail-fast contract: a precise error, not garbage.
-    match follower.catch_up().unwrap_err() {
-        EngineError::FrontierCompacted { frontier, oldest } => {
-            assert_eq!(frontier, stranded_at);
-            assert!(oldest > frontier + 1, "{oldest} vs {frontier}");
-        }
-        other => panic!("expected FrontierCompacted, got {other:?}"),
-    }
-
-    // Self-healing contract: the tail reattaches and converges.
-    let stopped = AtomicBool::new(true);
-    follower.tail(&stopped, Duration::from_millis(1)).unwrap();
+    // A catch-up driven by hand re-seeds and converges.
+    assert_eq!(follower.catch_up().unwrap(), leader.epoch());
     assert_eq!(follower.reattaches(), 1);
     assert_eq!(follower.frontier(), leader.epoch());
     assert_eq!(replica_answers(&follower, &views), answers(&leader));
     follower.verify_all().unwrap();
 
-    // And again — reattach is not a one-time trick.
+    // And again, through the tail loop — reattach is not a one-time trick.
+    let from = follower.frontier();
     for round in 0..9u64 {
         let d = random_update_batch(leader.graph(), 8, 0.5, 5200 + round);
         leader.commit(&d).unwrap();
     }
     leader.compact_log().unwrap();
-    let jumped = follower.reattach().unwrap();
-    assert!(jumped > 0);
+    let stopped = AtomicBool::new(true);
+    let advanced = follower.tail(&stopped, Duration::from_millis(1)).unwrap();
+    assert_eq!(advanced, leader.epoch() - from);
     assert_eq!(follower.reattaches(), 2);
     assert_eq!(follower.frontier(), leader.epoch());
     assert_eq!(replica_answers(&follower, &views), answers(&leader));
     follower.verify_all().unwrap();
+}
+
+/// A follower's failed read is `JournalFailed` under the backend's
+/// operation, not `LogCorrupt`: nothing moved, and the next `catch_up`
+/// converges.
+#[test]
+fn a_failed_read_under_a_follower_is_journal_failed_and_moves_nothing() {
+    let (chaos, backend) = backend_pair();
+    let mut leader = Engine::new(uniform_graph(24, 64, 3, 52))
+        .with_log(backend)
+        .unwrap();
+    let mut follower = Replica::attach(leader.log().unwrap().backend()).unwrap();
+    let d = random_update_batch(leader.graph(), 8, 0.5, 5300);
+    leader.commit(&d).unwrap();
+
+    chaos.fail_next_read();
+    match follower.catch_up().unwrap_err() {
+        EngineError::JournalFailed {
+            operation: "read segment",
+            cause,
+        } => assert!(cause.contains("injected"), "{cause}"),
+        other => panic!("expected JournalFailed, got {other:?}"),
+    }
+    assert_eq!(follower.frontier(), 0, "a failed read moved nothing");
+    assert_eq!(follower.catch_up(), Ok(1));
+    assert_eq!(
+        follower.graph().sorted_edges(),
+        leader.graph().sorted_edges()
+    );
+    assert!(
+        !leader.is_degraded(),
+        "a follower's read is not the leader's"
+    );
+}
+
+/// A torn checkpoint append degrades the engine as a commit's would: the
+/// next commit is refused until `heal` succeeds.
+#[test]
+fn a_failed_checkpoint_append_degrades_the_engine() {
+    let (chaos, backend) = backend_pair();
+    let mut engine = Engine::new(uniform_graph(24, 64, 3, 53))
+        .with_log(backend)
+        .unwrap();
+    register_all(&mut engine);
+
+    chaos.fail_next_append(3);
+    match engine.checkpoint().unwrap_err() {
+        EngineError::JournalFailed {
+            operation: "checkpoint",
+            cause,
+        } => assert!(cause.contains("injected"), "{cause}"),
+        other => panic!("expected JournalFailed, got {other:?}"),
+    }
+    assert!(engine.is_degraded());
+    let d = random_update_batch(engine.graph(), 8, 0.5, 5400);
+    let err = engine.commit(&d).unwrap_err();
+    assert!(matches!(err, EngineError::Degraded { .. }), "{err:?}");
+    assert_eq!(engine.epoch(), 0);
+
+    engine.heal().unwrap();
+    engine.commit(&d).unwrap();
+    engine.verify_all().unwrap();
 }
 
 /// A rejected commit counts nothing: the units normalization dropped from

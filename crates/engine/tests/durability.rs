@@ -232,9 +232,9 @@ fn background_registration_matches_eager_registration_for_all_classes() {
     bg_engine.verify_all().unwrap();
 }
 
-/// A background build is a pinned follower: a compaction that runs while
-/// its builder is still busy keeps the history it seeded from, so the
-/// join catches up instead of finding its frontier compacted away.
+/// A background build is a follower: a compaction that runs while its
+/// builder is still busy drops the history it seeded from, and the join's
+/// catch-up re-seeds it instead of stranding it.
 #[test]
 fn compaction_during_a_background_build_does_not_strand_it() {
     let g = uniform_graph(26, 70, 3, 56);
@@ -266,15 +266,13 @@ fn compaction_during_a_background_build_does_not_strand_it() {
     let during = engine.compact_log().unwrap();
     release.send(()).unwrap();
 
+    assert!(during.dropped_segments > 0, "the build held nothing back");
     let late = engine.join_background(build).unwrap();
-    assert_eq!(during.pinned_frontier, Some(0), "the build held a pin");
     assert_eq!(
         engine.view(&late).unwrap().sorted_answer(),
         eager.view(&twin).unwrap().sorted_answer()
     );
     engine.verify_all().unwrap();
-    // The pin went with the follower: now the same compaction bites.
-    assert!(engine.compact_log().unwrap().dropped_segments > 0);
 }
 
 #[test]

@@ -1,112 +1,32 @@
 //! Replication integration: fault injection (torn tails, forced segment
-//! rotation, failed-then-retried appends) and compaction safety
-//! (retention pins protect slow followers; the journal stays bounded
-//! once pins advance; fresh replicas seed correctly afterwards) — each
+//! rotation, failed-then-retried appends) and compaction (the journal
+//! stays bounded however far a follower lags; a follower whose frontier
+//! was dropped re-seeds on its next catch-up; a scan survives a
+//! compaction under it; fresh replicas seed correctly afterwards) — each
 //! checked against all four real query classes, bit-identical to the
 //! leader.
 
 use igc_engine::{Engine, EngineError, Replica};
 use igc_graph::generator::{random_update_batch, uniform_graph};
-use igc_graph::{Label, LabelInterner, NodeId};
-use igc_iso::{IncIso, MatchKey, Pattern};
-use igc_kws::{IncKws, KwsQuery};
-use igc_log::{ChaosBackend, LogBackend, MemBackend};
-use igc_nfa::Regex;
-use igc_rpq::IncRpq;
-use igc_scc::IncScc;
+use igc_log::{ChaosBackend, LogBackend, LogError, MemBackend};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn rpq_query() -> Regex {
-    let mut it = LabelInterner::new();
-    Regex::parse("l0.(l1+l2)*.l2", &mut it).unwrap()
-}
-
-fn kws_query() -> KwsQuery {
-    KwsQuery::new(vec![Label(1), Label(2)], 2)
-}
-
-fn iso_pattern() -> Pattern {
-    Pattern::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)])
-}
-
-/// The four views' complete answers in canonical form — the
-/// bit-identical comparison key between leader and follower.
-#[derive(Debug, PartialEq, Eq)]
-struct Answers {
-    rpq: Vec<(NodeId, NodeId)>,
-    scc: Vec<Vec<NodeId>>,
-    kws: Vec<(NodeId, Vec<u32>)>,
-    iso: Vec<MatchKey>,
-}
-
-struct ReplicaViews {
-    rpq: igc_engine::ViewHandle<IncRpq>,
-    scc: igc_engine::ViewHandle<IncScc>,
-    kws: igc_engine::ViewHandle<IncKws>,
-    iso: igc_engine::ViewHandle<IncIso>,
-}
-
-fn register_leader(engine: &mut Engine) {
-    engine.register("rpq", IncRpq::init(rpq_query())).unwrap();
-    engine.register("scc", IncScc::init()).unwrap();
-    engine.register("kws", IncKws::init(kws_query())).unwrap();
-    engine.register("iso", IncIso::init(iso_pattern())).unwrap();
-}
-
-fn register_replica(replica: &mut Replica) -> ReplicaViews {
-    ReplicaViews {
-        rpq: replica.register("rpq", IncRpq::init(rpq_query())).unwrap(),
-        scc: replica.register("scc", IncScc::init()).unwrap(),
-        kws: replica.register("kws", IncKws::init(kws_query())).unwrap(),
-        iso: replica
-            .register("iso", IncIso::init(iso_pattern()))
-            .unwrap(),
-    }
-}
-
-fn leader_answers(engine: &Engine) -> Answers {
-    let rpq: &IncRpq = engine
-        .view(&engine.typed(engine.find("rpq").unwrap()).unwrap())
-        .unwrap();
-    let scc: &IncScc = engine
-        .view(&engine.typed(engine.find("scc").unwrap()).unwrap())
-        .unwrap();
-    let kws: &IncKws = engine
-        .view(&engine.typed(engine.find("kws").unwrap()).unwrap())
-        .unwrap();
-    let iso: &IncIso = engine
-        .view(&engine.typed(engine.find("iso").unwrap()).unwrap())
-        .unwrap();
-    Answers {
-        rpq: rpq.sorted_answer(),
-        scc: scc.components(),
-        kws: kws.answer_signature(),
-        iso: iso.sorted_matches(),
-    }
-}
-
-fn replica_answers(replica: &Replica, views: &ReplicaViews) -> Answers {
-    Answers {
-        rpq: replica.view(&views.rpq).unwrap().sorted_answer(),
-        scc: replica.view(&views.scc).unwrap().components(),
-        kws: replica.view(&views.kws).unwrap().answer_signature(),
-        iso: replica.view(&views.iso).unwrap().sorted_matches(),
-    }
-}
-
-fn backend_pair() -> (ChaosBackend, Arc<dyn LogBackend>) {
-    let chaos = ChaosBackend::new(Arc::new(MemBackend::new()));
-    let arc: Arc<dyn LogBackend> = Arc::new(chaos.clone());
-    (chaos, arc)
-}
+mod four_classes;
+use four_classes::*;
 
 fn logged_leader(seed: u64) -> (ChaosBackend, Engine) {
     let g = uniform_graph(24, 64, 3, seed);
     let (mem, backend) = backend_pair();
     let mut leader = Engine::new(g).with_log(backend).unwrap();
     leader.set_checkpoint_every(3);
-    register_leader(&mut leader);
+    register_all(&mut leader);
     (mem, leader)
+}
+
+/// A follower over `leader`'s journal.
+fn follower(leader: &Engine) -> Replica {
+    Replica::attach(leader.log().unwrap().backend()).unwrap()
 }
 
 fn assert_converged(leader: &Engine, replica: &mut Replica, views: &ReplicaViews) {
@@ -119,7 +39,7 @@ fn assert_converged(leader: &Engine, replica: &mut Replica, views: &ReplicaViews
     );
     assert_eq!(
         replica_answers(replica, views),
-        leader_answers(leader),
+        answers(leader),
         "view answers diverged"
     );
     replica.verify_all().unwrap();
@@ -132,7 +52,7 @@ fn assert_converged(leader: &Engine, replica: &mut Replica, views: &ReplicaViews
 #[test]
 fn replica_tails_through_a_torn_tail() {
     let (mem, mut leader) = logged_leader(301);
-    let mut replica = leader.replica().unwrap();
+    let mut replica = follower(&leader);
     let views = register_replica(&mut replica);
 
     for round in 0..4u64 {
@@ -159,7 +79,7 @@ fn replica_tails_through_a_torn_tail() {
     // re-commits; the follower converges on the re-written history.
     let mut leader = Engine::recover(Arc::new(mem.clone())).unwrap();
     assert_eq!(leader.epoch(), epoch_before_tear - 1);
-    register_leader(&mut leader);
+    register_all(&mut leader);
     let delta = random_update_batch(leader.graph(), 8, 0.5, 5104);
     leader.commit(&delta).unwrap();
     assert_converged(&leader, &mut replica, &views);
@@ -170,7 +90,7 @@ fn replica_tails_through_a_torn_tail() {
 #[test]
 fn replica_tails_across_forced_segment_rotations() {
     let (mem, mut leader) = logged_leader(302);
-    let mut replica = leader.replica().unwrap();
+    let mut replica = follower(&leader);
     let views = register_replica(&mut replica);
 
     let before = mem.segments().unwrap();
@@ -198,7 +118,7 @@ fn replica_tails_across_forced_segment_rotations() {
 #[test]
 fn replica_survives_a_failed_then_retried_append() {
     let (mem, mut leader) = logged_leader(303);
-    let mut replica = leader.replica().unwrap();
+    let mut replica = follower(&leader);
     let views = register_replica(&mut replica);
 
     let delta = random_update_batch(leader.graph(), 8, 0.5, 5300);
@@ -237,21 +157,21 @@ fn replica_survives_a_failed_then_retried_append() {
     );
 }
 
-/// The compaction safety contract, end to end: a pinned slow follower
-/// holds history back; once its pin advances the journal shrinks
-/// (segment count drops); a fresh replica seeds from the newest
-/// checkpoint afterwards; and an unpinned follower that compaction
-/// outran gets a precise `FrontierCompacted`, not garbage.
+/// The compaction contract, end to end: a follower left at epoch 0 holds
+/// nothing back — the first compaction drops segments and the journal
+/// shrinks; that follower and a dormant one converge through `catch_up`,
+/// each re-seeding once from the retained checkpoint; and a fresh replica
+/// seeds past the compacted base.
 #[test]
 fn compaction_respects_pins_then_bounds_the_journal() {
     let (mem, mut leader) = logged_leader(304);
 
-    // An unpinned follower (cross-process shape) that will go dormant.
-    let mut dormant = Replica::attach(Arc::new(mem.clone())).unwrap();
-    // A pinned slow follower, created at epoch 0 and never caught up.
-    let mut slow = leader.replica().unwrap();
+    // A dormant follower with no views, and a slow one with four, both
+    // attached at epoch 0 and never caught up.
+    let mut dormant = follower(&leader);
+    let mut slow = follower(&leader);
     let slow_views = register_replica(&mut slow);
-    let pinned_at = slow.frontier();
+    assert_eq!(slow.frontier(), 0);
 
     for round in 0..9u64 {
         let delta = random_update_batch(leader.graph(), 8, 0.5, 5400 + round);
@@ -260,21 +180,16 @@ fn compaction_respects_pins_then_bounds_the_journal() {
     let segments_before = mem.segments().unwrap() - mem.first_segment().unwrap();
     let bytes_before = leader.log().unwrap().bytes().unwrap();
 
-    // The slow follower's pin protects everything past its frontier.
+    // Neither follower holds history back.
     let c = leader.compact_log().unwrap();
-    assert_eq!(c.pinned_frontier, Some(pinned_at));
     assert!(
-        c.base_epoch <= pinned_at,
-        "retained base (epoch {}) must not outrun the pin ({})",
-        c.base_epoch,
-        pinned_at
+        c.dropped_segments > 0,
+        "a follower at epoch 0 holds nothing back"
     );
-    // The slow follower still converges — nothing it needed was dropped.
-    assert_converged(&leader, &mut slow, &slow_views);
-
-    // Its pin advanced with the catch-up; now compaction can bite.
-    let c = leader.compact_log().unwrap();
-    assert!(c.dropped_segments > 0, "advanced pin frees history");
+    assert!(
+        c.base_epoch > 1,
+        "the deltas the followers need next are gone"
+    );
     let segments_after = mem.segments().unwrap() - mem.first_segment().unwrap();
     let bytes_after = leader.log().unwrap().bytes().unwrap();
     assert!(
@@ -284,28 +199,94 @@ fn compaction_respects_pins_then_bounds_the_journal() {
     assert!(bytes_after < bytes_before);
     assert_eq!(bytes_after, bytes_before - c.dropped_bytes);
 
+    // Both converge through `catch_up`, each re-seeding once.
+    assert_converged(&leader, &mut slow, &slow_views);
+    assert_eq!((slow.reattaches(), slow.seed_base()), (1, c.base_epoch));
+    assert_eq!(
+        dormant.catch_up().unwrap(),
+        leader.epoch(),
+        "epochs advanced"
+    );
+    assert_eq!(dormant.reattaches(), 1);
+    assert_eq!(
+        dormant.graph().sorted_edges(),
+        leader.graph().sorted_edges()
+    );
+    // Caught up, the next round re-seeds nothing.
+    assert_eq!(dormant.catch_up().unwrap(), 0);
+    assert_eq!(dormant.reattaches(), 1);
+
     // A fresh replica attaches over the compacted log and is immediately
     // bit-identical to the leader.
-    let mut fresh = leader.replica().unwrap();
+    let mut fresh = follower(&leader);
     assert!(fresh.seed_base() >= c.base_epoch);
     let fresh_views = register_replica(&mut fresh);
     assert_converged(&leader, &mut fresh, &fresh_views);
+    assert_eq!(fresh.reattaches(), 0);
+}
 
-    // The dormant unpinned follower was outrun: its next catch-up names
-    // the gap precisely instead of diverging or crying Corrupt.
-    let dormant_frontier = dormant.frontier();
-    match dormant.catch_up().unwrap_err() {
-        EngineError::FrontierCompacted { frontier, oldest } => {
-            assert_eq!(frontier, dormant_frontier);
-            assert!(oldest > frontier + 1);
-        }
-        other => panic!("expected FrontierCompacted, got {other:?}"),
+/// A backend that, once armed, runs a compaction's `remove_below(1)`
+/// between a scan's listing and its first read — a leader compacting on
+/// another thread while a follower scans.
+#[derive(Debug)]
+struct CompactsUnderTheScan {
+    inner: Arc<dyn LogBackend>,
+    armed: AtomicBool,
+}
+
+impl LogBackend for CompactsUnderTheScan {
+    fn segments(&self) -> Result<u32, LogError> {
+        self.inner.segments()
     }
-    // Re-attaching is the documented recovery: the new follower seeds
-    // from the newest checkpoint and serves.
-    let mut reattached = Replica::attach(Arc::new(mem.clone())).unwrap();
-    let re_views = register_replica(&mut reattached);
-    assert_converged(&leader, &mut reattached, &re_views);
+    fn first_segment(&self) -> Result<u32, LogError> {
+        self.inner.first_segment()
+    }
+    fn read(&self, segment: u32) -> Result<Vec<u8>, LogError> {
+        if self.armed.swap(false, Ordering::AcqRel) {
+            self.inner.remove_below(1)?;
+        }
+        self.inner.read(segment)
+    }
+    fn append(&self, segment: u32, bytes: &[u8]) -> Result<(), LogError> {
+        self.inner.append(segment, bytes)
+    }
+    fn len(&self, segment: u32) -> Result<u64, LogError> {
+        self.inner.len(segment)
+    }
+}
+
+/// A scan whose listing a compaction outran starts again at the retained
+/// log's first checkpoint: the follower, which needed nothing the
+/// compaction dropped, consumes its one delta instead of failing on the
+/// missing segment 0.
+#[test]
+fn a_catch_up_survives_a_compaction_between_its_listing_and_its_reads() {
+    let mem: Arc<dyn LogBackend> = Arc::new(MemBackend::new());
+    let mut leader = Engine::new(uniform_graph(24, 64, 3, 306))
+        .with_log(mem.clone())
+        .unwrap();
+    leader
+        .commit(&random_update_batch(leader.graph(), 8, 0.5, 5600))
+        .unwrap();
+    leader.checkpoint().unwrap(); // epoch 1 leads segment 1
+    let racy = Arc::new(CompactsUnderTheScan {
+        inner: mem.clone(),
+        armed: AtomicBool::new(false),
+    });
+    let mut replica = Replica::attach(racy.clone()).unwrap();
+    assert_eq!(replica.frontier(), 1);
+    leader
+        .commit(&random_update_batch(leader.graph(), 8, 0.5, 5601))
+        .unwrap();
+
+    racy.armed.store(true, Ordering::Release);
+    assert_eq!(replica.catch_up(), Ok(1));
+    assert_eq!(mem.first_segment().unwrap(), 1, "the compaction ran");
+    assert_eq!(replica.reattaches(), 0, "nothing the follower needed went");
+    assert_eq!(
+        replica.graph().sorted_edges(),
+        leader.graph().sorted_edges()
+    );
 }
 
 /// Journal stays bounded across many checkpoint cadences when the
@@ -314,7 +295,7 @@ fn compaction_respects_pins_then_bounds_the_journal() {
 #[test]
 fn periodic_compaction_keeps_retained_segments_bounded() {
     let (mem, mut leader) = logged_leader(305);
-    let mut replica = leader.replica().unwrap();
+    let mut replica = follower(&leader);
     let views = register_replica(&mut replica);
 
     let mut retained = Vec::new();
@@ -323,7 +304,6 @@ fn periodic_compaction_keeps_retained_segments_bounded() {
             let delta = random_update_batch(leader.graph(), 8, 0.5, 5500 + cadence * 10 + round);
             leader.commit(&delta).unwrap();
         }
-        // The replica keeps up, so its pin never blocks compaction.
         assert_converged(&leader, &mut replica, &views);
         leader.compact_log().unwrap();
         retained.push(mem.segments().unwrap() - mem.first_segment().unwrap());
@@ -331,10 +311,12 @@ fn periodic_compaction_keeps_retained_segments_bounded() {
     let max_retained = *retained.iter().max().unwrap();
     assert!(
         max_retained <= 2,
-        "with an up-to-date pin, at most the newest checkpoint segment \
-         and the live tail survive each drill (saw {retained:?})"
+        "at most the newest checkpoint segment and the live tail survive \
+         each drill (saw {retained:?})"
     );
     // And historical indices really did advance: compaction dropped
     // whole segments rather than renumbering.
     assert!(mem.first_segment().unwrap() > 0);
+    // A follower that keeps up never needs a dropped delta.
+    assert_eq!(replica.reattaches(), 0);
 }

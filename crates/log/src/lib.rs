@@ -41,12 +41,11 @@
 //!   *sync debt* ([`CommitLog::sync_debt`]) rather than failing an
 //!   already-stored append. Nothing here retries; a caller that wants
 //!   another attempt makes it.
-//! * **Compaction** ([`CommitLog::compact`], [`RetentionPin`]) — every
-//!   checkpoint starts a fresh segment, so whole segments behind the
-//!   newest checkpoint can be dropped once no registered follower
-//!   ([`CommitLog::register_pin`]) still needs them; the journal stays
-//!   bounded under a steady checkpoint cadence while every live
-//!   follower's catch-up window survives.
+//! * **Compaction** ([`CommitLog::compact`]) — every checkpoint starts a
+//!   fresh segment, so whole segments behind the newest checkpoint can be
+//!   dropped; the journal stays bounded under a steady checkpoint cadence
+//!   however far any follower lags. A scan that a concurrent compaction
+//!   outruns starts again at the retained log's first checkpoint.
 //!
 //! ```
 //! use igc_log::{CommitLog, MemBackend, Replayer};
@@ -80,6 +79,6 @@ mod replay;
 pub use backend::{FileBackend, LogBackend, MemBackend};
 pub use chaos::{ChaosBackend, ChaosStats};
 pub use error::LogError;
-pub use log::{CommitLog, Compaction, DurabilityMode, RetentionPin, DEFAULT_SEGMENT_BYTES};
+pub use log::{CommitLog, Compaction, DurabilityMode, DEFAULT_SEGMENT_BYTES};
 pub use record::Record;
 pub use replay::{LogSummary, Replayed, Replayer};

@@ -9,8 +9,7 @@ use crate::record::{
     SEGMENT_HEADER_BYTES,
 };
 use igc_graph::{DynamicGraph, UpdateBatch};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default segment-rotation threshold: a new segment starts once the tail
@@ -95,7 +94,13 @@ pub(crate) fn scan(backend: &dyn LogBackend) -> Result<Scan, LogError> {
     let mut bytes = 0u64;
     let mut last_epoch: Option<u64> = None;
     for seg in first..segments {
-        let buf = backend.read(seg)?;
+        let buf = match backend.read(seg) {
+            Ok(buf) => buf,
+            // A compaction dropped the segment since the listing: the
+            // retained log now starts at a newer checkpoint, so scan that.
+            Err(_) if backend.first_segment()? > seg => return scan(backend),
+            Err(e) => return Err(e),
+        };
         bytes += buf.len() as u64;
         if buf.len() < SEGMENT_HEADER_BYTES {
             // A crash between creating the segment and completing its
@@ -168,32 +173,6 @@ pub(crate) fn scan(backend: &dyn LogBackend) -> Result<Scan, LogError> {
     })
 }
 
-/// A follower's claim on log history: as long as the pin is alive,
-/// [`CommitLog::compact`] never drops the segments a consumer at
-/// `frontier()` still needs to catch up. Obtained from
-/// [`CommitLog::register_pin`]; advanced (lock-free, from any thread)
-/// after each successful catch-up round; *dropping* every clone of the
-/// pin releases the claim automatically — an abandoned follower cannot
-/// hold the journal hostage.
-#[derive(Debug, Clone)]
-pub struct RetentionPin {
-    frontier: Arc<AtomicU64>,
-}
-
-impl RetentionPin {
-    /// The pinned frontier: the highest epoch this follower has fully
-    /// consumed. Compaction retains every delta past it.
-    pub fn frontier(&self) -> u64 {
-        self.frontier.load(Ordering::Acquire)
-    }
-
-    /// Raise the pinned frontier to `epoch` (monotonic — a lower value is
-    /// ignored, so racing advancers cannot move the pin backwards).
-    pub fn advance(&self, epoch: u64) {
-        self.frontier.fetch_max(epoch, Ordering::AcqRel);
-    }
-}
-
 /// What one [`CommitLog::compact`] call did — the observability record
 /// behind journal-size reporting and the compaction drill in CI.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,9 +186,6 @@ pub struct Compaction {
     /// Epoch of the checkpoint the retained log now starts with — the
     /// seed base of any replica attaching after this compaction.
     pub base_epoch: u64,
-    /// The slowest live pin's frontier at decision time (`None` = no live
-    /// pins; compaction was bounded only by the newest checkpoint).
-    pub pinned_frontier: Option<u64>,
 }
 
 /// Append-side view of a journal: validates the epoch chain, frames
@@ -237,9 +213,6 @@ pub struct CommitLog {
     last_checkpoint: Option<u64>,
     deltas: u64,
     checkpoints: u64,
-    /// Live retention pins ([`CommitLog::register_pin`]): `Weak`, so a
-    /// dropped follower releases its claim without telling anyone.
-    pins: Vec<Weak<AtomicU64>>,
     /// When appends reach durable storage (default
     /// [`DurabilityMode::None`]).
     durability: DurabilityMode,
@@ -270,7 +243,6 @@ impl CommitLog {
             last_checkpoint: None,
             deltas: 0,
             checkpoints: 0,
-            pins: Vec::new(),
             durability: DurabilityMode::None,
             dirty: Vec::new(),
             unsynced: 0,
@@ -550,40 +522,15 @@ impl CommitLog {
         Ok(total)
     }
 
-    /// Register a follower's retention pin at `frontier` (the highest
-    /// epoch that follower has already consumed; a brand-new follower
-    /// pins the checkpoint it will seed from). While any clone of the
-    /// returned pin is alive, [`CommitLog::compact`] keeps every segment
-    /// a consumer at the pinned frontier still needs; dropping the pin
-    /// releases the claim. Dead pins are pruned opportunistically, so the
-    /// registry stays bounded by the number of *live* followers.
-    pub fn register_pin(&mut self, frontier: u64) -> RetentionPin {
-        let pin = Arc::new(AtomicU64::new(frontier));
-        self.pins.retain(|w| w.strong_count() > 0);
-        self.pins.push(Arc::downgrade(&pin));
-        RetentionPin { frontier: pin }
-    }
-
-    /// The slowest live pin's frontier, if any follower is registered —
-    /// the epoch compaction must keep reachable.
-    pub fn pinned_frontier(&self) -> Option<u64> {
-        self.pins
-            .iter()
-            .filter_map(|w| w.upgrade())
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-    }
-
-    /// Drop every whole segment the log no longer needs: segments wholly
-    /// behind the newest *segment-leading* checkpoint whose epoch is at
-    /// or below the slowest live [`RetentionPin`] (no pins → behind the
-    /// newest checkpoint outright). The retained log still starts with a
+    /// Drop every whole segment wholly behind the newest
+    /// *segment-leading* checkpoint. The retained log still starts with a
     /// checkpoint, so replay, recovery and fresh replica seeding work
-    /// unchanged; every delta past the pinned frontier survives, so no
-    /// live follower's catch-up is ever cut off.
+    /// unchanged. No follower holds history back: one whose frontier the
+    /// dropped segments covered re-seeds from the retained checkpoint on
+    /// its next catch-up.
     ///
     /// Returns what was dropped and what was retained; a call that finds
-    /// nothing safely droppable is a successful no-op with
+    /// nothing droppable is a successful no-op with
     /// `dropped_segments == 0`. [`LogError::Empty`] on a log with no
     /// records.
     pub fn compact(&mut self) -> Result<Compaction, LogError> {
@@ -591,19 +538,12 @@ impl CommitLog {
         if scanned.records.is_empty() {
             return Err(LogError::Empty);
         }
-        let pinned = self.pinned_frontier();
-        self.pins.retain(|w| w.strong_count() > 0);
-        let horizon = pinned.unwrap_or(u64::MAX);
-        // The newest checkpoint that (a) leads its segment — checkpoints
-        // written since forced rotation all do; legacy mid-segment ones
-        // are simply not eligible boundaries — and (b) a follower at the
-        // pinned frontier could still seed/catch up from.
-        let mut boundary: Option<&RawFrame> = None;
-        for r in &scanned.records {
-            if r.is_checkpoint && r.offset == SEGMENT_HEADER_BYTES as u64 && r.epoch <= horizon {
-                boundary = Some(r);
-            }
-        }
+        // Checkpoints written since forced rotation all lead their
+        // segment; legacy mid-segment ones are not eligible boundaries.
+        let boundary = scanned
+            .records
+            .iter()
+            .rfind(|r| r.is_checkpoint && r.offset == SEGMENT_HEADER_BYTES as u64);
         let first = self.backend.first_segment()?;
         let (boundary_seg, base_epoch) = match boundary {
             Some(r) => (r.segment, r.epoch),
@@ -634,7 +574,6 @@ impl CommitLog {
             dropped_bytes,
             retained_segments: self.backend.segments()? - boundary_seg,
             base_epoch,
-            pinned_frontier: pinned,
         })
     }
 
@@ -912,7 +851,6 @@ mod tests {
         assert_eq!(c.dropped_segments, 3);
         assert_eq!(c.retained_segments, 1);
         assert_eq!(c.base_epoch, 9);
-        assert_eq!(c.pinned_frontier, None);
         assert!(c.dropped_bytes > 0);
         assert_eq!(log.bytes().unwrap(), before - c.dropped_bytes);
         assert_eq!(mem.segments().unwrap(), 4, "indices are historical");
@@ -939,53 +877,6 @@ mod tests {
         let again = log.compact().unwrap();
         assert_eq!(again.dropped_segments, 0);
         assert_eq!(again.base_epoch, 9);
-    }
-
-    #[test]
-    fn retention_pin_blocks_compaction_until_it_advances_or_drops() {
-        let (_, mut log, _) = checkpointed_history(3);
-        // A slow follower still at epoch 2: only history up to the
-        // checkpoint at or below 2 (the genesis checkpoint, segment 0)
-        // may go — i.e. nothing.
-        let pin = log.register_pin(2);
-        assert_eq!(log.pinned_frontier(), Some(2));
-        let c = log.compact().unwrap();
-        assert_eq!(c.dropped_segments, 0);
-        assert_eq!(c.pinned_frontier, Some(2));
-        assert_eq!(c.base_epoch, 0);
-
-        // The follower consumes through epoch 7: the checkpoints at 3 and
-        // 6 both satisfy it, so segments 0 and 1 can go.
-        pin.advance(7);
-        pin.advance(4); // monotonic: lower values are ignored
-        assert_eq!(pin.frontier(), 7);
-        let c = log.compact().unwrap();
-        assert_eq!(c.dropped_segments, 2);
-        assert_eq!(c.base_epoch, 6);
-        assert_eq!(c.pinned_frontier, Some(7));
-
-        // Dropping the pin releases the claim entirely.
-        drop(pin);
-        assert_eq!(log.pinned_frontier(), None);
-        let c = log.compact().unwrap();
-        assert_eq!(c.dropped_segments, 1);
-        assert_eq!(c.base_epoch, 9);
-        assert_eq!(c.retained_segments, 1);
-    }
-
-    #[test]
-    fn slowest_of_several_pins_wins() {
-        let (_, mut log, _) = checkpointed_history(2);
-        let slow = log.register_pin(1);
-        let fast = log.register_pin(6);
-        assert_eq!(log.pinned_frontier(), Some(1));
-        assert_eq!(log.compact().unwrap().dropped_segments, 0);
-        slow.advance(6);
-        let c = log.compact().unwrap();
-        assert_eq!(c.dropped_segments, 2);
-        assert_eq!(c.base_epoch, 6);
-        drop(fast);
-        assert_eq!(log.pinned_frontier(), Some(6));
     }
 
     /// A scripted run of `n` deltas against a sync-counting (quiet chaos)

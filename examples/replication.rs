@@ -1,25 +1,24 @@
 //! Log-shipped read replicas end to end: a leader journals commits, a
 //! follower on a worker thread tails the journal and serves reads at its
 //! own frontier, and periodic compaction keeps the journal bounded
-//! without ever cutting off a live follower.
+//! without waiting for any follower.
 //!
 //! The script:
 //!
 //! 1. a leader engine over a generator-built graph attaches an in-memory
 //!    commit log (checkpoint cadence 4) and registers an SCC view;
-//! 2. `Engine::replica` attaches a **pinned** follower with its own SCC
-//!    view; a worker thread drives its `tail` poll loop while the leader
-//!    commits — log shipping through the shared backend, no other
-//!    coordination;
+//! 2. `Replica::attach` over the leader's log backend attaches a follower
+//!    with its own SCC view; a worker thread drives its `tail` poll loop
+//!    while the leader commits — log shipping through the shared backend,
+//!    no other coordination;
 //! 3. the main thread watches `ReplicaStatus` converge and uses
 //!    `ensure_fresh` to gate a read on bounded staleness;
 //! 4. after the churn, leader and follower answers are asserted
 //!    bit-identical;
 //! 5. `Engine::compact_log` drops every log segment behind the newest
-//!    checkpoint (the follower's retention pin has advanced with it), and
-//!    a **fresh** replica attaches to the compacted journal, seeding from
-//!    the checkpoint — late joiners stay cheap no matter how long the
-//!    leader has been running.
+//!    checkpoint, and a **fresh** replica attaches to the compacted
+//!    journal, seeding from the checkpoint — late joiners stay cheap no
+//!    matter how long the leader has been running.
 //!
 //! ```text
 //! cargo run --release --example replication
@@ -45,13 +44,12 @@ fn main() -> Result<(), EngineError> {
         leader.epoch()
     );
 
-    // 2. A pinned follower with its own SCC view, tailing on a worker.
-    let mut replica = leader.replica()?;
+    // 2. A follower with its own SCC view, tailing on a worker.
+    let mut replica = Replica::attach(Arc::new(backend.clone()))?;
     let replica_scc = replica.register("scc", IncScc::init())?;
     println!(
-        "replica attached: seeded from checkpoint epoch {}, pinned = {}",
-        replica.seed_base(),
-        replica.is_pinned()
+        "replica attached: seeded from checkpoint epoch {}",
+        replica.seed_base()
     );
 
     let stop = AtomicBool::new(false);
@@ -96,8 +94,7 @@ fn main() -> Result<(), EngineError> {
         replica_components.len()
     );
 
-    // 5. Compaction: the follower's pin has advanced to the head, so the
-    // whole history behind the newest checkpoint can go.
+    // 5. Compaction: the whole history behind the newest checkpoint goes.
     let before = leader.log().expect("log attached").bytes()?;
     let compaction = leader.compact_log()?;
     let after = leader.log().expect("log attached").bytes()?;
@@ -109,7 +106,7 @@ fn main() -> Result<(), EngineError> {
 
     // A fresh replica seeds from the newest checkpoint of the compacted
     // journal — it never needed the dropped history.
-    let mut late = leader.replica()?;
+    let mut late = Replica::attach(Arc::new(backend))?;
     let late_scc = late.register("scc", IncScc::init())?;
     late.catch_up()?;
     assert_eq!(late.view(&late_scc)?.components(), leader_components);
