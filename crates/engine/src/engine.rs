@@ -490,18 +490,17 @@ impl Engine {
             log_retries: 0,
         };
         if !delta.is_empty() || reseeded.is_some() {
-            // Open the MVCC publish window: GC every version no live snapshot
-            // pins. Crucially that includes the unpinned newest version, which
-            // returns unique ownership of the graph and of every view's shared
-            // answer state to the engine — so with no pins outstanding nothing
-            // is copied. From here to the publish at the end of this block
-            // there is no early return and no unfenced view code, so the
-            // window always closes.
+            // Open the MVCC publish window: the store releases the newest
+            // version, which with no pin on it returns unique ownership of the
+            // graph and of every view's shared answer state to the engine — so
+            // with no pins outstanding nothing is copied. From here to the
+            // publish at the end of this block there is no early return and no
+            // unfenced view code, so the window always closes.
             self.snapshots.begin_commit();
             let graph_start = Instant::now();
             match reseeded {
-                // Ref count is 1 on the quiescent path (the pre-commit GC
-                // above just dropped the published version's handle), so
+                // Ref count is 1 on the quiescent path (the store above just
+                // released the published version's handle), so
                 // this mutates in place; if a pinned snapshot still holds a
                 // graph handle, make_mut falls back to a clone (list handles
                 // only; each list is copied when first written) instead of
@@ -615,8 +614,9 @@ impl Engine {
         self.snapshots.snapshot()
     }
 
-    /// Pin the version published at exactly `epoch`. Retired epochs (GC'd
-    /// because no live pin held them) are [`EngineError::EpochRetired`];
+    /// Pin the version published at exactly `epoch`. Retired epochs (older
+    /// than the newest, and no live pin holds them) are
+    /// [`EngineError::EpochRetired`];
     /// epochs beyond the newest published version are
     /// [`EngineError::SnapshotUnavailable`]. Never gated on degraded mode.
     pub fn snapshot_at(&self, epoch: u64) -> Result<Snapshot, EngineError> {

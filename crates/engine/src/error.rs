@@ -179,10 +179,11 @@ pub enum EngineError {
         waited: std::time::Duration,
     },
     /// A [`snapshot_at`](crate::SnapshotStore::snapshot_at) asked for an
-    /// epoch the version GC already retired: no live
-    /// [`Snapshot`](crate::Snapshot) pinned it, so the store dropped it
-    /// at a later commit. Only epochs ≥ the oldest retained version (or
-    /// ones still pinned by a live snapshot) can be served.
+    /// epoch already retired: it is older than the newest version and no
+    /// live [`Snapshot`](crate::Snapshot) pins it any more, so it was freed
+    /// when its last pin dropped (or, never pinned, when a newer epoch
+    /// published). Only the newest epoch and epochs a live snapshot still
+    /// pins can be served.
     EpochRetired {
         /// The requested epoch.
         epoch: u64,

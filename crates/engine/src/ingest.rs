@@ -270,7 +270,7 @@ impl Ingest {
 
     /// Pin the retained version at exactly `epoch` — see
     /// [`Engine::snapshot_at`] for the retention contract
-    /// ([`EngineError::EpochRetired`] when GC already dropped it,
+    /// ([`EngineError::EpochRetired`] when no pin holds it any more,
     /// [`EngineError::SnapshotUnavailable`] when it has not been
     /// published yet).
     pub fn snapshot_at(&self, epoch: u64) -> Result<Snapshot, EngineError> {

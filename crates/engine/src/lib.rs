@@ -75,11 +75,12 @@
 //! a version holds the copy each view publishes of itself
 //! ([`IncView::clone_view`](igc_core::IncView::clone_view) — the answer
 //! behind `Arc`s, none of the auxiliary state), so publishing is a few
-//! `Arc` bumps per view, a held pin costs per commit the graph's edge
-//! set and list handles, the adjacency lists the commit writes and each
-//! answer's container, and a pre-commit GC drops every unpinned
-//! version, so with no pins nothing is copied and the retained window
-//! stays ≤ distinct pinned epochs + 1.
+//! `Arc` bumps per view, and a held pin costs per commit the graph's list
+//! handles, the adjacency lists the commit writes and each answer's
+//! container. The store holds only the newest version strongly: dropping
+//! the last pin of an older one frees it on the dropping thread, so with
+//! no pins nothing is copied, the committer frees no retired version, and
+//! the retained window is distinct pinned epochs + 1.
 //! Through the ingest front door, [`Ingest::snapshot`] pins versions
 //! without taking the engine lock a running tick holds; degraded read-only
 //! mode never gates snapshot creation or pinned reads.

@@ -16,32 +16,32 @@
 //! [`Snapshot::graph`], [`Snapshot::view`] — is a plain pointer deref with
 //! no lock, no channel, and no coordination with the committer.
 //!
-//! # Who owns what, garbage collection, and the version window
+//! # Who owns what, and the version window
 //!
 //! The engine owns every view uniquely and always mutates it in place; a
 //! version shares only the graph and each view's *answer* state with it.
-//! At the start of the next commit the engine first GCs every version no
-//! live [`Snapshot`] pins (a version is pinned iff readers still hold its
-//! `Arc`), which in the common no-pins case hands unique ownership of the
-//! graph and every answer back — the commit then copies nothing and MVCC
-//! costs a few `Arc` bumps per view. While a pin *is* live, the first
-//! write to a shared piece copies that piece once, and the pieces are
-//! small: `Arc::make_mut` on the graph bumps one handle per adjacency list
-//! and copies no edge, after which each list the commit writes is copied
-//! alone ([`DynamicGraph`] documents the costs); inside each view
-//! the same call copies the container of its answer state. A pin costs
-//! what the commit touched plus those handles, never the auxiliary state,
-//! and the pinned reader keeps serving its frozen state, unaffected.
-//! Dropping the last `Snapshot` of a version makes it collectable at the
-//! next commit, so the retained window is bounded by *distinct pinned
-//! epochs + 1* (the newest version is always kept) — never unbounded
-//! growth. Collected versions are freed after the store's lock is
-//! released, so a reader taking a pin does not wait for the free.
+//! The store holds the newest version strongly and every older epoch as a
+//! [`Weak`] entry, so a version lives exactly as long as it is the newest
+//! or a live [`Snapshot`] holds it. A commit opens by releasing the newest,
+//! which in the common no-pins case hands unique ownership of the graph and
+//! every answer back — the commit then copies nothing and MVCC costs a few
+//! `Arc` bumps per view. While a pin *is* live, the first write to a shared
+//! piece copies that piece once, and the pieces are small: `Arc::make_mut`
+//! on the graph bumps one handle per adjacency list and copies no edge,
+//! after which each list the commit writes is copied alone
+//! ([`DynamicGraph`] documents the costs); inside each view the same call
+//! copies the container of its answer state. A pin costs what the commit
+//! touched plus those handles, never the auxiliary state, and the pinned
+//! reader keeps serving its frozen state, unaffected. The thread that drops
+//! the last `Snapshot` of an older version frees it at once, outside the
+//! store's mutex: what only that version holds (its copied lists, its
+//! answer copies) is never the committer's to free. So the window is
+//! *distinct pinned epochs + 1*.
 //!
 //! # Retirement
 //!
 //! [`SnapshotStore::snapshot_at`] can only serve epochs still retained:
-//! asking for an epoch the GC already dropped returns
+//! asking for an epoch no pin holds any more returns
 //! [`EngineError::EpochRetired`]; asking for an epoch newer than anything
 //! published returns [`EngineError::SnapshotUnavailable`]. Taking the
 //! newest snapshot briefly waits out an in-flight publish (bounded; a
@@ -56,7 +56,7 @@ use igc_graph::DynamicGraph;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// How long [`SnapshotStore::snapshot`] will wait for an in-flight publish
@@ -109,20 +109,31 @@ struct VersionData {
 }
 
 struct StoreInner {
-    /// Published versions by epoch. Values are `Arc`s: the map holds one
-    /// reference, every live [`Snapshot`] of the version holds another —
-    /// so `strong_count > 1` *is* the pin test, exact under the mutex.
-    versions: BTreeMap<u64, Arc<VersionData>>,
+    /// Published versions by epoch, held weakly: live while `newest` or a
+    /// [`Snapshot`] holds them; [`SnapshotStore::begin_commit`] prunes.
+    versions: BTreeMap<u64, Weak<VersionData>>,
+    /// The store's one strong reference. `None` between `begin_commit` and
+    /// its publish, when newest-snapshot requests wait on [`Condvar`].
+    newest: Option<Arc<VersionData>>,
     /// The newest published epoch.
     head: u64,
-    /// True between [`SnapshotStore::begin_commit`] and the matching
-    /// publish: the previous head may already be GC'd and the new one not
-    /// yet in, so newest-snapshot requests briefly wait on [`Condvar`].
-    publishing: bool,
+}
+
+impl StoreInner {
+    /// The epochs whose version is live, oldest first.
+    fn live(&self) -> impl Iterator<Item = u64> + '_ {
+        let live = |(&e, v): (&u64, &Weak<VersionData>)| (v.strong_count() > 0).then_some(e);
+        self.versions.iter().filter_map(live)
+    }
+
+    /// The oldest live epoch, else the head.
+    fn oldest(&self) -> u64 {
+        self.live().next().unwrap_or(self.head)
+    }
 }
 
 /// The engine's epoch-versioned answer store — see [`Snapshot`] and the
-/// crate-level docs for the pin / ownership / GC contract.
+/// crate-level docs for the pin / ownership / retirement contract.
 ///
 /// The store itself is only ever touched at version granularity (take a
 /// snapshot, publish a version); all data reads go through [`Snapshot`]
@@ -143,8 +154,8 @@ impl SnapshotStore {
         SnapshotStore {
             inner: Mutex::new(StoreInner {
                 versions: BTreeMap::new(),
+                newest: None,
                 head: 0,
-                publishing: false,
             }),
             published: Condvar::new(),
             publish_nanos: AtomicU64::new(0),
@@ -158,28 +169,26 @@ impl SnapshotStore {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Open the publish window for a commit: GC every unpinned version
-    /// (including, crucially, the unpinned newest — that is what hands
-    /// unique ownership of the graph and every view's answer state back to
-    /// the engine so the commit copies nothing), then mark the store mid-publish so
-    /// newest-snapshot requests wait for the commit's own publish instead
-    /// of pinning a version about to be superseded.
+    /// Wait, bounded by [`PUBLISH_WAIT`], until no publish is in flight.
+    fn settled<'a>(&self, inner: MutexGuard<'a, StoreInner>) -> MutexGuard<'a, StoreInner> {
+        self.published
+            .wait_timeout_while(inner, PUBLISH_WAIT, |i| i.newest.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+    }
+
+    /// Open the publish window for a commit: release the newest version —
+    /// with no pins that hands unique ownership of the graph and every
+    /// answer back to the engine, so the commit copies nothing — which
+    /// marks the store mid-publish, so newest-snapshot requests wait for
+    /// this commit's publish. A pinned version is freed by its last pin.
     pub(crate) fn begin_commit(&self) {
         let start = Instant::now();
         let mut inner = self.lock();
-        inner.publishing = true;
-        let mut dead = Vec::new();
-        inner.versions.retain(|_, v| {
-            let pinned = Arc::strong_count(v) > 1;
-            if !pinned {
-                dead.push(Arc::clone(v));
-            }
-            pinned
-        });
+        inner.versions.retain(|_, v| v.strong_count() > 0);
+        let newest = inner.newest.take();
         drop(inner);
-        // Freed outside the lock: a reader pinning a retained epoch does not
-        // wait for the slabs and answers of the retired ones to be released.
-        drop(dead);
+        drop(newest); // outside the lock: a reader pinning never waits on it
         self.publish_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -196,19 +205,18 @@ impl SnapshotStore {
         cells: Vec<SnapCell>,
         started: Instant,
     ) {
-        let mut inner = self.lock();
-        inner.versions.insert(
+        let version = Arc::new(VersionData {
             epoch,
-            Arc::new(VersionData {
-                epoch,
-                graph,
-                cells,
-            }),
-        );
+            graph,
+            cells,
+        });
+        let mut inner = self.lock();
+        inner.versions.insert(epoch, Arc::downgrade(&version));
+        let superseded = inner.newest.replace(version);
         inner.head = inner.head.max(epoch);
-        inner.publishing = false;
         drop(inner);
         self.published.notify_all();
+        drop(superseded); // a lifecycle republish's old head, unlocked too
         self.publish_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -218,45 +226,32 @@ impl SnapshotStore {
     /// mid-window can exhaust it, surfacing as
     /// [`EngineError::SnapshotUnavailable`] rather than a hang).
     pub fn snapshot(&self) -> Result<Snapshot, EngineError> {
-        let inner = self.lock();
-        let (inner, _timeout) = self
-            .published
-            .wait_timeout_while(inner, PUBLISH_WAIT, |i| i.publishing)
-            .unwrap_or_else(PoisonError::into_inner);
-        let head = inner.head;
-        match inner.versions.get(&head) {
-            Some(v) if !inner.publishing => Ok(Snapshot {
-                data: Arc::clone(v),
-            }),
-            _ => Err(EngineError::SnapshotUnavailable { epoch: head, head }),
-        }
+        let inner = self.settled(self.lock());
+        let (newest, head) = (inner.newest.clone(), inner.head);
+        newest
+            .map(|data| Snapshot { data })
+            .ok_or(EngineError::SnapshotUnavailable { epoch: head, head })
     }
 
     /// Pin the version published at exactly `epoch`.
     ///
     /// A *retained* epoch pins instantly — even while a later commit is
-    /// mid-publish (pinned history never moves). A missing epoch at or
-    /// below the head was GC'd: [`EngineError::EpochRetired`]. An epoch
-    /// beyond the head has not been published:
-    /// [`EngineError::SnapshotUnavailable`] (after waiting out an
-    /// in-flight publish that might be exactly this epoch).
+    /// mid-publish (pinned history never moves). An epoch at or below the
+    /// head that no pin holds any more is retired:
+    /// [`EngineError::EpochRetired`]. An epoch beyond the head has not been
+    /// published: [`EngineError::SnapshotUnavailable`] (after waiting out
+    /// an in-flight publish that might be exactly this epoch).
     pub fn snapshot_at(&self, epoch: u64) -> Result<Snapshot, EngineError> {
+        let live = |inner: &StoreInner| inner.versions.get(&epoch).and_then(Weak::upgrade);
         let inner = self.lock();
-        if let Some(v) = inner.versions.get(&epoch) {
-            return Ok(Snapshot {
-                data: Arc::clone(v),
-            });
+        if let Some(data) = live(&inner) {
+            return Ok(Snapshot { data });
         }
         // Not retained. If a publish is in flight it may be publishing
         // this very epoch — wait it out before judging.
-        let (inner, _timeout) = self
-            .published
-            .wait_timeout_while(inner, PUBLISH_WAIT, |i| i.publishing)
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(v) = inner.versions.get(&epoch) {
-            return Ok(Snapshot {
-                data: Arc::clone(v),
-            });
+        let inner = self.settled(inner);
+        if let Some(data) = live(&inner) {
+            return Ok(Snapshot { data });
         }
         if epoch > inner.head {
             Err(EngineError::SnapshotUnavailable {
@@ -264,7 +259,7 @@ impl SnapshotStore {
                 head: inner.head,
             })
         } else {
-            let oldest = inner.versions.keys().next().copied().unwrap_or(inner.head);
+            let oldest = inner.oldest();
             Err(EngineError::EpochRetired { epoch, oldest })
         }
     }
@@ -275,27 +270,27 @@ impl SnapshotStore {
     }
 
     /// How many versions the store currently retains (the version
-    /// window). Bounded by distinct pinned epochs + 1; collapses back to
-    /// 1 at the first commit after all pins drop.
+    /// window): distinct pinned epochs + 1 for the newest. It shrinks the
+    /// moment a retired epoch's last pin drops, with no commit between.
     pub fn window(&self) -> usize {
-        self.lock().versions.len()
+        self.lock().live().count()
     }
 
     /// The oldest retained epoch (equals [`head`](Self::head) when the
     /// window is 1).
     pub fn oldest(&self) -> u64 {
-        let inner = self.lock();
-        inner.versions.keys().next().copied().unwrap_or(inner.head)
+        self.lock().oldest()
     }
 
     /// Cumulative wall-clock the committer has spent on MVCC bookkeeping
-    /// across every commit so far: version GC, building each version's
-    /// cells (one [`IncView::clone_view`] per active view) and publication.
-    /// It *excludes* what a live pin makes a commit copy — the graph's
-    /// list handles and written lists, and inside each view its answer
-    /// state — which is attributed where it
-    /// happens: `graph_elapsed` and the view's own fan-out slot in the
-    /// [`CommitReceipt`] (no pins → no copies).
+    /// across every commit so far: releasing the newest version, building
+    /// each version's cells (one [`IncView::clone_view`] per active view)
+    /// and publication. A retired version is freed by the thread dropping
+    /// its last pin, so its free is never counted here. It *excludes* what
+    /// a live pin makes a commit copy — the graph's list handles and
+    /// written lists, and inside each view its answer state — which is
+    /// attributed where it happens: `graph_elapsed` and the view's own
+    /// fan-out slot in the [`CommitReceipt`] (no pins → no copies).
     ///
     /// [`CommitReceipt`]: crate::CommitReceipt
     pub fn publish_elapsed(&self) -> Duration {
@@ -303,15 +298,18 @@ impl SnapshotStore {
     }
 
     /// Approximate heap retention of the version window, counted in graph
-    /// copies and view cells actually *owned* by old versions (entries
+    /// copies and view cells actually *owned* by live versions (entries
     /// whose `Arc` is shared with a newer version or the live engine are
     /// not double-counted). Feeds the bench harness's window-memory
     /// series.
     pub fn retained_stats(&self) -> SnapshotStoreStats {
         let inner = self.lock();
+        let live: Vec<_> = inner.versions.values().filter_map(Weak::upgrade).collect();
+        // Unlocked before `live` drops: if a pin dropped meanwhile, this frees it.
+        drop(inner);
         let mut distinct_graphs: Vec<*const DynamicGraph> = Vec::new();
         let mut distinct_cells: Vec<*const ()> = Vec::new();
-        for v in inner.versions.values() {
+        for v in &live {
             let g = Arc::as_ptr(&v.graph);
             if !distinct_graphs.contains(&g) {
                 distinct_graphs.push(g);
@@ -326,7 +324,7 @@ impl SnapshotStore {
             }
         }
         SnapshotStoreStats {
-            versions: inner.versions.len(),
+            versions: live.len(),
             distinct_graphs: distinct_graphs.len(),
             distinct_view_cells: distinct_cells.len(),
         }
@@ -337,7 +335,7 @@ impl SnapshotStore {
 /// retained version window, deduplicated by actual storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotStoreStats {
-    /// Retained version count (the window).
+    /// Live version count (the window): the newest plus each pinned epoch.
     pub versions: usize,
     /// Distinct graph versions across the window (shared `Arc`s count
     /// once). A distinct version is not a whole copy: it has its own
@@ -352,7 +350,7 @@ pub struct SnapshotStoreStats {
 /// A pinned, immutable version of the engine at one epoch: the graph plus
 /// every registered view's answers, bit-identical to a frozen engine at
 /// that epoch. Reads are lock-free `Arc` derefs; the pin releases on drop,
-/// making the version collectable at the next commit.
+/// and dropping the last pin of a superseded version frees it right there.
 ///
 /// Cloning a `Snapshot` is cheap and pins the same version.
 #[derive(Clone)]
@@ -440,8 +438,8 @@ impl std::fmt::Debug for SnapshotStore {
         let inner = self.lock();
         f.debug_struct("SnapshotStore")
             .field("head", &inner.head)
-            .field("window", &inner.versions.len())
-            .field("publishing", &inner.publishing)
+            .field("window", &inner.live().count())
+            .field("publishing", &inner.newest.is_none())
             .finish()
     }
 }
@@ -452,6 +450,9 @@ mod tests {
     use igc_core::WorkStats;
     use igc_graph::graph::graph_from;
     use igc_graph::UpdateBatch;
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::{self, ThreadId};
 
     #[derive(Clone, Debug)]
     struct Tally {
@@ -505,7 +506,7 @@ mod tests {
         assert_eq!(pinned.view(&handle()).unwrap().n, 1);
 
         // Two commits flow past; the pin keeps serving epoch 1 while the
-        // unpinned epoch 2 is collected.
+        // unpinned epoch 2 is retired.
         store.begin_commit();
         store.publish(2, graph(), cells(2), Instant::now());
         store.begin_commit();
@@ -513,7 +514,7 @@ mod tests {
 
         assert_eq!(pinned.view(&handle()).unwrap().n, 1, "frozen at epoch 1");
         assert_eq!(store.head(), 3);
-        assert_eq!(store.window(), 2, "pinned epoch 1 + head, epoch 2 GC'd");
+        assert_eq!(store.window(), 2, "pinned epoch 1 + head, epoch 2 retired");
         assert!(matches!(
             store.snapshot_at(2),
             Err(EngineError::EpochRetired {
@@ -522,25 +523,29 @@ mod tests {
             })
         ));
 
-        // Dropping the pin makes epoch 1 collectable at the next commit.
+        // Dropping the pin retires epoch 1 at once.
         drop(pinned);
+        assert_eq!(store.window(), 1);
         store.begin_commit();
         store.publish(4, graph(), cells(4), Instant::now());
         assert_eq!(store.window(), 1);
         assert_eq!(store.oldest(), 4);
     }
 
-    /// A view that notes, when it is freed, whether the store's mutex was
-    /// free to take.
+    /// A view that notes, when it is freed, on which thread and whether the
+    /// store's mutex was free to take.
     struct FreedUnlocked {
         store: Arc<SnapshotStore>,
-        seen: Arc<Mutex<Option<bool>>>,
+        seen: Freed,
     }
+
+    /// Where a [`FreedUnlocked`] was freed, and whether the mutex was free.
+    type Freed = Arc<Mutex<Option<(ThreadId, bool)>>>;
 
     impl Drop for FreedUnlocked {
         fn drop(&mut self) {
             let unlocked = self.store.inner.try_lock().is_ok();
-            *self.seen.lock().unwrap() = Some(unlocked);
+            *self.seen.lock().unwrap() = Some((thread::current().id(), unlocked));
         }
     }
 
@@ -560,8 +565,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn retired_versions_are_freed_outside_the_store_mutex() {
+    /// A store whose epoch-1 version holds a [`FreedUnlocked`] probe.
+    fn probed() -> (Arc<SnapshotStore>, Freed) {
         let store = Arc::new(SnapshotStore::new());
         let seen = Arc::new(Mutex::new(None));
         let cell = SnapCell {
@@ -574,9 +579,119 @@ mod tests {
             })),
         };
         store.publish(1, graph(), vec![cell], Instant::now());
+        (store, seen)
+    }
+
+    #[test]
+    fn retired_versions_are_freed_outside_the_store_mutex() {
+        let (store, seen) = probed();
         assert_eq!(*seen.lock().unwrap(), None, "retained while it is the head");
         store.begin_commit();
-        assert_eq!(*seen.lock().unwrap(), Some(true));
+        assert_eq!(*seen.lock().unwrap(), Some((thread::current().id(), true)));
+    }
+
+    #[test]
+    fn the_last_pin_frees_a_retired_version_on_its_own_thread() {
+        let (store, seen) = probed();
+        let pin = store.snapshot().unwrap();
+        store.begin_commit();
+        store.publish(2, graph(), cells(2), Instant::now());
+        assert_eq!(*seen.lock().unwrap(), None, "the commit frees nothing");
+        let reader = thread::spawn(move || {
+            drop(pin);
+            thread::current().id()
+        });
+        let reader = reader.join().unwrap();
+        assert_eq!(*seen.lock().unwrap(), Some((reader, true)));
+    }
+
+    #[test]
+    fn an_epoch_retires_the_moment_its_last_pin_drops() {
+        let store = SnapshotStore::new();
+        store.publish(1, graph(), cells(1), Instant::now());
+        let (pin, twin) = (store.snapshot().unwrap(), store.snapshot_at(1).unwrap());
+        store.begin_commit();
+        store.publish(2, graph(), cells(2), Instant::now());
+        drop(pin);
+        assert_eq!(store.window(), 2, "the twin still pins epoch 1");
+        assert_eq!(store.snapshot_at(1).unwrap().view(&handle()).unwrap().n, 1);
+        drop(twin);
+        assert_eq!((store.window(), store.oldest()), (1, 2));
+        assert!(matches!(
+            store.snapshot_at(1),
+            Err(EngineError::EpochRetired {
+                epoch: 1,
+                oldest: 2
+            })
+        ));
+    }
+
+    /// Two readers pin epochs near the head, each its own parity, and drop
+    /// them while 200 commits land, each waiting for a pin after it: a pin
+    /// reads its own epoch, a failure is a retirement, and an epoch below
+    /// the head whose pin a reader just dropped is retired at once.
+    #[test]
+    fn readers_pinning_and_dropping_held_epochs_race_commits_safely() {
+        let store = SnapshotStore::new();
+        store.publish(0, graph(), cells(0), Instant::now());
+        let (stop, pins) = (AtomicBool::new(false), AtomicU64::new(0));
+        thread::scope(|scope| {
+            let readers: Vec<_> = (0..2u64)
+                .map(|parity| {
+                    let (store, stop, pins) = (&store, &stop, &pins);
+                    scope.spawn(move || {
+                        let (mut held, mut pinned) = (VecDeque::new(), 0);
+                        for i in 0u64.. {
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            let epoch = store.head().saturating_sub(i % 4);
+                            if epoch % 2 != parity {
+                                continue;
+                            }
+                            match store.snapshot_at(epoch) {
+                                Ok(pin) => {
+                                    assert_eq!(pin.epoch(), epoch);
+                                    assert_eq!(pin.view(&handle()).unwrap().n, epoch);
+                                    held.push_back(pin);
+                                    pinned += 1;
+                                    pins.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Err(EngineError::EpochRetired { .. }) => {}
+                                Err(other) => panic!("pinning epoch {epoch}: {other}"),
+                            }
+                            if held.len() > 2 {
+                                let gone = held.pop_front().map_or(0, |pin| pin.epoch());
+                                if gone < store.head() && held.iter().all(|p| p.epoch() != gone) {
+                                    let retired = store.snapshot_at(gone);
+                                    assert!(
+                                        matches!(retired, Err(EngineError::EpochRetired { .. })),
+                                        "epoch {gone} outlived its last pin"
+                                    );
+                                }
+                            }
+                        }
+                        pinned
+                    })
+                })
+                .collect();
+            for epoch in 1..=200 {
+                store.begin_commit();
+                store.publish(epoch, graph(), cells(epoch), Instant::now());
+                // The reader of this epoch's parity pins the head at least.
+                let seen = pins.load(Ordering::Relaxed);
+                while pins.load(Ordering::Relaxed) == seen
+                    && !readers.iter().any(|r| r.is_finished())
+                {
+                    thread::yield_now();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            for reader in readers {
+                assert!(reader.join().unwrap() > 0);
+            }
+        });
+        assert_eq!(store.window(), 1, "every reader's pins dropped");
     }
 
     #[test]
@@ -621,7 +736,7 @@ mod tests {
         store.publish(1, graph(), cells(1), Instant::now());
         let pin = store.snapshot().unwrap();
         store.begin_commit();
-        // Epoch 1 is pinned, so it survived the GC and is served without
+        // Epoch 1 is pinned, so it outlived the commit and is served without
         // waiting on the open publish window.
         assert_eq!(store.snapshot_at(1).unwrap().epoch(), 1);
         drop(pin);

@@ -12,8 +12,9 @@
 //!    commits have been published.
 //! 2. **Readers never observe torn state.** Every snapshot is an atomically
 //!    published (graph, all-views) pair at one epoch.
-//! 3. **GC is pin-driven.** The version window grows only while snapshots
-//!    hold pins; once they drop, the next commit collapses it back to 1.
+//! 3. **Retirement is pin-driven.** The version window grows only while
+//!    snapshots hold pins; the moment they drop it is back to 1, and the
+//!    thread that drops a version's last pin frees it.
 //!
 //! It ends with what a pin costs: the median commit time over a short tail
 //! of commits with the pins still held (readers stopped, so the number is
@@ -49,7 +50,7 @@ fn churn(
     if let Some(pins) = pins {
         pins.push(engine.snapshot()?);
         if pins.len() > 3 {
-            pins.remove(0); // oldest pin drops → its version becomes GC-able
+            pins.remove(0); // oldest pin drops → its version is freed here
         }
     }
     Ok(receipt)
@@ -176,10 +177,11 @@ fn main() -> Result<(), EngineError> {
         held.push(churn(&mut engine, 20_000 + i as u64, Some(&mut pinned))?.elapsed);
     }
 
-    // … and, Property 3, the same after every pin is dropped: the first
-    // commit collapses the version window — GC keeps exactly the head
-    // version alive — and none of them copies anything.
+    // … and, Property 3, the same after every pin is dropped: the drops
+    // collapse the version window to the head at once, and none of the
+    // commits copies anything.
     drop((frozen, now, pinned));
+    assert_eq!(engine.snapshot_store().window(), 1);
     let mut free = Vec::with_capacity(TAIL);
     for i in 0..TAIL {
         free.push(churn(&mut engine, 30_000 + i as u64, None)?.elapsed);

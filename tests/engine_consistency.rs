@@ -32,7 +32,8 @@
 //!    exactly once.
 //! 7. `pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow`:
 //!    every `Pin` keeps showing its epoch, a commit keeps the pinned versions
-//!    and the head, and `snapshot_at` errs at the window's edges.
+//!    and the head, an `Unpin` of an epoch's last pin retires it at once,
+//!    and `snapshot_at` errs at the window's edges.
 //! 8. `seeded_chaos_storms_lose_no_acked_commit`: a `Fault` arms torn
 //!    appends and failed syncs ahead of a commit, under each `Durability`
 //!    mode. Degraded, the engine shows the model and rejects a commit
@@ -178,7 +179,7 @@ const MIX: [(&str, u32); 15] = [
 /// What the seeds must exercise beside each action kind: each surface
 /// check, and the events the action kinds exist for.
 const EVENTS: &str = "engine_check follower_check pin_check quarantine torn_tick \
-    stored_torn_append compaction_drop reattach snapshot_at follower_pin";
+    stored_torn_append compaction_drop reattach snapshot_at follower_pin unpin_retired";
 /// What the fault kinds exist for: a degraded engine, refused and granted
 /// heals, sync debt, surfaced read faults, and faults under each
 /// durability mode.
@@ -574,11 +575,7 @@ impl Sim {
             Attach => self.attach(),
             CatchUp(pick) => self.catch_up(*pick),
             Pin(at) => self.pin(*at),
-            Unpin(pick) => {
-                if let Some(i) = pick.checked_rem(self.model.pins.len()) {
-                    self.model.pins.remove(i);
-                }
-            }
+            Unpin(pick) => self.unpin(*pick),
             Durability(barrier) => {
                 self.durability = *barrier;
                 self.configure();
@@ -833,6 +830,29 @@ impl Sim {
         let (publication, roster) = self.model.published[&snap.epoch()].clone();
         self.model.check("new pin", &snap, &roster);
         self.model.pins.push((snap, roster, Some(publication)));
+    }
+
+    /// Dropping the last pin of an epoch below the head retires it at once,
+    /// with no commit between: the window is the pins and the head.
+    fn unpin(&mut self, pick: usize) {
+        let m = &mut self.model;
+        let Some(i) = pick.checked_rem(m.pins.len()) else {
+            return;
+        };
+        let was_held = m.held();
+        let epoch = m.pins.remove(i).0.epoch();
+        let (held, head) = (m.held(), m.epoch());
+        if was_held.contains(&epoch) && !held.contains(&epoch) && epoch != head {
+            let retired = self.engine.snapshot_at(epoch);
+            assert!(
+                matches!(retired, Err(EpochRetired { .. })),
+                "unpinned {epoch} retires"
+            );
+            bump(&mut self.stats, "unpin_retired");
+        }
+        let window = self.engine.snapshot_store().window();
+        let pinned = held.iter().filter(|&&e| e != head).count();
+        assert_eq!(window, pinned + 1, "window at unpin: the pins and the head");
     }
 
     /// Every surface against the model: the engine, each follower, each pin.
@@ -1121,7 +1141,7 @@ fn crash_mid_tick_recovers_to_a_clean_epoch_boundary() {
 #[test]
 fn pinned_snapshots_stay_bit_identical_while_commits_and_lifecycle_flow() {
     let kinds = ["Commit", "Register", "Deregister", "Pin", "Unpin"];
-    focused(7, &kinds, "pin_check snapshot_at quarantine");
+    focused(7, &kinds, "pin_check snapshot_at quarantine unpin_retired");
 }
 
 #[test]
@@ -1164,7 +1184,8 @@ fn ddmin_shrinks_a_storm_to_the_fault_action_a_failure_needs() {
 }
 
 /// The minimised cases of five historical bugs, re-introduced one at a
-/// time, and of three the simulation found.
+/// time, of three the simulation found, and of a version that outlived
+/// its last pin.
 #[test]
 fn replayed_cases_stay_green() {
     let cases = [
@@ -1208,6 +1229,8 @@ fn replayed_cases_stay_green() {
             Compact,
             CatchUp(27)
         ],
+        // The last unpin of an epoch below the head retires it at once.
+        case![Pin(None), Commit(vec![I(21, 22)]), Unpin(55)],
     ];
     for (i, (text, case)) in cases.into_iter().enumerate() {
         prints_as(&case, text);

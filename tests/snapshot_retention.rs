@@ -1,6 +1,6 @@
 //! Retained memory under pins is bounded by answers, not by auxiliary
 //! state: under the benchmark's pin pattern (a ladder of four sliding pins
-//! plus one long pin, all five view classes) the version window stays ≤ 6,
+//! plus one long pin, all five view classes) the version window stays ≤ 5,
 //! and no retained `IncRpq` cell carries a marking while the live view
 //! keeps all of its own.
 
@@ -45,11 +45,11 @@ fn pinned_versions_retain_answers_not_auxiliary_state() -> Result<(), EngineErro
             ladder.pop_front();
         }
 
-        // Long pin + four held + the one just released (collected at the
-        // next commit).
+        // Long pin + four held, the newest among them: the one just
+        // released is freed by its drop.
         let store = engine.snapshot_store();
-        assert!(store.window() <= 6, "window {}", store.window());
-        assert!(store.retained_stats().distinct_view_cells <= 30);
+        assert!(store.window() <= 5, "window {}", store.window());
+        assert!(store.retained_stats().distinct_view_cells <= 25);
 
         assert!(engine.view(&rpq)?.mark_count() > 0);
         for epoch in store.oldest()..=store.head() {
