@@ -316,8 +316,8 @@ impl fmt::Display for EngineError {
             ),
             EngineError::EpochRetired { epoch, oldest } => write!(
                 f,
-                "snapshot epoch {epoch} retired: no live pin held it, so version \
-                 GC dropped it (oldest retained epoch is {oldest})"
+                "snapshot epoch {epoch} retired: no live pin holds it any more \
+                 (oldest retained epoch is {oldest})"
             ),
             EngineError::SnapshotUnavailable { epoch, head } => write!(
                 f,
@@ -478,7 +478,11 @@ mod tests {
                     epoch: 14,
                     oldest: 21,
                 },
-                vec!["epoch 14 retired", "GC", "oldest retained epoch is 21"],
+                vec![
+                    "epoch 14 retired",
+                    "no live pin",
+                    "oldest retained epoch is 21",
+                ],
             ),
             (
                 EngineError::SnapshotUnavailable {
